@@ -23,7 +23,7 @@
 //!   (persistent workers, atomic slots, host pollers) usable as a CPU
 //!   ANNS server.
 //! * [`net`] — the TCP network front end: length-prefixed binary
-//!   protocol, a poll/park readiness loop with pipelined out-of-order
+//!   protocol, a `poll(2)` readiness loop with pipelined out-of-order
 //!   completion and RETRY_AFTER backpressure, a blocking client, and
 //!   an open-loop Poisson load generator.
 //! * [`obs`] — serving-path telemetry: lock-free counters, log-linear

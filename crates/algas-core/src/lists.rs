@@ -27,6 +27,9 @@ pub struct Candidate {
 pub struct CandidateList {
     items: Vec<Candidate>,
     cap: usize,
+    /// Scratch for [`CandidateList::merge_batch`]: the step's admitted
+    /// newcomers, sorted, before they are merged into `items`.
+    staged: Vec<Candidate>,
 }
 
 impl CandidateList {
@@ -36,7 +39,7 @@ impl CandidateList {
     /// Panics if `l == 0`.
     pub fn new(l: usize) -> Self {
         assert!(l > 0, "candidate list capacity must be positive");
-        Self { items: Vec::with_capacity(l + 1), cap: l }
+        Self { items: Vec::with_capacity(l + 1), cap: l, staged: Vec::new() }
     }
 
     /// Capacity `L`.
@@ -112,20 +115,48 @@ impl CandidateList {
     /// Newcomers must be distinct from existing entries — the visited
     /// bitmap guarantees a point is scored at most once per query — and
     /// enter unexpanded.
+    ///
+    /// The list is already sorted, so only the newcomers are: a full
+    /// list first drops those that do not beat its tail (late in a
+    /// search, most of them), the rest are sorted among themselves and
+    /// merged in with one backward pass. `(dist, id)` keys make the
+    /// order total, so the result is the unique ascending best-`L` of
+    /// the union — the same sequence sorting the whole union gives.
     pub fn merge_batch(&mut self, newcomers: &[(DistValue, u32)]) {
         debug_assert!(
             newcomers.iter().all(|&(_, id)| self.items.iter().all(|c| c.id != id)),
             "bitmap must prevent duplicate candidates"
         );
-        self.items.extend(newcomers.iter().map(|&(dist, id)| Candidate {
-            dist,
-            id,
-            expanded: false,
-        }));
-        // (dist, id) keys make the order total and deterministic, so an
-        // unstable sort (which, unlike the stable one, allocates
-        // nothing) produces the same sequence.
-        self.items.sort_unstable_by_key(|c| (c.dist, c.id));
+        let key = |c: &Candidate| (c.dist, c.id);
+        let bar = if self.items.len() == self.cap { self.items.last().map(key) } else { None };
+        self.staged.clear();
+        self.staged.extend(
+            newcomers
+                .iter()
+                .filter(|&&newcomer| bar.is_none_or(|tail| newcomer < tail))
+                .map(|&(dist, id)| Candidate { dist, id, expanded: false }),
+        );
+        // Unstable sort: allocates nothing, and with a total order
+        // there is no tie for stability to decide.
+        self.staged.sort_unstable_by_key(key);
+
+        // Backward merge: grow by the staged count (the appended copies
+        // are placeholders), then fill from the top with the larger of
+        // the two runs' tails. Once the staged run is used up, what is
+        // left of the old run is already in place.
+        let (mut i, mut j) = (self.items.len(), self.staged.len());
+        self.items.extend_from_slice(&self.staged);
+        let mut k = i + j;
+        while j > 0 {
+            k -= 1;
+            if i > 0 && key(&self.items[i - 1]) > key(&self.staged[j - 1]) {
+                i -= 1;
+                self.items[k] = self.items[i];
+            } else {
+                j -= 1;
+                self.items[k] = self.staged[j];
+            }
+        }
         self.items.truncate(self.cap);
     }
 
@@ -243,9 +274,86 @@ impl VisitedBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(x: f32) -> DistValue {
         DistValue(x)
+    }
+
+    /// Few enough values that batches are full of distance ties, plus
+    /// every non-finite kind `total_cmp` has to place.
+    const DISTS: [f32; 10] = [
+        0.0,
+        -0.0,
+        0.5,
+        1.0,
+        1.0000001,
+        7.25,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
+    proptest! {
+        /// `merge_batch` against what it replaced — append, sort the
+        /// whole union, truncate — over runs of batches that include
+        /// empty ones and ones larger than the list, bit for bit
+        /// (distances compared as bits so NaNs count) and with the
+        /// expanded flags travelling along.
+        #[test]
+        fn prop_merge_batch_equals_sort_then_truncate(
+            l in 1usize..24,
+            batches in prop::collection::vec(
+                prop::collection::vec((0usize..DISTS.len(), 0u32..1_000_000), 0..40),
+                0..10,
+            ),
+        ) {
+            // Distinct ids, in an order unrelated to arrival: rank the
+            // entries of all batches by their random draw.
+            let mut draws: Vec<(u32, usize)> = batches
+                .iter()
+                .flatten()
+                .enumerate()
+                .map(|(at, &(_, draw))| (draw, at))
+                .collect();
+            draws.sort_unstable();
+            let mut id_of = vec![0u32; draws.len()];
+            for (id, &(_, at)) in draws.iter().enumerate() {
+                id_of[at] = id as u32;
+            }
+
+            let mut list = CandidateList::new(l);
+            let mut reference: Vec<Candidate> = Vec::new();
+            let mut at = 0;
+            for batch in &batches {
+                let scored: Vec<(DistValue, u32)> = batch
+                    .iter()
+                    .map(|&(dist, _)| {
+                        at += 1;
+                        (d(DISTS[dist]), id_of[at - 1])
+                    })
+                    .collect();
+                list.merge_batch(&scored);
+                reference.extend(
+                    scored.iter().map(|&(dist, id)| Candidate { dist, id, expanded: false }),
+                );
+                reference.sort_unstable_by_key(|c| (c.dist, c.id));
+                reference.truncate(l);
+
+                let bits = |items: &[Candidate]| -> Vec<(u32, u32, bool)> {
+                    items.iter().map(|c| (c.dist.0.to_bits(), c.id, c.expanded)).collect()
+                };
+                prop_assert_eq!(bits(list.items()), bits(&reference));
+                prop_assert!(list.is_sorted());
+                // Expand one entry on both sides so later merges carry
+                // a mix of flags.
+                if let Some(offset) = list.closest_unexpanded() {
+                    list.mark_expanded(offset);
+                    reference[offset].expanded = true;
+                }
+            }
+        }
     }
 
     #[test]

@@ -392,7 +392,10 @@ impl std::error::Error for BadPayload {}
 /// Decodes a SEARCH payload into `query` (cleared first).
 ///
 /// # Errors
-/// The payload length must be a non-zero multiple of 4.
+/// The payload length must be a non-zero multiple of 4 and every
+/// component finite: a NaN or infinite component makes every distance
+/// NaN or infinite, which poisons the candidate order for that query,
+/// so it is refused here, where remote input enters.
 pub fn decode_search_into(payload: &[u8], query: &mut Vec<f32>) -> Result<(), BadPayload> {
     if payload.is_empty() || !payload.len().is_multiple_of(4) {
         return Err(BadPayload);
@@ -401,7 +404,11 @@ pub fn decode_search_into(payload: &[u8], query: &mut Vec<f32>) -> Result<(), Ba
     query.extend(
         payload.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
     );
-    Ok(())
+    if query.iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err(BadPayload)
+    }
 }
 
 /// Splits a [`FLAG_CLIENT_TS`] SEARCH payload into the query-vector
@@ -618,6 +625,12 @@ mod tests {
         assert!(decode_result_into(&payload[..payload.len() - 1], &mut ids, &mut dists).is_err());
         assert!(decode_search_into(b"abc", &mut q).is_err());
         assert!(decode_search_into(b"", &mut q).is_err());
+        // Non-finite components are refused at the boundary.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut buf = Vec::new();
+            encode_search(&mut buf, 5, &[1.0, bad, 3.0]);
+            assert_eq!(decode_search_into(&buf[HEADER_LEN..], &mut q), Err(BadPayload), "{bad}");
+        }
     }
 
     #[test]

@@ -2,15 +2,12 @@
 //! TCP front end (the stats HTTP server and the query protocol
 //! server).
 //!
-//! The old stats server blocked in `accept` and unwedged itself with a
-//! throwaway self-connection on stop — workable for one listener, but
-//! a second copy of that hack for the query listener would mean two
-//! subtly different shutdown paths to keep correct. Instead both fronts
-//! now share [`ListenerHandle`]: the listener is switched to
-//! nonblocking mode and the loop body is handed an [`IdleParker`] whose
-//! park interval bounds how stale a stop-flag read can be, so `stop()`
-//! is just "set flag, join" — no self-connect, no leaked thread, and a
-//! deterministic worst-case linger.
+//! Both fronts share [`ListenerHandle`]: the listener is switched to
+//! nonblocking mode and the loop body is handed a
+//! [`Poller`](super::poll::Poller) to wait on it (and on whatever else
+//! the body owns). `stop()` is "set flag, wake the poller, join" — no
+//! self-connect, no leaked thread, and the loop leaves its wait at once
+//! rather than on its next timeout.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,8 +15,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Longest a loop may sleep between stop-flag checks; bounds the join
-/// latency of [`ListenerHandle::stop`].
+use super::poll::{Poller, Waker};
+
+/// Longest a loop may block in one [`Poller::wait`]. `stop()` and
+/// reply delivery wake the poller explicitly; this bounds how stale
+/// anything *not* announced through a [`Waker`] can get.
 pub const MAX_PARK: Duration = Duration::from_millis(2);
 
 /// A named listener thread with a shared stop flag. Created by
@@ -28,35 +28,38 @@ pub const MAX_PARK: Duration = Duration::from_millis(2);
 pub struct ListenerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     thread: Option<JoinHandle<()>>,
 }
 
 impl ListenerHandle {
     /// Binds `addr` (port 0 for ephemeral), switches the listener to
-    /// nonblocking mode, and runs `body(listener, stop, parker)` on a
+    /// nonblocking mode, and runs `body(listener, stop, poller)` on a
     /// named thread until it returns.
     ///
-    /// Contract for `body`: poll `stop` at least once per accept/work
-    /// pass and return promptly once it reads `true`; park via the
-    /// provided [`IdleParker`] when idle so the stop flag is observed
-    /// within [`MAX_PARK`].
+    /// Contract for `body`: block only in `poller.wait` with a timeout
+    /// of at most [`MAX_PARK`], pass it a re-check that reports `stop`
+    /// turning true (so a stop racing the park is not slept through),
+    /// read `stop` once per pass and return promptly once it is set.
     ///
     /// # Errors
-    /// Propagates bind / nonblocking-mode / thread-spawn failures.
+    /// Propagates bind / nonblocking-mode / wake-channel / thread-spawn
+    /// failures.
     pub fn spawn<F>(name: &str, addr: impl ToSocketAddrs, body: F) -> std::io::Result<Self>
     where
-        F: FnOnce(TcpListener, &AtomicBool, &mut IdleParker) + Send + 'static,
+        F: FnOnce(TcpListener, &AtomicBool, &mut Poller) + Send + 'static,
     {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new().name(name.to_string()).spawn(move || {
-            let mut parker = IdleParker::new();
-            body(listener, &stop_flag, &mut parker);
-        })?;
-        Ok(Self { addr, stop, thread: Some(thread) })
+        let mut poller = Poller::new()?;
+        let waker = poller.waker();
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || body(listener, &stop_flag, &mut poller))?;
+        Ok(Self { addr, stop, waker, thread: Some(thread) })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -69,9 +72,9 @@ impl ListenerHandle {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Sets the stop flag and joins the loop thread. Returns once the
-    /// thread has exited; bounded by the loop's park interval plus
-    /// whatever linger its body applies.
+    /// Sets the stop flag, wakes the loop out of its wait and joins its
+    /// thread. Returns once the thread has exited: at once for an idle
+    /// loop, after whatever linger its body applies otherwise.
     pub fn stop(mut self) {
         self.stop_inner();
     }
@@ -79,6 +82,7 @@ impl ListenerHandle {
     fn stop_inner(&mut self) {
         if let Some(thread) = self.thread.take() {
             self.stop.store(true, Ordering::Release);
+            self.waker.wake();
             let _ = thread.join();
         }
     }
@@ -90,83 +94,40 @@ impl Drop for ListenerHandle {
     }
 }
 
-/// Spin-free idle parking for nonblocking accept/poll loops: yields a
-/// few times, then sleeps with exponentially growing intervals capped
-/// at [`MAX_PARK`]. Any progress resets it to the hot path. The cap is
-/// what makes `stop()` latency deterministic.
-pub struct IdleParker {
-    idle_passes: u32,
-}
-
-const YIELD_PASSES: u32 = 4;
-
-impl IdleParker {
-    /// A fresh parker in the hot (yield) regime.
-    pub fn new() -> Self {
-        Self { idle_passes: 0 }
-    }
-
-    /// Call when a pass made progress: the next park stays cheap.
-    pub fn reset(&mut self) {
-        self.idle_passes = 0;
-    }
-
-    /// Call when a pass found nothing to do.
-    pub fn park(&mut self) {
-        if self.idle_passes < YIELD_PASSES {
-            std::thread::yield_now();
-        } else {
-            // 1µs, 2µs, … doubling up to the MAX_PARK cap.
-            let exp = (self.idle_passes - YIELD_PASSES).min(11);
-            std::thread::sleep(Duration::from_micros(1u64 << exp).min(MAX_PARK));
-        }
-        self.idle_passes = self.idle_passes.saturating_add(1);
-    }
-}
-
-impl Default for IdleParker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::ErrorKind;
     use std::net::TcpStream;
     use std::time::Instant;
 
     fn accept_counting_loop(
         listener: TcpListener,
         stop: &AtomicBool,
-        parker: &mut IdleParker,
+        poller: &mut Poller,
         hits: Arc<std::sync::atomic::AtomicU64>,
     ) {
         while !stop.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok(_) => {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    parker.reset();
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => parker.park(),
-                Err(_) => parker.park(),
+            poller.clear();
+            let key = poller.add(&listener, true, false);
+            poller.wait(MAX_PARK, || stop.load(Ordering::Acquire));
+            if poller.readable(key) && listener.accept().is_ok() {
+                hits.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     #[test]
-    fn stop_joins_without_a_connection() {
-        // The old accept loop needed a self-connect to unwedge; the
-        // nonblocking loop must stop on the flag alone, quickly.
-        let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let h = {
-            let hits = Arc::clone(&hits);
-            ListenerHandle::spawn("t-accept", "127.0.0.1:0", move |l, s, p| {
-                accept_counting_loop(l, s, p, hits)
-            })
-            .unwrap()
-        };
+    fn stop_ends_a_wait_no_timeout_would() {
+        // An hour-long timeout: only the wake, or the re-check seeing
+        // the flag when stop races the park, can end this loop.
+        let h = ListenerHandle::spawn("t-hour", "127.0.0.1:0", |l, s, p| {
+            while !s.load(Ordering::Acquire) {
+                p.clear();
+                p.add(&l, true, false);
+                p.wait(Duration::from_secs(3600), || s.load(Ordering::Acquire));
+            }
+        })
+        .unwrap();
         let start = Instant::now();
         h.stop();
         assert!(start.elapsed() < Duration::from_secs(1), "stop lingered: {:?}", start.elapsed());

@@ -4,13 +4,17 @@
 //!   (SEARCH / PING / STATS requests, RESULT / PONG / STATS_REPLY /
 //!   ERROR / RETRY_AFTER replies) with a resumable, allocation-free
 //!   codec.
+//! * [`poll`] — [`poll::Poller`] / [`poll::Waker`]: the `poll(2)`
+//!   readiness wait and its cross-thread wake-up; the one way the
+//!   crate blocks on sockets.
 //! * [`lifecycle`] — the shared nonblocking-listener stop path used by
 //!   both this server and the [`crate::obs::http::StatsServer`].
-//! * [`server`] — [`server::NetServer`]: a poll/park readiness loop
-//!   over `std::net` that decodes pipelined requests, submits them to
-//!   the [`crate::runtime::AlgasServer`] slot runtime, and completes
-//!   responses out of order as slots finish, with RETRY_AFTER
-//!   backpressure once the in-flight budget or submission queue fills.
+//! * [`server`] — [`server::NetServer`]: a readiness loop over
+//!   `std::net` sockets that decodes pipelined requests, submits them
+//!   to the [`crate::runtime::AlgasServer`] slot runtime, and is woken
+//!   to complete responses out of order as slots finish, with
+//!   RETRY_AFTER backpressure once the in-flight budget or submission
+//!   queue fills.
 //! * [`client`] — [`client::NetClient`]: a blocking pipelining client.
 //! * [`loadgen`] — an open-loop load generator with seeded Poisson
 //!   arrivals and SLO-attainment reporting.
@@ -19,6 +23,7 @@ pub mod client;
 pub mod frame;
 pub mod lifecycle;
 pub mod loadgen;
+pub mod poll;
 pub mod server;
 
 use crate::obs::hist::{Histogram, HistogramSnapshot};

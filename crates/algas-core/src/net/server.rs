@@ -1,26 +1,33 @@
 //! [`NetServer`]: the query protocol's readiness loop.
 //!
 //! One thread owns a nonblocking `TcpListener` plus every accepted
-//! connection and runs a poll/park loop (no epoll, no async runtime —
-//! `std::net` only):
+//! connection and blocks in [`Poller::wait`] (`poll(2)`; no epoll, no
+//! async runtime) until a socket is ready or a host poller wakes it
+//! with a finished reply. Each pass:
 //!
+//! 0. **wait** — register the listener and every reading connection
+//!    for input, every connection with an unflushed write buffer for
+//!    output, and block; nothing below touches a socket the wait did
+//!    not report;
 //! 1. **accept** — drain the listener's accept queue;
-//! 2. **read** — per connection, pull bytes into its read buffer and
-//!    decode as many complete frames as arrived (partial frames stay
-//!    buffered and resume on the next pass);
+//! 2. **read** — per ready connection, pull bytes into its read buffer
+//!    and decode as many complete frames as arrived (partial frames
+//!    stay buffered and resume on a later pass);
 //! 3. **submit** — SEARCH frames go straight into the
-//!    [`AlgasServer`] submission queue; each accepted request parks a
-//!    `(connection, request_id, reply receiver)` triple in the
-//!    in-flight table;
-//! 4. **complete** — poll the in-flight table with `try_recv`;
-//!    finished replies are encoded into their connection's write
-//!    buffer *in completion order*, which is how out-of-order
+//!    [`AlgasServer`] submission queue; each accepted request takes a
+//!    token in the in-flight slab (`token → connection, request id`)
+//!    and hands the runtime the loop's one [`CompletionQueue`] to
+//!    reply on;
+//! 4. **complete** — drain that queue; each `(token, reply)` resolves
+//!    through the slab in O(1) and is encoded into its connection's
+//!    write buffer *in completion order*, which is how out-of-order
 //!    pipelining falls out for free;
 //! 5. **write** — flush write buffers; `WouldBlock` leaves the tail
-//!    for the next pass (partial-write resume).
+//!    for the pass in which the socket reports writable
+//!    (partial-write resume).
 //!
 //! **Backpressure** is protocol-level, not TCP-level: when the
-//! in-flight table is at [`NetConfig::max_inflight`] or the runtime's
+//! in-flight slab is at [`NetConfig::max_inflight`] or the runtime's
 //! bounded queue rejects a submit ([`SubmitError::QueueFull`]), the
 //! request is answered immediately with RETRY_AFTER carrying a
 //! suggested delay derived from the SLO controller's live p99 (its
@@ -28,22 +35,22 @@
 //! counted in [`super::NetStats::backpressure_rejects`].
 //!
 //! Stopping uses the shared [`super::lifecycle`] path: set the flag,
-//! drain in-flight replies and write buffers for at most
-//! [`NetConfig::linger`], join.
+//! wake the loop, drain in-flight replies and write buffers for at
+//! most [`NetConfig::linger`], join.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TryRecvError};
-
 use super::frame::{self, Decoded, ErrorCode, Opcode};
-use super::lifecycle::{IdleParker, ListenerHandle};
+use super::lifecycle::{ListenerHandle, MAX_PARK};
+use super::poll::{Key, Poller};
 use super::{ConnCells, NetCounters, NetStats};
 use crate::obs::RuntimeStats;
-use crate::runtime::{AlgasServer, SearchReply, SubmitError, WireCtx};
+use crate::runtime::{AlgasServer, CompletionQueue, ReplyTo, SearchReply, SubmitError, WireCtx};
 
 /// Tuning for the network front end.
 #[derive(Clone, Copy, Debug)]
@@ -100,8 +107,8 @@ impl NetServer {
         let counters = Arc::new(NetCounters::default());
         let loop_server = Arc::clone(&server);
         let loop_counters = Arc::clone(&counters);
-        let handle = ListenerHandle::spawn("algas-net", addr, move |listener, stop, parker| {
-            event_loop(&listener, stop, parker, &loop_server, &loop_counters, cfg);
+        let handle = ListenerHandle::spawn("algas-net", addr, move |listener, stop, poller| {
+            event_loop(&listener, stop, poller, &loop_server, &loop_counters, cfg);
         })?;
         Ok(Self { server, counters, handle, cfg })
     }
@@ -189,8 +196,18 @@ struct Conn {
     /// Stop reading (EOF or fatal frame error); flush + drain, then
     /// close.
     closing: bool,
-    /// Guards the in-flight table against connection-slot reuse.
+    /// Guards the in-flight slab against connection-slot reuse.
     gen: u64,
+    /// This pass's registration with the poller. `None`: accepted
+    /// during the pass, or nothing to wait for on this socket (not
+    /// reading and fully flushed) — such a connection only moves when
+    /// one of its replies completes.
+    key: Option<Key>,
+    /// The write buffer was already backed up when this pass
+    /// registered, so the socket is written again only once the poller
+    /// reports room. Output produced during the pass is written
+    /// straight away.
+    backed_up: bool,
     /// Shared per-connection telemetry cells; also registered with the
     /// counters so `/stats.json` and `/metrics` can break the listener
     /// down by connection.
@@ -203,46 +220,126 @@ impl Conn {
     }
 }
 
+/// Who is owed the reply a token stands for.
 struct Pending {
     conn: usize,
     gen: u64,
     request_id: u64,
-    rx: Receiver<SearchReply>,
 }
 
-#[allow(clippy::too_many_lines)]
+/// The in-flight table: a token is an index, so a completion finds its
+/// request without a search. A token is issued at submit and retired
+/// by its one completion (or at once, if the submit is refused), so an
+/// index is never reused while the runtime still holds it.
+#[derive(Default)]
+struct Slab {
+    entries: Vec<Option<Pending>>,
+    free: Vec<usize>,
+}
+
+impl Slab {
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+
+    fn insert(&mut self, pending: Pending) -> u64 {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.entries.len() - 1
+        });
+        self.entries[idx] = Some(pending);
+        idx as u64
+    }
+
+    fn remove(&mut self, token: u64) -> Option<Pending> {
+        let idx = usize::try_from(token).ok()?;
+        let pending = self.entries.get_mut(idx)?.take()?;
+        self.free.push(idx);
+        Some(pending)
+    }
+}
+
+/// What every connection's frame handling shares within the loop.
+struct Front<'a> {
+    server: &'a Arc<AlgasServer>,
+    counters: &'a NetCounters,
+    cfg: NetConfig,
+    dim: usize,
+    /// The one queue every submitted request replies on.
+    completions: Arc<CompletionQueue>,
+    pending: Slab,
+    scratch_query: Vec<f32>,
+}
+
 fn event_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
-    parker: &mut IdleParker,
+    poller: &mut Poller,
     server: &Arc<AlgasServer>,
     counters: &NetCounters,
     cfg: NetConfig,
 ) {
     let dim = server.dim();
+    let mut front = Front {
+        server,
+        counters,
+        cfg,
+        dim,
+        completions: Arc::new(CompletionQueue::new(poller.waker())),
+        pending: Slab::default(),
+        scratch_query: Vec::with_capacity(dim),
+    };
     let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut pending: Vec<Pending> = Vec::new();
+    let mut completed: VecDeque<(u64, SearchReply)> = VecDeque::new();
     let mut next_gen: u64 = 0;
-    let mut scratch_query: Vec<f32> = Vec::with_capacity(dim);
     let mut linger_deadline: Option<Instant> = None;
+    // Set while `accept` is failing hard (descriptor exhaustion): the
+    // listener stays readable then, and polling it would spin.
+    let mut accept_retry_at: Option<Instant> = None;
     // Thread-state marker for the sampling profiler: one relaxed store
     // per phase transition (a no-op with `obs` compiled out).
     let prof = server.prof_registry().register(crate::obs::ThreadKind::Net, "net-loop");
     use crate::obs::ProfState;
 
     loop {
-        let mut progress = false;
+        // Stopping: no more accepts or reads; leave once everything
+        // owed is written, or the linger runs out.
         let stopping = stop.load(Ordering::Acquire);
-
         if stopping {
-            linger_deadline.get_or_insert_with(|| Instant::now() + cfg.linger);
-        } else {
-            // 1. Accept burst.
+            let deadline = *linger_deadline.get_or_insert_with(|| Instant::now() + cfg.linger);
+            let drained = front.pending.len() == 0 && conns.iter().flatten().all(Conn::flushed);
+            if drained || Instant::now() >= deadline {
+                break;
+            }
+        }
+
+        // 0. Wait for a ready socket, a finished reply or a stop
+        // request. The re-check names the two things announced through
+        // the waker (see `net::poll` for why neither can be missed);
+        // MAX_PARK bounds the linger-deadline overshoot.
+        poller.clear();
+        if accept_retry_at.is_some_and(|at| Instant::now() >= at) {
+            accept_retry_at = None;
+        }
+        let listener_key =
+            (!stopping && accept_retry_at.is_none()).then(|| poller.add(listener, true, false));
+        for conn in conns.iter_mut().flatten() {
+            let read = !stopping && !conn.closing;
+            conn.backed_up = !conn.flushed();
+            conn.key =
+                (read || conn.backed_up).then(|| poller.add(&conn.stream, read, conn.backed_up));
+        }
+        prof.stamp(ProfState::Idle);
+        poller.wait(MAX_PARK, || {
+            !front.completions.is_empty() || (!stopping && stop.load(Ordering::Acquire))
+        });
+
+        // 1. Accept burst.
+        if listener_key.is_some_and(|key| poller.readable(key)) {
             prof.stamp(ProfState::Accept);
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        progress = true;
                         // The accept count doubles as the connection id
                         // (monotone, starting at 1) — the label every
                         // per-connection series carries.
@@ -255,6 +352,8 @@ fn event_loop(
                         }
                         let _ = stream.set_nodelay(true);
                         next_gen += 1;
+                        // Unregistered this pass: the next wait reports
+                        // whatever the client has already sent.
                         let conn = Conn {
                             stream,
                             rbuf: Vec::new(),
@@ -264,6 +363,8 @@ fn event_loop(
                             inflight: 0,
                             closing: false,
                             gen: next_gen,
+                            key: None,
+                            backed_up: false,
                             cells: counters.register_conn(conn_id),
                         };
                         match conns.iter_mut().position(|c| c.is_none()) {
@@ -273,85 +374,55 @@ fn event_loop(
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-
-            // 2–3. Read, decode, submit.
-            prof.stamp(ProfState::Read);
-            for (idx, slot) in conns.iter_mut().enumerate() {
-                let Some(conn) = slot.as_mut() else { continue };
-                if conn.closing {
-                    continue;
-                }
-                match read_some(conn, counters) {
-                    ReadOutcome::Progress => progress = true,
-                    ReadOutcome::Idle => {}
-                    ReadOutcome::Dead => {
-                        close_conn(slot, counters);
-                        continue;
+                    Err(_) => {
+                        accept_retry_at = Some(Instant::now() + MAX_PARK);
+                        break;
                     }
-                }
-                let conn = slot.as_mut().expect("checked above");
-                prof.stamp(ProfState::Decode);
-                if decode_and_handle(
-                    conn,
-                    idx,
-                    dim,
-                    server,
-                    counters,
-                    &cfg,
-                    &mut pending,
-                    &mut scratch_query,
-                ) {
-                    progress = true;
                 }
             }
         }
 
-        // 4. Complete: poll the in-flight table, out of order.
-        prof.stamp(ProfState::Complete);
-        let mut i = 0;
-        while i < pending.len() {
-            match pending[i].rx.try_recv() {
-                Ok(reply) => {
-                    progress = true;
-                    let p = pending.swap_remove(i);
-                    if let Some(conn) = conns.get_mut(p.conn).and_then(Option::as_mut) {
-                        if conn.gen == p.gen {
-                            conn.inflight -= 1;
-                            conn.cells.inflight.fetch_sub(1, Ordering::Relaxed);
-                            frame::encode_result(
-                                &mut conn.wbuf,
-                                p.request_id,
-                                &reply.ids,
-                                &reply.distances,
-                            );
-                            counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+        // 2–3. Read, decode, submit — only where the wait saw input.
+        if !stopping {
+            prof.stamp(ProfState::Read);
+            for (idx, slot) in conns.iter_mut().enumerate() {
+                let Some(conn) = slot.as_mut() else { continue };
+                if conn.closing || !conn.key.is_some_and(|key| poller.readable(key)) {
+                    continue;
                 }
-                Err(TryRecvError::Empty) => i += 1,
-                Err(TryRecvError::Disconnected) => {
-                    // Runtime shut down underneath us; the client gets
-                    // no reply for this id (it will see the close).
-                    progress = true;
-                    let p = pending.swap_remove(i);
-                    if let Some(conn) = conns.get_mut(p.conn).and_then(Option::as_mut) {
-                        if conn.gen == p.gen {
-                            conn.inflight -= 1;
-                            conn.cells.inflight.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
+                if !read_some(conn, counters) {
+                    close_conn(slot, counters);
+                    continue;
                 }
+                prof.stamp(ProfState::Decode);
+                decode_and_handle(conn, idx, &mut front);
             }
+        }
+
+        // 4. Complete: whatever finished, in the order it finished.
+        prof.stamp(ProfState::Complete);
+        front.completions.drain_into(&mut completed);
+        for (token, reply) in completed.drain(..) {
+            let Some(p) = front.pending.remove(token) else { continue };
+            // The connection may have died, and its slot been reused,
+            // while the query ran; the reply is then dropped.
+            let Some(conn) = conns.get_mut(p.conn).and_then(Option::as_mut) else { continue };
+            if conn.gen != p.gen {
+                continue;
+            }
+            conn.inflight -= 1;
+            conn.cells.inflight.fetch_sub(1, Ordering::Relaxed);
+            frame::encode_result(&mut conn.wbuf, p.request_id, &reply.ids, &reply.distances);
+            counters.frames_out.fetch_add(1, Ordering::Relaxed);
         }
 
         // 5. Flush writes; reap drained connections.
         prof.stamp(ProfState::Flush);
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
-            if !flush_some(conn, counters, &mut progress) {
+            let has_room = !conn.backed_up || conn.key.is_some_and(|key| poller.writable(key));
+            let alive = (!has_room || flush_some(conn, counters)) && !slow_consumer(conn);
+            if !alive {
                 close_conn(slot, counters);
                 continue;
             }
@@ -360,20 +431,6 @@ fn event_loop(
                 close_conn(slot, counters);
             }
         }
-
-        if stopping {
-            let drained = pending.is_empty() && conns.iter().flatten().all(Conn::flushed);
-            if drained || linger_deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
-            }
-        }
-
-        if progress {
-            parker.reset();
-        } else {
-            prof.stamp(ProfState::Idle);
-            parker.park();
-        }
     }
 
     for slot in &mut conns {
@@ -381,14 +438,9 @@ fn event_loop(
     }
 }
 
-enum ReadOutcome {
-    Progress,
-    Idle,
-    Dead,
-}
-
-fn read_some(conn: &mut Conn, counters: &NetCounters) -> ReadOutcome {
-    let mut outcome = ReadOutcome::Idle;
+/// Pulls what the socket holds into the read buffer. Returns false if
+/// the connection died.
+fn read_some(conn: &mut Conn, counters: &NetCounters) -> bool {
     loop {
         if conn.rbuf.len() < conn.rlen + READ_CHUNK {
             conn.rbuf.resize(conn.rlen + READ_CHUNK, 0);
@@ -398,63 +450,40 @@ fn read_some(conn: &mut Conn, counters: &NetCounters) -> ReadOutcome {
                 // Clean EOF: the client is done sending; finish what
                 // it is owed, then close.
                 conn.closing = true;
-                return ReadOutcome::Progress;
+                return true;
             }
             Ok(n) => {
                 conn.rlen += n;
                 counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 conn.cells.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                outcome = ReadOutcome::Progress;
+                // A short read emptied the socket; if more arrived
+                // since, the next wait reports it.
                 if n < READ_CHUNK {
-                    return outcome;
+                    return true;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return outcome,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Dead,
+            Err(_) => return false,
         }
     }
 }
 
 /// Decodes every complete frame buffered on `conn` and handles it.
-/// Returns true if any frame was processed.
-#[allow(clippy::too_many_arguments)]
-fn decode_and_handle(
-    conn: &mut Conn,
-    conn_idx: usize,
-    dim: usize,
-    server: &Arc<AlgasServer>,
-    counters: &NetCounters,
-    cfg: &NetConfig,
-    pending: &mut Vec<Pending>,
-    scratch_query: &mut Vec<f32>,
-) -> bool {
+fn decode_and_handle(conn: &mut Conn, conn_idx: usize, front: &mut Front<'_>) {
     let mut cursor = 0;
-    let mut any = false;
     loop {
-        match frame::decode_frame(&conn.rbuf[cursor..conn.rlen], cfg.max_payload) {
+        match frame::decode_frame(&conn.rbuf[cursor..conn.rlen], front.cfg.max_payload) {
             Ok(Decoded::NeedMore) => break,
             Ok(Decoded::Frame { header, payload, consumed }) => {
-                counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                any = true;
+                front.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                 // Borrow dance: the payload borrows rbuf, the write
                 // path needs wbuf — split the handling out over an
                 // explicit range instead.
                 let payload_range = (cursor + frame::HEADER_LEN, cursor + consumed);
                 debug_assert_eq!(payload.len(), payload_range.1 - payload_range.0);
                 cursor += consumed;
-                handle_frame(
-                    conn,
-                    conn_idx,
-                    header,
-                    payload_range,
-                    dim,
-                    server,
-                    counters,
-                    cfg,
-                    pending,
-                    scratch_query,
-                );
+                handle_frame(conn, conn_idx, header, payload_range, front);
                 if conn.closing {
                     break;
                 }
@@ -462,12 +491,11 @@ fn decode_and_handle(
             Err(e) => {
                 // Framing is lost: answer once, stop reading, close
                 // after the flush.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                front.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 conn.cells.errors.fetch_add(1, Ordering::Relaxed);
                 frame::encode_error(&mut conn.wbuf, 0, e.error_code(), e.message());
-                counters.frames_out.fetch_add(1, Ordering::Relaxed);
+                front.counters.frames_out.fetch_add(1, Ordering::Relaxed);
                 conn.closing = true;
-                any = true;
                 break;
             }
         }
@@ -476,23 +504,17 @@ fn decode_and_handle(
         conn.rbuf.copy_within(cursor..conn.rlen, 0);
         conn.rlen -= cursor;
     }
-    any
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_frame(
     conn: &mut Conn,
     conn_idx: usize,
     header: frame::FrameHeader,
     payload_range: (usize, usize),
-    dim: usize,
-    server: &Arc<AlgasServer>,
-    counters: &NetCounters,
-    cfg: &NetConfig,
-    pending: &mut Vec<Pending>,
-    scratch_query: &mut Vec<f32>,
+    front: &mut Front<'_>,
 ) {
     let id = header.request_id;
+    let counters = front.counters;
     match header.opcode {
         Opcode::Search => {
             let payload = &conn.rbuf[payload_range.0..payload_range.1];
@@ -500,13 +522,14 @@ fn handle_frame(
             // timestamp (dim x f32 + u64); a plain one is dim x f32.
             let (vector, client_ts_us) = if header.has_client_ts() {
                 match frame::split_search_ts(payload) {
-                    Ok(pair) if pair.0.len() == dim * 4 => pair,
+                    Ok(pair) if pair.0.len() == front.dim * 4 => pair,
                     _ => (&[][..], 0),
                 }
             } else {
                 (payload, 0u64)
             };
-            if vector.len() != dim * 4 || frame::decode_search_into(vector, scratch_query).is_err()
+            if vector.len() != front.dim * 4
+                || frame::decode_search_into(vector, &mut front.scratch_query).is_err()
             {
                 counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 conn.cells.errors.fetch_add(1, Ordering::Relaxed);
@@ -514,7 +537,7 @@ fn handle_frame(
                     &mut conn.wbuf,
                     id,
                     ErrorCode::BadPayload,
-                    "SEARCH payload must be dim x f32 (+ u64 ts when flagged)",
+                    "SEARCH payload must be dim x finite f32 (+ u64 ts when flagged)",
                 );
                 counters.frames_out.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -522,27 +545,35 @@ fn handle_frame(
             // Admission control: a bounded in-flight budget in front
             // of the runtime's bounded queue. Both reject with
             // RETRY_AFTER rather than queueing unboundedly.
-            if pending.len() >= cfg.max_inflight {
-                reject(conn, id, server, counters);
+            if front.pending.len() >= front.cfg.max_inflight {
+                reject(conn, id, front);
                 return;
             }
             let wire = WireCtx { request_id: id, conn_id: conn.cells.id, client_ts_us };
-            match server.submit_traced(std::mem::take(scratch_query), wire) {
-                Ok((_tag, rx)) => {
+            let token =
+                front.pending.insert(Pending { conn: conn_idx, gen: conn.gen, request_id: id });
+            let reply_to = ReplyTo::Queue { queue: Arc::clone(&front.completions), token };
+            let query = std::mem::take(&mut front.scratch_query);
+            match front.server.submit_traced(query, wire, reply_to) {
+                Ok(_tag) => {
                     conn.inflight += 1;
                     conn.cells.inflight.fetch_add(1, Ordering::Relaxed);
-                    pending.push(Pending { conn: conn_idx, gen: conn.gen, request_id: id, rx });
                 }
-                Err(SubmitError::QueueFull) => reject(conn, id, server, counters),
-                Err(SubmitError::ShuttingDown) => {
-                    frame::encode_error(
-                        &mut conn.wbuf,
-                        id,
-                        ErrorCode::ShuttingDown,
-                        "server shutting down",
-                    );
-                    counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                    conn.closing = true;
+                Err(refused) => {
+                    front.pending.remove(token);
+                    match refused {
+                        SubmitError::QueueFull => reject(conn, id, front),
+                        SubmitError::ShuttingDown => {
+                            frame::encode_error(
+                                &mut conn.wbuf,
+                                id,
+                                ErrorCode::ShuttingDown,
+                                "server shutting down",
+                            );
+                            counters.frames_out.fetch_add(1, Ordering::Relaxed);
+                            conn.closing = true;
+                        }
+                    }
                 }
             }
         }
@@ -556,7 +587,7 @@ fn handle_frame(
             counters.frames_out.fetch_add(1, Ordering::Relaxed);
         }
         Opcode::Stats => {
-            let mut stats = server.runtime_stats();
+            let mut stats = front.server.runtime_stats();
             stats.net = counters.snapshot();
             let body = stats.to_json();
             frame::encode_frame(&mut conn.wbuf, Opcode::StatsReply, id, body.as_bytes());
@@ -578,7 +609,8 @@ fn handle_frame(
     }
 }
 
-fn reject(conn: &mut Conn, request_id: u64, server: &AlgasServer, counters: &NetCounters) {
+fn reject(conn: &mut Conn, request_id: u64, front: &Front<'_>) {
+    let (server, counters) = (front.server, front.counters);
     counters.backpressure_rejects.fetch_add(1, Ordering::Relaxed);
     conn.cells.retry_afters.fetch_add(1, Ordering::Relaxed);
     let delay_us = suggest_delay_us(server);
@@ -611,7 +643,7 @@ fn suggest_delay_us(server: &AlgasServer) -> u32 {
 
 /// Writes as much pending output as the socket accepts. Returns false
 /// if the connection died.
-fn flush_some(conn: &mut Conn, counters: &NetCounters, progress: &mut bool) -> bool {
+fn flush_some(conn: &mut Conn, counters: &NetCounters) -> bool {
     while conn.wpos < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => return false,
@@ -619,7 +651,6 @@ fn flush_some(conn: &mut Conn, counters: &NetCounters, progress: &mut bool) -> b
                 conn.wpos += n;
                 counters.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
                 conn.cells.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                *progress = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -631,14 +662,20 @@ fn flush_some(conn: &mut Conn, counters: &NetCounters, progress: &mut bool) -> b
         // (steady-state encodes stay allocation-free).
         conn.wbuf.clear();
         conn.wpos = 0;
-    } else {
-        let backlog = conn.wbuf.len() - conn.wpos;
-        conn.cells.note_backlog(backlog as u64);
-        if backlog > MAX_WRITE_BACKLOG {
-            return false; // slow consumer
-        }
     }
     true
+}
+
+/// Records the unflushed backlog and reports whether it has outgrown
+/// [`MAX_WRITE_BACKLOG`]. Checked every pass, not only when the socket
+/// has room: a client that pipelines requests without ever reading
+/// grows the buffer exactly while nothing can be written.
+fn slow_consumer(conn: &Conn) -> bool {
+    let backlog = conn.wbuf.len() - conn.wpos;
+    if backlog > 0 {
+        conn.cells.note_backlog(backlog as u64);
+    }
+    backlog > MAX_WRITE_BACKLOG
 }
 
 fn close_conn(slot: &mut Option<Conn>, counters: &NetCounters) {

@@ -27,9 +27,9 @@
 //! interaction with the query hot path.
 //!
 //! Shutdown rides the shared [`crate::net::lifecycle`] path (the same
-//! one the query listener uses): nonblocking accept + bounded idle
-//! parking, so `stop()` is flag-and-join with no self-connect hack and
-//! no leaked listener thread.
+//! one the query listener uses): the loop waits for the listener in
+//! the same [`Poller`] and `stop()` is flag, wake and join, with no
+//! self-connect hack and no leaked listener thread.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,7 +37,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::net::lifecycle::{IdleParker, ListenerHandle};
+use crate::net::lifecycle::{ListenerHandle, MAX_PARK};
+use crate::net::poll::Poller;
 
 /// What the endpoints serve. Implemented by the CLI over a running
 /// [`crate::runtime::AlgasServer`]; snapshots are taken per request.
@@ -91,8 +92,8 @@ impl StatsServer {
     /// Propagates bind failures (port in use, bad address).
     pub fn start(addr: impl ToSocketAddrs, source: Arc<dyn StatsSource>) -> std::io::Result<Self> {
         let handle =
-            ListenerHandle::spawn("algas-stats-http", addr, move |listener, stop, parker| {
-                accept_loop(&listener, stop, parker, &source);
+            ListenerHandle::spawn("algas-stats-http", addr, move |listener, stop, poller| {
+                accept_loop(&listener, stop, poller, &source);
             })?;
         Ok(Self { handle })
     }
@@ -102,9 +103,9 @@ impl StatsServer {
         self.handle.local_addr()
     }
 
-    /// Stops the accept loop and joins its thread (flag + join via the
-    /// shared listener lifecycle — bounded by the park interval plus
-    /// at most one in-progress scrape). An in-flight `/profile`
+    /// Stops the accept loop and joins its thread (flag + wake + join
+    /// via the shared listener lifecycle — bounded by at most one
+    /// in-progress scrape). An in-flight `/profile`
     /// capture runs on its own detached thread and is not joined; it
     /// finishes its sleep, writes to its (possibly dead) client, and
     /// exits.
@@ -116,15 +117,20 @@ impl StatsServer {
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
-    parker: &mut IdleParker,
+    poller: &mut Poller,
     source: &Arc<dyn StatsSource>,
 ) {
     // At most one /profile capture thread at a time; extras get 429.
     let profile_busy = Arc::new(AtomicBool::new(false));
     while !stop.load(Ordering::Acquire) {
+        poller.clear();
+        let key = poller.add(listener, true, false);
+        poller.wait(MAX_PARK, || stop.load(Ordering::Acquire));
+        if !poller.readable(key) {
+            continue;
+        }
         match listener.accept() {
             Ok((stream, _)) => {
-                parker.reset();
                 // Scrapes are served blocking, one at a time; a
                 // stalled client must not wedge the scrape surface.
                 let _ = stream.set_nonblocking(false);
@@ -132,9 +138,10 @@ fn accept_loop(
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
                 let _ = handle(stream, source, &profile_busy);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => parker.park(),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => parker.park(),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            // Failing hard (descriptor exhaustion): the listener stays
+            // readable, so back off instead of spinning on it.
+            Err(_) => std::thread::sleep(MAX_PARK),
         }
     }
 }

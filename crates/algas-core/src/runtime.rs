@@ -17,6 +17,7 @@
 
 use crate::engine::{AlgasEngine, SearchScratch};
 use crate::merge::{merge_topk_into, MergeScratch};
+use crate::net::poll::Waker;
 use crate::obs::{
     self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfState, QlogConfig, QlogTotals,
     QueryTrace, RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
@@ -25,6 +26,7 @@ use crate::state::{AtomicSlotState, SlotState};
 use algas_vector::metric::DistValue;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,10 +99,74 @@ pub struct SearchReply {
     pub distances: Vec<f32>,
 }
 
+/// Finished replies for one consumer thread that waits in a
+/// [`crate::net::poll::Poller`]: host pollers push `(token, reply)`
+/// and wake it; the consumer drains in completion order. One queue per
+/// front end replaces a channel per query, so the consumer looks at
+/// exactly the replies that exist instead of probing every request it
+/// still owes.
+pub struct CompletionQueue {
+    ready: Mutex<VecDeque<(u64, SearchReply)>>,
+    waker: Waker,
+}
+
+impl CompletionQueue {
+    /// An empty queue whose pushes wake `waker`'s poller.
+    pub fn new(waker: Waker) -> Self {
+        Self { ready: Mutex::new(VecDeque::new()), waker }
+    }
+
+    fn push(&self, token: u64, reply: SearchReply) {
+        self.ready.lock().push_back((token, reply));
+        // After the push is published (the unlock): the poller's
+        // re-check either sees it or has its wait ended.
+        self.waker.wake();
+    }
+
+    /// Whether nothing is queued — the poller's wait re-check.
+    pub fn is_empty(&self) -> bool {
+        self.ready.lock().is_empty()
+    }
+
+    /// Moves everything queued into the (empty) `out`, oldest first.
+    /// Swapping the two buffers keeps the lock to a pointer exchange
+    /// and both allocations alive, so steady state allocates nothing.
+    pub fn drain_into(&self, out: &mut VecDeque<(u64, SearchReply)>) {
+        debug_assert!(out.is_empty(), "drain target must have been consumed");
+        std::mem::swap(&mut *self.ready.lock(), out);
+    }
+}
+
+/// Where a query's reply goes.
+pub enum ReplyTo {
+    /// A channel of the submitter's own ([`AlgasServer::submit`]).
+    Channel(Sender<SearchReply>),
+    /// A shared completion queue; `token` is the submitter's key for
+    /// this request and comes back with the reply.
+    Queue {
+        /// The front end's queue.
+        queue: Arc<CompletionQueue>,
+        /// Echoed with the reply.
+        token: u64,
+    },
+}
+
+impl ReplyTo {
+    fn deliver(self, reply: SearchReply) {
+        match self {
+            // The client may have dropped its receiver; fine.
+            ReplyTo::Channel(tx) => {
+                let _ = tx.send(reply);
+            }
+            ReplyTo::Queue { queue, token } => queue.push(token, reply),
+        }
+    }
+}
+
 struct Job {
     tag: u64,
     query: Vec<f32>,
-    reply_to: Sender<SearchReply>,
+    reply_to: ReplyTo,
     submitted_at: std::time::Instant,
     /// Lifecycle timestamps for the phase histograms (zero-sized no-op
     /// when the `obs` feature is off).
@@ -297,13 +363,18 @@ impl AlgasServer {
     /// # Panics
     /// Panics if the query dimension doesn't match the index.
     pub fn submit(&self, query: Vec<f32>) -> Result<PendingReply, SubmitError> {
-        self.submit_inner(query, None)
+        let (reply_tx, reply_rx) = unbounded();
+        let tag = self.submit_inner(query, None, ReplyTo::Channel(reply_tx))?;
+        Ok((tag, reply_rx))
     }
 
-    /// [`Self::submit`] with a wire identity attached: flight traces
-    /// and query-log records for this query carry `wire.request_id` /
+    /// [`Self::submit`] for a front end: the reply goes wherever
+    /// `reply_to` says (a shared [`CompletionQueue`] for the network
+    /// loop), and a wire identity is attached — flight traces and
+    /// query-log records for this query carry `wire.request_id` /
     /// `wire.conn_id` instead of tag-as-request-id, so a client can
     /// grep the id it logged straight into `/traces` and `/query-log`.
+    /// Returns the server tag.
     ///
     /// # Errors
     /// Same as [`Self::submit`].
@@ -314,25 +385,26 @@ impl AlgasServer {
         &self,
         query: Vec<f32>,
         wire: WireCtx,
-    ) -> Result<PendingReply, SubmitError> {
-        self.submit_inner(query, Some(wire))
+        reply_to: ReplyTo,
+    ) -> Result<u64, SubmitError> {
+        self.submit_inner(query, Some(wire), reply_to)
     }
 
     fn submit_inner(
         &self,
         query: Vec<f32>,
         wire: Option<WireCtx>,
-    ) -> Result<PendingReply, SubmitError> {
+        reply_to: ReplyTo,
+    ) -> Result<u64, SubmitError> {
         assert_eq!(query.len(), self.shared.engine.index().base.dim(), "query dimension mismatch");
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = unbounded();
         let job = Job {
             tag,
             query,
-            reply_to: reply_tx,
+            reply_to,
             submitted_at: std::time::Instant::now(),
             stamps: JobStamps::new(),
             wire: wire.unwrap_or(WireCtx { request_id: tag, conn_id: 0, client_ts_us: 0 }),
@@ -342,7 +414,7 @@ impl AlgasServer {
         match self.submit_tx.try_send(job) {
             Ok(()) => {
                 self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok((tag, reply_rx))
+                Ok(tag)
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
@@ -805,8 +877,7 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                         obs::stamp(),
                         &merge.stats.since(&merge_before),
                     );
-                    // The client may have dropped its receiver; fine.
-                    let _ = job.reply_to.send(reply);
+                    job.reply_to.deliver(reply);
                     let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
                     debug_assert!(flipped, "only this poller moves Finish -> Done");
                     did_work = true;
@@ -1027,6 +1098,42 @@ mod tests {
     }
 
     #[test]
+    fn completion_queue_returns_every_token_once_and_wakes_its_poller() {
+        use crate::net::poll::Poller;
+        let (server, ds, oracle) = test_server(4, 2, 1);
+        let mut poller = Poller::new().unwrap();
+        let queue = Arc::new(CompletionQueue::new(poller.waker()));
+        const N: u64 = 24;
+        let mut tags = std::collections::HashMap::new();
+        for token in 0..N {
+            let q = ds.queries.get(token as usize % ds.queries.len()).to_vec();
+            let reply_to = ReplyTo::Queue { queue: Arc::clone(&queue), token: 1_000 + token };
+            let tag = server.submit_traced(q, WireCtx::default(), reply_to).unwrap();
+            tags.insert(1_000 + token, tag);
+        }
+        // Nothing but the queue's wake (or its re-check) ends these
+        // waits before the deadline.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let mut batch = VecDeque::new();
+        let mut seen = Vec::new();
+        while seen.len() < N as usize {
+            assert!(std::time::Instant::now() < deadline, "replies lost: {seen:?}");
+            poller.wait(std::time::Duration::from_secs(20), || !queue.is_empty());
+            queue.drain_into(&mut batch);
+            for (token, reply) in batch.drain(..) {
+                assert_eq!(reply.tag, tags[&token], "token and reply travel together");
+                let q = ds.queries.get((token - 1_000) as usize % ds.queries.len());
+                assert_eq!(reply.ids, oracle.search(q, reply.tag));
+                seen.push(token);
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (1_000..1_000 + N).collect::<Vec<_>>());
+        assert!(queue.is_empty());
+        server.shutdown();
+    }
+
+    #[test]
     fn submit_batch_serves_everything() {
         let (server, ds, oracle) = test_server(4, 2, 1);
         let batch: Vec<Vec<f32>> =
@@ -1173,7 +1280,8 @@ mod tests {
         for i in 0..4u64 {
             let wire = WireCtx { request_id: 5_000 + i, conn_id: 7, client_ts_us: 1_000 + i };
             let q = ds.queries.get(i as usize % ds.queries.len()).to_vec();
-            let (_, rx) = server.submit_traced(q, wire).unwrap();
+            let (tx, rx) = unbounded();
+            server.submit_traced(q, wire, ReplyTo::Channel(tx)).unwrap();
             let _ = rx.recv().unwrap();
         }
         // Flight traces are keyed by the wire request id, not the tag.

@@ -7,9 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
+use algas::core::net::lifecycle::MAX_PARK;
 use algas::core::net::{frame, NetClient, NetConfig, NetServer, Reply};
 use algas::core::obs::json::Value;
-use algas::core::obs::{traces_json, FlightConfig, QlogConfig, RuntimeStats};
+use algas::core::obs::{traces_json, FlightConfig, QlogConfig, RuntimeStats, StatsServer};
 use algas::core::runtime::{AlgasServer, RuntimeConfig};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
@@ -300,6 +301,157 @@ fn bad_search_payload_is_recoverable_on_the_same_connection() {
     }
 }
 
+/// Remote input must not reach the distance kernels unchecked: a NaN
+/// or infinite component would make every candidate distance NaN/Inf
+/// and scramble the candidate order. Refused at the frame boundary,
+/// recoverably — the frame itself is well-formed.
+#[test]
+fn non_finite_search_payload_is_refused_and_the_connection_stays_usable() {
+    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let mut client = stack.client();
+    for (id, bad) in [(1, f32::NAN), (2, f32::INFINITY), (3, f32::NEG_INFINITY)] {
+        let mut query = stack.queries.get(0).to_vec();
+        query[DIM / 2] = bad;
+        client.send_search(id, &query).expect("send");
+        // Same again with the client-timestamp extension.
+        client.send_search_ts(id + 10, &query, 42).expect("send flagged");
+        for expect in [id, id + 10] {
+            match client.recv().expect("error reply") {
+                Reply::Error { request_id, code, .. } => {
+                    assert_eq!(request_id, expect);
+                    assert_eq!(code, frame::ErrorCode::BadPayload as u16, "component {bad}");
+                }
+                other => panic!("expected ERROR for component {bad}, got {other:?}"),
+            }
+        }
+    }
+    // Nothing non-finite reached the runtime, and the connection works.
+    assert_eq!(stack.server.stats().submitted, 0);
+    match client.search(20, stack.queries.get(1)).expect("follow-up search") {
+        Reply::Result { request_id, distances, .. } => {
+            assert_eq!(request_id, 20);
+            assert!(distances.iter().all(|d| d.is_finite()));
+        }
+        other => panic!("expected RESULT, got {other:?}"),
+    }
+    assert_eq!(stack.net.net_stats().protocol_errors, 6);
+}
+
+/// Latency pins share the box with sibling tests' spinning runtimes,
+/// so a pin is the median of a round of samples and passes on the
+/// first of a few rounds that meets its bound. The loops these pins
+/// replaced miss them by 2x or more in every round.
+fn assert_median_under(bound_us: f64, what: &str, mut sample_round: impl FnMut() -> Vec<f64>) {
+    let mut medians = Vec::new();
+    for _ in 0..4 {
+        let mut round = sample_round();
+        round.sort_by(f64::total_cmp);
+        let median = round[round.len() / 2];
+        if median < bound_us {
+            return;
+        }
+        medians.push(median);
+    }
+    panic!("{what}: median per round {medians:.0?} us, bound {bound_us:.0} us");
+}
+
+/// The hand-off pin: with one request outstanding and 20 ms between
+/// requests the loop is parked both when the request arrives and when
+/// its reply completes, so client round trip minus the server's own
+/// submit→deliver span is two wake-ups plus codec and loopback. A loop
+/// that sleeps on a timer instead pays about half its longest sleep
+/// on the arrival alone (measured 1.7–2.5 ms here with the former
+/// 2 ms ladder cap, against ≈ 0.13 ms).
+#[test]
+fn parked_loop_hands_off_within_half_a_millisecond() {
+    if !cfg!(feature = "obs") {
+        return; // the server-side span comes from the query log
+    }
+    let runtime = RuntimeConfig {
+        n_slots: 2,
+        n_workers: 1,
+        n_host_threads: 1,
+        queue_capacity: 16,
+        qlog: QlogConfig { enabled: true, ..Default::default() },
+        ..Default::default()
+    };
+    let stack = start_stack(runtime, NetConfig::default());
+    let mut client = stack.client();
+    const PER_ROUND: u64 = 25;
+    let mut next_id = 0u64;
+    assert_median_under(500.0, "wire + hand-off overhead", || {
+        let first = next_id;
+        next_id += PER_ROUND;
+        let rtt_us: Vec<f64> = (first..next_id)
+            .map(|id| {
+                std::thread::sleep(Duration::from_millis(20));
+                let sent = Instant::now();
+                match client.search(id, stack.queries.get(id as usize)).expect("search") {
+                    Reply::Result { request_id, .. } => assert_eq!(request_id, id),
+                    other => panic!("expected RESULT, got {other:?}"),
+                }
+                sent.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        // Join each round trip to the server's span for the same id.
+        let overhead_us: Vec<f64> = stack
+            .server
+            .qlog_lines()
+            .iter()
+            .filter_map(|line| {
+                let doc = Value::parse(line).expect("query-log line parses as JSON");
+                let id = doc.get("request_id").unwrap().as_u64().unwrap();
+                let e2e_us = doc.get("e2e_ns").unwrap().as_u64().unwrap() as f64 / 1e3;
+                (id >= first).then(|| rtt_us[(id - first) as usize] - e2e_us)
+            })
+            .collect();
+        assert_eq!(overhead_us.len(), PER_ROUND as usize, "one query-log line per request");
+        overhead_us
+    });
+}
+
+/// Stop wakes the loop instead of waiting out its park timeout: an
+/// idle query listener and an idle stats server both join in well
+/// under one `MAX_PARK` (a loop that only notices the flag on its
+/// next timeout takes half of it in the median).
+#[test]
+fn idle_servers_stop_well_under_one_park_interval() {
+    let stack = start_stack(
+        RuntimeConfig { n_slots: 2, n_workers: 1, n_host_threads: 1, ..Default::default() },
+        NetConfig::default(),
+    );
+    let bound_us = MAX_PARK.as_secs_f64() * 1e6 / 4.0;
+    fn timed_stop(stop: impl FnOnce()) -> f64 {
+        // Long enough idle for any back-off to reach its longest wait.
+        std::thread::sleep(Duration::from_millis(10));
+        let started = Instant::now();
+        stop();
+        started.elapsed().as_secs_f64() * 1e6
+    }
+    assert_median_under(bound_us, "idle NetServer stop", || {
+        (0..15)
+            .map(|_| {
+                let net = NetServer::start(
+                    "127.0.0.1:0",
+                    Arc::clone(&stack.server),
+                    NetConfig::default(),
+                )
+                .expect("bind");
+                timed_stop(|| net.stop())
+            })
+            .collect()
+    });
+    assert_median_under(bound_us, "idle StatsServer stop", || {
+        (0..15)
+            .map(|_| {
+                let source: Arc<AlgasServer> = Arc::clone(&stack.server);
+                let http = StatsServer::start("127.0.0.1:0", source).expect("bind");
+                timed_stop(|| http.stop())
+            })
+            .collect()
+    });
+}
+
 #[test]
 fn oversized_and_truncated_frames_never_panic_the_server() {
     let stack = start_stack(
@@ -393,6 +545,40 @@ fn partial_writes_resume_under_a_stalled_reader() {
         }
     }
     assert!(seen.iter().all(|&s| s), "every pipelined ping answered");
+}
+
+/// A client that pipelines requests and never reads must not grow the
+/// server's memory without bound: once its unflushed replies pass the
+/// per-connection cap (8 MiB) the connection is dropped — also while
+/// the socket reports no room, which is exactly when the buffer grows.
+#[test]
+fn a_client_that_never_reads_is_dropped_at_the_write_backlog_cap() {
+    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let mut client = stack.client();
+    const ECHO: usize = 1 << 20;
+    const COUNT: usize = 40;
+    let blob = vec![0xA5u8; ECHO];
+    // 40 MiB of echo owed; far more than the socket buffers plus the
+    // cap can hold. The sends themselves may start failing once the
+    // server has dropped the connection.
+    for i in 0..COUNT {
+        if client.send_ping(i as u64, &blob).is_err() {
+            break;
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while stack.net.net_stats().connections_closed == 0 {
+        assert!(Instant::now() < deadline, "the stalled connection was never dropped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut pongs = 0;
+    while let Ok(Reply::Pong { .. }) = client.recv() {
+        pongs += 1;
+    }
+    assert!(pongs < COUNT, "all {COUNT} echoes arrived: nothing was capped");
+    // The listener is unaffected.
+    let mut good = stack.client();
+    assert!(matches!(good.search(1, stack.queries.get(0)), Ok(Reply::Result { .. })));
 }
 
 #[test]
