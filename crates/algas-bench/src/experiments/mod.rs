@@ -25,6 +25,7 @@ pub const BATCH: usize = 16;
 /// Builds an [`AlgasIndex`] view over a prepared dataset's graph.
 pub fn index_of(p: &Prepared, kind: GraphKind) -> AlgasIndex {
     AlgasIndex::from_parts(p.ds.base.clone(), p.graph(kind).clone(), p.ds.spec.metric, kind)
+        .expect("prepared datasets are far below the id bound")
 }
 
 /// ALGAS method on a prepared dataset.

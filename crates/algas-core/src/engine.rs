@@ -19,6 +19,36 @@ use algas_vector::metric::DistValue;
 use algas_vector::{Metric, QuantizedStore, VectorStore};
 use serde::{Deserialize, Serialize};
 
+/// A corpus of 2³¹ rows or more — as many as candidate-list keys have
+/// ids for ([`ID_SPACE`](crate::lists::ID_SPACE)): refused where an
+/// index is assembled from outside parts or read from a file, so the
+/// search loop never has to check an id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CorpusTooLarge {
+    /// Rows of the refused corpus.
+    pub rows: usize,
+}
+
+impl CorpusTooLarge {
+    /// `Ok` when a corpus of `rows` rows stays inside the id space.
+    pub fn check(rows: usize) -> Result<(), Self> {
+        if rows < crate::lists::ID_SPACE {
+            Ok(())
+        } else {
+            Err(Self { rows })
+        }
+    }
+}
+
+impl std::fmt::Display for CorpusTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let limit = crate::lists::ID_SPACE;
+        write!(f, "corpus of {} rows: an index holds fewer than {limit}", self.rows)
+    }
+}
+
+impl std::error::Error for CorpusTooLarge {}
+
 /// A searchable index: corpus + graph + metadata.
 #[derive(Clone, Debug)]
 pub struct AlgasIndex {
@@ -87,6 +117,9 @@ impl AlgasIndex {
 
     /// Wraps pre-built parts (e.g. graphs loaded from a cache).
     ///
+    /// # Errors
+    /// [`CorpusTooLarge`] when the corpus has 2³¹ rows or more.
+    ///
     /// # Panics
     /// Panics if graph and corpus sizes disagree.
     pub fn from_parts(
@@ -94,10 +127,11 @@ impl AlgasIndex {
         graph: FixedDegreeGraph,
         metric: Metric,
         kind: GraphKind,
-    ) -> Self {
+    ) -> Result<Self, CorpusTooLarge> {
         assert_eq!(base.len(), graph.len(), "graph/corpus size mismatch");
+        CorpusTooLarge::check(base.len())?;
         let medoid = medoid(&base, metric);
-        Self { base, quant: None, graph, metric, medoid, kind, id_map: None, entry: None }
+        Ok(Self { base, quant: None, graph, metric, medoid, kind, id_map: None, entry: None })
     }
 
     /// Relayouts the index for cache locality: renumbers nodes by a
@@ -529,53 +563,41 @@ impl AlgasEngine {
         // A shed CTA rung launches fewer walkers over the same seeds
         // the full plan would have used first.
         scratch.seed_buf.truncate(step.n_ctas.clamp(1, self.plan.n_parallel));
-        match &self.index.quant {
-            Some(quant) => {
-                let ctx = SearchContext::with_quantized(
-                    &self.index.graph,
-                    &self.index.base,
+        // Traverse on SQ8 codes when the index has them, pooling
+        // `rerank_depth` candidates for the exact pass; on f32 rows the
+        // merge cuts the final TopK directly.
+        let index = &self.index;
+        let (ctx, fetch_k, depth) = match &index.quant {
+            Some(quant) => (
+                SearchContext::with_quantized(
+                    &index.graph,
+                    &index.base,
                     quant,
-                    self.index.metric,
+                    index.metric,
                     &self.cfg.cost,
-                );
-                search_multi_seeded_into(
-                    ctx,
-                    self.multi_params_for(step),
-                    query,
-                    &scratch.seed_buf,
-                    self.fetch_k_for(step),
-                    &mut scratch.multi,
-                );
-                merge_topk_into(
-                    scratch.multi.per_cta(),
-                    self.rerank_depth_for(step),
-                    &mut scratch.merge,
-                    &mut scratch.pooled,
-                );
-                self.rerank(query, scratch);
-            }
-            None => {
-                let ctx = SearchContext::new(
-                    &self.index.graph,
-                    &self.index.base,
-                    self.index.metric,
-                    &self.cfg.cost,
-                );
-                search_multi_seeded_into(
-                    ctx,
-                    self.multi_params_for(step),
-                    query,
-                    &scratch.seed_buf,
-                    self.cfg.k,
-                    &mut scratch.multi,
-                );
-                merge_topk_into(
-                    scratch.multi.per_cta(),
-                    self.cfg.k,
-                    &mut scratch.merge,
-                    &mut scratch.topk,
-                );
-            }
+                ),
+                self.fetch_k_for(step),
+                self.rerank_depth_for(step),
+            ),
+            None => (
+                SearchContext::new(&index.graph, &index.base, index.metric, &self.cfg.cost),
+                self.cfg.k,
+                self.cfg.k,
+            ),
+        };
+        let params = self.multi_params_for(step);
+        search_multi_seeded_into(
+            ctx,
+            params,
+            query,
+            &scratch.seed_buf,
+            fetch_k,
+            &mut scratch.multi,
+        );
+        let merged = if ctx.quant.is_some() { &mut scratch.pooled } else { &mut scratch.topk };
+        merge_topk_into(scratch.multi.per_cta(), depth, &mut scratch.merge, merged);
+        if ctx.quant.is_some() {
+            self.rerank(query, scratch);
         }
     }
 
@@ -672,20 +694,6 @@ impl AlgasEngine {
         self.search_traced(query, query_id).topk.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// Builds the timed work descriptor from the scratch of a completed
-    /// [`search_into`](Self::search_into) call (allocates the CTA list;
-    /// the serving runtime only needs this for diagnostics).
-    pub fn work_from_scratch(&self, scratch: &SearchScratch, dim: usize) -> QueryWork {
-        let dev = &self.cfg.device;
-        let ctas: Vec<CtaWork> = (0..scratch.multi.n_active())
-            .map(|c| {
-                let t = scratch.multi.trace(c);
-                CtaWork { search_ns: dev.cycles_to_ns(t.total_cycles()), steps: t.n_steps() as u32 }
-            })
-            .collect();
-        self.work_with_ctas(ctas, dim)
-    }
-
     fn work_from(&self, multi: &MultiResult, dim: usize) -> QueryWork {
         let dev = &self.cfg.device;
         let ctas: Vec<CtaWork> = multi
@@ -759,6 +767,17 @@ mod tests {
         // even when ALGAS_QUANTIZE=1 flips the suite's defaults.
         let cfg = EngineConfig { k: 10, l, slots: 8, beam, quantize: false, ..Default::default() };
         (AlgasEngine::new(index, cfg).unwrap(), ds)
+    }
+
+    #[test]
+    fn corpus_bound_keeps_ids_clear_of_the_key_flag() {
+        assert_eq!(CorpusTooLarge::check((1 << 31) - 1), Ok(()));
+        let err = CorpusTooLarge::check(1 << 31).unwrap_err();
+        assert_eq!(err, CorpusTooLarge { rows: 1 << 31 });
+        assert!(err.to_string().contains("fewer than 2147483648"), "{err}");
+        // What a loader hands back keeps the typed cause.
+        let io = std::io::Error::new(std::io::ErrorKind::InvalidData, err);
+        assert!(io.get_ref().is_some_and(|e| e.is::<CorpusTooLarge>()));
     }
 
     #[test]

@@ -435,27 +435,23 @@ mod enabled {
             }
         }
 
-        /// Accounts one completed search on worker `w` for slot `s`.
-        /// The totals are read out of `multi` here, not at the call
-        /// site, so a disabled build skips the aggregation entirely.
+        /// Accounts one completed search on worker `w` for slot `s`:
+        /// its aggregated step totals (the worker computes them once
+        /// per query, for this and for the query log) and the distance
+        /// to its best entry point.
         #[inline]
         pub fn record_search(
             &self,
             w: usize,
             s: usize,
-            multi: &crate::search::multi::MultiScratch,
+            totals: &StepTotals,
+            entry_distance: Option<f32>,
         ) {
-            self.record_search_totals(w, s, &multi.step_totals());
-            if let Some(d) = multi.entry_distance() {
-                // Milli-unit fixed point keeps the cell a plain counter.
-                self.workers[w].entry_dist_milli.add((f64::from(d) * 1e3) as u64);
-            }
-        }
-
-        /// [`RuntimeObs::record_search`] with pre-aggregated totals.
-        #[inline]
-        pub fn record_search_totals(&self, w: usize, s: usize, totals: &StepTotals) {
             let cells = &self.workers[w];
+            if let Some(d) = entry_distance {
+                // Milli-unit fixed point keeps the cell a plain counter.
+                cells.entry_dist_milli.add((f64::from(d) * 1e3) as u64);
+            }
             cells.queries.incr();
             cells.steps.add(totals.steps);
             cells.expansions.add(totals.expansions);
@@ -881,7 +877,8 @@ mod disabled {
             &self,
             _w: usize,
             _s: usize,
-            _multi: &crate::search::multi::MultiScratch,
+            _totals: &crate::tracer::StepTotals,
+            _entry_distance: Option<f32>,
         ) {
         }
 
@@ -956,7 +953,7 @@ mod tests {
             sort_cycles: 80,
             other_cycles: 20,
         };
-        obs.record_search_totals(0, 1, &totals);
+        obs.record_search(0, 1, &totals, None);
         let rerank = crate::engine::RerankStats { reranks: 1, candidates: 20, promotions: 3 };
         obs.record_rerank(0, &rerank);
         stamps.mark_finish();

@@ -2,7 +2,7 @@
 //! graph, and the index metadata, so a built index can be shipped and
 //! served without rebuilding.
 
-use crate::engine::AlgasIndex;
+use crate::engine::{AlgasIndex, CorpusTooLarge};
 use algas_graph::GraphKind;
 use algas_vector::Metric;
 use bytes::{Buf, BufMut, BytesMut};
@@ -122,6 +122,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
     if base.len() != graph.len() {
         return Err(invalid("corpus/graph size mismatch"));
     }
+    CorpusTooLarge::check(base.len()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     if (medoid as usize) >= base.len().max(1) {
         return Err(invalid("medoid out of range"));
     }

@@ -731,6 +731,9 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                     // original ids exactly once, at delivery.
                     shared.engine.search_physical_into(&query_buf, tag, &mut scratch);
                     prof.stamp(ProfState::Publish);
+                    // One walk over the CTA traces per query, shared by
+                    // the query log's hop count and the recorder.
+                    let totals = scratch.multi.step_totals();
                     let stamps = {
                         // Copy the result lists into the slot's own
                         // buffers element-wise so both the scratch and
@@ -741,30 +744,27 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                         // is the identity); the fp32 path publishes the
                         // raw per-CTA lists for the host to merge.
                         let mut payload = slot.payload.lock();
-                        if shared.engine.quantized() {
-                            payload.per_cta.resize_with(1, Vec::new);
-                            payload.per_cta[0].clear();
-                            payload.per_cta[0].extend_from_slice(&scratch.topk);
+                        let src = if shared.engine.quantized() {
+                            std::slice::from_ref(&scratch.topk)
                         } else {
-                            let src = scratch.multi.per_cta();
-                            payload.per_cta.resize_with(src.len(), Vec::new);
-                            for (dst, s) in payload.per_cta.iter_mut().zip(src) {
-                                dst.clear();
-                                dst.extend_from_slice(s);
-                            }
+                            scratch.multi.per_cta()
+                        };
+                        payload.per_cta.resize_with(src.len(), Vec::new);
+                        for (dst, s) in payload.per_cta.iter_mut().zip(src) {
+                            dst.clear();
+                            dst.extend_from_slice(s);
                         }
                         let job = payload.job.as_mut().expect("Work implies a job");
                         job.stamps.mark_finish();
                         // Stash the per-query facts only this thread
                         // knows (hop count, worker id) for the query
                         // log; the host reads them at delivery.
-                        job.hops =
-                            scratch.multi.step_totals().steps.min(u64::from(u32::MAX)) as u32;
+                        job.hops = totals.steps.min(u64::from(u32::MAX)) as u32;
                         job.worker = first as u32;
                         job.stamps
                     };
                     let rerank_delta = scratch.rerank.since(&rerank_before);
-                    shared.obs.record_search(first, s, &scratch.multi);
+                    shared.obs.record_search(first, s, &totals, scratch.multi.entry_distance());
                     shared.obs.record_rerank(first, &rerank_delta);
                     shared.obs.flight_search(first, s, &scratch.multi, &rerank_delta, &stamps);
                     let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);

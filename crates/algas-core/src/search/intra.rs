@@ -20,7 +20,9 @@
 //! through the batched SIMD entry point
 //! [`Metric::distance_batch`](algas_vector::Metric::distance_batch) —
 //! one call per step over the whole expand list, mirroring the warp-
-//! parallel distance stage of §IV-B step ③.
+//! parallel distance stage of §IV-B step ③ — or, quantized,
+//! [`QuantizedQuery::score_batch`] against the query's one SQ8 encoding
+//! ([`SearchContext::encode_query`]), which every CTA borrows.
 
 use crate::lists::{CandidateList, VisitedBitmap};
 use crate::search::{BeamParams, SearchContext};
@@ -64,7 +66,7 @@ const SELECT_CYCLES: u64 = 24;
 /// [`CtaSearch::new`] resets it, retaining all backing allocations.
 #[derive(Debug, Default)]
 pub struct CtaScratch {
-    list: Option<CandidateList>,
+    list: CandidateList,
     trace: CtaTrace,
     in_diffusing_phase: bool,
     /// Step index at which beam extend switched to the diffusing phase
@@ -72,14 +74,11 @@ pub struct CtaScratch {
     /// recorder's `beam_switch` event.
     diffusing_switch_step: Option<u32>,
     done: bool,
+    /// The expand list: ids that passed the bitmap filter this step…
     expand_ids: Vec<u32>,
-    scored: Vec<(DistValue, u32)>,
-    selected: Vec<usize>,
+    /// …and their distances, index for index.
     dists: Vec<f32>,
-    /// Asymmetric SQ8 query encoding, refreshed per search when the
-    /// context carries a quantized store (reused buffer — no
-    /// steady-state allocation).
-    qquery: QuantizedQuery,
+    selected: Vec<usize>,
 }
 
 impl CtaScratch {
@@ -110,39 +109,14 @@ impl CtaScratch {
     /// Resets for a fresh search with candidate-list capacity `l`,
     /// keeping every allocation.
     fn reset(&mut self, l: usize) {
-        match &mut self.list {
-            Some(list) => list.reset(l),
-            None => self.list = Some(CandidateList::new(l)),
-        }
+        self.list.reset(l);
         self.trace.steps.clear();
         self.in_diffusing_phase = false;
         self.diffusing_switch_step = None;
         self.done = false;
         self.expand_ids.clear();
-        self.scored.clear();
-        self.selected.clear();
         self.dists.clear();
-    }
-
-    #[inline]
-    fn list(&self) -> &CandidateList {
-        self.list.as_ref().expect("scratch not seeded")
-    }
-
-    /// Prefetches the adjacency row of the candidate this scratch's
-    /// search will select next (advisory; no-op when finished). The
-    /// multi-CTA driver calls this one CTA *ahead* of the one it steps,
-    /// overlapping the next CTA's first memory touch with the current
-    /// CTA's compute the way a GPU hides latency across resident CTAs.
-    pub fn prefetch_upcoming(&self, ctx: &SearchContext<'_>) {
-        if self.done {
-            return;
-        }
-        if let Some(list) = &self.list {
-            if let Some(next) = list.closest_unexpanded() {
-                ctx.graph.prefetch_row(list.items()[next].id);
-            }
-        }
+        self.selected.clear();
     }
 }
 
@@ -158,46 +132,38 @@ pub struct CtaSearch<'a> {
     ctx: SearchContext<'a>,
     params: IntraParams,
     query: &'a [f32],
+    qquery: &'a QuantizedQuery,
     scratch: &'a mut CtaScratch,
 }
 
 impl<'a> CtaSearch<'a> {
     /// Seeds a search at `entry`, resetting `scratch`. The entry's
     /// distance is computed and charged; its bitmap bit is set (seeding
-    /// bypasses the ownership check — multi-CTA CTAs each seed their
-    /// own entry).
+    /// bypasses the ownership check — each CTA of a multi-CTA search
+    /// starts from its own entry even when another already owns it; the
+    /// list is empty, so nothing can collide). On a quantized context
+    /// `qquery` must hold `query`'s encoding; fp32 never reads it.
     pub fn new(
         ctx: SearchContext<'a>,
         params: IntraParams,
         query: &'a [f32],
+        qquery: &'a QuantizedQuery,
         entry: u32,
         visited: &mut VisitedBitmap,
         scratch: &'a mut CtaScratch,
     ) -> Self {
-        assert!(params.l > 0, "candidate list capacity must be positive");
         assert_eq!(query.len(), ctx.base.dim(), "query dimension mismatch");
         scratch.reset(params.l);
-        // Seeding bypasses bitmap ownership: even when another CTA
-        // already owns the entry, this CTA still starts from it (the
-        // list is empty, so no collision is possible).
         let _ = visited.test_and_set(entry);
-        let d = DistValue(match ctx.quant {
-            Some(q) => {
-                // Asymmetric SQ8: fold the affine map into the query
-                // once, then every candidate costs one integer dot.
-                scratch.qquery.encode(ctx.metric, query, q);
-                scratch.qquery.score(q, entry)
-            }
+        let d = match ctx.quant {
+            Some(q) => qquery.score(q, entry),
             None => ctx.metric.distance(query, ctx.base.get(entry as usize)),
-        });
-        scratch.scored.clear();
-        scratch.scored.push((d, entry));
-        let list = scratch.list.as_mut().expect("list created by reset");
-        list.merge_batch(&scratch.scored);
+        };
+        scratch.list.merge_batch(&[entry], &[d]);
         scratch.trace.steps.push(StepStats {
             selected_offset: 0,
-            best_distance: d.0,
-            head_distance: d.0,
+            best_distance: d,
+            head_distance: d,
             expansions: 0,
             dist_evals: 1,
             calc_cycles: ctx.cost.distance_cycles(ctx.base.dim()),
@@ -205,7 +171,7 @@ impl<'a> CtaSearch<'a> {
             sorts: 0,
             other_cycles: SELECT_CYCLES,
         });
-        Self { ctx, params, query, scratch }
+        Self { ctx, params, query, qquery, scratch }
     }
 
     /// Re-attaches to a scratch that was already seeded with
@@ -214,20 +180,16 @@ impl<'a> CtaSearch<'a> {
         ctx: SearchContext<'a>,
         params: IntraParams,
         query: &'a [f32],
+        qquery: &'a QuantizedQuery,
         scratch: &'a mut CtaScratch,
     ) -> Self {
-        debug_assert!(scratch.list.is_some(), "resume() on a never-seeded scratch");
-        Self { ctx, params, query, scratch }
+        debug_assert!(scratch.list.capacity() > 0, "resume() on a never-seeded scratch");
+        Self { ctx, params, query, qquery, scratch }
     }
 
     /// Whether the search has terminated.
     pub fn is_done(&self) -> bool {
         self.scratch.done
-    }
-
-    /// Whether beam extend has switched to the diffusing phase.
-    pub fn in_diffusing_phase(&self) -> bool {
-        self.scratch.in_diffusing_phase
     }
 
     /// Executes one search step. Returns `false` once the search is
@@ -237,7 +199,7 @@ impl<'a> CtaSearch<'a> {
         if s.done {
             return false;
         }
-        let list = s.list.as_mut().expect("scratch seeded");
+        let list = &mut s.list;
         // ① Selection.
         let width = match (s.in_diffusing_phase, self.params.beam) {
             (true, Some(b)) => b.beam_width,
@@ -258,31 +220,23 @@ impl<'a> CtaSearch<'a> {
                 }
             }
         }
-        let best_distance = list.items()[first].dist.0;
+        let best_distance = list.dist_at(first).0;
 
         // ② Expand + bitmap filter. All selected adjacency rows are
         // prefetched up front so the expansion loop walks warm lines
-        // (after a relayout they are also near-contiguous); each
-        // surviving neighbor's vector row is prefetched as it is
-        // admitted, hiding its load behind the rest of the filter pass
-        // before step ③ batch-computes the distances.
+        // (after a relayout they are also near-contiguous). The filter
+        // never branches on a probe's outcome. Admitted vector rows are
+        // not prefetched from here: step ③'s batch kernels run their
+        // own lookahead, and more bought nothing (DESIGN.md §6).
         for &offset in &s.selected {
-            self.ctx.graph.prefetch_row(list.items()[offset].id);
+            self.ctx.graph.prefetch_row(list.id_at(offset));
         }
         s.expand_ids.clear();
         let mut filter_checked = 0usize;
         for &offset in &s.selected {
-            let v = list.mark_expanded(offset);
-            for u in self.ctx.graph.neighbors(v) {
-                filter_checked += 1;
-                if visited.test_and_set(u) {
-                    match self.ctx.quant {
-                        Some(q) => q.prefetch(u as usize),
-                        None => self.ctx.base.prefetch(u as usize),
-                    }
-                    s.expand_ids.push(u);
-                }
-            }
+            let row = self.ctx.graph.valid_row(list.mark_expanded(offset));
+            filter_checked += row.len();
+            visited.filter_into(row, &mut s.expand_ids);
         }
 
         // ③ Distance computation: one batched SIMD call over the whole
@@ -292,7 +246,7 @@ impl<'a> CtaSearch<'a> {
         // by how the host computes.
         let dim = self.ctx.base.dim();
         match self.ctx.quant {
-            Some(q) => s.qquery.score_batch(q, &s.expand_ids, &mut s.dists),
+            Some(q) => self.qquery.score_batch(q, &s.expand_ids, &mut s.dists),
             None => self.ctx.metric.distance_batch(
                 self.query,
                 self.ctx.base,
@@ -300,26 +254,27 @@ impl<'a> CtaSearch<'a> {
                 &mut s.dists,
             ),
         }
-        s.scored.clear();
-        s.scored.extend(s.expand_ids.iter().zip(&s.dists).map(|(&u, &d)| (DistValue(d), u)));
-        let calc_cycles = s.scored.len() as u64 * self.ctx.cost.distance_cycles(dim);
+        let evals = s.expand_ids.len();
+        let calc_cycles = evals as u64 * self.ctx.cost.distance_cycles(dim);
 
-        // ④ Sort expand list, merge into candidate list, truncate to L.
-        let (sort_cycles, sorts) = if s.scored.is_empty() {
+        // ④ Sort expand list, merge into candidate list, truncate to L
+        // — charged as the GPU's bitonic stages, done as one packed-key
+        // insertion per newcomer.
+        let (sort_cycles, sorts) = if evals == 0 {
             (0, 0)
         } else {
-            let merged_len = (list.len() + s.scored.len()).min(self.params.l + s.scored.len());
-            let c = self.ctx.cost.bitonic_sort_cycles(s.scored.len())
+            let merged_len = (list.len() + evals).min(self.params.l + evals);
+            let c = self.ctx.cost.bitonic_sort_cycles(evals)
                 + self.ctx.cost.bitonic_merge_cycles(merged_len);
             (c, 1)
         };
-        list.merge_batch(&s.scored);
+        list.merge_batch(&s.expand_ids, &s.dists);
 
         // Prefetch next step's first touch — the adjacency row of the
         // candidate selection ① will pick — so its load overlaps the
         // trace bookkeeping and whatever runs between steps.
         if let Some(next) = list.closest_unexpanded() {
-            self.ctx.graph.prefetch_row(list.items()[next].id);
+            self.ctx.graph.prefetch_row(list.id_at(next));
         }
 
         let other_cycles = SELECT_CYCLES
@@ -327,9 +282,9 @@ impl<'a> CtaSearch<'a> {
         s.trace.steps.push(StepStats {
             selected_offset: first as u32,
             best_distance,
-            head_distance: list.items()[0].dist.0,
+            head_distance: list.dist_at(0).0,
             expansions: s.selected.len() as u32,
-            dist_evals: s.scored.len() as u32,
+            dist_evals: evals as u32,
             calc_cycles,
             sort_cycles,
             sorts,
@@ -350,7 +305,7 @@ impl<'a> CtaSearch<'a> {
     /// Panics if called before the search finished.
     pub fn finish(self, k: usize) -> (Vec<(DistValue, u32)>, CtaTrace) {
         assert!(self.scratch.done, "finish() before the search terminated");
-        (self.scratch.list().top_k(k), self.scratch.trace.clone())
+        (self.scratch.list.top_k(k), self.scratch.trace.clone())
     }
 
     /// Allocation-free termination: clears `out` and fills it with the
@@ -362,12 +317,7 @@ impl<'a> CtaSearch<'a> {
     pub fn finish_into(&mut self, k: usize, out: &mut Vec<(DistValue, u32)>) {
         assert!(self.scratch.done, "finish() before the search terminated");
         out.clear();
-        out.extend(self.scratch.list().items().iter().take(k).map(|c| (c.dist, c.id)));
-    }
-
-    /// Read access to the candidate list (for tests/diagnostics).
-    pub fn candidates(&self) -> &CandidateList {
-        self.scratch.list()
+        out.extend(self.scratch.list.iter().take(k));
     }
 }
 
@@ -382,7 +332,9 @@ pub fn search_intra(
 ) -> (Vec<(DistValue, u32)>, CtaTrace) {
     let mut visited = VisitedBitmap::new(ctx.base.len());
     let mut scratch = CtaScratch::new();
-    let mut search = CtaSearch::new(ctx, params, query, entry, &mut visited, &mut scratch);
+    let mut qquery = QuantizedQuery::new();
+    ctx.encode_query(query, &mut qquery);
+    let mut search = CtaSearch::new(ctx, params, query, &qquery, entry, &mut visited, &mut scratch);
     search.run(&mut visited);
     search.finish(k)
 }
@@ -422,7 +374,9 @@ mod tests {
         let mut visited = VisitedBitmap::new(base.len());
         let mut scratch = CtaScratch::new();
         let q = [31.5f32];
-        let mut s = CtaSearch::new(ctx, IntraParams::greedy(16), &q, 0, &mut visited, &mut scratch);
+        let qq = QuantizedQuery::new();
+        let mut s =
+            CtaSearch::new(ctx, IntraParams::greedy(16), &q, &qq, 0, &mut visited, &mut scratch);
         s.run(&mut visited);
         // Distance evaluations == bitmap marks: nothing scored twice.
         let (_, trace) = s.finish(4);
@@ -438,10 +392,11 @@ mod tests {
         let params = IntraParams::beam(48);
         let mut reused = CtaScratch::new();
         let mut visited = VisitedBitmap::new(ds.base.len());
+        let qq = QuantizedQuery::new();
         for q in 0..ds.queries.len().min(8) {
             let query = ds.queries.get(q);
             visited.clear();
-            let mut s = CtaSearch::new(ctx, params, query, 0, &mut visited, &mut reused);
+            let mut s = CtaSearch::new(ctx, params, query, &qq, 0, &mut visited, &mut reused);
             s.run(&mut visited);
             let (ids_reused, trace_reused) = s.finish(10);
             let (ids_fresh, trace_fresh) = search_intra(ctx, params, query, 0, 10);
@@ -523,7 +478,9 @@ mod tests {
         let mut visited = VisitedBitmap::new(8);
         let mut scratch = CtaScratch::new();
         let q = [3.0f32];
-        let mut s = CtaSearch::new(ctx, IntraParams::greedy(8), &q, 0, &mut visited, &mut scratch);
+        let qq = QuantizedQuery::new();
+        let mut s =
+            CtaSearch::new(ctx, IntraParams::greedy(8), &q, &qq, 0, &mut visited, &mut scratch);
         s.run(&mut visited);
         assert!(s.is_done());
         assert!(!s.step(&mut visited));
@@ -538,7 +495,8 @@ mod tests {
         let mut visited = VisitedBitmap::new(8);
         let mut scratch = CtaScratch::new();
         let q = [3.0f32];
-        let s = CtaSearch::new(ctx, IntraParams::greedy(8), &q, 0, &mut visited, &mut scratch);
+        let qq = QuantizedQuery::new();
+        let s = CtaSearch::new(ctx, IntraParams::greedy(8), &q, &qq, 0, &mut visited, &mut scratch);
         let _ = s.finish(1);
     }
 

@@ -13,7 +13,7 @@ pub mod multi;
 
 use algas_gpu_sim::CostModel;
 use algas_graph::FixedDegreeGraph;
-use algas_vector::{Metric, QuantizedStore, VectorStore};
+use algas_vector::{Metric, QuantizedQuery, QuantizedStore, VectorStore};
 
 /// Everything a searcher needs to run: the index, the corpus, and the
 /// cost model it charges its operations against.
@@ -77,6 +77,15 @@ impl<'a> SearchContext<'a> {
         assert_eq!(quant.dim(), base.dim(), "quantized dimension mismatch");
         ctx.quant = Some(quant);
         ctx
+    }
+
+    /// The one SQ8 encode of a search: encodes `query` against this
+    /// context's codes into `out` (untouched on an fp32 context). Both
+    /// entry points call it once per query; every CTA borrows `out`.
+    pub fn encode_query(&self, query: &[f32], out: &mut QuantizedQuery) {
+        if let Some(quant) = self.quant {
+            out.encode(self.metric, query, quant);
+        }
     }
 }
 

@@ -15,9 +15,11 @@ use crate::search::SearchContext;
 use crate::tracer::{CtaTrace, StepTotals};
 use algas_graph::entry::EntryPolicy;
 use algas_vector::metric::DistValue;
+use algas_vector::QuantizedQuery;
 
-/// Reusable multi-CTA search state: the shared visited bitmap, one
-/// [`CtaScratch`] per CTA, and the per-CTA result buffers.
+/// Reusable multi-CTA search state: the shared visited bitmap, the
+/// query's SQ8 encoding, one [`CtaScratch`] per CTA, and the per-CTA
+/// result buffers.
 ///
 /// A serving slot keeps one of these alive across queries; after the
 /// first query on a given index the entire multi-CTA search runs
@@ -25,6 +27,9 @@ use algas_vector::metric::DistValue;
 #[derive(Debug, Default)]
 pub struct MultiScratch {
     visited: Option<VisitedBitmap>,
+    /// The query's SQ8 encoding: made once per search, borrowed by
+    /// every CTA (stale on an fp32 context, which never reads it).
+    qquery: QuantizedQuery,
     ctas: Vec<CtaScratch>,
     per_cta: Vec<Vec<(DistValue, u32)>>,
     /// CTAs used by the most recent search (≤ `ctas.len()`).
@@ -59,11 +64,6 @@ impl MultiScratch {
     pub fn diffusing_switch_step(&self, c: usize) -> Option<u32> {
         assert!(c < self.n_active, "CTA {c} not active (n_active={})", self.n_active);
         self.ctas[c].diffusing_switch_step()
-    }
-
-    /// Maximum steps over the active CTAs (cf. [`MultiResult::max_steps`]).
-    pub fn max_steps(&self) -> usize {
-        (0..self.n_active).map(|c| self.ctas[c].trace().n_steps()).max().unwrap_or(0)
     }
 
     /// Aggregated [`StepTotals`] over the active CTAs of the most
@@ -221,6 +221,8 @@ fn run_multi(
 
     // The shared table lives in global memory: force the cost flag.
     let intra = IntraParams { bitmap_in_shared: params.n_ctas == 1, ..params.intra };
+    ctx.encode_query(query, &mut scratch.qquery);
+    let qquery = &scratch.qquery;
 
     // Seed every CTA. `CtaSearch` is a free-to-construct view over its
     // scratch, so the round-robin loop below re-attaches per step
@@ -228,7 +230,7 @@ fn run_multi(
     for (c, cta) in scratch.ctas[..params.n_ctas].iter_mut().enumerate() {
         let entry = seed_of(c);
         debug_assert!((entry as usize) < n, "entry seed {entry} out of range for corpus {n}");
-        let _ = CtaSearch::new(ctx, intra, query, entry, shared_visited, cta);
+        let _ = CtaSearch::new(ctx, intra, query, qquery, entry, shared_visited, cta);
     }
 
     // Deterministic round-robin interleave until every CTA terminates.
@@ -236,13 +238,7 @@ fn run_multi(
     while any_active {
         any_active = false;
         for c in 0..params.n_ctas {
-            // Prefetch the *next* CTA's upcoming adjacency row so its
-            // first memory touch overlaps this CTA's step — the CPU
-            // analogue of a GPU hiding latency across resident CTAs.
-            if params.n_ctas > 1 {
-                scratch.ctas[(c + 1) % params.n_ctas].prefetch_upcoming(&ctx);
-            }
-            let mut search = CtaSearch::resume(ctx, intra, query, &mut scratch.ctas[c]);
+            let mut search = CtaSearch::resume(ctx, intra, query, qquery, &mut scratch.ctas[c]);
             if !search.is_done() && search.step(shared_visited) {
                 any_active = true;
             }
@@ -252,7 +248,7 @@ fn run_multi(
     for (cta, out) in
         scratch.ctas[..params.n_ctas].iter_mut().zip(scratch.per_cta[..params.n_ctas].iter_mut())
     {
-        CtaSearch::resume(ctx, intra, query, cta).finish_into(k, out);
+        CtaSearch::resume(ctx, intra, query, qquery, cta).finish_into(k, out);
     }
 }
 

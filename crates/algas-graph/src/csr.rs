@@ -80,6 +80,21 @@ impl FixedDegreeGraph {
         &self.adj[start..start + self.degree]
     }
 
+    /// The valid neighbors of `v` as a slice: its row up to the first
+    /// padding slot. Rows are front-packed — every way of writing one
+    /// ([`from_adjacency`](Self::from_adjacency),
+    /// [`set_row`](Self::set_row), [`try_add_edge`](Self::try_add_edge),
+    /// the decoder through `set_row`) pads at the tail, and
+    /// [`validate`](Self::validate) checks it — so this holds what
+    /// [`neighbors`](Self::neighbors) yields, in the same order, for a
+    /// search step to walk without a per-id padding test.
+    #[inline]
+    pub fn valid_row(&self, v: u32) -> &[u32] {
+        let row = self.row(v);
+        let len = row.iter().position(|&u| u == INVALID_ID).unwrap_or(row.len());
+        &row[..len]
+    }
+
     /// Iterates the *valid* neighbors of `v` (padding skipped).
     #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
@@ -200,6 +215,19 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn self_loops_rejected() {
         FixedDegreeGraph::from_adjacency(2, 2, &[vec![0], vec![]]);
+    }
+
+    #[test]
+    fn valid_row_is_the_neighbor_sequence_as_a_slice() {
+        let mut g = FixedDegreeGraph::new(4, 3);
+        g.set_row(0, &[1, 2, 3]);
+        g.set_row(1, &[3]);
+        assert!(g.try_add_edge(2, 0));
+        for v in 0..4 {
+            assert_eq!(g.valid_row(v), g.neighbors(v).collect::<Vec<_>>());
+        }
+        assert_eq!(g.valid_row(0).len(), 3);
+        assert!(g.valid_row(3).is_empty());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! `scale_d / 2` (see [`QuantizedStore::max_dequant_error`]).
 //!
 //! Distances are computed **asymmetrically**: the query stays in f32
-//! until [`QuantizedQuery::encode`] folds the affine map into it once
-//! per search, after which every candidate costs one integer dot
+//! until [`QuantizedQuery::encode`] folds the affine map into it — once
+//! per search, shared by all of its walkers (see [`QuantizedQuery`]) —
+//! after which every candidate costs one integer dot
 //! product ([`crate::simd::dot_u8i8`]) plus two fused scalar terms:
 //!
 //! * L2: `‖q - x̂‖² = Σa_d² − 2Σ(a_d·scale_d)·c_d + Σscale_d²c_d²`
@@ -327,6 +328,13 @@ impl QuantizedStore {
 }
 
 /// A query encoded once per search for asymmetric SQ8 scoring.
+///
+/// "Once" is the owner's job: scoring only borrows (`&self`), so one
+/// encoding serves every walker of a search — `algas-core` keeps it in
+/// the multi-CTA scratch, encodes before seeding the first CTA, and
+/// lends it to all of them (an encode is two passes over the
+/// dimensions, ~1 µs at dim 128; eight of them per query were most of
+/// what seeding an SQ8 search cost).
 ///
 /// Reusable: [`encode`](Self::encode) overwrites the previous state in
 /// place, so a scratch-resident `QuantizedQuery` allocates only on the

@@ -154,7 +154,8 @@ fn hnsw_pipeline_through_facade() {
         hnsw.base().clone(),
         Metric::L2,
         algas::graph::GraphKind::Nsw,
-    );
+    )
+    .unwrap();
     let engine =
         AlgasEngine::new(index, EngineConfig { k: 10, l: 64, ..Default::default() }).unwrap();
     let wl = engine.run_workload(&ds.queries);

@@ -73,7 +73,7 @@ fn instrument_one_query(
         obs.flight_record(s, EventKind::CtaStep, c, 60, 1_000);
     }
     obs.flight_record(s, EventKind::BeamSwitch, 0, 2, 0);
-    obs.record_search_totals((q % 2) as usize, s, totals);
+    obs.record_search((q % 2) as usize, s, totals, Some(0.5));
     stamps.mark_finish();
     obs.flight_record(s, EventKind::Finish, (q % 2) as u32, 0, 0);
     obs.worker_pass((q % 2) as usize, true);

@@ -38,10 +38,9 @@ proptest! {
         let mut list = CandidateList::new(cap);
         let mut reference: Vec<(DistValue, u32)> = Vec::new();
         for b in &batches {
-            let scored: Vec<(DistValue, u32)> =
-                b.iter().map(|&(d, id)| (DistValue(d), id)).collect();
-            list.merge_batch(&scored);
-            reference.extend(scored);
+            let (dists, ids): (Vec<f32>, Vec<u32>) = b.iter().copied().unzip();
+            list.merge_batch(&ids, &dists);
+            reference.extend(b.iter().map(|&(d, id)| (DistValue(d), id)));
             reference.sort_by_key(|&(d, id)| (d, id));
             reference.truncate(cap);
             prop_assert!(list.is_sorted());
