@@ -125,8 +125,8 @@ pub struct ControlStats {
     pub offset_beam: u64,
     /// Current exact-rerank pool depth (0 = no rerank).
     pub rerank_depth: u64,
-    /// Parallel CTAs launched per query at the current rung (0 when
-    /// the controller has never been built, i.e. `Default`).
+    /// The current rung's CTA cap per query — a worker may launch
+    /// fewer (0 when the controller has never been built, i.e. `Default`).
     pub n_ctas: u64,
     /// Controller ticks run.
     pub ticks: u64,

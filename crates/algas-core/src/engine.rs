@@ -9,7 +9,9 @@
 use crate::control::{ControlConfig, SloController};
 use crate::merge::{merge_topk_into, HostCostModel, MergeScratch};
 use crate::search::intra::IntraParams;
-use crate::search::multi::{search_multi_seeded_into, MultiParams, MultiResult, MultiScratch};
+use crate::search::multi::{
+    search_multi_seeded_into, MultiParams, MultiResult, MultiScratch, Schedule,
+};
 use crate::search::{BeamParams, SearchContext};
 use crate::tuning::{tune, EffortLadder, EffortStep, TuningError, TuningInput, TuningPlan};
 use algas_gpu_sim::{CostModel, CtaWork, DeviceProps, QueryWork};
@@ -360,8 +362,6 @@ pub struct TracedSearch {
 pub struct SearchScratch {
     /// Multi-CTA state (shared bitmap, per-CTA lists and traces).
     pub multi: MultiScratch,
-    /// Per-CTA entry seeds resolved for the current query.
-    seed_buf: Vec<u32>,
     merge: MergeScratch,
     /// Final merged TopK of the most recent search, ascending.
     pub topk: Vec<(DistValue, u32)>,
@@ -544,11 +544,12 @@ impl AlgasEngine {
         }
     }
 
-    /// Allocation-free search leaving the merged TopK in *physical*
-    /// (post-relayout) ids. [`search_into`](Self::search_into) is this
-    /// plus the translation back to the caller's original id space; the
-    /// serving runtime calls this variant because its host pollers
-    /// translate once at delivery.
+    /// What a worker thread runs per query: the allocation-free search
+    /// under [`Schedule::Serial`] — the plan's `N_parallel`, or a shed
+    /// rung's [`EffortStep::n_ctas`], caps the walkers launched —
+    /// leaving the merged TopK in *physical* (post-relayout) ids; the
+    /// serving runtime's host pollers translate once at delivery.
+    /// [`serve_into`](Self::serve_into) adds that translation.
     ///
     /// On a quantized engine the traversal scores SQ8 codes, the
     /// per-CTA pools are merged [`rerank_depth`](Self::rerank_depth)
@@ -556,13 +557,27 @@ impl AlgasEngine {
     /// the final TopK cut — so `scratch.topk` distances are always
     /// exact, whichever path ran.
     pub fn search_physical_into(&self, query: &[f32], query_id: u64, scratch: &mut SearchScratch) {
+        self.search_scheduled(Schedule::Serial, query, query_id, scratch);
+    }
+
+    /// [`search_physical_into`](Self::search_physical_into) with the
+    /// TopK translated to original ids: the result a served query gets,
+    /// for callers that are not the runtime (tests, benches).
+    pub fn serve_into(&self, query: &[f32], query_id: u64, scratch: &mut SearchScratch) {
+        self.search_physical_into(query, query_id, scratch);
+        self.index.externalize(&mut scratch.topk);
+    }
+
+    fn search_scheduled(
+        &self,
+        schedule: Schedule,
+        query: &[f32],
+        query_id: u64,
+        scratch: &mut SearchScratch,
+    ) {
         // One effort snapshot per query: a concurrent controller tick
         // must not change knobs between the traversal and the merge.
         let step = self.control.current();
-        self.resolve_seeds(query, query_id, &mut scratch.seed_buf);
-        // A shed CTA rung launches fewer walkers over the same seeds
-        // the full plan would have used first.
-        scratch.seed_buf.truncate(step.n_ctas.clamp(1, self.plan.n_parallel));
         // Traverse on SQ8 codes when the index has them, pooling
         // `rerank_depth` candidates for the exact pass; on f32 rows the
         // merge cuts the final TopK directly.
@@ -585,53 +600,40 @@ impl AlgasEngine {
                 self.cfg.k,
             ),
         };
+        // Entry seeds resolve per CTA, when it is launched: data-backed
+        // policies consult the index's entry data — the query's LSH
+        // signature is computed once here — and every policy degrades
+        // to its data-free behavior when the index carries none.
+        let policy = self.cfg.entry_policy;
+        let entry = index.entry.as_ref().filter(|_| policy.needs_entry_data());
+        let sig = entry.and_then(|e| e.hash.as_ref()).map_or(0, |t| t.signature(query));
+        let seed_of = |c: usize| match entry {
+            Some(e) => e.seed_for(
+                policy,
+                sig,
+                query,
+                &index.base,
+                index.metric,
+                query_id,
+                c as u32,
+                index.medoid,
+            ),
+            None => policy.entry_for(query_id, c as u32, index.len(), index.medoid),
+        };
         let params = self.multi_params_for(step);
         search_multi_seeded_into(
             ctx,
             params,
+            schedule,
             query,
-            &scratch.seed_buf,
             fetch_k,
             &mut scratch.multi,
+            seed_of,
         );
         let merged = if ctx.quant.is_some() { &mut scratch.pooled } else { &mut scratch.topk };
         merge_topk_into(scratch.multi.per_cta(), depth, &mut scratch.merge, merged);
         if ctx.quant.is_some() {
             self.rerank(query, scratch);
-        }
-    }
-
-    /// Resolves this query's per-CTA entry seeds into `seeds`
-    /// (allocation-free after warmup). Data-backed policies consult the
-    /// index's [`EntryIndex`] — the query's LSH signature is computed
-    /// once here, not per CTA — and every policy degrades to its
-    /// data-free behavior when the index carries no entry data.
-    fn resolve_seeds(&self, query: &[f32], query_id: u64, seeds: &mut Vec<u32>) {
-        seeds.clear();
-        let policy = self.cfg.entry_policy;
-        let medoid = self.index.medoid;
-        match &self.index.entry {
-            Some(e) if policy.needs_entry_data() => {
-                let sig = e.hash.as_ref().map_or(0, |t| t.signature(query));
-                for c in 0..self.plan.n_parallel {
-                    seeds.push(e.seed_for(
-                        policy,
-                        sig,
-                        query,
-                        &self.index.base,
-                        self.index.metric,
-                        query_id,
-                        c as u32,
-                        medoid,
-                    ));
-                }
-            }
-            _ => {
-                let n = self.index.len();
-                for c in 0..self.plan.n_parallel {
-                    seeds.push(policy.entry_for(query_id, c as u32, n, medoid));
-                }
-            }
         }
     }
 
@@ -661,19 +663,20 @@ impl AlgasEngine {
             scratch.topk.iter().filter(|&&(_, id)| !prefix.contains(&id)).count() as u64;
     }
 
-    /// Allocation-free search: runs the multi-CTA search and the host
-    /// merge entirely inside `scratch`, leaving the merged TopK in
-    /// `scratch.topk` and the per-CTA lists/traces in `scratch.multi`.
+    /// Allocation-free search on the paper path ([`Schedule::Concurrent`]
+    /// — what a GPU runs, and what the figures, simulators and golden
+    /// pins see): the multi-CTA search and the host merge run entirely
+    /// inside `scratch`, leaving the merged TopK in `scratch.topk` and
+    /// the per-CTA lists/traces in `scratch.multi`.
     ///
-    /// This is the serving hot path: after one warmup query per scratch
-    /// it touches the heap zero times (pinned by the workspace's
-    /// counting-allocator test).
+    /// After one warmup query per scratch it touches the heap zero
+    /// times (pinned by the workspace's counting-allocator test).
     ///
     /// `scratch.topk` comes back in the caller's *original* id space
     /// (the relayout id-map, if any, is applied in place);
     /// `scratch.multi` keeps the raw per-CTA lists in physical ids.
     pub fn search_into(&self, query: &[f32], query_id: u64, scratch: &mut SearchScratch) {
-        self.search_physical_into(query, query_id, scratch);
+        self.search_scheduled(Schedule::Concurrent, query, query_id, scratch);
         self.index.externalize(&mut scratch.topk);
     }
 

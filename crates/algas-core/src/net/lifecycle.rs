@@ -3,9 +3,8 @@
 //! server).
 //!
 //! Both fronts share [`ListenerHandle`]: the listener is switched to
-//! nonblocking mode and the loop body is handed a
-//! [`Poller`](super::poll::Poller) to wait on it (and on whatever else
-//! the body owns). `stop()` is "set flag, wake the poller, join" — no
+//! nonblocking mode and the loop body is handed a [`Poller`] to wait on
+//! it (and on whatever else the body owns). `stop()` is "set flag, wake the poller, join" — no
 //! self-connect, no leaked thread, and the loop leaves its wait at once
 //! rather than on its next timeout.
 

@@ -1,13 +1,21 @@
-//! Multi-CTA search: `N_parallel` CTAs cooperate on one query.
+//! Multi-CTA search: up to `N_parallel` CTAs cooperate on one query.
 //!
 //! Each CTA runs the intra-CTA search from its own (hashed) entry point
 //! with a **private candidate list**, while all CTAs of the query share
 //! one visited bitmap (§IV-B): the first CTA to touch a point owns its
 //! distance computation, so the CTAs implicitly partition the explored
-//! region and never duplicate work. Execution interleaves the CTAs
-//! round-robin — a deterministic stand-in for the concurrent progress
-//! they make on real hardware — and the per-CTA TopK lists are returned
+//! region and never duplicate work. The per-CTA TopK lists are returned
 //! *unmerged*: merging is the host's job (GPU-CPU cooperation).
+//!
+//! Two [`Schedule`]s drive the same `CtaSearch::{new, step}` over that
+//! bitmap. **Concurrent** is what a GPU runs: every CTA seeded up front
+//! and stepped round-robin, the deterministic stand-in for simultaneous
+//! progress — the paper path, which the figures, the simulators and the
+//! golden pins see. **Serial** is what one worker thread runs: walkers
+//! go one after another, so a finished walker can tell the next whether
+//! it is needed — `n_ctas` is a cap, the walkers after the first are
+//! scouts with a `k`-long list, and launching stops with the first one
+//! that adds nothing to the best `k` found so far.
 
 use crate::lists::VisitedBitmap;
 use crate::search::intra::{CtaScratch, CtaSearch, IntraParams};
@@ -32,8 +40,12 @@ pub struct MultiScratch {
     qquery: QuantizedQuery,
     ctas: Vec<CtaScratch>,
     per_cta: Vec<Vec<(DistValue, u32)>>,
-    /// CTAs used by the most recent search (≤ `ctas.len()`).
+    /// CTAs launched by the most recent search (≤ `ctas.len()`).
     n_active: usize,
+    /// Serial schedule: the seeds walkers were launched from…
+    seeds: Vec<u32>,
+    /// …and the best `k` entries they hold so far, ascending.
+    bound: Vec<(DistValue, u32)>,
 }
 
 impl MultiScratch {
@@ -54,7 +66,8 @@ impl MultiScratch {
         self.ctas[c].trace()
     }
 
-    /// CTAs that participated in the most recent search.
+    /// CTAs launched by the most recent search (under
+    /// [`Schedule::Serial`], the walkers that ran, not the cap).
     pub fn n_active(&self) -> usize {
         self.n_active
     }
@@ -98,13 +111,27 @@ impl MultiScratch {
     }
 }
 
+/// How a query's CTAs are driven over their shared bitmap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// All `n_ctas` seeded up front, stepped round-robin to exhaustion.
+    Concurrent,
+    /// Walker 0 runs the plan's search to termination; then walker `c`,
+    /// a scout with a `k`-long list, is seeded only when launched: a
+    /// seed an earlier walker started from is skipped, and a scout none
+    /// of whose entries enters the best `k` held by the walkers before
+    /// it is the last one launched.
+    Serial,
+}
+
 /// Parameters of a multi-CTA search.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiParams {
     /// Per-CTA search parameters. `bitmap_in_shared` is forced off:
     /// the shared table lives in global memory.
     pub intra: IntraParams,
-    /// Number of CTAs (`N_parallel`).
+    /// Number of CTAs (`N_parallel`); under [`Schedule::Serial`] the
+    /// most that may be launched.
     pub n_ctas: usize,
     /// Entry-point policy (the paper uses random entries per CTA).
     pub entry: EntryPolicy,
@@ -164,34 +191,23 @@ pub fn search_multi_into(
     scratch: &mut MultiScratch,
 ) {
     let n = ctx.base.len();
-    run_multi(ctx, params, query, k, scratch, |c| {
+    search_multi_seeded_into(ctx, params, Schedule::Concurrent, query, k, scratch, |c| {
         params.entry.entry_for(query_id, c as u32, n, medoid)
     });
 }
 
-/// [`search_multi_into`] with the per-CTA entry points resolved by the
-/// caller — the hook the engine's index-backed entry policies (LSH
-/// bucket table, descent ladder) use to seed the CTAs. `seeds[c]` is
-/// CTA `c`'s entry vertex; `params.entry` is ignored.
+/// The multi-CTA search under either [`Schedule`], with the entry
+/// points resolved by the caller — the hook the engine's index-backed
+/// entry policies (LSH bucket table, descent ladder) use to seed the
+/// CTAs. `seed_of(c)` is CTA `c`'s entry vertex, asked for only when
+/// `c` is launched; `params.entry` is ignored.
 ///
 /// # Panics
-/// Panics if `seeds.len() != params.n_ctas`, `n_ctas == 0` or
-/// `k > intra.l`.
+/// Panics if `n_ctas == 0` or `k > intra.l`.
 pub fn search_multi_seeded_into(
     ctx: SearchContext<'_>,
     params: MultiParams,
-    query: &[f32],
-    seeds: &[u32],
-    k: usize,
-    scratch: &mut MultiScratch,
-) {
-    assert_eq!(seeds.len(), params.n_ctas, "one entry seed per CTA");
-    run_multi(ctx, params, query, k, scratch, |c| seeds[c]);
-}
-
-fn run_multi(
-    ctx: SearchContext<'_>,
-    params: MultiParams,
+    schedule: Schedule,
     query: &[f32],
     k: usize,
     scratch: &mut MultiScratch,
@@ -217,20 +233,68 @@ fn run_multi(
     while scratch.per_cta.len() < params.n_ctas {
         scratch.per_cta.push(Vec::new());
     }
-    scratch.n_active = params.n_ctas;
 
     // The shared table lives in global memory: force the cost flag.
     let intra = IntraParams { bitmap_in_shared: params.n_ctas == 1, ..params.intra };
     ctx.encode_query(query, &mut scratch.qquery);
     let qquery = &scratch.qquery;
+    let seed_checked = |c: usize| {
+        let entry = seed_of(c);
+        debug_assert!((entry as usize) < n, "entry seed {entry} out of range for corpus {n}");
+        entry
+    };
+
+    if schedule == Schedule::Serial {
+        // Walker 0 is the plan's search. The walkers after it are
+        // scouts, asked only for entries that can enter the best `k`:
+        // a `k`-long list is all they carry.
+        let scout = IntraParams { l: k, ..intra };
+        scratch.seeds.clear();
+        scratch.bound.clear();
+        for c in 0..params.n_ctas {
+            let entry = seed_checked(c);
+            // Walking again from where an earlier walker started finds
+            // nothing; such a seed says nothing about the next one.
+            if scratch.seeds.contains(&entry) {
+                continue;
+            }
+            let w = scratch.seeds.len();
+            scratch.seeds.push(entry);
+            let (cta, out) = (&mut scratch.ctas[w], &mut scratch.per_cta[w]);
+            let list = if w == 0 { intra } else { scout };
+            let mut walker = CtaSearch::new(ctx, list, query, qquery, entry, shared_visited, cta);
+            walker.run(shared_visited);
+            walker.finish_into(k, out);
+            // Fold the list into the running best `k`; a walker that
+            // lands nothing there came back empty-handed.
+            let mut improved = false;
+            for e in out.iter() {
+                let full = scratch.bound.len() >= k;
+                if full && scratch.bound.last().is_some_and(|b| e >= b) {
+                    break;
+                }
+                if let Err(at) = scratch.bound.binary_search(e) {
+                    if full {
+                        scratch.bound.pop();
+                    }
+                    scratch.bound.insert(at, *e);
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        scratch.n_active = scratch.seeds.len();
+        return;
+    }
+    scratch.n_active = params.n_ctas;
 
     // Seed every CTA. `CtaSearch` is a free-to-construct view over its
     // scratch, so the round-robin loop below re-attaches per step
     // instead of holding N simultaneous searches.
     for (c, cta) in scratch.ctas[..params.n_ctas].iter_mut().enumerate() {
-        let entry = seed_of(c);
-        debug_assert!((entry as usize) < n, "entry seed {entry} out of range for corpus {n}");
-        let _ = CtaSearch::new(ctx, intra, query, qquery, entry, shared_visited, cta);
+        let _ = CtaSearch::new(ctx, intra, query, qquery, seed_checked(c), shared_visited, cta);
     }
 
     // Deterministic round-robin interleave until every CTA terminates.
@@ -351,7 +415,6 @@ mod tests {
             n_ctas: 1,
             entry: EntryPolicy::Fixed(0),
         };
-        let r = search_multi(ctx, p, ds.queries.get(2), 2, 0, 8);
         let (ids, trace) = crate::search::intra::search_intra(
             ctx,
             IntraParams::greedy(32),
@@ -359,8 +422,109 @@ mod tests {
             0,
             8,
         );
-        assert_eq!(r.per_cta[0], ids);
-        assert_eq!(r.traces[0], trace);
+        // Bit for bit under either schedule: one CTA has nobody to
+        // interleave with and nobody to stop for.
+        for schedule in [Schedule::Concurrent, Schedule::Serial] {
+            let mut scratch = MultiScratch::new();
+            search_multi_seeded_into(ctx, p, schedule, ds.queries.get(2), 8, &mut scratch, |_| 0);
+            let r = scratch.take_result();
+            assert_eq!(r.per_cta, std::slice::from_ref(&ids), "{schedule:?}");
+            assert_eq!(r.traces, std::slice::from_ref(&trace), "{schedule:?}");
+        }
+    }
+
+    /// Three islands of ten points on a line, chained inside an island
+    /// and unconnected across: a walker sees only the island it is
+    /// seeded in, so which walkers improve the TopK is set by the seeds.
+    fn islands() -> (algas_vector::VectorStore, algas_graph::FixedDegreeGraph) {
+        let base = algas_vector::VectorStore::from_flat(1, (0..30).map(|i| i as f32).collect());
+        let rows: Vec<Vec<u32>> = (0..30u32)
+            .map(|v| [v.wrapping_sub(1), v + 1].into_iter().filter(|&u| u / 10 == v / 10).collect())
+            .collect();
+        (base, algas_graph::FixedDegreeGraph::from_adjacency(30, 2, &rows))
+    }
+
+    /// Runs the serial schedule from `seeds` (cap = their count) for a
+    /// query at 14.6 — its neighbors live on the middle island — and
+    /// returns the walkers launched and the seeds asked for.
+    fn serial_on_islands(seeds: &[u32]) -> (usize, usize) {
+        let (base, g) = islands();
+        let cost = CostModel::default();
+        let ctx = SearchContext::new(&g, &base, Metric::L2, &cost);
+        let p = MultiParams { n_ctas: seeds.len(), ..params(8, 0) };
+        let asked = std::cell::Cell::new(0);
+        let mut scratch = MultiScratch::new();
+        search_multi_seeded_into(ctx, p, Schedule::Serial, &[14.6], 4, &mut scratch, |c| {
+            asked.set(asked.get().max(c + 1));
+            seeds[c]
+        });
+        assert_eq!(scratch.per_cta().len(), scratch.n_active());
+        (scratch.n_active(), asked.get())
+    }
+
+    #[test]
+    fn serial_launches_the_next_walker_only_while_the_last_one_improved() {
+        // Walker 1 finds the true neighbors, so walker 2 is launched;
+        // it adds nothing, so seed 3 is never even resolved.
+        assert_eq!(serial_on_islands(&[0, 12, 25, 3]), (3, 3));
+        // Walker 0 already holds them: walker 1 comes back
+        // empty-handed and is the last.
+        assert_eq!(serial_on_islands(&[12, 0, 25]), (2, 2));
+        // The cap binds even while walkers keep improving.
+        assert_eq!(serial_on_islands(&[25, 0]), (2, 2));
+        assert_eq!(serial_on_islands(&[25]), (1, 1));
+    }
+
+    #[test]
+    fn serial_skips_a_repeated_seed_without_counting_it_empty_handed() {
+        // The repeat of seed 0 is no walker: the next distinct seed
+        // still launches, improves, and lets one more go.
+        assert_eq!(serial_on_islands(&[0, 0, 12, 25]), (3, 4));
+        // Nothing but repeats: one walker, every seed looked at.
+        assert_eq!(serial_on_islands(&[12, 12, 12]), (1, 3));
+    }
+
+    #[test]
+    fn serial_walker_count_is_bounded_and_repeatable() {
+        let (ds, g) = setup();
+        let cost = CostModel::default();
+        let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
+        let n = ds.base.len();
+        let mut scratch = MultiScratch::new();
+        for cap in [1, 2, 8] {
+            let p = params(32, cap);
+            for q in 0..ds.queries.len().min(40) {
+                let seed_of = |c: usize| p.entry.entry_for(q as u64, c as u32, n, 0);
+                let distinct_seeds =
+                    (0..cap).map(seed_of).collect::<std::collections::HashSet<_>>().len();
+                let mut run = || {
+                    let query = ds.queries.get(q);
+                    search_multi_seeded_into(
+                        ctx,
+                        p,
+                        Schedule::Serial,
+                        query,
+                        8,
+                        &mut scratch,
+                        seed_of,
+                    );
+                    (scratch.n_active(), scratch.take_result())
+                };
+                let (launched, first) = run();
+                assert!(launched <= cap, "query {q}: {launched} walkers over cap {cap}");
+                assert!(launched >= distinct_seeds.min(2), "query {q}: {launched} of cap {cap}");
+                // Walker 0 carries the plan's list (32), the scouts
+                // after it a `k`-long one (8): what a step selects
+                // cannot sit past the end of the list it selects from.
+                let deepest = |t: &CtaTrace| t.steps.iter().map(|s| s.selected_offset).max();
+                assert!(deepest(&first.traces[0]) >= Some(8), "query {q}");
+                assert!(first.traces[1..].iter().all(|t| deepest(t) < Some(8)), "query {q}");
+                let (again, second) = run();
+                assert_eq!(launched, again, "query {q}");
+                assert_eq!(first.per_cta, second.per_cta, "query {q}");
+                assert_eq!(first.traces, second.traces, "query {q}");
+            }
+        }
     }
 
     #[test]

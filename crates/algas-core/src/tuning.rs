@@ -186,17 +186,20 @@ pub struct EffortStep {
     pub beam: Option<BeamParams>,
     /// Exact-rerank pool depth (0 = rerank disabled / not applicable).
     pub rerank_depth: usize,
-    /// Parallel CTAs launched per query (≥ 1; the plan's `N_parallel`
-    /// at rung 0, halved toward 1 on the deepest rungs).
+    /// CTAs per query (≥ 1; the plan's `N_parallel` at rung 0, halved
+    /// toward 1 on the deepest rungs): the count on the paper schedule,
+    /// a cap on the serial one a worker runs, which stops launching
+    /// walkers at the first that adds nothing (`search::multi`).
     pub n_ctas: usize,
 }
 
 /// The controller's discrete effort scale. Rung 0 reproduces the static
 /// plan (maximum recall); each higher rung sheds more work: first the
-/// rerank pool shrinks toward `2k`, then parallel CTAs are retired
-/// (`N_parallel` halves toward 1) — the dominant service-time lever on
-/// every substrate, and smart entry seeding is what keeps a lone CTA's
-/// recall high — and only the deepest rungs widen the beam (fewer
+/// rerank pool shrinks toward `2k`, then the CTA cap is lowered
+/// (`N_parallel` halves toward 1; a serving worker usually launches
+/// about two walkers whatever the cap, so these rungs bite once the
+/// cap falls under that) — smart entry seeding is what keeps a lone
+/// CTA's recall high — and only the deepest rungs widen the beam (fewer
 /// candidate-list sorts per step) and move the diffusing switch
 /// earlier (`offset_beam → 1`). The beam knobs pay on sort-bound GPU
 /// substrates but cost extra distance evaluations, so they come last,

@@ -1,7 +1,9 @@
 //! Pins the zero-allocation serving invariant: after one warmup pass
 //! over a query set, repeating the identical pass through
-//! [`AlgasEngine::search_into`] with a reused [`SearchScratch`] must
-//! perform **zero** heap allocations.
+//! [`AlgasEngine::search_into`] — and through
+//! [`AlgasEngine::serve_into`], the entry point a worker thread runs —
+//! with a reused [`SearchScratch`] must perform **zero** heap
+//! allocations.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file holds exactly one test so no concurrent test can perturb the
@@ -178,4 +180,24 @@ fn hot_path_allocates_nothing_after_warmup() {
         "entry lookup + controller tick hot path allocated {} times after warmup",
         after - before
     );
+
+    // The entry point a worker thread calls: the serial schedule keeps
+    // its launched-seed list and its running TopK bound in the scratch
+    // and resolves seeds one walker at a time — on the default engine,
+    // then on SQ8 codes with the exact rerank.
+    for cfg in [cfg, qcfg] {
+        let path = if cfg.quantize { "quantized + rerank" } else { "fp32" };
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        let engine = AlgasEngine::new(index, cfg).unwrap();
+        let mut scratch = engine.make_scratch();
+        for measured in [false, true] {
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            for q in 0..n_queries {
+                engine.serve_into(ds.queries.get(q), q as u64, &mut scratch);
+                assert_eq!(scratch.topk.len(), 10, "{path}: short TopK");
+            }
+            let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+            assert!(!measured || allocs == 0, "{path} serving path allocated {allocs} times");
+        }
+    }
 }
