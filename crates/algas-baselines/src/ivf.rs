@@ -8,10 +8,10 @@
 
 use algas_gpu_sim::{CostModel, CtaWork, DeviceProps, QueryWork};
 use algas_vector::metric::DistValue;
+use algas_vector::parallel::{max_threads, par_map};
 use algas_vector::{Metric, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
 /// IVF build/search parameters.
@@ -69,13 +69,14 @@ pub fn build_ivf(base: &VectorStore, metric: Metric, params: IvfParams) -> IvfIn
         }
     }
 
+    // Nearest centroid of every point (parallel over points).
+    let assign = |centroids: &VectorStore| -> Vec<usize> {
+        par_map(n, 256, max_threads(), |i| nearest_centroid(centroids, base.get(i), metric).0)
+    };
+
     let mut assignment = vec![0usize; n];
     for _iter in 0..params.kmeans_iters {
-        // Assign (parallel over points).
-        let new_assignment: Vec<usize> = (0..n)
-            .into_par_iter()
-            .map(|i| nearest_centroid(&centroids, base.get(i), metric).0)
-            .collect();
+        let new_assignment = assign(&centroids);
         let changed = new_assignment.iter().zip(&assignment).filter(|(a, b)| a != b).count();
         assignment = new_assignment;
 
@@ -111,10 +112,7 @@ pub fn build_ivf(base: &VectorStore, metric: Metric, params: IvfParams) -> IvfIn
     }
 
     // Final assignment into inverted lists.
-    let final_assignment: Vec<usize> = (0..n)
-        .into_par_iter()
-        .map(|i| nearest_centroid(&centroids, base.get(i), metric).0)
-        .collect();
+    let final_assignment = assign(&centroids);
     let mut lists = vec![Vec::new(); params.nlist];
     for (i, &c) in final_assignment.iter().enumerate() {
         lists[c].push(i as u32);

@@ -4,13 +4,7 @@
 //! figures all [--scale S] [--out PATH]    # every experiment → EXPERIMENTS data
 //! figures fig10 [--scale S]               # one experiment to stdout
 //! figures list                            # available experiment ids
-//! figures bench_distance [--out PATH]     # SIMD kernel timings → BENCH_distance.json
-//! figures bench_build [--scale S] [--out PATH]  # build speedup + relayout → BENCH_build.json
-//! figures bench_serve [--scale S] [--out PATH]  # serving telemetry → BENCH_serve.json
-//! figures bench_quant [--scale S] [--out PATH]  # fp32 vs SQ8 → BENCH_quant.json
 //! figures bench_trace [--scale S] [--baseline P1[,P2]] [--from PATH] [--out PATH]  # recorder overhead → BENCH_trace.json
-//! figures bench_adaptive [--scale S] [--out PATH]  # entry policies + SLO control → BENCH_adaptive.json
-//! figures bench_net [--scale S] [--out PATH]   # TCP front end, open-loop → BENCH_net.json
 //! ```
 //!
 //! `--scale` scales the synthetic corpora (default 0.15 ≈ 9k vectors
@@ -64,80 +58,10 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures [all|list|bench_distance|bench_build|bench_serve|bench_quant|\
-         bench_trace|bench_adaptive|bench_net|<experiment-id>] [--scale S] [--out PATH] \
+        "usage: figures [all|list|bench_trace|<experiment-id>] [--scale S] [--out PATH] \
          [--baseline P1[,P2]] [--from PATH]"
     );
     std::process::exit(2);
-}
-
-/// Best-of-reps timing of `f`, in ns per iteration.
-fn time_ns(iters: u64, mut f: impl FnMut() -> f32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        let mut acc = 0.0f32;
-        for _ in 0..iters {
-            acc += f();
-        }
-        std::hint::black_box(acc);
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// Times the scalar, dispatched-SIMD, and batched L2 kernels at the
-/// paper's representative dimensions and writes `BENCH_distance.json`.
-fn bench_distance(out_path: &str) {
-    use algas_vector::{simd, Metric, VectorStore};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    const BATCH: usize = 1024;
-    let mut rng = StdRng::seed_from_u64(0xD157);
-    let mut rows = Vec::new();
-    for dim in [128usize, 200, 256, 960] {
-        let a: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
-        let b: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
-        let mut store = VectorStore::with_capacity(dim, BATCH);
-        for _ in 0..BATCH {
-            let row: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
-            store.push(&row);
-        }
-        let ids: Vec<u32> = (0..BATCH as u32).collect();
-        let mut dists: Vec<f32> = Vec::with_capacity(BATCH);
-
-        let iters = (40_000_000 / dim as u64).max(10_000);
-        let scalar_ns = time_ns(iters, || simd::l2_squared_scalar(&a, &b));
-        let simd_ns = time_ns(iters, || simd::l2_squared(&a, &b));
-        let batch_calls = (iters / BATCH as u64).max(50);
-        let batched_ns = time_ns(batch_calls, || {
-            Metric::L2.distance_batch(&a, &store, &ids, &mut dists);
-            dists[BATCH - 1]
-        }) / BATCH as f64;
-
-        eprintln!(
-            "d={dim:>4}: scalar {scalar_ns:8.2} ns  simd {simd_ns:8.2} ns ({:.2}x)  \
-             batched {batched_ns:8.2} ns/dist ({:.2}x)",
-            scalar_ns / simd_ns,
-            scalar_ns / batched_ns
-        );
-        rows.push(format!(
-            "    {{\"dim\": {dim}, \"scalar_ns\": {scalar_ns:.2}, \"simd_ns\": {simd_ns:.2}, \
-             \"batched_ns_per_dist\": {batched_ns:.2}, \"simd_speedup\": {:.2}, \
-             \"batched_speedup\": {:.2}}}",
-            scalar_ns / simd_ns,
-            scalar_ns / batched_ns
-        ));
-    }
-    let json = format!(
-        "{{\n  \"kernel\": \"{}\",\n  \"batch\": {BATCH},\n  \"metric\": \"l2_squared\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        simd::kernel_name(),
-        rows.join(",\n")
-    );
-    std::fs::write(out_path, &json).expect("write bench output");
-    eprintln!("wrote {out_path}");
 }
 
 fn main() {
@@ -146,48 +70,6 @@ fn main() {
         for id in ALL_EXPERIMENTS {
             println!("{id}");
         }
-        return;
-    }
-    if args.command == "bench_distance" {
-        // Kernel microbenchmark: no dataset prep, no cache.
-        bench_distance(args.out.as_deref().unwrap_or("BENCH_distance.json"));
-        return;
-    }
-    if args.command == "bench_build" {
-        // Graph-construction + relayout benchmark: self-contained prep.
-        algas_bench::build_bench::run(
-            args.scale,
-            args.out.as_deref().unwrap_or("BENCH_build.json"),
-        );
-        return;
-    }
-    if args.command == "bench_serve" {
-        // Serving-path telemetry benchmark: self-contained prep.
-        algas_bench::serve_bench::run(
-            args.scale,
-            args.out.as_deref().unwrap_or("BENCH_serve.json"),
-        );
-        return;
-    }
-    if args.command == "bench_quant" {
-        // fp32 vs SQ8 scoring + recall benchmark: self-contained prep.
-        algas_bench::quant_bench::run(
-            args.scale,
-            args.out.as_deref().unwrap_or("BENCH_quant.json"),
-        );
-        return;
-    }
-    if args.command == "bench_adaptive" {
-        // Entry-policy hops + SLO-controller benchmark: self-contained.
-        algas_bench::adaptive_bench::run(
-            args.scale,
-            args.out.as_deref().unwrap_or("BENCH_adaptive.json"),
-        );
-        return;
-    }
-    if args.command == "bench_net" {
-        // TCP front end under open-loop Poisson load: self-contained.
-        algas_bench::net_bench::run(args.scale, args.out.as_deref().unwrap_or("BENCH_net.json"));
         return;
     }
     if args.command == "bench_trace" {

@@ -7,7 +7,6 @@
 //! generation parameter plus a version, so stale entries can't be read
 //! back.
 
-use bytes::Bytes;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -40,12 +39,12 @@ impl DiskCache {
     }
 
     /// Fetches a blob, or computes, stores, and returns it.
-    pub fn get_or_put(&self, key: &str, compute: impl FnOnce() -> Bytes) -> io::Result<Bytes> {
+    pub fn get_or_put(&self, key: &str, compute: impl FnOnce() -> Vec<u8>) -> io::Result<Vec<u8>> {
         let path = self.path(key);
         if let Ok(mut f) = std::fs::File::open(&path) {
             let mut buf = Vec::new();
             f.read_to_end(&mut buf)?;
-            return Ok(Bytes::from(buf));
+            return Ok(buf);
         }
         let blob = compute();
         // Write-then-rename for crash atomicity.
@@ -93,7 +92,7 @@ mod tests {
             let blob = cache
                 .get_or_put("k1", || {
                     computed += 1;
-                    Bytes::from_static(b"hello")
+                    b"hello".to_vec()
                 })
                 .unwrap();
             assert_eq!(&blob[..], b"hello");

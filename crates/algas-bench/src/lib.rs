@@ -8,6 +8,12 @@
 //!   exact neighbors).
 //! * [`report`] — measurement plumbing and markdown rendering.
 //! * [`experiments`] — one module per table/figure.
+//! * [`trace_bench`] — `figures bench_trace`, the obs-off-vs-obs-on
+//!   build comparison behind CI's ≤ 2 % p99 telemetry budget.
+//!
+//! Serving performance is not measured here: the one benchmark is
+//! `algas-perf` (`src/bin/perf`, a package of its own; see its README
+//! and `BENCHMARK.json`).
 //!
 //! The `figures` binary drives everything:
 //!
@@ -16,15 +22,10 @@
 //! cargo run --release -p algas-bench --bin figures -- fig10 --scale 0.2
 //! ```
 
-pub mod adaptive_bench;
-pub mod build_bench;
 pub mod cache;
 pub mod experiments;
-pub mod net_bench;
 pub mod prep;
-pub mod quant_bench;
 pub mod report;
-pub mod serve_bench;
 pub mod trace_bench;
 
 use crate::prep::Prepared;

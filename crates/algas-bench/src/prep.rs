@@ -7,7 +7,6 @@ use algas_graph::nsw::{NswBuilder, NswParams};
 use algas_graph::{FixedDegreeGraph, GraphKind};
 use algas_vector::datasets::{DatasetSpec, GeneratedDataset};
 use algas_vector::ground_truth::{brute_force_knn, GroundTruth};
-use bytes::Bytes;
 
 /// Ground-truth depth prepared for every bundle — deep enough for the
 /// Fig 12 TopK sweep (max 64).
@@ -75,9 +74,7 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
 
     let nsw_blob = cache
         .get_or_put(&format!("{key}-nsw-m{}", nsw_params().m), || {
-            Bytes::from(
-                encode_graph(&NswBuilder::new(spec.metric, nsw_params()).build(&ds.base)).to_vec(),
-            )
+            encode_graph(&NswBuilder::new(spec.metric, nsw_params()).build(&ds.base))
         })
         .expect("cache io");
     let nsw = decode_graph(&nsw_blob).expect("valid cached NSW graph");
@@ -85,7 +82,7 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
     let cp = cagra_params();
     let cagra_blob = cache
         .get_or_put(&format!("{key}-cagra-d{}", cp.graph_degree), || {
-            Bytes::from(encode_graph(&CagraBuilder::new(spec.metric, cp).build(&ds.base)).to_vec())
+            encode_graph(&CagraBuilder::new(spec.metric, cp).build(&ds.base))
         })
         .expect("cache io");
     let cagra = decode_graph(&cagra_blob).expect("valid cached CAGRA graph");
@@ -95,7 +92,7 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
             let gt = brute_force_knn(&ds.base, &ds.queries, spec.metric, GT_K);
             let mut buf = Vec::new();
             algas_vector::io::write_ivecs(&mut buf, &gt.neighbors).expect("in-memory write");
-            Bytes::from(buf)
+            buf
         })
         .expect("cache io");
     let neighbors =

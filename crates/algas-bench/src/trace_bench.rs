@@ -1,20 +1,25 @@
-//! `figures bench_trace`: flight-recorder overhead benchmark →
-//! `BENCH_trace.json`.
+//! `figures bench_trace`: flight-recorder overhead benchmark, written
+//! to `--out` (no copy is checked in).
 //!
 //! Measures what the always-on per-slot flight recorder costs on the
-//! serving path. Two layers:
+//! serving path. It is the one `figures bench_*` writer `algas-perf`
+//! did not replace: the ≤ 2 % p99 budget CI gates compares an obs-off
+//! *build* against an obs-on one, while `obs.trace_overhead_p50_pct`
+//! compares traced and untraced children of one build. Every document
+//! records the commit, core count and SIMD kernel it was measured on.
+//! Two layers:
 //!
-//! 1. **Serve overhead** — drives the threaded runtime through the
-//!    same closed-loop workload as `bench_serve`, but measures latency
-//!    *client-side* (submit → reply, wall clock), so the number exists
-//!    in both feature configurations. Run this binary twice:
+//! 1. **Serve overhead** — drives the threaded runtime closed-loop and
+//!    measures latency *client-side* (submit → reply, wall clock), so
+//!    the number exists in both feature configurations. Run this
+//!    binary twice:
 //!
 //!    ```text
 //!    cargo run --release -p algas-bench --no-default-features \
 //!        --bin figures -- bench_trace --out /tmp/trace_off.json
 //!    cargo run --release -p algas-bench \
 //!        --bin figures -- bench_trace --baseline /tmp/trace_off.json \
-//!        --out BENCH_trace.json
+//!        --out /tmp/trace_on.json
 //!    ```
 //!
 //!    The first build compiles every recording call to a ZST no-op;
@@ -155,6 +160,20 @@ fn event_cost_ns() -> f64 {
     best
 }
 
+/// `git rev-parse --short HEAD` of the working directory, or
+/// `"unknown"` outside a checkout or without `git`.
+fn commit_id() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn round_fields(r: &Round) -> Value {
     obj(vec![
         ("p50_ns", Value::Uint(r.p50)),
@@ -254,7 +273,11 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
         stats.flight.retained,
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fields = obj(vec![
+        ("commit", Value::Str(commit_id())),
+        ("cores", Value::Uint(cores as u64)),
+        ("simd", Value::Str(algas_vector::simd::kernel_name().into())),
         (
             "config",
             obj(vec![

@@ -19,7 +19,6 @@ use algas_graph::entry::{medoid, EntryIndex, EntryParams, EntryPolicy};
 use algas_graph::{CagraBuilder, FixedDegreeGraph, GraphKind, NodePermutation, NswBuilder};
 use algas_vector::metric::DistValue;
 use algas_vector::{Metric, QuantizedStore, VectorStore};
-use serde::{Deserialize, Serialize};
 
 /// A corpus of 2³¹ rows or more — as many as candidate-list keys have
 /// ids for ([`ID_SPACE`](crate::lists::ID_SPACE)): refused where an
@@ -311,7 +310,7 @@ impl Default for EngineConfig {
 /// quantized search on one scratch — the exact-distance counterpart of
 /// [`crate::merge::MergeStats`]. The owning worker thread reads deltas
 /// and publishes them to the serving snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RerankStats {
     /// Re-rank passes executed (one per quantized query).
     pub reranks: u64,

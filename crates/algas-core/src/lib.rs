@@ -24,8 +24,7 @@
 //!   ANNS server.
 //! * [`net`] — the TCP network front end: length-prefixed binary
 //!   protocol, a `poll(2)` readiness loop with pipelined out-of-order
-//!   completion and RETRY_AFTER backpressure, a blocking client, and
-//!   an open-loop Poisson load generator.
+//!   completion and RETRY_AFTER backpressure, and a blocking client.
 //! * [`obs`] — serving-path telemetry: lock-free counters, log-linear
 //!   latency histograms, query lifecycle spans, and JSON / Prometheus
 //!   exposition of [`obs::RuntimeStats`] (feature `obs`, default-on).
@@ -58,6 +57,13 @@ pub mod search;
 pub mod state;
 pub mod tracer;
 pub mod tuning;
+
+/// Locks `m` whether or not a thread panicked while holding it: every
+/// structure this crate keeps under a mutex is left valid between
+/// statements, and one thread's panic must not become every thread's.
+pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 pub use control::{ControlConfig, ControlDecision, ControlReason, ControlStats, SloController};
 pub use engine::{

@@ -10,12 +10,11 @@
 //! paper's argument for offloading it.
 
 use algas_vector::metric::DistValue;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Cost parameters of host-side result processing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HostCostModel {
     /// ns per element pushed through the merge heap.
     pub merge_ns_per_element: u64,
@@ -85,7 +84,7 @@ pub fn merge_topk(lists: &[Vec<(DistValue, u32)>], k: usize) -> Vec<(DistValue, 
 /// reads deltas and publishes them to the serving snapshot
 /// ([`crate::obs::RuntimeStats`]); keeping the fields plain `u64`s
 /// keeps the merge loop free of atomics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Merge invocations.
     pub merges: u64,

@@ -16,20 +16,16 @@
 //!   RETRY_AFTER backpressure once the in-flight budget or submission
 //!   queue fills.
 //! * [`client`] — [`client::NetClient`]: a blocking pipelining client.
-//! * [`loadgen`] — an open-loop load generator with seeded Poisson
-//!   arrivals and SLO-attainment reporting.
 
 pub mod client;
 pub mod frame;
 pub mod lifecycle;
-pub mod loadgen;
 pub mod poll;
 pub mod server;
 
 use crate::obs::hist::{Histogram, HistogramSnapshot};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Always-on network counters (like the runtime's query counters,
 /// these are live even with the `obs` feature off — they are the
@@ -122,7 +118,7 @@ impl NetCounters {
     /// Registers a newly accepted connection's telemetry cells.
     pub(crate) fn register_conn(&self, id: u64) -> Arc<ConnCells> {
         let cells = Arc::new(ConnCells::new(id));
-        self.conns.lock().push(Arc::clone(&cells));
+        crate::lock(&self.conns).push(Arc::clone(&cells));
         cells
     }
 
@@ -130,7 +126,7 @@ impl NetCounters {
     /// folding its cells into the closed-connection totals so the
     /// traffic survives the per-connection series' retirement.
     pub(crate) fn unregister_conn(&self, id: u64) {
-        let mut conns = self.conns.lock();
+        let mut conns = crate::lock(&self.conns);
         conns.retain(|c| {
             if c.id != id {
                 return true;
@@ -157,7 +153,8 @@ impl NetCounters {
     /// Per-connection snapshots of the currently open connections,
     /// ordered by connection id.
     pub(crate) fn conn_snapshots(&self) -> Vec<ConnStats> {
-        let mut out: Vec<ConnStats> = self.conns.lock().iter().map(|c| c.snapshot()).collect();
+        let mut out: Vec<ConnStats> =
+            crate::lock(&self.conns).iter().map(|c| c.snapshot()).collect();
         out.sort_by_key(|c| c.id);
         out
     }
@@ -232,5 +229,4 @@ pub struct ConnStats {
 
 pub use client::{NetClient, Reply};
 pub use frame::{DecodeError, Decoded, ErrorCode, FrameHeader, Opcode};
-pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{NetConfig, NetServer};

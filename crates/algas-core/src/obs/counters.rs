@@ -10,8 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pads and aligns `T` to a 64-byte cache line so adjacent per-thread
-/// counter blocks never share a line (the `crossbeam` idiom, local so
-/// the vendored stubs stay minimal).
+/// counter blocks never share a line (the `crossbeam` `CachePadded`
+/// idiom).
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct CachePadded<T>(pub T);

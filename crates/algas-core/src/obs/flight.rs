@@ -301,8 +301,8 @@ mod enabled {
         EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace, TraceEvent,
     };
     use crate::obs::counters::CachePadded;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
     use std::time::Instant;
 
     /// Retained slow queries kept outside the top-K reservoir.
@@ -440,7 +440,7 @@ mod enabled {
                 return;
             }
             let trace = self.capture(slot, ids, host, lifecycle);
-            let mut r = self.retained.lock();
+            let mut r = crate::lock(&self.retained);
             if top {
                 if r.top.len() < self.cfg.top_k {
                     r.top.push(trace.clone());
@@ -515,7 +515,7 @@ mod enabled {
         /// The retained traces, deduplicated across buckets (by tag)
         /// and sorted slowest-first.
         pub fn retained(&self) -> Vec<QueryTrace> {
-            let r = self.retained.lock();
+            let r = crate::lock(&self.retained);
             let mut out: Vec<QueryTrace> = Vec::new();
             for t in r.slow.iter().chain(r.top.iter()).chain(r.sampled.iter()) {
                 if !out.iter().any(|seen| seen.tag == t.tag) {

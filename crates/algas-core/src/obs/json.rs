@@ -1,10 +1,10 @@
 //! A minimal JSON document model: compact rendering plus a
 //! recursive-descent parser.
 //!
-//! The workspace builds hermetically against offline stubs (no
-//! `serde_json`), so the stats exposition surface carries its own
-//! ~200-line JSON layer: enough to emit [`super::RuntimeStats`], parse
-//! it back (round-trip tested), and validate `BENCH_serve.json`.
+//! The workspace builds hermetically, without a JSON crate, so the
+//! stats exposition surface carries its own ~200-line JSON layer:
+//! enough to emit [`super::RuntimeStats`] and parse it back (round-trip
+//! tested) — the `/stats.json` page the benchmark reads.
 //! Integers are kept lossless in a dedicated [`Value::Uint`] variant —
 //! nanosecond sums overflow `f64`'s 53-bit mantissa in long runs.
 

@@ -268,9 +268,9 @@ pub use disabled::QueryLog;
 #[cfg(feature = "obs")]
 mod enabled {
     use super::{QlogConfig, QlogRecord, QlogTotals, STATUS_OK, WORDS};
-    use parking_lot::Mutex;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     /// One ring cell: a sequence word (Vyukov protocol) plus the
     /// record's fixed word layout. `seq == index` means free for the
@@ -398,7 +398,7 @@ mod enabled {
         /// off the serving path (writer thread, `/query-log`, tests);
         /// allocates freely.
         pub fn drain(&self) -> usize {
-            let mut st = self.drain.lock();
+            let mut st = crate::lock(&self.drain);
             let mut drained = 0usize;
             loop {
                 let pos = st.dequeue_pos;
@@ -427,7 +427,7 @@ mod enabled {
         /// The retained lines, oldest first (the `/query-log` body is
         /// these joined with newlines). Drain first for freshness.
         pub fn lines(&self) -> Vec<String> {
-            self.drain.lock().lines.iter().cloned().collect()
+            crate::lock(&self.drain).lines.iter().cloned().collect()
         }
 
         /// Retained lines with global index `>= cursor`, plus the new
@@ -435,7 +435,7 @@ mod enabled {
         /// evicted from retention before being read are lost (the
         /// drop counter still saw them into the ring).
         pub fn lines_since(&self, cursor: u64) -> (Vec<String>, u64) {
-            let st = self.drain.lock();
+            let st = crate::lock(&self.drain);
             let front = st.total - st.lines.len() as u64;
             let skip = cursor.saturating_sub(front) as usize;
             (st.lines.iter().skip(skip).cloned().collect(), st.total)
@@ -446,7 +446,7 @@ mod enabled {
             QlogTotals {
                 logged: self.logged.load(Ordering::Relaxed),
                 dropped: self.dropped.load(Ordering::Relaxed),
-                drained: self.drain.lock().total,
+                drained: crate::lock(&self.drain).total,
             }
         }
     }

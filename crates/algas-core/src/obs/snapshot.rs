@@ -241,7 +241,7 @@ impl RuntimeStats {
     }
 
     /// Renders the snapshot as compact JSON (the `--stats-json` /
-    /// `BENCH_serve.json` wire form; [`RuntimeStats::from_json`] is its
+    /// `/stats.json` wire form; [`RuntimeStats::from_json`] is its
     /// exact inverse).
     pub fn to_json(&self) -> String {
         let hist = |h: &HistogramSnapshot| {

@@ -4,8 +4,8 @@
 
 use crate::engine::{AlgasIndex, CorpusTooLarge};
 use algas_graph::GraphKind;
+use algas_vector::binary::LeCursor;
 use algas_vector::Metric;
-use bytes::{Buf, BufMut, BytesMut};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -27,98 +27,91 @@ pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
     let perm_blob = index.id_map.as_ref().map(algas_graph::binary::encode_permutation);
     let quant_blob = index.quant.as_ref().map(algas_vector::binary::encode_quantized);
     let entry_blob = index.entry.as_ref().map(algas_graph::binary::encode_entry_index);
-    let mut header = BytesMut::with_capacity(56);
-    header.put_u32_le(INDEX_MAGIC);
-    header.put_u32_le(FORMAT_VERSION);
-    header.put_u8(match index.metric {
+    // A zero-length optional section = the index was never relayouted /
+    // never quantized / carries no entry data.
+    let optional = [&perm_blob, &quant_blob, &entry_blob];
+    let mut header = Vec::with_capacity(54);
+    header.extend_from_slice(&INDEX_MAGIC.to_le_bytes());
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header.push(match index.metric {
         Metric::L2 => 0,
         Metric::Cosine => 1,
     });
-    header.put_u8(match index.kind {
+    header.push(match index.kind {
         GraphKind::Nsw => 0,
         GraphKind::Cagra => 1,
     });
-    header.put_u32_le(index.medoid);
-    header.put_u64_le(store_blob.len() as u64);
-    header.put_u64_le(graph_blob.len() as u64);
-    // Zero-length section = index was never relayouted.
-    header.put_u64_le(perm_blob.as_ref().map_or(0, |b| b.len() as u64));
-    // Zero-length section = index was never quantized.
-    header.put_u64_le(quant_blob.as_ref().map_or(0, |b| b.len() as u64));
-    // Zero-length section = index carries no entry data.
-    header.put_u64_le(entry_blob.as_ref().map_or(0, |b| b.len() as u64));
+    header.extend_from_slice(&index.medoid.to_le_bytes());
+    header.extend_from_slice(&(store_blob.len() as u64).to_le_bytes());
+    header.extend_from_slice(&(graph_blob.len() as u64).to_le_bytes());
+    for blob in optional {
+        header.extend_from_slice(&blob.as_ref().map_or(0, |b| b.len() as u64).to_le_bytes());
+    }
     w.write_all(&header)?;
     w.write_all(&store_blob)?;
     w.write_all(&graph_blob)?;
-    if let Some(blob) = perm_blob {
-        w.write_all(&blob)?;
-    }
-    if let Some(blob) = quant_blob {
-        w.write_all(&blob)?;
-    }
-    if let Some(blob) = entry_blob {
-        w.write_all(&blob)?;
+    for blob in optional.into_iter().flatten() {
+        w.write_all(blob)?;
     }
     Ok(())
+}
+
+/// Reads one `len`-byte section and decodes it, so its raw bytes are
+/// freed before the next section is read.
+fn read_section<R: Read, T>(
+    r: &mut R,
+    len: usize,
+    what: &str,
+    decode: impl FnOnce(&[u8]) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut blob = vec![0u8; len];
+    r.read_exact(&mut blob).map_err(|_| invalid(&format!("truncated {what} section")))?;
+    decode(&blob)
 }
 
 /// Deserializes an index from a reader (accepts formats 1 through 4).
 pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
     let mut header = [0u8; 30];
     r.read_exact(&mut header)?;
-    let mut h = &header[..];
-    if h.get_u32_le() != INDEX_MAGIC {
+    let mut h = LeCursor::new(&header);
+    if h.u32()? != INDEX_MAGIC {
         return Err(invalid("not an ALGAS index file"));
     }
-    let version = h.get_u32_le();
+    let version = h.u32()?;
     if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(invalid(&format!(
             "unsupported index format version {version} (this build reads versions \
              {OLDEST_READABLE_VERSION} through {FORMAT_VERSION})"
         )));
     }
-    let metric = match h.get_u8() {
+    let metric = match h.u8()? {
         0 => Metric::L2,
         1 => Metric::Cosine,
         m => return Err(invalid(&format!("unknown metric tag {m}"))),
     };
-    let kind = match h.get_u8() {
+    let kind = match h.u8()? {
         0 => GraphKind::Nsw,
         1 => GraphKind::Cagra,
         k => return Err(invalid(&format!("unknown graph kind tag {k}"))),
     };
-    let medoid = h.get_u32_le();
-    let store_len = h.get_u64_le() as usize;
-    let graph_len = h.get_u64_le() as usize;
-    let perm_len = if version >= 2 {
+    let medoid = h.u32()?;
+    let store_len = h.len_u64()?;
+    let graph_len = h.len_u64()?;
+    // Each later format appended one section length to the header.
+    let mut appended_len = |since: u32| -> io::Result<usize> {
+        if version < since {
+            return Ok(0);
+        }
         let mut ext = [0u8; 8];
-        r.read_exact(&mut ext).map_err(|_| invalid("truncated v2 header"))?;
-        u64::from_le_bytes(ext) as usize
-    } else {
-        0
+        r.read_exact(&mut ext).map_err(|_| invalid(&format!("truncated v{since} header")))?;
+        LeCursor::new(&ext).len_u64()
     };
-    let quant_len = if version >= 3 {
-        let mut ext = [0u8; 8];
-        r.read_exact(&mut ext).map_err(|_| invalid("truncated v3 header"))?;
-        u64::from_le_bytes(ext) as usize
-    } else {
-        0
-    };
-    let entry_len = if version >= 4 {
-        let mut ext = [0u8; 8];
-        r.read_exact(&mut ext).map_err(|_| invalid("truncated v4 header"))?;
-        u64::from_le_bytes(ext) as usize
-    } else {
-        0
-    };
+    let perm_len = appended_len(2)?;
+    let quant_len = appended_len(3)?;
+    let entry_len = appended_len(4)?;
 
-    let mut store_blob = vec![0u8; store_len];
-    r.read_exact(&mut store_blob).map_err(|_| invalid("truncated corpus section"))?;
-    let mut graph_blob = vec![0u8; graph_len];
-    r.read_exact(&mut graph_blob).map_err(|_| invalid("truncated graph section"))?;
-
-    let base = algas_vector::binary::decode_store(&store_blob)?;
-    let graph = algas_graph::binary::decode_graph(&graph_blob)?;
+    let base = read_section(&mut r, store_len, "corpus", algas_vector::binary::decode_store)?;
+    let graph = read_section(&mut r, graph_len, "graph", algas_graph::binary::decode_graph)?;
     if base.len() != graph.len() {
         return Err(invalid("corpus/graph size mismatch"));
     }
@@ -127,9 +120,8 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         return Err(invalid("medoid out of range"));
     }
     let id_map = if perm_len > 0 {
-        let mut perm_blob = vec![0u8; perm_len];
-        r.read_exact(&mut perm_blob).map_err(|_| invalid("truncated permutation section"))?;
-        let perm = algas_graph::binary::decode_permutation(&perm_blob)?;
+        let perm =
+            read_section(&mut r, perm_len, "permutation", algas_graph::binary::decode_permutation)?;
         if perm.len() != base.len() {
             return Err(invalid("permutation/corpus size mismatch"));
         }
@@ -138,9 +130,12 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let quant = if quant_len > 0 {
-        let mut quant_blob = vec![0u8; quant_len];
-        r.read_exact(&mut quant_blob).map_err(|_| invalid("truncated quantization section"))?;
-        let quant = algas_vector::binary::decode_quantized(&quant_blob)?;
+        let quant = read_section(
+            &mut r,
+            quant_len,
+            "quantization",
+            algas_vector::binary::decode_quantized,
+        )?;
         if quant.len() != base.len() || quant.dim() != base.dim() {
             return Err(invalid("quantized/corpus shape mismatch"));
         }
@@ -149,9 +144,9 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let entry = if entry_len > 0 {
-        let mut entry_blob = vec![0u8; entry_len];
-        r.read_exact(&mut entry_blob).map_err(|_| invalid("truncated entry section"))?;
-        Some(algas_graph::binary::decode_entry_index(&entry_blob, base.len())?)
+        Some(read_section(&mut r, entry_len, "entry", |blob| {
+            algas_graph::binary::decode_entry_index(blob, base.len())
+        })?)
     } else {
         None
     };
@@ -190,6 +185,21 @@ mod tests {
     fn sample_index() -> AlgasIndex {
         let ds = DatasetSpec::tiny(300, 8, Metric::Cosine, 71).generate();
         AlgasIndex::build_cagra(ds.base, Metric::Cosine, CagraParams::default())
+    }
+
+    /// A hand-built file of an older format: the cosine/CAGRA header
+    /// with `version`, then `sections` (corpus and graph first), whose
+    /// lengths fill exactly the length fields that version had.
+    fn old_format_file(version: u32, medoid: u32, sections: &[&[u8]]) -> Vec<u8> {
+        let mut buf = INDEX_MAGIC.to_le_bytes().to_vec();
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&[1, 1]); // cosine, cagra
+        buf.extend_from_slice(&medoid.to_le_bytes());
+        for s in sections {
+            buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+        }
+        buf.extend(sections.concat());
+        buf
     }
 
     #[test]
@@ -241,17 +251,8 @@ mod tests {
         let index = sample_index();
         let store_blob = algas_vector::binary::encode_store(&index.base);
         let graph_blob = algas_graph::binary::encode_graph(&index.graph);
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(INDEX_MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u8(1); // cosine
-        buf.put_u8(1); // cagra
-        buf.put_u32_le(index.medoid);
-        buf.put_u64_le(store_blob.len() as u64);
-        buf.put_u64_le(graph_blob.len() as u64);
-        buf.extend_from_slice(&store_blob);
-        buf.extend_from_slice(&graph_blob);
-        let back = read_index(std::io::Cursor::new(buf.to_vec())).unwrap();
+        let buf = old_format_file(1, index.medoid, &[&store_blob, &graph_blob]);
+        let back = read_index(std::io::Cursor::new(buf)).unwrap();
         assert!(back.id_map.is_none());
         assert_eq!(back.graph, index.graph);
     }
@@ -282,19 +283,8 @@ mod tests {
         let store_blob = algas_vector::binary::encode_store(&index.base);
         let graph_blob = algas_graph::binary::encode_graph(&index.graph);
         let perm_blob = algas_graph::binary::encode_permutation(index.id_map.as_ref().unwrap());
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(INDEX_MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u8(1); // cosine
-        buf.put_u8(1); // cagra
-        buf.put_u32_le(index.medoid);
-        buf.put_u64_le(store_blob.len() as u64);
-        buf.put_u64_le(graph_blob.len() as u64);
-        buf.put_u64_le(perm_blob.len() as u64);
-        buf.extend_from_slice(&store_blob);
-        buf.extend_from_slice(&graph_blob);
-        buf.extend_from_slice(&perm_blob);
-        let back = read_index(std::io::Cursor::new(buf.to_vec())).unwrap();
+        let buf = old_format_file(2, index.medoid, &[&store_blob, &graph_blob, &perm_blob]);
+        let back = read_index(std::io::Cursor::new(buf)).unwrap();
         assert!(back.quant.is_none());
         assert_eq!(back.id_map, index.id_map);
         assert_eq!(back.graph, index.graph);
@@ -328,20 +318,9 @@ mod tests {
         let store_blob = algas_vector::binary::encode_store(&index.base);
         let graph_blob = algas_graph::binary::encode_graph(&index.graph);
         let quant_blob = algas_vector::binary::encode_quantized(index.quant.as_ref().unwrap());
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(INDEX_MAGIC);
-        buf.put_u32_le(3);
-        buf.put_u8(1); // cosine
-        buf.put_u8(1); // cagra
-        buf.put_u32_le(index.medoid);
-        buf.put_u64_le(store_blob.len() as u64);
-        buf.put_u64_le(graph_blob.len() as u64);
-        buf.put_u64_le(0); // never relayouted
-        buf.put_u64_le(quant_blob.len() as u64);
-        buf.extend_from_slice(&store_blob);
-        buf.extend_from_slice(&graph_blob);
-        buf.extend_from_slice(&quant_blob);
-        let back = read_index(std::io::Cursor::new(buf.to_vec())).unwrap();
+        // The empty third section = never relayouted.
+        let buf = old_format_file(3, index.medoid, &[&store_blob, &graph_blob, &[], &quant_blob]);
+        let back = read_index(std::io::Cursor::new(buf)).unwrap();
         assert!(back.entry.is_none());
         assert_eq!(back.quant, index.quant);
         assert_eq!(back.graph, index.graph);
@@ -376,5 +355,13 @@ mod tests {
         write_index(&mut qbuf, &q_index).unwrap();
         qbuf.truncate(qbuf.len() - 3);
         assert!(read_index(std::io::Cursor::new(qbuf)).is_err());
+        // A corpus section whose n · dim · 4 wraps to its (empty)
+        // payload: an error, not an allocation of 2^62 floats.
+        let mut lying = 0x414C_5653u32.to_le_bytes().to_vec(); // "ALVS"
+        lying.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        lying.extend_from_slice(&1u32.to_le_bytes());
+        let graph_blob = algas_graph::binary::encode_graph(&index.graph);
+        let file = old_format_file(1, 0, &[&lying, &graph_blob]);
+        assert!(read_index(std::io::Cursor::new(file)).is_err());
     }
 }

@@ -16,6 +16,7 @@
 //!   results, and refill slots from the submission queue.
 
 use crate::engine::{AlgasEngine, SearchScratch};
+use crate::lock;
 use crate::merge::{merge_topk_into, MergeScratch};
 use crate::net::poll::Waker;
 use crate::obs::{
@@ -24,11 +25,10 @@ use crate::obs::{
 };
 use crate::state::{AtomicSlotState, SlotState};
 use algas_vector::metric::DistValue;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Runtime shape: how many slots and how many threads on each side.
@@ -117,7 +117,7 @@ impl CompletionQueue {
     }
 
     fn push(&self, token: u64, reply: SearchReply) {
-        self.ready.lock().push_back((token, reply));
+        lock(&self.ready).push_back((token, reply));
         // After the push is published (the unlock): the poller's
         // re-check either sees it or has its wait ended.
         self.waker.wake();
@@ -125,7 +125,7 @@ impl CompletionQueue {
 
     /// Whether nothing is queued — the poller's wait re-check.
     pub fn is_empty(&self) -> bool {
-        self.ready.lock().is_empty()
+        lock(&self.ready).is_empty()
     }
 
     /// Moves everything queued into the (empty) `out`, oldest first.
@@ -133,7 +133,7 @@ impl CompletionQueue {
     /// and both allocations alive, so steady state allocates nothing.
     pub fn drain_into(&self, out: &mut VecDeque<(u64, SearchReply)>) {
         debug_assert!(out.is_empty(), "drain target must have been consumed");
-        std::mem::swap(&mut *self.ready.lock(), out);
+        std::mem::swap(&mut *lock(&self.ready), out);
     }
 }
 
@@ -236,10 +236,39 @@ impl StatsSnapshot {
     }
 }
 
+/// The bounded submission queue, of the same shape as
+/// [`CompletionQueue`]: [`AlgasServer::submit`] pushes unless
+/// `capacity` jobs already wait, host pollers pop to refill their
+/// slots.
+struct SubmitQueue {
+    jobs: Mutex<VecDeque<Job>>,
+    capacity: usize,
+}
+
+impl SubmitQueue {
+    /// Queues `job`, or drops it and returns `false` when full.
+    fn try_push(&self, job: Job) -> bool {
+        let mut jobs = lock(&self.jobs);
+        let fits = jobs.len() < self.capacity;
+        if fits {
+            jobs.push_back(job);
+        }
+        fits
+    }
+
+    fn try_pop(&self) -> Option<Job> {
+        lock(&self.jobs).pop_front()
+    }
+
+    fn len(&self) -> usize {
+        lock(&self.jobs).len()
+    }
+}
+
 struct Shared {
     engine: AlgasEngine,
     slots: Vec<Slot>,
-    submissions: Receiver<Job>,
+    submissions: SubmitQueue,
     shutdown: AtomicBool,
     stats: Stats,
     obs: RuntimeObs,
@@ -249,7 +278,6 @@ struct Shared {
 pub struct AlgasServer {
     shared: Arc<Shared>,
     cfg: RuntimeConfig,
-    submit_tx: Sender<Job>,
     workers: Vec<JoinHandle<()>>,
     hosts: Vec<JoinHandle<()>>,
     /// The obs tick thread (profiler sampler + window rotation); absent
@@ -288,7 +316,6 @@ impl AlgasServer {
     /// Panics on a zero-sized configuration.
     pub fn start(engine: AlgasEngine, cfg: RuntimeConfig) -> Self {
         assert!(cfg.n_slots > 0 && cfg.n_workers > 0 && cfg.n_host_threads > 0);
-        let (submit_tx, submit_rx) = bounded(cfg.queue_capacity.max(1));
         let slots = (0..cfg.n_slots)
             .map(|_| Slot {
                 state: AtomicSlotState::new(),
@@ -298,7 +325,10 @@ impl AlgasServer {
         let shared = Arc::new(Shared {
             engine,
             slots,
-            submissions: submit_rx,
+            submissions: SubmitQueue {
+                jobs: Mutex::new(VecDeque::new()),
+                capacity: cfg.queue_capacity.max(1),
+            },
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             obs: RuntimeObs::with_telemetry(
@@ -343,15 +373,7 @@ impl AlgasServer {
                 .expect("spawn obs ticker")
         });
 
-        Self {
-            shared,
-            cfg,
-            submit_tx,
-            workers,
-            hosts,
-            ticker,
-            next_tag: std::sync::atomic::AtomicU64::new(0),
-        }
+        Self { shared, cfg, workers, hosts, ticker, next_tag: std::sync::atomic::AtomicU64::new(0) }
     }
 
     /// Submits a query; the reply arrives on the returned channel.
@@ -363,7 +385,7 @@ impl AlgasServer {
     /// # Panics
     /// Panics if the query dimension doesn't match the index.
     pub fn submit(&self, query: Vec<f32>) -> Result<PendingReply, SubmitError> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         let tag = self.submit_inner(query, None, ReplyTo::Channel(reply_tx))?;
         Ok((tag, reply_rx))
     }
@@ -411,16 +433,12 @@ impl AlgasServer {
             hops: 0,
             worker: 0,
         };
-        match self.submit_tx.try_send(job) {
-            Ok(()) => {
-                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(tag)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
+        if self.shared.submissions.try_push(job) {
+            self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+            Ok(tag)
+        } else {
+            self.shared.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+            Err(SubmitError::QueueFull)
         }
     }
 
@@ -719,7 +737,7 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                     // Copy the job's query into the reusable staging
                     // buffer under the lock, then search without it.
                     let tag = {
-                        let mut payload = slot.payload.lock();
+                        let mut payload = lock(&slot.payload);
                         let job = payload.job.as_mut().expect("Work implies a job");
                         job.stamps.mark_work_start();
                         query_buf.clear();
@@ -743,7 +761,7 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                         // that single list (the host merge over one list
                         // is the identity); the fp32 path publishes the
                         // raw per-CTA lists for the host to merge.
-                        let mut payload = slot.payload.lock();
+                        let mut payload = lock(&slot.payload);
                         let src = if shared.engine.quantized() {
                             std::slice::from_ref(&scratch.topk)
                         } else {
@@ -817,7 +835,7 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                     let merge_before = merge.stats;
                     let picked_up = obs::stamp();
                     let job = {
-                        let mut payload = slot.payload.lock();
+                        let mut payload = lock(&slot.payload);
                         // Merge while holding the lock: the lists are
                         // tiny (one length-k list per CTA) and this
                         // keeps the slot's buffers in place for reuse.
@@ -884,18 +902,18 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                 }
                 SlotState::None | SlotState::Done => {
                     all_quit = false;
-                    match shared.submissions.try_recv() {
-                        Ok(mut job) => {
+                    match shared.submissions.try_pop() {
+                        Some(mut job) => {
                             prof.stamp(ProfState::Refill);
                             job.stamps.mark_slot();
                             let stamps = job.stamps;
-                            slot.payload.lock().job = Some(job);
+                            lock(&slot.payload).job = Some(job);
                             shared.obs.slot_assigned(first, s, &stamps);
                             let flipped = slot.state.transition(state, SlotState::Work);
                             debug_assert!(flipped, "this poller owns the slot's host edges");
                             did_work = true;
                         }
-                        Err(_) => {
+                        None => {
                             if shared.shutdown.load(Ordering::Acquire) {
                                 let flipped = slot.state.transition(state, SlotState::Quit);
                                 debug_assert!(flipped);
@@ -1280,7 +1298,7 @@ mod tests {
         for i in 0..4u64 {
             let wire = WireCtx { request_id: 5_000 + i, conn_id: 7, client_ts_us: 1_000 + i };
             let q = ds.queries.get(i as usize % ds.queries.len()).to_vec();
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             server.submit_traced(q, wire, ReplyTo::Channel(tx)).unwrap();
             let _ = rx.recv().unwrap();
         }

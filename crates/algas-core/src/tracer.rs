@@ -6,10 +6,8 @@
 //! of the paper split them, plus the per-step diagnostics the
 //! motivation figures plot (selected-candidate offset, best distance).
 
-use serde::{Deserialize, Serialize};
-
 /// Cost and diagnostics of one search step (Algorithm 1 lines 7–19).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepStats {
     /// Offset of the (first) selected candidate within the candidate
     /// list — the beam-phase trigger of §IV-C and the x-axis context of
@@ -46,7 +44,7 @@ impl StepStats {
 /// tracer output flows into the serving snapshot
 /// ([`crate::obs::RuntimeStats`]), so the per-step tracer and the
 /// runtime metrics share one reporting surface.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepTotals {
     /// Search steps executed.
     pub steps: u64,
@@ -105,7 +103,7 @@ impl StepTotals {
 }
 
 /// The full trace of one CTA's search for one query.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CtaTrace {
     /// One entry per step, in execution order.
     pub steps: Vec<StepStats>,

@@ -19,7 +19,6 @@
 use crate::search::BeamParams;
 use algas_gpu_sim::device::DeviceProps;
 use algas_gpu_sim::occupancy;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to the tuner.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +50,7 @@ impl TuningInput {
 }
 
 /// The tuner's decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuningPlan {
     /// CTAs per query.
     pub n_parallel: usize,

@@ -6,10 +6,8 @@
 //! batches additionally wait to fill. These generators produce the
 //! `arrivals` vectors the schedulers accept.
 
-use serde::{Deserialize, Serialize};
-
 /// An arrival process.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalProcess {
     /// All queries available at t = 0 (the paper's measurement).
     Closed,

@@ -15,10 +15,8 @@
 //!
 //! All knobs are public fields so ablation benches can sweep them.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs of the primitive operations of a graph-search CTA.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Threads per CTA (the paper fixes this to the warp size, §IV-C).
     pub cta_threads: usize,

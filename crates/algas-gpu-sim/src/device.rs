@@ -1,13 +1,11 @@
 //! GPU device properties (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Static properties of the simulated GPU.
 ///
 /// Field names follow `cudaDeviceProp`; defaults reproduce Table II
 /// (NVIDIA RTX A6000). The occupancy math of §IV-C consumes exactly
 /// these fields.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceProps {
     /// Marketing name, for report labels.
     pub name: &'static str,

@@ -9,10 +9,8 @@
 //! exploits (local polling = zero bus transactions; one write per actual
 //! state change).
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth parameters of the link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcieModel {
     /// Fixed cost per transaction in ns (DMA setup / MMIO round trip).
     pub transaction_overhead_ns: u64,

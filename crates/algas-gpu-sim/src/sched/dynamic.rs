@@ -14,10 +14,9 @@ use crate::engine::EventQueue;
 use crate::pcie::{PcieBus, PcieModel};
 use crate::sched::{MergePlacement, QueryTiming, SimReport};
 use crate::work::QueryWork;
-use serde::{Deserialize, Serialize};
 
 /// How slot states are observed across PCIe (§V-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StateMode {
     /// Host polls device-resident states: one PCIe read per slot per
     /// scan, whether or not anything changed.

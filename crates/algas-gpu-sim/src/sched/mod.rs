@@ -20,10 +20,8 @@ pub mod dynamic;
 pub mod partitioned;
 pub mod static_batch;
 
-use serde::{Deserialize, Serialize};
-
 /// Where the multi-CTA TopK merge runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergePlacement {
     /// On the GPU after the search barrier (CAGRA multi-CTA).
     Gpu,
@@ -34,7 +32,7 @@ pub enum MergePlacement {
 }
 
 /// Per-query lifecycle timestamps (ns since simulation start).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryTiming {
     /// When the query became available to the system.
     pub arrival_ns: u64,
@@ -76,7 +74,7 @@ impl QueryTiming {
 }
 
 /// Outcome of a simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Per-query timings, indexed like the input work slice.
     pub per_query: Vec<QueryTiming>,

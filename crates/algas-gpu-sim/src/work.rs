@@ -8,10 +8,8 @@
 //! bytes cross PCIe, and what the two merge strategies would cost. The
 //! schedulers in [`crate::sched`] replay these under a batching policy.
 
-use serde::{Deserialize, Serialize};
-
 /// Timed work of a single CTA searching for one query.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CtaWork {
     /// Wall-clock nanoseconds of the CTA's whole search (already
     /// converted from cycles at the device clock).
@@ -22,7 +20,7 @@ pub struct CtaWork {
 }
 
 /// Timed work of one query across all its CTAs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryWork {
     /// One entry per CTA assigned to this query (`N_parallel` entries).
     pub ctas: Vec<CtaWork>,

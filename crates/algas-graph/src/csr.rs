@@ -1,7 +1,5 @@
 //! Fixed out-degree CSR graph storage.
 
-use serde::{Deserialize, Serialize};
-
 /// Sentinel id marking an unused neighbor slot.
 ///
 /// Fixed-degree layouts must pad vertices that have fewer real neighbors;
@@ -17,7 +15,7 @@ pub const INVALID_ID: u32 = u32::MAX;
 /// consumes: neighbor expansion is a single contiguous read of `degree`
 /// ids, which is what makes the layout GPU-friendly (one coalesced
 /// global-memory segment) and what the simulator charges it as.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixedDegreeGraph {
     n: usize,
     degree: usize,

@@ -50,7 +50,7 @@ pub use progress::{BuildPhase, BuildProgress, ProgressSnapshot};
 
 /// Which graph family an index was built as; used by benchmarks to label
 /// series exactly like the paper (`CAGRA-ALGAS`, `NSW-GANNS`, …).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GraphKind {
     /// Navigable small world built GANNS-style.
     Nsw,

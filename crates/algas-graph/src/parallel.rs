@@ -3,97 +3,18 @@
 //! Graph construction in this crate parallelizes the way CAGRA's GPU
 //! builder does: the expensive per-vertex work (construction-time
 //! searches, detour counting, k-NN rows) is a *pure function of a
-//! read-only snapshot*, so it can run on any number of threads and
-//! still produce bit-identical output. The primitives here encode that
-//! contract:
-//!
-//! * work is split into contiguous index chunks,
-//! * each chunk's results are computed independently (threads pull
-//!   chunks from a shared atomic counter, so scheduling is dynamic),
-//! * results are reassembled **in chunk order**, erasing any trace of
-//!   which thread ran what.
+//! read-only snapshot*, mapped over the vertices by
+//! [`par_map`] (defined in [`algas_vector::parallel`], re-exported
+//! here), which returns results in index order whatever the thread
+//! count.
 //!
 //! The graph that comes out therefore depends only on the input and the
 //! chunk *schedule* — never on the thread count or OS scheduling — which
 //! is what lets the builders promise "deterministic under a fixed seed"
-//! while still scaling across cores.
-//!
-//! `std::thread::scope` is used directly instead of a rayon pool: the
-//! offline build environment pins rayon to a sequential stub
-//! (`vendor/rayon`), and scoped threads give real multi-core speedup in
-//! both environments with no extra dependency surface.
+//! while still scaling across cores. [`BatchSchedule`] is the schedule
+//! for the builders that insert incrementally.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Default number of build threads: the `ALGAS_BUILD_THREADS`
-/// environment variable when set (≥ 1), otherwise the machine's
-/// available parallelism.
-///
-/// # Panics
-/// Panics (via [`algas_vector::env::parse_var`]) if the variable is set
-/// to something that does not parse as an unsigned integer.
-pub fn max_threads() -> usize {
-    if let Some(n) = algas_vector::env::parse_var::<usize>("ALGAS_BUILD_THREADS") {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Maps `f` over `0..n`, returning results in index order.
-///
-/// `f` must be a pure function of its index (plus captured read-only
-/// state): the output is then identical for every `threads` value,
-/// including 1. Chunks of `chunk_size` indices are pulled dynamically
-/// by the worker threads, and the per-chunk outputs are stitched back
-/// together in chunk order.
-///
-/// # Panics
-/// Panics if `chunk_size == 0`, or propagates a worker panic.
-pub fn par_map<T, F>(n: usize, chunk_size: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(chunk_size > 0, "chunk size must be positive");
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1);
-    if threads == 1 || n <= chunk_size {
-        return (0..n).map(f).collect();
-    }
-
-    let n_chunks = n.div_ceil(chunk_size);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Vec<T>>>> = Mutex::new((0..n_chunks).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    return;
-                }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(n);
-                // Compute outside the lock; store under it. The lock is
-                // taken once per chunk, so contention is negligible.
-                let out: Vec<T> = (lo..hi).map(&f).collect();
-                let mut slots = slots.lock().expect("no poisoned chunk slots");
-                debug_assert!(slots[c].is_none(), "chunk {c} computed twice");
-                slots[c] = Some(out);
-            });
-        }
-    });
-
-    let mut slots = slots.into_inner().expect("no poisoned chunk slots");
-    let mut result = Vec::with_capacity(n);
-    for slot in slots.iter_mut() {
-        result.append(slot.as_mut().expect("every chunk computed"));
-    }
-    result
-}
+pub use algas_vector::parallel::{max_threads, par_map};
 
 /// The batch schedule for snapshot-batched graph insertion (NSW/HNSW).
 ///
@@ -143,23 +64,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential_for_any_thread_count() {
-        let expect: Vec<u64> = (0..1000).map(|i| (i as u64) * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            for chunk in [1, 7, 64, 2000] {
-                let got = par_map(1000, chunk, threads, |i| (i as u64) * 3 + 1);
-                assert_eq!(got, expect, "threads={threads} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_empty_and_tiny() {
-        assert!(par_map(0, 8, 4, |i| i).is_empty());
-        assert_eq!(par_map(1, 8, 4, |i| i), vec![0]);
-    }
-
-    #[test]
     fn batch_schedule_covers_everything_once() {
         let s = BatchSchedule::default();
         for n in [1usize, 2, 5, 129, 1000, 12345] {
@@ -183,10 +87,5 @@ mod tests {
         // Late batches are large.
         let last = batches.last().unwrap();
         assert!(last.1 - last.0 >= s.min_batch);
-    }
-
-    #[test]
-    fn max_threads_is_positive() {
-        assert!(max_threads() >= 1);
     }
 }

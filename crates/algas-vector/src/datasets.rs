@@ -21,10 +21,9 @@ use crate::metric::Metric;
 use crate::store::VectorStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Description of a dataset (Table III row).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DatasetSpec {
     /// Display name, e.g. `"SIFT1M(synth)"`.
     pub name: String,

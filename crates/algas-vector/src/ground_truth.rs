@@ -4,8 +4,8 @@
 //! `recall = |K_approx ∩ K_truth| / |K_truth|` (§II-A).
 
 use crate::metric::{DistValue, Metric};
+use crate::parallel::{max_threads, par_map};
 use crate::store::VectorStore;
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
 /// Exact k-nearest-neighbor ids for a query set, one row per query,
@@ -18,8 +18,9 @@ pub struct GroundTruth {
     pub k: usize,
 }
 
-/// Computes exact k-NN by brute force, parallelized over queries with
-/// rayon. Complexity O(|queries| · |base| · dim); fine at the corpus
+/// Computes exact k-NN by brute force, parallelized over queries
+/// ([`par_map`], so the rows do not depend on the thread count).
+/// Complexity O(|queries| · |base| · dim); fine at the corpus
 /// sizes this reproduction uses.
 ///
 /// # Panics
@@ -35,10 +36,8 @@ pub fn brute_force_knn(
     assert!(k <= base.len(), "k={k} exceeds corpus size {}", base.len());
     assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
 
-    let neighbors: Vec<Vec<u32>> = (0..queries.len())
-        .into_par_iter()
-        .map(|q| knn_single(base, queries.get(q), metric, k))
-        .collect();
+    let neighbors =
+        par_map(queries.len(), 4, max_threads(), |q| knn_single(base, queries.get(q), metric, k));
     GroundTruth { neighbors, k }
 }
 

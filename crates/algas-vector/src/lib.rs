@@ -29,8 +29,10 @@
 //!   [`datasets::DatasetSpec`] descriptions of Table III.
 //! * [`io`] — `fvecs` / `ivecs` readers and writers so the real corpora
 //!   can be dropped in unchanged.
-//! * [`ground_truth`] — exact brute-force k-NN (rayon-parallel) and the
-//!   recall metric the paper evaluates with.
+//! * [`ground_truth`] — exact brute-force k-NN and the recall metric
+//!   the paper evaluates with.
+//! * [`parallel`] — the order-preserving parallel map the ground truth
+//!   and every graph builder run on.
 
 pub mod binary;
 pub mod datasets;
@@ -39,6 +41,7 @@ pub mod ground_truth;
 pub mod io;
 pub mod lsh;
 pub mod metric;
+pub mod parallel;
 pub mod quant;
 pub mod simd;
 pub mod store;

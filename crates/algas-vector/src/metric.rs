@@ -10,14 +10,13 @@
 
 use crate::simd;
 use crate::store::VectorStore;
-use serde::{Deserialize, Serialize};
 
 /// Distance metric over the corpus.
 ///
 /// Both metrics are *dissimilarities*: smaller is closer. Cosine
 /// similarity is mapped to `1 - cos(a, b)`, computed as an inner product
 /// over L2-normalized vectors (see [`crate::VectorStore::normalize_l2`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Squared Euclidean distance. (The square root is order-preserving
     /// and therefore skipped, as in every system the paper compares to.)

@@ -92,8 +92,9 @@
 //!
 //! All logic lives here (testable); `src/bin/algas.rs` is a thin shim.
 
+use crate::loadgen;
 use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
-use algas_core::net::{loadgen, NetConfig, NetServer};
+use algas_core::net::{NetConfig, NetServer};
 use algas_core::obs::{
     FlightConfig, ObsTickConfig, ProfState, QlogConfig, StatsServer, StatsSource, ThreadKind,
 };
@@ -925,6 +926,7 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
         )?),
     };
     let query_vecs: Vec<Vec<f32>> = (0..queries.len()).map(|i| queries.get(i).to_vec()).collect();
+    let quantile_us = |r: &loadgen::LoadReport, q: f64| r.latency.quantile(q) as f64 / 1000.0;
     let mut curve = Vec::with_capacity(rates.len());
     for &target_qps in &rates {
         let cfg = loadgen::LoadConfig { target_qps, ..base_cfg.clone() };
@@ -949,8 +951,8 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
             out,
             "client latency over {} post-warmup samples: p50 {:.1} µs, p99 {:.1} µs",
             report.measured,
-            report.p50_us(),
-            report.p99_us(),
+            quantile_us(&report, 0.50),
+            quantile_us(&report, 0.99),
         )
         .map_err(io_err)?;
         if let Some(slo) = cfg.slo {
@@ -985,8 +987,8 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
                  {} rejected",
                 target_qps,
                 report.achieved_qps,
-                report.p50_us(),
-                report.p99_us(),
+                quantile_us(report, 0.50),
+                quantile_us(report, 0.99),
                 report.rejected,
             )
             .map_err(io_err)?;

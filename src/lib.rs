@@ -21,6 +21,7 @@
 //! and the per-experiment index.
 
 pub mod cli;
+mod loadgen;
 
 pub use algas_baselines as baselines;
 pub use algas_core as core;

@@ -1,4 +1,5 @@
-//! An open-loop load generator for the query protocol.
+//! An open-loop load generator for the query protocol, behind
+//! `algas bench-net`.
 //!
 //! *Open-loop* is the property that matters: requests are sent on a
 //! precomputed arrival schedule regardless of whether earlier replies
@@ -16,9 +17,8 @@
 //! `rejected` and contribute *no* latency sample — the whole point of
 //! backpressure is that rejected work doesn't smear the served-work
 //! tail. The warm-up prefix of the schedule is excluded from the
-//! latency histogram and SLO attainment, via the same arithmetic
-//! ([`warmup_len`], [`attainment_fraction`]) the closed-loop
-//! `adaptive_bench` uses.
+//! latency histogram and SLO attainment ([`warmup_len`],
+//! [`attainment_fraction`]).
 
 use std::io;
 use std::net::ToSocketAddrs;
@@ -26,10 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use algas_core::net::client::{NetClient, Reply};
+use algas_core::obs::{Histogram, HistogramSnapshot};
 use algas_gpu_sim::ArrivalProcess;
-
-use super::client::{NetClient, Reply};
-use crate::obs::{Histogram, HistogramSnapshot};
 
 /// Load-generator parameters.
 #[derive(Clone, Debug)]
@@ -90,18 +89,6 @@ pub struct LoadReport {
     /// `FLAG_CLIENT_TS`, so this id resolves server-side: grep it in
     /// `/traces` and `/query-log`.
     pub slowest: Option<(u64, u64)>,
-}
-
-impl LoadReport {
-    /// Client-side p50 in µs.
-    pub fn p50_us(&self) -> f64 {
-        self.latency.quantile(0.50) as f64 / 1000.0
-    }
-
-    /// Client-side p99 in µs.
-    pub fn p99_us(&self) -> f64 {
-        self.latency.quantile(0.99) as f64 / 1000.0
-    }
 }
 
 /// The seeded Poisson arrival schedule the generator replays:

@@ -162,6 +162,37 @@ fn hnsw_pipeline_through_facade() {
     assert!(mean_recall(&wl.results, &gt, 10) > 0.9);
 }
 
+/// What the entry structures buy: a seed near the query crosses the
+/// graph in fewer steps. Single-CTA (1024 slots tune to `N_parallel`
+/// = 1), so hops count the serial steps of one walk; over a sweep of
+/// the list length, the cheapest point at recall ≥ 0.90 takes fewer
+/// hops from a hash-table or descent seed than from the medoid.
+#[test]
+fn index_backed_entries_reach_recall_in_fewer_hops_than_the_medoid() {
+    use algas::graph::{EntryParams, EntryPolicy};
+    let ds = dataset(0xE17);
+    let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
+    let mut index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+    index.build_entry_index(&EntryParams::default());
+    // Mean hops per query at the first list length reaching the recall.
+    let hops_at_recall = |entry_policy: EntryPolicy| -> f64 {
+        for l in [16, 24, 32, 48, 64, 96] {
+            let cfg = EngineConfig { k: 10, l, slots: 1024, entry_policy, ..Default::default() };
+            let engine = AlgasEngine::new(index.clone(), cfg).unwrap();
+            assert_eq!(engine.plan().n_parallel, 1);
+            let wl = engine.run_workload(&ds.queries);
+            if mean_recall(&wl.results, &gt, 10) >= 0.90 {
+                let hops: usize = wl.traces.iter().map(|t| t.max_steps()).sum();
+                return hops as f64 / wl.traces.len() as f64;
+            }
+        }
+        panic!("{entry_policy:?} never reached recall 0.90");
+    };
+    let medoid = hops_at_recall(EntryPolicy::Medoid);
+    let smart = hops_at_recall(EntryPolicy::HashTable).min(hops_at_recall(EntryPolicy::Descent));
+    assert!(smart < medoid, "best index-backed entry {smart} hops/query, medoid {medoid}");
+}
+
 #[test]
 fn index_persistence_through_facade() {
     let ds = dataset(9);
