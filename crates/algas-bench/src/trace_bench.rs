@@ -53,7 +53,7 @@
 
 use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas_core::obs::json::{obj, Value};
-use algas_core::obs::{EventKind, FlightConfig, RuntimeObs};
+use algas_core::obs::{EventKind, FlightConfig, ObsTickConfig, QlogConfig, RuntimeObs};
 use algas_core::runtime::{AlgasServer, RuntimeConfig};
 use algas_graph::cagra::CagraParams;
 use algas_vector::datasets::DatasetSpec;
@@ -142,11 +142,13 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
 /// ns per `flight_record` call (ring write), best of 5 reps. With the
 /// `obs` feature off this times the ZST no-op (~0 ns).
 fn event_cost_ns() -> f64 {
-    let obs = RuntimeObs::with_flight(
+    let obs = RuntimeObs::new(
         1,
         1,
         1,
         FlightConfig { ring_capacity: 1024, ..Default::default() },
+        QlogConfig::default(),
+        ObsTickConfig::default(),
     );
     const ITERS: u64 = 2_000_000;
     let mut best = f64::INFINITY;

@@ -163,16 +163,6 @@ impl AlgasIndex {
         perm
     }
 
-    /// Maps a physical (post-relayout) id back to the caller's original
-    /// id; identity when the index was never relayouted.
-    #[inline]
-    pub fn external_id(&self, internal: u32) -> u32 {
-        match &self.id_map {
-            Some(map) => map.to_old(internal),
-            None => internal,
-        }
-    }
-
     /// Rewrites the ids of a scored result list from physical to
     /// original ids, in place (allocation-free — the serving hot path
     /// calls this on every reply).
@@ -471,7 +461,7 @@ impl AlgasEngine {
 
     /// Effective beam parameters of the static plan (`None` = greedy).
     /// The SLO controller may be running at a cheaper rung right now;
-    /// see [`current_effort`](Self::current_effort).
+    /// see [`controller`](Self::controller).
     pub fn beam(&self) -> Option<BeamParams> {
         self.beam
     }
@@ -480,14 +470,6 @@ impl AlgasEngine {
     /// [`EngineConfig::slo_us`] armed it).
     pub fn controller(&self) -> &SloController {
         &self.control
-    }
-
-    /// The effort configuration the next search will run at — the
-    /// static plan at controller level 0, a relaxed rung when the SLO
-    /// controller has shed effort.
-    #[inline]
-    pub fn current_effort(&self) -> EffortStep {
-        self.control.current()
     }
 
     fn multi_params_for(&self, step: EffortStep) -> MultiParams {

@@ -98,11 +98,6 @@ impl Opcode {
     pub fn as_u8(self) -> u8 {
         self as u8
     }
-
-    /// True for the request opcodes a server accepts.
-    pub fn is_request(self) -> bool {
-        matches!(self, Opcode::Search | Opcode::Ping | Opcode::Stats)
-    }
 }
 
 /// Error codes carried in [`Opcode::Error`] payloads.
@@ -122,21 +117,6 @@ pub enum ErrorCode {
     Oversize = 5,
     /// The server is shutting down.
     ShuttingDown = 6,
-}
-
-impl ErrorCode {
-    /// Parses a wire code; `None` for unknown codes.
-    pub fn from_u16(v: u16) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::BadMagic,
-            2 => ErrorCode::BadVersion,
-            3 => ErrorCode::BadOpcode,
-            4 => ErrorCode::BadPayload,
-            5 => ErrorCode::Oversize,
-            6 => ErrorCode::ShuttingDown,
-            _ => return None,
-        })
-    }
 }
 
 /// A decoded frame header.

@@ -26,10 +26,11 @@
 //! acquire/release edges of the state transitions order the relaxed
 //! cell stores before the capture's relaxed loads.
 //!
-//! With the `obs` feature compiled out, [`FlightRecorder`] is a
-//! zero-sized no-op; the data model ([`TraceEvent`], [`QueryTrace`],
-//! [`FlightConfig`]) stays available so the CLI and the Chrome-trace
-//! exporter compile unchanged.
+//! `FlightRecorder` exists only with the `obs` feature: its one
+//! constructor call is in the recorder ([`super::recorder`]), which is
+//! where the feature compiles out. The data model ([`TraceEvent`],
+//! [`QueryTrace`], [`FlightConfig`]) is unconditional, so the CLI and
+//! the Chrome-trace exporter compile either way.
 
 use super::json::{obj, Value};
 
@@ -292,9 +293,6 @@ pub struct FlightTotals {
 #[cfg(feature = "obs")]
 pub use enabled::FlightRecorder;
 
-#[cfg(not(feature = "obs"))]
-pub use disabled::FlightRecorder;
-
 #[cfg(feature = "obs")]
 mod enabled {
     use super::{
@@ -538,69 +536,6 @@ mod enabled {
 
     fn min_e2e_index(traces: &[QueryTrace]) -> Option<usize> {
         traces.iter().enumerate().min_by_key(|(_, t)| t.e2e_ns()).map(|(i, _)| i)
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    use super::{EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace};
-
-    /// Zero-sized no-op stand-in for the flight recorder.
-    pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// No-op.
-        pub fn new(_n_slots: usize, _cfg: FlightConfig) -> Self {
-            Self
-        }
-
-        /// The default configuration (nothing is recorded anyway).
-        pub fn config(&self) -> FlightConfig {
-            FlightConfig::default()
-        }
-
-        /// No-op; always 0.
-        #[inline]
-        pub fn now_ns(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn begin_query(&self, _slot: usize) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record(
-            &self,
-            _slot: usize,
-            _kind: EventKind,
-            _lane: u32,
-            _a: u32,
-            _b: u32,
-            _ts_ns: u64,
-        ) {
-        }
-
-        /// No-op.
-        pub fn on_complete(
-            &self,
-            _slot: usize,
-            _ids: QueryIds,
-            _host: u32,
-            _lifecycle: &LifecycleNs,
-        ) {
-        }
-
-        /// Always empty.
-        pub fn retained(&self) -> Vec<QueryTrace> {
-            Vec::new()
-        }
-
-        /// Always zero.
-        pub fn totals(&self) -> FlightTotals {
-            FlightTotals::default()
-        }
     }
 }
 

@@ -3,10 +3,18 @@
 //!
 //! The workspace builds hermetically, without a JSON crate, so the
 //! stats exposition surface carries its own ~200-line JSON layer:
-//! enough to emit [`super::RuntimeStats`] and parse it back (round-trip
-//! tested) — the `/stats.json` page the benchmark reads.
+//! enough to emit [`super::RuntimeStats`] (the `/stats.json` page the
+//! benchmark reads), query-log lines and Chrome traces, and to parse
+//! what `trace-check`, `bench_trace --baseline` and the tests read
+//! back. Input is untrusted (`trace-check --file`): nesting is capped
+//! at [`MAX_DEPTH`] and parsing is linear in the input.
 //! Integers are kept lossless in a dedicated [`Value::Uint`] variant —
 //! nanosecond sums overflow `f64`'s 53-bit mantissa in long runs.
+
+/// Deepest array/object nesting [`Value::parse`] accepts; the parser
+/// recurses once per level, so unbounded nesting would overflow the
+/// stack. The repo's own documents nest 6 deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed or to-be-rendered JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,13 +126,14 @@ impl Value {
     /// Parses a complete JSON document.
     ///
     /// # Errors
-    /// A message with the byte offset of the first syntax error.
+    /// A message with the byte offset of the first syntax error, or of
+    /// the bracket that nests deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -148,19 +157,21 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -173,7 +184,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -187,11 +198,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -200,7 +226,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let token = &self.text[start..self.pos];
         if let Ok(u) = token.parse::<u64>() {
             return Ok(Value::Uint(u));
         }
@@ -230,9 +256,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
@@ -245,9 +270,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Copy the whole UTF-8 scalar, not just one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // `pos` only ever stops after an ASCII byte or a
+                    // whole scalar, so it is a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -349,6 +374,33 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = Value::parse(r#""aA\n\"\\é""#).unwrap();
         assert_eq!(v.as_str(), Some("aA\n\"\\é"));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Value::parse(&at_cap).is_ok());
+        for open in ["[", "{\"a\":", "[{\"a\":"] {
+            let err = Value::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // The shape of a flight-recorder trace: 5 000 events with long
+        // string args. Re-validating the rest of the input once per
+        // character took 22.9 s on this document in a release build.
+        let arg = "né€dle-".repeat(30);
+        let events = (0..5_000u64)
+            .map(|i| obj(vec![("ts", Value::Uint(i)), ("args", Value::Str(arg.clone()))]))
+            .collect();
+        let doc = Value::Arr(events);
+        let text = doc.render();
+        assert!(text.len() >= 1_500_000, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        assert_eq!(Value::parse(&text).unwrap(), doc);
+        assert!(t0.elapsed().as_secs() < 5, "parse took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! query lifecycle spans, and a stats exposition surface.
 //!
 //! The module splits into an always-compiled reporting layer and a
-//! feature-gated recording layer:
+//! feature-gated recording layer. The default-on `obs` feature
+//! compiles out at one seam: the handles the serving threads call
+//! ([`recorder`], [`prof`]) become zero-sized no-ops, and the engines
+//! only the recorder constructs (`FlightRecorder`, `QueryLog`,
+//! `WindowRing`) are not compiled at all.
 //!
 //! * [`counters`] / [`hist`] — the primitives: cache-padded relaxed
 //!   counters and log-linear (HDR-style) latency histograms, both
 //!   lock-free and allocation-free to record.
-//! * [`snapshot`] — [`RuntimeStats`], the point-in-time schema shared
-//!   by the threaded runtime and the timing simulators, with JSON and
-//!   Prometheus text serializers (and a JSON parser to validate them).
+//! * [`snapshot`] — [`RuntimeStats`], the point-in-time schema of the
+//!   threaded runtime, with its two writers: JSON and Prometheus text.
 //! * [`recorder`] — the hot-path instrumentation
 //!   ([`RuntimeObs`], [`JobStamps`]). Behind the default-on `obs`
 //!   feature: compiled out, both become zero-sized no-ops and no clock
@@ -17,11 +20,11 @@
 //!   while every call site stays `#[cfg]`-free.
 //! * [`flight`] — the per-query layer: an always-on, lock-free
 //!   per-slot ring of timestamped trace events with tail-sampled
-//!   slow-query retention ([`FlightRecorder`], [`QueryTrace`]).
+//!   slow-query retention (`FlightRecorder`, [`QueryTrace`]).
 //! * [`chrome`] — Chrome trace-event JSON export of retained traces
 //!   (viewable in Perfetto) plus the validator CI runs on emitted
 //!   files.
-//! * [`qlog`] — the wide-event query log ([`QueryLog`]): one
+//! * [`qlog`] — the wide-event query log (`QueryLog`): one
 //!   structured record per completed query, written allocation-free
 //!   into a lock-free ring and drained as JSON lines.
 //! * [`prof`] — the thread-state sampling profiler: runtime threads
@@ -52,9 +55,11 @@ pub mod window;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace, ChromeSummary};
 pub use counters::{CachePadded, Counter};
+#[cfg(feature = "obs")]
+pub use flight::FlightRecorder;
 pub use flight::{
-    traces_json, EventKind, FlightConfig, FlightRecorder, FlightTotals, LifecycleNs, QueryIds,
-    QueryTrace, TraceEvent,
+    traces_json, EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace,
+    TraceEvent,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use http::{StatsServer, StatsSource};
@@ -62,7 +67,11 @@ pub use prof::{
     ProfHandle, ProfRegistry, ProfState, ProfStateCount, ProfStats, ProfThreadStats,
     SharedProfRegistry, ThreadKind,
 };
-pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog};
+#[cfg(feature = "obs")]
+pub use qlog::QueryLog;
+pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals};
 pub use recorder::{stamp, JobStamps, ObsTickConfig, RuntimeObs, Stamp, OBS_ENABLED};
 pub use snapshot::{HostStats, PhaseStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
-pub use window::{WindowBlock, WindowRing, WindowStats};
+#[cfg(feature = "obs")]
+pub use window::WindowRing;
+pub use window::{WindowBlock, WindowStats};

@@ -87,9 +87,15 @@ impl PromWriter {
         self
     }
 
-    /// An unlabeled integer sample.
+    /// An unlabeled integer sample, printed digit for digit: through
+    /// [`PromWriter::sample`]'s `f64` a request id or counter above
+    /// 2^53 would come out rounded.
     pub fn scalar(&mut self, name: &str, value: u64) -> &mut Self {
-        self.sample(name, &[], value as f64)
+        self.out.push_str(name);
+        self.out.push(' ');
+        self.out.push_str(&value.to_string());
+        self.out.push('\n');
+        self
     }
 
     /// The finished page.
@@ -309,6 +315,13 @@ mod tests {
         assert_eq!(samples[1].label("phase"), Some("e2e"));
         assert_eq!(samples[1].label("quantile"), Some("0.99"));
         assert_eq!(samples[2].value, 5678.0);
+    }
+
+    #[test]
+    fn scalars_print_every_digit() {
+        let mut w = PromWriter::new();
+        w.scalar("id", (1 << 53) + 1).scalar("max", u64::MAX).scalar("zero", 0);
+        assert_eq!(w.finish(), "id 9007199254740993\nmax 18446744073709551615\nzero 0\n");
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! writer thread (`serve --query-log`), the `/query-log` endpoint, or
 //! a test calling [`QueryLog::drain`] directly.
 //!
-//! With the `obs` feature compiled out, [`QueryLog`] is a zero-sized
-//! no-op; the configuration and totals types stay available so the CLI
-//! compiles unchanged.
+//! `QueryLog` exists only with the `obs` feature: its one constructor
+//! call is in the recorder ([`super::recorder`]), which is where the
+//! feature compiles out. The configuration, record and totals types
+//! are unconditional, so the CLI compiles either way.
 
 use super::json::{obj, Value};
 
@@ -143,9 +144,6 @@ pub fn entry_policy_name(code: u32) -> &'static str {
     }
 }
 
-/// Words per ring cell; one fixed-width slot per record field.
-const WORDS: usize = 18;
-
 /// One wide-event record, as the fixed word layout the ring carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QlogRecord {
@@ -188,52 +186,6 @@ pub struct QlogRecord {
 }
 
 impl QlogRecord {
-    fn to_words(self) -> [u64; WORDS] {
-        [
-            self.request_id,
-            self.tag,
-            self.conn_id,
-            self.client_ts_us,
-            self.queue_ns,
-            self.dispatch_ns,
-            self.search_ns,
-            self.merge_ns,
-            self.deliver_ns,
-            self.e2e_ns,
-            self.slot,
-            self.worker,
-            self.host,
-            self.hops,
-            self.slo_level,
-            self.rerank_depth,
-            self.entry_code,
-            self.status,
-        ]
-    }
-
-    fn from_words(w: &[u64; WORDS]) -> Self {
-        Self {
-            request_id: w[0],
-            tag: w[1],
-            conn_id: w[2],
-            client_ts_us: w[3],
-            queue_ns: w[4],
-            dispatch_ns: w[5],
-            search_ns: w[6],
-            merge_ns: w[7],
-            deliver_ns: w[8],
-            e2e_ns: w[9],
-            slot: w[10],
-            worker: w[11],
-            host: w[12],
-            hops: w[13],
-            slo_level: w[14],
-            rerank_depth: w[15],
-            entry_code: w[16],
-            status: w[17],
-        }
-    }
-
     /// Renders the record as one JSON object (one query-log line).
     pub fn to_json_value(&self) -> Value {
         obj(vec![
@@ -262,15 +214,64 @@ impl QlogRecord {
 #[cfg(feature = "obs")]
 pub use enabled::QueryLog;
 
-#[cfg(not(feature = "obs"))]
-pub use disabled::QueryLog;
-
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{QlogConfig, QlogRecord, QlogTotals, STATUS_OK, WORDS};
+    use super::{QlogConfig, QlogRecord, QlogTotals, STATUS_OK};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+
+    /// Words per ring cell; one fixed-width slot per record field.
+    const WORDS: usize = 18;
+
+    /// The fixed word layout the ring carries a record in.
+    impl QlogRecord {
+        pub(super) fn to_words(self) -> [u64; WORDS] {
+            [
+                self.request_id,
+                self.tag,
+                self.conn_id,
+                self.client_ts_us,
+                self.queue_ns,
+                self.dispatch_ns,
+                self.search_ns,
+                self.merge_ns,
+                self.deliver_ns,
+                self.e2e_ns,
+                self.slot,
+                self.worker,
+                self.host,
+                self.hops,
+                self.slo_level,
+                self.rerank_depth,
+                self.entry_code,
+                self.status,
+            ]
+        }
+
+        pub(super) fn from_words(w: &[u64; WORDS]) -> Self {
+            Self {
+                request_id: w[0],
+                tag: w[1],
+                conn_id: w[2],
+                client_ts_us: w[3],
+                queue_ns: w[4],
+                dispatch_ns: w[5],
+                search_ns: w[6],
+                merge_ns: w[7],
+                deliver_ns: w[8],
+                e2e_ns: w[9],
+                slot: w[10],
+                worker: w[11],
+                host: w[12],
+                hops: w[13],
+                slo_level: w[14],
+                rerank_depth: w[15],
+                entry_code: w[16],
+                status: w[17],
+            }
+        }
+    }
 
     /// One ring cell: a sequence word (Vyukov protocol) plus the
     /// record's fixed word layout. `seq == index` means free for the
@@ -448,50 +449,6 @@ mod enabled {
                 dropped: self.dropped.load(Ordering::Relaxed),
                 drained: crate::lock(&self.drain).total,
             }
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    use super::{QlogConfig, QlogRecord, QlogTotals};
-
-    /// Zero-sized no-op stand-in for the query log.
-    pub struct QueryLog;
-
-    impl QueryLog {
-        /// No-op.
-        pub fn new(_cfg: QlogConfig) -> Self {
-            Self
-        }
-
-        /// The default configuration (nothing is logged anyway).
-        pub fn config(&self) -> QlogConfig {
-            QlogConfig::default()
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn log(&self, _r: &QlogRecord) {}
-
-        /// No-op; nothing to drain.
-        pub fn drain(&self) -> usize {
-            0
-        }
-
-        /// Always empty.
-        pub fn lines(&self) -> Vec<String> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        pub fn lines_since(&self, _cursor: u64) -> (Vec<String>, u64) {
-            (Vec::new(), 0)
-        }
-
-        /// Always zero.
-        pub fn totals(&self) -> QlogTotals {
-            QlogTotals::default()
         }
     }
 }

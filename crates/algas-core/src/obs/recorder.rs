@@ -10,7 +10,10 @@
 //! With the (default-on) `obs` feature disabled both types compile to
 //! zero-sized no-ops and [`stamp`] stops calling `Instant::now`, so the
 //! serving loops keep identical shape with zero instrumentation cost —
-//! call sites never need `#[cfg]`.
+//! call sites never need `#[cfg]`. This is the seam the feature
+//! compiles out at: the flight recorder, query log and window ring are
+//! constructed by the enabled [`RuntimeObs::new`] and nowhere else, so
+//! they need no stand-ins of their own.
 
 #[cfg(feature = "obs")]
 pub use enabled::{stamp, JobStamps, RuntimeObs, Stamp};
@@ -199,45 +202,9 @@ mod enabled {
 
     impl RuntimeObs {
         /// Allocates the cells for the given runtime shape (startup
-        /// only; recording never allocates) with the default flight-
-        /// recorder policy.
-        pub fn new(n_slots: usize, n_workers: usize, n_host_threads: usize) -> Self {
-            Self::with_flight(n_slots, n_workers, n_host_threads, FlightConfig::default())
-        }
-
-        /// [`RuntimeObs::new`] with an explicit flight-recorder
-        /// configuration (and the query log disabled).
-        pub fn with_flight(
-            n_slots: usize,
-            n_workers: usize,
-            n_host_threads: usize,
-            flight_cfg: FlightConfig,
-        ) -> Self {
-            Self::with_config(n_slots, n_workers, n_host_threads, flight_cfg, QlogConfig::default())
-        }
-
-        /// [`RuntimeObs::new`] with explicit flight-recorder and
-        /// query-log configurations.
-        pub fn with_config(
-            n_slots: usize,
-            n_workers: usize,
-            n_host_threads: usize,
-            flight_cfg: FlightConfig,
-            qlog_cfg: QlogConfig,
-        ) -> Self {
-            Self::with_telemetry(
-                n_slots,
-                n_workers,
-                n_host_threads,
-                flight_cfg,
-                qlog_cfg,
-                ObsTickConfig::default(),
-            )
-        }
-
-        /// [`RuntimeObs::with_config`] plus an explicit obs tick
-        /// configuration (profiler Hz, window period/capacity).
-        pub fn with_telemetry(
+        /// only; recording never allocates) and the flight recorder,
+        /// query log, profiler registry and window ring behind them.
+        pub fn new(
             n_slots: usize,
             n_workers: usize,
             n_host_threads: usize,
@@ -757,33 +724,7 @@ mod disabled {
 
     impl RuntimeObs {
         /// No-op.
-        pub fn new(_n_slots: usize, _n_workers: usize, _n_host_threads: usize) -> Self {
-            Self
-        }
-
-        /// No-op.
-        pub fn with_flight(
-            _n_slots: usize,
-            _n_workers: usize,
-            _n_host_threads: usize,
-            _flight_cfg: FlightConfig,
-        ) -> Self {
-            Self
-        }
-
-        /// No-op.
-        pub fn with_config(
-            _n_slots: usize,
-            _n_workers: usize,
-            _n_host_threads: usize,
-            _flight_cfg: FlightConfig,
-            _qlog_cfg: QlogConfig,
-        ) -> Self {
-            Self
-        }
-
-        /// No-op.
-        pub fn with_telemetry(
+        pub fn new(
             _n_slots: usize,
             _n_workers: usize,
             _n_host_threads: usize,
@@ -936,7 +877,7 @@ mod tests {
         use crate::obs::json::Value;
         use crate::obs::qlog::{DeliveryCtx, QlogConfig};
         let qcfg = QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() };
-        let obs = RuntimeObs::with_config(2, 2, 1, FlightConfig::default(), qcfg);
+        let obs = RuntimeObs::new(2, 2, 1, FlightConfig::default(), qcfg, ObsTickConfig::default());
         let mut stamps = JobStamps::new();
         stamps.mark_slot();
         stamps.mark_work_start();
@@ -1015,8 +956,9 @@ mod tests {
     #[test]
     fn slow_query_is_retained_through_the_recorder() {
         use crate::obs::flight::{EventKind, FlightConfig};
+        use crate::obs::qlog::QlogConfig;
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
-        let obs = RuntimeObs::with_flight(2, 1, 1, cfg);
+        let obs = RuntimeObs::new(2, 1, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
         let mut stamps = JobStamps::new();
         stamps.mark_slot();
         obs.slot_assigned(0, 0, &stamps);

@@ -4,20 +4,21 @@
 //! query counters, occupancy gauges, per-worker / per-host / per-slot
 //! breakdowns, the six lifecycle-phase latency histograms, and the
 //! aggregated search ([`StepTotals`]) and merge ([`MergeStats`])
-//! totals. The same schema is produced by the threaded runtime
-//! ([`crate::runtime::AlgasServer::runtime_stats`]) and by the timing
-//! simulators ([`RuntimeStats::from_sim_report`]), so simulated and
-//! native runs are directly comparable.
+//! totals, produced by
+//! [`crate::runtime::AlgasServer::runtime_stats`].
 //!
-//! Serialization is hand-rolled over [`super::json`] and
-//! [`super::prom`] (the hermetic workspace has no `serde_json`):
-//! `to_json` / `from_json` round-trip exactly, and `to_prometheus`
-//! emits text exposition format v0.0.4.
+//! The snapshot is write-only. Two writers, hand-rolled over
+//! [`super::json`] and [`super::prom`] (the hermetic workspace has no
+//! `serde_json`): `to_json` (the `/stats.json` page) and
+//! `to_prometheus` (text exposition format v0.0.4). Both are pinned
+//! byte for byte by the root package's `tests/prom_golden.rs`; readers
+//! of the JSON page look up the paths they need through
+//! [`super::json::Value`].
 
 use super::flight::FlightTotals;
 use super::hist::HistogramSnapshot;
 use super::json::{obj, Value};
-use super::prof::{ProfStateCount, ProfStats, ProfThreadStats};
+use super::prof::ProfStats;
 use super::prom::PromWriter;
 use super::qlog::QlogTotals;
 use super::window::{WindowBlock, WindowStats};
@@ -26,7 +27,6 @@ use crate::engine::RerankStats;
 use crate::merge::MergeStats;
 use crate::net::{ClosedConnTotals, ConnStats, NetStats};
 use crate::tracer::StepTotals;
-use algas_gpu_sim::sched::SimReport;
 
 /// The tail exemplar: the slowest end-to-end latency within the
 /// recorder's current exemplar window, plus the wire request id that
@@ -108,17 +108,6 @@ impl PhaseStats {
             ("finish_to_merged", &self.finish_to_merged),
             ("merged_to_delivered", &self.merged_to_delivered),
             ("end_to_end", &self.end_to_end),
-        ]
-    }
-
-    fn named_mut(&mut self) -> [(&'static str, &mut HistogramSnapshot); 6] {
-        [
-            ("submit_to_slot", &mut self.submit_to_slot),
-            ("slot_to_work", &mut self.slot_to_work),
-            ("work_to_finish", &mut self.work_to_finish),
-            ("finish_to_merged", &mut self.finish_to_merged),
-            ("merged_to_delivered", &mut self.merged_to_delivered),
-            ("end_to_end", &mut self.end_to_end),
         ]
     }
 }
@@ -241,8 +230,7 @@ impl RuntimeStats {
     }
 
     /// Renders the snapshot as compact JSON (the `--stats-json` /
-    /// `/stats.json` wire form; [`RuntimeStats::from_json`] is its
-    /// exact inverse).
+    /// `/stats.json` wire form).
     pub fn to_json(&self) -> String {
         let hist = |h: &HistogramSnapshot| {
             let (p50, p95, p99, p999) = h.percentiles();
@@ -359,7 +347,7 @@ impl RuntimeStats {
                     ("sort_cycles", Value::Uint(self.search.sort_cycles)),
                     ("other_cycles", Value::Uint(self.search.other_cycles)),
                     ("entry_dist_milli_total", Value::Uint(self.entry_dist_milli_total)),
-                    // Derived; emitted for consumers, ignored on parse.
+                    // Derived from the fields above.
                     ("sort_fraction", Value::Num(self.search.sort_fraction())),
                     ("hops_per_query", Value::Num(self.hops_per_query())),
                     ("mean_entry_distance", Value::Num(self.mean_entry_distance())),
@@ -534,259 +522,6 @@ impl RuntimeStats {
             ),
         ]);
         doc.render()
-    }
-
-    /// Parses the JSON produced by [`RuntimeStats::to_json`].
-    ///
-    /// # Errors
-    /// Malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Value::parse(text)?;
-        let u = |v: &Value, key: &str| -> Result<u64, String> {
-            v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing field `{key}`"))
-        };
-        let hist = |v: &Value| -> Result<HistogramSnapshot, String> {
-            let pairs: Vec<(usize, u64)> = v
-                .get("buckets")
-                .and_then(Value::as_arr)
-                .ok_or("missing `buckets`")?
-                .iter()
-                .map(|pair| -> Result<(usize, u64), String> {
-                    let pair = pair.as_arr().ok_or("bucket entry not a pair")?;
-                    match pair {
-                        [i, c] => Ok((
-                            i.as_u64().ok_or("bad bucket index")? as usize,
-                            c.as_u64().ok_or("bad bucket count")?,
-                        )),
-                        _ => Err("bucket entry not a pair".into()),
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            let snap =
-                HistogramSnapshot::from_sparse(&pairs, u(v, "sum")?, u(v, "min")?, u(v, "max")?)?;
-            if snap.count != u(v, "count")? {
-                return Err("histogram count disagrees with buckets".into());
-            }
-            Ok(snap)
-        };
-        let cfg = doc.get("config").ok_or("missing `config`")?;
-        let queries = doc.get("queries").ok_or("missing `queries`")?;
-        let gauges = doc.get("gauges").ok_or("missing `gauges`")?;
-        let mut out = RuntimeStats {
-            n_slots: u(cfg, "n_slots")? as usize,
-            n_workers: u(cfg, "n_workers")? as usize,
-            n_host_threads: u(cfg, "n_host_threads")? as usize,
-            submitted: u(queries, "submitted")?,
-            completed: u(queries, "completed")?,
-            rejected_queue_full: u(queries, "rejected_queue_full")?,
-            queue_depth: u(gauges, "queue_depth")?,
-            slots_occupied: u(gauges, "slots_occupied")?,
-            // Absent in pre-SQ8 snapshots; those parse as 0.
-            base_bytes: gauges.get("base_bytes").and_then(Value::as_u64).unwrap_or(0),
-            quant_bytes: gauges.get("quant_bytes").and_then(Value::as_u64).unwrap_or(0),
-            ..Self::default()
-        };
-        for w in doc.get("workers").and_then(Value::as_arr).ok_or("missing `workers`")? {
-            out.per_worker.push(WorkerStats {
-                queries: u(w, "queries")?,
-                busy_passes: u(w, "busy_passes")?,
-                idle_passes: u(w, "idle_passes")?,
-            });
-        }
-        for h in doc.get("hosts").and_then(Value::as_arr).ok_or("missing `hosts`")? {
-            out.per_host.push(HostStats {
-                delivered: u(h, "delivered")?,
-                refills: u(h, "refills")?,
-                busy_passes: u(h, "busy_passes")?,
-                idle_passes: u(h, "idle_passes")?,
-            });
-        }
-        for s in doc.get("slots").and_then(Value::as_arr).ok_or("missing `slots`")? {
-            out.per_slot.push(SlotStats {
-                assigned: u(s, "assigned")?,
-                finished: u(s, "finished")?,
-                delivered: u(s, "delivered")?,
-            });
-        }
-        let phases = doc.get("phases").ok_or("missing `phases`")?;
-        for (name, slot) in out.phases.named_mut() {
-            *slot = hist(phases.get(name).ok_or_else(|| format!("missing phase `{name}`"))?)?;
-        }
-        let search = doc.get("search").ok_or("missing `search`")?;
-        out.search = StepTotals {
-            steps: u(search, "steps")?,
-            expansions: u(search, "expansions")?,
-            dist_evals: u(search, "dist_evals")?,
-            sorts: u(search, "sorts")?,
-            calc_cycles: u(search, "calc_cycles")?,
-            sort_cycles: u(search, "sort_cycles")?,
-            other_cycles: u(search, "other_cycles")?,
-        };
-        // Absent in snapshots written before entry telemetry existed.
-        out.entry_dist_milli_total =
-            search.get("entry_dist_milli_total").and_then(Value::as_u64).unwrap_or(0);
-        // Absent in snapshots written before the SQ8 subsystem existed;
-        // those parse with zeroed rerank totals.
-        if let Some(rerank) = doc.get("rerank") {
-            out.rerank = RerankStats {
-                reranks: u(rerank, "reranks")?,
-                candidates: u(rerank, "candidates")?,
-                promotions: u(rerank, "promotions")?,
-            };
-        }
-        let merge = doc.get("merge").ok_or("missing `merge`")?;
-        out.merge = MergeStats {
-            merges: u(merge, "merges")?,
-            elements: u(merge, "elements")?,
-            dupes_dropped: u(merge, "dupes_dropped")?,
-        };
-        // Absent in snapshots written before the flight recorder
-        // existed; those parse with zeroed totals.
-        if let Some(flight) = doc.get("flight") {
-            out.flight = FlightTotals {
-                completions: u(flight, "completions")?,
-                events: u(flight, "events")?,
-                retained: u(flight, "retained")?,
-            };
-        }
-        // Absent in snapshots written before the SLO controller
-        // existed; those parse with the inert default.
-        if let Some(c) = doc.get("control") {
-            out.control = ControlStats {
-                enabled: matches!(c.get("enabled"), Some(Value::Bool(true))),
-                slo_ns: u(c, "slo_ns")?,
-                level: u(c, "level")? as u32,
-                max_level: u(c, "max_level")? as u32,
-                beam_width: u(c, "beam_width")?,
-                offset_beam: u(c, "offset_beam")?,
-                rerank_depth: u(c, "rerank_depth")?,
-                // Absent before the CTA-shedding rungs existed.
-                n_ctas: if c.get("n_ctas").is_some() { u(c, "n_ctas")? } else { 0 },
-                ticks: u(c, "ticks")?,
-                sheds: u(c, "sheds")?,
-                restores: u(c, "restores")?,
-                holds: u(c, "holds")?,
-                last_p99_ns: u(c, "last_p99_ns")?,
-                last_reason: c
-                    .get("last_reason")
-                    .and_then(Value::as_str)
-                    .unwrap_or("init")
-                    .to_string(),
-            };
-        }
-        // Absent in snapshots written before the network front end
-        // existed; those parse with zeroed net counters.
-        if let Some(n) = doc.get("net") {
-            out.net = NetStats {
-                connections_accepted: u(n, "connections_accepted")?,
-                connections_closed: u(n, "connections_closed")?,
-                frames_in: u(n, "frames_in")?,
-                frames_out: u(n, "frames_out")?,
-                bytes_in: u(n, "bytes_in")?,
-                bytes_out: u(n, "bytes_out")?,
-                protocol_errors: u(n, "protocol_errors")?,
-                backpressure_rejects: u(n, "backpressure_rejects")?,
-            };
-        }
-        // Everything below is absent in snapshots written before the
-        // cross-layer observability work; those parse with defaults.
-        if let Some(conns) = doc.get("net_conns").and_then(Value::as_arr) {
-            for c in conns {
-                out.net_conns.push(ConnStats {
-                    id: u(c, "id")?,
-                    inflight: u(c, "inflight")?,
-                    bytes_in: u(c, "bytes_in")?,
-                    bytes_out: u(c, "bytes_out")?,
-                    backlog_high_water: u(c, "backlog_high_water")?,
-                    errors: u(c, "errors")?,
-                    retry_afters: u(c, "retry_afters")?,
-                });
-            }
-        }
-        if let Some(b) = doc.get("retry_backoff_us") {
-            out.retry_backoff = hist(b)?;
-        }
-        if let Some(q) = doc.get("qlog") {
-            out.qlog = QlogTotals {
-                logged: u(q, "logged")?,
-                dropped: u(q, "dropped")?,
-                drained: u(q, "drained")?,
-            };
-        }
-        if let Some(e) = doc.get("exemplar") {
-            out.exemplar =
-                TailExemplar { e2e_ns: u(e, "e2e_ns")?, request_id: u(e, "request_id")? };
-        }
-        if let Some(nc) = doc.get("net_closed") {
-            out.net_closed = ClosedConnTotals {
-                bytes_in: u(nc, "bytes_in")?,
-                bytes_out: u(nc, "bytes_out")?,
-                errors: u(nc, "errors")?,
-                retry_afters: u(nc, "retry_afters")?,
-            };
-        }
-        out.conn_series_max = doc.get("conn_series_max").and_then(Value::as_u64).unwrap_or(0);
-        if let Some(wb) = doc.get("window") {
-            out.window = WindowBlock {
-                period_ms: u(wb, "period_ms")?,
-                slots: u(wb, "slots")?,
-                slo_ns: u(wb, "slo_ns")?,
-                health: wb.get("health").and_then(Value::as_str).unwrap_or("").to_string(),
-                windows: wb
-                    .get("windows")
-                    .and_then(Value::as_arr)
-                    .ok_or("missing `window.windows`")?
-                    .iter()
-                    .map(|wd| -> Result<WindowStats, String> {
-                        Ok(WindowStats {
-                            target_s: u(wd, "target_s")?,
-                            span_ms: u(wd, "span_ms")?,
-                            completed: u(wd, "completed")?,
-                            submitted: u(wd, "submitted")?,
-                            p50_ns: u(wd, "p50_ns")?,
-                            p99_ns: u(wd, "p99_ns")?,
-                            max_ns: u(wd, "max_ns")?,
-                            attainment_ppm: u(wd, "attainment_ppm")?,
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-        }
-        if let Some(p) = doc.get("prof") {
-            out.prof = ProfStats {
-                hz: u(p, "hz")? as u32,
-                passes: u(p, "passes")?,
-                threads: p
-                    .get("threads")
-                    .and_then(Value::as_arr)
-                    .ok_or("missing `prof.threads`")?
-                    .iter()
-                    .map(|t| -> Result<ProfThreadStats, String> {
-                        Ok(ProfThreadStats {
-                            kind: t.get("kind").and_then(Value::as_str).unwrap_or("").to_string(),
-                            label: t.get("label").and_then(Value::as_str).unwrap_or("").to_string(),
-                            states: t
-                                .get("states")
-                                .and_then(Value::as_arr)
-                                .ok_or("missing `prof.threads[].states`")?
-                                .iter()
-                                .map(|sc| -> Result<ProfStateCount, String> {
-                                    Ok(ProfStateCount {
-                                        state: sc
-                                            .get("state")
-                                            .and_then(Value::as_str)
-                                            .unwrap_or("")
-                                            .to_string(),
-                                        samples: u(sc, "samples")?,
-                                    })
-                                })
-                                .collect::<Result<_, _>>()?,
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-        }
-        Ok(out)
     }
 
     /// Renders the snapshot in Prometheus text exposition format
@@ -1293,42 +1028,12 @@ impl RuntimeStats {
         }
         w.finish()
     }
-
-    /// Builds the same snapshot schema from a timing-simulator run, so
-    /// simulated serving (`algas-gpu-sim`) and the native runtime emit
-    /// comparable telemetry. The simulator has no worker/host threads
-    /// or slot protocol, so those breakdowns stay empty; the phase
-    /// histograms map `arrival→dispatch→gpu_start→gpu_done→completion`
-    /// onto `submit→slot→work→finish→merged` (delivery is folded into
-    /// the merge span, so `merged_to_delivered` stays empty).
-    pub fn from_sim_report(report: &SimReport, n_slots: usize) -> Self {
-        use super::hist::Histogram;
-        let mut out = RuntimeStats {
-            n_slots,
-            submitted: report.per_query.len() as u64,
-            completed: report.per_query.len() as u64,
-            ..Self::default()
-        };
-        let hists: Vec<Histogram> = (0..5).map(|_| Histogram::new()).collect();
-        for t in &report.per_query {
-            let spans = t.phase_spans_ns();
-            for (h, &v) in hists.iter().zip(spans.iter()) {
-                h.record(v);
-            }
-            hists[4].record(t.e2e_latency_ns());
-        }
-        out.phases.submit_to_slot = hists[0].snapshot();
-        out.phases.slot_to_work = hists[1].snapshot();
-        out.phases.work_to_finish = hists[2].snapshot();
-        out.phases.finish_to_merged = hists[3].snapshot();
-        out.phases.end_to_end = hists[4].snapshot();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::hist::Histogram;
+    use super::super::prof::{ProfStateCount, ProfThreadStats};
     use super::*;
     use crate::obs::prom::parse_prometheus;
 
@@ -1472,25 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_exactly() {
-        let s = sample_stats();
-        let text = s.to_json();
-        assert_eq!(RuntimeStats::from_json(&text).unwrap(), s);
-        // The empty snapshot round-trips too.
-        let e = RuntimeStats::empty(4, 2, 2);
-        assert_eq!(RuntimeStats::from_json(&e.to_json()).unwrap(), e);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(RuntimeStats::from_json("{}").is_err());
-        assert!(RuntimeStats::from_json("not json").is_err());
-        // A tampered histogram count is caught.
-        let tampered = sample_stats().to_json().replacen("\"count\":5", "\"count\":6", 1);
-        assert!(RuntimeStats::from_json(&tampered).is_err());
-    }
-
-    #[test]
     fn prometheus_page_parses_and_carries_values() {
         let s = sample_stats();
         crate::obs::prom::check_exposition(&s.to_prometheus()).expect("well-formed exposition");
@@ -1577,36 +1263,5 @@ mod tests {
         assert_eq!(p99.value, s.phases.end_to_end.quantile(0.99) as f64);
         let frac = find("algas_search_sort_fraction").value;
         assert!((frac - s.search.sort_fraction()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sim_report_maps_onto_the_same_schema() {
-        use algas_gpu_sim::sched::QueryTiming;
-        let timings = vec![
-            QueryTiming {
-                arrival_ns: 0,
-                dispatch_ns: 100,
-                gpu_start_ns: 150,
-                gpu_done_ns: 1_150,
-                completion_ns: 1_200,
-            },
-            QueryTiming {
-                arrival_ns: 50,
-                dispatch_ns: 120,
-                gpu_start_ns: 180,
-                gpu_done_ns: 2_180,
-                completion_ns: 2_250,
-            },
-        ];
-        let report = SimReport::from_timings(timings, 0.9, 0.0, 0, 0);
-        let s = RuntimeStats::from_sim_report(&report, 8);
-        assert_eq!(s.n_slots, 8);
-        assert_eq!((s.submitted, s.completed), (2, 2));
-        assert_eq!(s.phases.work_to_finish.count, 2);
-        assert_eq!(s.phases.work_to_finish.min, 1_000);
-        assert!(s.phases.end_to_end.quantile(0.5) >= 1_200);
-        assert!(s.phases.merged_to_delivered.is_empty());
-        // And it serializes like any native snapshot.
-        assert_eq!(RuntimeStats::from_json(&s.to_json()).unwrap(), s);
     }
 }

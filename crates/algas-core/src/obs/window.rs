@@ -18,8 +18,10 @@
 //! `algas_window_*` Prometheus families, the serve summary line, and
 //! the `/healthz` + `/readyz` burn-rate state.
 //!
-//! With the `obs` feature off the ring is a zero-sized no-op,
-//! mirroring [`recorder`](crate::obs::recorder).
+//! `WindowRing` exists only with the `obs` feature: its one
+//! constructor call is in the [`recorder`](crate::obs::recorder),
+//! which is where the feature compiles out. [`WindowBlock`] and
+//! [`WindowStats`] are unconditional.
 
 /// Nominal window spans (seconds) computed by [`WindowRing::stats`].
 pub const WINDOW_TARGETS_S: [u64; 3] = [1, 10, 60];
@@ -133,9 +135,6 @@ impl WindowBlock {
 #[cfg(feature = "obs")]
 pub use enabled::WindowRing;
 
-#[cfg(not(feature = "obs"))]
-pub use disabled::WindowRing;
-
 #[cfg(feature = "obs")]
 mod enabled {
     use super::*;
@@ -242,32 +241,6 @@ mod enabled {
             }
             block.compute_health();
             block
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    use super::WindowBlock;
-    use crate::obs::hist::Histogram;
-
-    /// Zero-sized stand-in: rotation is a no-op, stats are empty.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct WindowRing;
-
-    impl WindowRing {
-        pub fn new(_period_ms: u64, _slots: usize) -> Self {
-            WindowRing
-        }
-
-        pub fn period_ms(&self) -> u64 {
-            0
-        }
-
-        pub fn rotate(&self, _e2e: &Histogram, _submitted: u64) {}
-
-        pub fn stats(&self, _slo_ns: u64) -> WindowBlock {
-            WindowBlock::default()
         }
     }
 }

@@ -331,7 +331,7 @@ impl AlgasServer {
             },
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
-            obs: RuntimeObs::with_telemetry(
+            obs: RuntimeObs::new(
                 cfg.n_slots,
                 cfg.n_workers,
                 cfg.n_host_threads,
@@ -626,14 +626,6 @@ impl Drop for AlgasServer {
         if !self.hosts.is_empty() || !self.workers.is_empty() {
             self.shutdown_inner();
         }
-    }
-}
-
-impl RuntimeStats {
-    /// [`AlgasServer::runtime_stats`] spelled from the snapshot side:
-    /// `RuntimeStats::snapshot(&server)`.
-    pub fn snapshot(server: &AlgasServer) -> RuntimeStats {
-        server.runtime_stats()
     }
 }
 
@@ -1212,9 +1204,6 @@ mod tests {
             assert!(s.search.dist_evals > 0);
             assert_eq!(s.merge.merges, 10);
         }
-        // The associated-function spelling sees the same counters.
-        let again = RuntimeStats::snapshot(&server);
-        assert_eq!((again.submitted, again.completed), (10, 10));
         server.shutdown();
     }
 

@@ -192,12 +192,6 @@ impl CtaTrace {
         })
     }
 
-    /// The per-step selected-candidate distance series (Fig 7's
-    /// scattered view).
-    pub fn distance_series(&self) -> Vec<f32> {
-        self.steps.iter().map(|s| s.best_distance).collect()
-    }
-
     /// The per-step best-found-so-far series: candidate-list head
     /// distance after each step. Monotone non-increasing.
     pub fn head_distance_series(&self) -> Vec<f32> {
@@ -285,6 +279,6 @@ mod tests {
         let t = CtaTrace::default();
         assert_eq!(t.total_cycles(), 0);
         assert_eq!(t.sort_fraction(), 0.0);
-        assert!(t.distance_series().is_empty());
+        assert!(t.head_distance_series().is_empty());
     }
 }

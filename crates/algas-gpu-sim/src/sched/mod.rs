@@ -57,20 +57,6 @@ impl QueryTiming {
     pub fn e2e_latency_ns(&self) -> u64 {
         self.completion_ns.saturating_sub(self.arrival_ns)
     }
-
-    /// The query's lifecycle phase durations, in order:
-    /// `[arrival→dispatch, dispatch→gpu_start, gpu_start→gpu_done,
-    /// gpu_done→completion]` — the same spans the serving runtime calls
-    /// `submit→slot`, `slot→work`, `work→finish`, `finish→merged`, so
-    /// simulated and native runs report one schema.
-    pub fn phase_spans_ns(&self) -> [u64; 4] {
-        [
-            self.dispatch_ns.saturating_sub(self.arrival_ns),
-            self.gpu_start_ns.saturating_sub(self.dispatch_ns),
-            self.gpu_done_ns.saturating_sub(self.gpu_start_ns),
-            self.completion_ns.saturating_sub(self.gpu_done_ns),
-        ]
-    }
 }
 
 /// Outcome of a simulation run.
@@ -184,7 +170,5 @@ mod tests {
         };
         assert_eq!(q.service_latency_ns(), 50);
         assert_eq!(q.e2e_latency_ns(), 90);
-        assert_eq!(q.phase_spans_ns(), [40, 10, 30, 10]);
-        assert_eq!(q.phase_spans_ns().iter().sum::<u64>(), q.e2e_latency_ns());
     }
 }

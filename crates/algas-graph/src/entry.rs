@@ -434,13 +434,6 @@ impl DescentLadder {
         &self.child_start
     }
 
-    /// Distance evaluations one descent costs (top scan + largest
-    /// child group, upper bound).
-    pub fn max_scan(&self) -> usize {
-        let widest = self.child_start.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
-        self.top.len() + widest
-    }
-
     /// Descends the ladder: scan the top layer, then the winning top
     /// pivot's children, and return the closest pivot seen. The result
     /// indexes `base`. Allocation-free.

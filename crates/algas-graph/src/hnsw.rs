@@ -14,7 +14,6 @@
 
 use crate::csr::FixedDegreeGraph;
 use crate::nsw::beam_search;
-use crate::parallel::{self, BatchSchedule};
 use algas_vector::metric::DistValue;
 use algas_vector::{Metric, VectorStore};
 use rand::rngs::StdRng;
@@ -115,96 +114,6 @@ pub fn build_hnsw(base: &VectorStore, metric: Metric, params: HnswParams) -> Hns
         if v_level > entry_level {
             entry = v;
             entry_level = v_level;
-        }
-    }
-    HnswIndex { layers, levels, entry, metric }
-}
-
-/// Builds an HNSW index with snapshot-batched parallel insertion.
-///
-/// Same contract as [`NswBuilder::build_parallel`](crate::nsw::NswBuilder::build_parallel):
-/// level assignment is identical to [`build_hnsw`] (same seeded RNG), and
-/// each batch runs its descents + per-layer beam searches against the
-/// layers *as of the batch start* in parallel, then applies edges
-/// sequentially in vertex-id order. The result depends only on the
-/// corpus, params, and the batch schedule — never on `threads`.
-///
-/// # Panics
-/// Panics if `m == 0` or `ef_construction < m`.
-pub fn build_hnsw_parallel(
-    base: &VectorStore,
-    metric: Metric,
-    params: HnswParams,
-    threads: usize,
-) -> HnswIndex {
-    assert!(params.m > 0, "m must be positive");
-    assert!(params.ef_construction >= params.m, "ef_construction must be >= m");
-    let n = base.len();
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let levels: Vec<u8> = (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            ((-u.ln() * params.level_norm).floor() as usize).min(12) as u8
-        })
-        .collect();
-    let max_level = levels.iter().copied().max().unwrap_or(0) as usize;
-    let mut layers: Vec<FixedDegreeGraph> = (0..=max_level)
-        .map(|l| FixedDegreeGraph::new(n, if l == 0 { params.m * 2 } else { params.m }))
-        .collect();
-    if n == 0 {
-        return HnswIndex { layers, levels, entry: 0, metric };
-    }
-
-    let mut entry: u32 = 0;
-    let mut entry_level: u8 = levels[0];
-    for (lo, hi) in BatchSchedule::default().batches(n) {
-        // Phase A (parallel): descend + search every layer snapshot,
-        // returning `(layer, candidates)` pairs per batch vertex.
-        type LayerCandidates = (usize, Vec<(DistValue, u32)>);
-        let found: Vec<Vec<LayerCandidates>> = parallel::par_map(hi - lo, 8, threads, |i| {
-            let v = (lo + i) as u32;
-            let v_level = levels[v as usize];
-            let query = base.get(v as usize);
-            let mut ep = entry;
-            let mut l = entry_level as usize;
-            while l > v_level as usize {
-                ep = greedy_closest(&layers[l], base, metric, query, ep);
-                l -= 1;
-            }
-            let top = (v_level as usize).min(entry_level as usize);
-            let mut per_layer = Vec::with_capacity(top + 1);
-            for layer in (0..=top).rev() {
-                let cands = beam_search(
-                    &layers[layer],
-                    base,
-                    metric,
-                    query,
-                    ep,
-                    params.ef_construction,
-                    Some(v),
-                );
-                if let Some(&(_, best)) = cands.first() {
-                    ep = best;
-                }
-                per_layer.push((layer, cands));
-            }
-            per_layer
-        });
-        // Phase B (sequential, id order): connect and advance the entry.
-        for (i, per_layer) in found.iter().enumerate() {
-            let v = (lo + i) as u32;
-            for (layer, cands) in per_layer {
-                let m = if *layer == 0 { params.m } else { params.m / 2 + 1 };
-                for &(dist, u) in cands.iter().take(m) {
-                    connect_capped(&mut layers[*layer], base, metric, v, u, dist);
-                    connect_capped(&mut layers[*layer], base, metric, u, v, dist);
-                }
-            }
-            let v_level = levels[v as usize];
-            if v_level > entry_level {
-                entry = v;
-                entry_level = v_level;
-            }
         }
     }
     HnswIndex { layers, levels, entry, metric }
@@ -410,42 +319,6 @@ mod tests {
         let b = build_hnsw(&ds.base, Metric::L2, HnswParams::default());
         assert_eq!(a.layers, b.layers);
         assert_eq!(a.entry, b.entry);
-    }
-
-    #[test]
-    fn parallel_build_is_thread_count_invariant_and_searchable() {
-        let ds = DatasetSpec::tiny(700, 16, Metric::L2, 404).generate();
-        let one = build_hnsw_parallel(&ds.base, Metric::L2, HnswParams::default(), 1);
-        let four = build_hnsw_parallel(&ds.base, Metric::L2, HnswParams::default(), 4);
-        assert_eq!(one.layers, four.layers);
-        assert_eq!(one.entry, four.entry);
-        // Levels match the serial builder exactly (same seeded RNG).
-        let serial = build_hnsw(&ds.base, Metric::L2, HnswParams::default());
-        assert_eq!(one.levels, serial.levels);
-        // And the batched graph searches as well as the serial one.
-        let k = 10;
-        let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, k);
-        let recall_of = |idx: &HnswIndex| -> f64 {
-            let results: Vec<Vec<u32>> = (0..ds.queries.len())
-                .map(|q| {
-                    idx.search(&ds.base, ds.queries.get(q), 64, k)
-                        .into_iter()
-                        .map(|(_, id)| id)
-                        .collect()
-                })
-                .collect();
-            mean_recall(&results, &gt, k)
-        };
-        let rs = recall_of(&serial);
-        let rp = recall_of(&one);
-        assert!(rp > rs - 0.03, "batched HNSW recall {rp} fell below serial {rs}");
-        assert!(rp > 0.9, "batched HNSW recall too low: {rp}");
-    }
-
-    #[test]
-    fn parallel_build_empty_corpus() {
-        let idx = build_hnsw_parallel(&VectorStore::new(4), Metric::L2, HnswParams::default(), 4);
-        assert_eq!(idx.base().len(), 0);
     }
 
     #[test]

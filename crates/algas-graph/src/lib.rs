@@ -20,7 +20,8 @@
 //!   reverse-edge augmentation to a fixed out-degree.
 //! * [`hnsw::build_hnsw`] — hierarchical NSW (the layered family GANNS
 //!   also constructs); its base layer is a plain NSW and its upper
-//!   layers act as a smart entry selector.
+//!   layers act as a smart entry selector. Built serially: nothing in
+//!   the workspace builds HNSW on more than one thread.
 //!
 //! Entry-point selection for single- and multi-CTA search lives in
 //! [`entry`] — the stateless policies plus the index-time

@@ -12,11 +12,12 @@
 //! chunk *schedule* — never on the thread count or OS scheduling — which
 //! is what lets the builders promise "deterministic under a fixed seed"
 //! while still scaling across cores. [`BatchSchedule`] is the schedule
-//! for the builders that insert incrementally.
+//! for the builder that inserts incrementally (NSW; HNSW builds
+//! serially).
 
 pub use algas_vector::parallel::{max_threads, par_map};
 
-/// The batch schedule for snapshot-batched graph insertion (NSW/HNSW).
+/// The batch schedule for snapshot-batched graph insertion (NSW).
 ///
 /// Vertices `0..seed` are inserted one at a time (the young graph is too
 /// sparse for stale snapshots); afterwards batch `b` covers the next

@@ -60,63 +60,6 @@ pub fn write_fvecs<W: Write>(mut writer: W, store: &VectorStore) -> io::Result<(
     Ok(())
 }
 
-/// Reads a `bvecs` stream (byte vectors, e.g. SIFT1B) into a
-/// [`VectorStore`], widening each `u8` component to `f32`.
-pub fn read_bvecs<R: Read>(mut reader: R) -> io::Result<VectorStore> {
-    let mut dim: Option<usize> = None;
-    let mut store: Option<VectorStore> = None;
-    let mut row: Vec<f32> = Vec::new();
-    loop {
-        let mut dim_buf = [0u8; 4];
-        match read_exact_or_eof(&mut reader, &mut dim_buf)? {
-            ReadStatus::Eof => break,
-            ReadStatus::Full => {}
-        }
-        let d = u32::from_le_bytes(dim_buf) as usize;
-        if d == 0 || d > (1 << 20) {
-            return Err(invalid(format!("implausible bvecs dimension {d}")));
-        }
-        match dim {
-            None => {
-                dim = Some(d);
-                store = Some(VectorStore::new(d));
-                row = vec![0.0; d];
-            }
-            Some(expected) if expected != d => {
-                return Err(invalid(format!("dimension changed from {expected} to {d}")));
-            }
-            Some(_) => {}
-        }
-        let mut payload = vec![0u8; d];
-        reader.read_exact(&mut payload).map_err(|_| invalid("truncated bvecs record"))?;
-        for (x, &b) in row.iter_mut().zip(&payload) {
-            *x = b as f32;
-        }
-        store.as_mut().expect("store initialized with dim").push(&row);
-    }
-    Ok(store.unwrap_or_else(|| VectorStore::new(1)))
-}
-
-/// Writes a [`VectorStore`] as a `bvecs` stream.
-///
-/// # Panics
-/// Panics if any component falls outside `[0, 255]` (bvecs is a byte
-/// format; quantize first).
-pub fn write_bvecs<W: Write>(mut writer: W, store: &VectorStore) -> io::Result<()> {
-    let dim = store.dim() as u32;
-    for row in store.iter() {
-        writer.write_all(&dim.to_le_bytes())?;
-        for &x in row {
-            assert!(
-                (0.0..=255.0).contains(&x) && x.fract() == 0.0,
-                "bvecs requires integral components in [0, 255], got {x}"
-            );
-            writer.write_all(&[x as u8])?;
-        }
-    }
-    Ok(())
-}
-
 /// Reads an `ivecs` stream (e.g. ground-truth neighbor ids) into rows of
 /// `u32` ids.
 pub fn read_ivecs<R: Read>(mut reader: R) -> io::Result<Vec<Vec<u32>>> {
@@ -213,31 +156,6 @@ mod tests {
         write_ivecs(&mut buf, &rows).unwrap();
         let back = read_ivecs(Cursor::new(buf)).unwrap();
         assert_eq!(back, rows);
-    }
-
-    #[test]
-    fn bvecs_roundtrip() {
-        let store = VectorStore::from_flat(4, vec![0.0, 1.0, 128.0, 255.0, 7.0, 9.0, 11.0, 13.0]);
-        let mut buf = Vec::new();
-        write_bvecs(&mut buf, &store).unwrap();
-        assert_eq!(buf.len(), 2 * (4 + 4)); // 4-byte dim + 4 bytes payload per row
-        let back = read_bvecs(Cursor::new(buf)).unwrap();
-        assert_eq!(back, store);
-    }
-
-    #[test]
-    #[should_panic(expected = "integral components")]
-    fn bvecs_rejects_non_byte_values() {
-        let store = VectorStore::from_flat(1, vec![1.5]);
-        let _ = write_bvecs(Vec::new(), &store);
-    }
-
-    #[test]
-    fn bvecs_truncation_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.push(1); // only 1 of 3 bytes
-        assert!(read_bvecs(Cursor::new(buf)).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas::core::net::lifecycle::MAX_PARK;
 use algas::core::net::{frame, NetClient, NetConfig, NetServer, Reply};
 use algas::core::obs::json::Value;
-use algas::core::obs::{traces_json, FlightConfig, QlogConfig, RuntimeStats, StatsServer};
+use algas::core::obs::{traces_json, FlightConfig, QlogConfig, StatsServer};
 use algas::core::runtime::{AlgasServer, RuntimeConfig};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
@@ -508,10 +508,11 @@ fn ping_echoes_and_stats_returns_parseable_json_with_net_counters() {
     match client.recv().expect("stats reply") {
         Reply::Stats { request_id, json } => {
             assert_eq!(request_id, 23);
-            let stats = RuntimeStats::from_json(&json).expect("stats JSON parses");
-            assert!(stats.net.frames_in >= 2, "the STATS snapshot carries net counters");
-            assert!(stats.net.connections_accepted >= 1);
-            assert!(stats.completed >= 1);
+            let stats = Value::parse(&json).expect("stats JSON parses");
+            let at = |block: &str, key: &str| stats.get(block)?.get(key)?.as_u64();
+            assert!(at("net", "frames_in") >= Some(2), "the STATS snapshot carries net counters");
+            assert!(at("net", "connections_accepted") >= Some(1));
+            assert!(at("queries", "completed") >= Some(1));
         }
         other => panic!("expected STATS reply, got {other:?}"),
     }

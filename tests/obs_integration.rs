@@ -8,8 +8,8 @@
 //! feature off the phase recorders compile to no-ops by design).
 
 use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
+use algas::core::obs::json::Value;
 use algas::core::obs::prom::parse_prometheus;
-use algas::core::obs::RuntimeStats;
 use algas::core::runtime::{AlgasServer, RuntimeConfig};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
@@ -84,11 +84,12 @@ fn multithreaded_run_reports_phase_latencies_and_gauges() {
         assert_eq!(stats.merge.merges, N_QUERIES as u64);
     }
 
-    // The snapshot must survive its own JSON serialization exactly …
-    let round = RuntimeStats::from_json(&stats.to_json()).expect("own JSON parses");
-    assert_eq!(round, stats);
+    // The JSON page must parse and carry the counters …
+    let doc = Value::parse(&stats.to_json()).expect("own JSON parses");
+    let completed = doc.get("queries").and_then(|q| q.get("completed")).and_then(Value::as_u64);
+    assert_eq!(completed, Some(N_QUERIES as u64));
 
-    // … and the Prometheus page must parse and carry the counters.
+    // … and so must the Prometheus page.
     let page = stats.to_prometheus();
     let samples = parse_prometheus(&page).expect("exposition parses");
     let completed = samples

@@ -19,8 +19,8 @@
 
 use algas::core::merge::MergeStats;
 use algas::core::obs::{
-    stamp, DeliveryCtx, EventKind, FlightConfig, Histogram, JobStamps, ProfHandle, ProfState,
-    QlogConfig, RuntimeObs, ThreadKind,
+    stamp, DeliveryCtx, EventKind, FlightConfig, Histogram, JobStamps, ObsTickConfig, ProfHandle,
+    ProfState, QlogConfig, RuntimeObs, ThreadKind,
 };
 use algas::core::tracer::{StepStats, StepTotals};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -120,7 +120,7 @@ fn telemetry_hot_path_allocates_nothing() {
     // and the ring-full drop path, neither of which may allocate
     // (rendering to JSON lines happens on the control path, in drain).
     let qlog = QlogConfig { enabled: true, ring_capacity: 64, ..Default::default() };
-    let obs = RuntimeObs::with_config(4, 2, 1, flight, qlog);
+    let obs = RuntimeObs::new(4, 2, 1, flight, qlog, ObsTickConfig::default());
     // Registration allocates (label copy) — setup, not hot path.
     let prof = obs.prof_registry().register(ThreadKind::Worker, "worker-0");
     let hist = Histogram::new();

@@ -1,12 +1,13 @@
-//! Golden-file test for the Prometheus exposition: a fixed
-//! [`RuntimeStats`] fixture must render byte-for-byte the page checked
-//! in at `tests/golden/stats.prom`, and that page must satisfy the
-//! exposition checker (HELP/TYPE pairing, name charset, no duplicate
-//! series).
+//! Golden-file tests for the two stats pages: a fixed [`RuntimeStats`]
+//! fixture must render byte-for-byte the pages checked in at
+//! `tests/golden/stats.prom` and `tests/golden/stats.json`, the
+//! Prometheus page must satisfy the exposition checker (HELP/TYPE
+//! pairing, name charset, no duplicate series), and the JSON page must
+//! carry every path the serving benchmark's traced run resolves.
 //!
-//! The golden pin catches accidental renames — a metric name is public
-//! API the moment a dashboard queries it. After an *intentional*
-//! change, regenerate with:
+//! The golden pins catch accidental renames — a metric name or JSON key
+//! is public API the moment a dashboard or `algas-perf` queries it.
+//! After an *intentional* change, regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test prom_golden
@@ -16,6 +17,7 @@ use algas::core::control::ControlStats;
 use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
 use algas::core::net::{ClosedConnTotals, ConnStats, NetStats};
+use algas::core::obs::json::Value;
 use algas::core::obs::prom::check_exposition;
 use algas::core::obs::{
     FlightTotals, Histogram, HostStats, ProfStateCount, ProfStats, ProfThreadStats, QlogTotals,
@@ -200,4 +202,75 @@ fn exposition_matches_golden_and_passes_checker() {
          labels are public API — if the change is intentional, rerun with UPDATE_GOLDEN=1 \
          and include the golden diff in review."
     );
+}
+
+/// `to_json` writes every field of the snapshot: the page is what
+/// `algas-perf`, `algas stats`, `--stats-json` files and the wire STATS
+/// reply carry, and nothing in the repo parses it back into a struct.
+#[test]
+fn json_page_matches_golden() {
+    let page = fixture().to_json();
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, &page).expect("write golden");
+        eprintln!("regenerated {}", golden_path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&golden_path)
+        .expect("tests/golden/stats.json exists (regenerate with UPDATE_GOLDEN=1)");
+    assert_eq!(
+        page, golden,
+        "/stats.json drifted from tests/golden/stats.json. Keys are public API — if the \
+         change is intentional, rerun with UPDATE_GOLDEN=1 and include the golden diff in review."
+    );
+}
+
+/// Follows a dotted path through nested objects.
+fn path<'a>(doc: &'a Value, dotted: &str) -> Option<&'a Value> {
+    dotted.split('.').try_fold(doc, |v, key| v.get(key))
+}
+
+/// Every `/stats.json` path `algas-perf --trace 1` resolves
+/// (`crates/algas-bench/src/bin/perf/src/run.rs`) exists with the type
+/// it expects; a missing one fails the traced run, not a tier-1 test.
+#[test]
+fn json_page_carries_every_path_the_benchmark_reads() {
+    let doc = Value::parse(&fixture().to_json()).expect("to_json emits valid JSON");
+    let numeric = [
+        "queries.rejected_queue_full",
+        "search.steps",
+        "search.dist_evals",
+        "search.sorts",
+        "search.calc_cycles",
+        "search.sort_cycles",
+        "search.other_cycles",
+        "search.entry_dist_milli_total",
+        "rerank.reranks",
+        "rerank.candidates",
+        "rerank.promotions",
+        "merge.merges",
+        "merge.elements",
+        "control.level",
+        "control.n_ctas",
+        "control.sheds",
+        "control.restores",
+        "control.last_p99_ns",
+        "net.backpressure_rejects",
+        "net.protocol_errors",
+        "retry_backoff_us.p50",
+        "qlog.dropped",
+    ];
+    for dotted in numeric {
+        let v = path(&doc, dotted).unwrap_or_else(|| panic!("`{dotted}` is missing"));
+        assert!(v.as_f64().is_some(), "`{dotted}` is not a number: {v:?}");
+    }
+    assert_eq!(path(&doc, "control.enabled"), Some(&Value::Bool(true)));
+    for (list, field) in [("workers", "queries"), ("net_conns", "backlog_high_water")] {
+        let items = doc.get(list).and_then(Value::as_arr).unwrap_or_else(|| panic!("`{list}`"));
+        assert!(!items.is_empty(), "`{list}` is empty in the fixture");
+        for item in items {
+            let v = item.get(field).unwrap_or_else(|| panic!("`{list}[].{field}` is missing"));
+            assert!(v.as_f64().is_some(), "`{list}[].{field}` is not a number: {v:?}");
+        }
+    }
 }
