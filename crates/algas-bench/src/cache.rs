@@ -57,15 +57,6 @@ impl DiskCache {
         Ok(blob)
     }
 
-    /// Removes a cached entry (test hygiene).
-    pub fn evict(&self, key: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.path(key)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Path of the cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -85,8 +76,8 @@ mod tests {
     #[test]
     fn disk_cache_computes_once() {
         let dir = std::env::temp_dir().join(format!("algas-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open(&dir).unwrap();
-        cache.evict("k1").unwrap();
         let mut computed = 0;
         for _ in 0..3 {
             let blob = cache
@@ -98,7 +89,6 @@ mod tests {
             assert_eq!(&blob[..], b"hello");
         }
         assert_eq!(computed, 1);
-        cache.evict("k1").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -146,7 +146,7 @@ fn event_cost_ns() -> f64 {
         1,
         1,
         1,
-        FlightConfig { ring_capacity: 1024, ..Default::default() },
+        FlightConfig::default(),
         QlogConfig::default(),
         ObsTickConfig::default(),
     );

@@ -2,9 +2,10 @@
 //!
 //! The §IV-C tuner picks a static plan — chosen once per device and
 //! shape, blind to the live workload. This module closes the loop: the
-//! serving runtime feeds every completed query's *service span* (the
-//! `slot → work` wait plus the `work → finish` search time, the two
-//! phases the engine's effort knobs can actually influence) into a
+//! serving runtime feeds every completed query's *service span*
+//! (`submit → reply` as `host_loop` measures it: queue wait, worker
+//! pickup, search and host merge — what the client is promised, of
+//! which the engine's effort knobs move the search part) into a
 //! [`SloController`], which periodically compares the window's p99
 //! against a configured latency SLO and moves one rung at a time along
 //! the precomputed [`EffortLadder`]:
@@ -37,7 +38,7 @@ pub const CONTROL_WINDOW: usize = 256;
 /// Controller shape: the target and the feedback cadence.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlConfig {
-    /// Target p99 service latency (`slot → finish`), nanoseconds.
+    /// Target p99 service latency (`submit → reply`), nanoseconds.
     pub slo_ns: u64,
     /// Relative hysteresis band around the SLO: no adjustment while
     /// `p99 ∈ [slo·(1−h), slo·(1+h)]`.
@@ -222,8 +223,8 @@ impl SloController {
         self.ladder.step(self.level.load(Ordering::Relaxed))
     }
 
-    /// Records one completed query's service span (`slot → work` wait
-    /// plus `work → finish` search). Returns the tick decision when
+    /// Records one completed query's service span (`submit → reply`,
+    /// measured by the host poller just before it delivers). Returns the tick decision when
     /// this completion triggered one. Allocation-free and lock-free.
     pub fn observe(&self, service_ns: u64) -> Option<ControlDecision> {
         if !self.enabled {

@@ -40,13 +40,6 @@ pub(crate) struct NetCounters {
     pub bytes_out: AtomicU64,
     pub protocol_errors: AtomicU64,
     pub backpressure_rejects: AtomicU64,
-    /// Totals folded in from closed connections' cells, so the
-    /// `conn`-labeled Prometheus series stay bounded to *open*
-    /// connections without losing the closed traffic.
-    pub closed_bytes_in: AtomicU64,
-    pub closed_bytes_out: AtomicU64,
-    pub closed_errors: AtomicU64,
-    pub closed_retry_afters: AtomicU64,
     /// RETRY_AFTER advised delays (µs): how hard the server is asking
     /// clients to back off, not just how often.
     pub retry_backoff_us: Histogram,
@@ -122,32 +115,9 @@ impl NetCounters {
         cells
     }
 
-    /// Drops a closed connection from the open-connection registry,
-    /// folding its cells into the closed-connection totals so the
-    /// traffic survives the per-connection series' retirement.
+    /// Drops a closed connection from the open-connection registry.
     pub(crate) fn unregister_conn(&self, id: u64) {
-        let mut conns = crate::lock(&self.conns);
-        conns.retain(|c| {
-            if c.id != id {
-                return true;
-            }
-            let s = c.snapshot();
-            self.closed_bytes_in.fetch_add(s.bytes_in, Ordering::Relaxed);
-            self.closed_bytes_out.fetch_add(s.bytes_out, Ordering::Relaxed);
-            self.closed_errors.fetch_add(s.errors, Ordering::Relaxed);
-            self.closed_retry_afters.fetch_add(s.retry_afters, Ordering::Relaxed);
-            false
-        });
-    }
-
-    /// The closed-connection totals snapshot.
-    pub(crate) fn closed_totals(&self) -> ClosedConnTotals {
-        ClosedConnTotals {
-            bytes_in: self.closed_bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.closed_bytes_out.load(Ordering::Relaxed),
-            errors: self.closed_errors.load(Ordering::Relaxed),
-            retry_afters: self.closed_retry_afters.load(Ordering::Relaxed),
-        }
+        crate::lock(&self.conns).retain(|c| c.id != id);
     }
 
     /// Per-connection snapshots of the currently open connections,
@@ -188,27 +158,10 @@ pub struct NetStats {
     pub backpressure_rejects: u64,
 }
 
-/// Accumulated telemetry of every *closed* connection, folded together
-/// at unregister time. Carried in
-/// [`crate::obs::RuntimeStats::net_closed`] and exposed as the
-/// `algas_net_conn_closed_*` Prometheus totals — the counterpart that
-/// keeps the per-connection (`conn`-labeled) series bounded.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClosedConnTotals {
-    /// Bytes read over all closed connections.
-    pub bytes_in: u64,
-    /// Bytes written over all closed connections.
-    pub bytes_out: u64,
-    /// Protocol errors answered over all closed connections.
-    pub errors: u64,
-    /// RETRY_AFTER responses sent over all closed connections.
-    pub retry_afters: u64,
-}
-
 /// A point-in-time view of one open connection's telemetry. Carried in
 /// [`crate::obs::RuntimeStats::net_conns`] (closed connections drop out
-/// of the list) and exposed as `algas_net_conn_*` Prometheus series
-/// labeled by connection id.
+/// of the list; their traffic stays in the [`NetStats`] totals) and
+/// listed on `/stats.json`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConnStats {
     /// Connection id (monotone accept order, starting at 1).

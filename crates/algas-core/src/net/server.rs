@@ -66,11 +66,6 @@ pub struct NetConfig {
     /// How long `stop()` keeps draining in-flight replies and
     /// unflushed write buffers before closing connections.
     pub linger: Duration,
-    /// Max open connections exported as individual `conn`-labeled
-    /// Prometheus series; the overflow is summed into one
-    /// `conn="other"` sample so scrape cardinality stays bounded under
-    /// connection churn. 0 = uncapped.
-    pub conn_series_max: usize,
 }
 
 impl Default for NetConfig {
@@ -80,7 +75,6 @@ impl Default for NetConfig {
             max_payload: frame::DEFAULT_MAX_PAYLOAD,
             max_conns: 1024,
             linger: Duration::from_millis(500),
-            conn_series_max: 64,
         }
     }
 }
@@ -90,7 +84,6 @@ pub struct NetServer {
     server: Arc<AlgasServer>,
     counters: Arc<NetCounters>,
     handle: ListenerHandle,
-    cfg: NetConfig,
 }
 
 impl NetServer {
@@ -110,7 +103,7 @@ impl NetServer {
         let handle = ListenerHandle::spawn("algas-net", addr, move |listener, stop, poller| {
             event_loop(&listener, stop, poller, &loop_server, &loop_counters, cfg);
         })?;
-        Ok(Self { server, counters, handle, cfg })
+        Ok(Self { server, counters, handle })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -130,8 +123,6 @@ impl NetServer {
         let mut out = self.server.runtime_stats();
         out.net = self.counters.snapshot();
         out.net_conns = self.counters.conn_snapshots();
-        out.net_closed = self.counters.closed_totals();
-        out.conn_series_max = self.cfg.conn_series_max as u64;
         out.retry_backoff = self.counters.backoff_snapshot();
         out
     }

@@ -11,9 +11,8 @@
 //!
 //! On query completion the runtime *tail-samples*: the full timeline is
 //! lifted out of the ring only for queries slower than
-//! [`FlightConfig::slow_threshold_ns`], for the top-K slowest seen so
-//! far, and for an optional 1-in-N probabilistic sample. The fast-path
-//! rejection is a handful of relaxed loads; the capture itself
+//! [`FlightConfig::slow_threshold_ns`] and for the top-K slowest seen
+//! so far. The fast-path rejection is a handful of relaxed loads; the capture itself
 //! (allocating a [`QueryTrace`]) runs only for retained queries.
 //!
 //! **Why the ring is safe without locks:** the slot state machine
@@ -258,24 +257,19 @@ pub fn traces_json(traces: &[QueryTrace]) -> String {
         .render()
 }
 
-/// Flight-recorder shape and tail-sampling policy.
+/// Flight-recorder tail-sampling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightConfig {
-    /// Events kept per slot before the oldest are overwritten (rounded
-    /// up to a power of two, minimum 8).
-    pub ring_capacity: usize,
     /// Queries at least this slow (end-to-end ns) are always retained.
     /// `u64::MAX` (the default) disables the threshold.
     pub slow_threshold_ns: u64,
     /// Reservoir of the K slowest queries seen so far (0 disables).
     pub top_k: usize,
-    /// Retain every Nth completion regardless of latency (0 disables).
-    pub sample_every: u64,
 }
 
 impl Default for FlightConfig {
     fn default() -> Self {
-        Self { ring_capacity: 1024, slow_threshold_ns: u64::MAX, top_k: 8, sample_every: 0 }
+        Self { slow_threshold_ns: u64::MAX, top_k: 8 }
     }
 }
 
@@ -303,10 +297,13 @@ mod enabled {
     use std::sync::Mutex;
     use std::time::Instant;
 
+    /// Events kept per slot before the oldest are overwritten (a power
+    /// of two: the cell index is `cursor & MASK`).
+    pub(super) const RING_CAPACITY: usize = 1024;
+    const MASK: u64 = RING_CAPACITY as u64 - 1;
+    const _: () = assert!(RING_CAPACITY.is_power_of_two());
     /// Retained slow queries kept outside the top-K reservoir.
     const SLOW_CAP: usize = 64;
-    /// Retained probabilistic samples.
-    const SAMPLE_CAP: usize = 64;
 
     /// One ring cell: three words written with relaxed stores (the slot
     /// protocol's acquire/release edges order them; see the module
@@ -331,23 +328,28 @@ mod enabled {
         mark: AtomicU64,
     }
 
-    /// Buckets of retained traces. A trace can qualify for more than
-    /// one bucket; [`FlightRecorder::retained`] deduplicates by tag.
+    /// Buckets of retained traces. A trace can qualify for both;
+    /// [`Retained::distinct`] lists it once.
     #[derive(Default)]
     struct Retained {
         /// Over-threshold queries (replace-slowest-out when full).
         slow: Vec<QueryTrace>,
         /// The K slowest queries seen so far.
         top: Vec<QueryTrace>,
-        /// 1-in-N samples (FIFO when full).
-        sampled: Vec<QueryTrace>,
+    }
+
+    impl Retained {
+        /// Every retained trace once (tags are unique per bucket).
+        fn distinct(&self) -> impl Iterator<Item = &QueryTrace> {
+            let not_in_slow = |t: &&QueryTrace| !self.slow.iter().any(|s| s.tag == t.tag);
+            self.slow.iter().chain(self.top.iter().filter(not_in_slow))
+        }
     }
 
     /// The per-slot event rings plus the tail-sampling state.
     pub struct FlightRecorder {
         epoch: Instant,
         cfg: FlightConfig,
-        mask: u64,
         rings: Vec<CachePadded<SlotRing>>,
         completions: AtomicU64,
         /// Cached minimum end-to-end latency of the top-K bucket: the
@@ -361,11 +363,10 @@ mod enabled {
         /// Allocates the rings (startup only; recording never
         /// allocates).
         pub fn new(n_slots: usize, cfg: FlightConfig) -> Self {
-            let capacity = cfg.ring_capacity.next_power_of_two().max(8);
             let rings = (0..n_slots)
                 .map(|_| {
                     CachePadded(SlotRing {
-                        cells: (0..capacity).map(|_| EventCell::default()).collect(),
+                        cells: (0..RING_CAPACITY).map(|_| EventCell::default()).collect(),
                         cursor: AtomicU64::new(0),
                         mark: AtomicU64::new(0),
                     })
@@ -374,17 +375,11 @@ mod enabled {
             Self {
                 epoch: Instant::now(),
                 cfg,
-                mask: capacity as u64 - 1,
                 rings,
                 completions: AtomicU64::new(0),
                 top_min: AtomicU64::new(if cfg.top_k == 0 { u64::MAX } else { 0 }),
                 retained: Mutex::new(Retained::default()),
             }
-        }
-
-        /// The active configuration.
-        pub fn config(&self) -> FlightConfig {
-            self.cfg
         }
 
         /// `stamp` as nanoseconds since the recorder's epoch.
@@ -416,7 +411,7 @@ mod enabled {
             let ring = &self.rings[slot];
             let i = ring.cursor.load(Ordering::Relaxed);
             ring.cursor.store(i + 1, Ordering::Relaxed);
-            let cell = &ring.cells[(i & self.mask) as usize];
+            let cell = &ring.cells[(i & MASK) as usize];
             cell.w0.store(ts_ns, Ordering::Relaxed);
             cell.w1.store(u64::from(kind as u8) << 32 | u64::from(lane), Ordering::Relaxed);
             cell.w2.store(u64::from(a) << 32 | u64::from(b), Ordering::Relaxed);
@@ -427,14 +422,13 @@ mod enabled {
         /// capturing a retained trace allocates its [`QueryTrace`]
         /// (acceptable: retention is rare by construction).
         pub fn on_complete(&self, slot: usize, ids: QueryIds, host: u32, lifecycle: &LifecycleNs) {
-            let n = self.completions.fetch_add(1, Ordering::Relaxed) + 1;
+            self.completions.fetch_add(1, Ordering::Relaxed);
             let e2e = lifecycle.e2e_ns();
             let slow = e2e >= self.cfg.slow_threshold_ns;
-            let sampled = self.cfg.sample_every > 0 && n.is_multiple_of(self.cfg.sample_every);
             // `>=` lets ties through; the cold path re-checks with `>`
             // under the lock, so this stays a conservative filter.
             let top = self.cfg.top_k > 0 && e2e >= self.top_min.load(Ordering::Relaxed);
-            if !(slow || sampled || top) {
+            if !(slow || top) {
                 return;
             }
             let trace = self.capture(slot, ids, host, lifecycle);
@@ -454,18 +448,12 @@ mod enabled {
             }
             if slow {
                 if r.slow.len() < SLOW_CAP {
-                    r.slow.push(trace.clone());
+                    r.slow.push(trace);
                 } else if let Some(min_idx) = min_e2e_index(&r.slow) {
                     if e2e > r.slow[min_idx].e2e_ns() {
-                        r.slow[min_idx] = trace.clone();
+                        r.slow[min_idx] = trace;
                     }
                 }
-            }
-            if sampled {
-                if r.sampled.len() >= SAMPLE_CAP {
-                    r.sampled.remove(0);
-                }
-                r.sampled.push(trace);
             }
         }
 
@@ -480,11 +468,10 @@ mod enabled {
             let ring = &self.rings[slot];
             let hi = ring.cursor.load(Ordering::Relaxed);
             let mark = ring.mark.load(Ordering::Relaxed);
-            let capacity = self.mask + 1;
-            let lo = mark.max(hi.saturating_sub(capacity));
+            let lo = mark.max(hi.saturating_sub(RING_CAPACITY as u64));
             let mut events = Vec::with_capacity((hi - lo) as usize);
             for i in lo..hi {
-                let cell = &ring.cells[(i & self.mask) as usize];
+                let cell = &ring.cells[(i & MASK) as usize];
                 let w1 = cell.w1.load(Ordering::Relaxed);
                 let Some(kind) = EventKind::from_u8((w1 >> 32) as u8) else { continue };
                 events.push(TraceEvent {
@@ -513,13 +500,8 @@ mod enabled {
         /// The retained traces, deduplicated across buckets (by tag)
         /// and sorted slowest-first.
         pub fn retained(&self) -> Vec<QueryTrace> {
-            let r = crate::lock(&self.retained);
-            let mut out: Vec<QueryTrace> = Vec::new();
-            for t in r.slow.iter().chain(r.top.iter()).chain(r.sampled.iter()) {
-                if !out.iter().any(|seen| seen.tag == t.tag) {
-                    out.push(t.clone());
-                }
-            }
+            let mut out: Vec<QueryTrace> =
+                crate::lock(&self.retained).distinct().cloned().collect();
             out.sort_by(|a, b| b.e2e_ns().cmp(&a.e2e_ns()).then(a.tag.cmp(&b.tag)));
             out
         }
@@ -529,7 +511,7 @@ mod enabled {
             FlightTotals {
                 completions: self.completions.load(Ordering::Relaxed),
                 events: self.rings.iter().map(|r| r.cursor.load(Ordering::Relaxed)).sum(),
-                retained: self.retained().len() as u64,
+                retained: crate::lock(&self.retained).distinct().count() as u64,
             }
         }
     }
@@ -541,6 +523,7 @@ mod enabled {
 
 #[cfg(all(test, feature = "obs"))]
 mod tests {
+    use super::enabled::RING_CAPACITY;
     use super::*;
 
     fn lifecycle(e2e: u64) -> LifecycleNs {
@@ -556,7 +539,7 @@ mod tests {
     }
 
     fn capture_all() -> FlightConfig {
-        FlightConfig { ring_capacity: 64, slow_threshold_ns: 0, top_k: 0, sample_every: 0 }
+        FlightConfig { slow_threshold_ns: 0, top_k: 0 }
     }
 
     #[test]
@@ -580,19 +563,19 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let cfg = FlightConfig { ring_capacity: 8, ..capture_all() };
-        let fr = FlightRecorder::new(1, cfg);
+        let fr = FlightRecorder::new(1, capture_all());
         fr.begin_query(0);
-        for i in 0..20u32 {
+        let written = RING_CAPACITY as u32 + 12;
+        for i in 0..written {
             fr.record(0, EventKind::CtaStep, 0, i, 0, u64::from(i));
         }
         fr.on_complete(0, QueryIds::local(7), 0, &lifecycle(50));
         let t = &fr.retained()[0];
-        assert_eq!(t.events.len(), 8, "ring keeps exactly its capacity");
+        assert_eq!(t.events.len(), RING_CAPACITY, "ring keeps exactly its capacity");
         assert_eq!(t.dropped, 12, "overwritten events are counted");
-        // The survivors are the newest 8, in order.
+        // The survivors are the newest, in order.
         let kept: Vec<u32> = t.events.iter().map(|e| e.a).collect();
-        assert_eq!(kept, (12..20).collect::<Vec<u32>>());
+        assert_eq!(kept, (12..written).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -612,8 +595,7 @@ mod tests {
 
     #[test]
     fn threshold_rejects_fast_queries() {
-        let cfg =
-            FlightConfig { ring_capacity: 16, slow_threshold_ns: 1_000, top_k: 0, sample_every: 0 };
+        let cfg = FlightConfig { slow_threshold_ns: 1_000, top_k: 0 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
         fr.on_complete(0, QueryIds::local(1), 0, &lifecycle(999));
@@ -626,12 +608,7 @@ mod tests {
 
     #[test]
     fn top_k_keeps_the_slowest() {
-        let cfg = FlightConfig {
-            ring_capacity: 16,
-            slow_threshold_ns: u64::MAX,
-            top_k: 2,
-            sample_every: 0,
-        };
+        let cfg = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 2 };
         let fr = FlightRecorder::new(1, cfg);
         for (tag, e2e) in [(1u64, 500u64), (2, 300), (3, 800), (4, 100), (5, 600)] {
             fr.begin_query(0);
@@ -642,30 +619,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_every_n_retains_every_nth() {
-        let cfg = FlightConfig {
-            ring_capacity: 16,
-            slow_threshold_ns: u64::MAX,
-            top_k: 0,
-            sample_every: 3,
-        };
-        let fr = FlightRecorder::new(1, cfg);
-        for tag in 1..=9u64 {
-            fr.begin_query(0);
-            fr.on_complete(0, QueryIds::local(tag), 0, &lifecycle(50));
-        }
-        let mut tags: Vec<u64> = fr.retained().iter().map(|t| t.tag).collect();
-        tags.sort_unstable();
-        assert_eq!(tags, vec![3, 6, 9]);
-        assert_eq!(fr.totals().completions, 9);
-        assert_eq!(fr.totals().retained, 3);
-    }
-
-    #[test]
     fn retained_dedups_across_buckets() {
         // A query both over-threshold and in the top-K appears once.
-        let cfg =
-            FlightConfig { ring_capacity: 16, slow_threshold_ns: 10, top_k: 4, sample_every: 1 };
+        let cfg = FlightConfig { slow_threshold_ns: 10, top_k: 4 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
         fr.on_complete(0, QueryIds::local(77), 0, &lifecycle(999));

@@ -171,12 +171,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The non-empty buckets as `(bucket, count)` pairs — the JSON
-    /// wire form.
-    pub fn sparse(&self) -> Vec<(usize, u64)> {
-        self.counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect()
-    }
-
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -393,20 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_lists_the_non_empty_buckets() {
-        let h = Histogram::new();
-        for v in [3u64, 3, 77, 100_000, 1 << 40] {
-            h.record(v);
-        }
-        let expect: Vec<(usize, u64)> = [(3u64, 2u64), (77, 1), (100_000, 1), (1 << 40, 1)]
-            .iter()
-            .map(|&(v, c)| (bucket_index(v), c))
-            .collect();
-        assert_eq!(h.snapshot().sparse(), expect);
-        assert!(Histogram::new().snapshot().sparse().is_empty());
-    }
-
-    #[test]
     fn delta_recovers_the_interval() {
         // Record in two phases; the delta of the cumulative snapshots
         // must equal a histogram that saw only the second phase.
@@ -424,7 +404,7 @@ mod tests {
         let expect = second_only.snapshot();
         assert_eq!(d.count, expect.count);
         assert_eq!(d.sum, expect.sum);
-        assert_eq!(d.sparse(), expect.sparse());
+        assert_eq!(d.counts, expect.counts);
         // min/max are re-derived from bucket bounds: within one bucket
         // of the true interval extrema.
         let (lo, hi) = (bucket_index(expect.min), bucket_index(expect.max));
@@ -462,7 +442,7 @@ mod tests {
         assert_eq!(ptr, out.counts.as_ptr(), "warm snapshot_into must not reallocate");
         let fresh = h.snapshot();
         assert_eq!((out.count, out.sum, out.min, out.max), (3, 4161, 1, 4096));
-        assert_eq!(out.sparse(), fresh.sparse());
+        assert_eq!(out, fresh);
         assert_eq!(out.delta(&HistogramSnapshot::default()), fresh);
     }
 

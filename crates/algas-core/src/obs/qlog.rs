@@ -332,11 +332,6 @@ mod enabled {
             }
         }
 
-        /// The active configuration.
-        pub fn config(&self) -> QlogConfig {
-            self.cfg
-        }
-
         /// Logs one record if the policy selects it: non-ok statuses
         /// and over-threshold completions always log; ok completions
         /// additionally log every `sample_every`th. Lock-free and

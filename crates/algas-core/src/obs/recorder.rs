@@ -35,14 +35,11 @@ pub struct ObsTickConfig {
     pub prof_hz: u32,
     /// Window ring rotation period (ms).
     pub window_period_ms: u64,
-    /// Window ring capacity (snapshots retained); 64 × 1s covers the
-    /// 60s window with headroom.
-    pub window_slots: usize,
 }
 
 impl Default for ObsTickConfig {
     fn default() -> Self {
-        Self { prof_hz: 97, window_period_ms: 1_000, window_slots: 64 }
+        Self { prof_hz: 97, window_period_ms: 1_000 }
     }
 }
 
@@ -52,7 +49,7 @@ mod enabled {
     use crate::merge::MergeStats;
     use crate::obs::counters::{CachePadded, Counter};
     use crate::obs::flight::{
-        EventKind, FlightConfig, FlightRecorder, FlightTotals, LifecycleNs, QueryIds, QueryTrace,
+        EventKind, FlightConfig, FlightRecorder, LifecycleNs, QueryIds, QueryTrace,
     };
     use crate::obs::hist::Histogram;
     use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
@@ -136,8 +133,6 @@ mod enabled {
     #[derive(Default)]
     struct WorkerCells {
         queries: Counter,
-        busy_passes: Counter,
-        idle_passes: Counter,
         // Search totals land in the owning worker's block so the hot
         // path never shares a cache line with another thread.
         steps: Counter,
@@ -160,8 +155,6 @@ mod enabled {
     struct HostCells {
         delivered: Counter,
         refills: Counter,
-        busy_passes: Counter,
-        idle_passes: Counter,
         merges: Counter,
         merge_elements: Counter,
         merge_dupes: Counter,
@@ -228,7 +221,7 @@ mod enabled {
                 exemplar_e2e_ns: AtomicU64::new(0),
                 exemplar_request_id: AtomicU64::new(0),
                 prof: Arc::new(ProfRegistry::new(tick.prof_hz)),
-                window: WindowRing::new(tick.window_period_ms, tick.window_slots),
+                window: WindowRing::new(tick.window_period_ms),
                 tick,
             };
             // Baseline snapshot at construction (synchronous, so it
@@ -319,16 +312,6 @@ mod enabled {
             self.flight.retained()
         }
 
-        /// Flight-recorder totals.
-        pub fn flight_totals(&self) -> FlightTotals {
-            self.flight.totals()
-        }
-
-        /// The active flight-recorder configuration.
-        pub fn flight_config(&self) -> FlightConfig {
-            self.flight.config()
-        }
-
         /// Drains ring records into the query-log retention buffer
         /// (off the serving path); returns how many were drained.
         pub fn qlog_drain(&self) -> usize {
@@ -355,11 +338,6 @@ mod enabled {
             self.qlog.totals()
         }
 
-        /// The active query-log configuration.
-        pub fn qlog_config(&self) -> QlogConfig {
-            self.qlog.config()
-        }
-
         /// Logs a backpressure reject as a wide-event record (rejects
         /// always log, regardless of sampling). Allocation-free.
         #[inline]
@@ -378,28 +356,6 @@ mod enabled {
         #[inline]
         pub fn flight_record(&self, s: usize, kind: EventKind, lane: u32, a: u32, b: u32) {
             self.flight.record(s, kind, lane, a, b, self.flight.now_ns());
-        }
-
-        /// Accounts one worker poll pass.
-        #[inline]
-        pub fn worker_pass(&self, w: usize, did_work: bool) {
-            let cells = &self.workers[w];
-            if did_work {
-                cells.busy_passes.incr();
-            } else {
-                cells.idle_passes.incr();
-            }
-        }
-
-        /// Accounts one host-poller pass.
-        #[inline]
-        pub fn host_pass(&self, h: usize, did_work: bool) {
-            let cells = &self.hosts[h];
-            if did_work {
-                cells.busy_passes.incr();
-            } else {
-                cells.idle_passes.incr();
-            }
         }
 
         /// Accounts one completed search on worker `w` for slot `s`:
@@ -606,24 +562,12 @@ mod enabled {
         /// totals). Counter fields of `out` that the recorder doesn't
         /// own (queue totals, gauges) are left untouched.
         pub fn populate(&self, out: &mut RuntimeStats) {
-            out.per_worker = self
-                .workers
-                .iter()
-                .map(|c| WorkerStats {
-                    queries: c.queries.get(),
-                    busy_passes: c.busy_passes.get(),
-                    idle_passes: c.idle_passes.get(),
-                })
-                .collect();
+            out.per_worker =
+                self.workers.iter().map(|c| WorkerStats { queries: c.queries.get() }).collect();
             out.per_host = self
                 .hosts
                 .iter()
-                .map(|c| HostStats {
-                    delivered: c.delivered.get(),
-                    refills: c.refills.get(),
-                    busy_passes: c.busy_passes.get(),
-                    idle_passes: c.idle_passes.get(),
-                })
+                .map(|c| HostStats { delivered: c.delivered.get(), refills: c.refills.get() })
                 .collect();
             out.per_slot = self
                 .slots
@@ -684,7 +628,7 @@ mod enabled {
 #[cfg(not(feature = "obs"))]
 mod disabled {
     use crate::merge::MergeStats;
-    use crate::obs::flight::{EventKind, FlightConfig, FlightTotals, QueryTrace};
+    use crate::obs::flight::{EventKind, FlightConfig, QueryTrace};
     use crate::obs::prof::{ProfRegistry, SharedProfRegistry};
     use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogTotals};
     use crate::obs::snapshot::RuntimeStats;
@@ -776,11 +720,6 @@ mod disabled {
             QlogTotals::default()
         }
 
-        /// No-op: the default configuration.
-        pub fn qlog_config(&self) -> QlogConfig {
-            QlogConfig::default()
-        }
-
         /// No-op.
         #[inline]
         pub fn qlog_reject(&self, _request_id: u64, _conn_id: u64) {}
@@ -790,27 +729,9 @@ mod disabled {
             Vec::new()
         }
 
-        /// No-op: all-zero totals.
-        pub fn flight_totals(&self) -> FlightTotals {
-            FlightTotals::default()
-        }
-
-        /// No-op: the default configuration.
-        pub fn flight_config(&self) -> FlightConfig {
-            FlightConfig::default()
-        }
-
         /// No-op.
         #[inline]
         pub fn flight_record(&self, _s: usize, _kind: EventKind, _lane: u32, _a: u32, _b: u32) {}
-
-        /// No-op.
-        #[inline]
-        pub fn worker_pass(&self, _w: usize, _did_work: bool) {}
-
-        /// No-op.
-        #[inline]
-        pub fn host_pass(&self, _h: usize, _did_work: bool) {}
 
         /// No-op.
         #[inline]
@@ -882,9 +803,6 @@ mod tests {
         stamps.mark_slot();
         stamps.mark_work_start();
         obs.slot_assigned(0, 1, &stamps);
-        obs.worker_pass(0, true);
-        obs.worker_pass(1, false);
-        obs.host_pass(0, true);
         let totals = StepTotals {
             steps: 10,
             expansions: 12,
@@ -918,7 +836,7 @@ mod tests {
         let mut s = RuntimeStats::empty(2, 2, 1);
         obs.populate(&mut s);
         assert_eq!(s.per_worker[0].queries, 1);
-        assert_eq!(s.per_worker[1].idle_passes, 1);
+        assert_eq!(s.per_worker[1].queries, 0);
         assert_eq!(s.per_host[0].delivered, 1);
         assert_eq!(s.per_host[0].refills, 1);
         assert_eq!(s.per_slot[1].assigned, 1);

@@ -25,7 +25,7 @@ use super::window::{WindowBlock, WindowStats};
 use crate::control::ControlStats;
 use crate::engine::RerankStats;
 use crate::merge::MergeStats;
-use crate::net::{ClosedConnTotals, ConnStats, NetStats};
+use crate::net::{ConnStats, NetStats};
 use crate::tracer::StepTotals;
 
 /// The tail exemplar: the slowest end-to-end latency within the
@@ -45,10 +45,6 @@ pub struct TailExemplar {
 pub struct WorkerStats {
     /// Queries searched by this worker.
     pub queries: u64,
-    /// Poll passes that executed at least one search.
-    pub busy_passes: u64,
-    /// Poll passes that found nothing to do (idle spins).
-    pub idle_passes: u64,
 }
 
 /// Per-host-poller counters.
@@ -58,10 +54,6 @@ pub struct HostStats {
     pub delivered: u64,
     /// Slots refilled from the submission queue.
     pub refills: u64,
-    /// Poll passes that did work.
-    pub busy_passes: u64,
-    /// Poll passes that found nothing to do.
-    pub idle_passes: u64,
 }
 
 /// Per-slot state-transition counts (the §V-A protocol edges).
@@ -165,15 +157,9 @@ pub struct RuntimeStats {
     /// running — the library/CLI paths never touch a socket).
     pub net: NetStats,
     /// Per-connection telemetry of the currently open connections
-    /// (empty when no listener is running).
+    /// (empty when no listener is running). On the JSON page only: the
+    /// Prometheus page's size does not depend on who is connected.
     pub net_conns: Vec<ConnStats>,
-    /// Totals folded in from closed connections (the traffic retired
-    /// out of `net_conns`).
-    pub net_closed: ClosedConnTotals,
-    /// Cap on `conn`-labeled Prometheus series: connections past the
-    /// first `conn_series_max` collapse into one `conn="other"` series
-    /// (0 = uncapped).
-    pub conn_series_max: u64,
     /// Advised RETRY_AFTER backoff delays (µs).
     pub retry_backoff: HistogramSnapshot,
     /// Wide-event query-log totals.
@@ -243,15 +229,6 @@ impl RuntimeStats {
                 ("p95", Value::Uint(p95)),
                 ("p99", Value::Uint(p99)),
                 ("p999", Value::Uint(p999)),
-                (
-                    "buckets",
-                    Value::Arr(
-                        h.sparse()
-                            .into_iter()
-                            .map(|(i, c)| Value::Arr(vec![Value::Uint(i as u64), Value::Uint(c)]))
-                            .collect(),
-                    ),
-                ),
             ])
         };
         let doc = obj(vec![
@@ -285,13 +262,7 @@ impl RuntimeStats {
                 Value::Arr(
                     self.per_worker
                         .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("queries", Value::Uint(w.queries)),
-                                ("busy_passes", Value::Uint(w.busy_passes)),
-                                ("idle_passes", Value::Uint(w.idle_passes)),
-                            ])
-                        })
+                        .map(|w| obj(vec![("queries", Value::Uint(w.queries))]))
                         .collect(),
                 ),
             ),
@@ -304,8 +275,6 @@ impl RuntimeStats {
                             obj(vec![
                                 ("delivered", Value::Uint(h.delivered)),
                                 ("refills", Value::Uint(h.refills)),
-                                ("busy_passes", Value::Uint(h.busy_passes)),
-                                ("idle_passes", Value::Uint(h.idle_passes)),
                             ])
                         })
                         .collect(),
@@ -428,16 +397,6 @@ impl RuntimeStats {
                         .collect(),
                 ),
             ),
-            (
-                "net_closed",
-                obj(vec![
-                    ("bytes_in", Value::Uint(self.net_closed.bytes_in)),
-                    ("bytes_out", Value::Uint(self.net_closed.bytes_out)),
-                    ("errors", Value::Uint(self.net_closed.errors)),
-                    ("retry_afters", Value::Uint(self.net_closed.retry_afters)),
-                ]),
-            ),
-            ("conn_series_max", Value::Uint(self.conn_series_max)),
             ("retry_backoff_us", hist(&self.retry_backoff)),
             (
                 "qlog",
@@ -582,20 +541,6 @@ impl RuntimeStats {
         );
         series(
             &mut w,
-            "algas_worker_busy_passes_total",
-            "Worker poll passes that did work.",
-            "worker",
-            &mut self.per_worker.iter().map(|x| x.busy_passes),
-        );
-        series(
-            &mut w,
-            "algas_worker_idle_passes_total",
-            "Worker poll passes that found nothing.",
-            "worker",
-            &mut self.per_worker.iter().map(|x| x.idle_passes),
-        );
-        series(
-            &mut w,
             "algas_host_delivered_total",
             "Results merged and delivered, per host poller.",
             "host",
@@ -607,20 +552,6 @@ impl RuntimeStats {
             "Slots refilled from the queue, per host poller.",
             "host",
             &mut self.per_host.iter().map(|x| x.refills),
-        );
-        series(
-            &mut w,
-            "algas_host_busy_passes_total",
-            "Host poll passes that did work.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.busy_passes),
-        );
-        series(
-            &mut w,
-            "algas_host_idle_passes_total",
-            "Host poll passes that found nothing.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.idle_passes),
         );
         series(
             &mut w,
@@ -808,106 +739,6 @@ impl RuntimeStats {
         ] {
             w.family(name, "counter", help).scalar(name, v);
         }
-        for (name, help, v) in [
-            (
-                "algas_net_conn_closed_bytes_in_total",
-                "Bytes read over all closed connections.",
-                self.net_closed.bytes_in,
-            ),
-            (
-                "algas_net_conn_closed_bytes_out_total",
-                "Bytes written over all closed connections.",
-                self.net_closed.bytes_out,
-            ),
-            (
-                "algas_net_conn_closed_errors_total",
-                "Protocol errors answered over all closed connections.",
-                self.net_closed.errors,
-            ),
-            (
-                "algas_net_conn_closed_retry_afters_total",
-                "RETRY_AFTER responses sent over all closed connections.",
-                self.net_closed.retry_afters,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        // Per-connection series stay bounded: past `conn_series_max`
-        // the remaining connections collapse into one conn="other"
-        // series (counters sum; the high-water gauge takes the max).
-        let cap = if self.conn_series_max == 0 {
-            self.net_conns.len()
-        } else {
-            self.conn_series_max as usize
-        };
-        let (head, tail) = self.net_conns.split_at(cap.min(self.net_conns.len()));
-        let conn_series = |w: &mut PromWriter,
-                           name: &str,
-                           kind: &str,
-                           help: &str,
-                           get: &dyn Fn(&ConnStats) -> u64,
-                           overflow_max: bool| {
-            w.family(name, kind, help);
-            for c in head {
-                w.sample(name, &[("conn", &c.id.to_string())], get(c) as f64);
-            }
-            if !tail.is_empty() {
-                let v = if overflow_max {
-                    tail.iter().map(get).max().unwrap_or(0)
-                } else {
-                    tail.iter().map(get).sum()
-                };
-                w.sample(name, &[("conn", "other")], v as f64);
-            }
-        };
-        conn_series(
-            &mut w,
-            "algas_net_conn_inflight",
-            "gauge",
-            "Requests in flight, per open connection.",
-            &|c| c.inflight,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_bytes_in_total",
-            "counter",
-            "Bytes read, per open connection.",
-            &|c| c.bytes_in,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_bytes_out_total",
-            "counter",
-            "Bytes written, per open connection.",
-            &|c| c.bytes_out,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_backlog_high_water_bytes",
-            "gauge",
-            "Largest pending-write backlog seen, per open connection.",
-            &|c| c.backlog_high_water,
-            true,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_errors_total",
-            "counter",
-            "Protocol errors answered, per open connection.",
-            &|c| c.errors,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_retry_afters_total",
-            "counter",
-            "RETRY_AFTER responses sent, per open connection.",
-            &|c| c.retry_afters,
-            false,
-        );
         w.family(
             "algas_net_retry_backoff_us",
             "summary",
@@ -1046,9 +877,9 @@ mod tests {
         s.slots_occupied = 1;
         s.base_bytes = 48_000;
         s.quant_bytes = 12_400;
-        s.per_worker[0] = WorkerStats { queries: 20, busy_passes: 19, idle_passes: 100 };
-        s.per_worker[1] = WorkerStats { queries: 18, busy_passes: 18, idle_passes: 120 };
-        s.per_host[0] = HostStats { delivered: 38, refills: 40, busy_passes: 70, idle_passes: 9 };
+        s.per_worker[0] = WorkerStats { queries: 20 };
+        s.per_worker[1] = WorkerStats { queries: 18 };
+        s.per_host[0] = HostStats { delivered: 38, refills: 40 };
         s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
         s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
         let h = Histogram::new();
@@ -1116,9 +947,6 @@ mod tests {
                 retry_afters: 3,
             },
         ];
-        s.net_closed =
-            ClosedConnTotals { bytes_in: 4_000, bytes_out: 5_500, errors: 2, retry_afters: 3 };
-        s.conn_series_max = 1;
         let b = Histogram::new();
         for v in [150u64, 220, 900, 12_000] {
             b.record(v);
@@ -1201,22 +1029,6 @@ mod tests {
         assert_eq!(find("algas_tail_exemplar_e2e_ns").value, 100_000.0);
         assert_eq!(find("algas_tail_exemplar_request_id").value, 777.0);
         assert_eq!(find("algas_net_retry_backoff_us_count").value, 4.0);
-        let conn5 = samples
-            .iter()
-            .find(|x| x.name == "algas_net_conn_retry_afters_total" && x.label("conn") == Some("5"))
-            .unwrap();
-        assert_eq!(conn5.value, 4.0);
-        // conn_series_max = 1, so connection 6 collapses into "other".
-        assert!(!samples
-            .iter()
-            .any(|x| x.name.starts_with("algas_net_conn_") && x.label("conn") == Some("6")));
-        let other = samples
-            .iter()
-            .find(|x| x.name == "algas_net_conn_bytes_in_total" && x.label("conn") == Some("other"))
-            .unwrap();
-        assert_eq!(other.value, 5_280.0);
-        assert_eq!(find("algas_net_conn_closed_bytes_out_total").value, 5_500.0);
-        assert_eq!(find("algas_net_conn_closed_retry_afters_total").value, 3.0);
         let w10 = |name: &str| {
             samples.iter().find(|x| x.name == name && x.label("window") == Some("10s")).unwrap()
         };
@@ -1263,5 +1075,50 @@ mod tests {
         assert_eq!(p99.value, s.phases.end_to_end.quantile(0.99) as f64);
         let frac = find("algas_search_sort_fraction").value;
         assert!((frac - s.search.sort_fraction()).abs() < 1e-12);
+    }
+
+    /// `/metrics` does not grow with the number of clients; the
+    /// per-connection detail is on `/stats.json`, where its readers are.
+    #[test]
+    fn prometheus_series_set_ignores_connections_and_json_lists_them_all() {
+        let series_of = |s: &RuntimeStats| -> Vec<(String, Vec<(String, String)>)> {
+            let page = s.to_prometheus();
+            crate::obs::prom::check_exposition(&page).expect("well-formed exposition");
+            parse_prometheus(&page).unwrap().into_iter().map(|x| (x.name, x.labels)).collect()
+        };
+        let mut s = sample_stats();
+        s.net_conns.clear();
+        let without = series_of(&s);
+        for n in [0u64, 2, 200] {
+            s.net_conns = (1..=n)
+                .map(|id| ConnStats {
+                    id,
+                    inflight: id + 1,
+                    bytes_in: id + 2,
+                    bytes_out: id + 3,
+                    backlog_high_water: id + 4,
+                    errors: id + 5,
+                    retry_afters: id + 6,
+                })
+                .collect();
+            assert_eq!(series_of(&s), without, "{n} connections changed the series set");
+            let doc = Value::parse(&s.to_json()).expect("to_json emits valid JSON");
+            let listed = doc.get("net_conns").and_then(Value::as_arr).expect("net_conns");
+            assert_eq!(listed.len() as u64, n);
+            for (c, item) in s.net_conns.iter().zip(listed) {
+                let fields = [
+                    ("id", c.id),
+                    ("inflight", c.inflight),
+                    ("bytes_in", c.bytes_in),
+                    ("bytes_out", c.bytes_out),
+                    ("backlog_high_water", c.backlog_high_water),
+                    ("errors", c.errors),
+                    ("retry_afters", c.retry_afters),
+                ];
+                for (key, want) in fields {
+                    assert_eq!(item.get(key).and_then(Value::as_u64), Some(want), "conn {key}");
+                }
+            }
+        }
     }
 }

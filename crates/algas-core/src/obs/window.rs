@@ -141,6 +141,10 @@ mod enabled {
     use crate::obs::hist::{Histogram, HistogramSnapshot};
     use std::sync::Mutex;
 
+    /// Snapshots the ring holds: 64 × the default 1s period covers the
+    /// 60s window with headroom.
+    const RING_SLOTS: usize = 64;
+
     struct Slot {
         e2e: HistogramSnapshot,
         submitted: u64,
@@ -163,25 +167,18 @@ mod enabled {
     }
 
     impl WindowRing {
-        /// A ring of `slots` snapshots rotated every `period_ms`. The
-        /// defaults (64 × 1s) cover the 60s window with headroom.
-        pub fn new(period_ms: u64, slots: usize) -> Self {
-            let slots = slots.max(2);
+        /// A ring of snapshots rotated every `period_ms`.
+        pub fn new(period_ms: u64) -> Self {
             Self {
                 period_ms: period_ms.max(1),
                 inner: Mutex::new(Inner {
-                    slots: (0..slots)
+                    slots: (0..RING_SLOTS)
                         .map(|_| Slot { e2e: HistogramSnapshot::preallocated(), submitted: 0 })
                         .collect(),
                     head: 0,
                     filled: 0,
                 }),
             }
-        }
-
-        /// Rotation period (ms).
-        pub fn period_ms(&self) -> u64 {
-            self.period_ms
         }
 
         /// Takes the next periodic snapshot: the cumulative end-to-end
@@ -297,7 +294,7 @@ mod tests {
         #[test]
         fn windows_appear_after_two_rotations_and_match_recomputation() {
             let h = Histogram::new();
-            let ring = WindowRing::new(1_000, 64);
+            let ring = WindowRing::new(1_000);
             assert!(ring.stats(0).windows.is_empty(), "empty ring has no windows");
 
             for v in [100u64, 200, 300] {
@@ -330,27 +327,28 @@ mod tests {
         #[test]
         fn ring_wraparound_keeps_windows_correct() {
             let h = Histogram::new();
-            // 4-slot ring: after many rotations the longest window is
-            // capped at 3 periods back.
-            let ring = WindowRing::new(1_000, 4);
-            for round in 1..=10u64 {
+            // At 500 ms the 60s window wants 120 periods; once the
+            // 64-slot ring has wrapped it is capped at 63 periods back.
+            let ring = WindowRing::new(500);
+            for round in 1..=100u64 {
                 h.record(round * 1_000);
                 ring.rotate(&h, round);
             }
             let block = ring.stats(0);
             let w1 = block.window(1).unwrap();
-            assert_eq!((w1.completed, w1.submitted, w1.span_ms), (1, 1, 1_000));
+            assert_eq!((w1.completed, w1.submitted, w1.span_ms), (2, 2, 1_000));
             let w60 = block.window(60).unwrap();
-            assert_eq!(w60.span_ms, 3_000, "capped at ring length - 1");
-            assert_eq!(w60.completed, 3, "rounds 8..=10");
-            // The windowed p99 reflects only the last 3 recordings.
-            assert!(w60.p99_ns >= 10_000 && w60.p99_ns <= 10_240, "p99 {}", w60.p99_ns);
+            assert_eq!(w60.span_ms, 31_500, "capped at ring length - 1");
+            assert_eq!(w60.completed, 63, "rounds 38..=100");
+            // The windowed p99 reflects only the recordings still in
+            // the ring.
+            assert!(w60.p99_ns >= 99_000 && w60.p99_ns <= 102_400, "p99 {}", w60.p99_ns);
         }
 
         #[test]
         fn attainment_tracks_the_slo_split() {
             let h = Histogram::new();
-            let ring = WindowRing::new(1_000, 8);
+            let ring = WindowRing::new(1_000);
             ring.rotate(&h, 0);
             // 3 fast (≤ 50µs SLO), 1 slow.
             for v in [10_000u64, 20_000, 30_000, 9_000_000] {

@@ -44,17 +44,17 @@ pub struct RuntimeConfig {
     /// Bound of the submission queue (backpressure for open-loop
     /// clients).
     pub queue_capacity: usize,
-    /// Flight-recorder policy: per-slot ring size and which completed
-    /// queries are retained for trace export (ignored when the `obs`
-    /// feature is compiled out).
+    /// Flight-recorder policy: which completed queries are retained
+    /// for trace export (ignored when the `obs` feature is compiled
+    /// out).
     pub flight: FlightConfig,
     /// Wide-event query-log policy: sampling, slow-query threshold,
     /// ring and retention sizes (ignored when the `obs` feature is
     /// compiled out; the log is off by default).
     pub qlog: QlogConfig,
     /// Obs tick thread policy: profiler sampling Hz and window ring
-    /// rotation period/capacity (ignored when the `obs` feature is
-    /// compiled out; no tick thread is spawned then).
+    /// rotation period (ignored when the `obs` feature is compiled
+    /// out; no tick thread is spawned then).
     pub tick: ObsTickConfig,
 }
 
@@ -221,11 +221,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Queries currently queued or in flight.
-    pub fn in_flight(&self) -> u64 {
-        self.submitted - self.completed
-    }
-
     /// Mean service time in microseconds (0 if nothing completed).
     pub fn mean_service_us(&self) -> f64 {
         if self.completed == 0 {
@@ -583,24 +578,6 @@ impl AlgasServer {
         rx.recv().map_err(|_| SubmitError::ShuttingDown)
     }
 
-    /// Submits a batch of queries; returns one `(tag, receiver)` per
-    /// query. All-or-nothing: if the queue fills mid-batch, already
-    /// accepted queries are still served but the error tells the caller
-    /// how many were accepted.
-    pub fn submit_batch(
-        &self,
-        queries: impl IntoIterator<Item = Vec<f32>>,
-    ) -> Result<Vec<PendingReply>, (usize, SubmitError)> {
-        let mut out = Vec::new();
-        for q in queries {
-            match self.submit(q) {
-                Ok(pair) => out.push(pair),
-                Err(e) => return Err((out.len(), e)),
-            }
-        }
-        Ok(out)
-    }
-
     /// Stops accepting queries, drains in-flight work, joins all
     /// threads.
     pub fn shutdown(mut self) {
@@ -787,7 +764,6 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
         if all_quit {
             return;
         }
-        shared.obs.worker_pass(first, did_work);
         if did_work {
             backoff.reset();
         } else {
@@ -922,7 +898,6 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
         if all_quit {
             return;
         }
-        shared.obs.host_pass(first, did_work);
         if did_work {
             backoff.reset();
         } else {
@@ -1144,21 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_serves_everything() {
-        let (server, ds, oracle) = test_server(4, 2, 1);
-        let batch: Vec<Vec<f32>> =
-            (0..12).map(|i| ds.queries.get(i % ds.queries.len()).to_vec()).collect();
-        let pending = server.submit_batch(batch.clone()).unwrap();
-        assert_eq!(pending.len(), 12);
-        for ((tag, rx), q) in pending.into_iter().zip(&batch) {
-            let reply = rx.recv().unwrap();
-            assert_eq!(reply.tag, tag);
-            assert_eq!(reply.ids, oracle.search(q, tag));
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn stats_track_service() {
         let (server, ds, _) = test_server(4, 2, 1);
         assert_eq!(server.stats().completed, 0);
@@ -1169,7 +1129,6 @@ mod tests {
         let s = server.stats();
         assert_eq!(s.submitted, 10);
         assert_eq!(s.completed, 10);
-        assert_eq!(s.in_flight(), 0);
         assert!(s.mean_service_us() > 0.0);
         assert!(s.max_service_ns >= (s.service_ns_total / 10));
         server.shutdown();
@@ -1340,7 +1299,7 @@ mod tests {
                 queue_capacity: 64,
                 // Park the ticker (no sampling, hour-long rotation) so
                 // this test drives rotations deterministically.
-                tick: ObsTickConfig { prof_hz: 0, window_period_ms: 3_600_000, window_slots: 8 },
+                tick: ObsTickConfig { prof_hz: 0, window_period_ms: 3_600_000 },
                 ..Default::default()
             },
         );

@@ -1,31 +1,33 @@
 //! The `algas` command-line tool.
 //!
 //! ```text
-//! algas gen    --out base.fvecs --queries q.fvecs --n 20000 --dim 64 --metric l2
-//! algas gt     --base base.fvecs --queries q.fvecs --metric l2 --k 100 --out gt.ivecs
-//! algas build  --base base.fvecs --metric l2 --graph cagra [--quantize true]
-//!              [--entry true] [--progress true] --out index.algas
+//! algas gen    --out base.fvecs [--queries q.fvecs] [--n 10000] [--nq 256] [--dim 64]
+//!              [--metric l2] [--clusters 32] [--spread 0.55] [--seed 42]
+//! algas gt     --base base.fvecs --queries q.fvecs [--metric l2] [--k 100] --out gt.ivecs
+//! algas build  --base base.fvecs [--metric l2] [--graph cagra|nsw] [--degree 32]
+//!              [--intermediate N] [--quantize true] [--entry true] [--progress true]
+//!              --out index.algas
 //! algas info   --index index.algas
-//! algas search --index index.algas --queries q.fvecs --k 10 --l 64 [--quantize true]
-//!              [--rerank 32] [--entry-policy hash-table] [--gt gt.ivecs] [--out r.ivecs]
-//! algas serve  --index index.algas --queries q.fvecs --slots 16 [--quantize true]
-//!              [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
-//!              [--stats-json stats.json] [--listen 127.0.0.1:9100]
-//!              [--net 127.0.0.1:7700] [--max-inflight 256] [--repeat N]
-//!              [--linger-ms 0] [--trace-out trace.json] [--trace-threshold-us N]
-//!              [--trace-top 8] [--trace-sample N] [--trace-ring 1024]
-//!              [--query-log qlog.ndjson] [--qlog-sample N] [--qlog-slow-us N]
-//!              [--qlog-retain 1024] [--conn-series-max 64] [--prof-hz 97]
-//!              [--window-period-ms 1000]
+//! algas search ENGINE [--gt gt.ivecs] [--out r.ivecs]
+//! algas serve  ENGINE SESSION [--stats-json stats.json] [--listen 127.0.0.1:9100]
+//!              [--net 127.0.0.1:7700] [--max-inflight 256] [--linger-ms 0]
+//!              [--trace-out trace.json] [--query-log qlog.ndjson]
+//! algas stats  ENGINE SESSION [--format json|prom]
+//! algas trace  ENGINE SESSION --out trace.json
 //! algas profile --addr 127.0.0.1:9100 [--seconds 2] [--out profile.folded]
 //! algas bench-net --addr 127.0.0.1:7700 --queries q.fvecs [--qps 1000|500,1000,2000]
 //!              [--requests 1000] [--connections 1] [--seed 42] [--warmup 0.2]
 //!              [--slo-us 2000] [--normalize true] [--recv-timeout-ms 10000]
-//! algas stats  --index index.algas --queries q.fvecs [--format json|prom]
-//! algas trace  --index index.algas --queries q.fvecs --out trace.json
-//!              [--trace-threshold-us N] [--trace-top 8] [--trace-sample N]
 //! algas trace-check --file trace.json [--require-phases true]
+//!
+//! ENGINE:  --index index.algas --queries q.fvecs [--k 10] [--l 64] [--slots 16]
+//!          [--quantize true] [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
+//! SESSION: [--workers 2] [--hosts 1] [--repeat N] [--trace-threshold-us N]
+//!          [--qlog-sample N] [--qlog-slow-us N] [--prof-hz 97] [--window-period-ms 1000]
 //! ```
+//!
+//! These lists are what each command accepts ([`run`] holds them); any
+//! other flag is an error naming the flag and the command.
 //!
 //! `--quantize true` switches graph traversal onto SQ8 codes (quarter
 //! memory traffic) with an exact fp32 re-rank of the top `--rerank`
@@ -64,10 +66,7 @@
 //! every Nth completion, `--qlog-slow-us` always keeps queries at
 //! least that slow, and the retained tail is also served live at
 //! `/query-log` on the `--listen` endpoint (next to `/healthz` and
-//! `/readyz` probes).
-//! `--conn-series-max` caps how many live per-connection Prometheus
-//! series `/metrics` exposes (overflow aggregates under
-//! `conn="other"`); `--prof-hz` sets the thread-state sampling
+//! `/readyz` probes). `--prof-hz` sets the thread-state sampling
 //! profiler rate (0 disables sampling, rotation continues) and
 //! `--window-period-ms` the windowed-telemetry rotation period.
 //! `profile` is the matching one-shot client: it scrapes
@@ -109,31 +108,47 @@ use algas_vector::{Metric, VectorStore};
 use std::collections::HashMap;
 use std::io::Write;
 
+/// Flags [`engine_from_flags`] and the index/query loaders read.
+const ENGINE: &str = "index queries k l slots quantize rerank entry-policy slo-us";
+
+/// Flags a `serve`/`stats`/`trace` session reads on top of [`ENGINE`].
+const SESSION: &str =
+    "workers hosts repeat trace-threshold-us qlog-sample qlog-slow-us prof-hz window-period-ms";
+
+type Command = fn(&HashMap<String, String>, &mut dyn Write) -> Result<(), String>;
+
 /// Runs the CLI; `args` excludes the program name. Output goes to `out`
 /// (stdout in the binary, a buffer in tests).
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage());
     };
-    let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&flags, out),
-        "gt" => cmd_gt(&flags, out),
-        "build" => cmd_build(&flags, out),
-        "info" => cmd_info(&flags, out),
-        "search" => cmd_search(&flags, out),
-        "serve" => cmd_serve(&flags, out),
-        "profile" => cmd_profile(&flags, out),
-        "bench-net" => cmd_bench_net(&flags, out),
-        "stats" => cmd_stats(&flags, out),
-        "trace" => cmd_trace(&flags, out),
-        "trace-check" => cmd_trace_check(&flags, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{}", usage()).map_err(io_err)?;
-            Ok(())
+    // Each command with the one list of flags it reads.
+    let (accepted, body): (&[&str], Command) = match cmd.as_str() {
+        "gen" => (&["out queries n nq dim metric clusters spread seed"], cmd_gen),
+        "gt" => (&["base queries metric k out"], cmd_gt),
+        "build" => {
+            (&["base metric graph degree intermediate quantize entry progress out"], cmd_build)
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
-    }
+        "info" => (&["index"], cmd_info),
+        "search" => (&[ENGINE, "gt out"], cmd_search),
+        "serve" => {
+            let own = "stats-json listen net max-inflight linger-ms trace-out query-log";
+            (&[ENGINE, SESSION, own], cmd_serve)
+        }
+        "stats" => (&[ENGINE, SESSION, "format"], cmd_stats),
+        "trace" => (&[ENGINE, SESSION, "out"], cmd_trace),
+        "profile" => (&["addr seconds out"], cmd_profile),
+        "bench-net" => {
+            let own = "addr queries qps requests connections seed warmup slo-us normalize \
+                       recv-timeout-ms";
+            (&[own], cmd_bench_net)
+        }
+        "trace-check" => (&["file require-phases"], cmd_trace_check),
+        "help" | "--help" | "-h" => return writeln!(out, "{}", usage()).map_err(io_err),
+        other => return Err(format!("unknown command `{other}`\n{}", usage())),
+    };
+    body(&parse_flags(cmd, accepted, rest)?, out)
 }
 
 fn usage() -> String {
@@ -142,13 +157,22 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--name value` pairs, refusing any name not in `accepted`: a
+/// mistyped or retired flag must not silently do nothing.
+fn parse_flags(
+    cmd: &str,
+    accepted: &[&str],
+    rest: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{flag}`"));
         };
+        if !accepted.iter().flat_map(|list| list.split_whitespace()).any(|f| f == name) {
+            return Err(format!("unknown flag --{name} for {cmd}"));
+        }
         let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value.clone());
     }
@@ -159,15 +183,22 @@ fn req<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, St
     flags.get(name).map(|s| s.as_str()).ok_or_else(|| format!("missing required --{name}"))
 }
 
+fn opt<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|v| v.parse().map_err(|_| format!("--{name}: cannot parse `{v}`")))
+        .transpose()
+}
+
 fn opt_parse<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{name}: cannot parse `{v}`")),
-    }
+    Ok(opt(flags, name)?.unwrap_or(default))
 }
 
 fn parse_bool(flags: &HashMap<String, String>, name: &str) -> Result<bool, String> {
@@ -407,15 +438,9 @@ fn engine_from_flags(
         // An index persisted with codes serves quantized without the
         // flag; `--quantize true` quantizes a plain index at load time.
         quantize: defaults.quantize || parse_bool(flags, "quantize")? || index.quant.is_some(),
-        rerank_depth: match flags.get("rerank") {
-            None => None,
-            Some(v) => Some(v.parse().map_err(|_| format!("--rerank: cannot parse `{v}`"))?),
-        },
+        rerank_depth: opt(flags, "rerank")?,
         entry_policy: parse_entry_policy(flags)?,
-        slo_us: match flags.get("slo-us") {
-            None => None,
-            Some(v) => Some(v.parse().map_err(|_| format!("--slo-us: cannot parse `{v}`"))?),
-        },
+        slo_us: opt(flags, "slo-us")?,
         ..defaults
     };
     AlgasEngine::new(index, cfg).map_err(|e| format!("tuning failed: {e}"))
@@ -492,6 +517,7 @@ fn start_server_from_flags(
     }
     let slots = opt_parse(flags, "slots", 16usize)?;
     let engine = engine_from_flags(index, flags)?;
+    let tick = ObsTickConfig::default();
     let server = AlgasServer::start(
         engine,
         RuntimeConfig {
@@ -499,68 +525,38 @@ fn start_server_from_flags(
             n_workers: opt_parse(flags, "workers", 2usize)?,
             n_host_threads: opt_parse(flags, "hosts", 1usize)?,
             queue_capacity: 4096,
-            flight: flight_from_flags(flags)?,
+            // Retained for trace export: every query at least
+            // `--trace-threshold-us` slow, next to the 8 slowest seen.
+            flight: FlightConfig {
+                slow_threshold_ns: opt::<u64>(flags, "trace-threshold-us")?
+                    .map_or(u64::MAX, |us| us.saturating_mul(1000)),
+                ..FlightConfig::default()
+            },
             qlog: qlog_from_flags(flags)?,
-            tick: tick_from_flags(flags)?,
+            // `--prof-hz 0` stops the sampler; window rotation goes on.
+            tick: ObsTickConfig {
+                prof_hz: opt_parse(flags, "prof-hz", tick.prof_hz)?,
+                window_period_ms: opt_parse(flags, "window-period-ms", tick.window_period_ms)?
+                    .max(1),
+            },
         },
     );
     Ok((server, queries))
-}
-
-/// The flight-recorder retention policy from the shared
-/// `--trace-*` flags: `--trace-threshold-us` retains every query at
-/// least that slow (unset disables the threshold), `--trace-top` the
-/// K slowest seen (default 8), `--trace-sample` every Nth completion,
-/// `--trace-ring` the per-slot event-ring depth.
-fn flight_from_flags(flags: &HashMap<String, String>) -> Result<FlightConfig, String> {
-    Ok(FlightConfig {
-        ring_capacity: opt_parse(flags, "trace-ring", 1024usize)?,
-        slow_threshold_ns: match flags.get("trace-threshold-us") {
-            None => u64::MAX,
-            Some(v) => v
-                .parse::<u64>()
-                .map_err(|_| format!("--trace-threshold-us: cannot parse `{v}`"))?
-                .saturating_mul(1000),
-        },
-        top_k: opt_parse(flags, "trace-top", 8usize)?,
-        sample_every: opt_parse(flags, "trace-sample", 0u64)?,
-    })
-}
-
-/// The obs tick cadence from `--prof-hz` (thread-state sampling rate,
-/// 0 disables sampling while window rotation continues) and
-/// `--window-period-ms` (windowed-telemetry rotation period).
-fn tick_from_flags(flags: &HashMap<String, String>) -> Result<ObsTickConfig, String> {
-    let defaults = ObsTickConfig::default();
-    Ok(ObsTickConfig {
-        prof_hz: opt_parse(flags, "prof-hz", defaults.prof_hz)?,
-        window_period_ms: opt_parse(flags, "window-period-ms", defaults.window_period_ms)?.max(1),
-        window_slots: defaults.window_slots,
-    })
 }
 
 /// The wide-event query-log policy from the `--query-log` /
 /// `--qlog-*` flags. The log arms when any of them is present:
 /// `--qlog-sample N` keeps every Nth completed query (default every
 /// one), `--qlog-slow-us` always keeps queries at least that slow
-/// (rejects and errors always log), `--qlog-retain` bounds the
-/// rendered lines kept in memory for `/query-log`.
+/// (rejects and errors always log).
 fn qlog_from_flags(flags: &HashMap<String, String>) -> Result<QlogConfig, String> {
-    let armed = ["query-log", "qlog-sample", "qlog-slow-us", "qlog-retain"]
-        .iter()
-        .any(|f| flags.contains_key(*f));
+    let armed = ["query-log", "qlog-sample", "qlog-slow-us"].iter().any(|f| flags.contains_key(*f));
     let defaults = QlogConfig::default();
     Ok(QlogConfig {
         enabled: armed,
         sample_every: opt_parse(flags, "qlog-sample", defaults.sample_every)?,
-        slow_threshold_ns: match flags.get("qlog-slow-us") {
-            None => u64::MAX,
-            Some(v) => v
-                .parse::<u64>()
-                .map_err(|_| format!("--qlog-slow-us: cannot parse `{v}`"))?
-                .saturating_mul(1000),
-        },
-        retain: opt_parse(flags, "qlog-retain", defaults.retain)?,
+        slow_threshold_ns: opt::<u64>(flags, "qlog-slow-us")?
+            .map_or(u64::MAX, |us| us.saturating_mul(1000)),
         ..defaults
     })
 }
@@ -633,11 +629,8 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
     let net_server = match flags.get("net") {
         Some(addr) => {
             let defaults = NetConfig::default();
-            let cfg = NetConfig {
-                max_inflight: opt_parse(flags, "max-inflight", defaults.max_inflight)?,
-                conn_series_max: opt_parse(flags, "conn-series-max", defaults.conn_series_max)?,
-                ..defaults
-            };
+            let max_inflight = opt_parse(flags, "max-inflight", defaults.max_inflight)?;
+            let cfg = NetConfig { max_inflight, ..defaults };
             let srv = NetServer::start(addr.as_str(), server.clone(), cfg)
                 .map_err(|e| format!("--net {addr}: {e}"))?;
             writeln!(out, "query protocol listening on {}", srv.local_addr()).map_err(io_err)?;
@@ -913,12 +906,7 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
         connections: opt_parse(flags, "connections", 1usize)?,
         seed: opt_parse(flags, "seed", 42u64)?,
         warmup_fraction: opt_parse(flags, "warmup", 0.2f64)?,
-        slo: match flags.get("slo-us") {
-            None => None,
-            Some(v) => Some(std::time::Duration::from_micros(
-                v.parse().map_err(|_| format!("--slo-us: cannot parse `{v}`"))?,
-            )),
-        },
+        slo: opt(flags, "slo-us")?.map(std::time::Duration::from_micros),
         recv_timeout: std::time::Duration::from_millis(opt_parse(
             flags,
             "recv-timeout-ms",
@@ -1017,8 +1005,8 @@ fn cmd_stats(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
 /// `algas trace`: runs a serving session purely to capture flight
 /// traces, then writes the retained (tail-sampled) query timelines as
 /// Chrome trace-event JSON — load the file at <https://ui.perfetto.dev>.
-/// Retention follows the shared `--trace-*` flags (default: the 8
-/// slowest queries of the session).
+/// Retention follows `--trace-threshold-us` (default: the 8 slowest
+/// queries of the session).
 fn cmd_trace(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let (server, queries) = start_server_from_flags(flags)?;
     let repeat = opt_parse(flags, "repeat", 1usize)?.max(1);
@@ -1787,5 +1775,14 @@ mod tests {
         )
         .unwrap_err()
         .contains("l2|cosine"));
+        // A mistyped or retired flag is refused by name, on every command.
+        for cmd in
+            "gen gt build info search serve stats trace profile bench-net trace-check".split(' ')
+        {
+            for flag in ["--qlog-sampel", "--trace-top"] {
+                let err = run(&[cmd.into(), flag.into(), "8".into()], &mut out).unwrap_err();
+                assert_eq!(err, format!("unknown flag {flag} for {cmd}"));
+            }
+        }
     }
 }

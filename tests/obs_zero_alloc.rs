@@ -76,7 +76,6 @@ fn instrument_one_query(
     obs.record_search((q % 2) as usize, s, totals, Some(0.5));
     stamps.mark_finish();
     obs.flight_record(s, EventKind::Finish, (q % 2) as u32, 0, 0);
-    obs.worker_pass((q % 2) as usize, true);
     let picked_up = stamp();
     let merged_at = stamp();
     let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
@@ -96,7 +95,6 @@ fn instrument_one_query(
     };
     prof.stamp(ProfState::Publish);
     obs.record_delivery(0, s, &ctx, &stamps, picked_up, merged_at, stamp(), &delta);
-    obs.host_pass(0, q.is_multiple_of(3));
     hist.record(1 + q * 17);
     // The obs tick thread's work rides the same budget: a profiler
     // sampling pass over every registered marker, and (each 8th
@@ -111,10 +109,9 @@ fn instrument_one_query(
 #[test]
 fn telemetry_hot_path_allocates_nothing() {
     // Retention disabled: the fast path of the tail sampler is the
-    // whole path. Capacity 16 with ~10 events/query forces constant
-    // ring overwrite inside the measured region.
-    let flight =
-        FlightConfig { ring_capacity: 16, slow_threshold_ns: u64::MAX, top_k: 0, sample_every: 0 };
+    // whole path. At 11 events/query over 4 slots the 1024-event
+    // rings wrap inside the measured region.
+    let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
     // Query log armed with a deliberately small ring and no drainer
     // running: the measured region exercises both the accepted-write
     // and the ring-full drop path, neither of which may allocate

@@ -16,7 +16,7 @@
 use algas::core::control::ControlStats;
 use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
-use algas::core::net::{ClosedConnTotals, ConnStats, NetStats};
+use algas::core::net::{ConnStats, NetStats};
 use algas::core::obs::json::Value;
 use algas::core::obs::prom::check_exposition;
 use algas::core::obs::{
@@ -38,9 +38,9 @@ fn fixture() -> RuntimeStats {
     s.slots_occupied = 1;
     s.base_bytes = 48_000;
     s.quant_bytes = 12_400;
-    s.per_worker[0] = WorkerStats { queries: 20, busy_passes: 19, idle_passes: 100 };
-    s.per_worker[1] = WorkerStats { queries: 18, busy_passes: 18, idle_passes: 120 };
-    s.per_host[0] = HostStats { delivered: 38, refills: 40, busy_passes: 70, idle_passes: 9 };
+    s.per_worker[0] = WorkerStats { queries: 20 };
+    s.per_worker[1] = WorkerStats { queries: 18 };
+    s.per_host[0] = HostStats { delivered: 38, refills: 40 };
     s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
     s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
     let h = Histogram::new();
@@ -108,12 +108,6 @@ fn fixture() -> RuntimeStats {
             retry_afters: 2,
         },
     ];
-    // Closed-connection aggregates plus a live-series cap of 1: the
-    // golden page pins both the `algas_net_conn_closed_*` totals and
-    // connection 6 collapsing into the `conn="other"` overflow series.
-    s.net_closed =
-        ClosedConnTotals { bytes_in: 4_100, bytes_out: 5_425, errors: 1, retry_afters: 3 };
-    s.conn_series_max = 1;
     let backoff = Histogram::new();
     for v in [200u64, 400, 800, 1_600, 12_800, 51_200, 102_400] {
         backoff.record(v);
