@@ -30,7 +30,7 @@ fn bench_beam_vs_greedy(c: &mut Criterion) {
                         .traces
                         .iter()
                         .flat_map(|m| m.traces.iter())
-                        .map(|t| t.total_cycles())
+                        .map(|t| t.totals().total_cycles())
                         .sum();
                     black_box(cycles)
                 })

@@ -5,6 +5,7 @@ use crate::prep::Prepared;
 use crate::report::{f1, f3, measure, pct, ExperimentReport, Table};
 use algas_baselines::AlgasMethod;
 use algas_core::engine::{BeamMode, EngineConfig};
+use algas_core::tracer::StepTotals;
 use algas_graph::GraphKind;
 
 fn method_with_beam(p: &Prepared, l: usize, beam: BeamMode) -> AlgasMethod {
@@ -73,15 +74,13 @@ pub fn fig17(prepared: &[Prepared]) -> ExperimentReport {
         let agg = |mode: BeamMode| {
             let m = method_with_beam(p, l, mode);
             let wl = m.engine().run_workload(&p.ds.queries);
-            let (mut sort, mut total, mut sorts) = (0u64, 0u64, 0u64);
+            let mut agg = StepTotals::default();
             for multi in &wl.traces {
                 for tr in &multi.traces {
-                    sort += tr.sort_cycles();
-                    total += tr.total_cycles();
-                    sorts += tr.sorts();
+                    agg.merge(&tr.totals());
                 }
             }
-            (sort as f64 / total as f64, total, sorts)
+            (agg.sort_fraction(), agg.total_cycles(), agg.sorts)
         };
         let (sf_g, total_g, sorts_g) = agg(BeamMode::Greedy);
         let (sf_b, total_b, sorts_b) = agg(BeamMode::Auto);

@@ -3,6 +3,7 @@
 use crate::experiments::{make_ganns, K};
 use crate::prep::Prepared;
 use crate::report::{f1, pct, percentile_sorted, ExperimentReport, Table};
+use algas_core::tracer::StepTotals;
 use algas_gpu_sim::{run_static, MergePlacement, QueryWork, StaticBatchConfig};
 use algas_graph::GraphKind;
 
@@ -124,24 +125,21 @@ pub fn fig3(prepared: &[Prepared]) -> ExperimentReport {
     for p in prepared {
         let method = make_ganns(p, GraphKind::Nsw, K, 64, 16);
         let wl = method.engine().run_workload(&p.ds.queries);
-        let mut calc = 0u64;
-        let mut sort = 0u64;
-        let mut total = 0u64;
+        let mut agg = StepTotals::default();
         for multi in &wl.traces {
             for tr in &multi.traces {
-                calc += tr.calc_cycles();
-                sort += tr.sort_cycles();
-                total += tr.total_cycles();
+                agg.merge(&tr.totals());
             }
         }
-        let sf = sort as f64 / total as f64;
+        let total = agg.total_cycles() as f64;
+        let sf = agg.sort_fraction();
         fracs.push(sf);
         t.row(vec![
             p.label(),
             p.ds.spec.dim.to_string(),
-            pct(calc as f64 / total as f64),
+            pct(agg.calc_cycles as f64 / total),
             pct(sf),
-            pct((total - calc - sort) as f64 / total as f64),
+            pct(agg.other_cycles as f64 / total),
         ]);
     }
     let lo = fracs.iter().cloned().fold(f64::INFINITY, f64::min);

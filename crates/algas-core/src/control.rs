@@ -4,8 +4,8 @@
 //! shape, blind to the live workload. This module closes the loop: the
 //! serving runtime feeds every completed query's *service span*
 //! (`submit → reply` as `host_loop` measures it: queue wait, worker
-//! pickup, search and host merge — what the client is promised, of
-//! which the engine's effort knobs move the search part) into a
+//! pickup, search and delivery — what the client is promised, of which
+//! the engine's effort knobs move the search part) into a
 //! [`SloController`], which periodically compares the window's p99
 //! against a configured latency SLO and moves one rung at a time along
 //! the precomputed [`EffortLadder`]:
@@ -290,6 +290,12 @@ impl SloController {
         ControlReason::from_u8(self.last_reason.load(Ordering::Relaxed) as u8)
     }
 
+    /// The window p99 the last tick saw, ns (0 before the first tick).
+    /// One relaxed load: the RETRY_AFTER path reads it per refusal.
+    pub fn last_p99_ns(&self) -> u64 {
+        self.last_p99.load(Ordering::Relaxed)
+    }
+
     /// Snapshot for the stats surface.
     pub fn stats(&self) -> ControlStats {
         let step = self.current();
@@ -306,7 +312,7 @@ impl SloController {
             sheds: self.sheds.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
             holds: self.holds.load(Ordering::Relaxed),
-            last_p99_ns: self.last_p99.load(Ordering::Relaxed),
+            last_p99_ns: self.last_p99_ns(),
             last_reason: self.last_reason().name().to_string(),
         }
     }
@@ -431,6 +437,8 @@ mod tests {
         assert_eq!(c.stats().ticks, 4);
         assert_eq!(c.stats().sheds, 4);
         assert_eq!(c.level(), 4);
+        assert_eq!(c.last_p99_ns(), c.stats().last_p99_ns);
+        assert_eq!(c.last_p99_ns(), 5_000);
     }
 
     #[test]

@@ -341,8 +341,8 @@ pub struct TracedSearch {
     pub work: QueryWork,
 }
 
-/// Reusable per-worker search state: the multi-CTA scratch, the host
-/// merge scratch, and the merged TopK buffer.
+/// Reusable per-worker search state: the multi-CTA scratch, the merge
+/// scratch, and the merged TopK buffer.
 ///
 /// Create one per serving thread with [`AlgasEngine::make_scratch`];
 /// after the first query, [`AlgasEngine::search_into`] runs without
@@ -351,7 +351,8 @@ pub struct TracedSearch {
 pub struct SearchScratch {
     /// Multi-CTA state (shared bitmap, per-CTA lists and traces).
     pub multi: MultiScratch,
-    merge: MergeScratch,
+    /// Merge cursors and the merge counters of every search on it.
+    pub merge: MergeScratch,
     /// Final merged TopK of the most recent search, ascending.
     pub topk: Vec<(DistValue, u32)>,
     /// Pooled rerank candidates (quantized path; `rerank_depth` deep).
@@ -527,25 +528,17 @@ impl AlgasEngine {
 
     /// What a worker thread runs per query: the allocation-free search
     /// under [`Schedule::Serial`] — the plan's `N_parallel`, or a shed
-    /// rung's [`EffortStep::n_ctas`], caps the walkers launched —
-    /// leaving the merged TopK in *physical* (post-relayout) ids; the
-    /// serving runtime's host pollers translate once at delivery.
-    /// [`serve_into`](Self::serve_into) adds that translation.
+    /// rung's [`EffortStep::n_ctas`], caps the walkers launched — then
+    /// the query's one merge, leaving the finished TopK in
+    /// `scratch.topk` in the caller's *original* id space.
     ///
     /// On a quantized engine the traversal scores SQ8 codes, the
     /// per-CTA pools are merged [`rerank_depth`](Self::rerank_depth)
     /// deep, and the pool is re-scored with exact f32 distances before
     /// the final TopK cut — so `scratch.topk` distances are always
     /// exact, whichever path ran.
-    pub fn search_physical_into(&self, query: &[f32], query_id: u64, scratch: &mut SearchScratch) {
-        self.search_scheduled(Schedule::Serial, query, query_id, scratch);
-    }
-
-    /// [`search_physical_into`](Self::search_physical_into) with the
-    /// TopK translated to original ids: the result a served query gets,
-    /// for callers that are not the runtime (tests, benches).
     pub fn serve_into(&self, query: &[f32], query_id: u64, scratch: &mut SearchScratch) {
-        self.search_physical_into(query, query_id, scratch);
+        self.search_scheduled(Schedule::Serial, query, query_id, scratch);
         self.index.externalize(&mut scratch.topk);
     }
 
@@ -684,7 +677,7 @@ impl AlgasEngine {
             .traces
             .iter()
             .map(|t| CtaWork {
-                search_ns: dev.cycles_to_ns(t.total_cycles()),
+                search_ns: dev.cycles_to_ns(t.totals().total_cycles()),
                 steps: t.n_steps() as u32,
             })
             .collect();

@@ -80,7 +80,7 @@ pub fn merge_topk(lists: &[Vec<(DistValue, u32)>], k: usize) -> Vec<(DistValue, 
 }
 
 /// Plain (non-atomic) merge counters, accumulated across every
-/// [`merge_topk_into`] call on one scratch. The owning host thread
+/// [`merge_topk_into`] call on one scratch. The owning worker thread
 /// reads deltas and publishes them to the serving snapshot
 /// ([`crate::obs::RuntimeStats`]); keeping the fields plain `u64`s
 /// keeps the merge loop free of atomics.

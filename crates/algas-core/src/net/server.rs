@@ -618,9 +618,9 @@ fn reject(conn: &mut Conn, request_id: u64, front: &Front<'_>) {
 /// service-time window (its view of current load), falling back to the
 /// running mean when the controller is off, clamped to a sane band.
 fn suggest_delay_us(server: &AlgasServer) -> u32 {
-    let ctl = server.control_stats();
-    let base_ns = if ctl.last_p99_ns > 0 {
-        ctl.last_p99_ns
+    let p99_ns = server.controller().last_p99_ns();
+    let base_ns = if p99_ns > 0 {
+        p99_ns
     } else {
         let mean_us = server.stats().mean_service_us();
         if mean_us > 0.0 {

@@ -5,7 +5,7 @@
 //! by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: each
 //! retained [`QueryTrace`] becomes duration events (`ph:"X"`) on one
 //! track per slot (the six lifecycle phases), one per worker (the
-//! search span), one per host poller (merge and delivery), and one per
+//! search span), one per host poller (pickup and delivery), and one per
 //! CTA (synthesized per-step spans), with instant events (`ph:"i"`)
 //! marking slot transitions, beam switches, and rerank passes.
 //! Timestamps are microseconds (the format's unit), converted from the

@@ -5,7 +5,7 @@
 //! regressed; this module shows *why one query* was slow. Every slot
 //! owns a fixed-capacity ring of timestamped [`TraceEvent`]s — slot
 //! state transitions, the beam-extend localization→diffusing switch,
-//! per-CTA search steps, host merge begin/end, the rerank pass — that
+//! per-CTA search steps, host pickup begin/end, the rerank pass — that
 //! the serving threads write lock-free and allocation-free, overwriting
 //! the oldest events like an aircraft flight recorder.
 //!
@@ -19,7 +19,7 @@
 //! (`None → Work → Finish → Done`) already serializes the serving
 //! phases — the host writes the enqueue/assign events before flipping
 //! to `Work`, the worker writes the search events between observing
-//! `Work` and flipping to `Finish`, and the host writes the merge and
+//! `Work` and flipping to `Finish`, and the host writes the pickup and
 //! delivery events (and performs the capture) after observing `Finish`.
 //! At most one thread writes a given slot's ring at a time, and the
 //! acquire/release edges of the state transitions order the relaxed
@@ -56,10 +56,11 @@ pub enum EventKind {
     RerankPass = 6,
     /// Search done, `Work → Finish` flip (`lane` = worker).
     Finish = 7,
-    /// Host picked the finished slot up and began merging (`lane` =
-    /// host).
+    /// Host picked the finished slot up (`lane` = host). The merge runs
+    /// in the worker; the name stays because trace readers key on it.
     MergeBegin = 8,
-    /// Host merge completed (`lane` = host).
+    /// Host pickup done: the reply is built from the slot's TopK
+    /// (`lane` = host).
     MergeEnd = 9,
     /// Reply handed to the client channel, `Finish → Done` flip
     /// (`lane` = host).
@@ -139,7 +140,7 @@ pub struct LifecycleNs {
     pub finish_ns: u64,
     /// Host picked the finished slot up.
     pub merge_begin_ns: u64,
-    /// Host merge completed.
+    /// Host pickup done (reply built from the slot's TopK).
     pub merged_ns: u64,
     /// Reply handed to the client channel.
     pub delivered_ns: u64,
@@ -189,7 +190,7 @@ pub struct QueryTrace {
     /// Worker that searched it (from the `WorkStart` event; 0 if that
     /// event was overwritten).
     pub worker: u32,
-    /// Host poller that merged and delivered it.
+    /// Host poller that delivered it.
     pub host: u32,
     /// Lifecycle timestamps.
     pub lifecycle: LifecycleNs,

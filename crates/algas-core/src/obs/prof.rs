@@ -1,7 +1,7 @@
 //! `obs::prof` — a thread-state sampling profiler for the serving
 //! runtime.
 //!
-//! Every runtime thread (search workers, host merge pollers, the net
+//! Every runtime thread (search workers, host delivery pollers, the net
 //! readiness loop, the qlog drainer) registers once with the
 //! [`ProfRegistry`] and from then on publishes its current state as a
 //! single relaxed store of one `u64` *marker* — thread kind and phase
@@ -47,7 +47,7 @@ pub const N_STATES: usize = 16;
 pub enum ThreadKind {
     /// Search worker (`algas-worker-N`).
     Worker = 0,
-    /// Host merge/delivery poller (`algas-host-N`).
+    /// Host delivery poller (`algas-host-N`).
     Host = 1,
     /// Net readiness loop (`algas-net`).
     Net = 2,
@@ -95,17 +95,18 @@ pub enum ProfState {
     Off = 0,
     /// Parked / backing off between work items.
     Idle = 1,
-    /// Worker: graph traversal + (on quantized engines) exact rerank,
-    /// i.e. the whole `search_physical_into` span.
+    /// Worker: graph traversal, the TopK merge and (on quantized
+    /// engines) exact rerank, i.e. the whole `serve_into` span.
     Scan = 2,
     /// Worker: exact re-rank pass (only distinguishable from
     /// [`Scan`](ProfState::Scan) if the engine ever splits the span).
     Rerank = 3,
-    /// Worker: publishing per-CTA results back into the slot.
+    /// Worker: publishing the finished TopK into the slot.
     Publish = 4,
-    /// Host: merging per-CTA lists into the final TopK.
+    /// Host: picking up the finished TopK and building the reply (the
+    /// merge runs in the worker; the name stays for profile readers).
     Merge = 5,
-    /// Host: externalizing ids + building and sending the reply.
+    /// Host: accounting and sending the reply.
     Deliver = 6,
     /// Host: draining the submission queue into free slots.
     Refill = 7,

@@ -142,6 +142,10 @@ mod enabled {
         calc_cycles: Counter,
         sort_cycles: Counter,
         other_cycles: Counter,
+        // The query's one TopK merge runs inside the worker's search.
+        merges: Counter,
+        merge_elements: Counter,
+        merge_dupes: Counter,
         // SQ8 exact-rerank phase totals (zero on fp32 engines).
         reranks: Counter,
         rerank_candidates: Counter,
@@ -155,9 +159,6 @@ mod enabled {
     struct HostCells {
         delivered: Counter,
         refills: Counter,
-        merges: Counter,
-        merge_elements: Counter,
-        merge_dupes: Counter,
     }
 
     #[derive(Default)]
@@ -360,8 +361,8 @@ mod enabled {
 
         /// Accounts one completed search on worker `w` for slot `s`:
         /// its aggregated step totals (the worker computes them once
-        /// per query, for this and for the query log) and the distance
-        /// to its best entry point.
+        /// per query, for this and for the query log), the distance to
+        /// its best entry point, and the delta of its TopK merge.
         #[inline]
         pub fn record_search(
             &self,
@@ -369,12 +370,16 @@ mod enabled {
             s: usize,
             totals: &StepTotals,
             entry_distance: Option<f32>,
+            merge_delta: &MergeStats,
         ) {
             let cells = &self.workers[w];
             if let Some(d) = entry_distance {
                 // Milli-unit fixed point keeps the cell a plain counter.
                 cells.entry_dist_milli.add((f64::from(d) * 1e3) as u64);
             }
+            cells.merges.add(merge_delta.merges);
+            cells.merge_elements.add(merge_delta.elements);
+            cells.merge_dupes.add(merge_delta.dupes_dropped);
             cells.queries.incr();
             cells.steps.add(totals.steps);
             cells.expansions.add(totals.expansions);
@@ -469,11 +474,10 @@ mod enabled {
             self.flight.record(s, EventKind::Finish, w as u32, 0, 0, end_ns);
         }
 
-        /// Accounts one delivered result: bumps host/slot counters,
-        /// folds the merge delta in, records all six phase spans,
-        /// writes the merge/delivery trace events, hands the completed
-        /// query to the flight recorder's tail sampler, writes its
-        /// wide-event query-log record, and updates the tail exemplar.
+        /// Accounts one delivered result: host/slot counters, all six
+        /// phase spans (`picked_up` → `merged_at` is the host's pickup),
+        /// the pickup/delivery trace events, the flight recorder's tail
+        /// sampler, the wide-event query-log record and the exemplar.
         #[inline]
         #[allow(clippy::too_many_arguments)]
         pub fn record_delivery(
@@ -485,13 +489,8 @@ mod enabled {
             picked_up: Stamp,
             merged_at: Stamp,
             delivered_at: Stamp,
-            merge_delta: &MergeStats,
         ) {
-            let host = &self.hosts[h];
-            host.delivered.incr();
-            host.merges.add(merge_delta.merges);
-            host.merge_elements.add(merge_delta.elements);
-            host.merge_dupes.add(merge_delta.dupes_dropped);
+            self.hosts[h].delivered.incr();
             self.slots[s].delivered.incr();
             if let Some(slot) = stamps.slot {
                 self.submit_to_slot.record(ns_between(stamps.submitted, slot));
@@ -558,7 +557,7 @@ mod enabled {
         }
 
         /// Copies every cell into `out` (per-thread blocks, phase
-        /// histograms, and the cross-worker search / cross-host merge
+        /// histograms, and the cross-worker search / rerank / merge
         /// totals). Counter fields of `out` that the recorder doesn't
         /// own (queue totals, gauges) are left untouched.
         pub fn populate(&self, out: &mut RuntimeStats) {
@@ -579,6 +578,8 @@ mod enabled {
                 })
                 .collect();
             out.search = StepTotals::default();
+            out.rerank = RerankStats::default();
+            out.merge = MergeStats::default();
             for c in &self.workers {
                 out.search.merge(&StepTotals {
                     steps: c.steps.get(),
@@ -589,25 +590,19 @@ mod enabled {
                     sort_cycles: c.sort_cycles.get(),
                     other_cycles: c.other_cycles.get(),
                 });
-            }
-            out.rerank = RerankStats::default();
-            for c in &self.workers {
                 out.rerank.merge(&RerankStats {
                     reranks: c.reranks.get(),
                     candidates: c.rerank_candidates.get(),
                     promotions: c.rerank_promotions.get(),
                 });
-            }
-            out.entry_dist_milli_total =
-                self.workers.iter().map(|c| c.entry_dist_milli.get()).sum();
-            out.merge = MergeStats::default();
-            for c in &self.hosts {
                 out.merge.merge(&MergeStats {
                     merges: c.merges.get(),
                     elements: c.merge_elements.get(),
                     dupes_dropped: c.merge_dupes.get(),
                 });
             }
+            out.entry_dist_milli_total =
+                self.workers.iter().map(|c| c.entry_dist_milli.get()).sum();
             out.phases.submit_to_slot = self.submit_to_slot.snapshot();
             out.phases.slot_to_work = self.slot_to_work.snapshot();
             out.phases.work_to_finish = self.work_to_finish.snapshot();
@@ -741,6 +736,7 @@ mod disabled {
             _s: usize,
             _totals: &crate::tracer::StepTotals,
             _entry_distance: Option<f32>,
+            _merge_delta: &MergeStats,
         ) {
         }
 
@@ -776,7 +772,6 @@ mod disabled {
             _picked_up: Stamp,
             _merged_at: Stamp,
             _delivered_at: Stamp,
-            _merge_delta: &MergeStats,
         ) {
         }
 
@@ -812,14 +807,14 @@ mod tests {
             sort_cycles: 80,
             other_cycles: 20,
         };
-        obs.record_search(0, 1, &totals, None);
+        let delta = MergeStats { merges: 1, elements: 16, dupes_dropped: 2 };
+        obs.record_search(0, 1, &totals, None, &delta);
         let rerank = crate::engine::RerankStats { reranks: 1, candidates: 20, promotions: 3 };
         obs.record_rerank(0, &rerank);
         stamps.mark_finish();
         let picked_up = stamp();
         let merged_at = stamp();
         let delivered_at = stamp();
-        let delta = MergeStats { merges: 1, elements: 16, dupes_dropped: 2 };
         let ctx = DeliveryCtx {
             tag: 7,
             request_id: 907,
@@ -831,7 +826,7 @@ mod tests {
             rerank_depth: 32,
             entry_code: 1,
         };
-        obs.record_delivery(0, 1, &ctx, &stamps, picked_up, merged_at, delivered_at, &delta);
+        obs.record_delivery(0, 1, &ctx, &stamps, picked_up, merged_at, delivered_at);
 
         let mut s = RuntimeStats::empty(2, 2, 1);
         obs.populate(&mut s);
@@ -887,9 +882,8 @@ mod tests {
         let picked_up = stamp();
         let merged_at = stamp();
         let delivered_at = stamp();
-        let delta = MergeStats { merges: 1, elements: 8, dupes_dropped: 0 };
         let ctx = crate::obs::qlog::DeliveryCtx::local(42);
-        obs.record_delivery(0, 0, &ctx, &stamps, picked_up, merged_at, delivered_at, &delta);
+        obs.record_delivery(0, 0, &ctx, &stamps, picked_up, merged_at, delivered_at);
 
         let traces = obs.flight_retained();
         assert_eq!(traces.len(), 1);

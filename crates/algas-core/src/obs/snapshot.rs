@@ -50,7 +50,7 @@ pub struct WorkerStats {
 /// Per-host-poller counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Results merged and delivered by this poller.
+    /// Results delivered by this poller.
     pub delivered: u64,
     /// Slots refilled from the submission queue.
     pub refills: u64,
@@ -71,8 +71,8 @@ pub struct SlotStats {
 ///
 /// The five spans partition the end-to-end path: `submit→slot` (queue
 /// wait), `slot→work` (worker pickup), `work→finish` (search),
-/// `finish→merged` (host pickup + merge), `merged→delivered` (reply
-/// delivery). `end_to_end` is recorded independently from the same
+/// `finish→merged` (host pickup; the merge ran in the worker),
+/// `merged→delivered` (reply delivery). `end_to_end` is recorded independently from the same
 /// timestamps.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
@@ -82,9 +82,10 @@ pub struct PhaseStats {
     pub slot_to_work: HistogramSnapshot,
     /// Search start → `Finish` flip (the GPU-side work).
     pub work_to_finish: HistogramSnapshot,
-    /// `Finish` → host merge completed.
+    /// `Finish` → host picked the finished TopK up and built the reply
+    /// (the merge runs in the worker; the name stays for page readers).
     pub finish_to_merged: HistogramSnapshot,
-    /// Merge → reply handed to the client channel.
+    /// Pickup → reply handed to the client channel.
     pub merged_to_delivered: HistogramSnapshot,
     /// Submission → delivery.
     pub end_to_end: HistogramSnapshot,
@@ -148,7 +149,7 @@ pub struct RuntimeStats {
     pub entry_dist_milli_total: u64,
     /// SLO controller state (all zero / `init` when no SLO is set).
     pub control: ControlStats,
-    /// Host-side merge totals.
+    /// TopK merge totals (the merge runs in the worker's search).
     pub merge: MergeStats,
     /// Flight-recorder totals (completions examined, events written,
     /// traces retained).
@@ -542,7 +543,7 @@ impl RuntimeStats {
         series(
             &mut w,
             "algas_host_delivered_total",
-            "Results merged and delivered, per host poller.",
+            "Results delivered, per host poller.",
             "host",
             &mut self.per_host.iter().map(|x| x.delivered),
         );
@@ -632,7 +633,7 @@ impl RuntimeStats {
                 self.rerank.candidates,
             ),
             ("algas_rerank_promotions_total", "Rerank-order promotions.", self.rerank.promotions),
-            ("algas_merge_total", "Host-side TopK merges.", self.merge.merges),
+            ("algas_merge_total", "Worker-side TopK merges.", self.merge.merges),
             ("algas_merge_elements_total", "Elements merged.", self.merge.elements),
             (
                 "algas_merge_dupes_dropped_total",

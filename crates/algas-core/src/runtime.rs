@@ -7,17 +7,19 @@
 //!
 //! * **Persistent workers** stand in for the persistent kernel's CTAs:
 //!   spawned once, they poll their slots' states (`Work`?) instead of
-//!   being launched per query.
+//!   being launched per query. Each finishes its query: search, the
+//!   one TopK merge (§IV-B's CPU merge; the walkers run on a CPU
+//!   thread here), the SQ8 rerank and the translation to original ids.
 //! * **Slots** carry one in-flight query each in a payload cell guarded
 //!   by the [`AtomicSlotState`] protocol — the `Work`/`Finish` edges
 //!   publish the payload exactly as §V-A's state copies do.
 //! * **Host pollers** scan their slot subsets (§V-B's partitioned
-//!   ownership), merge per-CTA TopK lists on the CPU (§IV-B), deliver
-//!   results, and refill slots from the submission queue.
+//!   ownership), deliver the finished TopKs, and refill slots from the
+//!   submission queue. They do not merge.
 
+use crate::control::SloController;
 use crate::engine::{AlgasEngine, SearchScratch};
 use crate::lock;
-use crate::merge::{merge_topk_into, MergeScratch};
 use crate::net::poll::Waker;
 use crate::obs::{
     self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfState, QlogConfig, QlogTotals,
@@ -182,13 +184,14 @@ struct Job {
 }
 
 /// Per-slot payload cell. The state machine serializes access: the
-/// host writes `job` before `None/Done → Work`; workers read it after
-/// observing `Work` and write `results` before `Work → Finish`; the
-/// host reads results after observing `Finish`.
+/// host writes `job` before `None/Done → Work`; the worker reads it
+/// after observing `Work` and writes `topk` before `Work → Finish`; the
+/// host reads `topk` after observing `Finish`.
 #[derive(Default)]
 struct SlotPayload {
     job: Option<Job>,
-    per_cta: Vec<Vec<(DistValue, u32)>>,
+    /// The finished TopK in original ids, ascending by distance.
+    topk: Vec<(DistValue, u32)>,
 }
 
 struct Slot {
@@ -210,7 +213,7 @@ struct Stats {
 pub struct StatsSnapshot {
     /// Queries accepted into the submission queue.
     pub submitted: u64,
-    /// Queries fully served (merged + replied).
+    /// Queries fully served (searched + replied).
     pub completed: u64,
     /// Queries rejected with [`SubmitError::QueueFull`] (backpressure).
     pub rejected_queue_full: u64,
@@ -442,11 +445,11 @@ impl AlgasServer {
         self.shared.engine.index().base.dim()
     }
 
-    /// The SLO controller's live stats — the controller's view of load
-    /// (windowed p99, current rung). Used by the network front end to
-    /// size RETRY_AFTER delay suggestions.
-    pub fn control_stats(&self) -> crate::control::ControlStats {
-        self.shared.engine.controller().stats()
+    /// The SLO controller — the controller's view of load (windowed
+    /// p99, current rung). The network front end sizes RETRY_AFTER
+    /// delay suggestions from it.
+    pub fn controller(&self) -> &SloController {
+        self.shared.engine.controller()
     }
 
     /// A snapshot of the serving counters.
@@ -678,15 +681,14 @@ impl Backoff {
 }
 
 /// Persistent worker ("CTA group"): polls owned slots for `Work`,
-/// executes the multi-CTA search, publishes per-CTA lists, flips to
-/// `Finish`. Exits once every owned slot reaches `Quit`.
+/// finishes the query ([`AlgasEngine::serve_into`]), publishes its
+/// TopK, flips to `Finish`. Exits once every owned slot reaches `Quit`.
 fn worker_loop(shared: &Shared, first: usize, stride: usize) {
-    // Per-worker reusable state: search scratch (candidate lists,
-    // visited bitmap, per-CTA buffers) and a query staging buffer.
-    // After the first few queries warm these up, the steady-state
-    // serving path performs no heap allocation in this thread.
+    // Per-worker reusable search scratch (candidate lists, visited
+    // bitmap, per-CTA buffers, merge cursors). After the first few
+    // queries warm it up, the steady-state serving path performs no
+    // heap allocation in this thread.
     let mut scratch = SearchScratch::new();
-    let mut query_buf: Vec<f32> = Vec::new();
     let mut backoff = Backoff::new();
     // Thread-state marker for the sampling profiler: each stamp is one
     // relaxed store into this thread's own cache-padded cell (a no-op
@@ -703,55 +705,35 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                 SlotState::Work => {
                     all_quit = false;
                     prof.stamp(ProfState::Scan);
-                    // Copy the job's query into the reusable staging
-                    // buffer under the lock, then search without it.
-                    let tag = {
-                        let mut payload = lock(&slot.payload);
-                        let job = payload.job.as_mut().expect("Work implies a job");
-                        job.stamps.mark_work_start();
-                        query_buf.clear();
-                        query_buf.extend_from_slice(&job.query);
-                        job.tag
-                    };
-                    let rerank_before = scratch.rerank;
-                    // Physical-id search: the host poller translates to
-                    // original ids exactly once, at delivery.
-                    shared.engine.search_physical_into(&query_buf, tag, &mut scratch);
+                    let (merge_before, rerank_before) = (scratch.merge.stats, scratch.rerank);
+                    // Search on the job's own query under the lock:
+                    // between `Work` and `Finish` only this worker
+                    // touches the payload, so the lock is uncontended.
+                    let mut payload = lock(&slot.payload);
+                    let SlotPayload { job, topk } = &mut *payload;
+                    let job = job.as_mut().expect("Work implies a job");
+                    job.stamps.mark_work_start();
+                    shared.engine.serve_into(&job.query, job.tag, &mut scratch);
                     prof.stamp(ProfState::Publish);
                     // One walk over the CTA traces per query, shared by
                     // the query log's hop count and the recorder.
                     let totals = scratch.multi.step_totals();
-                    let stamps = {
-                        // Copy the result lists into the slot's own
-                        // buffers element-wise so both the scratch and
-                        // the slot keep their allocations across jobs.
-                        // A quantized engine already merged and exactly
-                        // re-ranked into `scratch.topk`, so it publishes
-                        // that single list (the host merge over one list
-                        // is the identity); the fp32 path publishes the
-                        // raw per-CTA lists for the host to merge.
-                        let mut payload = lock(&slot.payload);
-                        let src = if shared.engine.quantized() {
-                            std::slice::from_ref(&scratch.topk)
-                        } else {
-                            scratch.multi.per_cta()
-                        };
-                        payload.per_cta.resize_with(src.len(), Vec::new);
-                        for (dst, s) in payload.per_cta.iter_mut().zip(src) {
-                            dst.clear();
-                            dst.extend_from_slice(s);
-                        }
-                        let job = payload.job.as_mut().expect("Work implies a job");
-                        job.stamps.mark_finish();
-                        // Stash the per-query facts only this thread
-                        // knows (hop count, worker id) for the query
-                        // log; the host reads them at delivery.
-                        job.hops = totals.steps.min(u64::from(u32::MAX)) as u32;
-                        job.worker = first as u32;
-                        job.stamps
-                    };
+                    // Copy the TopK element-wise so both the scratch
+                    // and the slot keep their allocations across jobs.
+                    topk.clear();
+                    topk.extend_from_slice(&scratch.topk);
+                    job.stamps.mark_finish();
+                    // Stash the per-query facts only this thread knows
+                    // (hop count, worker id) for the query log; the
+                    // host reads them at delivery.
+                    job.hops = totals.steps.min(u64::from(u32::MAX)) as u32;
+                    job.worker = first as u32;
+                    let stamps = job.stamps;
+                    drop(payload);
+                    let merge_delta = scratch.merge.stats.since(&merge_before);
                     let rerank_delta = scratch.rerank.since(&rerank_before);
-                    shared.obs.record_search(first, s, &totals, scratch.multi.entry_distance());
+                    let entry = scratch.multi.entry_distance();
+                    shared.obs.record_search(first, s, &totals, entry, &merge_delta);
                     shared.obs.record_rerank(first, &rerank_delta);
                     shared.obs.flight_search(first, s, &scratch.multi, &rerank_delta, &stamps);
                     let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);
@@ -773,18 +755,14 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
     }
 }
 
-/// Host poller (§V-B): scans owned slots; on `Finish` merges and
-/// replies; on `None`/`Done` refills from the submission queue or, when
+/// Host poller (§V-B): scans owned slots; on `Finish` picks up the
+/// worker's finished TopK and delivers it (the merge already ran in the
+/// worker); on `None`/`Done` refills from the submission queue or, when
 /// shutting down with an empty queue, retires the slot to `Quit`.
 fn host_loop(shared: &Shared, first: usize, stride: usize) {
-    let k = shared.engine.config().k;
     // The entry policy is fixed for the engine's lifetime; encode it
     // once rather than per delivery.
     let entry_code = obs::qlog::entry_policy_code(&shared.engine.config().entry_policy);
-    // Per-poller reusable merge state; the reply's own vectors still
-    // allocate because they are handed to the client.
-    let mut merge = MergeScratch::new();
-    let mut merged: Vec<(DistValue, u32)> = Vec::new();
     let mut backoff = Backoff::new();
     // Thread-state marker for the sampling profiler (see worker_loop).
     let prof = shared.obs.prof_registry().register(ThreadKind::Host, &format!("host-{first}"));
@@ -799,27 +777,21 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                 SlotState::Quit => continue,
                 SlotState::Finish => {
                     all_quit = false;
+                    // `Merge` names the pickup: the reply is built from
+                    // the slot's TopK in place, so the slot keeps its
+                    // buffer; the reply's vectors go to the client.
                     prof.stamp(ProfState::Merge);
-                    let merge_before = merge.stats;
                     let picked_up = obs::stamp();
-                    let job = {
-                        let mut payload = lock(&slot.payload);
-                        // Merge while holding the lock: the lists are
-                        // tiny (one length-k list per CTA) and this
-                        // keeps the slot's buffers in place for reuse.
-                        merge_topk_into(&payload.per_cta, k, &mut merge, &mut merged);
-                        payload.job.take().expect("Finish implies a job")
-                    };
-                    let merged_at = obs::stamp();
-                    prof.stamp(ProfState::Deliver);
-                    // Per-CTA lists carry physical (relayouted) ids;
-                    // replies speak the caller's original id space.
-                    shared.engine.index().externalize(&mut merged);
+                    let mut payload = lock(&slot.payload);
+                    let job = payload.job.take().expect("Finish implies a job");
                     let reply = SearchReply {
                         tag: job.tag,
-                        ids: merged.iter().map(|&(_, id)| id).collect(),
-                        distances: merged.iter().map(|&(d, _)| d.0).collect(),
+                        ids: payload.topk.iter().map(|&(_, id)| id).collect(),
+                        distances: payload.topk.iter().map(|&(d, _)| d.0).collect(),
                     };
+                    drop(payload);
+                    let merged_at = obs::stamp();
+                    prof.stamp(ProfState::Deliver);
                     // Account the completed query before replying so a
                     // caller observing the reply sees it counted.
                     let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
@@ -861,7 +833,6 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                         picked_up,
                         merged_at,
                         obs::stamp(),
-                        &merge.stats.since(&merge_before),
                     );
                     job.reply_to.deliver(reply);
                     let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
@@ -1008,10 +979,14 @@ mod tests {
                 ..Default::default()
             },
         );
+        // The same (query, tag) pairs through the worker's entry point:
+        // the served merge counters must be the engine's own.
+        let mut served = SearchScratch::new();
         for i in 0..5 {
             let q = ds.queries.get(i).to_vec();
             let reply = server.search_blocking(q.clone()).unwrap();
             assert_eq!(reply.ids, oracle.search(&q, reply.tag), "query {i}");
+            oracle.serve_into(&q, reply.tag, &mut served);
             // Reranked distances are exact f32 distances (modulo the
             // batched kernel's summation order, a last-ulp effect).
             for (&d, &id) in reply.distances.iter().zip(&reply.ids) {
@@ -1024,6 +999,7 @@ mod tests {
             let s = server.runtime_stats();
             assert_eq!(s.rerank.reranks, 5, "every quantized query runs one rerank pass");
             assert!(s.rerank.candidates >= 5 * 8);
+            assert_eq!(s.merge, served.merge.stats, "one merge per query, rerank-depth deep");
             assert!(s.quant_bytes > 0 && s.base_bytes > s.quant_bytes, "both stores reported");
         }
         server.shutdown();

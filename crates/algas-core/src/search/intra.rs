@@ -363,7 +363,7 @@ mod tests {
         assert_eq!(ids[0].1, 40);
         assert_eq!(ids[1].1, 41);
         assert!(trace.n_steps() > 1);
-        assert!(trace.total_cycles() > 0);
+        assert!(trace.totals().total_cycles() > 0);
     }
 
     #[test]
@@ -380,7 +380,7 @@ mod tests {
         s.run(&mut visited);
         // Distance evaluations == bitmap marks: nothing scored twice.
         let (_, trace) = s.finish(4);
-        assert_eq!(trace.dist_evals() as usize, visited.count());
+        assert_eq!(trace.totals().dist_evals as usize, visited.count());
     }
 
     #[test]
@@ -421,10 +421,10 @@ mod tests {
         let mut beam_res = Vec::new();
         for q in 0..ds.queries.len() {
             let (ids, tr) = search_intra(ctx, IntraParams::greedy(l), ds.queries.get(q), 0, k);
-            greedy_sorts += tr.sorts();
+            greedy_sorts += tr.totals().sorts;
             greedy_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
             let (ids, tr) = search_intra(ctx, IntraParams::beam(l), ds.queries.get(q), 0, k);
-            beam_sorts += tr.sorts();
+            beam_sorts += tr.totals().sorts;
             beam_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
         }
         assert!(
@@ -466,7 +466,7 @@ mod tests {
         let q = ds.queries.get(0);
         let (_, t_small) = search_intra(ctx, IntraParams::greedy(16), q, 0, 8);
         let (_, t_large) = search_intra(ctx, IntraParams::greedy(64), q, 0, 8);
-        assert!(t_large.dist_evals() >= t_small.dist_evals());
+        assert!(t_large.totals().dist_evals >= t_small.totals().dist_evals);
         assert!(t_large.n_steps() >= t_small.n_steps());
     }
 
@@ -510,9 +510,10 @@ mod tests {
         let global = IntraParams { l: 16, beam: None, bitmap_in_shared: false };
         let (_, t_shared) = search_intra(ctx, shared, &q, 0, 4);
         let (_, t_global) = search_intra(ctx, global, &q, 0, 4);
-        assert!(t_global.total_cycles() > t_shared.total_cycles());
+        let (shared, global) = (t_shared.totals(), t_global.totals());
+        assert!(global.total_cycles() > shared.total_cycles());
         // Functional results identical: cost placement never changes
         // the answer.
-        assert_eq!(t_shared.dist_evals(), t_global.dist_evals());
+        assert_eq!(shared.dist_evals, global.dist_evals);
     }
 }

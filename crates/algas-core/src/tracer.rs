@@ -115,31 +115,6 @@ impl CtaTrace {
         self.steps.len()
     }
 
-    /// Total cycles across all steps.
-    pub fn total_cycles(&self) -> u64 {
-        self.steps.iter().map(|s| s.total_cycles()).sum()
-    }
-
-    /// Cycles in distance calculation.
-    pub fn calc_cycles(&self) -> u64 {
-        self.steps.iter().map(|s| s.calc_cycles).sum()
-    }
-
-    /// Cycles in sorting.
-    pub fn sort_cycles(&self) -> u64 {
-        self.steps.iter().map(|s| s.sort_cycles).sum()
-    }
-
-    /// Total distance evaluations.
-    pub fn dist_evals(&self) -> u64 {
-        self.steps.iter().map(|s| s.dist_evals as u64).sum()
-    }
-
-    /// Number of sort invocations.
-    pub fn sorts(&self) -> u64 {
-        self.steps.iter().map(|s| s.sorts as u64).sum()
-    }
-
     /// Aggregates the whole trace into a [`StepTotals`] (one pass; the
     /// serving runtime calls this once per query per CTA).
     pub fn totals(&self) -> StepTotals {
@@ -148,16 +123,6 @@ impl CtaTrace {
             t.add_step(s);
         }
         t
-    }
-
-    /// Fraction of time spent sorting (Fig 3 / Fig 17's metric).
-    pub fn sort_fraction(&self) -> f64 {
-        let total = self.total_cycles();
-        if total == 0 {
-            0.0
-        } else {
-            self.sort_cycles() as f64 / total as f64
-        }
     }
 
     /// Distributes the steps across a measured wall-clock span
@@ -172,7 +137,7 @@ impl CtaTrace {
     /// not a `Vec`); steps with zero total cycles split the span
     /// evenly.
     pub fn scaled_spans(&self, span_ns: u64) -> impl Iterator<Item = (u64, u64, &StepStats)> + '_ {
-        let total_cycles = self.total_cycles();
+        let total_cycles = self.totals().total_cycles();
         let n = self.steps.len() as u64;
         let mut cum_cycles = 0u64;
         let mut idx = 0u64;
@@ -221,25 +186,14 @@ mod tests {
     fn aggregation() {
         let t = CtaTrace { steps: vec![step(100, 50, 10), step(200, 30, 20)] };
         assert_eq!(t.n_steps(), 2);
-        assert_eq!(t.total_cycles(), 410);
-        assert_eq!(t.calc_cycles(), 300);
-        assert_eq!(t.sort_cycles(), 80);
-        assert_eq!(t.dist_evals(), 8);
-        assert_eq!(t.sorts(), 2);
-        assert!((t.sort_fraction() - 80.0 / 410.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn totals_match_itemized_accessors() {
-        let t = CtaTrace { steps: vec![step(100, 50, 10), step(200, 30, 20), step(5, 5, 5)] };
         let totals = t.totals();
-        assert_eq!(totals.steps, t.n_steps() as u64);
-        assert_eq!(totals.calc_cycles, t.calc_cycles());
-        assert_eq!(totals.sort_cycles, t.sort_cycles());
-        assert_eq!(totals.dist_evals, t.dist_evals());
-        assert_eq!(totals.sorts, t.sorts());
-        assert_eq!(totals.total_cycles(), t.total_cycles());
-        assert!((totals.sort_fraction() - t.sort_fraction()).abs() < 1e-12);
+        assert_eq!(totals.steps, 2);
+        assert_eq!(totals.total_cycles(), 410);
+        assert_eq!(totals.calc_cycles, 300);
+        assert_eq!(totals.sort_cycles, 80);
+        assert_eq!(totals.dist_evals, 8);
+        assert_eq!(totals.sorts, 2);
+        assert!((totals.sort_fraction() - 80.0 / 410.0).abs() < 1e-12);
         let mut merged = StepTotals::default();
         merged.merge(&totals);
         merged.merge(&CtaTrace::default().totals());
@@ -260,7 +214,8 @@ mod tests {
         let last = spans.last().unwrap();
         assert_eq!(last.0 + last.1, span);
         // Durations track relative cycle costs (step 1 has 250/410).
-        let expect = span as u128 * t.steps[1].total_cycles() as u128 / t.total_cycles() as u128;
+        let total = t.totals().total_cycles();
+        let expect = span as u128 * t.steps[1].total_cycles() as u128 / total as u128;
         assert!(spans[1].1.abs_diff(expect as u64) <= 1);
     }
 
@@ -277,8 +232,8 @@ mod tests {
     #[test]
     fn empty_trace_is_zero() {
         let t = CtaTrace::default();
-        assert_eq!(t.total_cycles(), 0);
-        assert_eq!(t.sort_fraction(), 0.0);
+        assert_eq!(t.totals().total_cycles(), 0);
+        assert_eq!(t.totals().sort_fraction(), 0.0);
         assert!(t.head_distance_series().is_empty());
     }
 }

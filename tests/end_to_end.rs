@@ -121,7 +121,7 @@ fn beam_extend_reduces_work_at_matched_recall() {
     let greedy = mk(BeamMode::Greedy).run_workload(&ds.queries);
     let beam = mk(BeamMode::Auto).run_workload(&ds.queries);
     let sorts = |wl: &algas::core::Workload| -> u64 {
-        wl.traces.iter().flat_map(|m| m.traces.iter()).map(|t| t.sorts()).sum()
+        wl.traces.iter().flat_map(|m| m.traces.iter()).map(|t| t.totals().sorts).sum()
     };
     assert!(
         sorts(&beam) < sorts(&greedy),

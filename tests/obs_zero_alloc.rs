@@ -73,12 +73,12 @@ fn instrument_one_query(
         obs.flight_record(s, EventKind::CtaStep, c, 60, 1_000);
     }
     obs.flight_record(s, EventKind::BeamSwitch, 0, 2, 0);
-    obs.record_search((q % 2) as usize, s, totals, Some(0.5));
+    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
+    obs.record_search((q % 2) as usize, s, totals, Some(0.5), &delta);
     stamps.mark_finish();
     obs.flight_record(s, EventKind::Finish, (q % 2) as u32, 0, 0);
     let picked_up = stamp();
     let merged_at = stamp();
-    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
     // Delivery accounting now also writes the wide-event query-log
     // record (wire identity + per-query facts) into its ring — that
     // write rides the same zero-allocation budget.
@@ -94,7 +94,7 @@ fn instrument_one_query(
         ..DeliveryCtx::local(q)
     };
     prof.stamp(ProfState::Publish);
-    obs.record_delivery(0, s, &ctx, &stamps, picked_up, merged_at, stamp(), &delta);
+    obs.record_delivery(0, s, &ctx, &stamps, picked_up, merged_at, stamp());
     hist.record(1 + q * 17);
     // The obs tick thread's work rides the same budget: a profiler
     // sampling pass over every registered marker, and (each 8th

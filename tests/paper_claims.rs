@@ -49,8 +49,9 @@ fn claim_sorting_share_in_paper_band() {
     let (mut sort, mut total) = (0u64, 0u64);
     for m in &wl.traces {
         for t in &m.traces {
-            sort += t.sort_cycles();
-            total += t.total_cycles();
+            let totals = t.totals();
+            sort += totals.sort_cycles;
+            total += totals.total_cycles();
         }
     }
     let frac = sort as f64 / total as f64;
