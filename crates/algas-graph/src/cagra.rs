@@ -147,8 +147,10 @@ impl CagraBuilder {
                 let mut detours = 0usize;
                 for (rank_w, &w) in row.iter().enumerate().take(rank_u) {
                     // First hop shorter by rank; second hop must also be
-                    // shorter than the direct edge.
-                    debug_assert!(dists[rank_w] <= d_vu);
+                    // shorter than the direct edge. NN-descent ranked the
+                    // row with `distance`, which `distance_batch` matches
+                    // to 1e-5, not bit for bit.
+                    debug_assert!(dists[rank_w].0 <= d_vu.0 + 1e-5 * d_vu.0.abs().max(1.0));
                     if knn.neighbors(w).any(|x| x == u)
                         && DistValue(self.metric.distance(base.get(w as usize), uu)) < d_vu
                     {

@@ -99,19 +99,27 @@ impl NeighborList {
         Self { items: Vec::with_capacity(k + 1), k }
     }
 
-    /// Inserts (d, u) if better than the current worst; returns true on
-    /// an actual update.
+    /// Inserts (d, u) if better than the current worst and not already
+    /// present; returns true on an actual update. The O(1) bound test
+    /// runs before the O(k) duplicate scan: both reject without touching
+    /// the list, so their order changes only the work done, and most
+    /// offers fail the bound.
     fn insert(&mut self, d: DistValue, u: u32) -> bool {
-        if self.items.iter().any(|&(_, id, _)| id == u) {
+        if self.items.len() == self.k && d >= self.worst() {
             return false;
         }
-        if self.items.len() == self.k && d >= self.items.last().expect("full list has last").0 {
+        if self.items.iter().any(|&(_, id, _)| id == u) {
             return false;
         }
         let pos = self.items.partition_point(|&(x, _, _)| x < d);
         self.items.insert(pos, (d, u, true));
         self.items.truncate(self.k);
         true
+    }
+
+    /// Distance of the last (worst) entry.
+    fn worst(&self) -> DistValue {
+        self.items.last().expect("non-empty list").0
     }
 
     fn ids(&self) -> Vec<u32> {
@@ -121,9 +129,10 @@ impl NeighborList {
 
 /// Builds an approximate k-NN graph with NN-descent.
 ///
-/// Deterministic for a fixed seed. The local-join is sampled (classic
-/// `rho`-sampling with rho = 1 over new items) which keeps rounds
-/// O(n·k²).
+/// Deterministic for a fixed seed. The local join takes no sample of
+/// the forward lists (rho = 1: every new and every old neighbor joins)
+/// and caps each reverse list at its first k entries in vertex order,
+/// which keeps rounds O(n·k²) distance evaluations.
 pub fn build_knn_graph_nn_descent(
     base: &VectorStore,
     metric: Metric,
@@ -136,10 +145,12 @@ pub fn build_knn_graph_nn_descent(
 ///
 /// Within each round, the pair sets of the local join depend only on the
 /// round-start samples — never on inserts made earlier in the same round
-/// — so the expensive distance computations run in parallel over a
-/// window of vertices while the list inserts are applied sequentially in
-/// exactly the serial order. The output is therefore bit-identical for
-/// every thread count.
+/// — so a window of vertices computes its pairs in parallel, and the
+/// inserts are then applied by owner: each thread owns a contiguous range
+/// of lists and walks every pair in the serial order, applying only the
+/// inserts aimed at its own lists. A list's state depends only on the
+/// inserts it receives, and each list receives the serial sequence, so
+/// the output is bit-identical for every thread count.
 pub fn build_knn_graph_nn_descent_threads(
     base: &VectorStore,
     metric: Metric,
@@ -204,16 +215,23 @@ pub fn build_knn_graph_nn_descent_threads(
                 rev_old[u as usize].push(v as u32);
             }
         }
+        // Every list is full from initialization on (k < n), and a full
+        // list's worst distance never rises: an accepted insert evicts
+        // the old worst. So a pair at least as far as both endpoints'
+        // round-start worst would be refused by both inserts at any later
+        // point of the round, and the join drops it before buffering.
+        debug_assert!(lists.iter().all(|l| l.items.len() == k), "every list holds k entries");
+        let bound: Vec<DistValue> = lists.iter().map(NeighborList::worst).collect();
         // Local join: for each vertex, compare (new × new) and
-        // (new × old) pairs among its forward+reverse samples. The pair
-        // distances are pure functions of the round-start samples, so
-        // they are computed in parallel per window of vertices; the list
-        // inserts are then applied sequentially in vertex order, which
-        // reproduces the serial algorithm exactly. Windowing bounds the
-        // buffered pairs to O(window · k²).
+        // (new × old) pairs among its forward+reverse samples. The pairs
+        // are pure functions of the round-start samples, so they are
+        // computed in parallel per window of vertices, then applied by
+        // owner (see the function docs). Windowing bounds the buffered
+        // pairs to O(window · k²).
         let mut updates = 0usize;
         let rev_cap = k; // bound reverse lists like the reference algorithm
         const WINDOW: usize = 2048;
+        let owned_per_thread = n.div_ceil(threads.max(1));
         let mut lo = 0usize;
         while lo < n {
             let hi = (lo + WINDOW).min(n);
@@ -239,21 +257,38 @@ pub fn build_knn_graph_nn_descent_threads(
                             let d = DistValue(
                                 metric.distance(base.get(a as usize), base.get(b as usize)),
                             );
-                            pairs.push((a, b, d));
+                            if d < bound[a as usize] || d < bound[b as usize] {
+                                pairs.push((a, b, d));
+                            }
                         }
                     }
                     pairs
                 });
-            for pairs in &pair_batches {
-                for &(a, b, d) in pairs {
-                    if lists[a as usize].insert(d, b) {
-                        updates += 1;
-                    }
-                    if lists[b as usize].insert(d, a) {
-                        updates += 1;
-                    }
-                }
-            }
+            let pair_batches = &pair_batches;
+            updates += std::thread::scope(|scope| {
+                let appliers: Vec<_> = lists
+                    .chunks_mut(owned_per_thread)
+                    .enumerate()
+                    .map(|(t, owned)| {
+                        let first = (t * owned_per_thread) as u32;
+                        let ids = first..first + owned.len() as u32;
+                        scope.spawn(move || {
+                            let mut updates = 0usize;
+                            for &(a, b, d) in pair_batches.iter().flatten() {
+                                for (to, from) in [(a, b), (b, a)] {
+                                    if ids.contains(&to)
+                                        && owned[(to - first) as usize].insert(d, from)
+                                    {
+                                        updates += 1;
+                                    }
+                                }
+                            }
+                            updates
+                        })
+                    })
+                    .collect();
+                appliers.into_iter().map(|h| h.join().expect("insert pass panicked")).sum::<usize>()
+            });
             lo = hi;
         }
         if (updates as f64) < params.termination_frac * (n * k) as f64 {
@@ -290,6 +325,7 @@ pub fn knn_graph_recall(exact: &FixedDegreeGraph, approx: &FixedDegreeGraph) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cagra::{CagraBuilder, CagraParams};
     use algas_vector::datasets::DatasetSpec;
 
     #[test]
@@ -346,6 +382,43 @@ mod tests {
         assert!(l.insert(DistValue(2.0), 3)); // evicts 3.0
         assert!(!l.insert(DistValue(5.0), 4)); // worse than worst
         assert_eq!(l.ids(), vec![2, 3]);
+        // On a full list the bound test runs first; neither rejection
+        // may touch the list.
+        let full = l.items.clone();
+        assert!(!l.insert(DistValue(0.5), 3)); // duplicate, though better
+        assert!(!l.insert(DistValue(2.0), 4)); // equal to the worst
+        assert!(l.items == full);
+    }
+
+    /// 64-bit FNV-1a over a graph's shape and every slot of every row.
+    fn graph_hash(g: &FixedDegreeGraph) -> u64 {
+        let words = [g.len() as u32, g.degree() as u32]
+            .into_iter()
+            .chain((0..g.len() as u32).flat_map(|v| g.row(v).iter().copied()));
+        words.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn nn_descent_matches_the_recorded_graph() {
+        // 3000 rows is above `CagraParams::exact_threshold`, so the CAGRA
+        // build runs NN-descent too. Both constants were recorded before
+        // the insert pass checked its bound first, prefiltered pairs and
+        // split by owner, and are the same under the scalar and the
+        // AVX2+FMA kernels. Three threads split the lists unevenly.
+        let ds = DatasetSpec::tiny(3000, 24, Metric::L2, 3).generate();
+        let knn = NnDescentParams { k: 32, ..Default::default() };
+        let cagra = CagraBuilder::new(
+            Metric::L2,
+            CagraParams { graph_degree: 16, intermediate_degree: 32, ..Default::default() },
+        );
+        for threads in [1, 2, 3] {
+            let g = build_knn_graph_nn_descent_threads(&ds.base, Metric::L2, knn, threads);
+            assert_eq!(graph_hash(&g), 0xf307_1182_4bb5_c3c1, "k-NN graph, {threads} threads");
+            let g = cagra.build_with_threads(&ds.base, threads);
+            assert_eq!(graph_hash(&g), 0x79f1_ef4e_794c_0b10, "CAGRA graph, {threads} threads");
+        }
     }
 
     #[test]

@@ -201,6 +201,14 @@ fn opt_parse<T: std::str::FromStr>(
     Ok(opt(flags, name)?.unwrap_or(default))
 }
 
+/// [`opt_parse`] for a size that must be at least 1.
+fn opt_size(flags: &HashMap<String, String>, name: &str, default: usize) -> Result<usize, String> {
+    match opt_parse(flags, name, default)? {
+        0 => Err(format!("--{name} must be ≥ 1")),
+        size => Ok(size),
+    }
+}
+
 fn parse_bool(flags: &HashMap<String, String>, name: &str) -> Result<bool, String> {
     match flags.get(name).map(|s| s.as_str()) {
         None => Ok(false),
@@ -249,11 +257,11 @@ fn save_fvecs(path: &str, store: &VectorStore) -> Result<(), String> {
 fn cmd_gen(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let spec = DatasetSpec {
         name: "cli".into(),
-        n_base: opt_parse(flags, "n", 10_000usize)?,
+        n_base: opt_size(flags, "n", 10_000)?,
         n_queries: opt_parse(flags, "nq", 256usize)?,
-        dim: opt_parse(flags, "dim", 64usize)?,
+        dim: opt_size(flags, "dim", 64)?,
         metric: parse_metric(flags)?,
-        clusters: opt_parse(flags, "clusters", 32usize)?,
+        clusters: opt_size(flags, "clusters", 32)?,
         spread: opt_parse(flags, "spread", 0.55f32)?,
         seed: opt_parse(flags, "seed", 42u64)?,
     };
@@ -273,10 +281,10 @@ fn cmd_gen(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), S
 }
 
 fn cmd_gt(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
+    let k = opt_size(flags, "k", 100)?;
     let base = load_fvecs(req(flags, "base")?)?;
     let queries = load_fvecs(req(flags, "queries")?)?;
     let metric = parse_metric(flags)?;
-    let k = opt_parse(flags, "k", 100usize)?;
     let gt = brute_force_knn(&base, &queries, metric, k.min(base.len()));
     let f = std::fs::File::create(req(flags, "out")?).map_err(io_err)?;
     algas_vector::io::write_ivecs(std::io::BufWriter::new(f), &gt.neighbors).map_err(io_err)?;
@@ -284,6 +292,7 @@ fn cmd_gt(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), St
 }
 
 fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
+    let degree = opt_size(flags, "degree", 32)?;
     let mut base = load_fvecs(req(flags, "base")?)?;
     let metric = parse_metric(flags)?;
     if metric.requires_normalization() {
@@ -318,20 +327,17 @@ fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
     };
     let t0 = std::time::Instant::now();
     let index = match flags.get("graph").map(|s| s.as_str()).unwrap_or("cagra") {
-        "cagra" => {
-            let degree = opt_parse(flags, "degree", 32usize)?;
-            AlgasIndex::build_cagra(
-                base,
-                metric,
-                CagraParams {
-                    graph_degree: degree,
-                    intermediate_degree: degree.max(opt_parse(flags, "intermediate", degree)?),
-                    ..Default::default()
-                },
-            )
-        }
+        "cagra" => AlgasIndex::build_cagra(
+            base,
+            metric,
+            CagraParams {
+                graph_degree: degree,
+                intermediate_degree: degree.max(opt_parse(flags, "intermediate", degree)?),
+                ..Default::default()
+            },
+        ),
         "nsw" => {
-            let m = opt_parse(flags, "degree", 32usize)? / 2;
+            let m = degree / 2;
             AlgasIndex::build_nsw(
                 base,
                 metric,
@@ -1775,6 +1781,19 @@ mod tests {
         )
         .unwrap_err()
         .contains("l2|cosine"));
+        // A zero size is refused by name, before any file is touched: the
+        // paths below do not exist.
+        let missing = "/nonexistent/algas-cli-test";
+        let gen = ["gen", "--out", missing];
+        let gt = ["gt", "--base", missing, "--queries", missing, "--out", missing];
+        let build = ["build", "--base", missing, "--out", missing];
+        for (cmd, flag) in
+            [(&gen[..], "n"), (&gen, "dim"), (&gen, "clusters"), (&gt, "k"), (&build, "degree")]
+        {
+            let mut args: Vec<String> = cmd.iter().map(|&a| a.into()).collect();
+            args.extend([format!("--{flag}"), "0".into()]);
+            assert_eq!(run(&args, &mut out).unwrap_err(), format!("--{flag} must be ≥ 1"));
+        }
         // A mistyped or retired flag is refused by name, on every command.
         for cmd in
             "gen gt build info search serve stats trace profile bench-net trace-check".split(' ')
