@@ -37,10 +37,15 @@
 //!
 //! `--entry-policy` picks how each search seeds its CTAs:
 //! `medoid` (single classic entry), `hashed` (CAGRA-style
-//! pseudo-random, the default), `hash-table` (LSH bucket lookup,
-//! starts the walk near the query), or `descent` (pivot-ladder
-//! descent). The table/ladder policies use entry structures persisted
-//! by `build --entry true` (format v4) or built at load time. On
+//! pseudo-random), `hash-table` (LSH bucket lookup, starts the walk
+//! near the query), or `descent` (pivot-ladder descent). `search`
+//! defaults to `hashed`: it runs the paper's concurrent schedule, and
+//! the figures and golden results pin its seeds. `serve`, `stats` and
+//! `trace` default to `hash-table`: a worker runs its walkers one after
+//! another and the first one is most of the search, so starting it near
+//! the query skips the crossing from a random vertex. The table/ladder
+//! policies use entry structures persisted by `build --entry true`
+//! (format v4) or built at load time. On
 //! `serve`/`stats`, `--slo-us` arms the SLO controller: it watches the
 //! live submit→reply p99 and sheds/restores search effort (rerank
 //! depth, then CTAs, then beam shape) to hold the target; its rung and
@@ -218,11 +223,16 @@ fn parse_bool(flags: &HashMap<String, String>, name: &str) -> Result<bool, Strin
     }
 }
 
-fn parse_entry_policy(flags: &HashMap<String, String>) -> Result<EntryPolicy, String> {
+/// `--entry-policy`, or `default` when the flag is absent. `hashed` is
+/// the engine's own pseudo-random spread, the paper's seeds.
+fn parse_entry_policy(
+    flags: &HashMap<String, String>,
+    default: EntryPolicy,
+) -> Result<EntryPolicy, String> {
     match flags.get("entry-policy").map(|s| s.as_str()) {
-        None => Ok(EngineConfig::default().entry_policy),
+        None => Ok(default),
         Some("medoid") => Ok(EntryPolicy::Medoid),
-        Some("hashed") => Ok(EntryPolicy::Hashed { seed: 0 }),
+        Some("hashed") => Ok(EngineConfig::default().entry_policy),
         Some("hash-table") | Some("hash_table") | Some("lsh") => Ok(EntryPolicy::HashTable),
         Some("descent") => Ok(EntryPolicy::Descent),
         Some(other) => {
@@ -426,15 +436,18 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
                     (None, None) => "empty".to_string(),
                 }
             }
-            None => "none (medoid/hashed only)".to_string(),
+            None => "none (serving builds the LSH table at load)".to_string(),
         },
     )
     .map_err(io_err)
 }
 
+/// The engine the `ENGINE` flags describe; `entry_policy` is what it
+/// seeds from without `--entry-policy`.
 fn engine_from_flags(
     index: AlgasIndex,
     flags: &HashMap<String, String>,
+    entry_policy: EntryPolicy,
 ) -> Result<AlgasEngine, String> {
     let defaults = EngineConfig::default();
     let cfg = EngineConfig {
@@ -445,7 +458,7 @@ fn engine_from_flags(
         // flag; `--quantize true` quantizes a plain index at load time.
         quantize: defaults.quantize || parse_bool(flags, "quantize")? || index.quant.is_some(),
         rerank_depth: opt(flags, "rerank")?,
-        entry_policy: parse_entry_policy(flags)?,
+        entry_policy: parse_entry_policy(flags, entry_policy)?,
         slo_us: opt(flags, "slo-us")?,
         ..defaults
     };
@@ -461,7 +474,8 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     if queries.dim() != index.base.dim() {
         return Err(format!("query dim {} != index dim {}", queries.dim(), index.base.dim()));
     }
-    let engine = engine_from_flags(index, flags)?;
+    // The paper's schedule, seeded as the figures and goldens pin it.
+    let engine = engine_from_flags(index, flags, EngineConfig::default().entry_policy)?;
     let k = engine.config().k;
     let t0 = std::time::Instant::now();
     let wl = engine.run_workload(&queries);
@@ -522,7 +536,10 @@ fn start_server_from_flags(
         queries.normalize_l2();
     }
     let slots = opt_parse(flags, "slots", 16usize)?;
-    let engine = engine_from_flags(index, flags)?;
+    // The serial schedule's first walker is most of the search, so it
+    // starts from the LSH table, near the query (built at load when the
+    // index carries no entry section).
+    let engine = engine_from_flags(index, flags, EntryPolicy::HashTable)?;
     let tick = ObsTickConfig::default();
     let server = AlgasServer::start(
         engine,
@@ -1340,6 +1357,69 @@ mod tests {
         assert!(stat(control, &["level"]) >= 1, "an impossible SLO must shed effort");
 
         for p in [base, queries, gt, index] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// `search` seeds as the paper does, and `--entry-policy hashed`
+    /// names exactly that; a serving session on an index built without
+    /// entry data seeds from the LSH table unless told `hashed`.
+    #[test]
+    fn search_defaults_to_hashed_seeds_and_serving_to_the_table() {
+        let base = tmp("d-base.fvecs");
+        let queries = tmp("d-q.fvecs");
+        let index = tmp("d-index.algas");
+        let (plain, hashed, qlog) = (tmp("d-plain.ivecs"), tmp("d-hashed.ivecs"), tmp("d-ql"));
+        run_ok(&[
+            "gen",
+            "--out",
+            &base,
+            "--queries",
+            &queries,
+            "--n",
+            "600",
+            "--nq",
+            "24",
+            "--dim",
+            "12",
+            "--seed",
+            "17",
+        ]);
+        run_ok(&["build", "--base", &base, "--graph", "cagra", "--out", &index]);
+        let msg = run_ok(&["info", "--index", &index]);
+        assert!(msg.contains("entry: none (serving builds the LSH table at load)"), "{msg}");
+
+        // Wall time differs run to run; the simulated time may not.
+        let search = |out: &str, policy: &[&str]| {
+            let mut args = vec!["search", "--index", &index, "--queries", &queries, "--out", out];
+            args.extend_from_slice(policy);
+            let msg = run_ok(&args);
+            let sim = msg.split_once("mean simulated GPU time ").expect("simulated time").1;
+            sim.lines().next().unwrap().to_string()
+        };
+        let (sim_plain, sim_hashed) =
+            (search(&plain, &[]), search(&hashed, &["--entry-policy", "hashed"]));
+        assert_eq!(sim_plain, sim_hashed);
+        assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&hashed).unwrap());
+
+        for (policy, entry) in
+            [(&[][..], "hash_table"), (&["--entry-policy", "hashed"][..], "hashed")]
+        {
+            let mut args = vec!["serve", "--index", &index, "--queries", &queries, "--slots", "4"];
+            args.extend_from_slice(&["--repeat", "2", "--query-log", &qlog, "--qlog-sample", "1"]);
+            args.extend_from_slice(policy);
+            run_ok(&args);
+            let lines = std::fs::read_to_string(&qlog).expect("query log written");
+            if cfg!(feature = "obs") {
+                assert_eq!(lines.lines().count(), 48, "{lines}");
+                let tag = format!("\"entry\":\"{entry}\"");
+                assert!(lines.lines().all(|l| l.contains(&tag)), "{policy:?}: {lines}");
+            } else {
+                assert!(lines.is_empty(), "{lines}");
+            }
+        }
+
+        for p in [base, queries, index, plain, hashed, qlog] {
             let _ = std::fs::remove_file(p);
         }
     }
