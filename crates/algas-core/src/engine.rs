@@ -15,7 +15,7 @@ use crate::search::multi::{
 use crate::search::{BeamParams, SearchContext};
 use crate::tuning::{tune, EffortLadder, EffortStep, TuningError, TuningInput, TuningPlan};
 use algas_gpu_sim::{CostModel, CtaWork, DeviceProps, QueryWork};
-use algas_graph::entry::{medoid, EntryIndex, EntryParams, EntryPolicy};
+use algas_graph::entry::{medoid, EntryParams, EntryPolicy, HashEntryTable};
 use algas_graph::{CagraBuilder, FixedDegreeGraph, GraphKind, NodePermutation, NswBuilder};
 use algas_vector::metric::DistValue;
 use algas_vector::{Metric, QuantizedStore, VectorStore};
@@ -69,10 +69,10 @@ pub struct AlgasIndex {
     /// Physical → original id map when the index has been relayouted
     /// (see [`AlgasIndex::relayout`]); `None` means ids are unpermuted.
     pub id_map: Option<NodePermutation>,
-    /// Index-time entry data (LSH bucket table + descent ladder) for
-    /// the smart entry policies; `None` means only the data-free
-    /// policies are available (they all degrade gracefully).
-    pub entry: Option<EntryIndex>,
+    /// Index-time LSH bucket table for [`EntryPolicy::HashTable`];
+    /// `None` means only the data-free policies are available
+    /// ([`AlgasEngine::new`] builds the table when its policy needs it).
+    pub entry: Option<HashEntryTable>,
 }
 
 impl AlgasIndex {
@@ -187,26 +187,24 @@ impl AlgasIndex {
         }
     }
 
-    /// Builds (or rebuilds) the index-time entry data — the LSH bucket
-    /// table and the descent ladder — enabling the data-backed entry
-    /// policies. Signatures are computed over the SQ8 codes when the
-    /// index is quantized (the store the traversal scores), else fp32.
+    /// Builds (or rebuilds) the index-time LSH bucket table, enabling
+    /// [`EntryPolicy::HashTable`]. Signatures are computed over the SQ8
+    /// codes when the index is quantized (the store the traversal
+    /// scores), else fp32.
     pub fn build_entry_index(&mut self, params: &EntryParams) {
-        self.entry = Some(EntryIndex::build(&self.base, self.quant.as_ref(), self.metric, params));
+        let table = HashEntryTable::build(&self.base, self.quant.as_ref(), self.metric, params);
+        self.entry = Some(table);
     }
 
-    /// Rebuilds the entry data with the parameters recoverable from the
-    /// existing structures (no-op when the index has none). Called
-    /// after operations that renumber or re-encode rows.
+    /// Rebuilds the table with its own parameters (no-op when the index
+    /// has none). Called after operations that renumber or re-encode
+    /// rows.
     fn rebuild_entry_index(&mut self) {
-        let Some(e) = &self.entry else { return };
-        let params = match &e.hash {
-            Some(h) => EntryParams {
-                n_bits: Some(h.n_bits()),
-                reps_per_bucket: h.reps_per_bucket(),
-                seed: h.hasher().seed(),
-            },
-            None => EntryParams::default(),
+        let Some(t) = &self.entry else { return };
+        let params = EntryParams {
+            n_bits: Some(t.n_bits()),
+            reps_per_bucket: t.reps_per_bucket(),
+            seed: t.hasher().seed(),
         };
         self.build_entry_index(&params);
     }
@@ -243,10 +241,9 @@ pub struct EngineConfig {
     /// Beam extend on/off (`None` = greedy; `Some` overrides the
     /// tuner's trigger offset).
     pub beam: BeamMode,
-    /// Entry policy for the CTAs. The data-backed policies
-    /// ([`EntryPolicy::HashTable`], [`EntryPolicy::Descent`]) make the
-    /// engine build the index's [`EntryIndex`] at construction if the
-    /// index doesn't already carry one.
+    /// Entry policy for the CTAs. [`EntryPolicy::HashTable`] makes the
+    /// engine build the index's [`HashEntryTable`] at construction if
+    /// the index doesn't already carry one.
     pub entry_policy: EntryPolicy,
     /// Traverse on SQ8 quantized distances, then re-rank the pooled
     /// candidates with exact f32 distances (`Default` honors the
@@ -394,9 +391,10 @@ impl AlgasEngine {
         if cfg.quantize && index.quant.is_none() {
             index.quantize();
         }
-        // A data-backed entry policy on an index without entry data
-        // (e.g. one loaded from a pre-v4 file): build it now, once.
-        if cfg.entry_policy.needs_entry_data() && index.entry.is_none() && !index.is_empty() {
+        // The table policy on an index without a table (e.g. one
+        // loaded from a pre-v4 file): build it now, once.
+        if cfg.entry_policy == EntryPolicy::HashTable && index.entry.is_none() && !index.is_empty()
+        {
             index.build_entry_index(&EntryParams::default());
         }
         let mut input = TuningInput::new(cfg.device, cfg.slots, index.base.dim(), cfg.l, cfg.k);
@@ -481,7 +479,6 @@ impl AlgasEngine {
                 bitmap_in_shared: self.plan.n_parallel == 1,
             },
             n_ctas: step.n_ctas.clamp(1, self.plan.n_parallel),
-            entry: self.cfg.entry_policy,
         }
     }
 
@@ -574,25 +571,24 @@ impl AlgasEngine {
                 self.cfg.k,
             ),
         };
-        // Entry seeds resolve per CTA, when it is launched: data-backed
-        // policies consult the index's entry data — the query's LSH
-        // signature is computed once here — and every policy degrades
-        // to its data-free behavior when the index carries none.
+        // Entry seeds resolve here and nowhere else, per CTA, when it is
+        // launched. The table policy looks the query's bucket up (its
+        // LSH signature computed once); a CTA past the bucket's
+        // representatives falls back to a hashed entry seeded from the
+        // table. Every policy is data-free when the index has no table.
         let policy = self.cfg.entry_policy;
-        let entry = index.entry.as_ref().filter(|_| policy.needs_entry_data());
-        let sig = entry.and_then(|e| e.hash.as_ref()).map_or(0, |t| t.signature(query));
-        let seed_of = |c: usize| match entry {
-            Some(e) => e.seed_for(
-                policy,
-                sig,
-                query,
-                &index.base,
-                index.metric,
-                query_id,
-                c as u32,
-                index.medoid,
-            ),
-            None => policy.entry_for(query_id, c as u32, index.len(), index.medoid),
+        let table = index.entry.as_ref().filter(|_| policy == EntryPolicy::HashTable);
+        let sig = table.map_or(0, |t| t.signature(query));
+        let (n, medoid) = (index.len(), index.medoid);
+        let seed_of = |c: usize| {
+            let c = c as u32;
+            match table {
+                Some(t) => t.seed_for(sig, c).unwrap_or_else(|| {
+                    EntryPolicy::Hashed { seed: t.hasher().seed() }
+                        .entry_for(query_id, c, n, medoid)
+                }),
+                None => policy.entry_for(query_id, c, n, medoid),
+            }
         };
         let params = self.multi_params_for(step);
         search_multi_seeded_into(

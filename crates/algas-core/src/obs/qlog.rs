@@ -128,7 +128,6 @@ pub fn entry_policy_code(policy: &algas_graph::EntryPolicy) -> u32 {
         EntryPolicy::Medoid => 1,
         EntryPolicy::Hashed { .. } => 2,
         EntryPolicy::HashTable => 3,
-        EntryPolicy::Descent => 4,
     }
 }
 
@@ -139,7 +138,6 @@ pub fn entry_policy_name(code: u32) -> &'static str {
         1 => "medoid",
         2 => "hashed",
         3 => "hash_table",
-        4 => "descent",
         _ => "unknown",
     }
 }
@@ -614,13 +612,13 @@ mod tests {
         assert_eq!(status_name(STATUS_REJECTED), "rejected");
         assert_eq!(status_name(STATUS_ERROR), "error");
         assert_eq!(status_name(99), "unknown");
-        for code in 0..5 {
+        for code in 0..4 {
             assert_ne!(entry_policy_name(code), "unknown");
         }
         assert_eq!(entry_policy_code(&algas_graph::EntryPolicy::Medoid), 1);
         assert_eq!(
-            entry_policy_name(entry_policy_code(&algas_graph::EntryPolicy::Descent)),
-            "descent"
+            entry_policy_name(entry_policy_code(&algas_graph::EntryPolicy::HashTable)),
+            "hash_table"
         );
     }
 }

@@ -318,7 +318,6 @@ impl RuntimeStats {
                     ("other_cycles", Value::Uint(self.search.other_cycles)),
                     ("entry_dist_milli_total", Value::Uint(self.entry_dist_milli_total)),
                     // Derived from the fields above.
-                    ("sort_fraction", Value::Num(self.search.sort_fraction())),
                     ("hops_per_query", Value::Num(self.hops_per_query())),
                     ("mean_entry_distance", Value::Num(self.mean_entry_distance())),
                 ]),
@@ -615,8 +614,6 @@ impl RuntimeStats {
         ] {
             w.family(name, "counter", help).scalar(name, v);
         }
-        w.family("algas_search_sort_fraction", "gauge", "Fraction of cycles spent sorting.")
-            .sample("algas_search_sort_fraction", &[], self.search.sort_fraction());
         w.family(
             "algas_search_hops_per_query",
             "gauge",
@@ -1074,8 +1071,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(p99.value, s.phases.end_to_end.quantile(0.99) as f64);
-        let frac = find("algas_search_sort_fraction").value;
-        assert!((frac - s.search.sort_fraction()).abs() < 1e-12);
     }
 
     /// `/metrics` does not grow with the number of clients; the

@@ -13,9 +13,10 @@ const INDEX_MAGIC: u32 = 0x414C_4958; // "ALIX"
 /// Format 2 appends a node-permutation section (the relayout id-map)
 /// after the graph; format 3 appends an SQ8 code section (scales,
 /// offsets, code rows) after that; format 4 appends an entry-index
-/// section (the LSH bucket table and descent ladder for the smart
-/// entry policies). Every optional section uses a zero length to mean
-/// "absent", so format-1 through format-3 files are still read.
+/// section (the LSH bucket table; files from older builds also carry a
+/// descent ladder there, which is read and skipped). Every optional
+/// section uses a zero length to mean "absent", so format-1 through
+/// format-3 files are still read.
 const FORMAT_VERSION: u32 = 4;
 /// Oldest format this build still reads.
 const OLDEST_READABLE_VERSION: u32 = 1;
@@ -144,9 +145,9 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let entry = if entry_len > 0 {
-        Some(read_section(&mut r, entry_len, "entry", |blob| {
+        read_section(&mut r, entry_len, "entry", |blob| {
             algas_graph::binary::decode_entry_index(blob, base.len())
-        })?)
+        })?
     } else {
         None
     };
@@ -302,9 +303,7 @@ mod tests {
         assert_eq!(back.quant, index.quant);
         assert_eq!(back.base, index.base);
         // The loaded table resolves the same entry seeds.
-        let (e, b) = (index.entry.as_ref().unwrap(), back.entry.as_ref().unwrap());
-        let t = e.hash.as_ref().unwrap();
-        let bt = b.hash.as_ref().unwrap();
+        let (t, bt) = (index.entry.as_ref().unwrap(), back.entry.as_ref().unwrap());
         for sig in 0..t.hasher().n_buckets() as u32 {
             assert_eq!(t.seed_for(sig, 0), bt.seed_for(sig, 0));
         }

@@ -298,16 +298,6 @@ impl<'a> CtaSearch<'a> {
         while self.step(visited) {}
     }
 
-    /// Consumes the search, returning the best `k` ids and a clone of
-    /// the trace (the original stays readable on the scratch).
-    ///
-    /// # Panics
-    /// Panics if called before the search finished.
-    pub fn finish(self, k: usize) -> (Vec<(DistValue, u32)>, CtaTrace) {
-        assert!(self.scratch.done, "finish() before the search terminated");
-        (self.scratch.list.top_k(k), self.scratch.trace.clone())
-    }
-
     /// Allocation-free termination: clears `out` and fills it with the
     /// best `k` (distance, id) pairs. The trace remains on the scratch
     /// ([`CtaScratch::trace`]).
@@ -321,9 +311,11 @@ impl<'a> CtaSearch<'a> {
     }
 }
 
-/// Convenience wrapper: run one single-CTA search to completion with a
-/// private bitmap and scratch.
-pub fn search_intra(
+/// One single-CTA search run to completion on a private bitmap and
+/// scratch: the best `k` and the trace, the reference the search tests
+/// compare against.
+#[cfg(test)]
+pub(crate) fn search_one(
     ctx: SearchContext<'_>,
     params: IntraParams,
     query: &[f32],
@@ -336,7 +328,9 @@ pub fn search_intra(
     ctx.encode_query(query, &mut qquery);
     let mut search = CtaSearch::new(ctx, params, query, &qquery, entry, &mut visited, &mut scratch);
     search.run(&mut visited);
-    search.finish(k)
+    let mut out = Vec::new();
+    search.finish_into(k, &mut out);
+    (out, scratch.trace.clone())
 }
 
 #[cfg(test)]
@@ -359,7 +353,7 @@ mod tests {
         let (base, g) = line_setup(64);
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &base, Metric::L2, &cost);
-        let (ids, trace) = search_intra(ctx, IntraParams::greedy(16), &[40.3], 0, 4);
+        let (ids, trace) = search_one(ctx, IntraParams::greedy(16), &[40.3], 0, 4);
         assert_eq!(ids[0].1, 40);
         assert_eq!(ids[1].1, 41);
         assert!(trace.n_steps() > 1);
@@ -379,8 +373,7 @@ mod tests {
             CtaSearch::new(ctx, IntraParams::greedy(16), &q, &qq, 0, &mut visited, &mut scratch);
         s.run(&mut visited);
         // Distance evaluations == bitmap marks: nothing scored twice.
-        let (_, trace) = s.finish(4);
-        assert_eq!(trace.totals().dist_evals as usize, visited.count());
+        assert_eq!(scratch.trace().totals().dist_evals as usize, visited.count());
     }
 
     #[test]
@@ -398,10 +391,11 @@ mod tests {
             visited.clear();
             let mut s = CtaSearch::new(ctx, params, query, &qq, 0, &mut visited, &mut reused);
             s.run(&mut visited);
-            let (ids_reused, trace_reused) = s.finish(10);
-            let (ids_fresh, trace_fresh) = search_intra(ctx, params, query, 0, 10);
+            let mut ids_reused = Vec::new();
+            s.finish_into(10, &mut ids_reused);
+            let (ids_fresh, trace_fresh) = search_one(ctx, params, query, 0, 10);
             assert_eq!(ids_reused, ids_fresh, "query {q}");
-            assert_eq!(trace_reused, trace_fresh, "query {q}");
+            assert_eq!(reused.trace(), &trace_fresh, "query {q}");
         }
     }
 
@@ -420,10 +414,10 @@ mod tests {
         let mut greedy_res = Vec::new();
         let mut beam_res = Vec::new();
         for q in 0..ds.queries.len() {
-            let (ids, tr) = search_intra(ctx, IntraParams::greedy(l), ds.queries.get(q), 0, k);
+            let (ids, tr) = search_one(ctx, IntraParams::greedy(l), ds.queries.get(q), 0, k);
             greedy_sorts += tr.totals().sorts;
             greedy_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
-            let (ids, tr) = search_intra(ctx, IntraParams::beam(l), ds.queries.get(q), 0, k);
+            let (ids, tr) = search_one(ctx, IntraParams::beam(l), ds.queries.get(q), 0, k);
             beam_sorts += tr.totals().sorts;
             beam_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
         }
@@ -445,7 +439,7 @@ mod tests {
         let g = NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base);
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
-        let (_, trace) = search_intra(ctx, IntraParams::greedy(64), ds.queries.get(0), 0, 10);
+        let (_, trace) = search_one(ctx, IntraParams::greedy(64), ds.queries.get(0), 0, 10);
         let series = trace.head_distance_series();
         assert!(series.len() > 4);
         let half = series.len() / 2;
@@ -464,8 +458,8 @@ mod tests {
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let q = ds.queries.get(0);
-        let (_, t_small) = search_intra(ctx, IntraParams::greedy(16), q, 0, 8);
-        let (_, t_large) = search_intra(ctx, IntraParams::greedy(64), q, 0, 8);
+        let (_, t_small) = search_one(ctx, IntraParams::greedy(16), q, 0, 8);
+        let (_, t_large) = search_one(ctx, IntraParams::greedy(64), q, 0, 8);
         assert!(t_large.totals().dist_evals >= t_small.totals().dist_evals);
         assert!(t_large.n_steps() >= t_small.n_steps());
     }
@@ -496,8 +490,9 @@ mod tests {
         let mut scratch = CtaScratch::new();
         let q = [3.0f32];
         let qq = QuantizedQuery::new();
-        let s = CtaSearch::new(ctx, IntraParams::greedy(8), &q, &qq, 0, &mut visited, &mut scratch);
-        let _ = s.finish(1);
+        let mut s =
+            CtaSearch::new(ctx, IntraParams::greedy(8), &q, &qq, 0, &mut visited, &mut scratch);
+        s.finish_into(1, &mut Vec::new());
     }
 
     #[test]
@@ -508,8 +503,8 @@ mod tests {
         let q = [20.2f32];
         let shared = IntraParams { l: 16, beam: None, bitmap_in_shared: true };
         let global = IntraParams { l: 16, beam: None, bitmap_in_shared: false };
-        let (_, t_shared) = search_intra(ctx, shared, &q, 0, 4);
-        let (_, t_global) = search_intra(ctx, global, &q, 0, 4);
+        let (_, t_shared) = search_one(ctx, shared, &q, 0, 4);
+        let (_, t_global) = search_one(ctx, global, &q, 0, 4);
         let (shared, global) = (t_shared.totals(), t_global.totals());
         assert!(global.total_cycles() > shared.total_cycles());
         // Functional results identical: cost placement never changes

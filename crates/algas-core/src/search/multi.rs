@@ -1,7 +1,7 @@
 //! Multi-CTA search: up to `N_parallel` CTAs cooperate on one query.
 //!
-//! Each CTA runs the intra-CTA search from its own (hashed) entry point
-//! with a **private candidate list**, while all CTAs of the query share
+//! Each CTA runs the intra-CTA search from its own entry point with a
+//! **private candidate list**, while all CTAs of the query share
 //! one visited bitmap (§IV-B): the first CTA to touch a point owns its
 //! distance computation, so the CTAs implicitly partition the explored
 //! region and never duplicate work. The per-CTA TopK lists are returned
@@ -21,7 +21,6 @@ use crate::lists::VisitedBitmap;
 use crate::search::intra::{CtaScratch, CtaSearch, IntraParams};
 use crate::search::SearchContext;
 use crate::tracer::{CtaTrace, StepTotals};
-use algas_graph::entry::EntryPolicy;
 use algas_vector::metric::DistValue;
 use algas_vector::QuantizedQuery;
 
@@ -133,8 +132,6 @@ pub struct MultiParams {
     /// Number of CTAs (`N_parallel`); under [`Schedule::Serial`] the
     /// most that may be launched.
     pub n_ctas: usize,
-    /// Entry-point policy (the paper uses random entries per CTA).
-    pub entry: EntryPolicy,
 }
 
 /// Result of a multi-CTA search: one TopK list per CTA plus traces.
@@ -156,51 +153,12 @@ impl MultiResult {
     }
 }
 
-/// Runs a multi-CTA search for `query` (id `query_id` — used by the
-/// hashed entry policy), returning `k` candidates per CTA.
-///
-/// # Panics
-/// Panics if `n_ctas == 0` or `k > intra.l`.
-pub fn search_multi(
-    ctx: SearchContext<'_>,
-    params: MultiParams,
-    query: &[f32],
-    query_id: u64,
-    medoid: u32,
-    k: usize,
-) -> MultiResult {
-    let mut scratch = MultiScratch::new();
-    search_multi_into(ctx, params, query, query_id, medoid, k, &mut scratch);
-    scratch.take_result()
-}
-
-/// Allocation-free variant of [`search_multi`]: all state lives in the
-/// caller-owned `scratch`, whose buffers are reused across calls.
-/// Results are read back through [`MultiScratch::per_cta`] and
-/// [`MultiScratch::trace`].
-///
-/// # Panics
-/// Panics if `n_ctas == 0` or `k > intra.l`.
-pub fn search_multi_into(
-    ctx: SearchContext<'_>,
-    params: MultiParams,
-    query: &[f32],
-    query_id: u64,
-    medoid: u32,
-    k: usize,
-    scratch: &mut MultiScratch,
-) {
-    let n = ctx.base.len();
-    search_multi_seeded_into(ctx, params, Schedule::Concurrent, query, k, scratch, |c| {
-        params.entry.entry_for(query_id, c as u32, n, medoid)
-    });
-}
-
 /// The multi-CTA search under either [`Schedule`], with the entry
-/// points resolved by the caller — the hook the engine's index-backed
-/// entry policies (LSH bucket table, descent ladder) use to seed the
-/// CTAs. `seed_of(c)` is CTA `c`'s entry vertex, asked for only when
-/// `c` is launched; `params.entry` is ignored.
+/// points resolved by the caller (the engine's entry policies).
+/// `seed_of(c)` is CTA `c`'s entry vertex, asked for only when `c` is
+/// launched. All state lives in the caller-owned `scratch`, whose
+/// buffers are reused across calls; results are read back through
+/// [`MultiScratch::per_cta`] and [`MultiScratch::trace`].
 ///
 /// # Panics
 /// Panics if `n_ctas == 0` or `k > intra.l`.
@@ -320,9 +278,10 @@ pub fn search_multi_seeded_into(
 mod tests {
     use super::*;
     use crate::merge::merge_topk;
+    use crate::search::intra::search_one;
     use algas_gpu_sim::CostModel;
     use algas_graph::cagra::{CagraBuilder, CagraParams};
-    use algas_graph::entry::medoid;
+    use algas_graph::entry::{medoid, EntryPolicy};
     use algas_vector::datasets::DatasetSpec;
     use algas_vector::ground_truth::{brute_force_knn, mean_recall};
     use algas_vector::Metric;
@@ -334,11 +293,28 @@ mod tests {
     }
 
     fn params(l: usize, t: usize) -> MultiParams {
-        MultiParams {
-            intra: IntraParams { l, beam: None, bitmap_in_shared: false },
-            n_ctas: t,
-            entry: EntryPolicy::Hashed { seed: 99 },
-        }
+        MultiParams { intra: IntraParams { l, beam: None, bitmap_in_shared: false }, n_ctas: t }
+    }
+
+    /// CTA `c`'s hashed entry for query `q` over `n` vertices.
+    fn hashed(q: u64, c: usize, n: usize) -> u32 {
+        EntryPolicy::Hashed { seed: 99 }.entry_for(q, c as u32, n, 0)
+    }
+
+    /// The paper schedule from hashed entries.
+    fn concurrent(
+        ctx: SearchContext<'_>,
+        p: MultiParams,
+        query: &[f32],
+        q: u64,
+        k: usize,
+    ) -> MultiResult {
+        let n = ctx.base.len();
+        let mut scratch = MultiScratch::new();
+        search_multi_seeded_into(ctx, p, Schedule::Concurrent, query, k, &mut scratch, |c| {
+            hashed(q, c, n)
+        });
+        scratch.take_result()
     }
 
     #[test]
@@ -346,7 +322,7 @@ mod tests {
         let (ds, g) = setup();
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
-        let res = search_multi(ctx, params(32, 4), ds.queries.get(0), 0, 0, 8);
+        let res = concurrent(ctx, params(32, 4), ds.queries.get(0), 0, 8);
         assert_eq!(res.per_cta.len(), 4);
         // No id appears in two CTAs' lists (except possibly colliding
         // entry seeds, which the hashed policy makes negligible).
@@ -376,16 +352,10 @@ mod tests {
         let mut multi_res = Vec::new();
         let mut single_res = Vec::new();
         for q in 0..ds.queries.len() {
-            let r = search_multi(ctx, params(32, 4), ds.queries.get(q), q as u64, med, k);
+            let r = concurrent(ctx, params(32, 4), ds.queries.get(q), q as u64, k);
             multi_res
                 .push(merge_topk(&r.per_cta, k).into_iter().map(|(_, id)| id).collect::<Vec<_>>());
-            let (ids, _) = crate::search::intra::search_intra(
-                ctx,
-                IntraParams::greedy(32),
-                ds.queries.get(q),
-                med,
-                k,
-            );
+            let (ids, _) = search_one(ctx, IntraParams::greedy(32), ds.queries.get(q), med, k);
             single_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
         }
         let rm = mean_recall(&multi_res, &gt, k);
@@ -399,8 +369,8 @@ mod tests {
         let (ds, g) = setup();
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
-        let a = search_multi(ctx, params(24, 3), ds.queries.get(1), 1, 0, 8);
-        let b = search_multi(ctx, params(24, 3), ds.queries.get(1), 1, 0, 8);
+        let a = concurrent(ctx, params(24, 3), ds.queries.get(1), 1, 8);
+        let b = concurrent(ctx, params(24, 3), ds.queries.get(1), 1, 8);
         assert_eq!(a.per_cta, b.per_cta);
         assert_eq!(a.traces, b.traces);
     }
@@ -413,15 +383,8 @@ mod tests {
         let p = MultiParams {
             intra: IntraParams { l: 32, beam: None, bitmap_in_shared: true },
             n_ctas: 1,
-            entry: EntryPolicy::Fixed(0),
         };
-        let (ids, trace) = crate::search::intra::search_intra(
-            ctx,
-            IntraParams::greedy(32),
-            ds.queries.get(2),
-            0,
-            8,
-        );
+        let (ids, trace) = search_one(ctx, IntraParams::greedy(32), ds.queries.get(2), 0, 8);
         // Bit for bit under either schedule: one CTA has nobody to
         // interleave with and nobody to stop for.
         for schedule in [Schedule::Concurrent, Schedule::Serial] {
@@ -494,7 +457,7 @@ mod tests {
         for cap in [1, 2, 8] {
             let p = params(32, cap);
             for q in 0..ds.queries.len().min(40) {
-                let seed_of = |c: usize| p.entry.entry_for(q as u64, c as u32, n, 0);
+                let seed_of = |c: usize| hashed(q as u64, c, n);
                 let distinct_seeds =
                     (0..cap).map(seed_of).collect::<std::collections::HashSet<_>>().len();
                 let mut run = || {
@@ -533,7 +496,17 @@ mod tests {
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let mut scratch = MultiScratch::new();
-        search_multi_into(ctx, params(32, 4), ds.queries.get(2), 2, 0, 8, &mut scratch);
+        let n = ds.base.len();
+        let query = ds.queries.get(2);
+        search_multi_seeded_into(
+            ctx,
+            params(32, 4),
+            Schedule::Concurrent,
+            query,
+            8,
+            &mut scratch,
+            |c| hashed(2, c, n),
+        );
         let totals = scratch.step_totals();
         let mut expected = StepTotals::default();
         for c in 0..scratch.n_active() {
@@ -550,7 +523,7 @@ mod tests {
         let (ds, g) = setup();
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
-        let r = search_multi(ctx, params(32, 8), ds.queries.get(3), 3, 0, 8);
+        let r = concurrent(ctx, params(32, 8), ds.queries.get(3), 3, 8);
         let steps: Vec<usize> = r.traces.iter().map(|t| t.n_steps()).collect();
         let min = steps.iter().min().unwrap();
         let max = steps.iter().max().unwrap();
@@ -564,6 +537,6 @@ mod tests {
         let (ds, g) = setup();
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
-        search_multi(ctx, params(8, 2), ds.queries.get(0), 0, 0, 9);
+        concurrent(ctx, params(8, 2), ds.queries.get(0), 0, 9);
     }
 }

@@ -1,8 +1,8 @@
 //! Canonical binary serialization of [`FixedDegreeGraph`],
-//! [`NodePermutation`], and [`EntryIndex`].
+//! [`NodePermutation`], and [`HashEntryTable`].
 
 use crate::csr::{FixedDegreeGraph, INVALID_ID};
-use crate::entry::{DescentLadder, EntryIndex, HashEntryTable, NO_ENTRY};
+use crate::entry::{HashEntryTable, NO_ENTRY};
 use crate::layout::NodePermutation;
 use algas_vector::binary::LeCursor;
 use algas_vector::lsh::{HyperplaneHasher, MAX_SIGNATURE_BITS};
@@ -14,7 +14,8 @@ const ENTRY_MAGIC: u32 = 0x414C_4554; // "ALET"
 
 /// Presence flag for the hash table part of an entry blob.
 const ENTRY_HAS_HASH: u8 = 1;
-/// Presence flag for the descent-ladder part of an entry blob.
+/// Presence flag for the descent-ladder part of an entry blob, which
+/// older builds wrote and this one skips.
 const ENTRY_HAS_LADDER: u8 = 2;
 
 /// Serializes a graph (including padding slots, so the roundtrip is
@@ -98,53 +99,33 @@ pub fn decode_permutation(data: &[u8]) -> io::Result<NodePermutation> {
     Ok(NodePermutation::from_new_to_old(new_to_old))
 }
 
-/// Serializes an [`EntryIndex`]: a presence byte, then the hash table
-/// (hyperplanes + representative table) and the descent ladder, each
-/// length-free (shapes are fully determined by the header fields).
-pub fn encode_entry_index(entry: &EntryIndex) -> Vec<u8> {
+/// Serializes a [`HashEntryTable`] as an entry blob: a presence byte,
+/// then the hyperplanes and the representative table, length-free
+/// (their shapes are fully determined by the header fields).
+pub fn encode_entry_index(table: &HashEntryTable) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-    let mut flags = 0u8;
-    if entry.hash.is_some() {
-        flags |= ENTRY_HAS_HASH;
+    buf.push(ENTRY_HAS_HASH);
+    let h = table.hasher();
+    buf.extend_from_slice(&h.n_bits().to_le_bytes());
+    buf.extend_from_slice(&table.reps_per_bucket().to_le_bytes());
+    buf.extend_from_slice(&(h.dim() as u32).to_le_bytes());
+    buf.extend_from_slice(&h.seed().to_le_bytes());
+    for &p in h.planes() {
+        buf.extend_from_slice(&p.to_le_bytes());
     }
-    if entry.ladder.is_some() {
-        flags |= ENTRY_HAS_LADDER;
-    }
-    buf.push(flags);
-    if let Some(t) = &entry.hash {
-        let h = t.hasher();
-        buf.extend_from_slice(&h.n_bits().to_le_bytes());
-        buf.extend_from_slice(&t.reps_per_bucket().to_le_bytes());
-        buf.extend_from_slice(&(h.dim() as u32).to_le_bytes());
-        buf.extend_from_slice(&h.seed().to_le_bytes());
-        for &p in h.planes() {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
-        for &r in t.reps() {
-            buf.extend_from_slice(&r.to_le_bytes());
-        }
-    }
-    if let Some(l) = &entry.ladder {
-        buf.extend_from_slice(&(l.top().len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(l.mid().len() as u64).to_le_bytes());
-        for &v in l.top() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in l.mid() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        for &s in l.child_start() {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
+    for &r in table.reps() {
+        buf.extend_from_slice(&r.to_le_bytes());
     }
     buf
 }
 
-/// Deserializes an [`EntryIndex`] over a corpus of `n` vertices;
-/// rejects wrong magic, truncation, malformed shapes, lengths that do
-/// not fit a `usize`, and vertex ids outside the corpus.
-pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<EntryIndex> {
+/// Deserializes an entry blob over a corpus of `n` vertices into its
+/// hash table (`None` when the blob carries none). A descent-ladder
+/// section, which older builds appended, is bounds-checked and skipped.
+/// Rejects wrong magic, truncation, malformed shapes, lengths that do
+/// not fit a `usize`, and representatives outside the corpus.
+pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<Option<HashEntryTable>> {
     let mut data = LeCursor::new(data);
     if data.remaining() < 5 || data.u32()? != ENTRY_MAGIC {
         return Err(invalid("not an entry-index blob"));
@@ -181,40 +162,28 @@ pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<EntryIndex> {
     } else {
         None
     };
-    let ladder = if flags & ENTRY_HAS_LADDER != 0 {
+    if flags & ENTRY_HAS_LADDER != 0 {
+        // Top and mid pivot counts, then `n_top + n_mid` pivot ids and
+        // `n_top + 1` group boundaries: it must fill the rest exactly.
         if data.remaining() < 16 {
             return Err(invalid("entry-index blob truncated"));
         }
         let n_top = data.len_u64()?;
         let n_mid = data.len_u64()?;
-        if n_top == 0 || n_top > DescentLadder::TOP_CAP || n_mid < n_top {
-            return Err(invalid("entry-index ladder has a malformed shape"));
-        }
-        // `n_top` is at most `TOP_CAP`, so only `n_mid` can overflow.
-        let words = n_mid.checked_add(2 * n_top + 1).and_then(|w| w.checked_mul(4));
+        let words = n_top
+            .checked_mul(2)
+            .and_then(|w| w.checked_add(n_mid))
+            .and_then(|w| w.checked_add(1))
+            .and_then(|w| w.checked_mul(4));
         if words != Some(data.remaining()) {
             return Err(invalid("entry-index blob truncated"));
         }
-        let top = data.u32s(n_top)?;
-        let mid = data.u32s(n_mid)?;
-        if top.iter().chain(&mid).any(|&v| v as usize >= n) {
-            return Err(invalid("entry-index pivot out of range"));
-        }
-        let child_start = data.u32s(n_top + 1)?;
-        if child_start[0] != 0
-            || *child_start.last().unwrap() as usize != n_mid
-            || child_start.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(invalid("entry-index ladder boundaries are inconsistent"));
-        }
-        Some(DescentLadder::from_parts(top, mid, child_start))
-    } else {
-        None
-    };
+        data.take(data.remaining())?;
+    }
     if data.remaining() > 0 {
         return Err(invalid("entry-index blob has trailing bytes"));
     }
-    Ok(EntryIndex { hash, ladder })
+    Ok(hash)
 }
 
 fn invalid(msg: &str) -> io::Error {
@@ -266,54 +235,68 @@ mod tests {
         assert!(decode_permutation(&wrapped).is_err());
     }
 
-    #[test]
-    fn entry_index_roundtrips() {
+    /// A table over a tiny corpus of `n` rows, `bits` signature bits.
+    fn table(n: usize, dim: usize, seed: u64, bits: u32) -> HashEntryTable {
         use crate::entry::EntryParams;
         use algas_vector::datasets::DatasetSpec;
         use algas_vector::Metric;
-        let base = DatasetSpec::tiny(300, 8, Metric::L2, 0x77).generate().base;
-        let params = EntryParams { n_bits: Some(5), ..EntryParams::default() };
-        let e = EntryIndex::build(&base, None, Metric::L2, &params);
-        let blob = encode_entry_index(&e);
-        assert_eq!(decode_entry_index(&blob, base.len()).unwrap(), e);
-        // Hash-only and ladder-only blobs roundtrip too.
-        let hash_only = EntryIndex { hash: e.hash.clone(), ladder: None };
-        let blob = encode_entry_index(&hash_only);
-        assert_eq!(decode_entry_index(&blob, base.len()).unwrap(), hash_only);
-        let ladder_only = EntryIndex { hash: None, ladder: e.ladder.clone() };
-        let blob = encode_entry_index(&ladder_only);
-        assert_eq!(decode_entry_index(&blob, base.len()).unwrap(), ladder_only);
+        let base = DatasetSpec::tiny(n, dim, Metric::L2, seed).generate().base;
+        let params = EntryParams { n_bits: Some(bits), ..EntryParams::default() };
+        HashEntryTable::build(&base, None, Metric::L2, &params)
+    }
+
+    /// `blob` with a descent-ladder section of `n_top` top pivots and
+    /// `n_mid` mid pivots appended, as older builds wrote it.
+    fn with_ladder(mut blob: Vec<u8>, n_top: u32, n_mid: u32) -> Vec<u8> {
+        blob[4] |= ENTRY_HAS_LADDER;
+        blob.extend_from_slice(&u64::from(n_top).to_le_bytes());
+        blob.extend_from_slice(&u64::from(n_mid).to_le_bytes());
+        let ids = (0..n_top + n_mid).chain((0..=n_top).map(|t| t * n_mid / n_top));
+        for v in ids {
+            blob.extend_from_slice(&v.to_le_bytes());
+        }
+        blob
+    }
+
+    #[test]
+    fn entry_index_roundtrips() {
+        let t = table(300, 8, 0x77, 5);
+        let blob = encode_entry_index(&t);
+        assert_eq!(decode_entry_index(&blob, 300).unwrap(), Some(t.clone()));
+        // A ladder section is skipped; without a table there is none.
+        assert_eq!(decode_entry_index(&with_ladder(blob, 4, 9), 300).unwrap(), Some(t));
+        let ladder_only = with_ladder([&ENTRY_MAGIC.to_le_bytes()[..], &[0]].concat(), 4, 9);
+        assert_eq!(decode_entry_index(&ladder_only, 300).unwrap(), None);
     }
 
     #[test]
     fn entry_index_rejects_bad_blobs() {
-        use crate::entry::EntryParams;
-        use algas_vector::datasets::DatasetSpec;
-        use algas_vector::Metric;
         assert!(decode_entry_index(&[1, 2, 3], 10).is_err());
-        let base = DatasetSpec::tiny(200, 6, Metric::L2, 0x78).generate().base;
-        let params = EntryParams { n_bits: Some(4), ..EntryParams::default() };
-        let e = EntryIndex::build(&base, None, Metric::L2, &params);
-        let good = encode_entry_index(&e);
+        let n = 200;
+        let good = encode_entry_index(&table(n, 6, 0x78, 4));
         // Truncation.
-        assert!(decode_entry_index(&good[..good.len() - 2], base.len()).is_err());
+        assert!(decode_entry_index(&good[..good.len() - 2], n).is_err());
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(decode_entry_index(&bad, base.len()).is_err());
+        assert!(decode_entry_index(&bad, n).is_err());
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0);
-        assert!(decode_entry_index(&long, base.len()).is_err());
+        assert!(decode_entry_index(&long, n).is_err());
         // Representatives referencing a smaller corpus are rejected.
         assert!(decode_entry_index(&good, 3).is_err());
+        // A ladder section one word short of its counts.
+        let mut short = with_ladder(good.clone(), 4, 9);
+        short.truncate(short.len() - 4);
+        assert!(decode_entry_index(&short, n).is_err());
         // A ladder whose (2·n_top + n_mid + 1) · 4 wraps to the
         // (empty) payload length.
         let mut wrapped = ENTRY_MAGIC.to_le_bytes().to_vec();
         wrapped.push(ENTRY_HAS_LADDER);
         wrapped.extend_from_slice(&1u64.to_le_bytes());
         wrapped.extend_from_slice(&((1u64 << 62) - 3).to_le_bytes());
-        assert!(decode_entry_index(&wrapped, base.len()).is_err());
+        assert!(decode_entry_index(&wrapped, n).is_err());
     }
 
     #[test]

@@ -4,22 +4,15 @@
 //! each of a query's CTAs "enter \[a\] random entry point" (§III-B) so the
 //! CTAs explore disjoint regions before meeting in the TopK neighborhood.
 //!
-//! Beyond the stateless policies (fixed vertex, medoid, CAGRA-style
-//! hashed entries), this module provides two *data-backed* entry
-//! selectors built at index time and bundled in an [`EntryIndex`]:
-//!
-//! * [`HashEntryTable`] — an LSH bucket table: random-hyperplane
-//!   signatures (over the fp32 rows, or the dequantized SQ8 rows when
-//!   the index is quantized) partition the corpus into `2^bits`
-//!   buckets, each holding a few representative vertices near the
-//!   bucket centroid. A query hashes to its bucket and starts the
-//!   search there — on the query's side of every hyperplane — instead
-//!   of at the global medoid, cutting traversal hops.
-//! * [`DescentLadder`] — a small top-layer hierarchy (the GANNS/HNSW
-//!   idea in miniature): a strided sample of ~`4·√n` mid pivots, each
-//!   assigned to one of ≤64 top pivots. Descent scans the top layer,
-//!   then the winner's children, and enters the graph at the closest
-//!   pivot found. Both lookups are allocation-free.
+//! Beside the stateless policies (fixed vertex, medoid, CAGRA-style
+//! hashed entries), this module provides the one *data-backed* entry
+//! structure built at index time, the [`HashEntryTable`]: an LSH bucket
+//! table whose random-hyperplane signatures (over the fp32 rows, or the
+//! dequantized SQ8 rows when the index is quantized) partition the
+//! corpus into `2^bits` buckets, each holding a few representative
+//! vertices near the bucket centroid. A query hashes to its bucket and
+//! starts the search there — on the query's side of every hyperplane —
+//! instead of at a random vertex, cutting traversal hops.
 
 use algas_vector::lsh::HyperplaneHasher;
 use algas_vector::quant::QuantizedStore;
@@ -44,15 +37,10 @@ pub enum EntryPolicy {
     },
     /// LSH bucket lookup through the index's [`HashEntryTable`]; CTAs
     /// beyond the bucket's representatives (and queries hashing to an
-    /// empty bucket) fall back to hashed entries. Requires entry data
-    /// on the index — the bare [`EntryPolicy::entry_for`] degrades to
-    /// the medoid.
+    /// empty bucket) fall back to hashed entries. Requires the table on
+    /// the index — the bare [`EntryPolicy::entry_for`] degrades to the
+    /// medoid.
     HashTable,
-    /// Top-layer hierarchy descent through the index's
-    /// [`DescentLadder`] for the first CTA; the remaining CTAs use
-    /// hashed entries for diversity. The bare
-    /// [`EntryPolicy::entry_for`] degrades to the medoid.
-    Descent,
 }
 
 impl EntryPolicy {
@@ -60,11 +48,9 @@ impl EntryPolicy {
     /// of `n` vertices. `medoid_id` supplies the precomputed medoid for
     /// [`EntryPolicy::Medoid`].
     ///
-    /// The data-backed policies ([`EntryPolicy::HashTable`],
-    /// [`EntryPolicy::Descent`]) need the query vector and an
-    /// [`EntryIndex`] to resolve — the engine routes them through
-    /// [`EntryIndex::seed_for`]; this data-free resolver returns the
-    /// medoid so legacy call sites stay correct.
+    /// [`EntryPolicy::HashTable`] needs the query vector and a
+    /// [`HashEntryTable`] to resolve — the engine looks it up there;
+    /// this data-free resolver returns the medoid for it.
     ///
     /// # Panics
     /// Panics if `n == 0` or a fixed entry is out of range.
@@ -75,7 +61,7 @@ impl EntryPolicy {
                 assert!((v as usize) < n, "fixed entry {v} out of range");
                 v
             }
-            EntryPolicy::Medoid | EntryPolicy::HashTable | EntryPolicy::Descent => {
+            EntryPolicy::Medoid | EntryPolicy::HashTable => {
                 assert!((medoid_id as usize) < n, "medoid {medoid_id} out of range");
                 medoid_id
             }
@@ -84,11 +70,6 @@ impl EntryPolicy {
                     % n as u64) as u32
             }
         }
-    }
-
-    /// Whether this policy resolves through index-side entry data.
-    pub fn needs_entry_data(&self) -> bool {
-        matches!(self, EntryPolicy::HashTable | EntryPolicy::Descent)
     }
 }
 
@@ -126,7 +107,7 @@ pub fn medoid(base: &VectorStore, metric: Metric) -> u32 {
     best.1
 }
 
-/// Shape of the entry structures built at index time.
+/// Shape of the entry table built at index time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EntryParams {
     /// Signature width; `None` sizes the table at roughly 64 vectors
@@ -135,7 +116,8 @@ pub struct EntryParams {
     /// Representative vertices kept per bucket (one per CTA before the
     /// hashed fallback kicks in).
     pub reps_per_bucket: u32,
-    /// Seed for the hyperplanes and the sampling jitter.
+    /// Seed for the hyperplanes, and for the hashed entries CTAs fall
+    /// back to past a bucket's representatives.
     pub seed: u64,
 }
 
@@ -342,193 +324,6 @@ impl HashEntryTable {
     }
 }
 
-/// A two-level pivot hierarchy: ≤64 top pivots, each owning a group of
-/// mid pivots (~`4·√n` total). Descent scans the top layer, then the
-/// winner's children, and returns the closest pivot as the graph entry
-/// — the GANNS/HNSW "upper layers as smart entry selector" idea at a
-/// fixed, tiny cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DescentLadder {
-    /// Top-layer pivot vertex ids (≤ [`DescentLadder::TOP_CAP`]).
-    top: Vec<u32>,
-    /// Mid-layer pivot vertex ids, grouped by owning top pivot.
-    mid: Vec<u32>,
-    /// Group boundaries into `mid`: children of top pivot `t` are
-    /// `mid[child_start[t]..child_start[t+1]]`.
-    child_start: Vec<u32>,
-}
-
-impl DescentLadder {
-    /// Top-layer size cap.
-    pub const TOP_CAP: usize = 64;
-
-    /// Builds the ladder: strided mid-pivot sample (with seeded offset
-    /// jitter), strided top subsample, then each mid pivot is assigned
-    /// to its nearest top pivot. Deterministic for a fixed
-    /// `(corpus, seed)`.
-    pub fn build(base: &VectorStore, metric: Metric, seed: u64) -> Self {
-        assert!(!base.is_empty(), "descent ladder over empty corpus");
-        let n = base.len();
-        let mid_count = ((4.0 * (n as f64).sqrt()) as usize).clamp(1, n);
-        let stride = n / mid_count;
-        let offset = if stride > 1 { (splitmix64(seed) % stride as u64) as usize } else { 0 };
-        let sampled: Vec<u32> =
-            (0..mid_count).map(|i| ((offset + i * stride) % n) as u32).collect();
-        let top_count = sampled.len().min(Self::TOP_CAP);
-        let top: Vec<u32> =
-            (0..top_count).map(|i| sampled[i * sampled.len() / top_count]).collect();
-
-        // Assign every mid pivot to its nearest top pivot.
-        let mut owner = vec![0u32; sampled.len()];
-        for (i, &p) in sampled.iter().enumerate() {
-            let row = base.get(p as usize);
-            let mut best = (f32::INFINITY, 0u32);
-            for (t, &tp) in top.iter().enumerate() {
-                let d = metric.distance(row, base.get(tp as usize));
-                if d < best.0 {
-                    best = (d, t as u32);
-                }
-            }
-            owner[i] = best.1;
-        }
-        let mut counts = vec![0u32; top_count + 1];
-        for &o in &owner {
-            counts[o as usize + 1] += 1;
-        }
-        for t in 0..top_count {
-            counts[t + 1] += counts[t];
-        }
-        let mut mid = vec![0u32; sampled.len()];
-        let mut fill = counts.clone();
-        for (i, &o) in owner.iter().enumerate() {
-            mid[fill[o as usize] as usize] = sampled[i];
-            fill[o as usize] += 1;
-        }
-        Self { top, mid, child_start: counts }
-    }
-
-    /// Reassembles a ladder from persisted parts (the decode path).
-    ///
-    /// # Panics
-    /// Panics on inconsistent group boundaries.
-    pub fn from_parts(top: Vec<u32>, mid: Vec<u32>, child_start: Vec<u32>) -> Self {
-        assert!(!top.is_empty(), "ladder needs a top layer");
-        assert_eq!(child_start.len(), top.len() + 1, "group boundary shape mismatch");
-        assert_eq!(*child_start.last().unwrap() as usize, mid.len(), "group boundary overflow");
-        assert!(child_start.windows(2).all(|w| w[0] <= w[1]), "group boundaries must be sorted");
-        Self { top, mid, child_start }
-    }
-
-    /// Top-layer pivot ids.
-    pub fn top(&self) -> &[u32] {
-        &self.top
-    }
-
-    /// Mid-layer pivot ids (grouped by owner).
-    pub fn mid(&self) -> &[u32] {
-        &self.mid
-    }
-
-    /// Group boundaries into [`DescentLadder::mid`].
-    pub fn child_start(&self) -> &[u32] {
-        &self.child_start
-    }
-
-    /// Descends the ladder: scan the top layer, then the winning top
-    /// pivot's children, and return the closest pivot seen. The result
-    /// indexes `base`. Allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `query` does not match `base`'s dimension.
-    pub fn descend(&self, base: &VectorStore, metric: Metric, query: &[f32]) -> u32 {
-        let mut best = (f32::INFINITY, self.top[0]);
-        let mut best_t = 0usize;
-        for (t, &tp) in self.top.iter().enumerate() {
-            let d = metric.distance(query, base.get(tp as usize));
-            if d < best.0 {
-                best = (d, tp);
-                best_t = t;
-            }
-        }
-        let lo = self.child_start[best_t] as usize;
-        let hi = self.child_start[best_t + 1] as usize;
-        for &mp in &self.mid[lo..hi] {
-            let d = metric.distance(query, base.get(mp as usize));
-            if d < best.0 {
-                best = (d, mp);
-            }
-        }
-        best.1
-    }
-}
-
-/// The index-resident entry data: the LSH bucket table and the descent
-/// ladder, built together at index time and persisted as the format-v4
-/// entry section.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EntryIndex {
-    /// LSH bucket table ([`EntryPolicy::HashTable`]).
-    pub hash: Option<HashEntryTable>,
-    /// Pivot hierarchy ([`EntryPolicy::Descent`]).
-    pub ladder: Option<DescentLadder>,
-}
-
-impl EntryIndex {
-    /// Builds both entry structures over the corpus.
-    pub fn build(
-        base: &VectorStore,
-        quant: Option<&QuantizedStore>,
-        metric: Metric,
-        params: &EntryParams,
-    ) -> Self {
-        Self {
-            hash: Some(HashEntryTable::build(base, quant, metric, params)),
-            ladder: Some(DescentLadder::build(base, metric, params.seed)),
-        }
-    }
-
-    /// Resolves the entry seed for `(query, cta)` under `policy`,
-    /// falling back to a hashed entry (seeded from the policy's
-    /// structure) when the requested data is missing, and to hashed
-    /// diversity entries for CTAs beyond the data's capacity.
-    /// Allocation-free; `query_sig` must be the query's
-    /// [`HashEntryTable::signature`] (0 when there is no table).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn seed_for(
-        &self,
-        policy: EntryPolicy,
-        query_sig: u32,
-        query: &[f32],
-        base: &VectorStore,
-        metric: Metric,
-        query_id: u64,
-        cta_id: u32,
-        medoid_id: u32,
-    ) -> u32 {
-        let n = base.len();
-        match policy {
-            EntryPolicy::HashTable => match &self.hash {
-                Some(t) => t.seed_for(query_sig, cta_id).unwrap_or_else(|| {
-                    EntryPolicy::Hashed { seed: t.hasher().seed() }
-                        .entry_for(query_id, cta_id, n, medoid_id)
-                }),
-                None => EntryPolicy::Hashed { seed: 0 }.entry_for(query_id, cta_id, n, medoid_id),
-            },
-            EntryPolicy::Descent => match (&self.ladder, cta_id) {
-                (Some(l), 0) => l.descend(base, metric, query),
-                (Some(_), c) => {
-                    EntryPolicy::Hashed { seed: 0xDE5C }.entry_for(query_id, c, n, medoid_id)
-                }
-                (None, c) => {
-                    EntryPolicy::Hashed { seed: 0xDE5C }.entry_for(query_id, c, n, medoid_id)
-                }
-            },
-            other => other.entry_for(query_id, cta_id, n, medoid_id),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,9 +380,6 @@ mod tests {
     #[test]
     fn data_backed_policies_degrade_to_medoid_without_data() {
         assert_eq!(EntryPolicy::HashTable.entry_for(3, 1, 50, 17), 17);
-        assert_eq!(EntryPolicy::Descent.entry_for(3, 1, 50, 17), 17);
-        assert!(EntryPolicy::HashTable.needs_entry_data());
-        assert!(!EntryPolicy::Medoid.needs_entry_data());
     }
 
     fn clustered(n: usize, dim: usize, seed: u64) -> VectorStore {
@@ -663,57 +455,5 @@ mod tests {
         let a = HashEntryTable::build(&base, Some(&q), Metric::L2, &params);
         let b = HashEntryTable::build(&base, Some(&q), Metric::L2, &params);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ladder_build_is_deterministic_and_descends_closer() {
-        let ds = DatasetSpec::tiny(2000, 16, Metric::L2, 0xE5).generate();
-        let a = DescentLadder::build(&ds.base, Metric::L2, 3);
-        let b = DescentLadder::build(&ds.base, Metric::L2, 3);
-        assert_eq!(a, b);
-        assert!(a.top().len() <= DescentLadder::TOP_CAP);
-        assert_eq!(*a.child_start().last().unwrap() as usize, a.mid().len());
-        let med = medoid(&ds.base, Metric::L2);
-        let mut closer = 0usize;
-        for qi in 0..ds.queries.len() {
-            let query = ds.queries.get(qi);
-            let e = a.descend(&ds.base, Metric::L2, query);
-            assert!((e as usize) < ds.base.len());
-            let de = Metric::L2.distance(query, ds.base.get(e as usize));
-            let dm = Metric::L2.distance(query, ds.base.get(med as usize));
-            if de <= dm {
-                closer += 1;
-            }
-        }
-        assert!(
-            closer * 3 > ds.queries.len() * 2,
-            "descent should usually beat the medoid: {closer}/{}",
-            ds.queries.len()
-        );
-    }
-
-    #[test]
-    fn entry_index_resolves_all_policies_in_range() {
-        let ds = DatasetSpec::tiny(800, 12, Metric::L2, 0xF6).generate();
-        let idx = EntryIndex::build(&ds.base, None, Metric::L2, &EntryParams::default());
-        let med = medoid(&ds.base, Metric::L2);
-        let query = ds.queries.get(0);
-        let sig = idx.hash.as_ref().unwrap().signature(query);
-        for policy in [
-            EntryPolicy::Medoid,
-            EntryPolicy::Hashed { seed: 1 },
-            EntryPolicy::HashTable,
-            EntryPolicy::Descent,
-        ] {
-            for cta in 0..8u32 {
-                let e =
-                    idx.seed_for(policy, sig, query, &ds.base, Metric::L2, 5, cta, med) as usize;
-                assert!(e < ds.base.len(), "{policy:?} cta {cta} out of range");
-            }
-        }
-        // Missing data falls back without panicking.
-        let empty = EntryIndex { hash: None, ladder: None };
-        let e = empty.seed_for(EntryPolicy::HashTable, 0, query, &ds.base, Metric::L2, 1, 0, med);
-        assert!((e as usize) < ds.base.len());
     }
 }

@@ -18,14 +18,10 @@
 //! * [`cagra::CagraBuilder`] — CAGRA-style graph optimization: start
 //!   from a k-NN graph, apply rank-based + 2-hop detour pruning and
 //!   reverse-edge augmentation to a fixed out-degree.
-//! * [`hnsw::build_hnsw`] — hierarchical NSW (the layered family GANNS
-//!   also constructs); its base layer is a plain NSW and its upper
-//!   layers act as a smart entry selector. Built serially: nothing in
-//!   the workspace builds HNSW on more than one thread.
 //!
 //! Entry-point selection for single- and multi-CTA search lives in
-//! [`entry`] — the stateless policies plus the index-time
-//! [`entry::EntryIndex`] (LSH bucket table and descent ladder) — and
+//! [`entry`] — the stateless policies plus the one index-time entry
+//! structure, the LSH bucket table [`entry::HashEntryTable`] — and
 //! [`stats`] computes degree / reachability statistics used by the
 //! motivation figures.
 
@@ -33,7 +29,6 @@ pub mod binary;
 pub mod cagra;
 pub mod csr;
 pub mod entry;
-pub mod hnsw;
 pub mod knn;
 pub mod layout;
 pub mod nsw;
@@ -43,8 +38,7 @@ pub mod stats;
 
 pub use cagra::CagraBuilder;
 pub use csr::FixedDegreeGraph;
-pub use entry::{DescentLadder, EntryIndex, EntryParams, EntryPolicy, HashEntryTable};
-pub use hnsw::{build_hnsw, HnswIndex, HnswParams};
+pub use entry::{EntryParams, EntryPolicy, HashEntryTable};
 pub use layout::NodePermutation;
 pub use nsw::NswBuilder;
 pub use progress::{BuildPhase, BuildProgress, ProgressSnapshot};

@@ -12,8 +12,7 @@
 //! chunk *schedule* — never on the thread count or OS scheduling — which
 //! is what lets the builders promise "deterministic under a fixed seed"
 //! while still scaling across cores. [`BatchSchedule`] is the schedule
-//! for the builder that inserts incrementally (NSW; HNSW builds
-//! serially).
+//! for the builder that inserts incrementally (NSW).
 
 pub use algas_vector::parallel::{max_threads, par_map};
 

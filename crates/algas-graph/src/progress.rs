@@ -41,7 +41,7 @@ pub enum BuildPhase {
     NswInsert = 5,
     /// SQ8 code generation.
     Quantize = 6,
-    /// Entry-structure construction (LSH table, descent ladder).
+    /// LSH entry-table construction.
     EntryIndex = 7,
     /// Build finished.
     Done = 8,

@@ -36,15 +36,15 @@
 //!
 //! `--entry-policy` picks how each search seeds its CTAs:
 //! `medoid` (single classic entry), `hashed` (CAGRA-style
-//! pseudo-random), `hash-table` (LSH bucket lookup, starts the walk
-//! near the query), or `descent` (pivot-ladder descent). `search`
+//! pseudo-random), or `hash-table` (LSH bucket lookup, starts the walk
+//! near the query). `search`
 //! defaults to `hashed`: it runs the paper's concurrent schedule, and
 //! the figures and golden results pin its seeds. `serve` and `stats`
 //! default to `hash-table`: a worker runs its walkers one after
 //! another and the first one is most of the search, so starting it near
-//! the query skips the crossing from a random vertex. The table/ladder
-//! policies use entry structures persisted by `build --entry true`
-//! (format v4) or built at load time. On
+//! the query skips the crossing from a random vertex. `hash-table` uses
+//! the LSH table persisted by `build --entry true` (format v4) or built
+//! at load time. On
 //! `serve`/`stats`, `--slo-us` arms the SLO controller: it watches the
 //! live submit→reply p99 and sheds/restores search effort (rerank
 //! depth, then CTAs, then beam shape) to hold the target; its rung and
@@ -235,9 +235,8 @@ fn parse_entry_policy(
         Some("medoid") => Ok(EntryPolicy::Medoid),
         Some("hashed") => Ok(EngineConfig::default().entry_policy),
         Some("hash-table") | Some("hash_table") | Some("lsh") => Ok(EntryPolicy::HashTable),
-        Some("descent") => Ok(EntryPolicy::Descent),
         Some(other) => {
-            Err(format!("--entry-policy must be medoid|hashed|hash-table|descent, got `{other}`"))
+            Err(format!("--entry-policy must be medoid|hashed|hash-table, got `{other}`"))
         }
     }
 }
@@ -386,7 +385,7 @@ fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
         index.len(),
         t0.elapsed(),
         if index.quant.is_some() { " (with SQ8 codes)" } else { "" },
-        if index.entry.is_some() { " (with entry structures)" } else { "" },
+        if index.entry.is_some() { " (with LSH entry table)" } else { "" },
     )
     .map_err(io_err)
 }
@@ -416,27 +415,13 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
             None => "no".to_string(),
         },
         match &index.entry {
-            Some(e) => {
-                let hash = e.hash.as_ref().map(|t| {
-                    format!(
-                        "LSH table {} bits, {}/{} buckets filled, {} reps/bucket",
-                        t.n_bits(),
-                        t.occupied_buckets(),
-                        t.hasher().n_buckets(),
-                        t.reps_per_bucket(),
-                    )
-                });
-                let ladder = e
-                    .ladder
-                    .as_ref()
-                    .map(|l| format!("descent ladder {}+{} pivots", l.top().len(), l.mid().len()));
-                match (hash, ladder) {
-                    (Some(h), Some(l)) => format!("{h}; {l}"),
-                    (Some(h), None) => h,
-                    (None, Some(l)) => l,
-                    (None, None) => "empty".to_string(),
-                }
-            }
+            Some(t) => format!(
+                "LSH table {} bits, {}/{} buckets filled, {} reps/bucket",
+                t.n_bits(),
+                t.occupied_buckets(),
+                t.hasher().n_buckets(),
+                t.reps_per_bucket(),
+            ),
             None => "none (serving builds the LSH table at load)".to_string(),
         },
     )
@@ -695,13 +680,12 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
         writeln!(
             out,
             "phase p99 (µs): submit→slot {:.1}, slot→work {:.1}, work→finish {:.1}, \
-             finish→merged {:.1}, merged→delivered {:.1}; sort fraction {:.3}",
+             finish→merged {:.1}, merged→delivered {:.1}",
             p99_us(&stats.phases.submit_to_slot),
             p99_us(&stats.phases.slot_to_work),
             p99_us(&stats.phases.work_to_finish),
             p99_us(&stats.phases.finish_to_merged),
             p99_us(&stats.phases.merged_to_delivered),
-            stats.search.sort_fraction(),
         )
         .map_err(io_err)?;
     }
@@ -1226,8 +1210,8 @@ mod tests {
         ]);
         run_ok(&["gt", "--base", &base, "--queries", &queries, "--k", "20", "--out", &gt]);
 
-        // Entry structures persist through the v4 index file and show
-        // up in `info`.
+        // The LSH entry table persists through the v4 index file and
+        // shows up in `info`.
         let msg = run_ok(&[
             "build",
             "--base",
@@ -1241,36 +1225,33 @@ mod tests {
             "--out",
             &index,
         ]);
-        assert!(msg.contains("with entry structures"), "{msg}");
+        assert!(msg.contains("with LSH entry table"), "{msg}");
         let msg = run_ok(&["info", "--index", &index]);
-        assert!(msg.contains("LSH table"), "{msg}");
-        assert!(msg.contains("descent ladder"), "{msg}");
+        assert!(msg.contains("entry: LSH table"), "{msg}");
 
-        // Both smart policies search with healthy recall.
-        for policy in ["hash-table", "descent"] {
-            let msg = run_ok(&[
-                "search",
-                "--index",
-                &index,
-                "--queries",
-                &queries,
-                "--k",
-                "10",
-                "--l",
-                "64",
-                "--entry-policy",
-                policy,
-                "--gt",
-                &gt,
-            ]);
-            let recall: f64 = msg
-                .lines()
-                .find(|l| l.starts_with("recall@10"))
-                .and_then(|l| l.split(' ').nth(1))
-                .and_then(|v| v.parse().ok())
-                .expect("recall line");
-            assert!(recall > 0.85, "{policy} recall {recall}");
-        }
+        // The table policy searches with healthy recall.
+        let msg = run_ok(&[
+            "search",
+            "--index",
+            &index,
+            "--queries",
+            &queries,
+            "--k",
+            "10",
+            "--l",
+            "64",
+            "--entry-policy",
+            "hash-table",
+            "--gt",
+            &gt,
+        ]);
+        let recall: f64 = msg
+            .lines()
+            .find(|l| l.starts_with("recall@10"))
+            .and_then(|l| l.split(' ').nth(1))
+            .and_then(|v| v.parse().ok())
+            .expect("recall line");
+        assert!(recall > 0.85, "hash-table recall {recall}");
         let err = run(
             &["search", "--index", &index, "--queries", &queries, "--entry-policy", "psychic"]
                 .iter()
@@ -1279,7 +1260,7 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap_err();
-        assert!(err.contains("medoid|hashed|hash-table|descent"), "{err}");
+        assert!(err.contains("medoid|hashed|hash-table,"), "{err}");
 
         // An unreachable SLO arms the controller and the serve summary
         // + stats snapshot both report its rung.
