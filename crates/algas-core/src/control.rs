@@ -3,8 +3,8 @@
 //! The §IV-C tuner picks a static plan — chosen once per device and
 //! shape, blind to the live workload. This module closes the loop: the
 //! serving runtime feeds every completed query's *service span*
-//! (`submit → reply` as `host_loop` measures it: queue wait, worker
-//! pickup, search and delivery — what the client is promised, of which
+//! (`submit → reply` as the worker measures it: queue wait, worker
+//! pickup, search and the reply build — what the client is promised, of which
 //! the engine's effort knobs move the search part) into a
 //! [`SloController`], which periodically compares the window's p99
 //! against a configured latency SLO and moves one rung at a time along
@@ -224,7 +224,7 @@ impl SloController {
     }
 
     /// Records one completed query's service span (`submit → reply`,
-    /// measured by the host poller just before it delivers). Returns the tick decision when
+    /// measured by the worker just before it delivers). Returns the tick decision when
     /// this completion triggered one. Allocation-free and lock-free.
     pub fn observe(&self, service_ns: u64) -> Option<ControlDecision> {
         if !self.enabled {

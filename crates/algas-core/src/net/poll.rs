@@ -3,7 +3,7 @@
 //! [`Poller`] blocks its owning thread in `poll(2)` over a set of file
 //! descriptors that is rebuilt every pass, plus the read end of a
 //! nonblocking socket pair. A cloneable [`Waker`] holds the write end,
-//! so another thread (a host poller delivering a reply, `stop()`) can
+//! so another thread (a worker delivering a reply, `stop()`) can
 //! end the wait at once instead of the loop discovering the event on
 //! its next timer tick.
 //!

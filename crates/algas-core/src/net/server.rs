@@ -2,8 +2,8 @@
 //!
 //! One thread owns a nonblocking `TcpListener` plus every accepted
 //! connection and blocks in [`Poller::wait`] (`poll(2)`; no epoll, no
-//! async runtime) until a socket is ready or a host poller wakes it
-//! with a finished reply. Each pass:
+//! async runtime) until a socket is ready or a worker wakes it with a
+//! finished reply. Each pass:
 //!
 //! 0. **wait** — register the listener and every reading connection
 //!    for input, every connection with an unflushed write buffer for
@@ -52,6 +52,7 @@ use super::frame::{self, Decoded, ErrorCode, Opcode};
 use super::lifecycle::{ListenerHandle, MAX_PARK};
 use super::poll::{Key, Poller};
 use super::{ConnCells, NetCounters};
+use crate::obs::qlog::{STATUS_ERROR, STATUS_REJECTED};
 use crate::runtime::{AlgasServer, CompletionQueue, ReplyTo, SearchReply, SubmitError, WireCtx};
 
 /// Tuning for the network front end.
@@ -124,8 +125,6 @@ struct Conn {
     /// Write buffer; bytes `[wpos..wbuf.len())` are pending output.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Replies still owed to this connection.
-    inflight: usize,
     /// Stop reading (EOF or fatal frame error); flush + drain, then
     /// close.
     closing: bool,
@@ -292,7 +291,6 @@ fn event_loop(
                             rlen: 0,
                             wbuf: Vec::new(),
                             wpos: 0,
-                            inflight: 0,
                             closing: false,
                             gen: next_gen,
                             key: None,
@@ -342,7 +340,6 @@ fn event_loop(
             if conn.gen != p.gen {
                 continue;
             }
-            conn.inflight -= 1;
             conn.cells.inflight.fetch_sub(1, Ordering::Relaxed);
             frame::encode_result(&mut conn.wbuf, p.request_id, &reply.ids, &reply.distances);
             counters.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +355,7 @@ fn event_loop(
                 close_conn(slot, counters);
                 continue;
             }
-            if conn.closing && conn.inflight == 0 && conn.flushed() {
+            if conn.closing && conn.cells.inflight.load(Ordering::Relaxed) == 0 && conn.flushed() {
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
                 close_conn(slot, counters);
             }
@@ -463,15 +460,13 @@ fn handle_frame(
             if vector.len() != front.dim * 4
                 || frame::decode_search_into(vector, &mut front.scratch_query).is_err()
             {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.cells.errors.fetch_add(1, Ordering::Relaxed);
-                frame::encode_error(
-                    &mut conn.wbuf,
+                protocol_error(
+                    conn,
                     id,
                     ErrorCode::BadPayload,
                     "SEARCH payload must be dim x finite f32 (+ u64 ts when flagged)",
+                    front,
                 );
-                counters.frames_out.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             // Admission control: a bounded in-flight budget in front
@@ -488,7 +483,6 @@ fn handle_frame(
             let query = std::mem::take(&mut front.scratch_query);
             match front.server.submit_traced(query, wire, reply_to) {
                 Ok(_tag) => {
-                    conn.inflight += 1;
                     conn.cells.inflight.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(refused) => {
@@ -526,17 +520,27 @@ fn handle_frame(
         // A reply opcode sent as a request: answer an error, keep the
         // connection (the frame boundary is intact).
         Opcode::Result | Opcode::Pong | Opcode::StatsReply | Opcode::Error | Opcode::RetryAfter => {
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            conn.cells.errors.fetch_add(1, Ordering::Relaxed);
-            frame::encode_error(
-                &mut conn.wbuf,
-                id,
-                ErrorCode::BadOpcode,
-                "reply opcode in request",
-            );
-            counters.frames_out.fetch_add(1, Ordering::Relaxed);
+            protocol_error(conn, id, ErrorCode::BadOpcode, "reply opcode in request", front);
         }
     }
+}
+
+/// Answers a request the frame boundary survived but the server cannot
+/// serve with ERROR, and logs its wire id in the query log (status
+/// "error"). The connection stays open.
+fn protocol_error(
+    conn: &mut Conn,
+    request_id: u64,
+    code: ErrorCode,
+    message: &str,
+    front: &Front<'_>,
+) {
+    let counters = front.counters;
+    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    conn.cells.errors.fetch_add(1, Ordering::Relaxed);
+    front.server.qlog_refused(request_id, conn.cells.id, STATUS_ERROR);
+    frame::encode_error(&mut conn.wbuf, request_id, code, message);
+    counters.frames_out.fetch_add(1, Ordering::Relaxed);
 }
 
 fn reject(conn: &mut Conn, request_id: u64, front: &Front<'_>) {
@@ -548,7 +552,7 @@ fn reject(conn: &mut Conn, request_id: u64, front: &Front<'_>) {
     // turned away: the advised delay lands in a histogram, the wire id
     // in the query log (status "rejected").
     counters.retry_backoff_us.record(u64::from(delay_us));
-    server.qlog_reject(request_id, conn.cells.id);
+    server.qlog_refused(request_id, conn.cells.id, STATUS_REJECTED);
     frame::encode_retry_after(&mut conn.wbuf, request_id, delay_us);
     counters.frames_out.fetch_add(1, Ordering::Relaxed);
 }

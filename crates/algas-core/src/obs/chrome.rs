@@ -5,8 +5,8 @@
 //! by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: each
 //! retained [`QueryTrace`] becomes duration events (`ph:"X"`) on one
 //! track per slot (the six lifecycle phases), one per worker (the
-//! search span), one per host poller (pickup and delivery), and one per
-//! CTA (synthesized per-step spans), with instant events (`ph:"i"`)
+//! search, reply-build and delivery spans), and one per CTA
+//! (synthesized per-step spans), with instant events (`ph:"i"`)
 //! marking slot transitions, beam switches, and rerank passes.
 //! Timestamps are microseconds (the format's unit), converted from the
 //! recorder's nanosecond clock.
@@ -29,11 +29,6 @@ pub const LIFECYCLE_PHASES: [&str; 6] = [
 /// Track id of worker `w` (slots use their own index directly).
 fn worker_tid(w: u32) -> u64 {
     1_000 + u64::from(w)
-}
-
-/// Track id of host poller `h`.
-fn host_tid(h: u32) -> u64 {
-    2_000 + u64::from(h)
 }
 
 /// Track id of CTA `c` of slot `s` (per-slot so concurrent queries on
@@ -108,7 +103,6 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
         let slot_tid = u64::from(t.slot);
         name_tid(&mut events, slot_tid, format!("slot {}", t.slot));
         name_tid(&mut events, worker_tid(t.worker), format!("worker {}", t.worker));
-        name_tid(&mut events, host_tid(t.host), format!("host {}", t.host));
         // The six lifecycle phases as nested duration events on the
         // slot track: end_to_end outermost, the five disjoint spans
         // inside it.
@@ -119,8 +113,8 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
         events.push(span("finish_to_merged", slot_tid, lc.finish_ns, lc.merged_ns, t));
         events.push(span("merged_to_delivered", slot_tid, lc.merged_ns, lc.delivered_ns, t));
         events.push(span("search", worker_tid(t.worker), lc.work_start_ns, lc.finish_ns, t));
-        events.push(span("merge", host_tid(t.host), lc.merge_begin_ns, lc.merged_ns, t));
-        events.push(span("deliver", host_tid(t.host), lc.merged_ns, lc.delivered_ns, t));
+        events.push(span("merge", worker_tid(t.worker), lc.merge_begin_ns, lc.merged_ns, t));
+        events.push(span("deliver", worker_tid(t.worker), lc.merged_ns, lc.delivered_ns, t));
         for e in &t.events {
             match e.kind {
                 EventKind::CtaStep => {
@@ -264,7 +258,6 @@ mod tests {
             conn: 3,
             slot: 2,
             worker: 1,
-            host: 0,
             lifecycle: lc,
             dropped: 0,
             events: vec![
@@ -275,9 +268,9 @@ mod tests {
                 TraceEvent { ts_ns: 2_100, kind: EventKind::BeamSwitch, lane: 0, a: 4, b: 0 },
                 TraceEvent { ts_ns: 8_900, kind: EventKind::RerankPass, lane: 1, a: 16, b: 2 },
                 TraceEvent { ts_ns: 9_000, kind: EventKind::Finish, lane: 1, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_100, kind: EventKind::MergeBegin, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_400, kind: EventKind::MergeEnd, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_600, kind: EventKind::Delivered, lane: 0, a: 0, b: 0 },
+                TraceEvent { ts_ns: 9_100, kind: EventKind::MergeBegin, lane: 1, a: 0, b: 0 },
+                TraceEvent { ts_ns: 9_400, kind: EventKind::MergeEnd, lane: 1, a: 0, b: 0 },
+                TraceEvent { ts_ns: 9_600, kind: EventKind::Delivered, lane: 1, a: 0, b: 0 },
             ],
         }
     }

@@ -5,7 +5,7 @@
 //! regressed; this module shows *why one query* was slow. Every slot
 //! owns a fixed-capacity ring of timestamped [`TraceEvent`]s — slot
 //! state transitions, the beam-extend localization→diffusing switch,
-//! per-CTA search steps, host pickup begin/end, the rerank pass — that
+//! per-CTA search steps, the rerank pass, the reply build — that
 //! the serving threads write lock-free and allocation-free, overwriting
 //! the oldest events like an aircraft flight recorder.
 //!
@@ -18,12 +18,12 @@
 //! **Why the ring is safe without locks:** the slot state machine
 //! (`None → Work → Finish → Done`) already serializes the serving
 //! phases — the host writes the enqueue/assign events before flipping
-//! to `Work`, the worker writes the search events between observing
-//! `Work` and flipping to `Finish`, and the host writes the pickup and
-//! delivery events (and performs the capture) after observing `Finish`.
-//! At most one thread writes a given slot's ring at a time, and the
-//! acquire/release edges of the state transitions order the relaxed
-//! cell stores before the capture's relaxed loads.
+//! to `Work`, and the worker writes the search, reply-build and
+//! delivery events (and performs the capture) between observing `Work`
+//! and flipping to `Done`. At most one thread writes a given slot's
+//! ring at a time, and the acquire/release edges of the state
+//! transitions order the relaxed cell stores of one owner before the
+//! next owner's.
 //!
 //! `FlightRecorder` exists only with the `obs` feature: its one
 //! constructor call is in the recorder ([`super::recorder`]), which is
@@ -56,17 +56,17 @@ pub enum EventKind {
     RerankPass = 6,
     /// Search done, `Work → Finish` flip (`lane` = worker).
     Finish = 7,
-    /// Host picked the finished slot up (`lane` = host). The merge runs
-    /// in the worker; the name stays because trace readers key on it.
+    /// The worker starts building the reply (`lane` = worker). The
+    /// merge ran inside the search; the name stays because trace
+    /// readers key on it.
     MergeBegin = 8,
-    /// Host pickup done: the reply is built from the slot's TopK
-    /// (`lane` = host).
+    /// The reply is built from the worker's TopK (`lane` = worker).
     MergeEnd = 9,
     /// Reply handed to the client channel, `Finish → Done` flip
-    /// (`lane` = host).
+    /// (`lane` = worker).
     Delivered = 10,
     /// The SLO controller changed or confirmed the effort level at a
-    /// tick triggered by this query's completion (`lane` = host, `a` =
+    /// tick triggered by this query's completion (`lane` = worker, `a` =
     /// new effort level, `b` = [`crate::control::ControlReason`] as
     /// `u8`).
     ControlAdjust = 11,
@@ -138,9 +138,9 @@ pub struct LifecycleNs {
     pub work_start_ns: u64,
     /// Search finished (`Work → Finish`).
     pub finish_ns: u64,
-    /// Host picked the finished slot up.
+    /// The worker started building the reply.
     pub merge_begin_ns: u64,
-    /// Host pickup done (reply built from the slot's TopK).
+    /// Reply built from the worker's TopK.
     pub merged_ns: u64,
     /// Reply handed to the client channel.
     pub delivered_ns: u64,
@@ -187,11 +187,9 @@ pub struct QueryTrace {
     pub conn: u64,
     /// Slot that carried the query.
     pub slot: u32,
-    /// Worker that searched it (from the `WorkStart` event; 0 if that
-    /// event was overwritten).
+    /// Worker that searched and delivered it (from the `WorkStart`
+    /// event; 0 if that event was overwritten).
     pub worker: u32,
-    /// Host poller that delivered it.
-    pub host: u32,
     /// Lifecycle timestamps.
     pub lifecycle: LifecycleNs,
     /// Ring events that were overwritten before capture (0 when the
@@ -216,7 +214,6 @@ impl QueryTrace {
             ("conn", Value::Uint(self.conn)),
             ("slot", Value::Uint(u64::from(self.slot))),
             ("worker", Value::Uint(u64::from(self.worker))),
-            ("host", Value::Uint(u64::from(self.host))),
             ("e2e_ns", Value::Uint(self.e2e_ns())),
             ("dropped", Value::Uint(self.dropped)),
             (
@@ -422,7 +419,7 @@ mod enabled {
         /// retained) is a few relaxed atomic ops and never allocates;
         /// capturing a retained trace allocates its [`QueryTrace`]
         /// (acceptable: retention is rare by construction).
-        pub fn on_complete(&self, slot: usize, ids: QueryIds, host: u32, lifecycle: &LifecycleNs) {
+        pub fn on_complete(&self, slot: usize, ids: QueryIds, lifecycle: &LifecycleNs) {
             self.completions.fetch_add(1, Ordering::Relaxed);
             let e2e = lifecycle.e2e_ns();
             let slow = e2e >= self.cfg.slow_threshold_ns;
@@ -432,7 +429,7 @@ mod enabled {
             if !(slow || top) {
                 return;
             }
-            let trace = self.capture(slot, ids, host, lifecycle);
+            let trace = self.capture(slot, ids, lifecycle);
             let mut r = crate::lock(&self.retained);
             if top {
                 if r.top.len() < self.cfg.top_k {
@@ -459,13 +456,7 @@ mod enabled {
         }
 
         /// Drains `slot`'s ring into an owned trace (cold path).
-        fn capture(
-            &self,
-            slot: usize,
-            ids: QueryIds,
-            host: u32,
-            lifecycle: &LifecycleNs,
-        ) -> QueryTrace {
+        fn capture(&self, slot: usize, ids: QueryIds, lifecycle: &LifecycleNs) -> QueryTrace {
             let ring = &self.rings[slot];
             let hi = ring.cursor.load(Ordering::Relaxed);
             let mark = ring.mark.load(Ordering::Relaxed);
@@ -491,7 +482,6 @@ mod enabled {
                 conn: ids.conn,
                 slot: slot as u32,
                 worker,
-                host,
                 lifecycle: *lifecycle,
                 dropped: lo - mark,
                 events,
@@ -551,7 +541,7 @@ mod tests {
         fr.record(1, EventKind::Assigned, 0, 0, 0, 110);
         fr.record(1, EventKind::WorkStart, 3, 0, 0, 120);
         fr.record(1, EventKind::Delivered, 0, 0, 0, 160);
-        fr.on_complete(1, QueryIds::local(42), 0, &lifecycle(60));
+        fr.on_complete(1, QueryIds::local(42), &lifecycle(60));
         let traces = fr.retained();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
@@ -570,7 +560,7 @@ mod tests {
         for i in 0..written {
             fr.record(0, EventKind::CtaStep, 0, i, 0, u64::from(i));
         }
-        fr.on_complete(0, QueryIds::local(7), 0, &lifecycle(50));
+        fr.on_complete(0, QueryIds::local(7), &lifecycle(50));
         let t = &fr.retained()[0];
         assert_eq!(t.events.len(), RING_CAPACITY, "ring keeps exactly its capacity");
         assert_eq!(t.dropped, 12, "overwritten events are counted");
@@ -584,10 +574,10 @@ mod tests {
         let fr = FlightRecorder::new(1, capture_all());
         fr.begin_query(0);
         fr.record(0, EventKind::WorkStart, 9, 0, 0, 10);
-        fr.on_complete(0, QueryIds::local(1), 0, &lifecycle(30));
+        fr.on_complete(0, QueryIds::local(1), &lifecycle(30));
         fr.begin_query(0);
         fr.record(0, EventKind::WorkStart, 5, 0, 0, 50);
-        fr.on_complete(0, QueryIds::local(2), 0, &lifecycle(40));
+        fr.on_complete(0, QueryIds::local(2), &lifecycle(40));
         let traces = fr.retained();
         let second = traces.iter().find(|t| t.tag == 2).unwrap();
         assert_eq!(second.events.len(), 1, "previous query's events excluded");
@@ -599,10 +589,10 @@ mod tests {
         let cfg = FlightConfig { slow_threshold_ns: 1_000, top_k: 0 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(1), 0, &lifecycle(999));
+        fr.on_complete(0, QueryIds::local(1), &lifecycle(999));
         assert!(fr.retained().is_empty(), "fast query must not be retained");
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(2), 0, &lifecycle(1_000));
+        fr.on_complete(0, QueryIds::local(2), &lifecycle(1_000));
         assert_eq!(fr.retained().len(), 1);
         assert_eq!(fr.retained()[0].tag, 2);
     }
@@ -613,7 +603,7 @@ mod tests {
         let fr = FlightRecorder::new(1, cfg);
         for (tag, e2e) in [(1u64, 500u64), (2, 300), (3, 800), (4, 100), (5, 600)] {
             fr.begin_query(0);
-            fr.on_complete(0, QueryIds::local(tag), 0, &lifecycle(e2e));
+            fr.on_complete(0, QueryIds::local(tag), &lifecycle(e2e));
         }
         let tags: Vec<u64> = fr.retained().iter().map(|t| t.tag).collect();
         assert_eq!(tags, vec![3, 5], "slowest two, slowest first");
@@ -625,7 +615,7 @@ mod tests {
         let cfg = FlightConfig { slow_threshold_ns: 10, top_k: 4 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(77), 0, &lifecycle(999));
+        fr.on_complete(0, QueryIds::local(77), &lifecycle(999));
         assert_eq!(fr.retained().len(), 1);
         assert_eq!(fr.totals().retained, 1);
     }
@@ -635,14 +625,13 @@ mod tests {
         let fr = FlightRecorder::new(1, capture_all());
         fr.begin_query(0);
         fr.record(0, EventKind::BeamSwitch, 2, 14, 0, 130);
-        fr.on_complete(0, QueryIds { tag: 5, request_id: 9_001, conn: 3 }, 1, &lifecycle(60));
+        fr.on_complete(0, QueryIds { tag: 5, request_id: 9_001, conn: 3 }, &lifecycle(60));
         let text = traces_json(&fr.retained());
         let doc = Value::parse(&text).unwrap();
         let t = &doc.get("traces").unwrap().as_arr().unwrap()[0];
         assert_eq!(t.get("tag").unwrap().as_u64(), Some(5));
         assert_eq!(t.get("request_id").unwrap().as_u64(), Some(9_001));
         assert_eq!(t.get("conn").unwrap().as_u64(), Some(3));
-        assert_eq!(t.get("host").unwrap().as_u64(), Some(1));
         assert_eq!(t.get("e2e_ns").unwrap().as_u64(), Some(60));
         let ev = &t.get("events").unwrap().as_arr().unwrap()[0];
         assert_eq!(ev.get("kind").unwrap().as_str(), Some("beam_switch"));

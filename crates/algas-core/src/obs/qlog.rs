@@ -81,8 +81,7 @@ pub struct DeliveryCtx {
     pub conn_id: u64,
     /// Client-send timestamp (µs, client clock; 0 when not sent).
     pub client_ts_us: u64,
-    /// Worker that searched the query (recorded into the job by the
-    /// worker loop).
+    /// Worker that searched and delivered the query.
     pub worker: u32,
     /// CTA search steps this query took (summed over CTAs).
     pub hops: u32,
@@ -167,10 +166,8 @@ pub struct QlogRecord {
     pub e2e_ns: u64,
     /// Slot that carried the query.
     pub slot: u64,
-    /// Worker that searched it.
+    /// Worker that searched and delivered it.
     pub worker: u64,
-    /// Host poller that delivered it.
-    pub host: u64,
     /// CTA search steps (summed over CTAs).
     pub hops: u64,
     /// SLO controller rung at delivery.
@@ -200,7 +197,6 @@ impl QlogRecord {
             ("e2e_ns", Value::Uint(self.e2e_ns)),
             ("slot", Value::Uint(self.slot)),
             ("worker", Value::Uint(self.worker)),
-            ("host", Value::Uint(self.host)),
             ("hops", Value::Uint(self.hops)),
             ("entry", Value::Str(entry_policy_name(self.entry_code as u32).to_string())),
             ("slo_level", Value::Uint(self.slo_level)),
@@ -220,7 +216,7 @@ mod enabled {
     use std::sync::Mutex;
 
     /// Words per ring cell; one fixed-width slot per record field.
-    const WORDS: usize = 18;
+    const WORDS: usize = 17;
 
     /// The fixed word layout the ring carries a record in.
     impl QlogRecord {
@@ -238,7 +234,6 @@ mod enabled {
                 self.e2e_ns,
                 self.slot,
                 self.worker,
-                self.host,
                 self.hops,
                 self.slo_level,
                 self.rerank_depth,
@@ -261,12 +256,11 @@ mod enabled {
                 e2e_ns: w[9],
                 slot: w[10],
                 worker: w[11],
-                host: w[12],
-                hops: w[13],
-                slo_level: w[14],
-                rerank_depth: w[15],
-                entry_code: w[16],
-                status: w[17],
+                hops: w[12],
+                slo_level: w[13],
+                rerank_depth: w[14],
+                entry_code: w[15],
+                status: w[16],
             }
         }
     }
@@ -468,7 +462,6 @@ mod tests {
             e2e_ns,
             slot: 1,
             worker: 0,
-            host: 0,
             hops: 17,
             slo_level: 2,
             rerank_depth: 24,

@@ -53,9 +53,7 @@ mod enabled {
     };
     use crate::obs::hist::Histogram;
     use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
-    use crate::obs::qlog::{
-        DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog, STATUS_REJECTED,
-    };
+    use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog, STATUS_OK};
     use crate::obs::snapshot::{HostStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
     use crate::obs::window::{WindowBlock, WindowRing};
     use crate::tracer::StepTotals;
@@ -157,7 +155,6 @@ mod enabled {
 
     #[derive(Default)]
     struct HostCells {
-        delivered: Counter,
         refills: Counter,
     }
 
@@ -339,16 +336,13 @@ mod enabled {
             self.qlog.totals()
         }
 
-        /// Logs a backpressure reject as a wide-event record (rejects
-        /// always log, regardless of sampling). Allocation-free.
+        /// Logs a request answered without a search — a backpressure
+        /// reject or a protocol error, by `status` — as a wide-event
+        /// record (non-ok records always log, regardless of sampling).
+        /// Allocation-free.
         #[inline]
-        pub fn qlog_reject(&self, request_id: u64, conn_id: u64) {
-            self.qlog.log(&QlogRecord {
-                request_id,
-                conn_id,
-                status: STATUS_REJECTED,
-                ..QlogRecord::default()
-            });
+        pub fn qlog_refused(&self, request_id: u64, conn_id: u64, status: u64) {
+            self.qlog.log(&QlogRecord { request_id, conn_id, status, ..QlogRecord::default() });
         }
 
         /// Writes one raw flight-recorder event, stamped now (test and
@@ -474,23 +468,23 @@ mod enabled {
             self.flight.record(s, EventKind::Finish, w as u32, 0, 0, end_ns);
         }
 
-        /// Accounts one delivered result: host/slot counters, all six
-        /// phase spans (`picked_up` → `merged_at` is the host's pickup),
-        /// the pickup/delivery trace events, the flight recorder's tail
-        /// sampler, the wide-event query-log record and the exemplar.
+        /// Accounts one result delivered by worker `w`: the slot
+        /// counter, all six phase spans (`reply_begin` → `merged_at` is
+        /// the reply build), the reply-build/delivery trace events on
+        /// the worker's lane, the flight recorder's tail sampler, the
+        /// wide-event query-log record and the exemplar.
         #[inline]
         #[allow(clippy::too_many_arguments)]
         pub fn record_delivery(
             &self,
-            h: usize,
+            w: usize,
             s: usize,
             ctx: &DeliveryCtx,
             stamps: &JobStamps,
-            picked_up: Stamp,
+            reply_begin: Stamp,
             merged_at: Stamp,
             delivered_at: Stamp,
         ) {
-            self.hosts[h].delivered.incr();
             self.slots[s].delivered.incr();
             if let Some(slot) = stamps.slot {
                 self.submit_to_slot.record(ns_between(stamps.submitted, slot));
@@ -513,15 +507,15 @@ mod enabled {
                 slot_ns: stamps.slot.map_or(0, |t| self.flight.ns_of(t)),
                 work_start_ns: stamps.work_start.map_or(0, |t| self.flight.ns_of(t)),
                 finish_ns: stamps.finish.map_or(0, |t| self.flight.ns_of(t)),
-                merge_begin_ns: self.flight.ns_of(picked_up),
+                merge_begin_ns: self.flight.ns_of(reply_begin),
                 merged_ns: self.flight.ns_of(merged_at),
                 delivered_ns: self.flight.ns_of(delivered_at),
             };
-            self.flight.record(s, EventKind::MergeBegin, h as u32, 0, 0, lifecycle.merge_begin_ns);
-            self.flight.record(s, EventKind::MergeEnd, h as u32, 0, 0, lifecycle.merged_ns);
-            self.flight.record(s, EventKind::Delivered, h as u32, 0, 0, lifecycle.delivered_ns);
+            self.flight.record(s, EventKind::MergeBegin, w as u32, 0, 0, lifecycle.merge_begin_ns);
+            self.flight.record(s, EventKind::MergeEnd, w as u32, 0, 0, lifecycle.merged_ns);
+            self.flight.record(s, EventKind::Delivered, w as u32, 0, 0, lifecycle.delivered_ns);
             let ids = QueryIds { tag: ctx.tag, request_id: ctx.request_id, conn: ctx.conn_id };
-            self.flight.on_complete(s, ids, h as u32, &lifecycle);
+            self.flight.on_complete(s, ids, &lifecycle);
 
             self.qlog.log(&QlogRecord {
                 request_id: ctx.request_id,
@@ -536,12 +530,11 @@ mod enabled {
                 e2e_ns,
                 slot: s as u64,
                 worker: u64::from(ctx.worker),
-                host: h as u64,
                 hops: u64::from(ctx.hops),
                 slo_level: u64::from(ctx.slo_level),
                 rerank_depth: u64::from(ctx.rerank_depth),
                 entry_code: u64::from(ctx.entry_code),
-                status: crate::obs::qlog::STATUS_OK,
+                status: STATUS_OK,
             });
 
             let n = self.exemplar_count.fetch_add(1, Ordering::Relaxed);
@@ -563,11 +556,8 @@ mod enabled {
         pub fn populate(&self, out: &mut RuntimeStats) {
             out.per_worker =
                 self.workers.iter().map(|c| WorkerStats { queries: c.queries.get() }).collect();
-            out.per_host = self
-                .hosts
-                .iter()
-                .map(|c| HostStats { delivered: c.delivered.get(), refills: c.refills.get() })
-                .collect();
+            out.per_host =
+                self.hosts.iter().map(|c| HostStats { refills: c.refills.get() }).collect();
             out.per_slot = self
                 .slots
                 .iter()
@@ -717,7 +707,7 @@ mod disabled {
 
         /// No-op.
         #[inline]
-        pub fn qlog_reject(&self, _request_id: u64, _conn_id: u64) {}
+        pub fn qlog_refused(&self, _request_id: u64, _conn_id: u64, _status: u64) {}
 
         /// No-op: nothing is ever retained.
         pub fn flight_retained(&self) -> Vec<QueryTrace> {
@@ -765,11 +755,11 @@ mod disabled {
         #[allow(clippy::too_many_arguments)]
         pub fn record_delivery(
             &self,
-            _h: usize,
+            _w: usize,
             _s: usize,
             _ctx: &DeliveryCtx,
             _stamps: &JobStamps,
-            _picked_up: Stamp,
+            _reply_begin: Stamp,
             _merged_at: Stamp,
             _delivered_at: Stamp,
         ) {
@@ -832,7 +822,6 @@ mod tests {
         obs.populate(&mut s);
         assert_eq!(s.per_worker[0].queries, 1);
         assert_eq!(s.per_worker[1].queries, 0);
-        assert_eq!(s.per_host[0].delivered, 1);
         assert_eq!(s.per_host[0].refills, 1);
         assert_eq!(s.per_slot[1].assigned, 1);
         assert_eq!(s.per_slot[1].finished, 1);
@@ -893,7 +882,6 @@ mod tests {
         assert_eq!(t.conn, 0);
         assert_eq!(t.slot, 0);
         assert_eq!(t.worker, 3, "worker id comes from the work_start event lane");
-        assert_eq!(t.host, 0);
         assert_eq!(t.events.len(), 7);
         assert_eq!(t.events[0].kind, EventKind::Enqueued);
         assert_eq!(t.events.last().unwrap().kind, EventKind::Delivered);

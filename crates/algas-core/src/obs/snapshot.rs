@@ -50,8 +50,6 @@ pub struct WorkerStats {
 /// Per-host-poller counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Results delivered by this poller.
-    pub delivered: u64,
     /// Slots refilled from the submission queue.
     pub refills: u64,
 }
@@ -71,8 +69,8 @@ pub struct SlotStats {
 ///
 /// The five spans partition the end-to-end path: `submit→slot` (queue
 /// wait), `slot→work` (worker pickup), `work→finish` (search),
-/// `finish→merged` (host pickup; the merge ran in the worker),
-/// `merged→delivered` (reply delivery). `end_to_end` is recorded independently from the same
+/// `finish→merged` (the worker's reply build; the merge ran inside the
+/// search), `merged→delivered` (reply delivery). `end_to_end` is recorded independently from the same
 /// timestamps.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
@@ -82,10 +80,10 @@ pub struct PhaseStats {
     pub slot_to_work: HistogramSnapshot,
     /// Search start → `Finish` flip (the GPU-side work).
     pub work_to_finish: HistogramSnapshot,
-    /// `Finish` → host picked the finished TopK up and built the reply
-    /// (the merge runs in the worker; the name stays for page readers).
+    /// `Finish` → the worker built the reply from its TopK (the merge
+    /// runs inside the search; the name stays for page readers).
     pub finish_to_merged: HistogramSnapshot,
-    /// Pickup → reply handed to the client channel.
+    /// Reply built → reply handed to the client channel.
     pub merged_to_delivered: HistogramSnapshot,
     /// Submission → delivery.
     pub end_to_end: HistogramSnapshot,
@@ -272,12 +270,7 @@ impl RuntimeStats {
                 Value::Arr(
                     self.per_host
                         .iter()
-                        .map(|h| {
-                            obj(vec![
-                                ("delivered", Value::Uint(h.delivered)),
-                                ("refills", Value::Uint(h.refills)),
-                            ])
-                        })
+                        .map(|h| obj(vec![("refills", Value::Uint(h.refills))]))
                         .collect(),
                 ),
             ),
@@ -538,13 +531,6 @@ impl RuntimeStats {
             "Queries searched, per worker.",
             "worker",
             &mut self.per_worker.iter().map(|x| x.queries),
-        );
-        series(
-            &mut w,
-            "algas_host_delivered_total",
-            "Results delivered, per host poller.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.delivered),
         );
         series(
             &mut w,
@@ -877,7 +863,7 @@ mod tests {
         s.quant_bytes = 12_400;
         s.per_worker[0] = WorkerStats { queries: 20 };
         s.per_worker[1] = WorkerStats { queries: 18 };
-        s.per_host[0] = HostStats { delivered: 38, refills: 40 };
+        s.per_host[0] = HostStats { refills: 40 };
         s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
         s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
         let h = Histogram::new();

@@ -7,15 +7,19 @@
 //!
 //! * **Persistent workers** stand in for the persistent kernel's CTAs:
 //!   spawned once, they poll their slots' states (`Work`?) instead of
-//!   being launched per query. Each finishes its query: search, the
+//!   being launched per query. Each finishes its query — search, the
 //!   one TopK merge (§IV-B's CPU merge; the walkers run on a CPU
-//!   thread here), the SQ8 rerank and the translation to original ids.
-//! * **Slots** carry one in-flight query each in a payload cell guarded
-//!   by the [`AtomicSlotState`] protocol — the `Work`/`Finish` edges
-//!   publish the payload exactly as §V-A's state copies do.
+//!   thread here), the SQ8 rerank and the translation to original ids
+//!   — and answers it: the reply goes to the client from the thread
+//!   that searched it. The paper hands results to a host thread
+//!   because a GPU kernel cannot own an IO stream; a CPU worker can.
+//! * **Slots** carry one in-flight query each, in one direction: the
+//!   host's `None/Done → Work` edge publishes the job into the slot's
+//!   cell exactly as §V-A's state copies do, and the worker takes it
+//!   out. The worker writes the `Work → Finish → Done` edges itself.
 //! * **Host pollers** scan their slot subsets (§V-B's partitioned
-//!   ownership), deliver the finished TopKs, and refill slots from the
-//!   submission queue. They do not merge.
+//!   ownership) and refill free slots from the submission queue. They
+//!   neither merge nor deliver.
 
 use crate::control::SloController;
 use crate::engine::{AlgasEngine, SearchScratch};
@@ -27,7 +31,6 @@ use crate::obs::{
     RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
 };
 use crate::state::{AtomicSlotState, SlotState};
-use algas_vector::metric::DistValue;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -103,8 +106,8 @@ pub struct SearchReply {
 }
 
 /// Finished replies for one consumer thread that waits in a
-/// [`crate::net::poll::Poller`]: host pollers push `(token, reply)`
-/// and wake it; the consumer drains in completion order. One queue per
+/// [`crate::net::poll::Poller`]: workers push `(token, reply)` and
+/// wake it; the consumer drains in completion order. One queue per
 /// front end replaces a channel per query, so the consumer looks at
 /// exactly the replies that exist instead of probing every request it
 /// still owes.
@@ -177,27 +180,14 @@ struct Job {
     /// Wire identity for trace/query-log keying (request id = tag for
     /// local submissions).
     wire: WireCtx,
-    /// Graph hops the search took; written by the worker under the
-    /// payload lock, read at delivery for the query log.
-    hops: u32,
-    /// Worker thread that executed the search.
-    worker: u32,
 }
 
-/// Per-slot payload cell. The state machine serializes access: the
-/// host writes `job` before `None/Done → Work`; the worker reads it
-/// after observing `Work` and writes `topk` before `Work → Finish`; the
-/// host reads `topk` after observing `Finish`.
-#[derive(Default)]
-struct SlotPayload {
-    job: Option<Job>,
-    /// The finished TopK in original ids, ascending by distance.
-    topk: Vec<(DistValue, u32)>,
-}
-
+/// One slot. The state machine serializes access to the job cell: the
+/// host puts a job in before `None/Done → Work`, and the worker takes
+/// it out after observing `Work`.
 struct Slot {
     state: AtomicSlotState,
-    payload: Mutex<SlotPayload>,
+    job: Mutex<Option<Job>>,
 }
 
 #[derive(Default)]
@@ -292,10 +282,7 @@ impl AlgasServer {
     pub fn start(engine: AlgasEngine, cfg: RuntimeConfig) -> Self {
         assert!(cfg.n_slots > 0 && cfg.n_workers > 0 && cfg.n_host_threads > 0);
         let slots = (0..cfg.n_slots)
-            .map(|_| Slot {
-                state: AtomicSlotState::new(),
-                payload: Mutex::new(SlotPayload::default()),
-            })
+            .map(|_| Slot { state: AtomicSlotState::new(), job: Mutex::new(None) })
             .collect();
         let shared = Arc::new(Shared {
             engine,
@@ -406,8 +393,6 @@ impl AlgasServer {
             submitted_at: std::time::Instant::now(),
             stamps: JobStamps::new(),
             wire: wire.unwrap_or(WireCtx { request_id: tag, conn_id: 0, client_ts_us: 0 }),
-            hops: 0,
-            worker: 0,
         };
         if self.shared.submissions.try_push(job) {
             self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -522,11 +507,12 @@ impl AlgasServer {
         self.shared.obs.qlog_lines_since(cursor)
     }
 
-    /// Records a rejected (backpressured) query in the query log under
-    /// its wire identity. Called by the network front end when it
-    /// answers RETRY_AFTER instead of submitting.
-    pub fn qlog_reject(&self, request_id: u64, conn_id: u64) {
-        self.shared.obs.qlog_reject(request_id, conn_id);
+    /// Records a request the front end answered without a search in
+    /// the query log under its wire identity: `status` is
+    /// [`obs::qlog::STATUS_REJECTED`] when it answered RETRY_AFTER,
+    /// [`obs::qlog::STATUS_ERROR`] when it answered a protocol error.
+    pub fn qlog_refused(&self, request_id: u64, conn_id: u64, status: u64) {
+        self.shared.obs.qlog_refused(request_id, conn_id, status);
     }
 
     /// Readiness: the index is loaded and the runtime is accepting
@@ -642,14 +628,18 @@ impl Backoff {
 }
 
 /// Persistent worker ("CTA group"): polls owned slots for `Work`,
-/// finishes the query ([`AlgasEngine::serve_into`]), publishes its
-/// TopK, flips to `Finish`. Exits once every owned slot reaches `Quit`.
+/// finishes the query ([`AlgasEngine::serve_into`]) and answers it,
+/// flipping `Work → Finish → Done`. Exits once every owned slot
+/// reaches `Quit`.
 fn worker_loop(shared: &Shared, first: usize, stride: usize) {
     // Per-worker reusable search scratch (candidate lists, visited
     // bitmap, per-CTA buffers, merge cursors). After the first few
     // queries warm it up, the steady-state serving path performs no
-    // heap allocation in this thread.
+    // heap allocation in this thread beyond the reply's own vectors.
     let mut scratch = SearchScratch::new();
+    // The entry policy is fixed for the engine's lifetime; encode it
+    // once rather than per delivery.
+    let entry_code = obs::qlog::entry_policy_code(&shared.engine.config().entry_policy);
     let mut backoff = Backoff::new();
     // Thread-state marker for the sampling profiler: each stamp is one
     // relaxed store into this thread's own cache-padded cell (a no-op
@@ -665,40 +655,7 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
                 SlotState::Quit => {}
                 SlotState::Work => {
                     all_quit = false;
-                    prof.stamp(ProfState::Scan);
-                    let (merge_before, rerank_before) = (scratch.merge.stats, scratch.rerank);
-                    // Search on the job's own query under the lock:
-                    // between `Work` and `Finish` only this worker
-                    // touches the payload, so the lock is uncontended.
-                    let mut payload = lock(&slot.payload);
-                    let SlotPayload { job, topk } = &mut *payload;
-                    let job = job.as_mut().expect("Work implies a job");
-                    job.stamps.mark_work_start();
-                    shared.engine.serve_into(&job.query, job.tag, &mut scratch);
-                    prof.stamp(ProfState::Publish);
-                    // One walk over the CTA traces per query, shared by
-                    // the query log's hop count and the recorder.
-                    let totals = scratch.multi.step_totals();
-                    // Copy the TopK element-wise so both the scratch
-                    // and the slot keep their allocations across jobs.
-                    topk.clear();
-                    topk.extend_from_slice(&scratch.topk);
-                    job.stamps.mark_finish();
-                    // Stash the per-query facts only this thread knows
-                    // (hop count, worker id) for the query log; the
-                    // host reads them at delivery.
-                    job.hops = totals.steps.min(u64::from(u32::MAX)) as u32;
-                    job.worker = first as u32;
-                    let stamps = job.stamps;
-                    drop(payload);
-                    let merge_delta = scratch.merge.stats.since(&merge_before);
-                    let rerank_delta = scratch.rerank.since(&rerank_before);
-                    let entry = scratch.multi.entry_distance();
-                    shared.obs.record_search(first, s, &totals, entry, &merge_delta);
-                    shared.obs.record_rerank(first, &rerank_delta);
-                    shared.obs.flight_search(first, s, &scratch.multi, &rerank_delta, &stamps);
-                    let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);
-                    debug_assert!(flipped, "only this worker moves Work -> Finish");
+                    serve_slot(shared, first, s, entry_code, &mut scratch, &prof);
                     did_work = true;
                 }
                 _ => all_quit = false,
@@ -716,14 +673,86 @@ fn worker_loop(shared: &Shared, first: usize, stride: usize) {
     }
 }
 
-/// Host poller (§V-B): scans owned slots; on `Finish` picks up the
-/// worker's finished TopK and delivers it (the merge already ran in the
-/// worker); on `None`/`Done` refills from the submission queue or, when
-/// shutting down with an empty queue, retires the slot to `Quit`.
+/// Worker `w` runs slot `s`'s job from `Work` to `Done`: search, then
+/// the reply. Counters and telemetry land before the reply, so a
+/// caller that sees its reply also sees it counted.
+fn serve_slot(
+    shared: &Shared,
+    w: usize,
+    s: usize,
+    entry_code: u32,
+    scratch: &mut SearchScratch,
+    prof: &obs::ProfHandle,
+) {
+    let slot = &shared.slots[s];
+    prof.stamp(ProfState::Scan);
+    let (merge_before, rerank_before) = (scratch.merge.stats, scratch.rerank);
+    let mut job = lock(&slot.job).take().expect("Work implies a job");
+    job.stamps.mark_work_start();
+    shared.engine.serve_into(&job.query, job.tag, scratch);
+    prof.stamp(ProfState::Publish);
+    job.stamps.mark_finish();
+    // One walk over the CTA traces per query, shared by the query
+    // log's hop count and the recorder.
+    let totals = scratch.multi.step_totals();
+    let merge_delta = scratch.merge.stats.since(&merge_before);
+    let rerank_delta = scratch.rerank.since(&rerank_before);
+    let entry = scratch.multi.entry_distance();
+    shared.obs.record_search(w, s, &totals, entry, &merge_delta);
+    shared.obs.record_rerank(w, &rerank_delta);
+    shared.obs.flight_search(w, s, &scratch.multi, &rerank_delta, &job.stamps);
+    let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);
+    debug_assert!(flipped, "only this worker moves Work -> Finish");
+
+    // `Merge` names the reply build; the reply's vectors go to the
+    // client, the scratch keeps its TopK buffer.
+    prof.stamp(ProfState::Merge);
+    let reply_begin = obs::stamp();
+    let reply = SearchReply {
+        tag: job.tag,
+        ids: scratch.topk.iter().map(|&(_, id)| id).collect(),
+        distances: scratch.topk.iter().map(|&(d, _)| d.0).collect(),
+    };
+    let merged_at = obs::stamp();
+    prof.stamp(ProfState::Deliver);
+    let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
+    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+    shared.stats.service_ns_total.fetch_add(service_ns, Ordering::Relaxed);
+    // Feed the SLO controller the submit→reply span it regulates. When
+    // a cadence tick fires, stamp the decision into this slot's flight
+    // ring before the delivery events close the query's window.
+    if let Some(d) = shared.engine.controller().observe(service_ns) {
+        shared.obs.flight_record(
+            s,
+            obs::flight::EventKind::ControlAdjust,
+            w as u32,
+            d.level,
+            d.reason as u32,
+        );
+    }
+    let ctx = DeliveryCtx {
+        tag: job.tag,
+        request_id: job.wire.request_id,
+        conn_id: job.wire.conn_id,
+        client_ts_us: job.wire.client_ts_us,
+        worker: w as u32,
+        hops: totals.steps.min(u64::from(u32::MAX)) as u32,
+        slo_level: shared.engine.controller().level(),
+        rerank_depth: shared.engine.rerank_depth().min(u32::MAX as usize) as u32,
+        entry_code,
+    };
+    // The delivery stamp marks the send boundary.
+    shared.obs.record_delivery(w, s, &ctx, &job.stamps, reply_begin, merged_at, obs::stamp());
+    job.reply_to.deliver(reply);
+    let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
+    debug_assert!(flipped, "only this worker moves Finish -> Done");
+}
+
+/// Host poller (§V-B): scans owned slots; on `None`/`Done` refills
+/// from the submission queue or, when shutting down with an empty
+/// queue, retires the slot to `Quit`. `Work` and `Finish` belong to
+/// the worker.
 fn host_loop(shared: &Shared, first: usize, stride: usize) {
-    // The entry policy is fixed for the engine's lifetime; encode it
-    // once rather than per delivery.
-    let entry_code = obs::qlog::entry_policy_code(&shared.engine.config().entry_policy);
     let mut backoff = Backoff::new();
     // Thread-state marker for the sampling profiler (see worker_loop).
     let prof = shared.obs.prof_registry().register(ThreadKind::Host, &format!("host-{first}"));
@@ -736,69 +765,6 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
             let state = slot.state.load();
             match state {
                 SlotState::Quit => continue,
-                SlotState::Finish => {
-                    all_quit = false;
-                    // `Merge` names the pickup: the reply is built from
-                    // the slot's TopK in place, so the slot keeps its
-                    // buffer; the reply's vectors go to the client.
-                    prof.stamp(ProfState::Merge);
-                    let picked_up = obs::stamp();
-                    let mut payload = lock(&slot.payload);
-                    let job = payload.job.take().expect("Finish implies a job");
-                    let reply = SearchReply {
-                        tag: job.tag,
-                        ids: payload.topk.iter().map(|&(_, id)| id).collect(),
-                        distances: payload.topk.iter().map(|&(d, _)| d.0).collect(),
-                    };
-                    drop(payload);
-                    let merged_at = obs::stamp();
-                    prof.stamp(ProfState::Deliver);
-                    // Account the completed query before replying so a
-                    // caller observing the reply sees it counted.
-                    let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.service_ns_total.fetch_add(service_ns, Ordering::Relaxed);
-                    // Feed the SLO controller the submit→reply span it
-                    // regulates. When a cadence tick fires, stamp the
-                    // decision into this slot's flight ring before the
-                    // delivery events close the query's window.
-                    if let Some(d) = shared.engine.controller().observe(service_ns) {
-                        shared.obs.flight_record(
-                            s,
-                            obs::flight::EventKind::ControlAdjust,
-                            first as u32,
-                            d.level,
-                            d.reason as u32,
-                        );
-                    }
-                    // Telemetry lands before the reply too, so a client
-                    // observing its reply sees its query fully recorded
-                    // (the delivery stamp marks the send boundary).
-                    let ctx = DeliveryCtx {
-                        tag: job.tag,
-                        request_id: job.wire.request_id,
-                        conn_id: job.wire.conn_id,
-                        client_ts_us: job.wire.client_ts_us,
-                        worker: job.worker,
-                        hops: job.hops,
-                        slo_level: shared.engine.controller().level(),
-                        rerank_depth: shared.engine.rerank_depth().min(u32::MAX as usize) as u32,
-                        entry_code,
-                    };
-                    shared.obs.record_delivery(
-                        first,
-                        s,
-                        &ctx,
-                        &job.stamps,
-                        picked_up,
-                        merged_at,
-                        obs::stamp(),
-                    );
-                    job.reply_to.deliver(reply);
-                    let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
-                    debug_assert!(flipped, "only this poller moves Finish -> Done");
-                    did_work = true;
-                }
                 SlotState::None | SlotState::Done => {
                     all_quit = false;
                     match shared.submissions.try_pop() {
@@ -806,7 +772,7 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                             prof.stamp(ProfState::Refill);
                             job.stamps.mark_slot();
                             let stamps = job.stamps;
-                            lock(&slot.payload).job = Some(job);
+                            *lock(&slot.job) = Some(job);
                             shared.obs.slot_assigned(first, s, &stamps);
                             let flipped = slot.state.transition(state, SlotState::Work);
                             debug_assert!(flipped, "this poller owns the slot's host edges");
@@ -821,7 +787,7 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                         }
                     }
                 }
-                SlotState::Work => {
+                SlotState::Work | SlotState::Finish => {
                     all_quit = false;
                 }
             }
@@ -1101,7 +1067,7 @@ mod tests {
             assert_eq!(s.per_worker.iter().map(|w| w.queries).sum::<u64>(), 10);
             assert_eq!(s.per_slot.iter().map(|x| x.assigned).sum::<u64>(), 10);
             assert_eq!(s.per_slot.iter().map(|x| x.delivered).sum::<u64>(), 10);
-            assert_eq!(s.per_host.iter().map(|h| h.delivered).sum::<u64>(), 10);
+            assert_eq!(s.per_host.iter().map(|h| h.refills).sum::<u64>(), 10);
             assert_eq!(s.phases.end_to_end.count, 10);
             assert!(s.phases.end_to_end.quantile(0.5) > 0);
             assert!(s.search.dist_evals > 0);
@@ -1163,6 +1129,47 @@ mod tests {
         let stats = server.runtime_stats();
         assert_eq!(stats.flight.completions, 6);
         assert!(stats.flight.retained >= traces.len() as u64);
+        server.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn the_worker_that_searched_a_query_delivers_it() {
+        use crate::obs::flight::EventKind;
+        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        let cfg =
+            EngineConfig { k: 8, l: 32, slots: 4, beam: BeamMode::Auto, ..Default::default() };
+        let server = AlgasServer::start(
+            AlgasEngine::new(index, cfg).unwrap(),
+            RuntimeConfig {
+                n_slots: 4,
+                n_workers: 2,
+                n_host_threads: 1,
+                queue_capacity: 64,
+                // Threshold 0 marks every query slow: all are retained.
+                flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        let pending: Vec<_> = (0..16)
+            .map(|i| server.submit(ds.queries.get(i % ds.queries.len()).to_vec()).unwrap())
+            .collect();
+        for (_, rx) in pending {
+            rx.recv().unwrap();
+        }
+        let traces = server.flight_traces();
+        assert!(!traces.is_empty(), "threshold 0 must retain queries");
+        let lane = |t: &QueryTrace, kind: EventKind| {
+            t.events.iter().find(|e| e.kind == kind).map(|e| e.lane)
+        };
+        let mut workers = std::collections::HashSet::new();
+        for t in &traces {
+            let searched = lane(t, EventKind::WorkStart).expect("work_start event");
+            assert_eq!(lane(t, EventKind::Delivered), Some(searched), "trace {}", t.tag);
+            workers.insert(searched);
+        }
+        assert_eq!(workers.len(), 2, "both workers searched and delivered");
         server.shutdown();
     }
 

@@ -511,6 +511,10 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
+/// The submission queue bound of a `serve`/`stats` runtime; the local
+/// drive keeps at most this many queries outstanding.
+const QUEUE_CAPACITY: usize = 4096;
+
 /// Loads the index + queries and starts the threaded runtime per the
 /// shared `serve`/`stats` flags.
 fn start_server_from_flags(
@@ -533,7 +537,7 @@ fn start_server_from_flags(
             n_slots: slots,
             n_workers: opt_parse(flags, "workers", 2usize)?,
             n_host_threads: opt_parse(flags, "hosts", 1usize)?,
-            queue_capacity: 4096,
+            queue_capacity: QUEUE_CAPACITY,
             // Retained for trace export: every query at least
             // `--trace-threshold-us` slow, next to the 8 slowest seen.
             flight: FlightConfig {
@@ -578,18 +582,23 @@ fn drive_serve_session(
     queries: &VectorStore,
     repeat: usize,
 ) -> Result<algas_core::obs::HistogramSnapshot, String> {
-    let total = queries.len() * repeat;
     let hist = algas_core::obs::Histogram::new();
-    let mut pending = Vec::with_capacity(total);
-    for _ in 0..repeat {
-        for qi in 0..queries.len() {
-            let (_, rx) = server
-                .submit(queries.get(qi).to_vec())
-                .map_err(|e| format!("submit failed: {e}"))?;
-            pending.push((std::time::Instant::now(), rx));
+    let mut pending = std::collections::VecDeque::new();
+    let mut order = (0..repeat).flat_map(|_| 0..queries.len());
+    loop {
+        // Every outstanding query sits in the queue or a slot, so
+        // submitting only below the queue bound never overflows it;
+        // at the bound, the oldest reply is awaited first.
+        if pending.len() < QUEUE_CAPACITY {
+            if let Some(qi) = order.next() {
+                let (_, rx) = server
+                    .submit(queries.get(qi).to_vec())
+                    .map_err(|e| format!("submit failed: {e}"))?;
+                pending.push_back((std::time::Instant::now(), rx));
+                continue;
+            }
         }
-    }
-    for (sent, rx) in pending {
+        let Some((sent, rx)) = pending.pop_front() else { break };
         rx.recv().map_err(|_| "server died".to_string())?;
         hist.record(sent.elapsed().as_nanos() as u64);
     }
@@ -1300,6 +1309,52 @@ mod tests {
         assert!(stat(control, &["level"]) >= 1, "an impossible SLO must shed effort");
 
         for p in [base, queries, gt, index] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// A local drive longer than the submission queue completes: the
+    /// driver waits on its oldest reply instead of overflowing the
+    /// queue.
+    #[test]
+    fn local_drive_outlasts_the_submission_queue() {
+        let base = tmp("long-base.fvecs");
+        let queries = tmp("long-q.fvecs");
+        let index = tmp("long-index.algas");
+        run_ok(&[
+            "gen",
+            "--out",
+            &base,
+            "--queries",
+            &queries,
+            "--n",
+            "300",
+            "--nq",
+            "100",
+            "--dim",
+            "8",
+            "--seed",
+            "5",
+        ]);
+        run_ok(&["build", "--base", &base, "--graph", "cagra", "--out", &index]);
+        let repeat = QUEUE_CAPACITY / 100 + 2;
+        let msg = run_ok(&[
+            "stats",
+            "--index",
+            &index,
+            "--queries",
+            &queries,
+            "--workers",
+            "1",
+            "--repeat",
+            &repeat.to_string(),
+        ]);
+        let stats = Value::parse(msg.trim()).expect("stats output parses");
+        let total = (100 * repeat) as u64;
+        assert!(total > QUEUE_CAPACITY as u64);
+        assert_eq!(stat(&stats, &["queries", "completed"]), total);
+        assert_eq!(stat(&stats, &["queries", "rejected_queue_full"]), 0);
+        for p in [base, queries, index] {
             let _ = std::fs::remove_file(p);
         }
     }

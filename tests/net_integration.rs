@@ -306,6 +306,34 @@ fn bad_search_payload_is_recoverable_on_the_same_connection() {
     }
 }
 
+/// A request answered with a protocol error is attributable: its wire
+/// id lands in the query log with status "error", as a backpressured
+/// one does with "rejected".
+#[test]
+fn protocol_errors_reach_the_query_log_under_their_request_id() {
+    let runtime = RuntimeConfig {
+        qlog: QlogConfig { enabled: true, ..Default::default() },
+        ..Stack::default_runtime()
+    };
+    let stack = start_stack(runtime, NetConfig::default());
+    let mut client = stack.client();
+    const ID: u64 = 0xBADD_0001;
+    client.send_search(ID, &[1.0, 2.0, 3.0]).expect("send wrong-dimension query");
+    match client.recv().expect("error reply") {
+        Reply::Error { request_id, .. } => assert_eq!(request_id, ID),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+    let records: Vec<Value> = stack
+        .server
+        .qlog_lines()
+        .iter()
+        .map(|line| Value::parse(line).expect("query-log line parses"))
+        .filter(|v| v.get("request_id").and_then(Value::as_u64) == Some(ID))
+        .collect();
+    assert_eq!(records.len(), 1, "one record for request {ID}");
+    assert_eq!(records[0].get("status").and_then(Value::as_str), Some("error"));
+}
+
 /// Remote input must not reach the distance kernels unchecked: a NaN
 /// or infinite component would make every candidate distance NaN/Inf
 /// and scramble the candidate order. Refused at the frame boundary,

@@ -40,7 +40,7 @@ fn fixture() -> RuntimeStats {
     s.quant_bytes = 12_400;
     s.per_worker[0] = WorkerStats { queries: 20 };
     s.per_worker[1] = WorkerStats { queries: 18 };
-    s.per_host[0] = HostStats { delivered: 38, refills: 40 };
+    s.per_host[0] = HostStats { refills: 40 };
     s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
     s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
     let h = Histogram::new();
