@@ -46,7 +46,7 @@ pub trait SearchMethod {
 fn capacity_for(engine: &AlgasEngine) -> usize {
     let plan = engine.plan();
     let occ = device_occupancy(
-        &engine.config().device,
+        &DeviceProps::rtx_a6000(),
         &BlockDemand {
             threads: plan.threads_per_block,
             shared_mem_bytes: plan.shared_mem_per_block,

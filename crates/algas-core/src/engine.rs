@@ -224,12 +224,6 @@ impl AlgasIndex {
 /// setting: TopK 16, batch(slots) 16, adaptive `N_parallel`.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Simulated device.
-    pub device: DeviceProps,
-    /// GPU cycle cost model.
-    pub cost: CostModel,
-    /// Host-side merge cost model.
-    pub host_cost: HostCostModel,
     /// Results per query (TopK).
     pub k: usize,
     /// Candidate-list capacity per CTA (recall knob).
@@ -277,9 +271,6 @@ pub enum BeamMode {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            device: DeviceProps::rtx_a6000(),
-            cost: CostModel::default(),
-            host_cost: HostCostModel::default(),
             k: 16,
             l: 64,
             slots: 16,
@@ -375,6 +366,10 @@ impl SearchScratch {
 pub struct AlgasEngine {
     index: AlgasIndex,
     cfg: EngineConfig,
+    /// The GPU cycle prices every search step is charged with: the
+    /// figures' currency, which serving only sums into its cycle
+    /// counters.
+    cost: CostModel,
     plan: TuningPlan,
     beam: Option<BeamParams>,
     control: SloController,
@@ -397,7 +392,8 @@ impl AlgasEngine {
         {
             index.build_entry_index(&EntryParams::default());
         }
-        let mut input = TuningInput::new(cfg.device, cfg.slots, index.base.dim(), cfg.l, cfg.k);
+        let device = DeviceProps::rtx_a6000();
+        let mut input = TuningInput::new(device, cfg.slots, index.base.dim(), cfg.l, cfg.k);
         input.graph_degree = index.graph.degree();
         input.beam_width = match cfg.beam {
             BeamMode::Greedy => 1,
@@ -414,7 +410,7 @@ impl AlgasEngine {
             if plan.n_parallel != np {
                 return Err(TuningError::TooManySlots {
                     slots: cfg.slots * np,
-                    max_blocks: cfg.device.max_resident_blocks(),
+                    max_blocks: device.max_resident_blocks(),
                 });
             }
         }
@@ -440,7 +436,7 @@ impl AlgasEngine {
             cfg.slo_us.map(|us| ControlConfig::for_slo_ns(us.saturating_mul(1_000))),
             ladder,
         );
-        Ok(Self { index, cfg, plan, beam, control })
+        Ok(Self { index, cfg, cost: CostModel::default(), plan, beam, control })
     }
 
     /// The tuner's decision.
@@ -560,13 +556,13 @@ impl AlgasEngine {
                     &index.base,
                     quant,
                     index.metric,
-                    &self.cfg.cost,
+                    &self.cost,
                 ),
                 self.fetch_k_for(step),
                 self.rerank_depth_for(step),
             ),
             None => (
-                SearchContext::new(&index.graph, &index.base, index.metric, &self.cfg.cost),
+                SearchContext::new(&index.graph, &index.base, index.metric, &self.cost),
                 self.cfg.k,
                 self.cfg.k,
             ),
@@ -668,7 +664,7 @@ impl AlgasEngine {
     }
 
     fn work_from(&self, multi: &MultiResult, dim: usize) -> QueryWork {
-        let dev = &self.cfg.device;
+        let dev = DeviceProps::rtx_a6000();
         let ctas: Vec<CtaWork> = multi
             .traces
             .iter()
@@ -681,7 +677,7 @@ impl AlgasEngine {
     }
 
     fn work_with_ctas(&self, ctas: Vec<CtaWork>, dim: usize) -> QueryWork {
-        let dev = &self.cfg.device;
+        let dev = DeviceProps::rtx_a6000();
         let n_ctas = ctas.len();
         // Each CTA ships its whole fetch list (k, or the rerank pool
         // depth when quantized) back to the host.
@@ -690,8 +686,8 @@ impl AlgasEngine {
             ctas,
             query_bytes: (dim * 4) as u64,
             result_bytes: (n_ctas * per_cta_k * 8) as u64,
-            gpu_merge_ns: dev.cycles_to_ns(self.cfg.cost.gpu_topk_merge_cycles(n_ctas, per_cta_k)),
-            host_merge_ns: self.cfg.host_cost.merge_ns(n_ctas, per_cta_k),
+            gpu_merge_ns: dev.cycles_to_ns(self.cost.gpu_topk_merge_cycles(n_ctas, per_cta_k)),
+            host_merge_ns: HostCostModel::default().merge_ns(n_ctas, per_cta_k),
         }
     }
 

@@ -4,12 +4,14 @@
 //! The export targets the Chrome `traceEvents` JSON format understood
 //! by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: each
 //! retained [`QueryTrace`] becomes duration events (`ph:"X"`) on one
-//! track per slot (the six lifecycle phases), one per worker (the
-//! search, reply-build and delivery spans), and one per CTA
-//! (synthesized per-step spans), with instant events (`ph:"i"`)
-//! marking slot transitions, beam switches, and rerank passes.
-//! Timestamps are microseconds (the format's unit), converted from the
-//! recorder's nanosecond clock.
+//! track per slot (the six lifecycle phases) and one per worker (the
+//! search, reply-build and delivery spans), with instant events
+//! (`ph:"i"`) marking slot transitions on the slot track and, on the
+//! worker track, one `cta_step` per walker the search launched (its
+//! distance evaluations and steps), beam switches, and rerank passes.
+//! Every span is a measured interval; the per-walker markers carry
+//! counts, not durations. Timestamps are microseconds (the format's
+//! unit), converted from the recorder's nanosecond clock.
 
 use super::flight::{EventKind, QueryTrace};
 use super::json::{obj, Value};
@@ -29,12 +31,6 @@ pub const LIFECYCLE_PHASES: [&str; 6] = [
 /// Track id of worker `w` (slots use their own index directly).
 fn worker_tid(w: u32) -> u64 {
     1_000 + u64::from(w)
-}
-
-/// Track id of CTA `c` of slot `s` (per-slot so concurrent queries on
-/// different slots don't interleave on one CTA track).
-fn cta_tid(slot: u32, c: u32) -> u64 {
-    10_000 + u64::from(slot) * 100 + u64::from(c)
 }
 
 fn us(ns: u64) -> Value {
@@ -117,35 +113,25 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
         events.push(span("deliver", worker_tid(t.worker), lc.merged_ns, lc.delivered_ns, t));
         for e in &t.events {
             match e.kind {
-                EventKind::CtaStep => {
-                    let tid = cta_tid(t.slot, e.lane);
-                    name_tid(&mut events, tid, format!("slot {} cta {}", t.slot, e.lane));
-                    events.push(obj(vec![
-                        ("ph", Value::Str("X".into())),
-                        ("name", Value::Str("step".into())),
-                        ("pid", Value::Uint(1)),
-                        ("tid", Value::Uint(tid)),
-                        ("ts", us(e.ts_ns)),
-                        ("dur", us(u64::from(e.b))),
-                        (
-                            "args",
-                            obj(vec![
-                                ("tag", Value::Uint(t.tag)),
-                                ("dist_evals", Value::Uint(u64::from(e.a))),
-                            ]),
-                        ),
-                    ]));
-                }
-                EventKind::BeamSwitch => {
-                    let tid = cta_tid(t.slot, e.lane);
-                    name_tid(&mut events, tid, format!("slot {} cta {}", t.slot, e.lane));
-                    events.push(instant(
-                        "beam_switch",
-                        tid,
-                        e.ts_ns,
-                        vec![("step", Value::Uint(u64::from(e.a)))],
-                    ));
-                }
+                EventKind::CtaStep => events.push(instant(
+                    "cta_step",
+                    worker_tid(t.worker),
+                    e.ts_ns,
+                    vec![
+                        ("cta", Value::Uint(u64::from(e.lane))),
+                        ("dist_evals", Value::Uint(u64::from(e.a))),
+                        ("steps", Value::Uint(u64::from(e.b))),
+                    ],
+                )),
+                EventKind::BeamSwitch => events.push(instant(
+                    "beam_switch",
+                    worker_tid(t.worker),
+                    e.ts_ns,
+                    vec![
+                        ("cta", Value::Uint(u64::from(e.lane))),
+                        ("step", Value::Uint(u64::from(e.a))),
+                    ],
+                )),
                 EventKind::RerankPass => events.push(instant(
                     "rerank_pass",
                     worker_tid(t.worker),
@@ -264,8 +250,9 @@ mod tests {
                 TraceEvent { ts_ns: 1_000, kind: EventKind::Enqueued, lane: 0, a: 0, b: 0 },
                 TraceEvent { ts_ns: 1_200, kind: EventKind::Assigned, lane: 0, a: 0, b: 0 },
                 TraceEvent { ts_ns: 1_500, kind: EventKind::WorkStart, lane: 1, a: 0, b: 0 },
-                TraceEvent { ts_ns: 1_600, kind: EventKind::CtaStep, lane: 0, a: 32, b: 500 },
-                TraceEvent { ts_ns: 2_100, kind: EventKind::BeamSwitch, lane: 0, a: 4, b: 0 },
+                TraceEvent { ts_ns: 8_900, kind: EventKind::CtaStep, lane: 0, a: 320, b: 9 },
+                TraceEvent { ts_ns: 8_900, kind: EventKind::BeamSwitch, lane: 0, a: 4, b: 0 },
+                TraceEvent { ts_ns: 8_900, kind: EventKind::CtaStep, lane: 1, a: 40, b: 2 },
                 TraceEvent { ts_ns: 8_900, kind: EventKind::RerankPass, lane: 1, a: 16, b: 2 },
                 TraceEvent { ts_ns: 9_000, kind: EventKind::Finish, lane: 1, a: 0, b: 0 },
                 TraceEvent { ts_ns: 9_100, kind: EventKind::MergeBegin, lane: 1, a: 0, b: 0 },
@@ -280,12 +267,38 @@ mod tests {
         let text = chrome_trace_json(&[sample_trace()]);
         let summary = validate_chrome_trace(&text).unwrap();
         assert!(summary.missing_phases().is_empty(), "missing {:?}", summary.missing_phases());
-        for extra in ["search", "merge", "deliver", "step"] {
-            assert!(
-                summary.duration_names.iter().any(|n| n == extra),
-                "missing duration track {extra}"
-            );
+        let mut names = summary.duration_names.clone();
+        names.sort_unstable();
+        let mut expected: Vec<&str> = LIFECYCLE_PHASES.to_vec();
+        expected.extend(["search", "merge", "deliver"]);
+        expected.sort_unstable();
+        assert_eq!(names, expected, "only measured intervals are spans");
+    }
+
+    #[test]
+    fn walkers_are_instants_on_the_worker_track() {
+        let text = chrome_trace_json(&[sample_trace()]);
+        let doc = Value::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let named = |name: &str| -> Vec<&Value> {
+            events.iter().filter(|e| e.get("name").and_then(Value::as_str) == Some(name)).collect()
+        };
+        let arg =
+            |e: &Value, key: &str| e.get("args").and_then(|a| a.get(key)).and_then(Value::as_u64);
+        let walkers = named("cta_step");
+        assert_eq!(walkers.len(), 2);
+        for (e, (cta, evals, steps)) in walkers.iter().zip([(0, 320, 9), (1, 40, 2)]) {
+            assert_eq!(e.get("ph").and_then(Value::as_str), Some("i"));
+            assert_eq!(e.get("tid").and_then(Value::as_u64), Some(worker_tid(1)));
+            assert_eq!(arg(e, "cta"), Some(cta));
+            assert_eq!(arg(e, "dist_evals"), Some(evals));
+            assert_eq!(arg(e, "steps"), Some(steps));
         }
+        let switch = named("beam_switch");
+        assert_eq!(switch.len(), 1);
+        assert_eq!(switch[0].get("tid").and_then(Value::as_u64), Some(worker_tid(1)));
+        assert_eq!(arg(switch[0], "cta"), Some(0));
+        assert_eq!(arg(switch[0], "step"), Some(4));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! The aggregate layer ([`super::recorder`]) can show *that* p99
 //! regressed; this module shows *why one query* was slow. Every slot
 //! owns a fixed-capacity ring of timestamped [`TraceEvent`]s — slot
-//! state transitions, the beam-extend localization→diffusing switch,
-//! per-CTA search steps, the rerank pass, the reply build — that
-//! the serving threads write lock-free and allocation-free, overwriting
-//! the oldest events like an aircraft flight recorder.
+//! state transitions, one record per walker the search launched (its
+//! distance evaluations and steps), the beam-extend
+//! localization→diffusing switch, the rerank pass, the reply build —
+//! that the serving threads write lock-free and allocation-free,
+//! overwriting the oldest events like an aircraft flight recorder.
+//! Every event carries what was measured or counted; nothing in the
+//! ring is derived from the GPU cost model.
 //!
 //! On query completion the runtime *tail-samples*: the full timeline is
 //! lifted out of the ring only for queries slower than
@@ -45,11 +48,14 @@ pub enum EventKind {
     /// Worker picked the slot up and started searching (`lane` =
     /// worker).
     WorkStart = 3,
-    /// One CTA search step (`lane` = CTA, `a` = distances evaluated,
-    /// `b` = synthesized duration in ns).
+    /// One walker (CTA) of the search, written once per walker in
+    /// launch order at the search's `finish` time (`lane` = walker,
+    /// `a` = its distance evaluations, `b` = its steps). The name stays
+    /// because trace readers key on it.
     CtaStep = 4,
-    /// The beam-extend localization→diffusing switch fired (`lane` =
-    /// CTA, `a` = step index of the switch).
+    /// The beam-extend localization→diffusing switch fired in a walker,
+    /// stamped at the search's `finish` time (`lane` = walker, `a` =
+    /// step index of the switch).
     BeamSwitch = 5,
     /// The SQ8 exact-rerank pass ran (`lane` = worker, `a` =
     /// candidates, `b` = promotions).
@@ -116,7 +122,7 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Which lane it happened on — worker, host, or CTA index,
+    /// Which lane it happened on — worker, host, or walker (CTA) index,
     /// depending on [`EventKind`].
     pub lane: u32,
     /// Kind-specific payload (see [`EventKind`]).

@@ -38,7 +38,7 @@ pub const MAX_THREADS: usize = 64;
 
 /// Number of representable states (the marker packs the state into one
 /// byte; the table allocates this many counters per thread slot).
-pub const N_STATES: usize = 16;
+pub const N_STATES: usize = 14;
 
 /// What kind of runtime thread a marker belongs to (the first folded
 /// frame).
@@ -98,34 +98,31 @@ pub enum ProfState {
     /// Worker: graph traversal, the TopK merge and (on quantized
     /// engines) exact rerank, i.e. the whole `serve_into` span.
     Scan = 2,
-    /// Worker: exact re-rank pass (only distinguishable from
-    /// [`Scan`](ProfState::Scan) if the engine ever splits the span).
-    Rerank = 3,
-    /// Worker: publishing the finished TopK into the slot.
-    Publish = 4,
-    /// Host: picking up the finished TopK and building the reply (the
-    /// merge runs in the worker; the name stays for profile readers).
-    Merge = 5,
-    /// Host: accounting and sending the reply.
-    Deliver = 6,
+    /// Worker: accounting the finished search into the telemetry
+    /// (counters and flight-recorder events) before the reply.
+    Publish = 3,
+    /// Worker: building the reply from its TopK (the merge runs inside
+    /// the search; the name stays for profile readers).
+    Merge = 4,
+    /// Worker: delivery accounting, the SLO controller's observation,
+    /// and handing the reply to the client.
+    Deliver = 5,
     /// Host: draining the submission queue into free slots.
-    Refill = 7,
+    Refill = 6,
     /// Net: accepting new connections.
-    Accept = 8,
+    Accept = 7,
     /// Net: reading bytes off sockets.
-    Read = 9,
+    Read = 8,
     /// Net: decoding frames.
-    Decode = 10,
-    /// Net: submitting decoded queries into the runtime.
-    Submit = 11,
+    Decode = 9,
     /// Net: handling completions back from the runtime.
-    Complete = 12,
+    Complete = 10,
     /// Net: flushing reply bytes.
-    Flush = 13,
+    Flush = 11,
     /// Qlog: draining records to the writer.
-    Drain = 14,
+    Drain = 12,
     /// Tearing down.
-    Shutdown = 15,
+    Shutdown = 13,
 }
 
 impl ProfState {
@@ -134,7 +131,6 @@ impl ProfState {
         ProfState::Off,
         ProfState::Idle,
         ProfState::Scan,
-        ProfState::Rerank,
         ProfState::Publish,
         ProfState::Merge,
         ProfState::Deliver,
@@ -142,7 +138,6 @@ impl ProfState {
         ProfState::Accept,
         ProfState::Read,
         ProfState::Decode,
-        ProfState::Submit,
         ProfState::Complete,
         ProfState::Flush,
         ProfState::Drain,
@@ -155,7 +150,6 @@ impl ProfState {
             ProfState::Off => "off",
             ProfState::Idle => "idle",
             ProfState::Scan => "scan",
-            ProfState::Rerank => "rerank",
             ProfState::Publish => "publish",
             ProfState::Merge => "merge",
             ProfState::Deliver => "deliver",
@@ -163,7 +157,6 @@ impl ProfState {
             ProfState::Accept => "accept",
             ProfState::Read => "read",
             ProfState::Decode => "decode",
-            ProfState::Submit => "submit",
             ProfState::Complete => "complete",
             ProfState::Flush => "flush",
             ProfState::Drain => "drain",

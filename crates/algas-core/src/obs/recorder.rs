@@ -419,10 +419,11 @@ mod enabled {
         }
 
         /// Writes the flight-recorder events of one completed search:
-        /// `work_start`, per-CTA `cta_step` spans (simulated step costs
-        /// scaled onto the measured `work_start → finish` span),
-        /// `beam_switch` markers, an optional `rerank_pass`, and
-        /// `finish`. Allocation-free.
+        /// `work_start`, one `cta_step` per walker the query launched
+        /// (its distance evaluations and steps), a `beam_switch` for
+        /// each walker whose beam extend fired, an optional
+        /// `rerank_pass`, and `finish`. The walker records are stamped
+        /// at `finish`, when their counts are known. Allocation-free.
         pub fn flight_search(
             &self,
             w: usize,
@@ -434,34 +435,24 @@ mod enabled {
             let (Some(ws), Some(fin)) = (stamps.work_start, stamps.finish) else {
                 return;
             };
-            let start_ns = self.flight.ns_of(ws);
-            let span_ns = ns_between(ws, fin);
-            self.flight.record(s, EventKind::WorkStart, w as u32, 0, 0, start_ns);
+            let sat = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+            let end_ns = self.flight.ns_of(fin);
+            self.flight.record(s, EventKind::WorkStart, w as u32, 0, 0, self.flight.ns_of(ws));
             for c in 0..multi.n_active() {
-                let switch = multi.diffusing_switch_step(c);
-                for (i, (off, dur, step)) in multi.trace(c).scaled_spans(span_ns).enumerate() {
-                    let ts = start_ns + off;
-                    if switch == Some(i as u32) {
-                        self.flight.record(s, EventKind::BeamSwitch, c as u32, i as u32, 0, ts);
-                    }
-                    self.flight.record(
-                        s,
-                        EventKind::CtaStep,
-                        c as u32,
-                        step.dist_evals,
-                        dur.min(u64::from(u32::MAX)) as u32,
-                        ts,
-                    );
+                let walker = multi.trace(c).totals();
+                let (evals, steps) = (sat(walker.dist_evals), sat(walker.steps));
+                self.flight.record(s, EventKind::CtaStep, c as u32, evals, steps, end_ns);
+                if let Some(step) = multi.diffusing_switch_step(c) {
+                    self.flight.record(s, EventKind::BeamSwitch, c as u32, step, 0, end_ns);
                 }
             }
-            let end_ns = self.flight.ns_of(fin);
             if rerank_delta.reranks > 0 {
                 self.flight.record(
                     s,
                     EventKind::RerankPass,
                     w as u32,
-                    rerank_delta.candidates.min(u64::from(u32::MAX)) as u32,
-                    rerank_delta.promotions.min(u64::from(u32::MAX)) as u32,
+                    sat(rerank_delta.candidates),
+                    sat(rerank_delta.promotions),
                     end_ns,
                 );
             }

@@ -692,8 +692,8 @@ fn serve_slot(
     shared.engine.serve_into(&job.query, job.tag, scratch);
     prof.stamp(ProfState::Publish);
     job.stamps.mark_finish();
-    // One walk over the CTA traces per query, shared by the query
-    // log's hop count and the recorder.
+    // The query's totals, computed once for the query log's hop count
+    // and the search counters.
     let totals = scratch.multi.step_totals();
     let merge_delta = scratch.merge.stats.since(&merge_before);
     let rerank_delta = scratch.rerank.since(&rerank_before);
@@ -1129,6 +1129,60 @@ mod tests {
         let stats = server.runtime_stats();
         assert_eq!(stats.flight.completions, 6);
         assert!(stats.flight.retained >= traces.len() as u64);
+        server.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn served_traces_carry_one_cta_step_per_walker() {
+        use crate::obs::flight::EventKind;
+        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        let cfg =
+            EngineConfig { k: 8, l: 32, slots: 2, beam: BeamMode::Auto, ..Default::default() };
+        let oracle = AlgasEngine::new(index.clone(), cfg).unwrap();
+        let server = AlgasServer::start(
+            AlgasEngine::new(index, cfg).unwrap(),
+            RuntimeConfig {
+                n_slots: 2,
+                n_workers: 1,
+                n_host_threads: 1,
+                queue_capacity: 64,
+                // Threshold 0 marks every query slow: all are retained.
+                flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        let mut query_of = std::collections::HashMap::new();
+        for i in 0..48 {
+            let q = ds.queries.get(i % ds.queries.len()).to_vec();
+            let (tag, rx) = server.submit(q.clone()).unwrap();
+            rx.recv().unwrap();
+            query_of.insert(tag, q);
+        }
+        let traces = server.flight_traces();
+        assert!(!traces.is_empty(), "threshold 0 must retain queries");
+        let mut most_walkers = 0;
+        for t in &traces {
+            let mut scratch = SearchScratch::new();
+            oracle.serve_into(&query_of[&t.tag], t.tag, &mut scratch);
+            let totals = scratch.multi.step_totals();
+            let walkers: Vec<_> =
+                t.events.iter().filter(|e| e.kind == EventKind::CtaStep).collect();
+            assert_eq!(walkers.len(), scratch.multi.n_active(), "trace {}", t.tag);
+            let lanes: Vec<u32> = walkers.iter().map(|e| e.lane).collect();
+            assert_eq!(lanes, (0..walkers.len() as u32).collect::<Vec<_>>(), "launch order");
+            let evals: u64 = walkers.iter().map(|e| u64::from(e.a)).sum();
+            let steps: u64 = walkers.iter().map(|e| u64::from(e.b)).sum();
+            assert_eq!(evals, totals.dist_evals, "trace {}", t.tag);
+            assert_eq!(steps, totals.steps, "trace {}", t.tag);
+            let (lo, hi) = (t.lifecycle.submitted_ns, t.lifecycle.delivered_ns);
+            for e in &t.events {
+                assert!((lo..=hi).contains(&e.ts_ns), "{} outside its query", e.kind.name());
+            }
+            most_walkers = most_walkers.max(walkers.len());
+        }
+        assert!(most_walkers >= 2, "no retained query launched a second walker");
         server.shutdown();
     }
 

@@ -125,38 +125,6 @@ impl CtaTrace {
         t
     }
 
-    /// Distributes the steps across a measured wall-clock span
-    /// proportionally to their simulated cycle costs, yielding
-    /// `(start_offset_ns, duration_ns, step)` per step.
-    ///
-    /// The searcher's per-step costs are simulator cycles, not wall
-    /// time; the flight recorder knows only the measured
-    /// `work_start → finish` span of the whole search. This maps one
-    /// onto the other so per-step trace events carry plausible
-    /// timestamps inside the real span. Allocation-free (an iterator,
-    /// not a `Vec`); steps with zero total cycles split the span
-    /// evenly.
-    pub fn scaled_spans(&self, span_ns: u64) -> impl Iterator<Item = (u64, u64, &StepStats)> + '_ {
-        let total_cycles = self.totals().total_cycles();
-        let n = self.steps.len() as u64;
-        let mut cum_cycles = 0u64;
-        let mut idx = 0u64;
-        self.steps.iter().map(move |s| {
-            let (start, end) = if total_cycles > 0 {
-                let start = span_ns as u128 * cum_cycles as u128 / total_cycles as u128;
-                cum_cycles += s.total_cycles();
-                let end = span_ns as u128 * cum_cycles as u128 / total_cycles as u128;
-                (start as u64, end as u64)
-            } else {
-                let start = span_ns as u128 * idx as u128 / n.max(1) as u128;
-                idx += 1;
-                let end = span_ns as u128 * idx as u128 / n.max(1) as u128;
-                (start as u64, end as u64)
-            };
-            (start, end - start, s)
-        })
-    }
-
     /// The per-step best-found-so-far series: candidate-list head
     /// distance after each step. Monotone non-increasing.
     pub fn head_distance_series(&self) -> Vec<f32> {
@@ -198,35 +166,6 @@ mod tests {
         merged.merge(&totals);
         merged.merge(&CtaTrace::default().totals());
         assert_eq!(merged, totals);
-    }
-
-    #[test]
-    fn scaled_spans_tile_the_measured_span() {
-        let t = CtaTrace { steps: vec![step(100, 50, 10), step(200, 30, 20), step(5, 5, 5)] };
-        let span = 1_000_000u64;
-        let spans: Vec<(u64, u64)> = t.scaled_spans(span).map(|(s, d, _)| (s, d)).collect();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].0, 0);
-        // Contiguous tiling, ending exactly at the span.
-        for w in spans.windows(2) {
-            assert_eq!(w[0].0 + w[0].1, w[1].0);
-        }
-        let last = spans.last().unwrap();
-        assert_eq!(last.0 + last.1, span);
-        // Durations track relative cycle costs (step 1 has 250/410).
-        let total = t.totals().total_cycles();
-        let expect = span as u128 * t.steps[1].total_cycles() as u128 / total as u128;
-        assert!(spans[1].1.abs_diff(expect as u64) <= 1);
-    }
-
-    #[test]
-    fn scaled_spans_split_zero_cycle_traces_evenly() {
-        let mut zero = step(0, 0, 0);
-        zero.dist_evals = 0;
-        let t = CtaTrace { steps: vec![zero; 4] };
-        let spans: Vec<(u64, u64)> = t.scaled_spans(400).map(|(s, d, _)| (s, d)).collect();
-        assert_eq!(spans, vec![(0, 100), (100, 100), (200, 100), (300, 100)]);
-        assert_eq!(CtaTrace::default().scaled_spans(100).count(), 0);
     }
 
     #[test]

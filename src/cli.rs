@@ -115,7 +115,7 @@ use algas_vector::{Metric, VectorStore};
 use std::collections::HashMap;
 use std::io::Write;
 
-/// Flags [`engine_from_flags`] and the index/query loaders read.
+/// Flags [`engine_config_from_flags`] and the index/query loaders read.
 const ENGINE: &str = "index queries k l slots quantize rerank entry-policy slo-us";
 
 /// Flags a `serve`/`stats` session reads on top of [`ENGINE`].
@@ -428,30 +428,41 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
     .map_err(io_err)
 }
 
-/// The engine the `ENGINE` flags describe; `entry_policy` is what it
-/// seeds from without `--entry-policy`.
-fn engine_from_flags(
-    index: AlgasIndex,
+/// The engine configuration the `ENGINE` flags describe, checked
+/// before any file is read; `entry_policy` is what it seeds from
+/// without `--entry-policy`.
+fn engine_config_from_flags(
     flags: &HashMap<String, String>,
     entry_policy: EntryPolicy,
-) -> Result<AlgasEngine, String> {
+) -> Result<EngineConfig, String> {
     let defaults = EngineConfig::default();
-    let cfg = EngineConfig {
-        k: opt_parse(flags, "k", 10usize)?,
-        l: opt_parse(flags, "l", 64usize)?,
-        slots: opt_parse(flags, "slots", 16usize)?,
-        // An index persisted with codes serves quantized without the
-        // flag; `--quantize true` quantizes a plain index at load time.
-        quantize: defaults.quantize || parse_bool(flags, "quantize")? || index.quant.is_some(),
+    let (k, l) = (opt_size(flags, "k", 10)?, opt_size(flags, "l", 64)?);
+    if k > l {
+        return Err(format!("--k {k} must be ≤ --l {l}"));
+    }
+    Ok(EngineConfig {
+        k,
+        l,
+        slots: opt_size(flags, "slots", 16)?,
+        quantize: defaults.quantize || parse_bool(flags, "quantize")?,
         rerank_depth: opt(flags, "rerank")?,
         entry_policy: parse_entry_policy(flags, entry_policy)?,
         slo_us: opt(flags, "slo-us")?,
         ..defaults
-    };
+    })
+}
+
+/// The engine over `index`. An index persisted with codes serves
+/// quantized without the flag; `--quantize true` quantizes a plain
+/// index at load time.
+fn engine_for(index: AlgasIndex, cfg: EngineConfig) -> Result<AlgasEngine, String> {
+    let cfg = EngineConfig { quantize: cfg.quantize || index.quant.is_some(), ..cfg };
     AlgasEngine::new(index, cfg).map_err(|e| format!("tuning failed: {e}"))
 }
 
 fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
+    // The paper's schedule, seeded as the figures and goldens pin it.
+    let cfg = engine_config_from_flags(flags, EngineConfig::default().entry_policy)?;
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
     let mut queries = load_fvecs(req(flags, "queries")?)?;
     if index.metric.requires_normalization() {
@@ -460,8 +471,7 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     if queries.dim() != index.base.dim() {
         return Err(format!("query dim {} != index dim {}", queries.dim(), index.base.dim()));
     }
-    // The paper's schedule, seeded as the figures and goldens pin it.
-    let engine = engine_from_flags(index, flags, EngineConfig::default().entry_policy)?;
+    let engine = engine_for(index, cfg)?;
     let k = engine.config().k;
     let t0 = std::time::Instant::now();
     let wl = engine.run_workload(&queries);
@@ -520,40 +530,36 @@ const QUEUE_CAPACITY: usize = 4096;
 fn start_server_from_flags(
     flags: &HashMap<String, String>,
 ) -> Result<(AlgasServer, VectorStore), String> {
+    // The serial schedule's first walker is most of the search, so it
+    // starts from the LSH table, near the query (built at load when the
+    // index carries no entry section).
+    let engine_cfg = engine_config_from_flags(flags, EntryPolicy::HashTable)?;
+    let tick = ObsTickConfig::default();
+    let runtime_cfg = RuntimeConfig {
+        n_slots: engine_cfg.slots,
+        n_workers: opt_size(flags, "workers", 2)?,
+        n_host_threads: opt_size(flags, "hosts", 1)?,
+        queue_capacity: QUEUE_CAPACITY,
+        // Retained for trace export: every query at least
+        // `--trace-threshold-us` slow, next to the 8 slowest seen.
+        flight: FlightConfig {
+            slow_threshold_ns: opt::<u64>(flags, "trace-threshold-us")?
+                .map_or(u64::MAX, |us| us.saturating_mul(1000)),
+            ..FlightConfig::default()
+        },
+        qlog: qlog_from_flags(flags)?,
+        // `--prof-hz 0` stops the sampler; window rotation goes on.
+        tick: ObsTickConfig {
+            prof_hz: opt_parse(flags, "prof-hz", tick.prof_hz)?,
+            window_period_ms: opt_parse(flags, "window-period-ms", tick.window_period_ms)?.max(1),
+        },
+    };
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
     let mut queries = load_fvecs(req(flags, "queries")?)?;
     if index.metric.requires_normalization() {
         queries.normalize_l2();
     }
-    let slots = opt_parse(flags, "slots", 16usize)?;
-    // The serial schedule's first walker is most of the search, so it
-    // starts from the LSH table, near the query (built at load when the
-    // index carries no entry section).
-    let engine = engine_from_flags(index, flags, EntryPolicy::HashTable)?;
-    let tick = ObsTickConfig::default();
-    let server = AlgasServer::start(
-        engine,
-        RuntimeConfig {
-            n_slots: slots,
-            n_workers: opt_parse(flags, "workers", 2usize)?,
-            n_host_threads: opt_parse(flags, "hosts", 1usize)?,
-            queue_capacity: QUEUE_CAPACITY,
-            // Retained for trace export: every query at least
-            // `--trace-threshold-us` slow, next to the 8 slowest seen.
-            flight: FlightConfig {
-                slow_threshold_ns: opt::<u64>(flags, "trace-threshold-us")?
-                    .map_or(u64::MAX, |us| us.saturating_mul(1000)),
-                ..FlightConfig::default()
-            },
-            qlog: qlog_from_flags(flags)?,
-            // `--prof-hz 0` stops the sampler; window rotation goes on.
-            tick: ObsTickConfig {
-                prof_hz: opt_parse(flags, "prof-hz", tick.prof_hz)?,
-                window_period_ms: opt_parse(flags, "window-period-ms", tick.window_period_ms)?
-                    .max(1),
-            },
-        },
-    );
+    let server = AlgasServer::start(engine_for(index, engine_cfg)?, runtime_cfg);
     Ok((server, queries))
 }
 
@@ -884,10 +890,6 @@ fn http_get_text(addr: &str, path: &str, timeout_s: f64) -> Result<String, Strin
 /// and `--slo-us` attainment.
 fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let addr = req(flags, "addr")?;
-    let mut queries = load_fvecs(req(flags, "queries")?)?;
-    if parse_bool(flags, "normalize")? {
-        queries.normalize_l2();
-    }
     // `--qps` takes a single rate or a comma-separated list; each rate
     // is its own open-loop pass and a latency-vs-offered-load summary
     // closes a multi-rate report.
@@ -896,15 +898,16 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
         .map(|s| s.as_str())
         .unwrap_or("1000")
         .split(',')
-        .map(|v| {
-            let v = v.trim();
-            v.parse::<f64>().map_err(|_| format!("--qps: cannot parse `{v}`"))
+        .map(|v| match v.trim().parse::<f64>() {
+            Ok(qps) if qps.is_finite() && qps > 0.0 => Ok(qps),
+            Ok(_) => Err(format!("--qps must be finite and > 0, got `{}`", v.trim())),
+            Err(_) => Err(format!("--qps: cannot parse `{}`", v.trim())),
         })
         .collect::<Result<_, _>>()?;
     let base_cfg = loadgen::LoadConfig {
         target_qps: 0.0,
-        requests: opt_parse(flags, "requests", 1000usize)?,
-        connections: opt_parse(flags, "connections", 1usize)?,
+        requests: opt_size(flags, "requests", 1000)?,
+        connections: opt_size(flags, "connections", 1)?,
         seed: opt_parse(flags, "seed", 42u64)?,
         warmup_fraction: opt_parse(flags, "warmup", 0.2f64)?,
         slo: opt(flags, "slo-us")?.map(std::time::Duration::from_micros),
@@ -914,6 +917,11 @@ fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result
             10_000u64,
         )?),
     };
+    let normalize = parse_bool(flags, "normalize")?;
+    let mut queries = load_fvecs(req(flags, "queries")?)?;
+    if normalize {
+        queries.normalize_l2();
+    }
     let query_vecs: Vec<Vec<f32>> = (0..queries.len()).map(|i| queries.get(i).to_vec()).collect();
     let quantile_us = |r: &loadgen::LoadReport, q: f64| r.latency.quantile(q) as f64 / 1000.0;
     let mut curve = Vec::with_capacity(rates.len());
@@ -1865,12 +1873,43 @@ mod tests {
         let gen = ["gen", "--out", missing];
         let gt = ["gt", "--base", missing, "--queries", missing, "--out", missing];
         let build = ["build", "--base", missing, "--out", missing];
-        for (cmd, flag) in
-            [(&gen[..], "n"), (&gen, "dim"), (&gen, "clusters"), (&gt, "k"), (&build, "degree")]
-        {
-            let mut args: Vec<String> = cmd.iter().map(|&a| a.into()).collect();
-            args.extend([format!("--{flag}"), "0".into()]);
+        let search = ["search", "--index", missing, "--queries", missing];
+        let serve = ["serve", "--index", missing, "--queries", missing];
+        let stats = ["stats", "--index", missing, "--queries", missing];
+        let bench = ["bench-net", "--addr", "127.0.0.1:9", "--queries", missing];
+        let args_of = |cmd: &[&str], extra: &[&str]| -> Vec<String> {
+            cmd.iter().chain(extra).map(|&a| a.into()).collect()
+        };
+        for (cmd, flag) in [
+            (&gen[..], "n"),
+            (&gen, "dim"),
+            (&gen, "clusters"),
+            (&gt, "k"),
+            (&build, "degree"),
+            (&search, "k"),
+            (&serve, "workers"),
+            (&serve, "hosts"),
+            (&serve, "slots"),
+            (&serve, "k"),
+            (&serve, "l"),
+            (&stats, "workers"),
+            (&bench, "connections"),
+            (&bench, "requests"),
+        ] {
+            let args = args_of(cmd, &[&format!("--{flag}"), "0"]);
             assert_eq!(run(&args, &mut out).unwrap_err(), format!("--{flag} must be ≥ 1"));
+        }
+        // So are a TopK deeper than the candidate list and a rate that
+        // is not a positive number.
+        for (cmd, extra, err) in [
+            (&serve[..], &["--k", "20", "--l", "8"][..], "--k 20 must be ≤ --l 8"),
+            (&search, &["--k", "100"], "--k 100 must be ≤ --l 64"),
+            (&bench, &["--qps", "0"], "--qps must be finite and > 0, got `0`"),
+            (&bench, &["--qps", "-5"], "--qps must be finite and > 0, got `-5`"),
+            (&bench, &["--qps", "nan"], "--qps must be finite and > 0, got `nan`"),
+            (&bench, &["--qps", "500,inf"], "--qps must be finite and > 0, got `inf`"),
+        ] {
+            assert_eq!(run(&args_of(cmd, extra), &mut out).unwrap_err(), err);
         }
         // A mistyped or retired flag is refused by name, on every command.
         for cmd in "gen gt build info search serve stats profile bench-net trace-check".split(' ') {
