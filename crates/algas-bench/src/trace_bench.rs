@@ -1,13 +1,14 @@
-//! `figures bench_trace`: flight-recorder overhead benchmark, written
-//! to `--out` (no copy is checked in).
+//! `figures bench_trace`: telemetry-recorder overhead benchmark,
+//! written to `--out` (no copy is checked in).
 //!
-//! Measures what the always-on per-slot flight recorder costs on the
-//! serving path. It is the one `figures bench_*` writer `algas-perf`
-//! did not replace: the ≤ 2 % p99 budget CI gates compares an obs-off
-//! *build* against an obs-on one, while `obs.trace_overhead_p50_pct`
-//! compares traced and untraced children of one build. Every document
-//! records the commit, core count and SIMD kernel it was measured on.
-//! Two layers:
+//! Measures what the always-on serving telemetry (the `obs` recorder:
+//! lifecycle stamps, counters, phase histograms, the flight recorder's
+//! tail sampler) costs on the serving path. It is the one `figures
+//! bench_*` writer `algas-perf` did not replace: the ≤ 2 % p99 budget
+//! CI gates compares an obs-off *build* against an obs-on one, while
+//! `obs.trace_overhead_p50_pct` compares traced and untraced children
+//! of one build. Every document records the commit, core count and
+//! SIMD kernel it was measured on. Two layers:
 //!
 //! 1. **Serve overhead** — drives the threaded runtime closed-loop and
 //!    measures latency *client-side* (submit → reply, wall clock), so
@@ -23,9 +24,10 @@
 //!    ```
 //!
 //!    The first build compiles every recording call to a ZST no-op;
-//!    the second carries the full recorder (ring writes on every
-//!    lifecycle transition plus the tail-sampler on completion) and
-//!    reports the p50/p99 delta against the baseline file.
+//!    the second carries the full recorder (a stamp on every lifecycle
+//!    edge, the worker's search and delivery accounting, the tail
+//!    sampler on completion) and reports the p50/p99 delta against the
+//!    baseline file.
 //!
 //!    On a shared machine, ambient drift between *processes* (thermal
 //!    state, page cache, scheduler history) is often larger than the
@@ -38,10 +40,11 @@
 //!    re-measuring, so the closing baseline can be folded in after the
 //!    fact.
 //!
-//! 2. **Event cost** — a microbenchmark of the raw ring write
-//!    (`flight_record`), reported as ns/event, so regressions in the
-//!    recorder itself are visible even when the serve-path delta
-//!    drowns in scheduling noise.
+//! 2. **Recorder cost** — a microbenchmark of one query's recorder
+//!    calls (`slot_assigned`, `record_search`, `record_delivery`, with
+//!    retention off), reported as `recorder_ns_per_query`, so
+//!    regressions in the recorder itself are visible even when the
+//!    serve-path delta drowns in scheduling noise.
 //!
 //! Closed-loop p99 under thread scheduling is noisy, so the workload
 //! bounds in-flight queries (no long queue drains whose jitter
@@ -51,10 +54,14 @@
 //! reported round is the *median* of `REPS` independent rounds —
 //! robust against a single descheduled round in either direction.
 
-use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
+use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig, RerankStats};
+use algas_core::merge::MergeStats;
 use algas_core::obs::json::{obj, Value};
-use algas_core::obs::{EventKind, FlightConfig, ObsTickConfig, QlogConfig, RuntimeObs};
+use algas_core::obs::{
+    DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, QlogConfig, RuntimeObs,
+};
 use algas_core::runtime::{AlgasServer, RuntimeConfig};
+use algas_core::tracer::StepTotals;
 use algas_graph::cagra::CagraParams;
 use algas_vector::datasets::DatasetSpec;
 use algas_vector::Metric;
@@ -139,23 +146,34 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
     }
 }
 
-/// ns per `flight_record` call (ring write), best of 5 reps. With the
-/// `obs` feature off this times the ZST no-op (~0 ns).
-fn event_cost_ns() -> f64 {
-    let obs = RuntimeObs::new(
-        1,
-        1,
-        1,
-        FlightConfig::default(),
-        QlogConfig::default(),
-        ObsTickConfig::default(),
-    );
-    const ITERS: u64 = 2_000_000;
+/// ns per query of the recorder calls the runtime makes for one served
+/// query — the host's `slot_assigned`, the worker's `record_search` and
+/// `record_delivery` (two walkers, one beam switch) — with retention
+/// off, best of 5 reps. The lifecycle stamps are taken once, outside
+/// the timed loop. With the `obs` feature off this times the ZST no-ops
+/// (~0 ns).
+fn recorder_ns_per_query() -> f64 {
+    let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
+    let obs = RuntimeObs::new(1, 1, 1, flight, QlogConfig::default(), ObsTickConfig::default());
+    let mut stamps = JobStamps::new();
+    stamps.mark_slot(0);
+    stamps.mark_work_start();
+    stamps.mark_finish();
+    stamps.mark_merge_begin();
+    stamps.mark_merged();
+    stamps.mark_delivered();
+    let totals = StepTotals { steps: 14, dist_evals: 600, ..StepTotals::default() };
+    let merge = MergeStats { merges: 1, elements: 64, dupes_dropped: 0 };
+    let rerank = RerankStats::default();
+    const ITERS: u64 = 1_000_000;
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let t0 = Instant::now();
         for i in 0..ITERS {
-            obs.flight_record(0, EventKind::CtaStep, (i % 4) as u32, 60, 1_000);
+            obs.slot_assigned(0, 0);
+            obs.record_search(0, 0, &totals, Some(0.5), &merge, &rerank);
+            let walkers = [(totals, None), (totals, Some(3))];
+            obs.record_delivery(0, 0, &DeliveryCtx::local(i), &stamps, walkers, &rerank, None);
         }
         best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
     }
@@ -239,9 +257,9 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
 
     let cfg = EngineConfig { k: K, l: L, slots: 16, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
-    // Default flight config: always-on rings, top-8 reservoir — the
-    // exact configuration `serve` runs with out of the box, so the
-    // overhead measured here is the overhead shipped.
+    // Default flight config: top-8 reservoir, no threshold — the exact
+    // configuration `serve` runs with out of the box, so the overhead
+    // measured here is the overhead shipped.
     let runtime_cfg = RuntimeConfig {
         n_slots: 16,
         n_workers: 2,
@@ -266,12 +284,12 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
     let stats = server.runtime_stats();
     server.shutdown();
 
-    let per_event = event_cost_ns();
+    let per_query = recorder_ns_per_query();
     eprintln!(
-        "trimmed-mean p99 {:.1} µs; flight ring write {per_event:.1} ns/event \
-         ({} events, {} retained traces)",
+        "trimmed-mean p99 {:.1} µs; recorder {per_query:.1} ns/query \
+         ({} completions, {} retained traces)",
         best.p99 as f64 / 1000.0,
-        stats.flight.events,
+        stats.flight.completions,
         stats.flight.retained,
     );
 
@@ -291,12 +309,11 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
             ]),
         ),
         ("client_e2e_ns", round_fields(&best)),
-        ("flight_record_ns_per_event", Value::Num(per_event)),
+        ("recorder_ns_per_query", Value::Num(per_query)),
         (
             "flight_totals",
             obj(vec![
                 ("completions", Value::Uint(stats.flight.completions)),
-                ("events", Value::Uint(stats.flight.events)),
                 ("retained", Value::Uint(stats.flight.retained)),
             ]),
         ),

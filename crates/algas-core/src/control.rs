@@ -20,9 +20,10 @@
 //! Steps are clamped to ±1 rung per tick and the level is clamped to
 //! the ladder, so the loop cannot oscillate wildly or leave its
 //! configured bounds; the hysteresis band keeps it from flapping
-//! between adjacent rungs on noise. Every decision is stamped into the
-//! flight recorder (`control_adjust` events) so `serve --trace-out`
-//! shows *why* search effort changed mid-run.
+//! between adjacent rungs on noise. Every decision travels with the
+//! query whose completion triggered it into that query's flight trace
+//! (a `control_adjust` event), so `serve --trace-out` shows *why*
+//! search effort changed mid-run.
 //!
 //! Everything on the hot path — [`SloController::observe`], the
 //! windowed p99 computation, [`SloController::current`] — is
@@ -96,7 +97,8 @@ impl ControlReason {
     }
 }
 
-/// One controller tick's outcome (stamped into the flight recorder).
+/// One controller tick's outcome (a `control_adjust` event in the
+/// triggering query's flight trace).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ControlDecision {
     /// Effort level after the tick.

@@ -245,7 +245,6 @@ mod tests {
             slot: 2,
             worker: 1,
             lifecycle: lc,
-            dropped: 0,
             events: vec![
                 TraceEvent { ts_ns: 1_000, kind: EventKind::Enqueued, lane: 0, a: 0, b: 0 },
                 TraceEvent { ts_ns: 1_200, kind: EventKind::Assigned, lane: 0, a: 0, b: 0 },

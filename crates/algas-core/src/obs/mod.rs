@@ -18,9 +18,10 @@
 //!   feature: compiled out, both become zero-sized no-ops and no clock
 //!   is read, so the serving loops carry zero instrumentation cost
 //!   while every call site stays `#[cfg]`-free.
-//! * [`flight`] — the per-query layer: an always-on, lock-free
-//!   per-slot ring of timestamped trace events with tail-sampled
-//!   slow-query retention (`FlightRecorder`, [`QueryTrace`]).
+//! * [`flight`] — the per-query layer: tail-sampled slow-query
+//!   retention (`FlightRecorder`, [`QueryTrace`]). Nothing is written
+//!   per event; the serving worker builds a retained query's timeline
+//!   at delivery from the stamps and counts it already holds.
 //! * [`chrome`] — Chrome trace-event JSON export of retained traces
 //!   (viewable in Perfetto) plus the validator CI runs on emitted
 //!   files.
@@ -70,7 +71,7 @@ pub use prof::{
 #[cfg(feature = "obs")]
 pub use qlog::QueryLog;
 pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals};
-pub use recorder::{stamp, JobStamps, ObsTickConfig, RuntimeObs, Stamp, OBS_ENABLED};
+pub use recorder::{JobStamps, ObsTickConfig, RuntimeObs, OBS_ENABLED};
 pub use snapshot::{HostStats, PhaseStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
 #[cfg(feature = "obs")]
 pub use window::WindowRing;

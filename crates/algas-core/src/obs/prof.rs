@@ -1,7 +1,7 @@
 //! `obs::prof` — a thread-state sampling profiler for the serving
 //! runtime.
 //!
-//! Every runtime thread (search workers, host delivery pollers, the net
+//! Every runtime thread (search workers, host refill pollers, the net
 //! readiness loop, the qlog drainer) registers once with the
 //! [`ProfRegistry`] and from then on publishes its current state as a
 //! single relaxed store of one `u64` *marker* — thread kind and phase
@@ -47,7 +47,8 @@ pub const N_STATES: usize = 14;
 pub enum ThreadKind {
     /// Search worker (`algas-worker-N`).
     Worker = 0,
-    /// Host delivery poller (`algas-host-N`).
+    /// Host poller that refills slots from the submission queue
+    /// (`algas-host-N`).
     Host = 1,
     /// Net readiness loop (`algas-net`).
     Net = 2,
@@ -99,13 +100,14 @@ pub enum ProfState {
     /// engines) exact rerank, i.e. the whole `serve_into` span.
     Scan = 2,
     /// Worker: accounting the finished search into the telemetry
-    /// (counters and flight-recorder events) before the reply.
+    /// counters before the reply.
     Publish = 3,
     /// Worker: building the reply from its TopK (the merge runs inside
     /// the search; the name stays for profile readers).
     Merge = 4,
-    /// Worker: delivery accounting, the SLO controller's observation,
-    /// and handing the reply to the client.
+    /// Worker: the SLO controller's observation, delivery accounting
+    /// (with a retained query's trace), and handing the reply to the
+    /// client.
     Deliver = 5,
     /// Host: draining the submission queue into free slots.
     Refill = 6,

@@ -5,21 +5,30 @@
 //! thread's counters live on their own cache lines, so relaxed
 //! increments never contend) and the six shared phase histograms.
 //! [`JobStamps`] rides inside each in-flight job and collects the
-//! lifecycle timestamps the phase spans are computed from.
+//! seven lifecycle timestamps the phase spans are computed from.
+//!
+//! A served query costs two worker calls: [`RuntimeObs::record_search`]
+//! before the `Work → Finish` flip (search, merge and rerank counters)
+//! and [`RuntimeObs::record_delivery`] once the reply is built (phase
+//! histograms, the flight recorder's tail sampler, the query log, the
+//! exemplar). The host's refill only bumps two counters. Nothing is
+//! written per trace event: when the tail sampler keeps a query,
+//! `record_delivery` builds its timeline from the stamps, the walker
+//! counts, the rerank delta and the controller decision it was handed.
 //!
 //! With the (default-on) `obs` feature disabled both types compile to
-//! zero-sized no-ops and [`stamp`] stops calling `Instant::now`, so the
-//! serving loops keep identical shape with zero instrumentation cost —
-//! call sites never need `#[cfg]`. This is the seam the feature
-//! compiles out at: the flight recorder, query log and window ring are
-//! constructed by the enabled [`RuntimeObs::new`] and nowhere else, so
-//! they need no stand-ins of their own.
+//! zero-sized no-ops and no clock is read, so the serving loops keep
+//! identical shape with zero instrumentation cost — call sites never
+//! need `#[cfg]`. This is the seam the feature compiles out at: the
+//! flight recorder, query log and window ring are constructed by the
+//! enabled [`RuntimeObs::new`] and nowhere else, so they need no
+//! stand-ins of their own.
 
 #[cfg(feature = "obs")]
-pub use enabled::{stamp, JobStamps, RuntimeObs, Stamp};
+pub use enabled::{JobStamps, RuntimeObs};
 
 #[cfg(not(feature = "obs"))]
-pub use disabled::{stamp, JobStamps, RuntimeObs, Stamp};
+pub use disabled::{JobStamps, RuntimeObs};
 
 /// Whether the `obs` recording layer is compiled in. A runtime `bool`
 /// so call sites can skip spawning obs-only threads without `#[cfg]`.
@@ -45,11 +54,12 @@ impl Default for ObsTickConfig {
 
 #[cfg(feature = "obs")]
 mod enabled {
+    use crate::control::ControlDecision;
     use crate::engine::RerankStats;
     use crate::merge::MergeStats;
     use crate::obs::counters::{CachePadded, Counter};
     use crate::obs::flight::{
-        EventKind, FlightConfig, FlightRecorder, LifecycleNs, QueryIds, QueryTrace,
+        EventKind, FlightConfig, FlightRecorder, LifecycleNs, QueryTrace, TraceEvent,
     };
     use crate::obs::hist::Histogram;
     use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
@@ -69,56 +79,71 @@ mod enabled {
     /// all-time maximum forever.
     const EXEMPLAR_WINDOW: u64 = 4096;
 
-    /// A point in time on the serving path (an `Instant` when `obs` is
-    /// on, a zero-sized unit when off).
-    pub type Stamp = Instant;
-
-    /// The current time, as the recorder understands it.
-    #[inline]
-    pub fn stamp() -> Stamp {
-        Instant::now()
+    /// Nanoseconds from `from` to `to`, when both edges were stamped.
+    fn span(from: Option<Instant>, to: Option<Instant>) -> Option<u64> {
+        Some(to?.saturating_duration_since(from?).as_nanos() as u64)
     }
 
-    fn ns_between(from: Stamp, to: Stamp) -> u64 {
-        to.saturating_duration_since(from).as_nanos() as u64
-    }
-
-    /// Lifecycle timestamps carried inside one in-flight job.
+    /// Lifecycle timestamps carried inside one in-flight job, plus the
+    /// host poller that refilled its slot.
     #[derive(Clone, Copy, Debug)]
     pub struct JobStamps {
-        submitted: Stamp,
-        slot: Option<Stamp>,
-        work_start: Option<Stamp>,
-        finish: Option<Stamp>,
+        submitted: Instant,
+        slot: Option<Instant>,
+        work_start: Option<Instant>,
+        finish: Option<Instant>,
+        merge_begin: Option<Instant>,
+        merged: Option<Instant>,
+        delivered: Option<Instant>,
+        /// The lane of the query's `enqueued` and `assigned` events.
+        host: u32,
     }
 
     impl JobStamps {
         /// Stamps the submission time (call at `submit`).
         pub fn new() -> Self {
-            Self { submitted: stamp(), slot: None, work_start: None, finish: None }
+            Self {
+                submitted: Instant::now(),
+                slot: None,
+                work_start: None,
+                finish: None,
+                merge_begin: None,
+                merged: None,
+                delivered: None,
+                host: 0,
+            }
         }
 
-        /// Stamps slot assignment (host refill), returning the stamp.
-        pub fn mark_slot(&mut self) -> Stamp {
-            let t = stamp();
-            self.slot = Some(t);
-            t
+        /// Stamps slot assignment by host poller `h` (the refill).
+        pub fn mark_slot(&mut self, h: usize) {
+            self.slot = Some(Instant::now());
+            self.host = h as u32;
         }
 
-        /// Stamps search start (worker picked the slot up), returning
-        /// the stamp.
-        pub fn mark_work_start(&mut self) -> Stamp {
-            let t = stamp();
-            self.work_start = Some(t);
-            t
+        /// Stamps search start (worker picked the slot up).
+        pub fn mark_work_start(&mut self) {
+            self.work_start = Some(Instant::now());
         }
 
-        /// Stamps search completion (`Work → Finish` flip), returning
-        /// the stamp.
-        pub fn mark_finish(&mut self) -> Stamp {
-            let t = stamp();
-            self.finish = Some(t);
-            t
+        /// Stamps search completion (the `Work → Finish` flip).
+        pub fn mark_finish(&mut self) {
+            self.finish = Some(Instant::now());
+        }
+
+        /// Stamps the start of the reply build.
+        pub fn mark_merge_begin(&mut self) {
+            self.merge_begin = Some(Instant::now());
+        }
+
+        /// Stamps the end of the reply build.
+        pub fn mark_merged(&mut self) {
+            self.merged = Some(Instant::now());
+        }
+
+        /// Stamps delivery: the send boundary, just before the reply is
+        /// handed to the client.
+        pub fn mark_delivered(&mut self) {
+            self.delivered = Some(Instant::now());
         }
     }
 
@@ -213,7 +238,7 @@ mod enabled {
                 finish_to_merged: Histogram::new(),
                 merged_to_delivered: Histogram::new(),
                 end_to_end: Histogram::new(),
-                flight: FlightRecorder::new(n_slots, flight_cfg),
+                flight: FlightRecorder::new(flight_cfg),
                 qlog: QueryLog::new(qlog_cfg),
                 exemplar_count: AtomicU64::new(0),
                 exemplar_e2e_ns: AtomicU64::new(0),
@@ -345,18 +370,11 @@ mod enabled {
             self.qlog.log(&QlogRecord { request_id, conn_id, status, ..QlogRecord::default() });
         }
 
-        /// Writes one raw flight-recorder event, stamped now (test and
-        /// diagnostic hook; the serving path uses the typed methods
-        /// below). Allocation-free.
-        #[inline]
-        pub fn flight_record(&self, s: usize, kind: EventKind, lane: u32, a: u32, b: u32) {
-            self.flight.record(s, kind, lane, a, b, self.flight.now_ns());
-        }
-
         /// Accounts one completed search on worker `w` for slot `s`:
         /// its aggregated step totals (the worker computes them once
         /// per query, for this and for the query log), the distance to
-        /// its best entry point, and the delta of its TopK merge.
+        /// its best entry point, the delta of its TopK merge, and its
+        /// exact-rerank delta (zero on fp32 engines).
         #[inline]
         pub fn record_search(
             &self,
@@ -365,6 +383,7 @@ mod enabled {
             totals: &StepTotals,
             entry_distance: Option<f32>,
             merge_delta: &MergeStats,
+            rerank_delta: &RerankStats,
         ) {
             let cells = &self.workers[w];
             if let Some(d) = entry_distance {
@@ -374,6 +393,9 @@ mod enabled {
             cells.merges.add(merge_delta.merges);
             cells.merge_elements.add(merge_delta.elements);
             cells.merge_dupes.add(merge_delta.dupes_dropped);
+            cells.reranks.add(rerank_delta.reranks);
+            cells.rerank_candidates.add(rerank_delta.candidates);
+            cells.rerank_promotions.add(rerank_delta.promotions);
             cells.queries.incr();
             cells.steps.add(totals.steps);
             cells.expansions.add(totals.expansions);
@@ -385,85 +407,21 @@ mod enabled {
             self.slots[s].finished.incr();
         }
 
-        /// Accounts the exact-rerank phase of quantized searches on
-        /// worker `w` (a no-op delta on fp32 engines).
+        /// Accounts a slot refill by host poller `h`.
         #[inline]
-        pub fn record_rerank(&self, w: usize, delta: &RerankStats) {
-            let cells = &self.workers[w];
-            cells.reranks.add(delta.reranks);
-            cells.rerank_candidates.add(delta.candidates);
-            cells.rerank_promotions.add(delta.promotions);
-        }
-
-        /// Accounts a slot refill by host poller `h`: bumps the refill
-        /// counters, opens the slot's flight-recorder window, and
-        /// writes the `enqueued`/`assigned` trace events.
-        #[inline]
-        pub fn slot_assigned(&self, h: usize, s: usize, stamps: &JobStamps) {
+        pub fn slot_assigned(&self, h: usize, s: usize) {
             self.hosts[h].refills.incr();
             self.slots[s].assigned.incr();
-            self.flight.begin_query(s);
-            self.flight.record(
-                s,
-                EventKind::Enqueued,
-                h as u32,
-                0,
-                0,
-                self.flight.ns_of(stamps.submitted),
-            );
-            let slot_ns = match stamps.slot {
-                Some(t) => self.flight.ns_of(t),
-                None => self.flight.now_ns(),
-            };
-            self.flight.record(s, EventKind::Assigned, h as u32, 0, 0, slot_ns);
         }
 
-        /// Writes the flight-recorder events of one completed search:
-        /// `work_start`, one `cta_step` per walker the query launched
-        /// (its distance evaluations and steps), a `beam_switch` for
-        /// each walker whose beam extend fired, an optional
-        /// `rerank_pass`, and `finish`. The walker records are stamped
-        /// at `finish`, when their counts are known. Allocation-free.
-        pub fn flight_search(
-            &self,
-            w: usize,
-            s: usize,
-            multi: &crate::search::multi::MultiScratch,
-            rerank_delta: &RerankStats,
-            stamps: &JobStamps,
-        ) {
-            let (Some(ws), Some(fin)) = (stamps.work_start, stamps.finish) else {
-                return;
-            };
-            let sat = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
-            let end_ns = self.flight.ns_of(fin);
-            self.flight.record(s, EventKind::WorkStart, w as u32, 0, 0, self.flight.ns_of(ws));
-            for c in 0..multi.n_active() {
-                let walker = multi.trace(c).totals();
-                let (evals, steps) = (sat(walker.dist_evals), sat(walker.steps));
-                self.flight.record(s, EventKind::CtaStep, c as u32, evals, steps, end_ns);
-                if let Some(step) = multi.diffusing_switch_step(c) {
-                    self.flight.record(s, EventKind::BeamSwitch, c as u32, step, 0, end_ns);
-                }
-            }
-            if rerank_delta.reranks > 0 {
-                self.flight.record(
-                    s,
-                    EventKind::RerankPass,
-                    w as u32,
-                    sat(rerank_delta.candidates),
-                    sat(rerank_delta.promotions),
-                    end_ns,
-                );
-            }
-            self.flight.record(s, EventKind::Finish, w as u32, 0, 0, end_ns);
-        }
-
-        /// Accounts one result delivered by worker `w`: the slot
-        /// counter, all six phase spans (`reply_begin` → `merged_at` is
-        /// the reply build), the reply-build/delivery trace events on
-        /// the worker's lane, the flight recorder's tail sampler, the
-        /// wide-event query-log record and the exemplar.
+        /// Accounts one result delivered by worker `w` from slot `s`:
+        /// the slot counter, all six phase spans, the flight recorder's
+        /// tail sampler, the wide-event query-log record and the
+        /// exemplar. `walkers` (each walker's totals and beam-switch
+        /// step, in launch order), `rerank_delta` and `control` (the
+        /// SLO controller's decision, if this completion ticked it) are
+        /// read only when the tail sampler retains the query, to build
+        /// its timeline. Allocation-free unless the query is retained.
         #[inline]
         #[allow(clippy::too_many_arguments)]
         pub fn record_delivery(
@@ -472,41 +430,45 @@ mod enabled {
             s: usize,
             ctx: &DeliveryCtx,
             stamps: &JobStamps,
-            reply_begin: Stamp,
-            merged_at: Stamp,
-            delivered_at: Stamp,
+            walkers: impl IntoIterator<Item = (StepTotals, Option<u32>)>,
+            rerank_delta: &RerankStats,
+            control: Option<ControlDecision>,
         ) {
             self.slots[s].delivered.incr();
-            if let Some(slot) = stamps.slot {
-                self.submit_to_slot.record(ns_between(stamps.submitted, slot));
-                if let Some(ws) = stamps.work_start {
-                    self.slot_to_work.record(ns_between(slot, ws));
+            let submitted = Some(stamps.submitted);
+            for (hist, from, to) in [
+                (&self.submit_to_slot, submitted, stamps.slot),
+                (&self.slot_to_work, stamps.slot, stamps.work_start),
+                (&self.work_to_finish, stamps.work_start, stamps.finish),
+                (&self.finish_to_merged, stamps.finish, stamps.merged),
+                (&self.merged_to_delivered, stamps.merged, stamps.delivered),
+                (&self.end_to_end, submitted, stamps.delivered),
+            ] {
+                if let Some(ns) = span(from, to) {
+                    hist.record(ns);
                 }
             }
-            if let (Some(ws), Some(fin)) = (stamps.work_start, stamps.finish) {
-                self.work_to_finish.record(ns_between(ws, fin));
-            }
-            if let Some(fin) = stamps.finish {
-                self.finish_to_merged.record(ns_between(fin, merged_at));
-            }
-            self.merged_to_delivered.record(ns_between(merged_at, delivered_at));
-            let e2e_ns = ns_between(stamps.submitted, delivered_at);
-            self.end_to_end.record(e2e_ns);
+            let e2e_ns = span(submitted, stamps.delivered).unwrap_or(0);
 
+            let ns = |t: Option<Instant>| t.map_or(0, |t| self.flight.ns_of(t));
             let lifecycle = LifecycleNs {
                 submitted_ns: self.flight.ns_of(stamps.submitted),
-                slot_ns: stamps.slot.map_or(0, |t| self.flight.ns_of(t)),
-                work_start_ns: stamps.work_start.map_or(0, |t| self.flight.ns_of(t)),
-                finish_ns: stamps.finish.map_or(0, |t| self.flight.ns_of(t)),
-                merge_begin_ns: self.flight.ns_of(reply_begin),
-                merged_ns: self.flight.ns_of(merged_at),
-                delivered_ns: self.flight.ns_of(delivered_at),
+                slot_ns: ns(stamps.slot),
+                work_start_ns: ns(stamps.work_start),
+                finish_ns: ns(stamps.finish),
+                merge_begin_ns: ns(stamps.merge_begin),
+                merged_ns: ns(stamps.merged),
+                delivered_ns: ns(stamps.delivered),
             };
-            self.flight.record(s, EventKind::MergeBegin, w as u32, 0, 0, lifecycle.merge_begin_ns);
-            self.flight.record(s, EventKind::MergeEnd, w as u32, 0, 0, lifecycle.merged_ns);
-            self.flight.record(s, EventKind::Delivered, w as u32, 0, 0, lifecycle.delivered_ns);
-            let ids = QueryIds { tag: ctx.tag, request_id: ctx.request_id, conn: ctx.conn_id };
-            self.flight.on_complete(s, ids, &lifecycle);
+            self.flight.on_complete(lifecycle.e2e_ns(), || QueryTrace {
+                tag: ctx.tag,
+                request_id: ctx.request_id,
+                conn: ctx.conn_id,
+                slot: s as u32,
+                worker: w as u32,
+                lifecycle,
+                events: timeline(&lifecycle, stamps.host, w as u32, walkers, rerank_delta, control),
+            });
 
             self.qlog.log(&QlogRecord {
                 request_id: ctx.request_id,
@@ -599,25 +561,69 @@ mod enabled {
             out.prof = self.prof.table();
         }
     }
+
+    /// A retained query's timeline, in the order its slot saw it: the
+    /// host's `enqueued`/`assigned` edges, `work_start`, one `cta_step`
+    /// per walker (its distance evaluations and steps) with a
+    /// `beam_switch` where its beam extend fired, the `rerank_pass`,
+    /// `finish`, the controller's `control_adjust`, and the reply's
+    /// `merge_begin`/`merge_end`/`delivered`. Walker and rerank records
+    /// are stamped at `finish`, when their counts are known; the
+    /// controller's when the reply was built, just before it observed
+    /// the query.
+    fn timeline(
+        lc: &LifecycleNs,
+        host: u32,
+        w: u32,
+        walkers: impl IntoIterator<Item = (StepTotals, Option<u32>)>,
+        rerank_delta: &RerankStats,
+        control: Option<ControlDecision>,
+    ) -> Vec<TraceEvent> {
+        let sat = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        let event = |ts_ns, kind, lane, a, b| TraceEvent { ts_ns, kind, lane, a, b };
+        let mut events = vec![
+            event(lc.submitted_ns, EventKind::Enqueued, host, 0, 0),
+            event(lc.slot_ns, EventKind::Assigned, host, 0, 0),
+            event(lc.work_start_ns, EventKind::WorkStart, w, 0, 0),
+        ];
+        for (c, (walker, switch_step)) in (0u32..).zip(walkers) {
+            let (evals, steps) = (sat(walker.dist_evals), sat(walker.steps));
+            events.push(event(lc.finish_ns, EventKind::CtaStep, c, evals, steps));
+            if let Some(step) = switch_step {
+                events.push(event(lc.finish_ns, EventKind::BeamSwitch, c, step, 0));
+            }
+        }
+        if rerank_delta.reranks > 0 {
+            let (candidates, promotions) =
+                (sat(rerank_delta.candidates), sat(rerank_delta.promotions));
+            events.push(event(lc.finish_ns, EventKind::RerankPass, w, candidates, promotions));
+        }
+        events.push(event(lc.finish_ns, EventKind::Finish, w, 0, 0));
+        if let Some(d) = control {
+            events.push(event(lc.merged_ns, EventKind::ControlAdjust, w, d.level, d.reason as u32));
+        }
+        events.extend([
+            event(lc.merge_begin_ns, EventKind::MergeBegin, w, 0, 0),
+            event(lc.merged_ns, EventKind::MergeEnd, w, 0, 0),
+            event(lc.delivered_ns, EventKind::Delivered, w, 0, 0),
+        ]);
+        events
+    }
 }
 
 #[cfg(not(feature = "obs"))]
 mod disabled {
+    use crate::control::ControlDecision;
+    use crate::engine::RerankStats;
     use crate::merge::MergeStats;
-    use crate::obs::flight::{EventKind, FlightConfig, QueryTrace};
+    use crate::obs::flight::{FlightConfig, QueryTrace};
     use crate::obs::prof::{ProfRegistry, SharedProfRegistry};
     use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogTotals};
     use crate::obs::snapshot::RuntimeStats;
     use crate::obs::window::WindowBlock;
+    use crate::tracer::StepTotals;
 
     use super::ObsTickConfig;
-
-    /// Zero-sized stand-in for `Instant` when `obs` is compiled out.
-    pub type Stamp = ();
-
-    /// No-op: no clock is read when `obs` is compiled out.
-    #[inline]
-    pub fn stamp() -> Stamp {}
 
     /// Zero-sized no-op stand-in for the lifecycle timestamps.
     #[derive(Clone, Copy, Debug, Default)]
@@ -630,13 +636,22 @@ mod disabled {
         }
 
         /// No-op.
-        pub fn mark_slot(&mut self) -> Stamp {}
+        pub fn mark_slot(&mut self, _h: usize) {}
 
         /// No-op.
-        pub fn mark_work_start(&mut self) -> Stamp {}
+        pub fn mark_work_start(&mut self) {}
 
         /// No-op.
-        pub fn mark_finish(&mut self) -> Stamp {}
+        pub fn mark_finish(&mut self) {}
+
+        /// No-op.
+        pub fn mark_merge_begin(&mut self) {}
+
+        /// No-op.
+        pub fn mark_merged(&mut self) {}
+
+        /// No-op.
+        pub fn mark_delivered(&mut self) {}
     }
 
     /// Zero-sized no-op stand-in for the live metric cells.
@@ -707,39 +722,20 @@ mod disabled {
 
         /// No-op.
         #[inline]
-        pub fn flight_record(&self, _s: usize, _kind: EventKind, _lane: u32, _a: u32, _b: u32) {}
-
-        /// No-op.
-        #[inline]
         pub fn record_search(
             &self,
             _w: usize,
             _s: usize,
-            _totals: &crate::tracer::StepTotals,
+            _totals: &StepTotals,
             _entry_distance: Option<f32>,
             _merge_delta: &MergeStats,
+            _rerank_delta: &RerankStats,
         ) {
         }
 
         /// No-op.
         #[inline]
-        pub fn record_rerank(&self, _w: usize, _delta: &crate::engine::RerankStats) {}
-
-        /// No-op.
-        #[inline]
-        pub fn slot_assigned(&self, _h: usize, _s: usize, _stamps: &JobStamps) {}
-
-        /// No-op.
-        #[inline]
-        pub fn flight_search(
-            &self,
-            _w: usize,
-            _s: usize,
-            _multi: &crate::search::multi::MultiScratch,
-            _rerank_delta: &crate::engine::RerankStats,
-            _stamps: &JobStamps,
-        ) {
-        }
+        pub fn slot_assigned(&self, _h: usize, _s: usize) {}
 
         /// No-op.
         #[inline]
@@ -750,9 +746,9 @@ mod disabled {
             _s: usize,
             _ctx: &DeliveryCtx,
             _stamps: &JobStamps,
-            _reply_begin: Stamp,
-            _merged_at: Stamp,
-            _delivered_at: Stamp,
+            _walkers: impl IntoIterator<Item = (StepTotals, Option<u32>)>,
+            _rerank_delta: &RerankStats,
+            _control: Option<ControlDecision>,
         ) {
         }
 
@@ -764,21 +760,30 @@ mod disabled {
 #[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
+    use crate::control::{ControlDecision, ControlReason};
+    use crate::engine::RerankStats;
     use crate::merge::MergeStats;
+    use crate::obs::flight::{EventKind, FlightConfig};
+    use crate::obs::qlog::{DeliveryCtx, QlogConfig};
     use crate::obs::snapshot::RuntimeStats;
     use crate::tracer::StepTotals;
 
+    /// Stamps the three reply edges, as the worker does after the search.
+    fn stamp_reply(stamps: &mut JobStamps) {
+        stamps.mark_merge_begin();
+        stamps.mark_merged();
+        stamps.mark_delivered();
+    }
+
     #[test]
     fn recorder_populates_snapshot() {
-        use crate::obs::flight::FlightConfig;
         use crate::obs::json::Value;
-        use crate::obs::qlog::{DeliveryCtx, QlogConfig};
         let qcfg = QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() };
         let obs = RuntimeObs::new(2, 2, 1, FlightConfig::default(), qcfg, ObsTickConfig::default());
         let mut stamps = JobStamps::new();
-        stamps.mark_slot();
+        stamps.mark_slot(0);
+        obs.slot_assigned(0, 1);
         stamps.mark_work_start();
-        obs.slot_assigned(0, 1, &stamps);
         let totals = StepTotals {
             steps: 10,
             expansions: 12,
@@ -789,13 +794,10 @@ mod tests {
             other_cycles: 20,
         };
         let delta = MergeStats { merges: 1, elements: 16, dupes_dropped: 2 };
-        obs.record_search(0, 1, &totals, None, &delta);
-        let rerank = crate::engine::RerankStats { reranks: 1, candidates: 20, promotions: 3 };
-        obs.record_rerank(0, &rerank);
+        let rerank = RerankStats { reranks: 1, candidates: 20, promotions: 3 };
         stamps.mark_finish();
-        let picked_up = stamp();
-        let merged_at = stamp();
-        let delivered_at = stamp();
+        obs.record_search(0, 1, &totals, None, &delta, &rerank);
+        stamp_reply(&mut stamps);
         let ctx = DeliveryCtx {
             tag: 7,
             request_id: 907,
@@ -807,7 +809,7 @@ mod tests {
             rerank_depth: 32,
             entry_code: 1,
         };
-        obs.record_delivery(0, 1, &ctx, &stamps, picked_up, merged_at, delivered_at);
+        obs.record_delivery(0, 1, &ctx, &stamps, [(totals, None)], &rerank, None);
 
         let mut s = RuntimeStats::empty(2, 2, 1);
         obs.populate(&mut s);
@@ -825,8 +827,6 @@ mod tests {
         }
         assert!(s.phases.end_to_end.sum >= s.phases.work_to_finish.sum);
         assert_eq!(s.flight.completions, 1);
-        // enqueued/assigned + merge_begin/merge_end/delivered events.
-        assert_eq!(s.flight.events, 5);
         assert_eq!(s.qlog.logged, 1);
         assert_eq!(s.exemplar.request_id, 907, "exemplar points at the slowest request");
         assert!(s.exemplar.e2e_ns > 0);
@@ -848,22 +848,16 @@ mod tests {
 
     #[test]
     fn slow_query_is_retained_through_the_recorder() {
-        use crate::obs::flight::{EventKind, FlightConfig};
-        use crate::obs::qlog::QlogConfig;
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
-        let obs = RuntimeObs::new(2, 1, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let obs = RuntimeObs::new(2, 4, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
         let mut stamps = JobStamps::new();
-        stamps.mark_slot();
-        obs.slot_assigned(0, 0, &stamps);
+        stamps.mark_slot(0);
+        obs.slot_assigned(0, 0);
         stamps.mark_work_start();
-        obs.flight_record(0, EventKind::WorkStart, 3, 0, 0);
         stamps.mark_finish();
-        obs.flight_record(0, EventKind::Finish, 3, 0, 0);
-        let picked_up = stamp();
-        let merged_at = stamp();
-        let delivered_at = stamp();
-        let ctx = crate::obs::qlog::DeliveryCtx::local(42);
-        obs.record_delivery(0, 0, &ctx, &stamps, picked_up, merged_at, delivered_at);
+        stamp_reply(&mut stamps);
+        let ctx = DeliveryCtx::local(42);
+        obs.record_delivery(3, 0, &ctx, &stamps, [], &RerankStats::default(), None);
 
         let traces = obs.flight_retained();
         assert_eq!(traces.len(), 1);
@@ -872,10 +866,72 @@ mod tests {
         assert_eq!(t.request_id, 42, "local submits key traces by tag");
         assert_eq!(t.conn, 0);
         assert_eq!(t.slot, 0);
-        assert_eq!(t.worker, 3, "worker id comes from the work_start event lane");
+        assert_eq!(t.worker, 3, "the worker that delivered the query");
         assert_eq!(t.events.len(), 7);
         assert_eq!(t.events[0].kind, EventKind::Enqueued);
         assert_eq!(t.events.last().unwrap().kind, EventKind::Delivered);
         assert!(t.lifecycle.delivered_ns >= t.lifecycle.submitted_ns);
+    }
+
+    #[test]
+    fn retained_timeline_is_built_from_what_the_worker_holds() {
+        use EventKind::*;
+        let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
+        // Host 2, worker 3, walkers 0 and 1: every lane is distinct.
+        let obs = RuntimeObs::new(2, 4, 3, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let (h, w, s) = (2, 3, 1);
+        let mut stamps = JobStamps::new();
+        stamps.mark_slot(h);
+        obs.slot_assigned(h, s);
+        stamps.mark_work_start();
+        stamps.mark_finish();
+        let walker = |dist_evals, steps| StepTotals { dist_evals, steps, ..StepTotals::default() };
+        let walkers = [(walker(120, 9), None), (walker(40, 5), Some(3))];
+        let rerank = RerankStats { reranks: 1, candidates: 24, promotions: 2 };
+        let totals = walker(160, 14);
+        obs.record_search(w, s, &totals, None, &MergeStats::default(), &rerank);
+        stamp_reply(&mut stamps);
+        let control =
+            ControlDecision { level: 2, reason: ControlReason::Shed, p99_ns: 9_000, changed: true };
+        let ctx = DeliveryCtx::local(11);
+        obs.record_delivery(w, s, &ctx, &stamps, walkers, &rerank, Some(control));
+
+        let traces = obs.flight_retained();
+        assert_eq!(traces.len(), 1);
+        let t = &traces[0];
+        assert_eq!((t.tag, t.slot, t.worker), (11, 1, 3));
+        let seq: Vec<_> = t.events.iter().map(|e| (e.kind, e.lane, e.a, e.b)).collect();
+        let (h, w, shed) = (h as u32, w as u32, ControlReason::Shed as u32);
+        assert_eq!(
+            seq,
+            vec![
+                (Enqueued, h, 0, 0),
+                (Assigned, h, 0, 0),
+                (WorkStart, w, 0, 0),
+                (CtaStep, 0, 120, 9),
+                (CtaStep, 1, 40, 5),
+                (BeamSwitch, 1, 3, 0),
+                (RerankPass, w, 24, 2),
+                (Finish, w, 0, 0),
+                (ControlAdjust, w, 2, shed),
+                (MergeBegin, w, 0, 0),
+                (MergeEnd, w, 0, 0),
+                (Delivered, w, 0, 0),
+            ]
+        );
+        let at = |kind| t.events.iter().find(|e| e.kind == kind).unwrap().ts_ns;
+        let lc = &t.lifecycle;
+        assert_eq!(
+            [Enqueued, Assigned, WorkStart, Finish, MergeBegin, MergeEnd, Delivered].map(at),
+            [
+                lc.submitted_ns,
+                lc.slot_ns,
+                lc.work_start_ns,
+                lc.finish_ns,
+                lc.merge_begin_ns,
+                lc.merged_ns,
+                lc.delivered_ns,
+            ]
+        );
     }
 }

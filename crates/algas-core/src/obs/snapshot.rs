@@ -149,8 +149,7 @@ pub struct RuntimeStats {
     pub control: ControlStats,
     /// TopK merge totals (the merge runs in the worker's search).
     pub merge: MergeStats,
-    /// Flight-recorder totals (completions examined, events written,
-    /// traces retained).
+    /// Flight-recorder totals (completions examined, traces retained).
     pub flight: FlightTotals,
     /// Network front-end counters (all zero until a query listener has
     /// run — the library/CLI paths never touch a socket).
@@ -335,7 +334,6 @@ impl RuntimeStats {
                 "flight",
                 obj(vec![
                     ("completions", Value::Uint(self.flight.completions)),
-                    ("events", Value::Uint(self.flight.events)),
                     ("retained", Value::Uint(self.flight.retained)),
                 ]),
             ),
@@ -628,11 +626,6 @@ impl RuntimeStats {
                 "Completions examined by the flight recorder.",
                 self.flight.completions,
             ),
-            (
-                "algas_flight_events_total",
-                "Trace events written across all slot rings.",
-                self.flight.events,
-            ),
         ] {
             w.family(name, "counter", help).scalar(name, v);
         }
@@ -900,7 +893,7 @@ mod tests {
             last_reason: "hold".to_string(),
         };
         s.merge = MergeStats { merges: 38, elements: 300, dupes_dropped: 4 };
-        s.flight = FlightTotals { completions: 38, events: 410, retained: 5 };
+        s.flight = FlightTotals { completions: 38, retained: 5 };
         s.net = NetStats {
             connections_accepted: 6,
             connections_closed: 4,
@@ -1002,7 +995,6 @@ mod tests {
         assert_eq!(find("algas_base_store_bytes").value, 48_000.0);
         assert_eq!(find("algas_quant_store_bytes").value, 12_400.0);
         assert_eq!(find("algas_flight_completions_total").value, 38.0);
-        assert_eq!(find("algas_flight_events_total").value, 410.0);
         assert_eq!(find("algas_flight_retained").value, 5.0);
         assert_eq!(find("algas_control_enabled").value, 1.0);
         assert_eq!(find("algas_control_level").value, 2.0);

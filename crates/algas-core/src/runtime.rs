@@ -698,38 +698,28 @@ fn serve_slot(
     let merge_delta = scratch.merge.stats.since(&merge_before);
     let rerank_delta = scratch.rerank.since(&rerank_before);
     let entry = scratch.multi.entry_distance();
-    shared.obs.record_search(w, s, &totals, entry, &merge_delta);
-    shared.obs.record_rerank(w, &rerank_delta);
-    shared.obs.flight_search(w, s, &scratch.multi, &rerank_delta, &job.stamps);
+    shared.obs.record_search(w, s, &totals, entry, &merge_delta, &rerank_delta);
     let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);
     debug_assert!(flipped, "only this worker moves Work -> Finish");
 
     // `Merge` names the reply build; the reply's vectors go to the
     // client, the scratch keeps its TopK buffer.
     prof.stamp(ProfState::Merge);
-    let reply_begin = obs::stamp();
+    job.stamps.mark_merge_begin();
     let reply = SearchReply {
         tag: job.tag,
         ids: scratch.topk.iter().map(|&(_, id)| id).collect(),
         distances: scratch.topk.iter().map(|&(d, _)| d.0).collect(),
     };
-    let merged_at = obs::stamp();
+    job.stamps.mark_merged();
     prof.stamp(ProfState::Deliver);
     let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
     shared.stats.completed.fetch_add(1, Ordering::Relaxed);
     shared.stats.service_ns_total.fetch_add(service_ns, Ordering::Relaxed);
-    // Feed the SLO controller the submit→reply span it regulates. When
-    // a cadence tick fires, stamp the decision into this slot's flight
-    // ring before the delivery events close the query's window.
-    if let Some(d) = shared.engine.controller().observe(service_ns) {
-        shared.obs.flight_record(
-            s,
-            obs::flight::EventKind::ControlAdjust,
-            w as u32,
-            d.level,
-            d.reason as u32,
-        );
-    }
+    // Feed the SLO controller the submit→reply span it regulates. A
+    // decision from a cadence tick lands in this query's trace, if the
+    // tail sampler keeps it.
+    let control = shared.engine.controller().observe(service_ns);
     let ctx = DeliveryCtx {
         tag: job.tag,
         request_id: job.wire.request_id,
@@ -742,7 +732,9 @@ fn serve_slot(
         entry_code,
     };
     // The delivery stamp marks the send boundary.
-    shared.obs.record_delivery(w, s, &ctx, &job.stamps, reply_begin, merged_at, obs::stamp());
+    job.stamps.mark_delivered();
+    let walkers = scratch.multi.walkers();
+    shared.obs.record_delivery(w, s, &ctx, &job.stamps, walkers, &rerank_delta, control);
     job.reply_to.deliver(reply);
     let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
     debug_assert!(flipped, "only this worker moves Finish -> Done");
@@ -770,10 +762,9 @@ fn host_loop(shared: &Shared, first: usize, stride: usize) {
                     match shared.submissions.try_pop() {
                         Some(mut job) => {
                             prof.stamp(ProfState::Refill);
-                            job.stamps.mark_slot();
-                            let stamps = job.stamps;
+                            job.stamps.mark_slot(first);
                             *lock(&slot.job) = Some(job);
-                            shared.obs.slot_assigned(first, s, &stamps);
+                            shared.obs.slot_assigned(first, s);
                             let flipped = slot.state.transition(state, SlotState::Work);
                             debug_assert!(flipped, "this poller owns the slot's host edges");
                             did_work = true;
@@ -1414,6 +1405,62 @@ mod tests {
         assert_eq!(s.control.restores, 0);
         assert!(s.control.level >= 1);
         assert!(s.control.last_p99_ns > 1_000, "p99 of real service spans");
+        server.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn controller_ticks_land_in_retained_traces() {
+        use crate::control::ControlReason;
+        use crate::obs::flight::EventKind;
+        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        // The impossible-SLO engine above: every cadence tick decides.
+        let cfg = EngineConfig {
+            k: 8,
+            l: 32,
+            slots: 2,
+            beam: BeamMode::Auto,
+            quantize: true,
+            slo_us: Some(1),
+            ..Default::default()
+        };
+        let engine = AlgasEngine::new(index, cfg).unwrap();
+        let tick_every = engine.controller().config().tick_every;
+        let max_level = engine.controller().ladder().max_level();
+        let n_queries = 3 * tick_every as usize;
+        let server = AlgasServer::start(
+            engine,
+            RuntimeConfig {
+                n_slots: 2,
+                n_workers: 1,
+                n_host_threads: 1,
+                queue_capacity: 256,
+                // Threshold 0 marks every query slow, and a top-K as
+                // deep as the run keeps every one of them.
+                flight: FlightConfig { slow_threshold_ns: 0, top_k: n_queries },
+                ..Default::default()
+            },
+        );
+        for i in 0..n_queries {
+            let q = ds.queries.get(i % ds.queries.len()).to_vec();
+            let _ = server.search_blocking(q).unwrap();
+        }
+        let traces = server.flight_traces();
+        assert_eq!(traces.len(), n_queries, "every query retained");
+        let mut adjusts = 0;
+        for t in &traces {
+            for e in t.events.iter().filter(|e| e.kind == EventKind::ControlAdjust) {
+                assert_eq!(e.lane, t.worker, "trace {}", t.tag);
+                assert!(e.a <= max_level, "level {} past the ladder's {max_level}", e.a);
+                let reason = ControlReason::from_u8(e.b as u8);
+                assert_eq!(reason as u32, e.b, "trace {}: reason {}", t.tag, e.b);
+                assert_ne!(reason, ControlReason::Init, "a tick always decides");
+                adjusts += 1;
+            }
+        }
+        assert!(adjusts >= 1, "no retained trace carries a controller decision");
+        assert_eq!(adjusts, server.runtime_stats().control.ticks, "one per tick");
         server.shutdown();
     }
 

@@ -71,11 +71,11 @@ impl MultiScratch {
         self.n_active
     }
 
-    /// Step index at which CTA `c` switched to the diffusing phase in
-    /// the most recent search (`None` if beam extend never triggered).
-    pub fn diffusing_switch_step(&self, c: usize) -> Option<u32> {
-        assert!(c < self.n_active, "CTA {c} not active (n_active={})", self.n_active);
-        self.ctas[c].diffusing_switch_step()
+    /// The walkers of the most recent search in launch order: each
+    /// one's [`StepTotals`] and the step its beam extend switched to
+    /// diffusing at (`None` if it never did). Allocation-free.
+    pub fn walkers(&self) -> impl Iterator<Item = (StepTotals, Option<u32>)> + '_ {
+        self.ctas[..self.n_active].iter().map(|c| (c.trace().totals(), c.diffusing_switch_step()))
     }
 
     /// Aggregated [`StepTotals`] over the active CTAs of the most

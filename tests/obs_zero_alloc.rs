@@ -1,15 +1,16 @@
 //! Pins the zero-allocation invariant for the serving-path telemetry:
-//! every operation the hot path performs — phase stamps, histogram
-//! records, per-worker/host/slot counter bumps, flight-recorder event
-//! writes (including ring overwrite), the full delivery-accounting
-//! call including its wide-event query-log write (both the accepted
-//! and the ring-full drop path), thread-state profiler marker stamps,
-//! profiler sampling passes, and window-ring rotation — must never
-//! touch the heap.
-//! Snapshotting ([`RuntimeObs::populate`]), trace capture (retention),
+//! every operation the hot path performs — the seven lifecycle stamps,
+//! the host's refill accounting, and the worker's two recorder calls
+//! (search accounting, then delivery accounting with its histogram
+//! records, the flight recorder's tail-sampling fast path and the
+//! wide-event query-log write, both the accepted and the ring-full drop
+//! path), thread-state profiler marker stamps, profiler sampling
+//! passes, and window-ring rotation — must never touch the heap.
+//! Snapshotting ([`RuntimeObs::populate`]), building a retained trace,
 //! and query-log draining/rendering allocate and are deliberately
-//! outside the measured region: they run on the control path, not per
-//! query, so the recorder here is configured to retain nothing.
+//! outside the measured region: they run on the control path or for
+//! rare queries only, so the recorder here is configured to retain
+//! nothing.
 //!
 //! Like `zero_alloc.rs`, this binary holds exactly one test so no
 //! concurrent test can perturb the counting `#[global_allocator]`
@@ -17,10 +18,12 @@
 //! per-binary).
 #![cfg(feature = "obs")]
 
+use algas::core::control::{ControlDecision, ControlReason};
+use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
 use algas::core::obs::{
-    stamp, DeliveryCtx, EventKind, FlightConfig, Histogram, JobStamps, ObsTickConfig, ProfHandle,
-    ProfState, QlogConfig, RuntimeObs, ThreadKind,
+    DeliveryCtx, FlightConfig, Histogram, JobStamps, ObsTickConfig, ProfHandle, ProfState,
+    QlogConfig, RuntimeObs, ThreadKind,
 };
 use algas::core::tracer::{StepStats, StepTotals};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,9 +53,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One simulated query's worth of instrumentation, exactly as the
-/// runtime issues it: stamps on the submit/refill/worker/host path,
-/// flight-recorder events (the small ring below forces overwrite),
-/// then search accounting, then delivery accounting.
+/// runtime issues it: stamps on the submit/refill/worker path, the
+/// host's refill accounting, then the worker's search accounting and
+/// delivery accounting (three walkers, one beam switch, a rerank pass,
+/// and a controller decision every 8th query).
 fn instrument_one_query(
     obs: &RuntimeObs,
     hist: &Histogram,
@@ -60,41 +64,44 @@ fn instrument_one_query(
     prof: &ProfHandle,
     q: u64,
 ) {
-    let s = (q % 4) as usize;
+    let (s, w) = ((q % 4) as usize, (q % 2) as usize);
     // Thread-state markers bracket the pass exactly as the worker loop
     // stamps them: one relaxed store each.
     prof.stamp(ProfState::Scan);
     let mut stamps = JobStamps::new();
-    stamps.mark_slot();
-    obs.slot_assigned(0, s, &stamps);
+    stamps.mark_slot(0);
+    obs.slot_assigned(0, s);
     stamps.mark_work_start();
-    obs.flight_record(s, EventKind::WorkStart, (q % 2) as u32, 0, 0);
-    for c in 0..3u32 {
-        obs.flight_record(s, EventKind::CtaStep, c, 60, 1_000);
-    }
-    obs.flight_record(s, EventKind::BeamSwitch, 0, 2, 0);
-    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
-    obs.record_search((q % 2) as usize, s, totals, Some(0.5), &delta);
     stamps.mark_finish();
-    obs.flight_record(s, EventKind::Finish, (q % 2) as u32, 0, 0);
-    let picked_up = stamp();
-    let merged_at = stamp();
-    // Delivery accounting now also writes the wide-event query-log
+    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
+    let rerank = RerankStats { reranks: 1, candidates: 32, promotions: 2 };
+    obs.record_search(w, s, totals, Some(0.5), &delta, &rerank);
+    stamps.mark_merge_begin();
+    stamps.mark_merged();
+    // Delivery accounting also writes the wide-event query-log
     // record (wire identity + per-query facts) into its ring — that
     // write rides the same zero-allocation budget.
     let ctx = DeliveryCtx {
         request_id: q + 0x1000,
         conn_id: 1 + q % 3,
         client_ts_us: 40 + q,
-        worker: (q % 2) as u32,
+        worker: w as u32,
         hops: 17,
         slo_level: 1,
         rerank_depth: 32,
         entry_code: 2,
         ..DeliveryCtx::local(q)
     };
+    let control = q.is_multiple_of(8).then_some(ControlDecision {
+        level: 1,
+        reason: ControlReason::Shed,
+        p99_ns: 9_000,
+        changed: true,
+    });
+    let walkers = [(*totals, None), (*totals, Some(2)), (*totals, None)];
     prof.stamp(ProfState::Publish);
-    obs.record_delivery(0, s, &ctx, &stamps, picked_up, merged_at, stamp());
+    stamps.mark_delivered();
+    obs.record_delivery(w, s, &ctx, &stamps, walkers, &rerank, control);
     hist.record(1 + q * 17);
     // The obs tick thread's work rides the same budget: a profiler
     // sampling pass over every registered marker, and (each 8th
@@ -109,8 +116,7 @@ fn instrument_one_query(
 #[test]
 fn telemetry_hot_path_allocates_nothing() {
     // Retention disabled: the fast path of the tail sampler is the
-    // whole path. At 11 events/query over 4 slots the 1024-event
-    // rings wrap inside the measured region.
+    // whole path, and no trace is ever built.
     let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
     // Query log armed with a deliberately small ring and no drainer
     // running: the measured region exercises both the accepted-write
@@ -169,9 +175,8 @@ fn telemetry_hot_path_allocates_nothing() {
     assert_eq!(stats.phases.end_to_end.count, total);
     assert_eq!(stats.per_slot.iter().map(|s| s.delivered).sum::<u64>(), total);
     assert_eq!(stats.merge.elements, 64 * total);
-    // Flight totals: 11 ring events per query, none retained.
+    // Flight totals: every query examined, none retained.
     assert_eq!(stats.flight.completions, total);
-    assert_eq!(stats.flight.events, 11 * total);
     assert_eq!(stats.flight.retained, 0);
     assert!(obs.flight_retained().is_empty());
     // Query log: every delivery attempted a record; the undrained ring

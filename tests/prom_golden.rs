@@ -60,7 +60,7 @@ fn fixture() -> RuntimeStats {
     };
     s.rerank = RerankStats { reranks: 38, candidates: 760, promotions: 12 };
     s.merge = MergeStats { merges: 38, elements: 300, dupes_dropped: 4 };
-    s.flight = FlightTotals { completions: 38, events: 410, retained: 5 };
+    s.flight = FlightTotals { completions: 38, retained: 5 };
     s.entry_dist_milli_total = 41_230;
     s.control = ControlStats {
         enabled: true,
