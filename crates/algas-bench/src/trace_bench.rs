@@ -154,7 +154,7 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
 /// (~0 ns).
 fn recorder_ns_per_query() -> f64 {
     let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
-    let obs = RuntimeObs::new(1, 1, 1, flight, QlogConfig::default(), ObsTickConfig::default());
+    let obs = RuntimeObs::new(1, 1, flight, QlogConfig::default(), ObsTickConfig::default());
     let mut stamps = JobStamps::new();
     stamps.mark_slot(0);
     stamps.mark_work_start();
@@ -170,8 +170,8 @@ fn recorder_ns_per_query() -> f64 {
     for _ in 0..5 {
         let t0 = Instant::now();
         for i in 0..ITERS {
-            obs.slot_assigned(0, 0);
-            obs.record_search(0, 0, &totals, Some(0.5), &merge, &rerank);
+            obs.slot_assigned(0);
+            obs.record_search(0, &totals, Some(0.5), &merge, &rerank);
             let walkers = [(totals, None), (totals, Some(3))];
             obs.record_delivery(0, 0, &DeliveryCtx::local(i), &stamps, walkers, &rerank, None);
         }
@@ -287,9 +287,9 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
     let per_query = recorder_ns_per_query();
     eprintln!(
         "trimmed-mean p99 {:.1} µs; recorder {per_query:.1} ns/query \
-         ({} completions, {} retained traces)",
+         ({} completed, {} retained traces)",
         best.p99 as f64 / 1000.0,
-        stats.flight.completions,
+        stats.completed,
         stats.flight.retained,
     );
 
@@ -310,13 +310,7 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
         ),
         ("client_e2e_ns", round_fields(&best)),
         ("recorder_ns_per_query", Value::Num(per_query)),
-        (
-            "flight_totals",
-            obj(vec![
-                ("completions", Value::Uint(stats.flight.completions)),
-                ("retained", Value::Uint(stats.flight.retained)),
-            ]),
-        ),
+        ("flight_totals", obj(vec![("retained", Value::Uint(stats.flight.retained))])),
     ]);
     match fields {
         Value::Obj(v) => v,

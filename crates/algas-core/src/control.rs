@@ -131,9 +131,8 @@ pub struct ControlStats {
     /// The current rung's CTA cap per query — a worker may launch
     /// fewer (0 when the controller has never been built, i.e. `Default`).
     pub n_ctas: u64,
-    /// Controller ticks run.
-    pub ticks: u64,
-    /// Ticks that shed effort.
+    /// Ticks that shed effort. Every tick lands in exactly one of
+    /// `sheds`, `restores` and `holds`, so their sum is the tick count.
     pub sheds: u64,
     /// Ticks that restored effort.
     pub restores: u64,
@@ -146,8 +145,8 @@ pub struct ControlStats {
 }
 
 /// The online controller: a fixed ring of recent service spans, the
-/// current ladder level, and tick counters — all atomics, shared
-/// freely across the serving threads.
+/// current ladder level, and one counter per tick outcome — all
+/// atomics, shared freely across the serving threads.
 #[derive(Debug)]
 pub struct SloController {
     cfg: ControlConfig,
@@ -156,7 +155,6 @@ pub struct SloController {
     level: AtomicU32,
     completions: AtomicU64,
     ring: Vec<AtomicU64>,
-    ticks: AtomicU64,
     sheds: AtomicU64,
     restores: AtomicU64,
     holds: AtomicU64,
@@ -181,7 +179,6 @@ impl SloController {
             level: AtomicU32::new(0),
             completions: AtomicU64::new(0),
             ring: (0..CONTROL_WINDOW).map(|_| AtomicU64::new(0)).collect(),
-            ticks: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
             restores: AtomicU64::new(0),
             holds: AtomicU64::new(0),
@@ -276,7 +273,6 @@ impl SloController {
             (level, ControlReason::Hold)
         };
         self.level.store(new_level, Ordering::Relaxed);
-        self.ticks.fetch_add(1, Ordering::Relaxed);
         match reason {
             ControlReason::Shed => self.sheds.fetch_add(1, Ordering::Relaxed),
             ControlReason::Restore => self.restores.fetch_add(1, Ordering::Relaxed),
@@ -310,7 +306,6 @@ impl SloController {
             offset_beam: step.beam.map_or(0, |b| b.offset_beam as u64),
             rerank_depth: step.rerank_depth as u64,
             n_ctas: step.n_ctas as u64,
-            ticks: self.ticks.load(Ordering::Relaxed),
             sheds: self.sheds.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
             holds: self.holds.load(Ordering::Relaxed),
@@ -436,8 +431,9 @@ mod tests {
             }
         }
         assert_eq!(decisions, 4);
-        assert_eq!(c.stats().ticks, 4);
-        assert_eq!(c.stats().sheds, 4);
+        let s = c.stats();
+        assert_eq!(s.sheds + s.restores + s.holds, decisions, "one outcome per tick");
+        assert_eq!(s.sheds, 4);
         assert_eq!(c.level(), 4);
         assert_eq!(c.last_p99_ns(), c.stats().last_p99_ns);
         assert_eq!(c.last_p99_ns(), 5_000);

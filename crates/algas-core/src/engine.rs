@@ -264,8 +264,6 @@ pub enum BeamMode {
     Greedy,
     /// Beam extend with the tuner's trigger (`offset_beam = L/4`).
     Auto,
-    /// Beam extend with explicit parameters.
-    Manual(BeamParams),
 }
 
 impl Default for EngineConfig {
@@ -398,13 +396,12 @@ impl AlgasEngine {
         input.beam_width = match cfg.beam {
             BeamMode::Greedy => 1,
             BeamMode::Auto => BeamParams::default_for(cfg.l).beam_width,
-            BeamMode::Manual(b) => b.beam_width,
         };
         if let Some(np) = cfg.n_parallel {
             assert!(np >= 1, "n_parallel must be at least 1");
             input.max_n_parallel = np;
         }
-        let mut plan = tune(&input)?;
+        let plan = tune(&input)?;
         if let Some(np) = cfg.n_parallel {
             // An explicit N_parallel is honored only if resident.
             if plan.n_parallel != np {
@@ -414,17 +411,12 @@ impl AlgasEngine {
                 });
             }
         }
-        plan.offset_beam = match cfg.beam {
-            BeamMode::Manual(b) => b.offset_beam,
-            _ => plan.offset_beam,
-        };
         let beam = match cfg.beam {
             BeamMode::Greedy => None,
             BeamMode::Auto => {
                 let d = BeamParams::default_for(cfg.l);
                 Some(BeamParams { offset_beam: plan.offset_beam, beam_width: d.beam_width })
             }
-            BeamMode::Manual(b) => Some(b),
         };
         // The effort ladder starts at the static plan (rung 0) and
         // relaxes only knobs the engine actually uses: rerank depth
@@ -782,9 +774,6 @@ mod tests {
         assert!(greedy.beam().is_none());
         let (auto, _) = small_engine(64, BeamMode::Auto);
         assert_eq!(auto.beam().unwrap().offset_beam, 4);
-        let manual = BeamParams { offset_beam: 5, beam_width: 7 };
-        let (m, _) = small_engine(64, BeamMode::Manual(manual));
-        assert_eq!(m.beam().unwrap(), manual);
     }
 
     #[test]

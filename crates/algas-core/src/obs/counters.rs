@@ -2,7 +2,7 @@
 //! counters from false-sharing.
 //!
 //! Every serving thread owns its own [`CachePadded`] block of
-//! [`Counter`]s (one block per worker, per host poller, per slot), so a
+//! [`Counter`]s (one block per worker, per host poller), so a
 //! relaxed `fetch_add` on the hot path never bounces a cache line
 //! between cores. Aggregation across blocks happens only at snapshot
 //! time.

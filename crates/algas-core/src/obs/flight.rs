@@ -246,11 +246,10 @@ impl Default for FlightConfig {
     }
 }
 
-/// Flight-recorder totals for the serving snapshot.
+/// Flight-recorder totals for the serving snapshot. The tail sampler
+/// examines every delivery, so `queries.completed` is its count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlightTotals {
-    /// Completions the tail-sampler examined.
-    pub completions: u64,
     /// Distinct query traces currently retained.
     pub retained: u64,
 }
@@ -290,7 +289,6 @@ mod enabled {
     pub struct FlightRecorder {
         epoch: Instant,
         cfg: FlightConfig,
-        completions: AtomicU64,
         /// Cached minimum end-to-end latency of the top-K bucket: the
         /// lock-free fast-path filter. 0 while the bucket is filling
         /// (accept everything), `u64::MAX` when `top_k == 0`.
@@ -304,7 +302,6 @@ mod enabled {
             Self {
                 epoch: Instant::now(),
                 cfg,
-                completions: AtomicU64::new(0),
                 top_min: AtomicU64::new(if cfg.top_k == 0 { u64::MAX } else { 0 }),
                 retained: Mutex::new(Retained::default()),
             }
@@ -317,13 +314,12 @@ mod enabled {
         }
 
         /// Tail-samples one completed query of end-to-end latency
-        /// `e2e_ns`. The fast path (query not retained) is a counter
-        /// bump, a relaxed load and two compares, and never allocates;
+        /// `e2e_ns`. The fast path (query not retained) is a relaxed
+        /// load and two compares: it writes nothing and never allocates;
         /// only a retained query calls `trace` to build its
         /// [`QueryTrace`] (acceptable: retention is rare by
         /// construction).
         pub fn on_complete(&self, e2e_ns: u64, trace: impl FnOnce() -> QueryTrace) {
-            self.completions.fetch_add(1, Ordering::Relaxed);
             let slow = e2e_ns >= self.cfg.slow_threshold_ns;
             // `>=` lets ties through; the cold path re-checks with `>`
             // under the lock, so this stays a conservative filter.
@@ -368,10 +364,7 @@ mod enabled {
 
         /// Recorder totals for the serving snapshot.
         pub fn totals(&self) -> FlightTotals {
-            FlightTotals {
-                completions: self.completions.load(Ordering::Relaxed),
-                retained: crate::lock(&self.retained).distinct().count() as u64,
-            }
+            FlightTotals { retained: crate::lock(&self.retained).distinct().count() as u64 }
         }
     }
 
@@ -418,7 +411,6 @@ mod tests {
         complete(&fr, QueryIds::local(2), 1_000, Vec::new());
         assert_eq!(fr.retained().len(), 1);
         assert_eq!(fr.retained()[0].tag, 2);
-        assert_eq!(fr.totals().completions, 2);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use prof::{
 pub use qlog::QueryLog;
 pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals};
 pub use recorder::{JobStamps, ObsTickConfig, RuntimeObs, OBS_ENABLED};
-pub use snapshot::{HostStats, PhaseStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
+pub use snapshot::{HostStats, PhaseStats, RuntimeStats, TailExemplar, WorkerStats};
 #[cfg(feature = "obs")]
 pub use window::WindowRing;
 pub use window::{WindowBlock, WindowStats};

@@ -1,9 +1,11 @@
 //! The hot-path recorder behind the `obs` feature flag.
 //!
 //! [`RuntimeObs`] owns the live metric cells the serving threads write:
-//! cache-padded per-worker / per-host / per-slot counter blocks (each
-//! thread's counters live on their own cache lines, so relaxed
-//! increments never contend) and the six shared phase histograms.
+//! cache-padded per-worker / per-host counter blocks (each thread's
+//! counters live on their own cache lines, so relaxed increments never
+//! contend) and the six shared phase histograms. Each event lands in
+//! one counter: a served query in its worker's `queries`, a refill in
+//! its host's `refills`.
 //! [`JobStamps`] rides inside each in-flight job and collects the
 //! seven lifecycle timestamps the phase spans are computed from.
 //!
@@ -11,7 +13,7 @@
 //! before the `Work → Finish` flip (search, merge and rerank counters)
 //! and [`RuntimeObs::record_delivery`] once the reply is built (phase
 //! histograms, the flight recorder's tail sampler, the query log, the
-//! exemplar). The host's refill only bumps two counters. Nothing is
+//! exemplar). The host's refill only bumps one counter. Nothing is
 //! written per trace event: when the tail sampler keeps a query,
 //! `record_delivery` builds its timeline from the stamps, the walker
 //! counts, the rerank delta and the controller decision it was handed.
@@ -64,7 +66,7 @@ mod enabled {
     use crate::obs::hist::Histogram;
     use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
     use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog, STATUS_OK};
-    use crate::obs::snapshot::{HostStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
+    use crate::obs::snapshot::{HostStats, RuntimeStats, TailExemplar, WorkerStats};
     use crate::obs::window::{WindowBlock, WindowRing};
     use crate::tracer::StepTotals;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -183,18 +185,10 @@ mod enabled {
         refills: Counter,
     }
 
-    #[derive(Default)]
-    struct SlotCells {
-        assigned: Counter,
-        finished: Counter,
-        delivered: Counter,
-    }
-
     /// The live metric cells of one running server.
     pub struct RuntimeObs {
         workers: Vec<CachePadded<WorkerCells>>,
         hosts: Vec<CachePadded<HostCells>>,
-        slots: Vec<CachePadded<SlotCells>>,
         submit_to_slot: Histogram,
         slot_to_work: Histogram,
         work_to_finish: Histogram,
@@ -221,7 +215,6 @@ mod enabled {
         /// only; recording never allocates) and the flight recorder,
         /// query log, profiler registry and window ring behind them.
         pub fn new(
-            n_slots: usize,
             n_workers: usize,
             n_host_threads: usize,
             flight_cfg: FlightConfig,
@@ -231,7 +224,6 @@ mod enabled {
             let obs = Self {
                 workers: (0..n_workers).map(|_| CachePadded::default()).collect(),
                 hosts: (0..n_host_threads).map(|_| CachePadded::default()).collect(),
-                slots: (0..n_slots).map(|_| CachePadded::default()).collect(),
                 submit_to_slot: Histogram::new(),
                 slot_to_work: Histogram::new(),
                 work_to_finish: Histogram::new(),
@@ -370,7 +362,7 @@ mod enabled {
             self.qlog.log(&QlogRecord { request_id, conn_id, status, ..QlogRecord::default() });
         }
 
-        /// Accounts one completed search on worker `w` for slot `s`:
+        /// Accounts one completed search on worker `w`:
         /// its aggregated step totals (the worker computes them once
         /// per query, for this and for the query log), the distance to
         /// its best entry point, the delta of its TopK merge, and its
@@ -379,7 +371,6 @@ mod enabled {
         pub fn record_search(
             &self,
             w: usize,
-            s: usize,
             totals: &StepTotals,
             entry_distance: Option<f32>,
             merge_delta: &MergeStats,
@@ -404,24 +395,23 @@ mod enabled {
             cells.calc_cycles.add(totals.calc_cycles);
             cells.sort_cycles.add(totals.sort_cycles);
             cells.other_cycles.add(totals.other_cycles);
-            self.slots[s].finished.incr();
         }
 
         /// Accounts a slot refill by host poller `h`.
         #[inline]
-        pub fn slot_assigned(&self, h: usize, s: usize) {
+        pub fn slot_assigned(&self, h: usize) {
             self.hosts[h].refills.incr();
-            self.slots[s].assigned.incr();
         }
 
-        /// Accounts one result delivered by worker `w` from slot `s`:
-        /// the slot counter, all six phase spans, the flight recorder's
-        /// tail sampler, the wide-event query-log record and the
-        /// exemplar. `walkers` (each walker's totals and beam-switch
-        /// step, in launch order), `rerank_delta` and `control` (the
-        /// SLO controller's decision, if this completion ticked it) are
-        /// read only when the tail sampler retains the query, to build
-        /// its timeline. Allocation-free unless the query is retained.
+        /// Accounts one result delivered by worker `w` from slot `s`
+        /// (the slot only labels the query's trace and log record): all
+        /// six phase spans, the flight recorder's tail sampler, the
+        /// wide-event query-log record and the exemplar. `walkers` (each
+        /// walker's totals and beam-switch step, in launch order),
+        /// `rerank_delta` and `control` (the SLO controller's decision,
+        /// if this completion ticked it) are read only when the tail
+        /// sampler retains the query, to build its timeline.
+        /// Allocation-free unless the query is retained.
         #[inline]
         #[allow(clippy::too_many_arguments)]
         pub fn record_delivery(
@@ -434,7 +424,6 @@ mod enabled {
             rerank_delta: &RerankStats,
             control: Option<ControlDecision>,
         ) {
-            self.slots[s].delivered.incr();
             let submitted = Some(stamps.submitted);
             for (hist, from, to) in [
                 (&self.submit_to_slot, submitted, stamps.slot),
@@ -511,15 +500,6 @@ mod enabled {
                 self.workers.iter().map(|c| WorkerStats { queries: c.queries.get() }).collect();
             out.per_host =
                 self.hosts.iter().map(|c| HostStats { refills: c.refills.get() }).collect();
-            out.per_slot = self
-                .slots
-                .iter()
-                .map(|c| SlotStats {
-                    assigned: c.assigned.get(),
-                    finished: c.finished.get(),
-                    delivered: c.delivered.get(),
-                })
-                .collect();
             out.search = StepTotals::default();
             out.rerank = RerankStats::default();
             out.merge = MergeStats::default();
@@ -660,7 +640,6 @@ mod disabled {
     impl RuntimeObs {
         /// No-op.
         pub fn new(
-            _n_slots: usize,
             _n_workers: usize,
             _n_host_threads: usize,
             _flight_cfg: FlightConfig,
@@ -725,7 +704,6 @@ mod disabled {
         pub fn record_search(
             &self,
             _w: usize,
-            _s: usize,
             _totals: &StepTotals,
             _entry_distance: Option<f32>,
             _merge_delta: &MergeStats,
@@ -735,7 +713,7 @@ mod disabled {
 
         /// No-op.
         #[inline]
-        pub fn slot_assigned(&self, _h: usize, _s: usize) {}
+        pub fn slot_assigned(&self, _h: usize) {}
 
         /// No-op.
         #[inline]
@@ -779,10 +757,10 @@ mod tests {
     fn recorder_populates_snapshot() {
         use crate::obs::json::Value;
         let qcfg = QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() };
-        let obs = RuntimeObs::new(2, 2, 1, FlightConfig::default(), qcfg, ObsTickConfig::default());
+        let obs = RuntimeObs::new(2, 1, FlightConfig::default(), qcfg, ObsTickConfig::default());
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
-        obs.slot_assigned(0, 1);
+        obs.slot_assigned(0);
         stamps.mark_work_start();
         let totals = StepTotals {
             steps: 10,
@@ -796,7 +774,7 @@ mod tests {
         let delta = MergeStats { merges: 1, elements: 16, dupes_dropped: 2 };
         let rerank = RerankStats { reranks: 1, candidates: 20, promotions: 3 };
         stamps.mark_finish();
-        obs.record_search(0, 1, &totals, None, &delta, &rerank);
+        obs.record_search(0, &totals, None, &delta, &rerank);
         stamp_reply(&mut stamps);
         let ctx = DeliveryCtx {
             tag: 7,
@@ -816,9 +794,6 @@ mod tests {
         assert_eq!(s.per_worker[0].queries, 1);
         assert_eq!(s.per_worker[1].queries, 0);
         assert_eq!(s.per_host[0].refills, 1);
-        assert_eq!(s.per_slot[1].assigned, 1);
-        assert_eq!(s.per_slot[1].finished, 1);
-        assert_eq!(s.per_slot[1].delivered, 1);
         assert_eq!(s.search, totals);
         assert_eq!(s.rerank, rerank);
         assert_eq!(s.merge, delta);
@@ -826,7 +801,6 @@ mod tests {
             assert_eq!(h.count, 1, "phase {name} should hold one sample");
         }
         assert!(s.phases.end_to_end.sum >= s.phases.work_to_finish.sum);
-        assert_eq!(s.flight.completions, 1);
         assert_eq!(s.qlog.logged, 1);
         assert_eq!(s.exemplar.request_id, 907, "exemplar points at the slowest request");
         assert!(s.exemplar.e2e_ns > 0);
@@ -849,10 +823,10 @@ mod tests {
     #[test]
     fn slow_query_is_retained_through_the_recorder() {
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
-        let obs = RuntimeObs::new(2, 4, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let obs = RuntimeObs::new(4, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
-        obs.slot_assigned(0, 0);
+        obs.slot_assigned(0);
         stamps.mark_work_start();
         stamps.mark_finish();
         stamp_reply(&mut stamps);
@@ -878,18 +852,18 @@ mod tests {
         use EventKind::*;
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
         // Host 2, worker 3, walkers 0 and 1: every lane is distinct.
-        let obs = RuntimeObs::new(2, 4, 3, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let obs = RuntimeObs::new(4, 3, cfg, QlogConfig::default(), ObsTickConfig::default());
         let (h, w, s) = (2, 3, 1);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(h);
-        obs.slot_assigned(h, s);
+        obs.slot_assigned(h);
         stamps.mark_work_start();
         stamps.mark_finish();
         let walker = |dist_evals, steps| StepTotals { dist_evals, steps, ..StepTotals::default() };
         let walkers = [(walker(120, 9), None), (walker(40, 5), Some(3))];
         let rerank = RerankStats { reranks: 1, candidates: 24, promotions: 2 };
         let totals = walker(160, 14);
-        obs.record_search(w, s, &totals, None, &MergeStats::default(), &rerank);
+        obs.record_search(w, &totals, None, &MergeStats::default(), &rerank);
         stamp_reply(&mut stamps);
         let control =
             ControlDecision { level: 2, reason: ControlReason::Shed, p99_ns: 9_000, changed: true };

@@ -1,11 +1,16 @@
 //! The serving-telemetry snapshot schema and its exposition formats.
 //!
 //! [`RuntimeStats`] is the single point-in-time view of a serving run:
-//! query counters, occupancy gauges, per-worker / per-host / per-slot
-//! breakdowns, the six lifecycle-phase latency histograms, and the
-//! aggregated search ([`StepTotals`]) and merge ([`MergeStats`])
-//! totals, produced by
-//! [`crate::runtime::AlgasServer::runtime_stats`].
+//! query counters, occupancy gauges, per-worker / per-host breakdowns,
+//! the six lifecycle-phase latency histograms, and the aggregated
+//! search ([`StepTotals`]) and merge ([`MergeStats`]) totals, produced
+//! by [`crate::runtime::AlgasServer::runtime_stats`].
+//!
+//! Each event is counted once, and the pages carry counters, not
+//! ratios of them: a reader divides `search.steps` or
+//! `search.entry_dist_milli_total` by the summed `workers[].queries`
+//! itself, and the controller's tick count is `sheds + restores +
+//! holds`.
 //!
 //! The snapshot is write-only. Two writers, hand-rolled over
 //! [`super::json`] and [`super::prom`] (the hermetic workspace has no
@@ -52,17 +57,6 @@ pub struct WorkerStats {
 pub struct HostStats {
     /// Slots refilled from the submission queue.
     pub refills: u64,
-}
-
-/// Per-slot state-transition counts (the §V-A protocol edges).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SlotStats {
-    /// `None/Done → Work` transitions (jobs assigned).
-    pub assigned: u64,
-    /// `Work → Finish` transitions (searches completed).
-    pub finished: u64,
-    /// `Finish → Done` transitions (results delivered).
-    pub delivered: u64,
 }
 
 /// The query-lifecycle phase latency histograms (ns).
@@ -131,8 +125,6 @@ pub struct RuntimeStats {
     pub per_worker: Vec<WorkerStats>,
     /// Per-host-poller breakdown (`n_host_threads` entries).
     pub per_host: Vec<HostStats>,
-    /// Per-slot transition counts (`n_slots` entries).
-    pub per_slot: Vec<SlotStats>,
     /// Lifecycle-phase latency histograms.
     pub phases: PhaseStats,
     /// Aggregated per-step search totals (cycles split into
@@ -149,7 +141,7 @@ pub struct RuntimeStats {
     pub control: ControlStats,
     /// TopK merge totals (the merge runs in the worker's search).
     pub merge: MergeStats,
-    /// Flight-recorder totals (completions examined, traces retained).
+    /// Flight-recorder totals (traces retained).
     pub flight: FlightTotals,
     /// Network front-end counters (all zero until a query listener has
     /// run — the library/CLI paths never touch a socket).
@@ -181,7 +173,6 @@ impl RuntimeStats {
             n_host_threads,
             per_worker: vec![WorkerStats::default(); n_workers],
             per_host: vec![HostStats::default(); n_host_threads],
-            per_slot: vec![SlotStats::default(); n_slots],
             ..Self::default()
         }
     }
@@ -274,21 +265,6 @@ impl RuntimeStats {
                 ),
             ),
             (
-                "slots",
-                Value::Arr(
-                    self.per_slot
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("assigned", Value::Uint(s.assigned)),
-                                ("finished", Value::Uint(s.finished)),
-                                ("delivered", Value::Uint(s.delivered)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
                 "phases",
                 Value::Obj(
                     self.phases
@@ -309,9 +285,6 @@ impl RuntimeStats {
                     ("sort_cycles", Value::Uint(self.search.sort_cycles)),
                     ("other_cycles", Value::Uint(self.search.other_cycles)),
                     ("entry_dist_milli_total", Value::Uint(self.entry_dist_milli_total)),
-                    // Derived from the fields above.
-                    ("hops_per_query", Value::Num(self.hops_per_query())),
-                    ("mean_entry_distance", Value::Num(self.mean_entry_distance())),
                 ]),
             ),
             (
@@ -330,13 +303,7 @@ impl RuntimeStats {
                     ("dupes_dropped", Value::Uint(self.merge.dupes_dropped)),
                 ]),
             ),
-            (
-                "flight",
-                obj(vec![
-                    ("completions", Value::Uint(self.flight.completions)),
-                    ("retained", Value::Uint(self.flight.retained)),
-                ]),
-            ),
+            ("flight", obj(vec![("retained", Value::Uint(self.flight.retained))])),
             (
                 "control",
                 obj(vec![
@@ -348,7 +315,6 @@ impl RuntimeStats {
                     ("offset_beam", Value::Uint(self.control.offset_beam)),
                     ("rerank_depth", Value::Uint(self.control.rerank_depth)),
                     ("n_ctas", Value::Uint(self.control.n_ctas)),
-                    ("ticks", Value::Uint(self.control.ticks)),
                     ("sheds", Value::Uint(self.control.sheds)),
                     ("restores", Value::Uint(self.control.restores)),
                     ("holds", Value::Uint(self.control.holds)),
@@ -537,27 +503,6 @@ impl RuntimeStats {
             "host",
             &mut self.per_host.iter().map(|x| x.refills),
         );
-        series(
-            &mut w,
-            "algas_slot_assigned_total",
-            "None/Done to Work transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.assigned),
-        );
-        series(
-            &mut w,
-            "algas_slot_finished_total",
-            "Work to Finish transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.finished),
-        );
-        series(
-            &mut w,
-            "algas_slot_delivered_total",
-            "Finish to Done transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.delivered),
-        );
         w.family(
             "algas_phase_latency_ns",
             "summary",
@@ -598,14 +543,6 @@ impl RuntimeStats {
         ] {
             w.family(name, "counter", help).scalar(name, v);
         }
-        w.family(
-            "algas_search_hops_per_query",
-            "gauge",
-            "Mean CTA search steps per query (entry-selection figure of merit).",
-        )
-        .sample("algas_search_hops_per_query", &[], self.hops_per_query());
-        w.family("algas_entry_distance_mean", "gauge", "Mean best-entry distance per query.")
-            .sample("algas_entry_distance_mean", &[], self.mean_entry_distance());
         for (name, help, v) in [
             ("algas_rerank_total", "SQ8 exact-rerank passes.", self.rerank.reranks),
             (
@@ -620,11 +557,6 @@ impl RuntimeStats {
                 "algas_merge_dupes_dropped_total",
                 "Duplicate ids dropped in merges.",
                 self.merge.dupes_dropped,
-            ),
-            (
-                "algas_flight_completions_total",
-                "Completions examined by the flight recorder.",
-                self.flight.completions,
             ),
         ] {
             w.family(name, "counter", help).scalar(name, v);
@@ -677,7 +609,6 @@ impl RuntimeStats {
             w.family(name, "gauge", help).scalar(name, v);
         }
         for (name, help, v) in [
-            ("algas_control_ticks_total", "Controller ticks run.", self.control.ticks),
             ("algas_control_sheds_total", "Ticks that shed effort.", self.control.sheds),
             ("algas_control_restores_total", "Ticks that restored effort.", self.control.restores),
             ("algas_control_holds_total", "Ticks that held the level.", self.control.holds),
@@ -857,8 +788,6 @@ mod tests {
         s.per_worker[0] = WorkerStats { queries: 20 };
         s.per_worker[1] = WorkerStats { queries: 18 };
         s.per_host[0] = HostStats { refills: 40 };
-        s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
-        s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
         let h = Histogram::new();
         for v in [1_000u64, 2_000, 5_000, 100_000, 12] {
             h.record(v);
@@ -885,7 +814,6 @@ mod tests {
             offset_beam: 2,
             rerank_depth: 24,
             n_ctas: 4,
-            ticks: 9,
             sheds: 3,
             restores: 1,
             holds: 5,
@@ -893,7 +821,7 @@ mod tests {
             last_reason: "hold".to_string(),
         };
         s.merge = MergeStats { merges: 38, elements: 300, dupes_dropped: 4 };
-        s.flight = FlightTotals { completions: 38, retained: 5 };
+        s.flight = FlightTotals { retained: 5 };
         s.net = NetStats {
             connections_accepted: 6,
             connections_closed: 4,
@@ -994,7 +922,6 @@ mod tests {
         assert_eq!(find("algas_slots_occupied").value, 1.0);
         assert_eq!(find("algas_base_store_bytes").value, 48_000.0);
         assert_eq!(find("algas_quant_store_bytes").value, 12_400.0);
-        assert_eq!(find("algas_flight_completions_total").value, 38.0);
         assert_eq!(find("algas_flight_retained").value, 5.0);
         assert_eq!(find("algas_control_enabled").value, 1.0);
         assert_eq!(find("algas_control_level").value, 2.0);
@@ -1031,10 +958,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(scan.value, 600.0);
-        let hops = find("algas_search_hops_per_query").value;
-        assert!((hops - s.hops_per_query()).abs() < 1e-12);
-        let ed = find("algas_entry_distance_mean").value;
-        assert!((ed - s.mean_entry_distance()).abs() < 1e-12);
         let w1 = samples
             .iter()
             .find(|x| x.name == "algas_worker_queries_total" && x.label("worker") == Some("1"))

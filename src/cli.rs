@@ -739,7 +739,8 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
             stats.control.max_level,
             stats.control.last_reason,
             stats.control.last_p99_ns / 1000,
-            stats.control.ticks,
+            // Every tick is exactly one of a shed, a restore or a hold.
+            stats.control.sheds + stats.control.restores + stats.control.holds,
             stats.control.sheds,
             stats.control.restores,
         )
@@ -1313,7 +1314,8 @@ mod tests {
         let stats = Value::parse(msg.trim()).expect("stats output parses");
         let control = stats.get("control").expect("control block");
         assert_eq!(control.get("enabled"), Some(&Value::Bool(true)));
-        assert!(stat(control, &["ticks"]) >= 1, "120 completions must tick the controller");
+        let ticks: u64 = ["sheds", "restores", "holds"].iter().map(|&k| stat(control, &[k])).sum();
+        assert!(ticks >= 1, "120 completions must tick the controller");
         assert!(stat(control, &["level"]) >= 1, "an impossible SLO must shed effort");
 
         for p in [base, queries, gt, index] {

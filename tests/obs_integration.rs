@@ -66,7 +66,6 @@ fn multithreaded_run_reports_phase_latencies_and_gauges() {
     assert_eq!(stats.rejected_queue_full, 0);
     assert_eq!(stats.per_worker.len(), 2);
     assert_eq!(stats.per_host.len(), 2);
-    assert_eq!(stats.per_slot.len(), 4);
 
     #[cfg(feature = "obs")]
     {
@@ -78,7 +77,6 @@ fn multithreaded_run_reports_phase_latencies_and_gauges() {
         assert!(stats.phases.end_to_end.quantile(0.5) > 0, "zero median end-to-end latency");
         assert!(stats.phases.work_to_finish.sum > 0, "search phase took zero time");
         assert!(stats.phases.end_to_end.sum >= stats.phases.work_to_finish.sum);
-        assert_eq!(stats.per_slot.iter().map(|s| s.delivered).sum::<u64>(), N_QUERIES as u64);
         assert_eq!(stats.per_worker.iter().map(|w| w.queries).sum::<u64>(), N_QUERIES as u64);
         assert!(stats.search.dist_evals > 0, "search totals not aggregated");
         assert_eq!(stats.merge.merges, N_QUERIES as u64);

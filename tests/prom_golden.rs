@@ -21,7 +21,7 @@ use algas::core::obs::json::Value;
 use algas::core::obs::prom::check_exposition;
 use algas::core::obs::{
     FlightTotals, Histogram, HostStats, ProfStateCount, ProfStats, ProfThreadStats, QlogTotals,
-    RuntimeStats, SlotStats, TailExemplar, WindowBlock, WindowStats, WorkerStats,
+    RuntimeStats, TailExemplar, WindowBlock, WindowStats, WorkerStats,
 };
 use algas::core::tracer::StepTotals;
 use std::path::Path;
@@ -41,8 +41,6 @@ fn fixture() -> RuntimeStats {
     s.per_worker[0] = WorkerStats { queries: 20 };
     s.per_worker[1] = WorkerStats { queries: 18 };
     s.per_host[0] = HostStats { refills: 40 };
-    s.per_slot[0] = SlotStats { assigned: 21, finished: 20, delivered: 20 };
-    s.per_slot[1] = SlotStats { assigned: 19, finished: 18, delivered: 18 };
     let h = Histogram::new();
     for v in [1_000u64, 2_000, 5_000, 100_000, 12] {
         h.record(v);
@@ -60,7 +58,7 @@ fn fixture() -> RuntimeStats {
     };
     s.rerank = RerankStats { reranks: 38, candidates: 760, promotions: 12 };
     s.merge = MergeStats { merges: 38, elements: 300, dupes_dropped: 4 };
-    s.flight = FlightTotals { completions: 38, retained: 5 };
+    s.flight = FlightTotals { retained: 5 };
     s.entry_dist_milli_total = 41_230;
     s.control = ControlStats {
         enabled: true,
@@ -71,7 +69,6 @@ fn fixture() -> RuntimeStats {
         offset_beam: 2,
         rerank_depth: 24,
         n_ctas: 4,
-        ticks: 9,
         sheds: 3,
         restores: 1,
         holds: 5,
