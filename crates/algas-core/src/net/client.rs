@@ -7,7 +7,7 @@
 //! the one-shot convenience wrapper.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use super::frame::{self, Decoded, Opcode};
@@ -85,29 +85,7 @@ impl NetClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self::from_stream(stream))
-    }
-
-    /// Wraps an already-connected stream.
-    pub fn from_stream(stream: TcpStream) -> Self {
-        Self { stream, wbuf: Vec::new(), rbuf: Vec::new(), rlen: 0 }
-    }
-
-    /// The peer address.
-    ///
-    /// # Errors
-    /// Propagates the socket query failure.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
-
-    /// Clones the underlying stream — lets a reader thread drain
-    /// replies while this client keeps sending (split pipelining).
-    ///
-    /// # Errors
-    /// Propagates the socket duplication failure.
-    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
-        self.stream.try_clone()
+        Ok(Self { stream, wbuf: Vec::new(), rbuf: Vec::new(), rlen: 0 })
     }
 
     /// Bounds how long [`NetClient::recv`] blocks (None = forever).

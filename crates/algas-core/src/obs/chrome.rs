@@ -48,8 +48,15 @@ fn span(name: &str, tid: u64, start_ns: u64, end_ns: u64, t: &QueryTrace) -> Val
         // Both ids: `tag` is the server's slot-protocol tag,
         // `request_id` the wire id the client logged — the one to
         // search for in Perfetto when chasing a client-side slow
-        // request.
-        ("args", obj(vec![("tag", Value::Uint(t.tag)), ("request_id", Value::Uint(t.request_id))])),
+        // request — and `conn` the connection that sent it (0 local).
+        (
+            "args",
+            obj(vec![
+                ("tag", Value::Uint(t.tag)),
+                ("request_id", Value::Uint(t.request_id)),
+                ("conn", Value::Uint(t.conn)),
+            ]),
+        ),
     ])
 }
 
@@ -345,5 +352,6 @@ mod tests {
         let args = e2e.get("args").unwrap();
         assert_eq!(args.get("tag").and_then(Value::as_u64), Some(11));
         assert_eq!(args.get("request_id").and_then(Value::as_u64), Some(8_811));
+        assert_eq!(args.get("conn").and_then(Value::as_u64), Some(3));
     }
 }

@@ -26,8 +26,6 @@
 //! [`QueryTrace`], [`FlightConfig`]) is unconditional, so the CLI and
 //! the Chrome-trace exporter compile either way.
 
-use super::json::{obj, Value};
-
 /// What happened at one [`TraceEvent`] (one lifecycle edge or one unit
 /// of searcher-internal progress).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,54 +178,6 @@ impl QueryTrace {
     pub fn e2e_ns(&self) -> u64 {
         self.lifecycle.e2e_ns()
     }
-
-    /// The trace as a JSON value (the `/traces` wire form).
-    pub fn to_json_value(&self) -> Value {
-        let lc = &self.lifecycle;
-        obj(vec![
-            ("tag", Value::Uint(self.tag)),
-            ("request_id", Value::Uint(self.request_id)),
-            ("conn", Value::Uint(self.conn)),
-            ("slot", Value::Uint(u64::from(self.slot))),
-            ("worker", Value::Uint(u64::from(self.worker))),
-            ("e2e_ns", Value::Uint(self.e2e_ns())),
-            (
-                "lifecycle_ns",
-                obj(vec![
-                    ("submitted", Value::Uint(lc.submitted_ns)),
-                    ("slot", Value::Uint(lc.slot_ns)),
-                    ("work_start", Value::Uint(lc.work_start_ns)),
-                    ("finish", Value::Uint(lc.finish_ns)),
-                    ("merge_begin", Value::Uint(lc.merge_begin_ns)),
-                    ("merged", Value::Uint(lc.merged_ns)),
-                    ("delivered", Value::Uint(lc.delivered_ns)),
-                ]),
-            ),
-            (
-                "events",
-                Value::Arr(
-                    self.events
-                        .iter()
-                        .map(|e| {
-                            obj(vec![
-                                ("ts_ns", Value::Uint(e.ts_ns)),
-                                ("kind", Value::Str(e.kind.name().to_string())),
-                                ("lane", Value::Uint(u64::from(e.lane))),
-                                ("a", Value::Uint(u64::from(e.a))),
-                                ("b", Value::Uint(u64::from(e.b))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Renders retained traces as the `/traces` endpoint's JSON document.
-pub fn traces_json(traces: &[QueryTrace]) -> String {
-    obj(vec![("traces", Value::Arr(traces.iter().map(QueryTrace::to_json_value).collect()))])
-        .render()
 }
 
 /// Flight-recorder tail-sampling policy.
@@ -432,23 +382,5 @@ mod tests {
         complete(&fr, QueryIds::local(77), 999, Vec::new());
         assert_eq!(fr.retained().len(), 1);
         assert_eq!(fr.totals().retained, 1);
-    }
-
-    #[test]
-    fn trace_json_carries_the_timeline() {
-        let fr = FlightRecorder::new(FlightConfig { slow_threshold_ns: 0, top_k: 0 });
-        let switch = TraceEvent { ts_ns: 130, kind: EventKind::BeamSwitch, lane: 2, a: 14, b: 0 };
-        complete(&fr, QueryIds { tag: 5, request_id: 9_001, conn: 3 }, 60, vec![switch]);
-        let text = traces_json(&fr.retained());
-        let doc = Value::parse(&text).unwrap();
-        let t = &doc.get("traces").unwrap().as_arr().unwrap()[0];
-        assert_eq!(t.get("tag").unwrap().as_u64(), Some(5));
-        assert_eq!(t.get("request_id").unwrap().as_u64(), Some(9_001));
-        assert_eq!(t.get("conn").unwrap().as_u64(), Some(3));
-        assert_eq!(t.get("e2e_ns").unwrap().as_u64(), Some(60));
-        let ev = &t.get("events").unwrap().as_arr().unwrap()[0];
-        assert_eq!(ev.get("kind").unwrap().as_str(), Some("beam_switch"));
-        assert_eq!(ev.get("lane").unwrap().as_u64(), Some(2));
-        assert_eq!(ev.get("a").unwrap().as_u64(), Some(14));
     }
 }

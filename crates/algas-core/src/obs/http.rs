@@ -5,7 +5,8 @@
 //!
 //! * `GET /metrics` — Prometheus text exposition (v0.0.4),
 //! * `GET /stats.json` — the [`super::RuntimeStats`] JSON snapshot,
-//! * `GET /traces` — retained flight-recorder traces as JSON,
+//! * `GET /traces` — retained flight-recorder traces as Chrome
+//!   trace-event JSON (the document `serve --trace-out` writes),
 //! * `GET /query-log` — retained wide-event query-log records as
 //!   newline-delimited JSON,
 //! * `GET /profile?seconds=N` — a folded-stack (flamegraph-ready)
@@ -47,7 +48,7 @@ pub trait StatsSource: Send + Sync {
     fn metrics_text(&self) -> String;
     /// The `/stats.json` body.
     fn stats_json(&self) -> String;
-    /// The `/traces` body.
+    /// The `/traces` body: Chrome trace-event JSON.
     fn traces_json(&self) -> String;
     /// The `/query-log` lines (one JSON record per line). Default:
     /// empty — sources without a query log serve an empty body.
@@ -279,7 +280,7 @@ mod tests {
         }
 
         fn traces_json(&self) -> String {
-            "{\"traces\":[]}".to_string()
+            "{\"traceEvents\":[]}".to_string()
         }
     }
 
@@ -307,7 +308,7 @@ mod tests {
         assert_eq!(body, "{\"ok\":true}");
 
         let (_, body) = get(addr, "/traces");
-        assert_eq!(body, "{\"traces\":[]}");
+        assert_eq!(body, "{\"traceEvents\":[]}");
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");

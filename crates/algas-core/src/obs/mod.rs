@@ -31,7 +31,7 @@
 //! * [`prof`] — the thread-state sampling profiler: runtime threads
 //!   publish a one-word state marker, a 97 Hz sampler accumulates the
 //!   (thread, state) attribution table, exported as folded-stack text
-//!   (`/profile`, `algas profile`) and a JSON block.
+//!   (`/profile`) and a JSON block.
 //! * [`window`] — rotating windowed aggregation: a ring of periodic
 //!   histogram snapshots whose deltas give moving p50/p99, rates, and
 //!   the SLO burn-rate health behind `/healthz` + `/readyz`.
@@ -59,8 +59,7 @@ pub use counters::{CachePadded, Counter};
 #[cfg(feature = "obs")]
 pub use flight::FlightRecorder;
 pub use flight::{
-    traces_json, EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace,
-    TraceEvent,
+    EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace, TraceEvent,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use http::{StatsServer, StatsSource};

@@ -20,8 +20,7 @@
 //!   (`kind;label;state N` per line), directly consumable by
 //!   `inferno-flamegraph` and the wider flamegraph toolchain.
 //! * [`ProfRegistry::capture`] — a blocking *delta* capture over a
-//!   short interval, backing `GET /profile?seconds=N` and the
-//!   `algas profile` CLI.
+//!   short interval, backing `GET /profile?seconds=N`.
 //!
 //! Marker stamping is one relaxed atomic store into a cache-padded
 //! slot — allocation-free and wait-free. With the `obs` feature off

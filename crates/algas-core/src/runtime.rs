@@ -552,7 +552,8 @@ impl Drop for AlgasServer {
 
 /// The one [`obs::StatsServer`] source: `/metrics` and `/stats.json`
 /// are [`AlgasServer::runtime_stats`] (network counters included),
-/// `/traces` the retained flight traces.
+/// `/traces` the retained flight traces as the Chrome trace-event
+/// document `serve --trace-out` writes.
 impl crate::obs::StatsSource for AlgasServer {
     fn metrics_text(&self) -> String {
         self.runtime_stats().to_prometheus()
@@ -563,7 +564,7 @@ impl crate::obs::StatsSource for AlgasServer {
     }
 
     fn traces_json(&self) -> String {
-        obs::traces_json(&self.flight_traces())
+        self.chrome_trace_json()
     }
 
     fn query_log_lines(&self) -> Vec<String> {

@@ -13,10 +13,6 @@
 //!              [--net 127.0.0.1:7700] [--linger-ms 0] [--trace-out trace.json]
 //!              [--query-log qlog.ndjson]
 //! algas stats  ENGINE SESSION [--format json|prom]
-//! algas profile --addr 127.0.0.1:9100 [--seconds 2] [--out profile.folded]
-//! algas bench-net --addr 127.0.0.1:7700 --queries q.fvecs [--qps 1000|500,1000,2000]
-//!              [--requests 1000] [--connections 1] [--seed 42] [--warmup 0.2]
-//!              [--slo-us 2000] [--normalize true] [--recv-timeout-ms 10000]
 //! algas trace-check --file trace.json [--require-phases true]
 //!
 //! ENGINE:  --index index.algas --queries q.fvecs [--k 10] [--l 64] [--slots 16]
@@ -57,10 +53,11 @@
 //! [`RuntimeStats`](algas_core::obs::RuntimeStats) telemetry snapshot,
 //! `--listen` serves `/metrics`, `/stats.json`, and `/traces` over
 //! HTTP while the session runs (`--linger-ms` keeps it up after the
-//! queries drain), and `--trace-out` writes the retained slow-query
-//! flight traces as Chrome trace-event JSON (open the file at
-//! <https://ui.perfetto.dev>; retention follows `--trace-threshold-us`,
-//! by default the 8 slowest queries). `--net` additionally binds the
+//! queries drain); `/traces` and the `--trace-out` file are the same
+//! document, the retained slow-query flight traces as Chrome
+//! trace-event JSON (open it at <https://ui.perfetto.dev>; retention
+//! follows `--trace-threshold-us`, by default the 8 slowest queries).
+//! `--net` additionally binds the
 //! binary query protocol (length-prefixed frames, pipelined,
 //! RETRY_AFTER backpressure beyond 256 outstanding requests);
 //! `--repeat 0` skips the local closed-loop drive entirely so the
@@ -76,29 +73,18 @@
 //! `/query-log` on the `--listen` endpoint (next to `/healthz` and
 //! `/readyz` probes). `--prof-hz` sets the thread-state sampling
 //! profiler rate (0 disables sampling, rotation continues) and
-//! `--window-period-ms` the windowed-telemetry rotation period.
-//! `profile` is the matching one-shot client: it scrapes
-//! `GET /profile?seconds=N` from a running `--listen` endpoint and
-//! prints (or writes) the folded-stack text, ready for
-//! `flamegraph.pl` / speedscope.
-//! `bench-net` is the matching open-loop client: seeded Poisson
-//! arrivals at `--qps` replayed against `--addr` regardless of reply
-//! progress (no coordinated omission), reporting completed/rejected
-//! counts, client-side p50/p99, and — with `--slo-us` — SLO
-//! attainment over the post-`--warmup` fraction of requests. `--qps`
-//! also takes a comma-separated list of rates: each runs as its own
-//! open-loop pass and a latency-vs-offered-load summary closes the
-//! report. Every SEARCH carries a client-send timestamp
-//! (`FLAG_CLIENT_TS`) and the slowest post-warmup request id is
-//! printed so it can be cross-referenced against the server's
-//! `/traces` and `/query-log`. `stats` runs the same
+//! `--window-period-ms` the windowed-telemetry rotation period;
+//! `GET /profile?seconds=N` on the `--listen` endpoint returns a
+//! folded-stack capture (`curl` it, then `flamegraph.pl` /
+//! speedscope). The binary carries no network client: load at an
+//! offered rate over `--net` is the `algas-perf` benchmark's job
+//! (`crates/algas-bench/src/bin/perf`). `stats` runs the same
 //! serving session and emits only the snapshot, as JSON or Prometheus
 //! text exposition. `trace-check` validates a `--trace-out` file, as CI
 //! does.
 //!
 //! All logic lives here (testable); `src/bin/algas.rs` is a thin shim.
 
-use crate::loadgen;
 use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas_core::net::{NetConfig, NetServer};
 use algas_core::obs::{
@@ -144,12 +130,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             (&[ENGINE, SESSION, own], cmd_serve)
         }
         "stats" => (&[ENGINE, SESSION, "format"], cmd_stats),
-        "profile" => (&["addr seconds out"], cmd_profile),
-        "bench-net" => {
-            let own = "addr queries qps requests connections seed warmup slo-us normalize \
-                       recv-timeout-ms";
-            (&[own], cmd_bench_net)
-        }
         "trace-check" => (&["file require-phases"], cmd_trace_check),
         "help" | "--help" | "-h" => return writeln!(out, "{}", usage()).map_err(io_err),
         other => return Err(format!("unknown command `{other}`\n{}", usage())),
@@ -158,7 +138,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: algas <gen|gt|build|info|search|serve|profile|bench-net|stats|trace-check> [--flag value]...\n\
+    "usage: algas <gen|gt|build|info|search|serve|stats|trace-check> [--flag value]...\n\
      see crate docs (src/cli.rs) for the flags of each command"
         .to_string()
 }
@@ -614,9 +594,29 @@ fn drive_serve_session(
 fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let (server, queries) = start_server_from_flags(flags)?;
     let server = std::sync::Arc::new(server);
+    let net_server = match flags.get("net") {
+        Some(addr) => {
+            let srv = NetServer::start(addr.as_str(), server.clone(), NetConfig::default())
+                .map_err(|e| format!("--net {addr}: {e}"))?;
+            writeln!(out, "query protocol listening on {}", srv.local_addr()).map_err(io_err)?;
+            Some(srv)
+        }
+        None => None,
+    };
+    let stats_server = match flags.get("listen") {
+        Some(addr) => {
+            let srv = StatsServer::start(addr.as_str(), server.clone())
+                .map_err(|e| format!("--listen {addr}: {e}"))?;
+            writeln!(out, "stats listening on http://{}", srv.local_addr()).map_err(io_err)?;
+            Some(srv)
+        }
+        None => None,
+    };
     // `--query-log`: a writer thread tails the wide-event ring to the
     // file as JSON lines, so the serving threads never touch the
-    // filesystem. Joined (after a final drain) before teardown.
+    // filesystem. Joined (after a final drain) before teardown. It
+    // starts after both listeners bound: a bind error returns with no
+    // writer holding the runtime and no file left behind.
     let qlog_writer = match flags.get("query-log") {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
@@ -647,24 +647,6 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
                 })
             };
             Some((path.clone(), stop, handle))
-        }
-        None => None,
-    };
-    let net_server = match flags.get("net") {
-        Some(addr) => {
-            let srv = NetServer::start(addr.as_str(), server.clone(), NetConfig::default())
-                .map_err(|e| format!("--net {addr}: {e}"))?;
-            writeln!(out, "query protocol listening on {}", srv.local_addr()).map_err(io_err)?;
-            Some(srv)
-        }
-        None => None,
-    };
-    let stats_server = match flags.get("listen") {
-        Some(addr) => {
-            let srv = StatsServer::start(addr.as_str(), server.clone())
-                .map_err(|e| format!("--listen {addr}: {e}"))?;
-            writeln!(out, "stats listening on http://{}", srv.local_addr()).map_err(io_err)?;
-            Some(srv)
         }
         None => None,
     };
@@ -832,165 +814,6 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
     match std::sync::Arc::try_unwrap(server) {
         Ok(server) => server.shutdown(),
         Err(_) => return Err("internal: server still shared at shutdown".into()),
-    }
-    Ok(())
-}
-
-/// `algas profile`: one-shot profile capture from a running
-/// `serve --listen` endpoint. Scrapes `GET /profile?seconds=N` and
-/// prints the folded-stack text to stdout (or `--out`); feed it to
-/// `flamegraph.pl` or paste into speedscope. The request blocks for
-/// the capture duration by design.
-fn cmd_profile(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
-    let addr = req(flags, "addr")?;
-    let seconds = opt_parse(flags, "seconds", 2.0f64)?;
-    // "nan"/"inf" parse as f64 but would poison the request timeout
-    // below (Duration::from_secs_f64 panics on non-finite input); the
-    // server filters them too, but fail fast with a real message.
-    if !seconds.is_finite() || seconds <= 0.0 {
-        return Err(format!("--seconds must be a positive finite number, got {seconds}"));
-    }
-    let body = http_get_text(addr, &format!("/profile?seconds={seconds}"), seconds + 35.0)?;
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
-            writeln!(out, "wrote {} folded-stack line(s) to {path}", body.lines().count())
-                .map_err(io_err)
-        }
-        None => write!(out, "{body}").map_err(io_err),
-    }
-}
-
-/// A minimal HTTP/1.1 GET against the stats endpoint (the server
-/// closes after each response, so read-to-end delimits the body).
-fn http_get_text(addr: &str, path: &str, timeout_s: f64) -> Result<String, String> {
-    use std::io::Read;
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs_f64(timeout_s.max(1.0))))
-        .map_err(io_err)?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(io_err)?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("{addr}: read: {e}"))?;
-    let (head, body) =
-        raw.split_once("\r\n\r\n").ok_or_else(|| format!("{addr}: malformed HTTP response"))?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200") {
-        return Err(format!("{addr}: GET {path}: {status}"));
-    }
-    Ok(body.to_string())
-}
-
-/// `algas bench-net`: the open-loop load generator against a running
-/// `serve --net` endpoint. Requests follow a seeded Poisson schedule
-/// at `--qps` regardless of reply progress — a slow server accumulates
-/// backlog like it would from independent clients, so tail latency and
-/// RETRY_AFTER rejects are measured honestly (no coordinated
-/// omission). The leading `--warmup` fraction is excluded from latency
-/// and `--slo-us` attainment.
-fn cmd_bench_net(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
-    let addr = req(flags, "addr")?;
-    // `--qps` takes a single rate or a comma-separated list; each rate
-    // is its own open-loop pass and a latency-vs-offered-load summary
-    // closes a multi-rate report.
-    let rates: Vec<f64> = flags
-        .get("qps")
-        .map(|s| s.as_str())
-        .unwrap_or("1000")
-        .split(',')
-        .map(|v| match v.trim().parse::<f64>() {
-            Ok(qps) if qps.is_finite() && qps > 0.0 => Ok(qps),
-            Ok(_) => Err(format!("--qps must be finite and > 0, got `{}`", v.trim())),
-            Err(_) => Err(format!("--qps: cannot parse `{}`", v.trim())),
-        })
-        .collect::<Result<_, _>>()?;
-    let base_cfg = loadgen::LoadConfig {
-        target_qps: 0.0,
-        requests: opt_size(flags, "requests", 1000)?,
-        connections: opt_size(flags, "connections", 1)?,
-        seed: opt_parse(flags, "seed", 42u64)?,
-        warmup_fraction: opt_parse(flags, "warmup", 0.2f64)?,
-        slo: opt(flags, "slo-us")?.map(std::time::Duration::from_micros),
-        recv_timeout: std::time::Duration::from_millis(opt_parse(
-            flags,
-            "recv-timeout-ms",
-            10_000u64,
-        )?),
-    };
-    let normalize = parse_bool(flags, "normalize")?;
-    let mut queries = load_fvecs(req(flags, "queries")?)?;
-    if normalize {
-        queries.normalize_l2();
-    }
-    let query_vecs: Vec<Vec<f32>> = (0..queries.len()).map(|i| queries.get(i).to_vec()).collect();
-    let quantile_us = |r: &loadgen::LoadReport, q: f64| r.latency.quantile(q) as f64 / 1000.0;
-    let mut curve = Vec::with_capacity(rates.len());
-    for &target_qps in &rates {
-        let cfg = loadgen::LoadConfig { target_qps, ..base_cfg.clone() };
-        let report = loadgen::run_load(addr, &query_vecs, &cfg)
-            .map_err(|e| format!("bench-net {addr}: {e}"))?;
-        writeln!(
-            out,
-            "offered {} requests at target {:.0} q/s over {} connection(s), seed {}: \
-             {} completed, {} rejected (RETRY_AFTER), {} errors in {:.2?} ({:.0} q/s achieved)",
-            report.offered,
-            cfg.target_qps,
-            cfg.connections,
-            cfg.seed,
-            report.completed,
-            report.rejected,
-            report.errors,
-            report.elapsed,
-            report.achieved_qps,
-        )
-        .map_err(io_err)?;
-        writeln!(
-            out,
-            "client latency over {} post-warmup samples: p50 {:.1} µs, p99 {:.1} µs",
-            report.measured,
-            quantile_us(&report, 0.50),
-            quantile_us(&report, 0.99),
-        )
-        .map_err(io_err)?;
-        if let Some(slo) = cfg.slo {
-            writeln!(
-                out,
-                "slo attainment: {:.4} of measured requests within {} µs",
-                report.attainment,
-                slo.as_micros(),
-            )
-            .map_err(io_err)?;
-        }
-        // Every SEARCH carried a client-send timestamp, so this id is
-        // resolvable on the server: grep it in /traces (flight trace)
-        // and /query-log (wide event) when qlog/tracing are armed.
-        if let Some((id, latency_ns)) = report.slowest {
-            writeln!(
-                out,
-                "slowest post-warmup request: id {id} at {:.1} µs \
-                 — grep this id in the server's /traces and /query-log",
-                latency_ns as f64 / 1000.0,
-            )
-            .map_err(io_err)?;
-        }
-        curve.push((target_qps, report));
-    }
-    if curve.len() > 1 {
-        writeln!(out, "latency vs offered load:").map_err(io_err)?;
-        for (target_qps, report) in &curve {
-            writeln!(
-                out,
-                "  target {:.0} q/s: achieved {:.0} q/s, p50 {:.1} µs, p99 {:.1} µs, \
-                 {} rejected",
-                target_qps,
-                report.achieved_qps,
-                quantile_us(report, 0.50),
-                quantile_us(report, 0.99),
-                report.rejected,
-            )
-            .map_err(io_err)?;
-        }
     }
     Ok(())
 }
@@ -1533,6 +1356,46 @@ mod tests {
         }
     }
 
+    /// Sends `n` pipelined SEARCHes stamped with `client_ts_us = 1 + id`
+    /// over each of `conns` connections to a `serve --net` endpoint, one
+    /// connection after another (ids run on across them), and checks
+    /// that each connection gets back exactly its ids, as RESULTs.
+    fn drive_wire(addr: &str, queries: &str, conns: u64, n: u64) {
+        use algas_core::net::client::{NetClient, Reply};
+        let queries = load_fvecs(queries).unwrap();
+        for c in 0..conns {
+            let mut client = NetClient::connect(addr).expect("connect");
+            client.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+            let ids = c * n..(c + 1) * n;
+            for id in ids.clone() {
+                let query = queries.get(id as usize % queries.len());
+                client.send_search_ts(id, query, 1 + id).expect("send");
+            }
+            let mut replied: Vec<u64> = ids
+                .clone()
+                .map(|_| match client.recv().expect("recv") {
+                    Reply::Result { request_id, .. } => request_id,
+                    other => panic!("expected RESULT, got {other:?}"),
+                })
+                .collect();
+            replied.sort_unstable();
+            assert_eq!(replied, ids.collect::<Vec<u64>>());
+        }
+    }
+
+    /// The body of a `GET path` against a `--listen` endpoint, which
+    /// must answer 200 (the server closes after each response).
+    fn http_get_body(addr: &str, path: &str) -> String {
+        use std::io::Read;
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        let (head, body) = raw.split_once("\r\n\r\n").expect("HTTP response");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        body.to_string()
+    }
+
     #[test]
     fn serve_net_and_bench_net_roundtrip() {
         let base = tmp("n-base.fvecs");
@@ -1592,29 +1455,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
 
-        let msg = run_ok(&[
-            "bench-net",
-            "--addr",
-            &addr,
-            "--queries",
-            &queries,
-            "--qps",
-            "2000",
-            "--requests",
-            "64",
-            "--connections",
-            "2",
-            "--seed",
-            "9",
-            "--slo-us",
-            "100000",
-        ]);
-        assert!(msg.contains("64 completed, 0 rejected (RETRY_AFTER), 0 errors"), "{msg}");
-        assert!(msg.contains("slo attainment:"), "{msg}");
+        drive_wire(&addr, &queries, 2, 32);
 
         serve_thread.join().unwrap().expect("serve exits cleanly");
         let text = serve_out.text();
-        // No local drive ran, but the net summary reflects the bench.
+        // No local drive ran, but the net summary reflects the wire
+        // traffic.
         assert!(!text.contains("served "), "{text}");
         assert!(text.contains("net: 2 conns accepted"), "{text}");
         assert!(text.contains("0 protocol errors"), "{text}");
@@ -1699,7 +1545,7 @@ mod tests {
         };
 
         // One-shot capture through the real HTTP endpoint.
-        let profile = run_ok(&["profile", "--addr", &addr, "--seconds", "0.3"]);
+        let profile = http_get_body(&addr, "/profile?seconds=0.3");
         if cfg!(feature = "obs") {
             assert!(!profile.is_empty(), "profile body empty");
             for line in profile.lines() {
@@ -1723,20 +1569,6 @@ mod tests {
 
         for p in [base, queries, index] {
             let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn profile_rejects_non_finite_seconds() {
-        // The guard fires before any connection attempt, so the bogus
-        // addr is never dialed.
-        for bad in ["nan", "inf", "-inf", "0", "-1"] {
-            let args: Vec<String> = ["profile", "--addr", "127.0.0.1:1", "--seconds", bad]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let err = run(&args, &mut Vec::new()).expect_err(bad);
-            assert!(err.contains("--seconds"), "{bad}: {err}");
         }
     }
 
@@ -1801,28 +1633,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
 
-        // A comma-separated --qps list runs one open-loop pass per
-        // rate and closes with the latency-vs-offered-load summary.
-        let msg = run_ok(&[
-            "bench-net",
-            "--addr",
-            &addr,
-            "--queries",
-            &queries,
-            "--qps",
-            "500,1500",
-            "--requests",
-            "40",
-            "--connections",
-            "1",
-            "--seed",
-            "5",
-        ]);
-        assert_eq!(msg.matches("40 completed, 0 rejected (RETRY_AFTER), 0 errors").count(), 2);
-        assert!(msg.contains("latency vs offered load:"), "{msg}");
-        assert!(msg.contains("  target 500 q/s:"), "{msg}");
-        assert!(msg.contains("  target 1500 q/s:"), "{msg}");
-        assert!(msg.contains("slowest post-warmup request: id "), "{msg}");
+        // Two connections of 40 pipelined, client-stamped SEARCHes.
+        drive_wire(&addr, &queries, 2, 40);
 
         serve_thread.join().unwrap().expect("serve exits cleanly");
         let text = serve_out.text();
@@ -1833,7 +1645,7 @@ mod tests {
             .map(|l| l.to_string())
             .collect();
         if cfg!(feature = "obs") {
-            // Every completed request (40 per rate) landed as one
+            // Every completed request (40 per connection) landed as one
             // wide-event JSON line carrying its wire identity.
             assert_eq!(lines.len(), 80, "{text}");
             assert!(text.contains("query log: 80 logged, 0 dropped"), "{text}");
@@ -1843,13 +1655,60 @@ mod tests {
                     assert!(line.contains(key), "{key} missing in {line}");
                 }
             }
-            // The loadgen stamped client-send times on every SEARCH.
-            assert!(lines.iter().all(|l| !l.contains("\"client_ts_us\":0,")), "{:?}", lines[0]);
+            // Each SEARCH's client-send stamp came back out under its
+            // wire id, and every id landed.
+            let mut ids: Vec<u64> = lines
+                .iter()
+                .map(|l| {
+                    let doc = Value::parse(l).expect("query-log line parses");
+                    let id = stat(&doc, &["request_id"]);
+                    assert_eq!(stat(&doc, &["client_ts_us"]), 1 + id, "{l}");
+                    id
+                })
+                .collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..80).collect::<Vec<u64>>());
         } else {
             assert!(lines.is_empty(), "{lines:?}");
         }
 
         for p in [base, queries, index, qlog] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// A listener that cannot bind fails `serve` before the query-log
+    /// writer starts: no file is created and no thread keeps the
+    /// runtime alive.
+    #[test]
+    fn serve_bind_failure_leaves_no_query_log() {
+        let base = tmp("b-base.fvecs");
+        let queries = tmp("b-q.fvecs");
+        let index = tmp("b-index.algas");
+        let qlog = tmp("b-qlog.ndjson");
+        run_ok(&["gen", "--out", &base, "--queries", &queries, "--n", "200", "--nq", "4"]);
+        run_ok(&["build", "--base", &base, "--out", &index]);
+        // A port this test holds: `--net` gets "address in use".
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        let args: Vec<String> = [
+            "serve",
+            "--index",
+            &index,
+            "--queries",
+            &queries,
+            "--query-log",
+            &qlog,
+            "--net",
+            &addr,
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with(&format!("--net {addr}: ")), "{err}");
+        assert!(!std::path::Path::new(&qlog).exists(), "bind failure left {qlog} behind");
+        for p in [base, queries, index] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -1878,7 +1737,6 @@ mod tests {
         let search = ["search", "--index", missing, "--queries", missing];
         let serve = ["serve", "--index", missing, "--queries", missing];
         let stats = ["stats", "--index", missing, "--queries", missing];
-        let bench = ["bench-net", "--addr", "127.0.0.1:9", "--queries", missing];
         let args_of = |cmd: &[&str], extra: &[&str]| -> Vec<String> {
             cmd.iter().chain(extra).map(|&a| a.into()).collect()
         };
@@ -1895,26 +1753,25 @@ mod tests {
             (&serve, "k"),
             (&serve, "l"),
             (&stats, "workers"),
-            (&bench, "connections"),
-            (&bench, "requests"),
         ] {
             let args = args_of(cmd, &[&format!("--{flag}"), "0"]);
             assert_eq!(run(&args, &mut out).unwrap_err(), format!("--{flag} must be ≥ 1"));
         }
-        // So are a TopK deeper than the candidate list and a rate that
-        // is not a positive number.
+        // So is a TopK deeper than the candidate list.
         for (cmd, extra, err) in [
             (&serve[..], &["--k", "20", "--l", "8"][..], "--k 20 must be ≤ --l 8"),
             (&search, &["--k", "100"], "--k 100 must be ≤ --l 64"),
-            (&bench, &["--qps", "0"], "--qps must be finite and > 0, got `0`"),
-            (&bench, &["--qps", "-5"], "--qps must be finite and > 0, got `-5`"),
-            (&bench, &["--qps", "nan"], "--qps must be finite and > 0, got `nan`"),
-            (&bench, &["--qps", "500,inf"], "--qps must be finite and > 0, got `inf`"),
         ] {
             assert_eq!(run(&args_of(cmd, extra), &mut out).unwrap_err(), err);
         }
+        // The binary carries no client: load generation is `algas-perf`'s
+        // and a profile capture is a GET of `/profile`.
+        for cmd in ["bench-net", "profile"] {
+            let err = run(&args_of(&[cmd], &["--addr", "127.0.0.1:9"]), &mut out).unwrap_err();
+            assert!(err.starts_with(&format!("unknown command `{cmd}`")), "{err}");
+        }
         // A mistyped or retired flag is refused by name, on every command.
-        for cmd in "gen gt build info search serve stats profile bench-net trace-check".split(' ') {
+        for cmd in "gen gt build info search serve stats trace-check".split(' ') {
             for flag in ["--qlog-sampel", "--trace-top"] {
                 let err = run(&[cmd.into(), flag.into(), "8".into()], &mut out).unwrap_err();
                 assert_eq!(err, format!("unknown flag {flag} for {cmd}"));

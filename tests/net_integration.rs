@@ -12,7 +12,7 @@ use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas::core::net::lifecycle::MAX_PARK;
 use algas::core::net::{frame, NetClient, NetConfig, NetServer, Reply};
 use algas::core::obs::json::Value;
-use algas::core::obs::{traces_json, FlightConfig, ObsTickConfig, QlogConfig, StatsServer};
+use algas::core::obs::{chrome_trace_json, FlightConfig, ObsTickConfig, QlogConfig, StatsServer};
 use algas::core::runtime::{AlgasServer, RuntimeConfig};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
@@ -164,7 +164,7 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
     // connection (the first accepted: id 1), and the /traces JSON is
     // greppable by the id the client logged.
     let traces = stack.server.flight_traces();
-    let doc = traces_json(&traces);
+    let doc = chrome_trace_json(&traces);
     for i in 0..N {
         let id = BASE_ID + i as u64;
         let t = traces
