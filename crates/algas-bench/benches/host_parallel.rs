@@ -58,7 +58,6 @@ fn bench_native_runtime(c: &mut Criterion) {
                 let server = AlgasServer::start(
                     engine,
                     RuntimeConfig {
-                        n_slots: 8,
                         n_workers: 2,
                         n_host_threads: hosts,
                         queue_capacity: 256,

@@ -57,9 +57,7 @@
 use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig, RerankStats};
 use algas_core::merge::MergeStats;
 use algas_core::obs::json::{obj, Value};
-use algas_core::obs::{
-    DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, QlogConfig, RuntimeObs,
-};
+use algas_core::obs::{DeliveryCtx, FlightConfig, JobStamps, QlogConfig, RuntimeObs};
 use algas_core::runtime::{AlgasServer, RuntimeConfig};
 use algas_core::tracer::StepTotals;
 use algas_graph::cagra::CagraParams;
@@ -154,7 +152,7 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
 /// (~0 ns).
 fn recorder_ns_per_query() -> f64 {
     let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
-    let obs = RuntimeObs::new(1, 1, flight, QlogConfig::default(), ObsTickConfig::default());
+    let obs = RuntimeObs::new(1, 1, flight, QlogConfig::default(), 1_000);
     let mut stamps = JobStamps::new();
     stamps.mark_slot(0);
     stamps.mark_work_start();
@@ -261,7 +259,6 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
     // configuration `serve` runs with out of the box, so the overhead
     // measured here is the overhead shipped.
     let runtime_cfg = RuntimeConfig {
-        n_slots: 16,
         n_workers: 2,
         n_host_threads: 2,
         queue_capacity: 4096,

@@ -36,25 +36,12 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Completed-query service spans the p99 window holds.
 pub const CONTROL_WINDOW: usize = 256;
 
-/// Controller shape: the target and the feedback cadence.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ControlConfig {
-    /// Target p99 service latency (`submit → reply`), nanoseconds.
-    pub slo_ns: u64,
-    /// Relative hysteresis band around the SLO: no adjustment while
-    /// `p99 ∈ [slo·(1−h), slo·(1+h)]`.
-    pub hysteresis: f64,
-    /// Completions between controller ticks.
-    pub tick_every: u64,
-}
+/// Relative hysteresis band around the SLO: no adjustment while
+/// `p99 ∈ [slo·(1−h), slo·(1+h)]`.
+pub const CONTROL_HYSTERESIS: f64 = 0.15;
 
-impl ControlConfig {
-    /// The default cadence for a given SLO: ±15% band, tick every 32
-    /// completions.
-    pub fn for_slo_ns(slo_ns: u64) -> Self {
-        Self { slo_ns, hysteresis: 0.15, tick_every: 32 }
-    }
-}
+/// Completions between controller ticks.
+pub const CONTROL_TICK_EVERY: u64 = 32;
 
 /// Why the controller's last tick decided what it decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,7 +136,8 @@ pub struct ControlStats {
 /// atomics, shared freely across the serving threads.
 #[derive(Debug)]
 pub struct SloController {
-    cfg: ControlConfig,
+    /// Target p99 service latency (`submit → reply`), ns; 0 = none.
+    slo_ns: u64,
     ladder: EffortLadder,
     enabled: bool,
     level: AtomicU32,
@@ -163,17 +151,15 @@ pub struct SloController {
 }
 
 impl SloController {
-    /// A controller over `ladder`. `cfg: None` builds an inert
-    /// controller pinned to rung 0 (the static plan) whose
-    /// [`SloController::observe`] is a no-op — the engine always holds
-    /// one, so the no-SLO path stays branch-cheap and byte-identical
-    /// in behavior.
-    pub fn new(cfg: Option<ControlConfig>, ladder: EffortLadder) -> Self {
-        let enabled = cfg.is_some() && ladder.max_level() > 0;
-        let cfg = cfg.unwrap_or(ControlConfig { slo_ns: 0, hysteresis: 0.0, tick_every: u64::MAX });
-        assert!(cfg.tick_every > 0, "tick cadence must be positive");
+    /// A controller over `ladder` holding the p99 service latency to
+    /// `slo_ns`. `None` builds an inert controller pinned to rung 0 (the
+    /// static plan) whose [`SloController::observe`] is a no-op — the
+    /// engine always holds one, so the no-SLO path stays branch-cheap
+    /// and byte-identical in behavior.
+    pub fn new(slo_ns: Option<u64>, ladder: EffortLadder) -> Self {
+        let enabled = slo_ns.is_some() && ladder.max_level() > 0;
         Self {
-            cfg,
+            slo_ns: slo_ns.unwrap_or(0),
             ladder,
             enabled,
             level: AtomicU32::new(0),
@@ -192,17 +178,12 @@ impl SloController {
         self.enabled
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> ControlConfig {
-        self.cfg
-    }
-
     /// The configured SLO target in ns (0 = no SLO armed). This is the
     /// declared target even when the effort ladder has no room to
     /// adapt, so burn-rate health can judge attainment on engines the
     /// controller itself leaves alone.
     pub fn slo_ns(&self) -> u64 {
-        self.cfg.slo_ns
+        self.slo_ns
     }
 
     /// The ladder the controller moves along.
@@ -231,7 +212,7 @@ impl SloController {
         }
         let n = self.completions.fetch_add(1, Ordering::Relaxed) + 1;
         self.ring[(n - 1) as usize % CONTROL_WINDOW].store(service_ns, Ordering::Relaxed);
-        if n.is_multiple_of(self.cfg.tick_every) {
+        if n.is_multiple_of(CONTROL_TICK_EVERY) {
             Some(self.tick())
         } else {
             None
@@ -259,8 +240,8 @@ impl SloController {
     /// rung per call.
     pub fn tick_with(&self, p99_ns: u64) -> ControlDecision {
         let level = self.level.load(Ordering::Relaxed);
-        let hi = self.cfg.slo_ns as f64 * (1.0 + self.cfg.hysteresis);
-        let lo = self.cfg.slo_ns as f64 * (1.0 - self.cfg.hysteresis);
+        let hi = self.slo_ns as f64 * (1.0 + CONTROL_HYSTERESIS);
+        let lo = self.slo_ns as f64 * (1.0 - CONTROL_HYSTERESIS);
         let (new_level, reason) = if p99_ns as f64 > hi {
             if level < self.ladder.max_level() {
                 (level + 1, ControlReason::Shed)
@@ -299,7 +280,7 @@ impl SloController {
         let step = self.current();
         ControlStats {
             enabled: self.enabled,
-            slo_ns: if self.enabled { self.cfg.slo_ns } else { 0 },
+            slo_ns: if self.enabled { self.slo_ns } else { 0 },
             level: self.level(),
             max_level: self.ladder.max_level(),
             beam_width: step.beam.map_or(0, |b| b.beam_width as u64),
@@ -325,7 +306,7 @@ mod tests {
     }
 
     fn controller(slo_ns: u64) -> SloController {
-        SloController::new(Some(ControlConfig::for_slo_ns(slo_ns)), ladder())
+        SloController::new(Some(slo_ns), ladder())
     }
 
     #[test]
@@ -342,10 +323,7 @@ mod tests {
 
     #[test]
     fn single_rung_ladder_disables_the_loop() {
-        let c = SloController::new(
-            Some(ControlConfig::for_slo_ns(1_000)),
-            EffortLadder::build(1, None, None, 10),
-        );
+        let c = SloController::new(Some(1_000), EffortLadder::build(1, None, None, 10));
         assert!(!c.enabled());
     }
 
@@ -421,10 +399,9 @@ mod tests {
 
     #[test]
     fn observe_ticks_on_the_configured_cadence() {
-        let cfg = ControlConfig { slo_ns: 1_000, hysteresis: 0.15, tick_every: 8 };
-        let c = SloController::new(Some(cfg), ladder());
+        let c = controller(1_000);
         let mut decisions = 0;
-        for _ in 0..32 {
+        for _ in 0..4 * CONTROL_TICK_EVERY {
             if let Some(d) = c.observe(5_000) {
                 decisions += 1;
                 assert_eq!(d.reason, ControlReason::Shed);

@@ -6,7 +6,7 @@
 //! and packages each query's timed work as
 //! [`algas_gpu_sim::QueryWork`] for the batching simulators.
 
-use crate::control::{ControlConfig, SloController};
+use crate::control::SloController;
 use crate::merge::{merge_topk_into, HostCostModel, MergeScratch};
 use crate::search::intra::IntraParams;
 use crate::search::multi::{
@@ -424,10 +424,7 @@ impl AlgasEngine {
         let rerank =
             index.quant.is_some().then(|| cfg.rerank_depth.unwrap_or(2 * cfg.k).max(cfg.k));
         let ladder = EffortLadder::build(plan.n_parallel, beam, rerank, cfg.k);
-        let control = SloController::new(
-            cfg.slo_us.map(|us| ControlConfig::for_slo_ns(us.saturating_mul(1_000))),
-            ladder,
-        );
+        let control = SloController::new(cfg.slo_us.map(|us| us.saturating_mul(1_000)), ladder);
         Ok(Self { index, cfg, cost: CostModel::default(), plan, beam, control })
     }
 

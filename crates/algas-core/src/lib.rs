@@ -65,12 +65,12 @@ pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use control::{ControlConfig, ControlDecision, ControlReason, ControlStats, SloController};
+pub use control::{ControlDecision, ControlReason, ControlStats, SloController};
 pub use engine::{
     AlgasEngine, AlgasIndex, BeamMode, EngineConfig, RerankStats, TracedSearch, Workload,
 };
 pub use merge::{merge_topk, HostCostModel};
-pub use net::{NetClient, NetConfig, NetServer, NetStats};
+pub use net::{NetClient, NetServer, NetStats};
 pub use obs::{Histogram, HistogramSnapshot, RuntimeStats};
 pub use runtime::{AlgasServer, RuntimeConfig, SearchReply};
 pub use search::BeamParams;

@@ -13,8 +13,8 @@
 //!   `std::net` sockets that decodes pipelined requests, submits them
 //!   to the [`crate::runtime::AlgasServer`] slot runtime, and is woken
 //!   to complete responses out of order as slots finish, with
-//!   RETRY_AFTER backpressure once the in-flight budget or submission
-//!   queue fills.
+//!   RETRY_AFTER backpressure once the runtime's submission queue
+//!   fills.
 //! * [`client`] — [`client::NetClient`]: a blocking pipelining client.
 
 pub mod client;
@@ -183,4 +183,4 @@ pub struct ConnStats {
 
 pub use client::{NetClient, Reply};
 pub use frame::{DecodeError, Decoded, ErrorCode, FrameHeader, Opcode};
-pub use server::{NetConfig, NetServer};
+pub use server::NetServer;

@@ -27,12 +27,12 @@
 //!    (partial-write resume).
 //!
 //! **Backpressure** is protocol-level, not TCP-level: when the
-//! in-flight slab is at [`NetConfig::max_inflight`] or the runtime's
-//! bounded queue rejects a submit ([`SubmitError::QueueFull`]), the
-//! request is answered immediately with RETRY_AFTER carrying a
-//! suggested delay derived from the SLO controller's live p99 (its
-//! view of load), instead of queueing unboundedly. Rejections are
-//! counted in [`super::NetStats::backpressure_rejects`].
+//! runtime's bounded submission queue — the one place load is refused —
+//! rejects a submit ([`SubmitError::QueueFull`]), the request is
+//! answered immediately with RETRY_AFTER carrying a suggested delay
+//! derived from the SLO controller's live p99 (its view of load),
+//! instead of queueing unboundedly. Rejections are counted in
+//! [`super::NetStats::backpressure_rejects`].
 //!
 //! The loop keeps no counters of its own: it bumps the runtime's, so
 //! [`AlgasServer::runtime_stats`] carries them to every surface.
@@ -55,22 +55,6 @@ use super::{ConnCells, NetCounters};
 use crate::obs::qlog::{STATUS_ERROR, STATUS_REJECTED};
 use crate::runtime::{AlgasServer, CompletionQueue, ReplyTo, SearchReply, SubmitError, WireCtx};
 
-/// Tuning for the network front end.
-#[derive(Clone, Copy, Debug)]
-pub struct NetConfig {
-    /// Max requests submitted-but-unanswered across all connections
-    /// before new SEARCHes get RETRY_AFTER.
-    pub max_inflight: usize,
-    /// Max accepted `payload_len`; larger frames are a protocol error.
-    pub max_payload: u32,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self { max_inflight: 256, max_payload: frame::DEFAULT_MAX_PAYLOAD }
-    }
-}
-
 /// A running query listener over an [`AlgasServer`].
 pub struct NetServer {
     handle: ListenerHandle,
@@ -82,13 +66,9 @@ impl NetServer {
     ///
     /// # Errors
     /// Propagates bind / spawn failures.
-    pub fn start(
-        addr: impl ToSocketAddrs,
-        server: Arc<AlgasServer>,
-        cfg: NetConfig,
-    ) -> std::io::Result<Self> {
+    pub fn start(addr: impl ToSocketAddrs, server: Arc<AlgasServer>) -> std::io::Result<Self> {
         let handle = ListenerHandle::spawn("algas-net", addr, move |listener, stop, poller| {
-            event_loop(&listener, stop, poller, &server, cfg);
+            event_loop(&listener, stop, poller, &server);
         })?;
         Ok(Self { handle })
     }
@@ -194,7 +174,6 @@ impl Slab {
 struct Front<'a> {
     server: &'a Arc<AlgasServer>,
     counters: &'a NetCounters,
-    cfg: NetConfig,
     dim: usize,
     /// The one queue every submitted request replies on.
     completions: Arc<CompletionQueue>,
@@ -207,14 +186,12 @@ fn event_loop(
     stop: &AtomicBool,
     poller: &mut Poller,
     server: &Arc<AlgasServer>,
-    cfg: NetConfig,
 ) {
     let counters = server.net_counters();
     let dim = server.dim();
     let mut front = Front {
         server,
         counters,
-        cfg,
         dim,
         completions: Arc::new(CompletionQueue::new(poller.waker())),
         pending: Slab::default(),
@@ -402,7 +379,7 @@ fn read_some(conn: &mut Conn, counters: &NetCounters) -> bool {
 fn decode_and_handle(conn: &mut Conn, conn_idx: usize, front: &mut Front<'_>) {
     let mut cursor = 0;
     loop {
-        match frame::decode_frame(&conn.rbuf[cursor..conn.rlen], front.cfg.max_payload) {
+        match frame::decode_frame(&conn.rbuf[cursor..conn.rlen], frame::DEFAULT_MAX_PAYLOAD) {
             Ok(Decoded::NeedMore) => break,
             Ok(Decoded::Frame { header, payload, consumed }) => {
                 front.counters.frames_in.fetch_add(1, Ordering::Relaxed);
@@ -469,13 +446,6 @@ fn handle_frame(
                 );
                 return;
             }
-            // Admission control: a bounded in-flight budget in front
-            // of the runtime's bounded queue. Both reject with
-            // RETRY_AFTER rather than queueing unboundedly.
-            if front.pending.len() >= front.cfg.max_inflight {
-                reject(conn, id, front);
-                return;
-            }
             let wire = WireCtx { request_id: id, conn_id: conn.cells.id, client_ts_us };
             let token =
                 front.pending.insert(Pending { conn: conn_idx, gen: conn.gen, request_id: id });
@@ -488,6 +458,9 @@ fn handle_frame(
                 Err(refused) => {
                     front.pending.remove(token);
                     match refused {
+                        // Admission control: the runtime's bounded
+                        // queue refuses with RETRY_AFTER rather than
+                        // queueing unboundedly.
                         SubmitError::QueueFull => reject(conn, id, front),
                         SubmitError::ShuttingDown => {
                             frame::encode_error(

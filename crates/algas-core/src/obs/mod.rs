@@ -70,7 +70,7 @@ pub use prof::{
 #[cfg(feature = "obs")]
 pub use qlog::QueryLog;
 pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals};
-pub use recorder::{JobStamps, ObsTickConfig, RuntimeObs, OBS_ENABLED};
+pub use recorder::{JobStamps, RuntimeObs, OBS_ENABLED};
 pub use snapshot::{HostStats, PhaseStats, RuntimeStats, TailExemplar, WorkerStats};
 #[cfg(feature = "obs")]
 pub use window::WindowRing;

@@ -6,7 +6,7 @@
 //! [`ProfRegistry`] and from then on publishes its current state as a
 //! single relaxed store of one `u64` *marker* — thread kind and phase
 //! tag packed together ([`encode_marker`]). A sampler pass
-//! ([`ProfRegistry::sample_once`], driven at a configurable Hz by the
+//! ([`ProfRegistry::sample_once`], driven at [`PROF_HZ`] by the
 //! runtime's obs tick thread) reads every marker and bumps one
 //! `(thread, state)` counter per live thread. Wall-clock attribution
 //! falls out statistically: at 97 Hz a state holding 10% of a worker's
@@ -38,6 +38,10 @@ pub const MAX_THREADS: usize = 64;
 /// Number of representable states (the marker packs the state into one
 /// byte; the table allocates this many counters per thread slot).
 pub const N_STATES: usize = 14;
+
+/// Sampler passes per second. Prime, so the passes do not lock step
+/// with millisecond-periodic work.
+pub const PROF_HZ: u32 = 97;
 
 /// What kind of runtime thread a marker belongs to (the first folded
 /// frame).
@@ -213,7 +217,7 @@ impl ProfThreadStats {
 /// embedded in [`RuntimeStats`](crate::obs::RuntimeStats).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfStats {
-    /// Sampling frequency the registry was configured with.
+    /// Sampling frequency ([`PROF_HZ`]; 0 with `obs` compiled out).
     pub hz: u32,
     /// Total sampler passes since start.
     pub passes: u64,
@@ -335,7 +339,6 @@ mod enabled {
     /// The marker registry + sample table. One per serving runtime,
     /// shared by every instrumented thread via `Arc`.
     pub struct ProfRegistry {
-        hz: u32,
         markers: Box<[CachePadded<AtomicU64>]>,
         samples: Box<[CachePadded<StateCounts>]>,
         meta: Mutex<Vec<ThreadMeta>>,
@@ -344,24 +347,17 @@ mod enabled {
     }
 
     impl ProfRegistry {
-        /// A fresh registry sampling (when driven) at `hz`. `hz == 0`
-        /// documents "sampler disabled" but the registry still accepts
-        /// registrations and manual [`sample_once`](Self::sample_once)
-        /// calls (tests drive it that way).
-        pub fn new(hz: u32) -> Self {
+        /// A fresh registry. It accepts registrations and manual
+        /// [`sample_once`](Self::sample_once) calls (tests drive it
+        /// that way) whether or not a sampler runs.
+        pub(crate) fn new() -> Self {
             Self {
-                hz,
                 markers: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
                 samples: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
                 meta: Mutex::new(Vec::new()),
                 next: AtomicUsize::new(0),
                 passes: AtomicU64::new(0),
             }
-        }
-
-        /// Configured sampling frequency.
-        pub fn hz(&self) -> u32 {
-            self.hz
         }
 
         /// Registers the calling thread, returning the handle it
@@ -421,7 +417,7 @@ mod enabled {
                     }
                 })
                 .collect();
-            ProfStats { hz: self.hz, passes: self.passes.load(Ordering::Relaxed), threads }
+            ProfStats { hz: PROF_HZ, passes: self.passes.load(Ordering::Relaxed), threads }
         }
 
         /// Blocking delta capture: snapshot the table, sleep
@@ -487,12 +483,8 @@ mod disabled {
     pub struct ProfRegistry;
 
     impl ProfRegistry {
-        pub fn new(_hz: u32) -> Self {
+        pub fn new() -> Self {
             ProfRegistry
-        }
-
-        pub fn hz(&self) -> u32 {
-            0
         }
 
         pub fn register(&self, _kind: ThreadKind, _label: &str) -> ProfHandle {
@@ -589,7 +581,7 @@ mod tests {
 
         #[test]
         fn sampler_attributes_states_to_threads() {
-            let reg = Arc::new(ProfRegistry::new(97));
+            let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "worker-0");
             let h = reg.register(ThreadKind::Host, "host-0");
             w.stamp(ProfState::Scan);
@@ -617,7 +609,7 @@ mod tests {
 
         #[test]
         fn dropped_handles_stop_attracting_samples() {
-            let reg = Arc::new(ProfRegistry::new(97));
+            let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "w");
             w.stamp(ProfState::Scan);
             reg.sample_once();
@@ -631,7 +623,7 @@ mod tests {
             // NaN would otherwise reach Duration::from_secs_f64 and
             // panic the calling (scrape) thread; it falls to the 0.1s
             // clamp floor instead, so this returns in ~100ms.
-            let reg = Arc::new(ProfRegistry::new(97));
+            let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "w");
             w.stamp(ProfState::Scan);
             reg.sample_once();
@@ -641,7 +633,7 @@ mod tests {
 
         #[test]
         fn registration_overflow_yields_dead_handles() {
-            let reg = Arc::new(ProfRegistry::new(97));
+            let reg = Arc::new(ProfRegistry::new());
             let handles: Vec<_> = (0..MAX_THREADS + 3)
                 .map(|i| reg.register(ThreadKind::Other, &format!("t{i}")))
                 .collect();
@@ -663,7 +655,7 @@ mod tests {
         fn disabled_types_are_zero_sized_noops() {
             assert_eq!(std::mem::size_of::<ProfRegistry>(), 0);
             assert_eq!(std::mem::size_of::<ProfHandle>(), 0);
-            let reg = ProfRegistry::new(97);
+            let reg = ProfRegistry::new();
             let h = reg.register(ThreadKind::Worker, "w");
             h.stamp(ProfState::Scan);
             reg.sample_once();

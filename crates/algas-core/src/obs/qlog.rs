@@ -25,35 +25,21 @@
 
 use super::json::{obj, Value};
 
-/// Query-log policy: which completions are logged and how much is
-/// retained. Lives in [`crate::runtime::RuntimeConfig`] (all scalar, so
-/// that config stays `Copy`).
+/// Query-log policy: which completions are logged. Lives in
+/// [`crate::runtime::RuntimeConfig`] (all scalar, so that config stays
+/// `Copy`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QlogConfig {
-    /// Master switch; everything below is ignored when false.
+    /// Master switch; `sample_every` is ignored when false.
     pub enabled: bool,
-    /// Log every Nth completed query (0 disables sampling; slow and
-    /// non-ok records still log).
+    /// Log every Nth completed query (0 disables sampling; non-ok
+    /// records still log).
     pub sample_every: u64,
-    /// Completions at least this slow (end-to-end ns) always log.
-    /// `u64::MAX` disables the threshold.
-    pub slow_threshold_ns: u64,
-    /// Ring cells between the serving threads and the drainer (rounded
-    /// up to a power of two, minimum 8).
-    pub ring_capacity: usize,
-    /// Rendered JSON lines kept for `/query-log` (oldest evicted).
-    pub retain: usize,
 }
 
 impl Default for QlogConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            sample_every: 1,
-            slow_threshold_ns: u64::MAX,
-            ring_capacity: 1024,
-            retain: 1024,
-        }
+        Self { enabled: false, sample_every: 1 }
     }
 }
 
@@ -119,11 +105,11 @@ pub fn status_name(code: u64) -> &'static str {
     }
 }
 
-/// Maps an entry policy onto its stable query-log code.
+/// Maps an entry policy onto its stable query-log code. Code 0 is no
+/// policy: the record of a refused request, which never searched.
 pub fn entry_policy_code(policy: &algas_graph::EntryPolicy) -> u32 {
     use algas_graph::EntryPolicy;
     match policy {
-        EntryPolicy::Fixed(_) => 0,
         EntryPolicy::Medoid => 1,
         EntryPolicy::Hashed { .. } => 2,
         EntryPolicy::HashTable => 3,
@@ -133,7 +119,7 @@ pub fn entry_policy_code(policy: &algas_graph::EntryPolicy) -> u32 {
 /// Renders an entry policy code (the inverse of [`entry_policy_code`]).
 pub fn entry_policy_name(code: u32) -> &'static str {
     match code {
-        0 => "fixed",
+        0 => "none",
         1 => "medoid",
         2 => "hashed",
         3 => "hash_table",
@@ -217,6 +203,12 @@ mod enabled {
 
     /// Words per ring cell; one fixed-width slot per record field.
     const WORDS: usize = 17;
+
+    /// Ring cells between the serving threads and the drainer (a power
+    /// of two).
+    pub(super) const RING_CAPACITY: usize = 1024;
+    /// Rendered JSON lines kept for `/query-log` (oldest evicted).
+    pub(super) const RETAIN: usize = 1024;
 
     /// The fixed word layout the ring carries a record in.
     impl QlogRecord {
@@ -304,8 +296,7 @@ mod enabled {
         pub fn new(cfg: QlogConfig) -> Self {
             // A disabled log still constructs (the runtime owns one
             // unconditionally) but keeps the ring minimal.
-            let capacity =
-                if cfg.enabled { cfg.ring_capacity.next_power_of_two().max(8) } else { 8 };
+            let capacity = if cfg.enabled { RING_CAPACITY } else { 8 };
             let cells = (0..capacity as u64)
                 .map(|i| Cell {
                     seq: AtomicU64::new(i),
@@ -325,9 +316,8 @@ mod enabled {
         }
 
         /// Logs one record if the policy selects it: non-ok statuses
-        /// and over-threshold completions always log; ok completions
-        /// additionally log every `sample_every`th. Lock-free and
-        /// allocation-free (the whole point).
+        /// always log; ok completions log every `sample_every`th.
+        /// Lock-free and allocation-free (the whole point).
         #[inline]
         pub fn log(&self, r: &QlogRecord) {
             if !self.cfg.enabled {
@@ -335,8 +325,7 @@ mod enabled {
             }
             let n = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
             let sampled = self.cfg.sample_every > 0 && n.is_multiple_of(self.cfg.sample_every);
-            let slow = r.e2e_ns >= self.cfg.slow_threshold_ns;
-            if r.status == STATUS_OK && !sampled && !slow {
+            if r.status == STATUS_OK && !sampled {
                 return;
             }
             if self.push(&r.to_words()) {
@@ -402,7 +391,7 @@ mod enabled {
                 cell.seq.store(pos + self.mask + 1, Ordering::Release);
                 st.dequeue_pos = pos + 1;
                 let line = QlogRecord::from_words(&words).to_json_value().render();
-                if st.lines.len() >= self.cfg.retain.max(1) {
+                if st.lines.len() >= RETAIN {
                     st.lines.pop_front();
                 }
                 st.lines.push_back(line);
@@ -442,10 +431,11 @@ mod enabled {
 
 #[cfg(all(test, feature = "obs"))]
 mod tests {
+    use super::enabled::{RETAIN, RING_CAPACITY};
     use super::*;
 
     fn cfg_all() -> QlogConfig {
-        QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() }
+        QlogConfig { enabled: true, sample_every: 1 }
     }
 
     fn rec(request_id: u64, e2e_ns: u64) -> QlogRecord {
@@ -502,15 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn sampling_and_slow_policy_select_records() {
-        let cfg = QlogConfig {
-            enabled: true,
-            sample_every: 3,
-            slow_threshold_ns: 1_000,
-            ..QlogConfig::default()
-        };
-        let log = QueryLog::new(cfg);
-        // 9 fast queries: every 3rd samples. One slow: always. One
+    fn sampling_selects_ok_records_and_refusals_always_log() {
+        let log = QueryLog::new(QlogConfig { enabled: true, sample_every: 3 });
+        // 10 ok queries, however slow: every 3rd samples. One
         // rejected: always.
         for i in 1..=9u64 {
             log.log(&rec(i, 10));
@@ -523,22 +507,21 @@ mod tests {
             .iter()
             .map(|l| Value::parse(l).unwrap().get("request_id").unwrap().as_u64().unwrap())
             .collect();
-        assert_eq!(ids, vec![3, 6, 9, 100, 200]);
+        assert_eq!(ids, vec![3, 6, 9, 200]);
         let rejected = Value::parse(lines.last().unwrap()).unwrap();
         assert_eq!(rejected.get("status").unwrap().as_str(), Some("rejected"));
     }
 
     #[test]
     fn full_ring_drops_and_counts() {
-        let cfg = QlogConfig { ring_capacity: 8, ..cfg_all() };
-        let log = QueryLog::new(cfg);
-        for i in 0..20 {
+        let log = QueryLog::new(cfg_all());
+        for i in 0..RING_CAPACITY as u64 + 12 {
             log.log(&rec(i, 50));
         }
         let t = log.totals();
-        assert_eq!(t.logged, 8, "ring holds exactly its capacity");
+        assert_eq!(t.logged, RING_CAPACITY as u64, "ring holds exactly its capacity");
         assert_eq!(t.dropped, 12, "overflow is counted, not blocked on");
-        assert_eq!(log.drain(), 8);
+        assert_eq!(log.drain(), RING_CAPACITY);
         // The ring is free again after draining.
         log.log(&rec(99, 50));
         assert_eq!(log.drain(), 1);
@@ -546,8 +529,7 @@ mod tests {
 
     #[test]
     fn retention_bounds_lines_and_cursor_tails() {
-        let cfg = QlogConfig { retain: 4, ..cfg_all() };
-        let log = QueryLog::new(cfg);
+        let log = QueryLog::new(cfg_all());
         for i in 0..3 {
             log.log(&rec(i, 50));
         }
@@ -555,20 +537,25 @@ mod tests {
         let (first, cursor) = log.lines_since(0);
         assert_eq!(first.len(), 3);
         assert_eq!(cursor, 3);
-        for i in 3..10 {
-            log.log(&rec(i, 50));
+        // Six lines past the retention bound, drained in two batches so
+        // the ring never overflows.
+        let end = RETAIN as u64 + 6;
+        for batch in [3..RETAIN as u64, RETAIN as u64..end] {
+            for i in batch {
+                log.log(&rec(i, 50));
+            }
+            log.drain();
         }
-        log.drain();
-        assert_eq!(log.lines().len(), 4, "retention is bounded");
+        assert_eq!(log.lines().len(), RETAIN, "retention is bounded");
         // The cursor resumes where it left off; lines evicted before
-        // the read are gone (6..10 survive, 3..6 were evicted).
+        // the read are gone (3..6 were evicted).
         let (rest, cursor) = log.lines_since(cursor);
-        assert_eq!(cursor, 10);
+        assert_eq!(cursor, end);
         let ids: Vec<u64> = rest
             .iter()
             .map(|l| Value::parse(l).unwrap().get("request_id").unwrap().as_u64().unwrap())
             .collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
+        assert_eq!(ids, (6..end).collect::<Vec<_>>());
     }
 
     #[test]
@@ -582,8 +569,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_lose_nothing_with_room() {
-        let cfg = QlogConfig { ring_capacity: 4096, ..cfg_all() };
-        let log = std::sync::Arc::new(QueryLog::new(cfg));
+        let log = std::sync::Arc::new(QueryLog::new(cfg_all()));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let log = std::sync::Arc::clone(&log);
@@ -594,6 +580,7 @@ mod tests {
                 });
             }
         });
+        assert_eq!(4 * 256, RING_CAPACITY, "exactly a ringful");
         assert_eq!(log.drain(), 4 * 256);
         let t = log.totals();
         assert_eq!((t.logged, t.dropped), (1024, 0));

@@ -36,24 +36,6 @@ pub use disabled::{JobStamps, RuntimeObs};
 /// so call sites can skip spawning obs-only threads without `#[cfg]`.
 pub const OBS_ENABLED: bool = cfg!(feature = "obs");
 
-/// Configuration of the background obs tick thread — the single timer
-/// driving both the [`prof`](crate::obs::prof) sampler and the
-/// [`window`](crate::obs::window) ring rotation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObsTickConfig {
-    /// Profiler sampling frequency (passes/second). 0 disables
-    /// sampling; window rotation still runs.
-    pub prof_hz: u32,
-    /// Window ring rotation period (ms).
-    pub window_period_ms: u64,
-}
-
-impl Default for ObsTickConfig {
-    fn default() -> Self {
-        Self { prof_hz: 97, window_period_ms: 1_000 }
-    }
-}
-
 #[cfg(feature = "obs")]
 mod enabled {
     use crate::control::ControlDecision;
@@ -64,7 +46,7 @@ mod enabled {
         EventKind, FlightConfig, FlightRecorder, LifecycleNs, QueryTrace, TraceEvent,
     };
     use crate::obs::hist::Histogram;
-    use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
+    use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind, PROF_HZ};
     use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog, STATUS_OK};
     use crate::obs::snapshot::{HostStats, RuntimeStats, TailExemplar, WorkerStats};
     use crate::obs::window::{WindowBlock, WindowRing};
@@ -72,8 +54,6 @@ mod enabled {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-
-    use super::ObsTickConfig;
 
     /// Deliveries between tail-exemplar resets: the exemplar tracks the
     /// slowest end-to-end latency (and its request id) within the
@@ -207,7 +187,8 @@ mod enabled {
         prof: Arc<ProfRegistry>,
         /// Rotating ring of periodic histogram snapshots.
         window: WindowRing,
-        tick: ObsTickConfig,
+        /// Window ring rotation period (ms).
+        window_period_ms: u64,
     }
 
     impl RuntimeObs {
@@ -219,7 +200,7 @@ mod enabled {
             n_host_threads: usize,
             flight_cfg: FlightConfig,
             qlog_cfg: QlogConfig,
-            tick: ObsTickConfig,
+            window_period_ms: u64,
         ) -> Self {
             let obs = Self {
                 workers: (0..n_workers).map(|_| CachePadded::default()).collect(),
@@ -235,9 +216,9 @@ mod enabled {
                 exemplar_count: AtomicU64::new(0),
                 exemplar_e2e_ns: AtomicU64::new(0),
                 exemplar_request_id: AtomicU64::new(0),
-                prof: Arc::new(ProfRegistry::new(tick.prof_hz)),
-                window: WindowRing::new(tick.window_period_ms),
-                tick,
+                prof: Arc::new(ProfRegistry::new()),
+                window: WindowRing::new(window_period_ms),
+                window_period_ms,
             };
             // Baseline snapshot at construction (synchronous, so it
             // deterministically precedes all queries): the first
@@ -274,25 +255,16 @@ mod enabled {
         }
 
         /// The obs tick thread body: drives the profiler sampler at
-        /// `prof_hz` and rotates the window ring every
+        /// [`PROF_HZ`] and rotates the window ring every
         /// `window_period_ms` until `shutdown` flips. Spawn gated on
         /// [`OBS_ENABLED`](super::OBS_ENABLED); with `obs` off this is
         /// a no-op.
         pub fn run_ticker(&self, shutdown: &AtomicBool) {
             let handle = self.prof.register(ThreadKind::Sampler, "obs-tick");
             handle.stamp(ProfState::Idle);
-            // The period stays short even with sampling off so shutdown
-            // joins promptly; rotation cadence is kept by tick count.
-            let period = if self.tick.prof_hz == 0 {
-                Duration::from_millis(self.tick.window_period_ms.clamp(1, 250))
-            } else {
-                Duration::from_secs_f64(1.0 / f64::from(self.tick.prof_hz))
-            };
-            let ticks_per_rotation = if self.tick.prof_hz == 0 {
-                (self.tick.window_period_ms / (period.as_millis() as u64).max(1)).max(1)
-            } else {
-                (u64::from(self.tick.prof_hz) * self.tick.window_period_ms / 1_000).max(1)
-            };
+            // Rotation cadence is kept by tick count.
+            let period = Duration::from_secs_f64(1.0 / f64::from(PROF_HZ));
+            let ticks_per_rotation = (u64::from(PROF_HZ) * self.window_period_ms / 1_000).max(1);
             let mut n: u64 = 0;
             // Absolute-deadline schedule: each iteration sleeps until
             // the next deadline rather than for a fixed duration, so
@@ -301,9 +273,7 @@ mod enabled {
             // rate_qps against the nominal span_ms).
             let mut next = Instant::now() + period;
             while !shutdown.load(Ordering::Acquire) {
-                if self.tick.prof_hz > 0 {
-                    self.prof.sample_once();
-                }
+                self.prof.sample_once();
                 n += 1;
                 if n.is_multiple_of(ticks_per_rotation) {
                     self.rotate_window();
@@ -603,8 +573,6 @@ mod disabled {
     use crate::obs::window::WindowBlock;
     use crate::tracer::StepTotals;
 
-    use super::ObsTickConfig;
-
     /// Zero-sized no-op stand-in for the lifecycle timestamps.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct JobStamps;
@@ -644,7 +612,7 @@ mod disabled {
             _n_host_threads: usize,
             _flight_cfg: FlightConfig,
             _qlog_cfg: QlogConfig,
-            _tick: ObsTickConfig,
+            _window_period_ms: u64,
         ) -> Self {
             Self
         }
@@ -756,8 +724,8 @@ mod tests {
     #[test]
     fn recorder_populates_snapshot() {
         use crate::obs::json::Value;
-        let qcfg = QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() };
-        let obs = RuntimeObs::new(2, 1, FlightConfig::default(), qcfg, ObsTickConfig::default());
+        let qcfg = QlogConfig { enabled: true, sample_every: 1 };
+        let obs = RuntimeObs::new(2, 1, FlightConfig::default(), qcfg, 1_000);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
         obs.slot_assigned(0);
@@ -823,7 +791,7 @@ mod tests {
     #[test]
     fn slow_query_is_retained_through_the_recorder() {
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
-        let obs = RuntimeObs::new(4, 1, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let obs = RuntimeObs::new(4, 1, cfg, QlogConfig::default(), 1_000);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
         obs.slot_assigned(0);
@@ -852,7 +820,7 @@ mod tests {
         use EventKind::*;
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
         // Host 2, worker 3, walkers 0 and 1: every lane is distinct.
-        let obs = RuntimeObs::new(4, 3, cfg, QlogConfig::default(), ObsTickConfig::default());
+        let obs = RuntimeObs::new(4, 3, cfg, QlogConfig::default(), 1_000);
         let (h, w, s) = (2, 3, 1);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(h);

@@ -27,8 +27,8 @@ use crate::lock;
 use crate::net::poll::Waker;
 use crate::net::NetCounters;
 use crate::obs::{
-    self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfState, QlogConfig, QueryTrace,
-    RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
+    self, DeliveryCtx, FlightConfig, JobStamps, ProfState, QlogConfig, QueryTrace, RuntimeObs,
+    RuntimeStats, SharedProfRegistry, ThreadKind,
 };
 use crate::state::{AtomicSlotState, SlotState};
 use std::collections::VecDeque;
@@ -37,43 +37,41 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Runtime shape: how many slots and how many threads on each side.
+/// Runtime shape: how many threads on each side. The slot count is the
+/// engine's ([`EngineConfig::slots`](crate::engine::EngineConfig::slots)),
+/// the one the §IV-C tuner planned `N_parallel` for.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
-    /// Independent slots (in-flight queries).
-    pub n_slots: usize,
     /// Persistent worker threads (the "GPU"); slots are assigned
     /// round-robin.
     pub n_workers: usize,
     /// Host poller threads (§V-B); slots are assigned round-robin.
     pub n_host_threads: usize,
-    /// Bound of the submission queue (backpressure for open-loop
-    /// clients).
+    /// Bound of the submission queue: the one place load is refused
+    /// (backpressure for open-loop clients).
     pub queue_capacity: usize,
     /// Flight-recorder policy: which completed queries are retained
     /// for trace export (ignored when the `obs` feature is compiled
     /// out).
     pub flight: FlightConfig,
-    /// Wide-event query-log policy: sampling, slow-query threshold,
-    /// ring and retention sizes (ignored when the `obs` feature is
-    /// compiled out; the log is off by default).
+    /// Wide-event query-log policy: on/off and sampling (ignored when
+    /// the `obs` feature is compiled out; the log is off by default).
     pub qlog: QlogConfig,
-    /// Obs tick thread policy: profiler sampling Hz and window ring
-    /// rotation period (ignored when the `obs` feature is compiled
-    /// out; no tick thread is spawned then).
-    pub tick: ObsTickConfig,
+    /// Window ring rotation period (ms) of the obs tick thread, which
+    /// also drives the profiler sampler (ignored when the `obs` feature
+    /// is compiled out; no tick thread is spawned then).
+    pub window_period_ms: u64,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
-            n_slots: 16,
             n_workers: 2,
             n_host_threads: 1,
             queue_capacity: 1024,
             flight: FlightConfig::default(),
             qlog: QlogConfig::default(),
-            tick: ObsTickConfig::default(),
+            window_period_ms: 1_000,
         }
     }
 }
@@ -275,13 +273,15 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 impl AlgasServer {
-    /// Starts the server: spawns persistent workers and host pollers.
+    /// Starts the server: spawns persistent workers and host pollers
+    /// over the engine's `slots` slots.
     ///
     /// # Panics
     /// Panics on a zero-sized configuration.
     pub fn start(engine: AlgasEngine, cfg: RuntimeConfig) -> Self {
-        assert!(cfg.n_slots > 0 && cfg.n_workers > 0 && cfg.n_host_threads > 0);
-        let slots = (0..cfg.n_slots)
+        let n_slots = engine.config().slots;
+        assert!(n_slots > 0 && cfg.n_workers > 0 && cfg.n_host_threads > 0);
+        let slots = (0..n_slots)
             .map(|_| Slot { state: AtomicSlotState::new(), job: Mutex::new(None) })
             .collect();
         let shared = Arc::new(Shared {
@@ -294,7 +294,13 @@ impl AlgasServer {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             net: NetCounters::default(),
-            obs: RuntimeObs::new(cfg.n_workers, cfg.n_host_threads, cfg.flight, cfg.qlog, cfg.tick),
+            obs: RuntimeObs::new(
+                cfg.n_workers,
+                cfg.n_host_threads,
+                cfg.flight,
+                cfg.qlog,
+                cfg.window_period_ms,
+            ),
         });
 
         let workers = (0..cfg.n_workers)
@@ -430,8 +436,11 @@ impl AlgasServer {
     /// breakdowns and histograms carry data only when the (default-on)
     /// `obs` feature is compiled in.
     pub fn runtime_stats(&self) -> RuntimeStats {
-        let mut out =
-            RuntimeStats::empty(self.cfg.n_slots, self.cfg.n_workers, self.cfg.n_host_threads);
+        let mut out = RuntimeStats::empty(
+            self.shared.slots.len(),
+            self.cfg.n_workers,
+            self.cfg.n_host_threads,
+        );
         out.submitted = self.shared.stats.submitted.load(Ordering::Relaxed);
         out.completed = self.shared.stats.completed.load(Ordering::Relaxed);
         out.rejected_queue_full = self.shared.stats.rejected_queue_full.load(Ordering::Relaxed);
@@ -810,7 +819,6 @@ mod tests {
         let server = AlgasServer::start(
             server_engine,
             RuntimeConfig {
-                n_slots: slots,
                 n_workers: workers,
                 n_host_threads: hosts,
                 queue_capacity: 256,
@@ -859,7 +867,6 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(relayouted, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 4,
                 n_workers: 2,
                 n_host_threads: 1,
                 queue_capacity: 64,
@@ -891,7 +898,6 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 4,
                 n_workers: 2,
                 n_host_threads: 1,
                 queue_capacity: 64,
@@ -1031,19 +1037,23 @@ mod tests {
 
     #[test]
     fn runtime_stats_report_counters_and_gauges() {
-        let (server, ds, _) = test_server(4, 2, 1);
+        // The runtime runs the slot count the engine planned for.
+        let (server, ds, _) = test_server(3, 2, 1);
         for i in 0..10 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
             let _ = server.search_blocking(q).unwrap();
         }
         let s = server.runtime_stats();
-        assert_eq!((s.n_slots, s.n_workers, s.n_host_threads), (4, 2, 1));
+        assert_eq!((s.n_slots, s.n_workers, s.n_host_threads), (3, 2, 1));
+        let page = crate::obs::json::Value::parse(&s.to_json()).unwrap();
+        let n_slots = page.get("config").and_then(|c| c.get("n_slots")).and_then(|v| v.as_u64());
+        assert_eq!(n_slots, Some(3), "config.n_slots reports the engine's");
         assert_eq!((s.submitted, s.completed, s.rejected_queue_full), (10, 10, 0));
         // The breakdown vectors always carry the runtime shape, even
         // with `obs` compiled out (they're just all-zero then).
         assert_eq!(s.per_worker.len(), 2);
         assert_eq!(s.per_host.len(), 1);
-        assert!(s.queue_depth == 0 && s.slots_occupied <= 4);
+        assert!(s.queue_depth == 0 && s.slots_occupied <= 3);
         #[cfg(feature = "obs")]
         {
             // search_blocking returned for every query, so every
@@ -1071,14 +1081,12 @@ mod tests {
         let server = AlgasServer::start(
             engine,
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 64,
                 // Retain everything: threshold 0 marks every query slow.
                 flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
-                qlog: QlogConfig::default(),
-                tick: ObsTickConfig::default(),
+                ..Default::default()
             },
         );
         for i in 0..6 {
@@ -1126,7 +1134,6 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 64,
@@ -1179,7 +1186,6 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 4,
                 n_workers: 2,
                 n_host_threads: 1,
                 queue_capacity: 64,
@@ -1220,7 +1226,6 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 64,
@@ -1280,13 +1285,12 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 4,
                 n_workers: 2,
                 n_host_threads: 1,
                 queue_capacity: 64,
-                // Park the ticker (no sampling, hour-long rotation) so
-                // this test drives rotations deterministically.
-                tick: ObsTickConfig { prof_hz: 0, window_period_ms: 3_600_000 },
+                // An hour-long rotation period parks the ticker's
+                // rotations, so this test drives them deterministically.
+                window_period_ms: 3_600_000,
                 ..Default::default()
             },
         );
@@ -1374,11 +1378,10 @@ mod tests {
         };
         let engine = AlgasEngine::new(index, cfg).unwrap();
         assert!(engine.controller().enabled(), "quantized + slo => active controller");
-        let tick_every = engine.controller().config().tick_every;
+        let tick_every = crate::control::CONTROL_TICK_EVERY;
         let server = AlgasServer::start(
             engine,
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 256,
@@ -1418,13 +1421,12 @@ mod tests {
             ..Default::default()
         };
         let engine = AlgasEngine::new(index, cfg).unwrap();
-        let tick_every = engine.controller().config().tick_every;
+        let tick_every = crate::control::CONTROL_TICK_EVERY;
         let max_level = engine.controller().ladder().max_level();
         let n_queries = 3 * tick_every as usize;
         let server = AlgasServer::start(
             engine,
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 256,
@@ -1502,7 +1504,6 @@ mod tests {
         let server = AlgasServer::start(
             engine,
             RuntimeConfig {
-                n_slots: 1,
                 n_workers: 1,
                 n_host_threads: 1,
                 queue_capacity: 1,

@@ -4,8 +4,7 @@
 //! each of a query's CTAs "enter \[a\] random entry point" (§III-B) so the
 //! CTAs explore disjoint regions before meeting in the TopK neighborhood.
 //!
-//! Beside the stateless policies (fixed vertex, medoid, CAGRA-style
-//! hashed entries), this module provides the one *data-backed* entry
+//! Beside the stateless policies (medoid, CAGRA-style hashed entries), this module provides the one *data-backed* entry
 //! structure built at index time, the [`HashEntryTable`]: an LSH bucket
 //! table whose random-hyperplane signatures (over the fp32 rows, or the
 //! dequantized SQ8 rows when the index is quantized) partition the
@@ -24,8 +23,6 @@ pub const NO_ENTRY: u32 = u32::MAX;
 /// How a searcher picks its entry vertex (or vertices, for multi-CTA).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EntryPolicy {
-    /// Always start at one fixed vertex.
-    Fixed(u32),
     /// Start at the corpus medoid (vector closest to the mean) —
     /// computed once by [`medoid`]; the classic single-entry choice.
     Medoid,
@@ -53,14 +50,10 @@ impl EntryPolicy {
     /// this data-free resolver returns the medoid for it.
     ///
     /// # Panics
-    /// Panics if `n == 0` or a fixed entry is out of range.
+    /// Panics if `n == 0` or the medoid is out of range.
     pub fn entry_for(&self, query_id: u64, cta_id: u32, n: usize, medoid_id: u32) -> u32 {
         assert!(n > 0, "cannot pick an entry in an empty corpus");
         match *self {
-            EntryPolicy::Fixed(v) => {
-                assert!((v as usize) < n, "fixed entry {v} out of range");
-                v
-            }
             EntryPolicy::Medoid | EntryPolicy::HashTable => {
                 assert!((medoid_id as usize) < n, "medoid {medoid_id} out of range");
                 medoid_id
@@ -330,13 +323,6 @@ mod tests {
     use algas_vector::datasets::DatasetSpec;
 
     #[test]
-    fn fixed_policy_returns_fixed() {
-        let p = EntryPolicy::Fixed(3);
-        assert_eq!(p.entry_for(0, 0, 10, 0), 3);
-        assert_eq!(p.entry_for(99, 7, 10, 0), 3);
-    }
-
-    #[test]
     fn hashed_policy_is_deterministic_and_spread() {
         let p = EntryPolicy::Hashed { seed: 7 };
         let a = p.entry_for(1, 0, 1000, 0);
@@ -369,12 +355,6 @@ mod tests {
     fn medoid_policy_uses_supplied_id() {
         let p = EntryPolicy::Medoid;
         assert_eq!(p.entry_for(5, 2, 100, 42), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn fixed_out_of_range_panics() {
-        EntryPolicy::Fixed(10).entry_for(0, 0, 5, 0);
     }
 
     #[test]

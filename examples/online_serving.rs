@@ -28,7 +28,6 @@ fn main() {
     let server = AlgasServer::start(
         engine,
         RuntimeConfig {
-            n_slots: 8,
             n_workers: 2,
             n_host_threads: 1,
             queue_capacity: 512,

@@ -2,8 +2,8 @@
 //! per entry policy through [`AlgasEngine::serve_into`], the per-query
 //! call a serving worker makes.
 //!
-//! The engine resolves per-CTA seeds from [`EntryPolicy`]: `Fixed` and
-//! `Medoid` start everywhere from one vertex, `Hashed` scatters CTAs
+//! The engine resolves per-CTA seeds from [`EntryPolicy`]: `Medoid`
+//! starts everywhere from one vertex, `Hashed` scatters CTAs
 //! pseudo-randomly (CAGRA's strategy, the paper's seeds), and
 //! `HashTable` looks the query's LSH bucket up and starts the walk
 //! *near the query*. A worker runs its walkers one after another and
@@ -54,7 +54,6 @@ fn main() {
 
     let mut measured = Vec::new();
     for (name, policy) in [
-        ("fixed (vertex 0)", EntryPolicy::Fixed(0)),
         ("medoid", EntryPolicy::Medoid),
         ("hashed (paper)", EngineConfig::default().entry_policy),
         ("hash-table (LSH)", EntryPolicy::HashTable),

@@ -7,6 +7,9 @@
 # `target/`; "non-test" stops each file at its first `#[cfg(test)]` /
 # `#[cfg(all(test, ...))]`. The golden counts are the Prometheus
 # families (`# TYPE` lines) and the scalar values on the JSON page.
+# The option counts are the `pub` fields of every `pub struct *Config`
+# in `algas-core`, and the flags `algas serve` accepts (the words of
+# `src/cli.rs`'s `ENGINE` and `SESSION` lists plus `serve`'s own).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +25,26 @@ non_test_lines() {
         END { print n + 0 }' {} + | awk '{ n += $1 } END { print n + 0 }'
 }
 
+config_fields() {
+    find "$1" -name '*.rs' -exec awk '
+        /^pub struct [A-Za-z0-9_]*Config / { in_config = 1; next }
+        in_config && /^}/ { in_config = 0 }
+        in_config && /^    pub [a-z0-9_]+:/ { n++ }
+        END { print n + 0 }' {} + | awk '{ n += $1 } END { print n + 0 }'
+}
+
+serve_flags() {
+    awk '
+        /^const (ENGINE|SESSION): &str =/ { grab = 1 }
+        /"serve" => / { in_serve = 1 }
+        in_serve && /let own = / { grab = 1; in_serve = 0 }
+        grab {
+            if (match($0, /"[^"]*"/)) n += split(substr($0, RSTART + 1, RLENGTH - 2), w, " ")
+            if ($0 ~ /;/) grab = 0
+        }
+        END { print n + 0 }' src/cli.rs
+}
+
 core=crates/algas-core/src
 printf 'workspace .rs lines      %6d\n' "$(rs_lines .)"
 printf 'algas-core               %6d\n' "$(rs_lines crates/algas-core)"
@@ -31,3 +54,5 @@ printf 'algas-core net/          %6d\n' "$(rs_lines $core/net)"
 printf 'src/cli.rs               %6d\n' "$(rs_lines src/cli.rs)"
 printf 'prometheus families      %6d\n' "$(awk '/^# TYPE /{ n++ } END { print n + 0 }' tests/golden/stats.prom)"
 printf 'json leaf values         %6d\n' "$(awk '{ n += gsub(/":[^[{]/, "&") } END { print n + 0 }' tests/golden/stats.json)"
+printf 'algas-core *Config fields %5d\n' "$(config_fields $core)"
+printf 'serve flags              %6d\n' "$(serve_flags)"

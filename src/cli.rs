@@ -18,7 +18,7 @@
 //! ENGINE:  --index index.algas --queries q.fvecs [--k 10] [--l 64] [--slots 16]
 //!          [--quantize true] [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
 //! SESSION: [--workers 2] [--hosts 1] [--repeat N] [--trace-threshold-us N]
-//!          [--qlog-sample N] [--qlog-slow-us N] [--prof-hz 97] [--window-period-ms 1000]
+//!          [--qlog-sample N] [--window-period-ms 1000]
 //! ```
 //!
 //! These lists are what each command accepts ([`run`] holds them); any
@@ -59,7 +59,7 @@
 //! follows `--trace-threshold-us`, by default the 8 slowest queries).
 //! `--net` additionally binds the
 //! binary query protocol (length-prefixed frames, pipelined,
-//! RETRY_AFTER backpressure beyond 256 outstanding requests);
+//! RETRY_AFTER once 256 requests are queued);
 //! `--repeat 0` skips the local closed-loop drive entirely so the
 //! process serves network clients only, for `--linger-ms`. Every
 //! surface (`--stats-json`, `--listen`, the wire STATS reply, the
@@ -68,12 +68,11 @@
 //! as JSON lines (one structured record per completed query — wire
 //! request id, connection, queue delay, phase spans, hops, entry
 //! policy, SLO rung, rerank depth, status); `--qlog-sample N` keeps
-//! every Nth completion, `--qlog-slow-us` always keeps queries at
-//! least that slow, and the retained tail is also served live at
+//! every Nth completion, and the retained tail is also served live at
 //! `/query-log` on the `--listen` endpoint (next to `/healthz` and
-//! `/readyz` probes). `--prof-hz` sets the thread-state sampling
-//! profiler rate (0 disables sampling, rotation continues) and
-//! `--window-period-ms` the windowed-telemetry rotation period;
+//! `/readyz` probes). The thread-state sampling profiler runs at a
+//! fixed 97 Hz; `--window-period-ms` sets the windowed-telemetry
+//! rotation period;
 //! `GET /profile?seconds=N` on the `--listen` endpoint returns a
 //! folded-stack capture (`curl` it, then `flamegraph.pl` /
 //! speedscope). The binary carries no network client: load at an
@@ -86,10 +85,8 @@
 //! All logic lives here (testable); `src/bin/algas.rs` is a thin shim.
 
 use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
-use algas_core::net::{NetConfig, NetServer};
-use algas_core::obs::{
-    FlightConfig, ObsTickConfig, ProfState, QlogConfig, StatsServer, ThreadKind,
-};
+use algas_core::net::NetServer;
+use algas_core::obs::{FlightConfig, ProfState, QlogConfig, StatsServer, ThreadKind};
 use algas_core::runtime::{AlgasServer, RuntimeConfig};
 use algas_graph::cagra::CagraParams;
 use algas_graph::nsw::NswParams;
@@ -100,13 +97,14 @@ use algas_vector::ground_truth::{brute_force_knn, mean_recall, GroundTruth};
 use algas_vector::{Metric, VectorStore};
 use std::collections::HashMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Flags [`engine_config_from_flags`] and the index/query loaders read.
 const ENGINE: &str = "index queries k l slots quantize rerank entry-policy slo-us";
 
 /// Flags a `serve`/`stats` session reads on top of [`ENGINE`].
-const SESSION: &str =
-    "workers hosts repeat trace-threshold-us qlog-sample qlog-slow-us prof-hz window-period-ms";
+const SESSION: &str = "workers hosts repeat trace-threshold-us qlog-sample window-period-ms";
 
 type Command = fn(&HashMap<String, String>, &mut dyn Write) -> Result<(), String>;
 
@@ -501,9 +499,10 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
-/// The submission queue bound of a `serve`/`stats` runtime; the local
-/// drive keeps at most this many queries outstanding.
-const QUEUE_CAPACITY: usize = 4096;
+/// The submission queue bound of a `serve`/`stats` runtime — the one
+/// place load is refused (a wire SEARCH past it gets RETRY_AFTER); the
+/// local drive keeps at most this many queries outstanding.
+const QUEUE_CAPACITY: usize = 256;
 
 /// Loads the index + queries and starts the threaded runtime per the
 /// shared `serve`/`stats` flags.
@@ -514,9 +513,8 @@ fn start_server_from_flags(
     // starts from the LSH table, near the query (built at load when the
     // index carries no entry section).
     let engine_cfg = engine_config_from_flags(flags, EntryPolicy::HashTable)?;
-    let tick = ObsTickConfig::default();
+    let default_period_ms = RuntimeConfig::default().window_period_ms;
     let runtime_cfg = RuntimeConfig {
-        n_slots: engine_cfg.slots,
         n_workers: opt_size(flags, "workers", 2)?,
         n_host_threads: opt_size(flags, "hosts", 1)?,
         queue_capacity: QUEUE_CAPACITY,
@@ -528,11 +526,7 @@ fn start_server_from_flags(
             ..FlightConfig::default()
         },
         qlog: qlog_from_flags(flags)?,
-        // `--prof-hz 0` stops the sampler; window rotation goes on.
-        tick: ObsTickConfig {
-            prof_hz: opt_parse(flags, "prof-hz", tick.prof_hz)?,
-            window_period_ms: opt_parse(flags, "window-period-ms", tick.window_period_ms)?.max(1),
-        },
+        window_period_ms: opt_parse(flags, "window-period-ms", default_period_ms)?.max(1),
     };
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
     let mut queries = load_fvecs(req(flags, "queries")?)?;
@@ -544,19 +538,15 @@ fn start_server_from_flags(
 }
 
 /// The wide-event query-log policy from the `--query-log` /
-/// `--qlog-*` flags. The log arms when any of them is present:
+/// `--qlog-sample` flags. The log arms when either is present:
 /// `--qlog-sample N` keeps every Nth completed query (default every
-/// one), `--qlog-slow-us` always keeps queries at least that slow
-/// (rejects and errors always log).
+/// one; rejects and errors always log).
 fn qlog_from_flags(flags: &HashMap<String, String>) -> Result<QlogConfig, String> {
-    let armed = ["query-log", "qlog-sample", "qlog-slow-us"].iter().any(|f| flags.contains_key(*f));
+    let armed = ["query-log", "qlog-sample"].iter().any(|f| flags.contains_key(*f));
     let defaults = QlogConfig::default();
     Ok(QlogConfig {
         enabled: armed,
         sample_every: opt_parse(flags, "qlog-sample", defaults.sample_every)?,
-        slow_threshold_ns: opt::<u64>(flags, "qlog-slow-us")?
-            .map_or(u64::MAX, |us| us.saturating_mul(1000)),
-        ..defaults
     })
 }
 
@@ -591,72 +581,129 @@ fn drive_serve_session(
     Ok(hist.snapshot())
 }
 
+/// The `--query-log` writer: a thread tailing the wide-event ring to
+/// the file, and the flag that ends it.
+struct QlogWriter {
+    path: String,
+    stop: Arc<AtomicBool>,
+    handle: std::thread::JoinHandle<std::io::Result<u64>>,
+}
+
+/// What `serve` runs next to the runtime; [`Serving::teardown`] stops
+/// all of it.
+struct Serving {
+    server: Arc<AlgasServer>,
+    net: Option<NetServer>,
+    stats: Option<StatsServer>,
+    qlog: Option<QlogWriter>,
+}
+
+impl Serving {
+    /// Stops and joins the query-log writer (its final drain and flush
+    /// included), stops both listeners and shuts the runtime down.
+    /// Every step runs even when an earlier one failed; the first
+    /// error is returned.
+    fn teardown(self, out: &mut dyn Write) -> Result<(), String> {
+        let mut result = Ok(());
+        if let Some(w) = self.qlog {
+            w.stop.store(true, Ordering::Release);
+            result = match w.handle.join() {
+                Err(_) => Err("query-log writer panicked".to_string()),
+                Ok(Err(e)) => Err(format!("{}: {e}", w.path)),
+                Ok(Ok(written)) => {
+                    writeln!(out, "wrote {written} query-log line(s) to {}", w.path).map_err(io_err)
+                }
+            };
+        }
+        // Both listeners hold the runtime: stop them before unwrapping it.
+        if let Some(srv) = self.stats {
+            srv.stop();
+        }
+        if let Some(net) = self.net {
+            net.stop();
+        }
+        match Arc::try_unwrap(self.server) {
+            Ok(server) => server.shutdown(),
+            Err(_) => return result.and(Err("internal: server still shared at shutdown".into())),
+        }
+        result
+    }
+}
+
 fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let (server, queries) = start_server_from_flags(flags)?;
-    let server = std::sync::Arc::new(server);
-    let net_server = match flags.get("net") {
-        Some(addr) => {
-            let srv = NetServer::start(addr.as_str(), server.clone(), NetConfig::default())
-                .map_err(|e| format!("--net {addr}: {e}"))?;
-            writeln!(out, "query protocol listening on {}", srv.local_addr()).map_err(io_err)?;
-            Some(srv)
-        }
-        None => None,
-    };
-    let stats_server = match flags.get("listen") {
-        Some(addr) => {
-            let srv = StatsServer::start(addr.as_str(), server.clone())
-                .map_err(|e| format!("--listen {addr}: {e}"))?;
-            writeln!(out, "stats listening on http://{}", srv.local_addr()).map_err(io_err)?;
-            Some(srv)
-        }
-        None => None,
-    };
+    let mut serving = Serving { server: Arc::new(server), net: None, stats: None, qlog: None };
+    // One teardown for every return path: an error after the writer
+    // started must not leave it holding the runtime with lines
+    // unflushed.
+    let served = serve_session(flags, &queries, &mut serving, out);
+    let torn_down = serving.teardown(out);
+    served.and(torn_down)
+}
+
+/// The body of `serve`: starts what the flags ask for into `serving`,
+/// drives the local session and reports.
+fn serve_session(
+    flags: &HashMap<String, String>,
+    queries: &VectorStore,
+    serving: &mut Serving,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    let server = Arc::clone(&serving.server);
+    if let Some(addr) = flags.get("net") {
+        let srv = NetServer::start(addr.as_str(), server.clone())
+            .map_err(|e| format!("--net {addr}: {e}"))?;
+        writeln!(out, "query protocol listening on {}", srv.local_addr()).map_err(io_err)?;
+        serving.net = Some(srv);
+    }
+    if let Some(addr) = flags.get("listen") {
+        let srv = StatsServer::start(addr.as_str(), server.clone())
+            .map_err(|e| format!("--listen {addr}: {e}"))?;
+        writeln!(out, "stats listening on http://{}", srv.local_addr()).map_err(io_err)?;
+        serving.stats = Some(srv);
+    }
     // `--query-log`: a writer thread tails the wide-event ring to the
     // file as JSON lines, so the serving threads never touch the
-    // filesystem. Joined (after a final drain) before teardown. It
-    // starts after both listeners bound: a bind error returns with no
-    // writer holding the runtime and no file left behind.
-    let qlog_writer = match flags.get("query-log") {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let handle = {
-                let server = server.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || -> std::io::Result<u64> {
-                    let prof = server.prof_registry().register(ThreadKind::Qlog, "qlog-writer");
-                    let mut w = std::io::BufWriter::new(file);
-                    let (mut cursor, mut written) = (0u64, 0u64);
-                    loop {
-                        let done = stop.load(std::sync::atomic::Ordering::Acquire);
-                        prof.stamp(ProfState::Drain);
-                        let (lines, next) = server.qlog_lines_since(cursor);
-                        cursor = next;
-                        for line in &lines {
-                            writeln!(w, "{line}")?;
-                            written += 1;
-                        }
-                        if done {
-                            w.flush()?;
-                            return Ok(written);
-                        }
-                        prof.stamp(ProfState::Idle);
-                        std::thread::sleep(std::time::Duration::from_millis(20));
+    // filesystem. Joined (after a final drain) at teardown. It starts
+    // after both listeners bound: a bind error returns with no file
+    // left behind.
+    if let Some(path) = flags.get("query-log") {
+        let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let server = server.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || -> std::io::Result<u64> {
+                let prof = server.prof_registry().register(ThreadKind::Qlog, "qlog-writer");
+                let mut w = std::io::BufWriter::new(file);
+                let (mut cursor, mut written) = (0u64, 0u64);
+                loop {
+                    let done = stop.load(Ordering::Acquire);
+                    prof.stamp(ProfState::Drain);
+                    let (lines, next) = server.qlog_lines_since(cursor);
+                    cursor = next;
+                    for line in &lines {
+                        writeln!(w, "{line}")?;
+                        written += 1;
                     }
-                })
-            };
-            Some((path.clone(), stop, handle))
-        }
-        None => None,
-    };
+                    if done {
+                        w.flush()?;
+                        return Ok(written);
+                    }
+                    prof.stamp(ProfState::Idle);
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+            })
+        };
+        serving.qlog = Some(QlogWriter { path: path.clone(), stop, handle });
+    }
     // `--repeat 0` skips the local closed-loop drive: the process only
     // serves network clients (use with --net and --linger-ms).
     let repeat = opt_parse(flags, "repeat", 1usize)?;
     if repeat > 0 {
         let total = queries.len() * repeat;
         let t0 = std::time::Instant::now();
-        let lat = drive_serve_session(&server, &queries, repeat)?;
+        let lat = drive_serve_session(&server, queries, repeat)?;
         let wall = t0.elapsed();
         writeln!(
             out,
@@ -795,25 +842,6 @@ fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
         let traces = server.flight_traces();
         std::fs::write(path, server.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
         writeln!(out, "wrote {} flight trace(s) to {path}", traces.len()).map_err(io_err)?;
-    }
-    if let Some((path, stop, handle)) = qlog_writer {
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        let written = handle
-            .join()
-            .map_err(|_| "query-log writer panicked".to_string())?
-            .map_err(|e| format!("{path}: {e}"))?;
-        writeln!(out, "wrote {written} query-log line(s) to {path}").map_err(io_err)?;
-    }
-    // Both listeners hold the runtime: stop them before unwrapping it.
-    if let Some(srv) = stats_server {
-        srv.stop();
-    }
-    if let Some(net) = net_server {
-        net.stop();
-    }
-    match std::sync::Arc::try_unwrap(server) {
-        Ok(server) => server.shutdown(),
-        Err(_) => return Err("internal: server still shared at shutdown".into()),
     }
     Ok(())
 }
@@ -1526,8 +1554,6 @@ mod tests {
                 "3000",
                 "--window-period-ms",
                 "200",
-                "--prof-hz",
-                "199",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1714,6 +1740,42 @@ mod tests {
     }
 
     #[test]
+    fn serve_error_after_the_query_log_starts_still_flushes_it() {
+        let base = tmp("f-base.fvecs");
+        let queries = tmp("f-q.fvecs");
+        let index = tmp("f-index.algas");
+        let qlog = tmp("f-qlog.ndjson");
+        run_ok(&["gen", "--out", &base, "--queries", &queries, "--n", "200", "--nq", "16"]);
+        run_ok(&["build", "--base", &base, "--out", &index]);
+        let stats_json = "/nonexistent-dir/x.json";
+        let args: Vec<String> = [
+            "serve",
+            "--index",
+            &index,
+            "--queries",
+            &queries,
+            "--repeat",
+            "1",
+            "--query-log",
+            &qlog,
+            "--stats-json",
+            stats_json,
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with(&format!("{stats_json}: ")), "{err}");
+        // The teardown still stopped the writer, whose final drain and
+        // flush put every served query in the file.
+        let logged = std::fs::read_to_string(&qlog).unwrap();
+        assert_eq!(logged.lines().count(), 16, "one line per query served");
+        for p in [base, queries, index, qlog] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
     fn errors_are_reported() {
         let mut out = Vec::new();
         assert!(run(&[], &mut out).is_err());
@@ -1776,6 +1838,12 @@ mod tests {
                 let err = run(&[cmd.into(), flag.into(), "8".into()], &mut out).unwrap_err();
                 assert_eq!(err, format!("unknown flag {flag} for {cmd}"));
             }
+        }
+        // The sampler rate and the query log's slow threshold are
+        // constants, not flags.
+        for (flag, value) in [("--prof-hz", "97"), ("--qlog-slow-us", "1")] {
+            let err = run(&args_of(&serve, &[flag, value]), &mut out).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for serve"));
         }
     }
 }

@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas::core::net::lifecycle::MAX_PARK;
-use algas::core::net::{frame, NetClient, NetConfig, NetServer, Reply};
+use algas::core::net::{frame, NetClient, NetServer, Reply};
 use algas::core::obs::json::Value;
-use algas::core::obs::{chrome_trace_json, FlightConfig, ObsTickConfig, QlogConfig, StatsServer};
+use algas::core::obs::{chrome_trace_json, FlightConfig, QlogConfig, StatsServer};
 use algas::core::runtime::{AlgasServer, RuntimeConfig};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
@@ -20,13 +20,16 @@ use algas::vector::Metric;
 
 const DIM: usize = 16;
 
-fn start_stack(runtime_cfg: RuntimeConfig, net_cfg: NetConfig) -> Stack {
+/// Engine slots for every stack that does not ask for fewer.
+const SLOTS: usize = 4;
+
+fn start_stack(slots: usize, runtime_cfg: RuntimeConfig) -> Stack {
     let ds = DatasetSpec::tiny(800, DIM, Metric::L2, 4242).generate();
     let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-    let cfg = EngineConfig { k: 10, l: 64, slots: runtime_cfg.n_slots, ..Default::default() };
+    let cfg = EngineConfig { k: 10, l: 64, slots, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
     let server = Arc::new(AlgasServer::start(engine, runtime_cfg));
-    let net = NetServer::start("127.0.0.1:0", Arc::clone(&server), net_cfg).expect("bind");
+    let net = NetServer::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
     Stack { server, net, queries: ds.queries }
 }
 
@@ -38,13 +41,7 @@ struct Stack {
 
 impl Stack {
     fn default_runtime() -> RuntimeConfig {
-        RuntimeConfig {
-            n_slots: 4,
-            n_workers: 2,
-            n_host_threads: 2,
-            queue_capacity: 256,
-            ..Default::default()
-        }
+        RuntimeConfig { n_workers: 2, n_host_threads: 2, queue_capacity: 256, ..Default::default() }
     }
 
     fn client(&self) -> NetClient {
@@ -61,7 +58,7 @@ impl Stack {
 /// box has taken over a hundred.
 #[test]
 fn pipelined_requests_complete_out_of_order_matched_by_request_id() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     const IN_FLIGHT: usize = 16;
     let deadline = Instant::now() + Duration::from_secs(10);
 
@@ -123,7 +120,6 @@ fn pipelined_requests_complete_out_of_order_matched_by_request_id() {
 #[test]
 fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
     let runtime = RuntimeConfig {
-        n_slots: 4,
         n_workers: 2,
         n_host_threads: 2,
         queue_capacity: 256,
@@ -133,7 +129,7 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
         qlog: QlogConfig { enabled: true, ..Default::default() },
         ..Default::default()
     };
-    let stack = start_stack(runtime, NetConfig::default());
+    let stack = start_stack(SLOTS, runtime);
     let mut client = stack.client();
 
     const N: usize = 12;
@@ -212,15 +208,9 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
 
 #[test]
 fn overload_answers_retry_after_with_counted_rejects() {
-    let runtime = RuntimeConfig {
-        n_slots: 1,
-        n_workers: 1,
-        n_host_threads: 1,
-        queue_capacity: 2,
-        ..Default::default()
-    };
-    let net_cfg = NetConfig { max_inflight: 4, ..Default::default() };
-    let stack = start_stack(runtime, net_cfg);
+    let runtime =
+        RuntimeConfig { n_workers: 1, n_host_threads: 1, queue_capacity: 2, ..Default::default() };
+    let stack = start_stack(1, runtime);
     let mut client = stack.client();
 
     const FLOOD: usize = 200;
@@ -242,22 +232,24 @@ fn overload_answers_retry_after_with_counted_rejects() {
     }
     assert_eq!(served + rejected, FLOOD);
     assert!(served > 0, "some requests must be admitted");
-    assert!(rejected > 0, "a 200-request flood against 1 slot / queue 2 / budget 4 must shed load");
+    assert!(rejected > 0, "a 200-request flood against 1 slot / queue 2 must shed load");
     assert!((100..=200_000).contains(&min_delay), "suggested delay in the clamp band");
 
-    let net = stack.server.runtime_stats().net;
-    assert_eq!(net.backpressure_rejects, rejected as u64, "rejects flow through obs");
-    assert_eq!(net.protocol_errors, 0);
-
-    // Backpressure is protocol-level: the runtime's own queue-full
-    // counter only grows when submits raced past the in-flight budget.
+    // The runtime's queue is the one admission bound: every RETRY_AFTER
+    // is one queue-full refusal, counted once on each side.
     let stats = stack.server.runtime_stats();
+    assert_eq!(rejected as u64, stats.rejected_queue_full, "every refusal is a full queue");
+    assert_eq!(
+        stats.net.backpressure_rejects, stats.rejected_queue_full,
+        "rejects flow through obs"
+    );
+    assert_eq!(stats.net.protocol_errors, 0);
     assert_eq!(stats.completed, served as u64);
 }
 
 #[test]
 fn garbage_bytes_get_an_error_frame_then_close_and_server_survives() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut bad = stack.client();
     bad.send_raw(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("send garbage");
     match bad.recv() {
@@ -286,7 +278,7 @@ fn garbage_bytes_get_an_error_frame_then_close_and_server_survives() {
 
 #[test]
 fn bad_search_payload_is_recoverable_on_the_same_connection() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
 
     // Wrong payload length (3 floats instead of DIM): the frame itself
@@ -315,7 +307,7 @@ fn protocol_errors_reach_the_query_log_under_their_request_id() {
         qlog: QlogConfig { enabled: true, ..Default::default() },
         ..Stack::default_runtime()
     };
-    let stack = start_stack(runtime, NetConfig::default());
+    let stack = start_stack(SLOTS, runtime);
     let mut client = stack.client();
     const ID: u64 = 0xBADD_0001;
     client.send_search(ID, &[1.0, 2.0, 3.0]).expect("send wrong-dimension query");
@@ -340,7 +332,7 @@ fn protocol_errors_reach_the_query_log_under_their_request_id() {
 /// recoverably — the frame itself is well-formed.
 #[test]
 fn non_finite_search_payload_is_refused_and_the_connection_stays_usable() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
     for (id, bad) in [(1, f32::NAN), (2, f32::INFINITY), (3, f32::NEG_INFINITY)] {
         let mut query = stack.queries.get(0).to_vec();
@@ -401,14 +393,13 @@ fn parked_loop_hands_off_within_half_a_millisecond() {
         return; // the server-side span comes from the query log
     }
     let runtime = RuntimeConfig {
-        n_slots: 2,
         n_workers: 1,
         n_host_threads: 1,
         queue_capacity: 16,
         qlog: QlogConfig { enabled: true, ..Default::default() },
         ..Default::default()
     };
-    let stack = start_stack(runtime, NetConfig::default());
+    let stack = start_stack(2, runtime);
     let mut client = stack.client();
     const PER_ROUND: u64 = 25;
     let mut next_id = 0u64;
@@ -449,10 +440,8 @@ fn parked_loop_hands_off_within_half_a_millisecond() {
 /// next timeout takes half of it in the median).
 #[test]
 fn idle_servers_stop_well_under_one_park_interval() {
-    let stack = start_stack(
-        RuntimeConfig { n_slots: 2, n_workers: 1, n_host_threads: 1, ..Default::default() },
-        NetConfig::default(),
-    );
+    let stack =
+        start_stack(2, RuntimeConfig { n_workers: 1, n_host_threads: 1, ..Default::default() });
     let bound_us = MAX_PARK.as_secs_f64() * 1e6 / 4.0;
     fn timed_stop(stop: impl FnOnce()) -> f64 {
         // Long enough idle for any back-off to reach its longest wait.
@@ -464,12 +453,7 @@ fn idle_servers_stop_well_under_one_park_interval() {
     assert_median_under(bound_us, "idle NetServer stop", || {
         (0..15)
             .map(|_| {
-                let net = NetServer::start(
-                    "127.0.0.1:0",
-                    Arc::clone(&stack.server),
-                    NetConfig::default(),
-                )
-                .expect("bind");
+                let net = NetServer::start("127.0.0.1:0", Arc::clone(&stack.server)).expect("bind");
                 timed_stop(|| net.stop())
             })
             .collect()
@@ -487,12 +471,10 @@ fn idle_servers_stop_well_under_one_park_interval() {
 
 #[test]
 fn oversized_and_truncated_frames_never_panic_the_server() {
-    let stack = start_stack(
-        Stack::default_runtime(),
-        NetConfig { max_payload: 4096, ..Default::default() },
-    );
+    let stack = start_stack(SLOTS, Stack::default_runtime());
 
-    // Oversized: a valid header advertising a payload over the cap.
+    // Oversized: a valid header advertising a payload over the default
+    // cap.
     let mut over = stack.client();
     let mut raw = Vec::new();
     frame::encode_header(&mut raw, frame::Opcode::Search, 9, 1 << 30);
@@ -520,7 +502,7 @@ fn oversized_and_truncated_frames_never_panic_the_server() {
 
 #[test]
 fn ping_echoes_and_stats_returns_parseable_json_with_net_counters() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
 
     client.send_ping(21, b"heartbeat").expect("ping");
@@ -578,11 +560,8 @@ fn leaf_paths(v: &Value, prefix: &str, out: &mut BTreeSet<String>) {
 fn stats_reply_is_the_stats_json_page_with_every_connection() {
     // No window rotation during the test: both pages see the same
     // (empty) window list.
-    let runtime = RuntimeConfig {
-        tick: ObsTickConfig { prof_hz: 0, window_period_ms: 3_600_000 },
-        ..Stack::default_runtime()
-    };
-    let stack = start_stack(runtime, NetConfig::default());
+    let runtime = RuntimeConfig { window_period_ms: 3_600_000, ..Stack::default_runtime() };
+    let stack = start_stack(SLOTS, runtime);
     let (mut a, mut b) = (stack.client(), stack.client());
     for (id, client) in [(1, &mut a), (2, &mut b)] {
         match client.search(id, stack.queries.get(id as usize)).expect("search") {
@@ -626,7 +605,7 @@ fn stats_reply_is_the_stats_json_page_with_every_connection() {
 /// arrive intact.
 #[test]
 fn partial_writes_resume_under_a_stalled_reader() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
 
     const ECHO: usize = 256 * 1024;
@@ -656,7 +635,7 @@ fn partial_writes_resume_under_a_stalled_reader() {
 /// the socket reports no room, which is exactly when the buffer grows.
 #[test]
 fn a_client_that_never_reads_is_dropped_at_the_write_backlog_cap() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
     const ECHO: usize = 1 << 20;
     const COUNT: usize = 40;
@@ -686,7 +665,7 @@ fn a_client_that_never_reads_is_dropped_at_the_write_backlog_cap() {
 
 #[test]
 fn net_server_starts_and_stops_twice_on_the_same_port() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let addr = stack.net.local_addr();
 
     let mut c = stack.client();
@@ -698,8 +677,7 @@ fn net_server_starts_and_stops_twice_on_the_same_port() {
     );
 
     // Same port, same runtime, second listener generation.
-    let net2 = NetServer::start(addr, Arc::clone(&stack.server), NetConfig::default())
-        .expect("rebind the same port");
+    let net2 = NetServer::start(addr, Arc::clone(&stack.server)).expect("rebind the same port");
     let mut c2 = NetClient::connect(addr).expect("reconnect");
     c2.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     assert!(matches!(c2.search(2, stack.queries.get(1)), Ok(Reply::Result { .. })));
@@ -711,7 +689,7 @@ fn net_server_starts_and_stops_twice_on_the_same_port() {
 /// the runtime already owes before the connections close.
 #[test]
 fn stop_drains_in_flight_replies_within_the_linger() {
-    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let mut client = stack.client();
     const BATCH: usize = 8;
     for i in 0..BATCH {

@@ -23,7 +23,6 @@ fn start_server() -> (AlgasServer, algas::vector::VectorStore) {
     let cfg = EngineConfig { k: 10, l: 64, slots: 4, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
     let runtime_cfg = RuntimeConfig {
-        n_slots: 4,
         n_workers: 2,
         n_host_threads: 2,
         queue_capacity: 256,

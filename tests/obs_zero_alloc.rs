@@ -22,8 +22,8 @@ use algas::core::control::{ControlDecision, ControlReason};
 use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
 use algas::core::obs::{
-    DeliveryCtx, FlightConfig, Histogram, JobStamps, ObsTickConfig, ProfHandle, ProfState,
-    QlogConfig, RuntimeObs, ThreadKind,
+    DeliveryCtx, FlightConfig, Histogram, JobStamps, ProfHandle, ProfState, QlogConfig, RuntimeObs,
+    ThreadKind,
 };
 use algas::core::tracer::{StepStats, StepTotals};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,12 +118,12 @@ fn telemetry_hot_path_allocates_nothing() {
     // Retention disabled: the fast path of the tail sampler is the
     // whole path, and no trace is ever built.
     let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
-    // Query log armed with a deliberately small ring and no drainer
-    // running: the measured region exercises both the accepted-write
-    // and the ring-full drop path, neither of which may allocate
-    // (rendering to JSON lines happens on the control path, in drain).
-    let qlog = QlogConfig { enabled: true, ring_capacity: 64, ..Default::default() };
-    let obs = RuntimeObs::new(2, 1, flight, qlog, ObsTickConfig::default());
+    // Query log armed with no drainer running: the measured region
+    // exercises both the accepted-write and the ring-full drop path,
+    // neither of which may allocate (rendering to JSON lines happens on
+    // the control path, in drain).
+    let qlog = QlogConfig { enabled: true, ..Default::default() };
+    let obs = RuntimeObs::new(2, 1, flight, qlog, 1_000);
     // Registration allocates (label copy) — setup, not hot path.
     let prof = obs.prof_registry().register(ThreadKind::Worker, "worker-0");
     let hist = Histogram::new();
@@ -140,7 +140,10 @@ fn telemetry_hot_path_allocates_nothing() {
 
     // Warmup: one pass exercises any lazily-initialized state (the
     // first `Instant::now` clock read, histogram bucket touch, ...).
-    for q in 0..64 {
+    // It also fills the query log's 1024-cell ring to within 256 of
+    // full, so the first measured pass both accepts and drops records.
+    const WARMUP: u64 = 1024 - 256;
+    for q in 0..WARMUP {
         instrument_one_query(&obs, &hist, &totals, &prof, q);
     }
 
@@ -167,7 +170,7 @@ fn telemetry_hot_path_allocates_nothing() {
     );
 
     // Sanity: everything recorded was actually counted.
-    let total = 64 + 512 * counts.len() as u64;
+    let total = WARMUP + 512 * counts.len() as u64;
     let snap = hist.snapshot();
     assert_eq!(snap.count, total);
     let mut stats = algas::core::obs::RuntimeStats::empty(4, 2, 1);
@@ -183,8 +186,8 @@ fn telemetry_hot_path_allocates_nothing() {
     // ran inside the measured region.
     let totals = obs.qlog_totals();
     assert_eq!(totals.logged + totals.dropped, total);
-    assert!(totals.logged >= 63, "ring capacity's worth accepted");
-    assert!(totals.dropped > 0, "undrained small ring must have dropped");
+    assert_eq!(totals.logged, 1024, "ring capacity's worth accepted");
+    assert!(totals.dropped > 0, "undrained ring must have dropped");
     // Draining and rendering (the control path) is allowed to allocate
     // — and the lines carry the wire identity the deliveries recorded.
     let lines = obs.qlog_lines();

@@ -89,10 +89,11 @@ fn server_replies_are_the_serial_entry_points_results() {
     let mut graph = graph(&ds);
     graph.relayout();
     for quantize in [false, true] {
-        let direct = engine(&graph, cfg(quantize));
+        let served = EngineConfig { slots: 4, ..cfg(quantize) };
+        let direct = engine(&graph, served);
         let server = AlgasServer::start(
-            engine(&graph, cfg(quantize)),
-            RuntimeConfig { n_slots: 4, n_workers: 2, ..Default::default() },
+            engine(&graph, served),
+            RuntimeConfig { n_workers: 2, ..Default::default() },
         );
         let pending: Vec<_> = (0..ds.queries.len())
             .map(|q| server.submit(ds.queries.get(q).to_vec()).unwrap())
