@@ -11,7 +11,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 pub use algas_graph::binary::{decode_graph, encode_graph};
-pub use algas_vector::binary::{decode_store, encode_store};
 
 /// A directory-backed cache.
 pub struct DiskCache {
@@ -69,8 +68,10 @@ mod tests {
 
     #[test]
     fn cross_type_blobs_rejected() {
+        use algas_vector::binary::encode_store;
         use algas_vector::VectorStore;
-        assert!(decode_graph(&encode_store(&VectorStore::from_flat(1, vec![1.0]))).is_err());
+        let blob = encode_store(&VectorStore::from_flat(1, vec![1.0]));
+        assert!(decode_graph(&blob[..], blob.len() as u64).is_err());
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
             encode_graph(&NswBuilder::new(spec.metric, nsw_params()).build(&ds.base))
         })
         .expect("cache io");
-    let nsw = decode_graph(&nsw_blob).expect("valid cached NSW graph");
+    let nsw = decode_graph(&nsw_blob[..], nsw_blob.len() as u64).expect("valid cached NSW graph");
 
     let cp = cagra_params();
     let cagra_blob = cache
@@ -85,7 +85,8 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
             encode_graph(&CagraBuilder::new(spec.metric, cp).build(&ds.base))
         })
         .expect("cache io");
-    let cagra = decode_graph(&cagra_blob).expect("valid cached CAGRA graph");
+    let cagra =
+        decode_graph(&cagra_blob[..], cagra_blob.len() as u64).expect("valid cached CAGRA graph");
 
     let gt_blob = cache
         .get_or_put(&format!("{key}-gt-k{GT_K}"), || {

@@ -1,12 +1,21 @@
 //! Index persistence: one self-describing file holding the corpus, the
 //! graph, and the index metadata, so a built index can be shipped and
 //! served without rebuilding.
+//!
+//! [`write_index`] encodes each section as a blob before writing it
+//! (saving happens once, after a build whose own peak is far larger).
+//! [`read_index`] checks every section length against the input's
+//! length before it reads the first section, then hands each section
+//! to its decoder, which reads it straight into the structure it
+//! fills: the loader's peak heap is the loaded index, and a lying
+//! length is an error, not an allocation.
 
 use crate::engine::{AlgasIndex, CorpusTooLarge};
+use algas_graph::binary as graph_codec;
 use algas_graph::GraphKind;
-use algas_vector::binary::LeCursor;
+use algas_vector::binary::{self as vector_codec, LeReader};
 use algas_vector::Metric;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 const INDEX_MAGIC: u32 = 0x414C_4958; // "ALIX"
@@ -20,14 +29,17 @@ const INDEX_MAGIC: u32 = 0x414C_4958; // "ALIX"
 const FORMAT_VERSION: u32 = 4;
 /// Oldest format this build still reads.
 const OLDEST_READABLE_VERSION: u32 = 1;
+/// Header bytes before the appended section lengths: magic, version,
+/// metric, kind, medoid, and the corpus and graph lengths.
+const FIXED_HEADER_LEN: u64 = 30;
 
 /// Serializes an index into a writer.
 pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
-    let store_blob = algas_vector::binary::encode_store(&index.base);
-    let graph_blob = algas_graph::binary::encode_graph(&index.graph);
-    let perm_blob = index.id_map.as_ref().map(algas_graph::binary::encode_permutation);
-    let quant_blob = index.quant.as_ref().map(algas_vector::binary::encode_quantized);
-    let entry_blob = index.entry.as_ref().map(algas_graph::binary::encode_entry_index);
+    let store_blob = vector_codec::encode_store(&index.base);
+    let graph_blob = graph_codec::encode_graph(&index.graph);
+    let perm_blob = index.id_map.as_ref().map(graph_codec::encode_permutation);
+    let quant_blob = index.quant.as_ref().map(vector_codec::encode_quantized);
+    let entry_blob = index.entry.as_ref().map(graph_codec::encode_entry_index);
     // A zero-length optional section = the index was never relayouted /
     // never quantized / carries no entry data.
     let optional = [&perm_blob, &quant_blob, &entry_blob];
@@ -57,62 +69,64 @@ pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads one `len`-byte section and decodes it, so its raw bytes are
-/// freed before the next section is read.
-fn read_section<R: Read, T>(
-    r: &mut R,
-    len: usize,
-    what: &str,
-    decode: impl FnOnce(&[u8]) -> io::Result<T>,
-) -> io::Result<T> {
-    let mut blob = vec![0u8; len];
-    r.read_exact(&mut blob).map_err(|_| invalid(&format!("truncated {what} section")))?;
-    decode(&blob)
-}
-
-/// Deserializes an index from a reader (accepts formats 1 through 4).
-pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
-    let mut header = [0u8; 30];
-    r.read_exact(&mut header)?;
-    let mut h = LeCursor::new(&header);
-    if h.u32()? != INDEX_MAGIC {
+/// Deserializes an index from the `input_len` bytes `r` holds (accepts
+/// formats 1 through 4). A header whose section lengths exceed
+/// `input_len` is refused before any section is read.
+pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
+    let mut r = LeReader::new(r, input_len);
+    if r.remaining() < FIXED_HEADER_LEN || r.u32()? != INDEX_MAGIC {
         return Err(invalid("not an ALGAS index file"));
     }
-    let version = h.u32()?;
+    let version = r.u32()?;
     if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(invalid(&format!(
             "unsupported index format version {version} (this build reads versions \
              {OLDEST_READABLE_VERSION} through {FORMAT_VERSION})"
         )));
     }
-    let metric = match h.u8()? {
+    let metric = match r.u8()? {
         0 => Metric::L2,
         1 => Metric::Cosine,
         m => return Err(invalid(&format!("unknown metric tag {m}"))),
     };
-    let kind = match h.u8()? {
+    let kind = match r.u8()? {
         0 => GraphKind::Nsw,
         1 => GraphKind::Cagra,
         k => return Err(invalid(&format!("unknown graph kind tag {k}"))),
     };
-    let medoid = h.u32()?;
-    let store_len = h.len_u64()?;
-    let graph_len = h.len_u64()?;
+    let medoid = r.u32()?;
+    let store_len = r.u64()?;
+    let graph_len = r.u64()?;
     // Each later format appended one section length to the header.
-    let mut appended_len = |since: u32| -> io::Result<usize> {
+    let mut appended_len = |since: u32| -> io::Result<u64> {
         if version < since {
             return Ok(0);
         }
-        let mut ext = [0u8; 8];
-        r.read_exact(&mut ext).map_err(|_| invalid(&format!("truncated v{since} header")))?;
-        LeCursor::new(&ext).len_u64()
+        r.u64().map_err(|_| invalid(&format!("truncated v{since} header")))
     };
     let perm_len = appended_len(2)?;
     let quant_len = appended_len(3)?;
     let entry_len = appended_len(4)?;
+    // Every section must fit what the input holds, so no decoder
+    // reserves memory for a length the file only claims.
+    let mut left = r.remaining();
+    for (what, len) in [
+        ("corpus", store_len),
+        ("graph", graph_len),
+        ("permutation", perm_len),
+        ("quantization", quant_len),
+        ("entry", entry_len),
+    ] {
+        left = left.checked_sub(len).ok_or_else(|| {
+            invalid(&format!(
+                "truncated {what} section: the header gives it {len} bytes, \
+                 {left} are left in the input"
+            ))
+        })?;
+    }
 
-    let base = read_section(&mut r, store_len, "corpus", algas_vector::binary::decode_store)?;
-    let graph = read_section(&mut r, graph_len, "graph", algas_graph::binary::decode_graph)?;
+    let base = vector_codec::decode_store(&mut r, store_len)?;
+    let graph = graph_codec::decode_graph(&mut r, graph_len)?;
     if base.len() != graph.len() {
         return Err(invalid("corpus/graph size mismatch"));
     }
@@ -121,8 +135,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         return Err(invalid("medoid out of range"));
     }
     let id_map = if perm_len > 0 {
-        let perm =
-            read_section(&mut r, perm_len, "permutation", algas_graph::binary::decode_permutation)?;
+        let perm = graph_codec::decode_permutation(&mut r, perm_len)?;
         if perm.len() != base.len() {
             return Err(invalid("permutation/corpus size mismatch"));
         }
@@ -131,12 +144,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let quant = if quant_len > 0 {
-        let quant = read_section(
-            &mut r,
-            quant_len,
-            "quantization",
-            algas_vector::binary::decode_quantized,
-        )?;
+        let quant = vector_codec::decode_quantized(&mut r, quant_len)?;
         if quant.len() != base.len() || quant.dim() != base.dim() {
             return Err(invalid("quantized/corpus shape mismatch"));
         }
@@ -145,9 +153,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let entry = if entry_len > 0 {
-        read_section(&mut r, entry_len, "entry", |blob| {
-            algas_graph::binary::decode_entry_index(blob, base.len())
-        })?
+        graph_codec::decode_entry_index(&mut r, entry_len, base.len())?
     } else {
         None
     };
@@ -167,9 +173,14 @@ impl AlgasIndex {
         std::fs::rename(&tmp, path)
     }
 
-    /// Loads an index from a file.
+    /// Loads an index from a file. A regular file's length bounds every
+    /// section; a pipe or device has none to check against, so there the
+    /// decoders' own truncation checks are the only bound.
     pub fn load(path: impl AsRef<Path>) -> io::Result<AlgasIndex> {
-        read_index(std::fs::File::open(path)?)
+        let file = std::fs::File::open(path)?;
+        let meta = file.metadata()?;
+        let len = if meta.is_file() { meta.len() } else { u64::MAX };
+        read_index(BufReader::new(file), len)
     }
 }
 
@@ -182,6 +193,11 @@ mod tests {
     use super::*;
     use algas_graph::cagra::CagraParams;
     use algas_vector::datasets::DatasetSpec;
+
+    /// Reads a whole in-memory file.
+    fn read(file: &[u8]) -> io::Result<AlgasIndex> {
+        read_index(file, file.len() as u64)
+    }
 
     fn sample_index() -> AlgasIndex {
         let ds = DatasetSpec::tiny(300, 8, Metric::Cosine, 71).generate();
@@ -208,7 +224,7 @@ mod tests {
         let index = sample_index();
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.base, index.base);
         assert_eq!(back.graph, index.graph);
         assert_eq!(back.metric, index.metric);
@@ -239,7 +255,7 @@ mod tests {
         assert!(index.id_map.is_some());
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.id_map, index.id_map);
         assert_eq!(back.base, index.base);
         assert_eq!(back.graph, index.graph);
@@ -250,10 +266,10 @@ mod tests {
     fn reads_format_v1_files_without_permutation() {
         // Hand-build a v1 file: same layout minus the perm-length field.
         let index = sample_index();
-        let store_blob = algas_vector::binary::encode_store(&index.base);
-        let graph_blob = algas_graph::binary::encode_graph(&index.graph);
+        let store_blob = vector_codec::encode_store(&index.base);
+        let graph_blob = graph_codec::encode_graph(&index.graph);
         let buf = old_format_file(1, index.medoid, &[&store_blob, &graph_blob]);
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert!(back.id_map.is_none());
         assert_eq!(back.graph, index.graph);
     }
@@ -265,7 +281,7 @@ mod tests {
         index.relayout();
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.base, index.base);
         assert_eq!(back.quant, index.quant);
         assert_eq!(back.id_map, index.id_map);
@@ -281,11 +297,11 @@ mod tests {
         // Hand-build a v2 file: v3 layout minus the quant-length field.
         let mut index = sample_index();
         index.relayout();
-        let store_blob = algas_vector::binary::encode_store(&index.base);
-        let graph_blob = algas_graph::binary::encode_graph(&index.graph);
-        let perm_blob = algas_graph::binary::encode_permutation(index.id_map.as_ref().unwrap());
+        let store_blob = vector_codec::encode_store(&index.base);
+        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let perm_blob = graph_codec::encode_permutation(index.id_map.as_ref().unwrap());
         let buf = old_format_file(2, index.medoid, &[&store_blob, &graph_blob, &perm_blob]);
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert!(back.quant.is_none());
         assert_eq!(back.id_map, index.id_map);
         assert_eq!(back.graph, index.graph);
@@ -298,7 +314,7 @@ mod tests {
         index.build_entry_index(&algas_graph::entry::EntryParams::default());
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.entry, index.entry);
         assert_eq!(back.quant, index.quant);
         assert_eq!(back.base, index.base);
@@ -314,12 +330,12 @@ mod tests {
         // Hand-build a v3 file: v4 layout minus the entry-length field.
         let mut index = sample_index();
         index.quantize();
-        let store_blob = algas_vector::binary::encode_store(&index.base);
-        let graph_blob = algas_graph::binary::encode_graph(&index.graph);
-        let quant_blob = algas_vector::binary::encode_quantized(index.quant.as_ref().unwrap());
+        let store_blob = vector_codec::encode_store(&index.base);
+        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let quant_blob = vector_codec::encode_quantized(index.quant.as_ref().unwrap());
         // The empty third section = never relayouted.
         let buf = old_format_file(3, index.medoid, &[&store_blob, &graph_blob, &[], &quant_blob]);
-        let back = read_index(std::io::Cursor::new(buf)).unwrap();
+        let back = read(&buf).unwrap();
         assert!(back.entry.is_none());
         assert_eq!(back.quant, index.quant);
         assert_eq!(back.graph, index.graph);
@@ -333,15 +349,15 @@ mod tests {
         // Wrong magic.
         let mut bad = buf.clone();
         bad[0] ^= 0xFF;
-        assert!(read_index(std::io::Cursor::new(bad)).is_err());
+        assert!(read(&bad).is_err());
         // Truncated payload.
         let mut short = buf.clone();
         short.truncate(buf.len() - 10);
-        assert!(read_index(std::io::Cursor::new(short)).is_err());
+        assert!(read(&short).is_err());
         // Future version: the error names the readable range.
         let mut vers = buf.clone();
         vers[4] = 99;
-        let err = read_index(std::io::Cursor::new(vers)).unwrap_err();
+        let err = read(&vers).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("version 99") && msg.contains("1 through 4"),
@@ -353,14 +369,64 @@ mod tests {
         let mut qbuf = Vec::new();
         write_index(&mut qbuf, &q_index).unwrap();
         qbuf.truncate(qbuf.len() - 3);
-        assert!(read_index(std::io::Cursor::new(qbuf)).is_err());
+        assert!(read(&qbuf).is_err());
         // A corpus section whose n · dim · 4 wraps to its (empty)
         // payload: an error, not an allocation of 2^62 floats.
         let mut lying = 0x414C_5653u32.to_le_bytes().to_vec(); // "ALVS"
         lying.extend_from_slice(&(1u64 << 62).to_le_bytes());
         lying.extend_from_slice(&1u32.to_le_bytes());
-        let graph_blob = algas_graph::binary::encode_graph(&index.graph);
+        let graph_blob = graph_codec::encode_graph(&index.graph);
         let file = old_format_file(1, 0, &[&lying, &graph_blob]);
-        assert!(read_index(std::io::Cursor::new(file)).is_err());
+        assert!(read(&file).is_err());
+    }
+
+    /// A v4 file of a corpus section and a graph section; its header's
+    /// corpus length is `store_len`.
+    fn v4_file(store: &[u8], store_len: u64, graph: &[u8]) -> Vec<u8> {
+        let mut file = old_format_file(4, 0, &[store, graph, &[], &[], &[]]);
+        file[14..22].copy_from_slice(&store_len.to_le_bytes());
+        file
+    }
+
+    /// A section header alone: `magic`, then `n` rows of `width` words.
+    fn section_header(magic: u32, n: u64, width: u32) -> Vec<u8> {
+        [&magic.to_le_bytes()[..], &n.to_le_bytes(), &width.to_le_bytes()].concat()
+    }
+
+    #[test]
+    fn a_lying_section_length_is_refused_before_it_is_reserved() {
+        let named_corpus = |file: &[u8]| {
+            let err = read(file).expect_err("a lying file must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("corpus section"), "{err}");
+        };
+        let invalid_data = |file: &[u8]| {
+            let err = read(file).expect_err("a lying file must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        };
+        let row =
+            vector_codec::encode_store(&algas_vector::VectorStore::from_flat(8, vec![0.5; 8]));
+        let edgeless =
+            |degree| graph_codec::encode_graph(&algas_graph::FixedDegreeGraph::new(1, degree));
+        // A well-formed 142-byte file whose header claims a 1 TiB corpus.
+        let file = v4_file(&row, 1 << 40, &edgeless(6));
+        assert_eq!(file.len(), 142);
+        named_corpus(&file);
+        // A 134-byte file whose corpus section header is well formed for
+        // n = 2^35 rows of dim 8, and whose header length agrees with it.
+        let store_hdr = section_header(0x414C_5653, 1 << 35, 8); // "ALVS"
+        let file = v4_file(&store_hdr, 16 + (1 << 35) * 8 * 4, &edgeless(12));
+        assert_eq!(file.len(), 134);
+        named_corpus(&file);
+        // Sections of no rows and a 2^32 - 1 word row width: their
+        // payload checks pass (0 = 0), and they must not size a row
+        // buffer by that width (16 GiB) before the size mismatch.
+        let wide_store = section_header(0x414C_5653, 0, u32::MAX);
+        invalid_data(&v4_file(&wide_store, 16, &edgeless(6)));
+        let wide_graph = section_header(0x414C_4752, 0, u32::MAX); // "ALGR"
+        invalid_data(&v4_file(&row, row.len() as u64, &wide_graph));
+        // The honest one-row file loads.
+        let honest = v4_file(&row, row.len() as u64, &edgeless(6));
+        assert_eq!(read(&honest).unwrap().base.len(), 1);
     }
 }

@@ -1,12 +1,15 @@
 //! Canonical binary serialization of [`FixedDegreeGraph`],
-//! [`NodePermutation`], and [`HashEntryTable`].
+//! [`NodePermutation`], and [`HashEntryTable`]: each encoder builds its
+//! section as one blob, and each decoder reads its section from an
+//! `io::Read` straight into the structure it fills (see
+//! `algas_vector::binary`).
 
 use crate::csr::{FixedDegreeGraph, INVALID_ID};
 use crate::entry::{HashEntryTable, NO_ENTRY};
 use crate::layout::NodePermutation;
-use algas_vector::binary::LeCursor;
+use algas_vector::binary::LeReader;
 use algas_vector::lsh::{HyperplaneHasher, MAX_SIGNATURE_BITS};
-use std::io;
+use std::io::{self, Read};
 
 const GRAPH_MAGIC: u32 = 0x414C_4752; // "ALGR"
 const PERM_MAGIC: u32 = 0x414C_504D; // "ALPM"
@@ -33,30 +36,35 @@ pub fn encode_graph(graph: &FixedDegreeGraph) -> Vec<u8> {
     buf
 }
 
-/// Deserializes a graph; rejects wrong magic, zero degree, truncation,
-/// a header whose `n · degree · 4` does not fit a `usize`, and
+/// Deserializes a `len`-byte graph section from `r`, reading exactly
+/// `len` bytes; rejects wrong magic, zero degree, truncation, a header
+/// whose `n · degree · 4` is not what the section holds, and
 /// structurally invalid rows.
-pub fn decode_graph(data: &[u8]) -> io::Result<FixedDegreeGraph> {
-    let mut data = LeCursor::new(data);
+pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<FixedDegreeGraph> {
+    let mut data = LeReader::new(r, len);
     if data.remaining() < 16 || data.u32()? != GRAPH_MAGIC {
         return Err(invalid("not a graph blob"));
     }
     let n = data.len_u64()?;
     let degree = data.u32()? as usize;
     let payload = n.checked_mul(degree).and_then(|c| c.checked_mul(4));
-    if degree == 0 || payload != Some(data.remaining()) {
+    if degree == 0 || payload.map(|p| p as u64) != Some(data.remaining()) {
         return Err(invalid("graph blob truncated"));
     }
+    // The payload check bounds a row by the section only when there is
+    // one: a header of no rows sizes nothing by its `degree`.
+    let width = if n == 0 { 0 } else { degree };
     let mut graph = FixedDegreeGraph::new(n, degree);
-    let mut row = Vec::with_capacity(degree);
+    let (mut bytes, mut row) = (vec![0u8; width * 4], Vec::with_capacity(width));
     for v in 0..n as u32 {
+        data.fill(&mut bytes)?;
         row.clear();
-        for _ in 0..degree {
-            let u = data.u32()?;
-            if u != INVALID_ID {
-                row.push(u);
-            }
-        }
+        row.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("chunks of 4")))
+                .filter(|&u| u != INVALID_ID),
+        );
         if row.iter().any(|&u| u as usize >= n || u == v) {
             return Err(invalid("graph blob contains invalid edges"));
         }
@@ -77,15 +85,16 @@ pub fn encode_permutation(perm: &NodePermutation) -> Vec<u8> {
     buf
 }
 
-/// Deserializes a node permutation; rejects wrong magic, truncation,
-/// a length that does not fit a `usize`, and non-bijective maps.
-pub fn decode_permutation(data: &[u8]) -> io::Result<NodePermutation> {
-    let mut data = LeCursor::new(data);
+/// Deserializes a `len`-byte permutation section from `r`, reading
+/// exactly `len` bytes; rejects wrong magic, truncation, a length that
+/// is not what the section holds, and non-bijective maps.
+pub fn decode_permutation<R: Read>(r: R, len: u64) -> io::Result<NodePermutation> {
+    let mut data = LeReader::new(r, len);
     if data.remaining() < 12 || data.u32()? != PERM_MAGIC {
         return Err(invalid("not a permutation blob"));
     }
     let n = data.len_u64()?;
-    if n.checked_mul(4) != Some(data.remaining()) {
+    if n.checked_mul(4).map(|p| p as u64) != Some(data.remaining()) {
         return Err(invalid("permutation blob truncated"));
     }
     let new_to_old = data.u32s(n)?;
@@ -120,13 +129,14 @@ pub fn encode_entry_index(table: &HashEntryTable) -> Vec<u8> {
     buf
 }
 
-/// Deserializes an entry blob over a corpus of `n` vertices into its
-/// hash table (`None` when the blob carries none). A descent-ladder
-/// section, which older builds appended, is bounds-checked and skipped.
-/// Rejects wrong magic, truncation, malformed shapes, lengths that do
+/// Deserializes a `len`-byte entry section from `r` over a corpus of
+/// `n` vertices into its hash table (`None` when the section carries
+/// none), reading exactly `len` bytes. A descent-ladder part, which
+/// older builds appended, is bounds-checked and skipped. Rejects wrong
+/// magic, truncation, trailing bytes, malformed shapes, lengths that do
 /// not fit a `usize`, and representatives outside the corpus.
-pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<Option<HashEntryTable>> {
-    let mut data = LeCursor::new(data);
+pub fn decode_entry_index<R: Read>(r: R, len: u64, n: usize) -> io::Result<Option<HashEntryTable>> {
+    let mut data = LeReader::new(r, len);
     if data.remaining() < 5 || data.u32()? != ENTRY_MAGIC {
         return Err(invalid("not an entry-index blob"));
     }
@@ -145,7 +155,7 @@ pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<Option<HashEntryT
         if n_bits == 0 || n_bits > MAX_SIGNATURE_BITS || rpb == 0 || dim == 0 {
             return Err(invalid("entry-index hash table has a malformed shape"));
         }
-        // Both counts come from the header; the cursor refuses either
+        // Both counts come from the header; the reader refuses either
         // if its byte length overflows or exceeds what is left.
         let plane_len = (n_bits as usize).checked_mul(dim);
         let rep_len = (1usize << n_bits).checked_mul(rpb);
@@ -175,10 +185,10 @@ pub fn decode_entry_index(data: &[u8], n: usize) -> io::Result<Option<HashEntryT
             .and_then(|w| w.checked_add(n_mid))
             .and_then(|w| w.checked_add(1))
             .and_then(|w| w.checked_mul(4));
-        if words != Some(data.remaining()) {
+        if words.map(|w| w as u64) != Some(data.remaining()) {
             return Err(invalid("entry-index blob truncated"));
         }
-        data.take(data.remaining())?;
+        data.skip(data.remaining())?;
     }
     if data.remaining() > 0 {
         return Err(invalid("entry-index blob has trailing bytes"));
@@ -194,45 +204,60 @@ fn invalid(msg: &str) -> io::Error {
 mod tests {
     use super::*;
 
+    /// Decodes a whole blob as one graph section.
+    fn graph(blob: &[u8]) -> io::Result<FixedDegreeGraph> {
+        decode_graph(blob, blob.len() as u64)
+    }
+
+    /// Decodes a whole blob as one permutation section.
+    fn permutation(blob: &[u8]) -> io::Result<NodePermutation> {
+        decode_permutation(blob, blob.len() as u64)
+    }
+
+    /// Decodes a whole blob as one entry section over `n` vertices.
+    fn entry(blob: &[u8], n: usize) -> io::Result<Option<HashEntryTable>> {
+        decode_entry_index(blob, blob.len() as u64, n)
+    }
+
     #[test]
     fn roundtrip_with_padding() {
         let mut g = FixedDegreeGraph::new(4, 3);
         g.set_row(0, &[1, 2]);
         g.set_row(3, &[0]);
-        assert_eq!(decode_graph(&encode_graph(&g)).unwrap(), g);
+        assert_eq!(graph(&encode_graph(&g)).unwrap(), g);
     }
 
     #[test]
     fn rejects_bad_blobs() {
-        assert!(decode_graph(&[1, 2, 3]).is_err());
+        assert!(graph(&[1, 2, 3]).is_err());
         let mut blob = encode_graph(&FixedDegreeGraph::new(2, 2));
         blob.truncate(blob.len() - 2);
-        assert!(decode_graph(&blob).is_err());
+        assert!(graph(&blob).is_err());
         // n · degree · 4 wraps to the (empty) payload length.
         let mut wrapped = GRAPH_MAGIC.to_le_bytes().to_vec();
         wrapped.extend_from_slice(&(1u64 << 62).to_le_bytes());
         wrapped.extend_from_slice(&1u32.to_le_bytes());
-        assert!(decode_graph(&wrapped).is_err());
+        assert!(graph(&wrapped).is_err());
     }
 
     #[test]
     fn permutation_roundtrip_and_rejects() {
         let p = NodePermutation::from_new_to_old(vec![2, 0, 1, 3]);
-        assert_eq!(decode_permutation(&encode_permutation(&p)).unwrap(), p);
+        assert_eq!(permutation(&encode_permutation(&p)).unwrap(), p);
         // Identity roundtrips too.
         let id = NodePermutation::identity(6);
-        assert_eq!(decode_permutation(&encode_permutation(&id)).unwrap(), id);
+        assert_eq!(permutation(&encode_permutation(&id)).unwrap(), id);
         // Garbage and non-bijections are rejected.
-        assert!(decode_permutation(&[9, 9]).is_err());
+        assert!(permutation(&[9, 9]).is_err());
         let mut buf = PERM_MAGIC.to_le_bytes().to_vec();
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes()); // old id 1 mapped twice
-        assert!(decode_permutation(&buf).is_err());
+        assert!(permutation(&buf).is_err());
         // n · 4 wraps to the (empty) payload length.
         let mut wrapped = PERM_MAGIC.to_le_bytes().to_vec();
         wrapped.extend_from_slice(&(1u64 << 62).to_le_bytes());
-        assert!(decode_permutation(&wrapped).is_err());
+        assert!(permutation(&wrapped).is_err());
     }
 
     /// A table over a tiny corpus of `n` rows, `bits` signature bits.
@@ -262,41 +287,41 @@ mod tests {
     fn entry_index_roundtrips() {
         let t = table(300, 8, 0x77, 5);
         let blob = encode_entry_index(&t);
-        assert_eq!(decode_entry_index(&blob, 300).unwrap(), Some(t.clone()));
+        assert_eq!(entry(&blob, 300).unwrap(), Some(t.clone()));
         // A ladder section is skipped; without a table there is none.
-        assert_eq!(decode_entry_index(&with_ladder(blob, 4, 9), 300).unwrap(), Some(t));
+        assert_eq!(entry(&with_ladder(blob, 4, 9), 300).unwrap(), Some(t));
         let ladder_only = with_ladder([&ENTRY_MAGIC.to_le_bytes()[..], &[0]].concat(), 4, 9);
-        assert_eq!(decode_entry_index(&ladder_only, 300).unwrap(), None);
+        assert_eq!(entry(&ladder_only, 300).unwrap(), None);
     }
 
     #[test]
     fn entry_index_rejects_bad_blobs() {
-        assert!(decode_entry_index(&[1, 2, 3], 10).is_err());
+        assert!(entry(&[1, 2, 3], 10).is_err());
         let n = 200;
         let good = encode_entry_index(&table(n, 6, 0x78, 4));
         // Truncation.
-        assert!(decode_entry_index(&good[..good.len() - 2], n).is_err());
+        assert!(entry(&good[..good.len() - 2], n).is_err());
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(decode_entry_index(&bad, n).is_err());
+        assert!(entry(&bad, n).is_err());
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0);
-        assert!(decode_entry_index(&long, n).is_err());
+        assert!(entry(&long, n).is_err());
         // Representatives referencing a smaller corpus are rejected.
-        assert!(decode_entry_index(&good, 3).is_err());
+        assert!(entry(&good, 3).is_err());
         // A ladder section one word short of its counts.
         let mut short = with_ladder(good.clone(), 4, 9);
         short.truncate(short.len() - 4);
-        assert!(decode_entry_index(&short, n).is_err());
+        assert!(entry(&short, n).is_err());
         // A ladder whose (2·n_top + n_mid + 1) · 4 wraps to the
         // (empty) payload length.
         let mut wrapped = ENTRY_MAGIC.to_le_bytes().to_vec();
         wrapped.push(ENTRY_HAS_LADDER);
         wrapped.extend_from_slice(&1u64.to_le_bytes());
         wrapped.extend_from_slice(&((1u64 << 62) - 3).to_le_bytes());
-        assert!(decode_entry_index(&wrapped, n).is_err());
+        assert!(entry(&wrapped, n).is_err());
     }
 
     #[test]
@@ -306,6 +331,6 @@ mod tests {
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&7u32.to_le_bytes()); // vertex 7 doesn't exist in a 1-vertex graph
-        assert!(decode_graph(&buf).is_err());
+        assert!(graph(&buf).is_err());
     }
 }

@@ -88,39 +88,23 @@ impl QuantizedStore {
             }
         }
         let scales: Vec<f32> = mins.iter().zip(&maxs).map(|(&lo, &hi)| (hi - lo) / 255.0).collect();
-        let mut out = Self::empty(dim, scales, mins, store.len());
+        let mut out = Self::with_capacity(dim, scales, mins, store.len());
         for row in store.iter() {
             out.push(row);
         }
         out
     }
 
-    /// Rebuilds a store from its serialized parts (flat row-major
-    /// codes, no padding). Row norms are recomputed — they are derived
-    /// data and are not persisted.
+    /// An empty store for `dim`-dimensional rows under the given affine
+    /// tables, reserved for `capacity` rows; rows are appended with
+    /// [`push`](Self::push) or [`push_codes`](Self::push_codes).
     ///
     /// # Panics
-    /// Panics if `scales`/`offsets` are not `dim` long or `codes` is
-    /// not a multiple of `dim`.
-    pub fn from_parts(dim: usize, codes: &[u8], scales: Vec<f32>, offsets: Vec<f32>) -> Self {
+    /// Panics if `dim == 0` or `scales`/`offsets` are not `dim` long.
+    pub fn with_capacity(dim: usize, scales: Vec<f32>, offsets: Vec<f32>, capacity: usize) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(scales.len(), dim, "scales length must equal dim");
         assert_eq!(offsets.len(), dim, "offsets length must equal dim");
-        assert!(
-            codes.len().is_multiple_of(dim),
-            "flat code buffer length {} is not a multiple of dim {}",
-            codes.len(),
-            dim
-        );
-        let mut out = Self::empty(dim, scales, offsets, codes.len() / dim);
-        for row in codes.chunks_exact(dim) {
-            out.push_codes(row);
-        }
-        out
-    }
-
-    fn empty(dim: usize, scales: Vec<f32>, offsets: Vec<f32>, capacity: usize) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
         let stride = dim.div_ceil(BYTES_PER_BLOCK) * BYTES_PER_BLOCK;
         let mut store = Self {
             dim,
@@ -159,9 +143,14 @@ impl QuantizedStore {
         self.row_norms.push(norm);
     }
 
-    /// Appends one already-encoded code row (deserialization path).
-    fn push_codes(&mut self, codes: &[u8]) {
-        debug_assert_eq!(codes.len(), self.dim);
+    /// Appends one already-encoded code row (the deserialization path);
+    /// its norm is recomputed, since norms are derived data and are not
+    /// persisted.
+    ///
+    /// # Panics
+    /// Panics if `codes.len() != self.dim()`.
+    pub fn push_codes(&mut self, codes: &[u8]) {
+        assert_eq!(codes.len(), self.dim, "code row length must equal store dimension");
         self.blocks.resize(self.blocks.len() + self.stride / BYTES_PER_BLOCK, ZERO_QBLOCK);
         self.len += 1;
         let start = (self.len - 1) * self.stride;
@@ -291,7 +280,8 @@ impl QuantizedStore {
     /// range.
     pub fn permute(&self, new_to_old: &[u32]) -> QuantizedStore {
         assert_eq!(new_to_old.len(), self.len, "permutation length must equal store length");
-        let mut out = Self::empty(self.dim, self.scales.clone(), self.offsets.clone(), self.len);
+        let mut out =
+            Self::with_capacity(self.dim, self.scales.clone(), self.offsets.clone(), self.len);
         for &old in new_to_old {
             out.push_codes(self.codes(old as usize));
         }
@@ -644,13 +634,30 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_codes() {
+    fn push_codes_rebuilds_a_store() {
         let base = store_of(24, 6);
         let qs = QuantizedStore::from_store(&base);
-        let flat: Vec<u8> = (0..qs.len()).flat_map(|i| qs.codes(i).to_vec()).collect();
-        let rebuilt =
-            QuantizedStore::from_parts(24, &flat, qs.scales().to_vec(), qs.offsets().to_vec());
+        let mut rebuilt = QuantizedStore::with_capacity(
+            24,
+            qs.scales().to_vec(),
+            qs.offsets().to_vec(),
+            qs.len(),
+        );
+        for i in 0..qs.len() {
+            rebuilt.push_codes(qs.codes(i));
+        }
         assert_eq!(rebuilt, qs);
+        // Norms are recomputed from the codes, not carried over.
+        for i in 0..qs.len() {
+            assert_eq!(rebuilt.row_norm(i), qs.row_norm(i));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code row length must equal store dimension")]
+    fn push_codes_rejects_a_wrong_length_row() {
+        let mut qs = QuantizedStore::with_capacity(4, vec![1.0; 4], vec![0.0; 4], 1);
+        qs.push_codes(&[0; 3]);
     }
 
     #[test]

@@ -1845,5 +1845,17 @@ mod tests {
             let err = run(&args_of(&serve, &[flag, value]), &mut out).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag} for serve"));
         }
+        // An index whose header claims a 1 TiB corpus is refused by
+        // section (exit 2), not by an allocation abort.
+        let lying = tmp("lying.alix");
+        let mut file = 0x414C_4958u32.to_le_bytes().to_vec(); // "ALIX"
+        file.extend_from_slice(&4u32.to_le_bytes());
+        file.extend_from_slice(&[0, 1, 0, 0, 0, 0]); // l2, cagra, medoid 0
+        file.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        file.extend_from_slice(&[0; 32]); // no graph, permutation, codes or entry
+        std::fs::write(&lying, &file).unwrap();
+        let err = run(&args_of(&["info", "--index", &lying], &[]), &mut out).unwrap_err();
+        let _ = std::fs::remove_file(&lying);
+        assert!(err.contains("truncated corpus section"), "{err}");
     }
 }

@@ -271,7 +271,7 @@ proptest! {
         }
         let mut buf = Vec::new();
         algas::core::persist::write_index(&mut buf, &index).unwrap();
-        let back = algas::core::persist::read_index(std::io::Cursor::new(&buf)).unwrap();
+        let back = algas::core::persist::read_index(&buf[..], buf.len() as u64).unwrap();
         prop_assert_eq!(back.graph, index.graph);
         prop_assert_eq!(back.base, index.base);
         prop_assert_eq!(back.medoid, index.medoid);
@@ -281,7 +281,7 @@ proptest! {
         if !buf.is_empty() {
             let mut bad = buf.clone();
             bad[seed as usize % 8] ^= 0xA5;
-            let _ = algas::core::persist::read_index(std::io::Cursor::new(&bad));
+            let _ = algas::core::persist::read_index(&bad[..], bad.len() as u64);
         }
     }
 }
