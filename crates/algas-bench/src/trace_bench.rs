@@ -41,8 +41,9 @@
 //!    fact.
 //!
 //! 2. **Recorder cost** — a microbenchmark of one query's recorder
-//!    calls (`slot_assigned`, `record_search`, `record_delivery`, with
-//!    retention off), reported as `recorder_ns_per_query`, so
+//!    calls (`slot_assigned`, `record_search`, `record_delivery`,
+//!    `rotate_window_if_due`, with retention off), reported as
+//!    `recorder_ns_per_query`, so
 //!    regressions in the recorder itself are visible even when the
 //!    serve-path delta drowns in scheduling noise.
 //!
@@ -145,14 +146,15 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
 }
 
 /// ns per query of the recorder calls the runtime makes for one served
-/// query — the host's `slot_assigned`, the worker's `record_search` and
-/// `record_delivery` (two walkers, one beam switch) — with retention
-/// off, best of 5 reps. The lifecycle stamps are taken once, outside
-/// the timed loop. With the `obs` feature off this times the ZST no-ops
+/// query — the host's `slot_assigned`, the worker's `record_search`,
+/// `record_delivery` (two walkers, one beam switch) and its window
+/// rotation check — with retention off, best of 5 reps. The lifecycle
+/// stamps are taken once, outside the timed loop, so the check never
+/// finds a rotation due. With the `obs` feature off this times the ZST no-ops
 /// (~0 ns).
 fn recorder_ns_per_query() -> f64 {
     let flight = FlightConfig { slow_threshold_ns: u64::MAX, top_k: 0 };
-    let obs = RuntimeObs::new(1, 1, flight, QlogConfig::default(), 1_000);
+    let obs = RuntimeObs::new(1, 1, flight, QlogConfig::default());
     let mut stamps = JobStamps::new();
     stamps.mark_slot(0);
     stamps.mark_work_start();
@@ -172,6 +174,7 @@ fn recorder_ns_per_query() -> f64 {
             obs.record_search(0, &totals, Some(0.5), &merge, &rerank);
             let walkers = [(totals, None), (totals, Some(3))];
             obs.record_delivery(0, 0, &DeliveryCtx::local(i), &stamps, walkers, &rerank, None);
+            obs.rotate_window_if_due(&stamps);
         }
         best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
     }

@@ -29,12 +29,12 @@
 //!   structured record per completed query, written allocation-free
 //!   into a lock-free ring and drained as JSON lines.
 //! * [`prof`] — the thread-state sampling profiler: runtime threads
-//!   publish a one-word state marker, a 97 Hz sampler accumulates the
-//!   (thread, state) attribution table, exported as folded-stack text
-//!   (`/profile`) and a JSON block.
-//! * [`window`] — rotating windowed aggregation: a ring of periodic
-//!   histogram snapshots whose deltas give moving p50/p99, rates, and
-//!   the SLO burn-rate health behind `/healthz` + `/readyz`.
+//!   publish a one-word state marker, and a `/profile` capture samples
+//!   the markers at 97 Hz for its span into folded-stack text.
+//! * [`window`] — rotating windowed aggregation: a ring of stamped
+//!   histogram snapshots, rotated when due by the delivering worker or
+//!   a read, whose deltas to a live snapshot give moving p50/p99,
+//!   rates, and the SLO burn-rate health behind `/healthz` + `/readyz`.
 //! * [`http`] — a dependency-free `std::net` stats server exposing
 //!   `/metrics`, `/stats.json`, `/traces`, `/query-log`, `/profile`,
 //!   and health/readiness probes from a live server.
@@ -63,14 +63,11 @@ pub use flight::{
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use http::{StatsServer, StatsSource};
-pub use prof::{
-    ProfHandle, ProfRegistry, ProfState, ProfStateCount, ProfStats, ProfThreadStats,
-    SharedProfRegistry, ThreadKind,
-};
+pub use prof::{ProfHandle, ProfRegistry, ProfState, SharedProfRegistry, ThreadKind};
 #[cfg(feature = "obs")]
 pub use qlog::QueryLog;
 pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals};
-pub use recorder::{JobStamps, RuntimeObs, OBS_ENABLED};
+pub use recorder::{JobStamps, RuntimeObs};
 pub use snapshot::{HostStats, PhaseStats, RuntimeStats, TailExemplar, WorkerStats};
 #[cfg(feature = "obs")]
 pub use window::WindowRing;

@@ -5,42 +5,35 @@
 //! readiness loop, the qlog drainer) registers once with the
 //! [`ProfRegistry`] and from then on publishes its current state as a
 //! single relaxed store of one `u64` *marker* — thread kind and phase
-//! tag packed together ([`encode_marker`]). A sampler pass
-//! ([`ProfRegistry::sample_once`], driven at [`PROF_HZ`] by the
-//! runtime's obs tick thread) reads every marker and bumps one
-//! `(thread, state)` counter per live thread. Wall-clock attribution
-//! falls out statistically: at 97 Hz a state holding 10% of a worker's
-//! time collects ~10% of that worker's samples.
+//! tag packed together ([`encode_marker`]).
 //!
-//! The accumulated table exports three ways:
-//!
-//! * [`ProfStats`] — the plain-data attribution table embedded in
-//!   [`RuntimeStats`](crate::obs::RuntimeStats) (`/stats.json`).
-//! * [`ProfStats::to_folded`] — collapsed/folded-stack text
-//!   (`kind;label;state N` per line), directly consumable by
-//!   `inferno-flamegraph` and the wider flamegraph toolchain.
-//! * [`ProfRegistry::capture`] — a blocking *delta* capture over a
-//!   short interval, backing `GET /profile?seconds=N`.
+//! Nothing reads the markers until a profile is asked for.
+//! [`ProfRegistry::capture`] (backing `GET /profile?seconds=N`) reads
+//! every marker at [`PROF_HZ`] for the span of the capture, on the
+//! calling thread, into a local `(thread, state)` table, and renders it
+//! as collapsed/folded-stack text (`kind;label;state N` per line),
+//! directly consumable by `inferno-flamegraph` and the wider flamegraph
+//! toolchain. Wall-clock attribution falls out statistically: at 97 Hz
+//! a state holding 10% of a worker's time collects ~10% of that
+//! worker's samples.
 //!
 //! Marker stamping is one relaxed atomic store into a cache-padded
 //! slot — allocation-free and wait-free. With the `obs` feature off
 //! the registry and handles compile to zero-sized no-ops, mirroring
 //! [`recorder`](crate::obs::recorder); call sites stay `#[cfg]`-free.
 
-use std::fmt::Write as _;
-
 /// Fixed registry capacity: the serving runtime registers a handful of
-/// threads (workers + hosts + net + qlog + sampler), so 64 slots is
+/// threads (workers + hosts + net + qlog), so 64 slots is
 /// generous. Registration past capacity yields a dead handle whose
 /// stamps are no-ops — never an error on the serving path.
 pub const MAX_THREADS: usize = 64;
 
 /// Number of representable states (the marker packs the state into one
-/// byte; the table allocates this many counters per thread slot).
-pub const N_STATES: usize = 14;
+/// byte; a capture counts this many states per thread slot).
+pub const N_STATES: usize = 13;
 
-/// Sampler passes per second. Prime, so the passes do not lock step
-/// with millisecond-periodic work.
+/// Sampling passes per second of a capture. Prime, so the passes do not
+/// lock step with millisecond-periodic work.
 pub const PROF_HZ: u32 = 97;
 
 /// What kind of runtime thread a marker belongs to (the first folded
@@ -57,21 +50,18 @@ pub enum ThreadKind {
     Net = 2,
     /// Query-log drainer.
     Qlog = 3,
-    /// The obs tick thread itself (sampler + window rotation).
-    Sampler = 4,
     /// Anything else that wants attribution.
-    Other = 5,
+    Other = 4,
 }
 
 impl ThreadKind {
-    /// Stable lowercase name (folded frame / JSON value).
+    /// Stable lowercase name (its folded frame).
     pub fn name(self) -> &'static str {
         match self {
             ThreadKind::Worker => "worker",
             ThreadKind::Host => "host",
             ThreadKind::Net => "net",
             ThreadKind::Qlog => "qlog",
-            ThreadKind::Sampler => "sampler",
             ThreadKind::Other => "other",
         }
     }
@@ -82,7 +72,6 @@ impl ThreadKind {
             1 => ThreadKind::Host,
             2 => ThreadKind::Net,
             3 => ThreadKind::Qlog,
-            4 => ThreadKind::Sampler,
             _ => ThreadKind::Other,
         }
     }
@@ -126,8 +115,6 @@ pub enum ProfState {
     Flush = 11,
     /// Qlog: draining records to the writer.
     Drain = 12,
-    /// Tearing down.
-    Shutdown = 13,
 }
 
 impl ProfState {
@@ -146,10 +133,9 @@ impl ProfState {
         ProfState::Complete,
         ProfState::Flush,
         ProfState::Drain,
-        ProfState::Shutdown,
     ];
 
-    /// Stable lowercase name (folded frame / JSON value).
+    /// Stable lowercase name (its folded frame).
     pub fn name(self) -> &'static str {
         match self {
             ProfState::Off => "off",
@@ -165,7 +151,6 @@ impl ProfState {
             ProfState::Complete => "complete",
             ProfState::Flush => "flush",
             ProfState::Drain => "drain",
-            ProfState::Shutdown => "shutdown",
         }
     }
 }
@@ -185,122 +170,6 @@ pub fn decode_marker(marker: u64) -> Option<(ThreadKind, usize)> {
     }
     let kind = ThreadKind::from_u8(((marker >> 8) - 1).min(u8::MAX as u64) as u8);
     Some((kind, (marker & 0xff) as usize % N_STATES))
-}
-
-/// Samples accumulated for one state of one thread.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfStateCount {
-    /// State name ([`ProfState::name`]).
-    pub state: String,
-    /// Sampler passes that observed the thread in this state.
-    pub samples: u64,
-}
-
-/// The attribution row for one registered thread.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfThreadStats {
-    /// Thread kind name ([`ThreadKind::name`]).
-    pub kind: String,
-    /// Registration label (e.g. `worker-0`).
-    pub label: String,
-    /// Per-state sample counts, ascending state order, zeros elided.
-    pub states: Vec<ProfStateCount>,
-}
-
-impl ProfThreadStats {
-    fn samples_for(&self, state: &str) -> u64 {
-        self.states.iter().find(|s| s.state == state).map_or(0, |s| s.samples)
-    }
-}
-
-/// The profiler attribution table — plain data, always compiled, and
-/// embedded in [`RuntimeStats`](crate::obs::RuntimeStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfStats {
-    /// Sampling frequency ([`PROF_HZ`]; 0 with `obs` compiled out).
-    pub hz: u32,
-    /// Total sampler passes since start.
-    pub passes: u64,
-    /// One row per registered thread, registration order.
-    pub threads: Vec<ProfThreadStats>,
-}
-
-impl ProfStats {
-    /// Total samples across every thread and state.
-    pub fn total_samples(&self) -> u64 {
-        self.threads.iter().flat_map(|t| t.states.iter()).map(|s| s.samples).sum()
-    }
-
-    /// The samples accumulated since `earlier` was captured — the
-    /// profiler analogue of
-    /// [`HistogramSnapshot::delta`](crate::obs::hist::HistogramSnapshot::delta).
-    /// Threads are matched by registration slot (the registry is
-    /// append-only, so `earlier.threads` is a prefix of
-    /// `self.threads`); a slot whose identity changed is treated as
-    /// brand new.
-    pub fn delta(&self, earlier: &ProfStats) -> ProfStats {
-        let threads = self
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, now)| {
-                let base =
-                    earlier.threads.get(i).filter(|b| b.kind == now.kind && b.label == now.label);
-                let states = now
-                    .states
-                    .iter()
-                    .map(|s| ProfStateCount {
-                        state: s.state.clone(),
-                        samples: s
-                            .samples
-                            .saturating_sub(base.map_or(0, |b| b.samples_for(&s.state))),
-                    })
-                    .filter(|s| s.samples > 0)
-                    .collect();
-                ProfThreadStats { kind: now.kind.clone(), label: now.label.clone(), states }
-            })
-            .collect();
-        ProfStats { hz: self.hz, passes: self.passes.saturating_sub(earlier.passes), threads }
-    }
-
-    /// Collapsed/folded-stack text: one `kind;label;state N` line per
-    /// nonzero (thread, state) pair, consumable by
-    /// `inferno-flamegraph` / `flamegraph.pl`. Frames are sanitized so
-    /// a hostile label cannot forge extra frames or break the
-    /// line-oriented format.
-    pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        for t in &self.threads {
-            for s in &t.states {
-                if s.samples == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{};{};{} {}",
-                    fold_frame(&t.kind),
-                    fold_frame(&t.label),
-                    fold_frame(&s.state),
-                    s.samples
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Sanitizes one folded-stack frame: `;` separates frames, space
-/// separates the count, newline separates records — all three (plus
-/// control chars) become `_`. Empty frames render as `_` so the frame
-/// count per line stays fixed.
-fn fold_frame(frame: &str) -> String {
-    if frame.is_empty() {
-        return "_".to_string();
-    }
-    frame
-        .chars()
-        .map(|c| if c == ';' || c.is_whitespace() || c.is_control() { '_' } else { c })
-        .collect()
 }
 
 #[cfg(feature = "obs")]
@@ -323,40 +192,32 @@ pub type SharedProfRegistry = ProfRegistry;
 mod enabled {
     use super::*;
     use crate::obs::counters::CachePadded;
+    use std::fmt::Write as _;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    /// Per-slot sample table: one counter per state, padded as a block
-    /// so the sampler's bumps never share a line with another slot's.
-    type StateCounts = [AtomicU64; N_STATES];
+    use std::time::{Duration, Instant};
 
     struct ThreadMeta {
         kind: ThreadKind,
-        label: String,
+        /// Registration label, already a safe folded frame.
+        frame: String,
     }
 
-    /// The marker registry + sample table. One per serving runtime,
-    /// shared by every instrumented thread via `Arc`.
+    /// The marker registry. One per serving runtime, shared by every
+    /// instrumented thread via `Arc`.
     pub struct ProfRegistry {
         markers: Box<[CachePadded<AtomicU64>]>,
-        samples: Box<[CachePadded<StateCounts>]>,
         meta: Mutex<Vec<ThreadMeta>>,
         next: AtomicUsize,
-        passes: AtomicU64,
     }
 
     impl ProfRegistry {
-        /// A fresh registry. It accepts registrations and manual
-        /// [`sample_once`](Self::sample_once) calls (tests drive it
-        /// that way) whether or not a sampler runs.
+        /// A fresh registry with no threads.
         pub(crate) fn new() -> Self {
             Self {
                 markers: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
-                samples: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
                 meta: Mutex::new(Vec::new()),
                 next: AtomicUsize::new(0),
-                passes: AtomicU64::new(0),
             }
         }
 
@@ -370,79 +231,76 @@ mod enabled {
             if idx >= MAX_THREADS {
                 return ProfHandle { reg: Arc::clone(self), idx: usize::MAX, kind };
             }
-            meta.push(ThreadMeta { kind, label: to_label(label) });
+            meta.push(ThreadMeta { kind, frame: fold_frame(label) });
             // Publish the marker before the slot count so a concurrent
-            // sampler pass never reads a stale marker for a live slot.
+            // capture never reads a stale marker for a live slot.
             self.markers[idx].store(encode_marker(kind, ProfState::Idle), Ordering::Relaxed);
             self.next.store(idx + 1, Ordering::Release);
             ProfHandle { reg: Arc::clone(self), idx, kind }
         }
 
-        /// One sampler pass: read every live marker, bump its
-        /// (slot, state) counter. Wait-free with respect to the
-        /// stamping threads.
-        pub fn sample_once(&self) {
-            let n = self.next.load(Ordering::Acquire).min(MAX_THREADS);
-            for i in 0..n {
-                let marker = self.markers[i].load(Ordering::Relaxed);
-                if let Some((_, state)) = decode_marker(marker) {
-                    self.samples[i].0[state].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.passes.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// The cumulative attribution table.
-        pub fn table(&self) -> ProfStats {
-            let meta = self.meta.lock().unwrap();
-            let threads = meta
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let states = ProfState::ALL
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(s, state)| {
-                            let samples = self.samples[i].0[s].load(Ordering::Relaxed);
-                            (samples > 0).then(|| ProfStateCount {
-                                state: state.name().to_string(),
-                                samples,
-                            })
-                        })
-                        .collect();
-                    ProfThreadStats {
-                        kind: m.kind.name().to_string(),
-                        label: m.label.clone(),
-                        states,
-                    }
-                })
-                .collect();
-            ProfStats { hz: PROF_HZ, passes: self.passes.load(Ordering::Relaxed), threads }
-        }
-
-        /// Blocking delta capture: snapshot the table, sleep
+        /// Blocking capture: reads every live marker at [`PROF_HZ`] for
         /// `seconds` (clamped to `0.1..=30`; NaN falls to the 0.1
-        /// floor), snapshot again, and return the interval's samples
-        /// as folded-stack text. Backs `GET /profile?seconds=N`;
-        /// assumes a sampler is being driven concurrently (otherwise
-        /// the capture is empty, not wrong).
+        /// floor) on the calling thread, counting one sample per
+        /// (thread, state) per pass, and returns the counts as
+        /// folded-stack text, one `kind;label;state N` line per nonzero
+        /// pair in registration order. Backs `GET /profile?seconds=N`.
+        /// Wait-free with respect to the stamping threads.
         pub fn capture(&self, seconds: f64) -> String {
             // `clamp` propagates NaN and `Duration::from_secs_f64`
             // panics on it — an unauthenticated `?seconds=nan` must
             // not take down the scrape thread.
             let seconds = if seconds.is_nan() { 0.1 } else { seconds.clamp(0.1, 30.0) };
-            let before = self.table();
-            std::thread::sleep(Duration::from_secs_f64(seconds));
-            self.table().delta(&before).to_folded()
+            let period = Duration::from_secs_f64(1.0 / f64::from(PROF_HZ));
+            let end = Instant::now() + Duration::from_secs_f64(seconds);
+            let mut counts = vec![[0u64; N_STATES]; MAX_THREADS];
+            // Absolute deadlines, so the passes' own work does not
+            // stretch the period; a pass that falls a whole period
+            // behind resynchronizes instead of bursting to catch up.
+            let mut next = Instant::now();
+            loop {
+                let live = self.next.load(Ordering::Acquire).min(MAX_THREADS);
+                for (marker, row) in self.markers[..live].iter().zip(&mut counts) {
+                    if let Some((_, state)) = decode_marker(marker.load(Ordering::Relaxed)) {
+                        row[state] += 1;
+                    }
+                }
+                next += period;
+                if next >= end {
+                    break;
+                }
+                match next.checked_duration_since(Instant::now()) {
+                    Some(wait) => std::thread::sleep(wait),
+                    None => next = Instant::now(),
+                }
+            }
+            let mut out = String::new();
+            let meta = self.meta.lock().expect("no registration panics holding the lock");
+            for (m, row) in meta.iter().zip(&counts) {
+                for (state, &n) in ProfState::ALL.iter().zip(row) {
+                    if n > 0 {
+                        let _ = writeln!(out, "{};{};{} {n}", m.kind.name(), m.frame, state.name());
+                    }
+                }
+            }
+            out
         }
     }
 
-    fn to_label(label: &str) -> String {
+    /// A registration label as one folded-stack frame: `;` separates
+    /// frames, space separates the count, newline separates records —
+    /// all three (plus control chars) become `_`, so a hostile label
+    /// cannot forge extra frames or break the line-oriented format. An
+    /// empty label renders as `_` so the frame count per line stays
+    /// fixed.
+    fn fold_frame(label: &str) -> String {
         if label.is_empty() {
-            "_".to_string()
-        } else {
-            label.to_string()
+            return "_".to_string();
         }
+        label
+            .chars()
+            .map(|c| if c == ';' || c.is_whitespace() || c.is_control() { '_' } else { c })
+            .collect()
     }
 
     /// A registered thread's stamping handle; dropping it clears the
@@ -475,10 +333,10 @@ mod enabled {
 
 #[cfg(not(feature = "obs"))]
 mod disabled {
-    use super::{ProfState, ProfStats, ThreadKind};
+    use super::{ProfState, ThreadKind};
 
     /// Zero-sized stand-in: registration succeeds, stamps are no-ops,
-    /// tables are empty.
+    /// captures are empty.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct ProfRegistry;
 
@@ -489,12 +347,6 @@ mod disabled {
 
         pub fn register(&self, _kind: ThreadKind, _label: &str) -> ProfHandle {
             ProfHandle
-        }
-
-        pub fn sample_once(&self) {}
-
-        pub fn table(&self) -> ProfStats {
-            ProfStats::default()
         }
 
         pub fn capture(&self, _seconds: f64) -> String {
@@ -523,7 +375,6 @@ mod tests {
             ThreadKind::Host,
             ThreadKind::Net,
             ThreadKind::Qlog,
-            ThreadKind::Sampler,
             ThreadKind::Other,
         ] {
             for (i, state) in ProfState::ALL.iter().enumerate() {
@@ -535,76 +386,51 @@ mod tests {
         assert_eq!(decode_marker(0), None);
     }
 
-    #[test]
-    fn folded_output_escapes_hostile_frames() {
-        let stats = ProfStats {
-            hz: 97,
-            passes: 10,
-            threads: vec![ProfThreadStats {
-                kind: "worker".to_string(),
-                label: "bad;label 0\nx".to_string(),
-                states: vec![
-                    ProfStateCount { state: "scan".to_string(), samples: 7 },
-                    ProfStateCount { state: "idle".to_string(), samples: 0 },
-                ],
-            }],
-        };
-        let folded = stats.to_folded();
-        assert_eq!(folded, "worker;bad_label_0_x;scan 7\n");
-        for line in folded.lines() {
-            let (stack, count) = line.rsplit_once(' ').expect("space-separated count");
-            assert_eq!(stack.split(';').count(), 3, "exactly three frames survive");
-            count.parse::<u64>().expect("trailing count is numeric");
-        }
-    }
-
-    #[test]
-    fn delta_subtracts_matched_threads_and_keeps_new_ones() {
-        let row = |label: &str, n: u64| ProfThreadStats {
-            kind: "worker".to_string(),
-            label: label.to_string(),
-            states: vec![ProfStateCount { state: "scan".to_string(), samples: n }],
-        };
-        let earlier = ProfStats { hz: 97, passes: 100, threads: vec![row("w0", 40)] };
-        let later = ProfStats { hz: 97, passes: 250, threads: vec![row("w0", 90), row("w1", 30)] };
-        let d = later.delta(&earlier);
-        assert_eq!(d.passes, 150);
-        assert_eq!(d.threads[0].samples_for("scan"), 50);
-        assert_eq!(d.threads[1].samples_for("scan"), 30, "unmatched slot keeps full count");
-        assert_eq!(d.total_samples(), 80);
-    }
-
     #[cfg(feature = "obs")]
     mod live {
         use super::super::*;
         use std::sync::Arc;
 
+        /// `(stack, count)` per folded line, checking the line shape.
+        fn parse(folded: &str) -> Vec<(String, u64)> {
+            folded
+                .lines()
+                .map(|line| {
+                    let (stack, count) = line.rsplit_once(' ').expect("space-separated count");
+                    assert_eq!(stack.split(';').count(), 3, "exactly three frames: {line}");
+                    (stack.to_string(), count.parse().expect("trailing count is numeric"))
+                })
+                .collect()
+        }
+
         #[test]
-        fn sampler_attributes_states_to_threads() {
+        fn capture_attributes_states_to_threads() {
             let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "worker-0");
             let h = reg.register(ThreadKind::Host, "host-0");
+            let _quiet = reg.register(ThreadKind::Net, "net");
             w.stamp(ProfState::Scan);
-            h.stamp(ProfState::Merge);
-            for _ in 0..5 {
-                reg.sample_once();
-            }
-            w.stamp(ProfState::Idle);
-            for _ in 0..3 {
-                reg.sample_once();
-            }
-            let t = reg.table();
-            assert_eq!(t.hz, 97);
-            assert_eq!(t.passes, 8);
-            assert_eq!(t.threads.len(), 2);
-            assert_eq!(t.threads[0].kind, "worker");
-            assert_eq!(t.threads[0].label, "worker-0");
-            assert_eq!(t.threads[0].samples_for("scan"), 5);
-            assert_eq!(t.threads[0].samples_for("idle"), 3);
-            assert_eq!(t.threads[1].samples_for("merge"), 8);
-            let folded = t.to_folded();
-            assert!(folded.contains("worker;worker-0;scan 5\n"), "folded: {folded}");
-            assert!(folded.contains("host;host-0;merge 8\n"), "folded: {folded}");
+            h.stamp(ProfState::Refill);
+            let lines = parse(&reg.capture(0.2));
+            let stacks: Vec<_> = lines.iter().map(|(s, _)| s.as_str()).collect();
+            assert_eq!(stacks, ["worker;worker-0;scan", "host;host-0;refill", "net;net;idle"]);
+            // Every pass sees every marker, so the counts agree; 0.2 s
+            // at 97 Hz holds at most 20 passes (fewer when a sleep
+            // overruns and the schedule resynchronizes).
+            let n = lines[0].1;
+            assert!(lines.iter().all(|&(_, c)| c == n), "{lines:?}");
+            assert!((2..=20).contains(&n), "{n} passes in 0.2 s");
+        }
+
+        #[test]
+        fn folded_output_escapes_hostile_labels() {
+            let reg = Arc::new(ProfRegistry::new());
+            let w = reg.register(ThreadKind::Worker, "bad;label 0\nx");
+            let e = reg.register(ThreadKind::Other, "");
+            w.stamp(ProfState::Scan);
+            e.stamp(ProfState::Drain);
+            let stacks: Vec<_> = parse(&reg.capture(0.1)).into_iter().map(|(s, _)| s).collect();
+            assert_eq!(stacks, ["worker;bad_label_0_x;scan", "other;_;drain"]);
         }
 
         #[test]
@@ -612,10 +438,8 @@ mod tests {
             let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "w");
             w.stamp(ProfState::Scan);
-            reg.sample_once();
             drop(w);
-            reg.sample_once();
-            assert_eq!(reg.table().total_samples(), 1, "post-drop passes see no marker");
+            assert_eq!(reg.capture(0.1), "", "a dropped handle's marker is cleared");
         }
 
         #[test]
@@ -626,9 +450,8 @@ mod tests {
             let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "w");
             w.stamp(ProfState::Scan);
-            reg.sample_once();
             let folded = reg.capture(f64::NAN);
-            assert!(folded.is_empty(), "no sampler ran during the capture: {folded}");
+            assert!(folded.starts_with("worker;w;scan "), "{folded}");
         }
 
         #[test]
@@ -640,10 +463,9 @@ mod tests {
             for h in &handles {
                 h.stamp(ProfState::Idle); // the 3 dead ones must not panic
             }
-            reg.sample_once();
-            let t = reg.table();
-            assert_eq!(t.threads.len(), MAX_THREADS);
-            assert_eq!(t.total_samples(), MAX_THREADS as u64);
+            let lines = parse(&reg.capture(0.1));
+            assert_eq!(lines.len(), MAX_THREADS, "one line per live registration");
+            assert_eq!(lines.last().unwrap().0, format!("other;t{};idle", MAX_THREADS - 1));
         }
     }
 
@@ -658,8 +480,6 @@ mod tests {
             let reg = ProfRegistry::new();
             let h = reg.register(ThreadKind::Worker, "w");
             h.stamp(ProfState::Scan);
-            reg.sample_once();
-            assert_eq!(reg.table(), ProfStats::default());
             assert_eq!(reg.capture(0.0), "");
         }
     }

@@ -13,7 +13,10 @@
 //! before the `Work → Finish` flip (search, merge and rerank counters)
 //! and [`RuntimeObs::record_delivery`] once the reply is built (phase
 //! histograms, the flight recorder's tail sampler, the query log, the
-//! exemplar). The host's refill only bumps one counter. Nothing is
+//! exemplar); once the reply is handed over,
+//! [`RuntimeObs::rotate_window_if_due`] rotates the window ring if a
+//! second has passed since its newest slot — no thread ticks for it.
+//! The host's refill only bumps one counter. Nothing is
 //! written per trace event: when the tail sampler keeps a query,
 //! `record_delivery` builds its timeline from the stamps, the walker
 //! counts, the rerank delta and the controller decision it was handed.
@@ -32,10 +35,6 @@ pub use enabled::{JobStamps, RuntimeObs};
 #[cfg(not(feature = "obs"))]
 pub use disabled::{JobStamps, RuntimeObs};
 
-/// Whether the `obs` recording layer is compiled in. A runtime `bool`
-/// so call sites can skip spawning obs-only threads without `#[cfg]`.
-pub const OBS_ENABLED: bool = cfg!(feature = "obs");
-
 #[cfg(feature = "obs")]
 mod enabled {
     use crate::control::ControlDecision;
@@ -46,14 +45,14 @@ mod enabled {
         EventKind, FlightConfig, FlightRecorder, LifecycleNs, QueryTrace, TraceEvent,
     };
     use crate::obs::hist::Histogram;
-    use crate::obs::prof::{ProfRegistry, ProfState, SharedProfRegistry, ThreadKind, PROF_HZ};
+    use crate::obs::prof::{ProfRegistry, SharedProfRegistry};
     use crate::obs::qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog, STATUS_OK};
     use crate::obs::snapshot::{HostStats, RuntimeStats, TailExemplar, WorkerStats};
     use crate::obs::window::{WindowBlock, WindowRing};
     use crate::tracer::StepTotals;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     /// Deliveries between tail-exemplar resets: the exemplar tracks the
     /// slowest end-to-end latency (and its request id) within the
@@ -183,12 +182,10 @@ mod enabled {
         exemplar_e2e_ns: AtomicU64,
         /// Wire request id of that slowest delivery.
         exemplar_request_id: AtomicU64,
-        /// Thread-state marker registry + sample table.
+        /// Thread-state marker registry.
         prof: Arc<ProfRegistry>,
-        /// Rotating ring of periodic histogram snapshots.
+        /// Ring of stamped end-to-end histogram snapshots.
         window: WindowRing,
-        /// Window ring rotation period (ms).
-        window_period_ms: u64,
     }
 
     impl RuntimeObs {
@@ -200,9 +197,8 @@ mod enabled {
             n_host_threads: usize,
             flight_cfg: FlightConfig,
             qlog_cfg: QlogConfig,
-            window_period_ms: u64,
         ) -> Self {
-            let obs = Self {
+            Self {
                 workers: (0..n_workers).map(|_| CachePadded::default()).collect(),
                 hosts: (0..n_host_threads).map(|_| CachePadded::default()).collect(),
                 submit_to_slot: Histogram::new(),
@@ -217,16 +213,10 @@ mod enabled {
                 exemplar_e2e_ns: AtomicU64::new(0),
                 exemplar_request_id: AtomicU64::new(0),
                 prof: Arc::new(ProfRegistry::new()),
-                window: WindowRing::new(window_period_ms),
-                window_period_ms,
-            };
-            // Baseline snapshot at construction (synchronous, so it
-            // deterministically precedes all queries): the first
-            // periodic rotation then forms a window covering startup
-            // activity — work finishing before the first rotation
-            // would otherwise be invisible to every window.
-            obs.rotate_window();
-            obs
+                // Its empty baseline slot is the histograms' state now,
+                // so every window covers startup activity.
+                window: WindowRing::new(Instant::now()),
+            }
         }
 
         /// The thread-state marker registry, for threads that want to
@@ -235,60 +225,29 @@ mod enabled {
             Arc::clone(&self.prof)
         }
 
-        /// Blocking folded-stack delta capture over `seconds` (the
-        /// `/profile` endpoint's worker).
+        /// Blocking folded-stack capture over `seconds`, sampled on
+        /// the calling thread (the `/profile` endpoint's worker).
         pub fn prof_capture(&self, seconds: f64) -> String {
             self.prof.capture(seconds)
         }
 
-        /// The windowed view of the end-to-end histogram against
-        /// `slo_ns` (0 = no SLO armed).
+        /// The windowed view of the end-to-end histogram, ending now,
+        /// against `slo_ns` (0 = no SLO armed). Rotates the window ring
+        /// afterwards if a rotation is due.
         pub fn window_stats(&self, slo_ns: u64) -> WindowBlock {
-            self.window.stats(slo_ns)
+            self.window.stats(Instant::now(), &self.end_to_end, &self.submit_to_slot, slo_ns)
         }
 
-        /// Rotates the window ring once off the live histograms
-        /// (normally the tick thread's job; public for tests and
-        /// simulators that drive time themselves).
-        pub fn rotate_window(&self) {
-            self.window.rotate(&self.end_to_end, self.submit_to_slot.count());
-        }
-
-        /// The obs tick thread body: drives the profiler sampler at
-        /// [`PROF_HZ`] and rotates the window ring every
-        /// `window_period_ms` until `shutdown` flips. Spawn gated on
-        /// [`OBS_ENABLED`](super::OBS_ENABLED); with `obs` off this is
-        /// a no-op.
-        pub fn run_ticker(&self, shutdown: &AtomicBool) {
-            let handle = self.prof.register(ThreadKind::Sampler, "obs-tick");
-            handle.stamp(ProfState::Idle);
-            // Rotation cadence is kept by tick count.
-            let period = Duration::from_secs_f64(1.0 / f64::from(PROF_HZ));
-            let ticks_per_rotation = (u64::from(PROF_HZ) * self.window_period_ms / 1_000).max(1);
-            let mut n: u64 = 0;
-            // Absolute-deadline schedule: each iteration sleeps until
-            // the next deadline rather than for a fixed duration, so
-            // sample/rotation work time doesn't stretch real window
-            // periods past window_period_ms (which would overstate
-            // rate_qps against the nominal span_ms).
-            let mut next = Instant::now() + period;
-            while !shutdown.load(Ordering::Acquire) {
-                self.prof.sample_once();
-                n += 1;
-                if n.is_multiple_of(ticks_per_rotation) {
-                    self.rotate_window();
-                }
-                let now = Instant::now();
-                if let Some(wait) = next.checked_duration_since(now).filter(|w| !w.is_zero()) {
-                    std::thread::sleep(wait);
-                } else {
-                    // Fell behind a full period: resynchronize from now
-                    // instead of bursting ticks to catch up.
-                    next = now;
-                }
-                next += period;
-            }
-            handle.stamp(ProfState::Shutdown);
+        /// Rotates the window ring if a period has passed since its
+        /// newest slot, judged at the query's delivery stamp. The
+        /// worker calls it after handing its reply over: not due costs
+        /// one relaxed load, and it never waits on a reader.
+        /// Allocation-free. Returns whether it rotated.
+        #[inline]
+        pub fn rotate_window_if_due(&self, stamps: &JobStamps) -> bool {
+            stamps.delivered.is_some_and(|now| {
+                self.window.rotate_if_due(now, &self.end_to_end, &self.submit_to_slot)
+            })
         }
 
         /// The retained (tail-sampled) flight-recorder traces,
@@ -508,7 +467,6 @@ mod enabled {
                 e2e_ns: self.exemplar_e2e_ns.load(Ordering::Relaxed),
                 request_id: self.exemplar_request_id.load(Ordering::Relaxed),
             };
-            out.prof = self.prof.table();
         }
     }
 
@@ -612,7 +570,6 @@ mod disabled {
             _n_host_threads: usize,
             _flight_cfg: FlightConfig,
             _qlog_cfg: QlogConfig,
-            _window_period_ms: u64,
         ) -> Self {
             Self
         }
@@ -632,11 +589,11 @@ mod disabled {
             WindowBlock::default()
         }
 
-        /// No-op.
-        pub fn rotate_window(&self) {}
-
-        /// Returns immediately: there is nothing to sample or rotate.
-        pub fn run_ticker(&self, _shutdown: &std::sync::atomic::AtomicBool) {}
+        /// No-op: there is no ring to rotate.
+        #[inline]
+        pub fn rotate_window_if_due(&self, _stamps: &JobStamps) -> bool {
+            false
+        }
 
         /// No-op; nothing to drain.
         pub fn qlog_drain(&self) -> usize {
@@ -725,7 +682,7 @@ mod tests {
     fn recorder_populates_snapshot() {
         use crate::obs::json::Value;
         let qcfg = QlogConfig { enabled: true, sample_every: 1 };
-        let obs = RuntimeObs::new(2, 1, FlightConfig::default(), qcfg, 1_000);
+        let obs = RuntimeObs::new(2, 1, FlightConfig::default(), qcfg);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
         obs.slot_assigned(0);
@@ -791,7 +748,7 @@ mod tests {
     #[test]
     fn slow_query_is_retained_through_the_recorder() {
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
-        let obs = RuntimeObs::new(4, 1, cfg, QlogConfig::default(), 1_000);
+        let obs = RuntimeObs::new(4, 1, cfg, QlogConfig::default());
         let mut stamps = JobStamps::new();
         stamps.mark_slot(0);
         obs.slot_assigned(0);
@@ -820,7 +777,7 @@ mod tests {
         use EventKind::*;
         let cfg = FlightConfig { slow_threshold_ns: 0, ..FlightConfig::default() };
         // Host 2, worker 3, walkers 0 and 1: every lane is distinct.
-        let obs = RuntimeObs::new(4, 3, cfg, QlogConfig::default(), 1_000);
+        let obs = RuntimeObs::new(4, 3, cfg, QlogConfig::default());
         let (h, w, s) = (2, 3, 1);
         let mut stamps = JobStamps::new();
         stamps.mark_slot(h);

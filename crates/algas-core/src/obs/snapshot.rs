@@ -23,7 +23,6 @@
 use super::flight::FlightTotals;
 use super::hist::HistogramSnapshot;
 use super::json::{obj, Value};
-use super::prof::ProfStats;
 use super::prom::PromWriter;
 use super::qlog::QlogTotals;
 use super::window::{WindowBlock, WindowStats};
@@ -157,11 +156,8 @@ pub struct RuntimeStats {
     /// Tail exemplar: the slowest recent delivery and its request id.
     pub exemplar: TailExemplar,
     /// Moving-window view of the end-to-end histogram plus the SLO
-    /// burn-rate health verdict (empty until the window ring has run).
+    /// burn-rate health verdict (empty with `obs` compiled out).
     pub window: WindowBlock,
-    /// Thread-state profiler attribution table (empty with `obs` off
-    /// or before the sampler has run).
-    pub prof: ProfStats,
 }
 
 impl RuntimeStats {
@@ -373,7 +369,6 @@ impl RuntimeStats {
             (
                 "window",
                 obj(vec![
-                    ("period_ms", Value::Uint(self.window.period_ms)),
                     ("slots", Value::Uint(self.window.slots)),
                     ("slo_ns", Value::Uint(self.window.slo_ns)),
                     ("health", Value::Str(self.window.health.clone())),
@@ -393,42 +388,6 @@ impl RuntimeStats {
                                         ("p99_ns", Value::Uint(wd.p99_ns)),
                                         ("max_ns", Value::Uint(wd.max_ns)),
                                         ("attainment_ppm", Value::Uint(wd.attainment_ppm)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "prof",
-                obj(vec![
-                    ("hz", Value::Uint(u64::from(self.prof.hz))),
-                    ("passes", Value::Uint(self.prof.passes)),
-                    (
-                        "threads",
-                        Value::Arr(
-                            self.prof
-                                .threads
-                                .iter()
-                                .map(|t| {
-                                    obj(vec![
-                                        ("kind", Value::Str(t.kind.clone())),
-                                        ("label", Value::Str(t.label.clone())),
-                                        (
-                                            "states",
-                                            Value::Arr(
-                                                t.states
-                                                    .iter()
-                                                    .map(|sc| {
-                                                        obj(vec![
-                                                            ("state", Value::Str(sc.state.clone())),
-                                                            ("samples", Value::Uint(sc.samples)),
-                                                        ])
-                                                    })
-                                                    .collect(),
-                                            ),
-                                        ),
                                     ])
                                 })
                                 .collect(),
@@ -743,28 +702,6 @@ impl RuntimeStats {
             )
             .scalar("algas_window_degraded", u64::from(self.window.degraded()));
         }
-        if !self.prof.threads.is_empty() {
-            w.family(
-                "algas_prof_passes_total",
-                "counter",
-                "Thread-state sampler passes since start.",
-            )
-            .scalar("algas_prof_passes_total", self.prof.passes);
-            w.family(
-                "algas_prof_samples_total",
-                "counter",
-                "Sampler observations per thread and state (profiler attribution).",
-            );
-            for t in &self.prof.threads {
-                for sc in &t.states {
-                    w.sample(
-                        "algas_prof_samples_total",
-                        &[("kind", &t.kind), ("thread", &t.label), ("state", &sc.state)],
-                        sc.samples as f64,
-                    );
-                }
-            }
-        }
         w.finish()
     }
 }
@@ -772,7 +709,6 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::super::hist::Histogram;
-    use super::super::prof::{ProfStateCount, ProfThreadStats};
     use super::*;
     use crate::obs::prom::parse_prometheus;
 
@@ -860,7 +796,6 @@ mod tests {
         s.qlog = QlogTotals { logged: 30, dropped: 2, drained: 28 };
         s.exemplar = TailExemplar { e2e_ns: 100_000, request_id: 777 };
         s.window = WindowBlock {
-            period_ms: 1_000,
             slots: 12,
             slo_ns: 2_000_000,
             health: "ok".to_string(),
@@ -884,25 +819,6 @@ mod tests {
                     p99_ns: 1_600_000,
                     max_ns: 2_100_000,
                     attainment_ppm: 973_684,
-                },
-            ],
-        };
-        s.prof = ProfStats {
-            hz: 97,
-            passes: 970,
-            threads: vec![
-                ProfThreadStats {
-                    kind: "worker".to_string(),
-                    label: "worker-0".to_string(),
-                    states: vec![
-                        ProfStateCount { state: "scan".to_string(), samples: 600 },
-                        ProfStateCount { state: "idle".to_string(), samples: 370 },
-                    ],
-                },
-                ProfThreadStats {
-                    kind: "host".to_string(),
-                    label: "host-0".to_string(),
-                    states: vec![ProfStateCount { state: "merge".to_string(), samples: 970 }],
                 },
             ],
         };
@@ -948,16 +864,6 @@ mod tests {
             .unwrap();
         assert_eq!(wp99.value, 1_600_000.0);
         assert_eq!(find("algas_window_degraded").value, 0.0);
-        assert_eq!(find("algas_prof_passes_total").value, 970.0);
-        let scan = samples
-            .iter()
-            .find(|x| {
-                x.name == "algas_prof_samples_total"
-                    && x.label("thread") == Some("worker-0")
-                    && x.label("state") == Some("scan")
-            })
-            .unwrap();
-        assert_eq!(scan.value, 600.0);
         let w1 = samples
             .iter()
             .find(|x| x.name == "algas_worker_queries_total" && x.label("worker") == Some("1"))

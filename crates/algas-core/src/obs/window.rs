@@ -4,24 +4,32 @@
 //! Every metric in [`RuntimeStats`](crate::obs::RuntimeStats) is
 //! cumulative since process start, so a single scrape cannot separate
 //! the current p99 from boot-time warm-up. This module keeps a ring of
-//! periodic cumulative snapshots (taken allocation-free with
-//! [`Histogram::snapshot_into`](crate::obs::Histogram::snapshot_into))
-//! and turns any pair into a *windowed* view with
+//! cumulative snapshots (taken allocation-free with
+//! [`Histogram::snapshot_into`](crate::obs::Histogram::snapshot_into)),
+//! each stamped with its `Instant`, and turns the slot nearest a
+//! window's start plus a live snapshot into a *windowed* view with
 //! [`HistogramSnapshot::delta`](crate::obs::HistogramSnapshot::delta):
 //! moving p50/p99, completion
 //! rate, and — when an SLO is armed — windowed attainment and a
 //! multi-window burn-rate health state.
 //!
-//! The runtime's obs tick thread calls [`WindowRing::rotate`] once per
-//! period (default 1s); [`WindowRing::stats`] computes the ~1s/10s/60s
-//! windows surfaced in `/stats.json` (`window` block), the
+//! No thread runs on a clock for it. The ring rotates when
+//! [`WINDOW_PERIOD`] has passed since its newest slot, checked by the
+//! worker that delivers a reply ([`WindowRing::rotate_if_due`]) and by
+//! every read ([`WindowRing::stats`]). The read computes the
+//! ~1s/10s/60s windows surfaced in `/stats.json` (`window` block), the
 //! `algas_window_*` Prometheus families, the serve summary line, and
-//! the `/healthz` + `/readyz` burn-rate state.
+//! the `/healthz` + `/readyz` burn-rate state; they exist from the
+//! ring's construction and end at the moment of the read.
 //!
 //! `WindowRing` exists only with the `obs` feature: its one
 //! constructor call is in the [`recorder`](crate::obs::recorder),
 //! which is where the feature compiles out. [`WindowBlock`] and
 //! [`WindowStats`] are unconditional.
+
+/// The ring rotates once this much time has passed since its newest
+/// slot.
+pub const WINDOW_PERIOD: std::time::Duration = std::time::Duration::from_secs(1);
 
 /// Nominal window spans (seconds) computed by [`WindowRing::stats`].
 pub const WINDOW_TARGETS_S: [u64; 3] = [1, 10, 60];
@@ -49,8 +57,9 @@ pub struct WindowStats {
     /// Nominal span this window aimed for (one of
     /// [`WINDOW_TARGETS_S`]).
     pub target_s: u64,
-    /// Actual span covered (rotations × period); less than the target
-    /// until the ring has run long enough.
+    /// Actual span covered: from the stamp of the slot the window
+    /// starts at to the read. Less than the target while the ring is
+    /// younger than it.
     pub span_ms: u64,
     /// Queries completed inside the window.
     pub completed: u64,
@@ -88,8 +97,6 @@ impl WindowStats {
 /// every computed window plus the burn-rate health verdict.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WindowBlock {
-    /// Rotation period (ms).
-    pub period_ms: u64,
     /// Snapshots currently populating the ring.
     pub slots: u64,
     /// SLO the attainment was computed against (0 = none armed).
@@ -97,8 +104,8 @@ pub struct WindowBlock {
     /// `"ok"` or `"degraded"` (burn-rate rule); `"ok"` with no SLO or
     /// insufficient data.
     pub health: String,
-    /// Windows in [`WINDOW_TARGETS_S`] order; absent until the ring
-    /// holds at least two snapshots.
+    /// Windows in [`WINDOW_TARGETS_S`] order; empty only with the
+    /// `obs` feature compiled out.
     pub windows: Vec<WindowStats>,
 }
 
@@ -139,104 +146,165 @@ pub use enabled::WindowRing;
 mod enabled {
     use super::*;
     use crate::obs::hist::{Histogram, HistogramSnapshot};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
-    /// Snapshots the ring holds: 64 × the default 1s period covers the
-    /// 60s window with headroom.
+    /// Snapshots the ring holds: 64 periods of at least a second cover
+    /// the 60s window with headroom.
     const RING_SLOTS: usize = 64;
 
     struct Slot {
+        /// When the snapshot was taken.
+        at: Instant,
         e2e: HistogramSnapshot,
         submitted: u64,
     }
 
     struct Inner {
         slots: Vec<Slot>,
-        /// Index of the newest valid slot (meaningless until
-        /// `filled > 0`).
+        /// Index of the newest slot.
         head: usize,
+        /// Slots holding a snapshot (the baseline counts).
         filled: usize,
     }
 
-    /// The rotating ring of cumulative snapshots. Rotation is
-    /// allocation-free: every slot's bucket storage is preallocated
-    /// and refilled in place.
+    /// The rotating ring of cumulative snapshots. Nothing drives it on
+    /// a clock: the delivering worker ([`rotate_if_due`]) and every
+    /// read ([`stats`]) rotate it when [`WINDOW_PERIOD`] has passed
+    /// since its newest slot. Rotation is allocation-free: every
+    /// slot's bucket storage is preallocated and refilled in place.
+    ///
+    /// [`rotate_if_due`]: WindowRing::rotate_if_due
+    /// [`stats`]: WindowRing::stats
     pub struct WindowRing {
-        period_ms: u64,
+        /// The baseline slot's stamp; `due_ns` counts from it.
+        origin: Instant,
+        /// When the next rotation is due (the newest stamp plus one
+        /// period), in ns since `origin`: the worker's check is one
+        /// relaxed load of it.
+        due_ns: AtomicU64,
         inner: Mutex<Inner>,
     }
 
     impl WindowRing {
-        /// A ring of snapshots rotated every `period_ms`.
-        pub fn new(period_ms: u64) -> Self {
+        /// A ring whose baseline slot, stamped `at`, holds empty
+        /// histograms: built with the histograms it watches, it
+        /// windows every query they ever record.
+        pub fn new(at: Instant) -> Self {
             Self {
-                period_ms: period_ms.max(1),
+                origin: at,
+                due_ns: AtomicU64::new(WINDOW_PERIOD.as_nanos() as u64),
                 inner: Mutex::new(Inner {
                     slots: (0..RING_SLOTS)
-                        .map(|_| Slot { e2e: HistogramSnapshot::preallocated(), submitted: 0 })
+                        .map(|_| Slot { at, e2e: HistogramSnapshot::preallocated(), submitted: 0 })
                         .collect(),
                     head: 0,
-                    filled: 0,
+                    filled: 1,
                 }),
             }
         }
 
-        /// Takes the next periodic snapshot: the cumulative end-to-end
-        /// histogram plus the cumulative submitted count. Called by
-        /// the obs tick thread once per period; allocation-free after
-        /// construction.
-        pub fn rotate(&self, e2e: &Histogram, submitted: u64) {
-            let mut inner = self.inner.lock().unwrap();
-            let n = inner.slots.len();
-            let head = if inner.filled == 0 { 0 } else { (inner.head + 1) % n };
-            let slot = &mut inner.slots[head];
-            e2e.snapshot_into(&mut slot.e2e);
-            slot.submitted = submitted;
-            inner.head = head;
-            inner.filled = (inner.filled + 1).min(n);
+        /// The delivering worker's call, made after its reply is handed
+        /// over: snapshots the cumulative end-to-end histogram and the
+        /// count of `submit_to_slot` into the next slot if a period has
+        /// passed since the newest one. Not due costs one relaxed load;
+        /// a reader holding the ring makes it give up rather than wait
+        /// (the read rotates instead). Allocation-free. Returns whether
+        /// it rotated.
+        #[inline]
+        pub fn rotate_if_due(
+            &self,
+            now: Instant,
+            e2e: &Histogram,
+            submit_to_slot: &Histogram,
+        ) -> bool {
+            let since = now.saturating_duration_since(self.origin).as_nanos() as u64;
+            if since < self.due_ns.load(Ordering::Relaxed) {
+                return false;
+            }
+            match self.inner.try_lock() {
+                Ok(mut inner) => self.rotate_locked(&mut inner, now, e2e, submit_to_slot),
+                Err(_) => false,
+            }
         }
 
-        /// Computes the [`WINDOW_TARGETS_S`] windows against `slo_ns`
-        /// (0 = no SLO) and applies the burn-rate health rule. Windows
-        /// exist once the ring holds ≥ 2 snapshots; a target longer
-        /// than the ring's history is truncated to what's covered
-        /// (reported via `span_ms`).
-        pub fn stats(&self, slo_ns: u64) -> WindowBlock {
-            let inner = self.inner.lock().unwrap();
+        /// Rotates unless the newest slot is younger than a period
+        /// (another thread may have rotated since the caller looked).
+        fn rotate_locked(
+            &self,
+            inner: &mut Inner,
+            now: Instant,
+            e2e: &Histogram,
+            submit_to_slot: &Histogram,
+        ) -> bool {
+            if now < inner.slots[inner.head].at + WINDOW_PERIOD {
+                return false;
+            }
+            let n = inner.slots.len();
+            let head = (inner.head + 1) % n;
+            let slot = &mut inner.slots[head];
+            slot.at = now;
+            e2e.snapshot_into(&mut slot.e2e);
+            slot.submitted = submit_to_slot.count();
+            inner.head = head;
+            inner.filled = (inner.filled + 1).min(n);
+            let due = (now + WINDOW_PERIOD).saturating_duration_since(self.origin);
+            self.due_ns.store(due.as_nanos() as u64, Ordering::Relaxed);
+            true
+        }
+
+        /// Computes the [`WINDOW_TARGETS_S`] windows at `now` against
+        /// `slo_ns` (0 = no SLO) and applies the burn-rate health rule.
+        /// Each window runs from the slot stamped nearest `now − target`
+        /// to a live snapshot of `e2e`, and its `span_ms` is the time
+        /// between the two; a ring younger than the target reports the
+        /// span it has. The read then rotates the ring if a rotation is
+        /// due, so a slot it adds never shortens its own windows.
+        pub fn stats(
+            &self,
+            now: Instant,
+            e2e: &Histogram,
+            submit_to_slot: &Histogram,
+            slo_ns: u64,
+        ) -> WindowBlock {
+            let mut inner = self.inner.lock().expect("no rotation or read panics holding the ring");
+            let live = e2e.snapshot();
+            let submitted = submit_to_slot.count();
+            let n = inner.slots.len();
+            let age_ns = |s: &Slot| now.saturating_duration_since(s.at).as_nanos() as u64;
             let mut block = WindowBlock {
-                period_ms: self.period_ms,
                 slots: inner.filled as u64,
                 slo_ns,
                 health: "ok".to_string(),
-                windows: Vec::new(),
+                windows: Vec::with_capacity(WINDOW_TARGETS_S.len()),
             };
-            if inner.filled >= 2 {
-                let n = inner.slots.len();
-                let newest = &inner.slots[inner.head];
-                for target_s in WINDOW_TARGETS_S {
-                    let want = (target_s * 1_000).div_ceil(self.period_ms) as usize;
-                    let back = want.clamp(1, inner.filled - 1);
-                    let older = &inner.slots[(inner.head + n - back) % n];
-                    let d = newest.e2e.delta(&older.e2e);
-                    let completed = d.count;
-                    let attainment_ppm = if slo_ns == 0 || completed == 0 {
-                        1_000_000
-                    } else {
-                        d.count_le(slo_ns) * 1_000_000 / completed
-                    };
-                    block.windows.push(WindowStats {
-                        target_s,
-                        span_ms: back as u64 * self.period_ms,
-                        completed,
-                        submitted: newest.submitted.saturating_sub(older.submitted),
-                        p50_ns: d.quantile(0.50),
-                        p99_ns: d.quantile(0.99),
-                        max_ns: d.max,
-                        attainment_ppm,
-                    });
-                }
+            for target_s in WINDOW_TARGETS_S {
+                let target_ns = Duration::from_secs(target_s).as_nanos() as u64;
+                let older = (0..inner.filled)
+                    .map(|back| &inner.slots[(inner.head + n - back) % n])
+                    .min_by_key(|s| age_ns(s).abs_diff(target_ns))
+                    .expect("the baseline slot is always filled");
+                let d = live.delta(&older.e2e);
+                let completed = d.count;
+                let attainment_ppm = if slo_ns == 0 || completed == 0 {
+                    1_000_000
+                } else {
+                    d.count_le(slo_ns) * 1_000_000 / completed
+                };
+                block.windows.push(WindowStats {
+                    target_s,
+                    span_ms: age_ns(older) / 1_000_000,
+                    completed,
+                    submitted: submitted.saturating_sub(older.submitted),
+                    p50_ns: d.quantile(0.50),
+                    p99_ns: d.quantile(0.99),
+                    max_ns: d.max,
+                    attainment_ppm,
+                });
             }
             block.compute_health();
+            self.rotate_locked(&mut inner, now, e2e, submit_to_slot);
             block
         }
     }
@@ -290,72 +358,132 @@ mod tests {
     mod live {
         use super::super::*;
         use crate::obs::hist::Histogram;
+        use std::time::{Duration, Instant};
+
+        fn ms(n: u64) -> Duration {
+            Duration::from_millis(n)
+        }
 
         #[test]
-        fn windows_appear_after_two_rotations_and_match_recomputation() {
-            let h = Histogram::new();
-            let ring = WindowRing::new(1_000);
-            assert!(ring.stats(0).windows.is_empty(), "empty ring has no windows");
+        fn a_rotation_happens_only_when_due() {
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
+            assert!(!ring.rotate_if_due(t0 + ms(999), &e2e, &sub), "younger than a period");
+            assert!(ring.rotate_if_due(t0 + ms(1_000), &e2e, &sub), "a period after the baseline");
+            assert!(!ring.rotate_if_due(t0 + ms(1_999), &e2e, &sub), "due counts from the newest");
+            assert!(ring.rotate_if_due(t0 + ms(2_400), &e2e, &sub));
+            assert!(!ring.rotate_if_due(t0 + ms(3_000), &e2e, &sub), "due again at 3.4 s");
+            // A read rotates when due, after measuring: its own block
+            // still counts the slots it measured from.
+            assert_eq!(ring.stats(t0 + ms(3_000), &e2e, &sub, 0).slots, 3);
+            assert_eq!(ring.stats(t0 + ms(3_400), &e2e, &sub, 0).slots, 3, "due: rotates after");
+            assert_eq!(
+                ring.stats(t0 + ms(3_500), &e2e, &sub, 0).slots,
+                4,
+                "the 3.4 s read rotated"
+            );
+            assert!(!ring.rotate_if_due(t0 + ms(4_000), &e2e, &sub), "the read moved due on");
+        }
 
-            for v in [100u64, 200, 300] {
-                h.record(v);
-            }
-            ring.rotate(&h, 3);
-            assert!(ring.stats(0).windows.is_empty(), "one snapshot is not a window");
-            let baseline = h.snapshot();
-
-            for v in [1_000u64, 2_000, 4_000, 8_000] {
-                h.record(v);
-            }
-            ring.rotate(&h, 9);
-
-            let block = ring.stats(0);
-            assert_eq!(block.slots, 2);
-            assert_eq!(block.windows.len(), WINDOW_TARGETS_S.len());
-            // Only one interval exists, so every target truncates to it.
-            let expect = h.snapshot().delta(&baseline);
+        #[test]
+        fn windows_are_present_from_the_baseline_slot() {
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
+            let block = ring.stats(t0, &e2e, &sub, 0);
+            assert_eq!(block.slots, 1);
+            assert_eq!(block.windows.len(), WINDOW_TARGETS_S.len(), "windows exist at once");
             for w in &block.windows {
-                assert_eq!(w.span_ms, 1_000);
-                assert_eq!(w.completed, 4);
-                assert_eq!(w.submitted, 6);
+                assert_eq!((w.span_ms, w.completed, w.submitted), (0, 0, 0));
+                assert_eq!(w.attainment_ppm, 1_000_000, "an empty window attains");
+            }
+            // Queries recorded before the first rotation are windowed
+            // against the baseline.
+            for v in [100u64, 200, 300] {
+                e2e.record(v);
+                sub.record(v);
+            }
+            let block = ring.stats(t0 + ms(300), &e2e, &sub, 0);
+            let expect = e2e.snapshot();
+            for w in &block.windows {
+                assert_eq!((w.completed, w.submitted), (3, 3));
                 assert_eq!(w.p50_ns, expect.quantile(0.50));
                 assert_eq!(w.p99_ns, expect.quantile(0.99));
-                assert!(w.p99_ns >= 8_000 && w.p99_ns <= 8_256, "p99 {} in bucket", w.p99_ns);
             }
+        }
+
+        #[test]
+        fn a_young_ring_reports_the_span_it_has() {
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
+            e2e.record(1_000);
+            assert!(ring.rotate_if_due(t0 + ms(1_000), &e2e, &sub));
+            e2e.record(2_000);
+            let block = ring.stats(t0 + ms(2_500), &e2e, &sub, 0);
+            // 1 s back is nearest the slot at 1 s; 10 s and 60 s back
+            // both fall before the ring's birth, so they start at the
+            // baseline and cover the 2.5 s that exist.
+            let spans: Vec<_> = block.windows.iter().map(|w| (w.span_ms, w.completed)).collect();
+            assert_eq!(spans, [(1_500, 1), (2_500, 2), (2_500, 2)]);
+        }
+
+        #[test]
+        fn span_comes_from_the_stamps() {
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
+            // Deliveries arrive irregularly, so slots sit 1.2 s and
+            // 1.3 s apart rather than on a grid.
+            for (at, v) in [(1_200, 10_000u64), (2_500, 20_000)] {
+                e2e.record(v);
+                assert!(ring.rotate_if_due(t0 + ms(at), &e2e, &sub));
+            }
+            e2e.record(40_000);
+            let block = ring.stats(t0 + ms(3_000), &e2e, &sub, 0);
+            // Slot ages at the read: 0.5 s, 1.8 s and 3.0 s. The 1 s
+            // window starts at the 0.5 s slot (0.5 from its target,
+            // against 0.8), the others at the baseline.
+            let w1 = block.window(1).unwrap();
+            assert_eq!((w1.span_ms, w1.completed), (500, 1));
+            assert!(w1.rate_qps() > 1.99 && w1.rate_qps() < 2.01, "{}", w1.rate_qps());
+            assert_eq!(block.window(10).unwrap().span_ms, 3_000);
         }
 
         #[test]
         fn ring_wraparound_keeps_windows_correct() {
-            let h = Histogram::new();
-            // At 500 ms the 60s window wants 120 periods; once the
-            // 64-slot ring has wrapped it is capped at 63 periods back.
-            let ring = WindowRing::new(500);
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
+            // 100 one-second rotations overwrite the 64-slot ring's
+            // baseline and its first 36 slots.
             for round in 1..=100u64 {
-                h.record(round * 1_000);
-                ring.rotate(&h, round);
+                e2e.record(round * 1_000);
+                sub.record(1);
+                assert!(ring.rotate_if_due(t0 + Duration::from_secs(round), &e2e, &sub));
             }
-            let block = ring.stats(0);
+            let block = ring.stats(t0 + Duration::from_secs(100), &e2e, &sub, 0);
+            assert_eq!(block.slots, 64);
             let w1 = block.window(1).unwrap();
-            assert_eq!((w1.completed, w1.submitted, w1.span_ms), (2, 2, 1_000));
+            assert_eq!((w1.completed, w1.submitted, w1.span_ms), (1, 1, 1_000));
             let w60 = block.window(60).unwrap();
-            assert_eq!(w60.span_ms, 31_500, "capped at ring length - 1");
-            assert_eq!(w60.completed, 63, "rounds 38..=100");
-            // The windowed p99 reflects only the recordings still in
-            // the ring.
+            assert_eq!((w60.completed, w60.submitted, w60.span_ms), (60, 60, 60_000));
+            // The windowed p99 reflects only rounds 41..=100.
             assert!(w60.p99_ns >= 99_000 && w60.p99_ns <= 102_400, "p99 {}", w60.p99_ns);
+            assert!(w60.p50_ns >= 70_000, "p50 {} skips the overwritten rounds", w60.p50_ns);
         }
 
         #[test]
         fn attainment_tracks_the_slo_split() {
-            let h = Histogram::new();
-            let ring = WindowRing::new(1_000);
-            ring.rotate(&h, 0);
+            let (e2e, sub) = (Histogram::new(), Histogram::new());
+            let t0 = Instant::now();
+            let ring = WindowRing::new(t0);
             // 3 fast (≤ 50µs SLO), 1 slow.
             for v in [10_000u64, 20_000, 30_000, 9_000_000] {
-                h.record(v);
+                e2e.record(v);
             }
-            ring.rotate(&h, 4);
-            let block = ring.stats(50_000);
+            let block = ring.stats(t0 + ms(500), &e2e, &sub, 50_000);
             let w = block.window(1).unwrap();
             assert_eq!(w.attainment_ppm, 750_000);
             assert_eq!(block.slo_ns, 50_000);

@@ -57,10 +57,6 @@ pub struct RuntimeConfig {
     /// Wide-event query-log policy: on/off and sampling (ignored when
     /// the `obs` feature is compiled out; the log is off by default).
     pub qlog: QlogConfig,
-    /// Window ring rotation period (ms) of the obs tick thread, which
-    /// also drives the profiler sampler (ignored when the `obs` feature
-    /// is compiled out; no tick thread is spawned then).
-    pub window_period_ms: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -71,7 +67,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 1024,
             flight: FlightConfig::default(),
             qlog: QlogConfig::default(),
-            window_period_ms: 1_000,
         }
     }
 }
@@ -243,9 +238,6 @@ pub struct AlgasServer {
     cfg: RuntimeConfig,
     workers: Vec<JoinHandle<()>>,
     hosts: Vec<JoinHandle<()>>,
-    /// The obs tick thread (profiler sampler + window rotation); absent
-    /// with `obs` compiled out.
-    ticker: Option<JoinHandle<()>>,
     next_tag: std::sync::atomic::AtomicU64,
 }
 
@@ -294,13 +286,7 @@ impl AlgasServer {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             net: NetCounters::default(),
-            obs: RuntimeObs::new(
-                cfg.n_workers,
-                cfg.n_host_threads,
-                cfg.flight,
-                cfg.qlog,
-                cfg.window_period_ms,
-            ),
+            obs: RuntimeObs::new(cfg.n_workers, cfg.n_host_threads, cfg.flight, cfg.qlog),
         });
 
         let workers = (0..cfg.n_workers)
@@ -324,18 +310,7 @@ impl AlgasServer {
             })
             .collect();
 
-        // One background thread drives both the thread-state sampler
-        // and the window ring rotation; with `obs` compiled out there
-        // is nothing to drive, so none is spawned.
-        let ticker = obs::OBS_ENABLED.then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("algas-obs-tick".to_string())
-                .spawn(move || shared.obs.run_ticker(&shared.shutdown))
-                .expect("spawn obs ticker")
-        });
-
-        Self { shared, cfg, workers, hosts, ticker, next_tag: std::sync::atomic::AtomicU64::new(0) }
+        Self { shared, cfg, workers, hosts, next_tag: std::sync::atomic::AtomicU64::new(0) }
     }
 
     /// Submits a query; the reply arrives on the returned channel.
@@ -476,9 +451,10 @@ impl AlgasServer {
     }
 
     /// Blocking folded-stack profile capture over `seconds` (clamped
-    /// to 0.1–30): samples the thread-state markers for the duration
-    /// and returns the delta as flamegraph-ready collapsed-stack text.
-    /// Empty when the `obs` feature is compiled out.
+    /// to 0.1–30): samples the thread-state markers on the calling
+    /// thread for the duration and returns the counts as
+    /// flamegraph-ready collapsed-stack text. Empty when the `obs`
+    /// feature is compiled out.
     pub fn profile_capture(&self, seconds: f64) -> String {
         self.shared.obs.prof_capture(seconds)
     }
@@ -544,9 +520,6 @@ impl AlgasServer {
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(t) = self.ticker.take() {
-            let _ = t.join();
         }
     }
 }
@@ -741,6 +714,9 @@ fn serve_slot(
     job.reply_to.deliver(reply);
     let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
     debug_assert!(flipped, "only this worker moves Finish -> Done");
+    // With the reply handed over and the slot free for its host, rotate
+    // the window ring if a period has passed since its newest slot.
+    shared.obs.rotate_window_if_due(&job.stamps);
 }
 
 /// Host poller (§V-B): scans owned slots; on `None`/`Done` refills
@@ -1232,7 +1208,6 @@ mod tests {
                 // Retain + log everything: threshold 0 marks all slow.
                 flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
                 qlog: QlogConfig { enabled: true, ..Default::default() },
-                ..Default::default()
             },
         );
         for i in 0..4u64 {
@@ -1278,53 +1253,76 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn windowed_stats_match_recomputation_from_raw_snapshots() {
-        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
-        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-        let cfg =
-            EngineConfig { k: 8, l: 32, slots: 4, beam: BeamMode::Auto, ..Default::default() };
-        let server = AlgasServer::start(
-            AlgasEngine::new(index, cfg).unwrap(),
-            RuntimeConfig {
-                n_workers: 2,
-                n_host_threads: 1,
-                queue_capacity: 64,
-                // An hour-long rotation period parks the ticker's
-                // rotations, so this test drives them deterministically.
-                window_period_ms: 3_600_000,
-                ..Default::default()
-            },
-        );
-        assert!(
-            server.runtime_stats().window.windows.is_empty(),
-            "no windows before two rotations exist to subtract"
-        );
-        for i in 0..10 {
-            let q = ds.queries.get(i % ds.queries.len()).to_vec();
-            let _ = server.search_blocking(q).unwrap();
-        }
-        // Raw snapshot at the same instant as the baseline rotation
-        // (no queries run in between, so the two views are identical).
-        let base = server.runtime_stats().phases.end_to_end.clone();
-        server.shared.obs.rotate_window();
-        for i in 0..10 {
-            let q = ds.queries.get(i % ds.queries.len()).to_vec();
-            let _ = server.search_blocking(q).unwrap();
-        }
-        let full = server.runtime_stats().phases.end_to_end.clone();
-        server.shared.obs.rotate_window();
+        let (server, ds, _) = test_server(4, 2, 1);
+        let serve = |n: usize| {
+            for i in 0..n {
+                let q = ds.queries.get(i % ds.queries.len()).to_vec();
+                let _ = server.search_blocking(q).unwrap();
+            }
+        };
+        serve(10);
+        // A period of quiet makes the next delivery rotate the ring;
+        // rotations only add slots nearer the read, and the test is far
+        // shorter than 60 s, so the 60 s window still starts at the
+        // construction baseline.
+        std::thread::sleep(crate::obs::window::WINDOW_PERIOD);
+        serve(10);
+        let s = server.runtime_stats();
+        assert!(s.window.slots >= 2, "a delivery rotated the ring: {} slot(s)", s.window.slots);
+        assert_eq!(s.window.health, "ok", "no SLO armed, never degraded");
+        // The 60 s window is the raw delta since construction: the
+        // lifetime histogram, read while the server is idle.
+        let raw = &s.phases.end_to_end;
+        let w = s.window.window(60).expect("windows exist from construction");
+        assert_eq!(w.completed, raw.count);
+        assert_eq!(w.p50_ns, raw.quantile(0.5));
+        assert_eq!(w.p99_ns, raw.quantile(0.99));
+        assert_eq!(w.max_ns, raw.max);
+        assert!(w.span_ms >= 1_000, "span from the baseline stamp: {} ms", w.span_ms);
+        server.shutdown();
+    }
 
-        // Every window target must agree exactly with the delta
-        // recomputed from the raw histogram snapshots.
-        let recomputed = full.delta(&base);
-        let block = server.runtime_stats().window;
-        assert_eq!(block.health, "ok", "no SLO armed, never degraded");
-        for target in [1u64, 10, 60] {
-            let w = block.window(target).expect("window present after two rotations");
-            assert_eq!(w.completed, recomputed.count, "window {target}s completions");
-            assert_eq!(w.p50_ns, recomputed.quantile(0.5), "window {target}s p50");
-            assert_eq!(w.p99_ns, recomputed.quantile(0.99), "window {target}s p99");
-            assert_eq!(w.max_ns, recomputed.max, "window {target}s max");
+    /// The leaf paths of a JSON document, arrays folded to `[]`.
+    fn leaf_paths(
+        v: &crate::obs::json::Value,
+        prefix: &str,
+        out: &mut std::collections::BTreeSet<String>,
+    ) {
+        use crate::obs::json::Value;
+        match v {
+            Value::Obj(fields) => {
+                for (k, child) in fields {
+                    leaf_paths(child, &format!("{prefix}.{k}"), out);
+                }
+            }
+            Value::Arr(items) => {
+                for item in items {
+                    leaf_paths(item, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {
+                out.insert(prefix.to_string());
+            }
         }
+    }
+
+    #[test]
+    fn the_stats_page_has_the_same_leaves_at_construction_and_under_traffic() {
+        use crate::obs::json::Value;
+        let (server, ds, _) = test_server(4, 2, 1);
+        let paths = |server: &AlgasServer| {
+            let mut out = std::collections::BTreeSet::new();
+            leaf_paths(&Value::parse(&server.runtime_stats().to_json()).unwrap(), "", &mut out);
+            out
+        };
+        let at_start = paths(&server);
+        let start = std::time::Instant::now();
+        let mut i = 0;
+        while start.elapsed() < std::time::Duration::from_millis(1_200) {
+            let _ = server.search_blocking(ds.queries.get(i % ds.queries.len()).to_vec()).unwrap();
+            i += 1;
+        }
+        assert_eq!(at_start, paths(&server), "the page's shape moved with time");
         server.shutdown();
     }
 
@@ -1337,10 +1335,10 @@ mod tests {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
             let _ = server.search_blocking(q).unwrap();
         }
-        // The default 97 Hz ticker is live; a short capture must
+        // A short capture samples the markers itself and must
         // attribute samples to the registered runtime threads.
         let folded = server.profile_capture(0.2);
-        assert!(!folded.is_empty(), "a live sampler must accumulate samples");
+        assert!(!folded.is_empty(), "a capture must accumulate samples");
         for line in folded.lines() {
             let (frames, count) = line.rsplit_once(' ').expect("folded line has a count");
             assert_eq!(frames.split(';').count(), 3, "kind;label;state in {line:?}");

@@ -18,7 +18,7 @@
 //! ENGINE:  --index index.algas --queries q.fvecs [--k 10] [--l 64] [--slots 16]
 //!          [--quantize true] [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
 //! SESSION: [--workers 2] [--hosts 1] [--repeat N] [--trace-threshold-us N]
-//!          [--qlog-sample N] [--window-period-ms 1000]
+//!          [--qlog-sample N]
 //! ```
 //!
 //! These lists are what each command accepts ([`run`] holds them); any
@@ -70,12 +70,13 @@
 //! policy, SLO rung, rerank depth, status); `--qlog-sample N` keeps
 //! every Nth completion, and the retained tail is also served live at
 //! `/query-log` on the `--listen` endpoint (next to `/healthz` and
-//! `/readyz` probes). The thread-state sampling profiler runs at a
-//! fixed 97 Hz; `--window-period-ms` sets the windowed-telemetry
-//! rotation period;
-//! `GET /profile?seconds=N` on the `--listen` endpoint returns a
-//! folded-stack capture (`curl` it, then `flamegraph.pl` /
-//! speedscope). The binary carries no network client: load at an
+//! `/readyz` probes). `GET /profile?seconds=N` on the `--listen`
+//! endpoint samples every runtime thread's state at a fixed 97 Hz for
+//! `N` seconds and returns the folded-stack capture (`curl` it, then
+//! `flamegraph.pl` / speedscope); nothing samples between captures.
+//! The windowed telemetry (~1 s / 10 s / 60 s) needs no setting: its
+//! snapshot ring rotates once a second, when a delivery or a read
+//! finds a rotation due. The binary carries no network client: load at an
 //! offered rate over `--net` is the `algas-perf` benchmark's job
 //! (`crates/algas-bench/src/bin/perf`). `stats` runs the same
 //! serving session and emits only the snapshot, as JSON or Prometheus
@@ -104,7 +105,7 @@ use std::sync::Arc;
 const ENGINE: &str = "index queries k l slots quantize rerank entry-policy slo-us";
 
 /// Flags a `serve`/`stats` session reads on top of [`ENGINE`].
-const SESSION: &str = "workers hosts repeat trace-threshold-us qlog-sample window-period-ms";
+const SESSION: &str = "workers hosts repeat trace-threshold-us qlog-sample";
 
 type Command = fn(&HashMap<String, String>, &mut dyn Write) -> Result<(), String>;
 
@@ -513,7 +514,6 @@ fn start_server_from_flags(
     // starts from the LSH table, near the query (built at load when the
     // index carries no entry section).
     let engine_cfg = engine_config_from_flags(flags, EntryPolicy::HashTable)?;
-    let default_period_ms = RuntimeConfig::default().window_period_ms;
     let runtime_cfg = RuntimeConfig {
         n_workers: opt_size(flags, "workers", 2)?,
         n_host_threads: opt_size(flags, "hosts", 1)?,
@@ -526,7 +526,6 @@ fn start_server_from_flags(
             ..FlightConfig::default()
         },
         qlog: qlog_from_flags(flags)?,
-        window_period_ms: opt_parse(flags, "window-period-ms", default_period_ms)?.max(1),
     };
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
     let mut queries = load_fvecs(req(flags, "queries")?)?;
@@ -1533,8 +1532,8 @@ mod tests {
         // pinned by algas-graph's progress unit tests — the global
         // instance is shared, so no cross-test snapshot asserts here.)
 
-        // Serve with a stats listener, fast window rotation, and a
-        // linger long enough to scrape a live profile.
+        // Serve with a stats listener and a linger long enough to
+        // scrape a live profile.
         let serve_out = SharedOut::default();
         let serve_thread = {
             let mut out = serve_out.clone();
@@ -1552,8 +1551,6 @@ mod tests {
                 "127.0.0.1:0",
                 "--linger-ms",
                 "3000",
-                "--window-period-ms",
-                "200",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1839,9 +1836,11 @@ mod tests {
                 assert_eq!(err, format!("unknown flag {flag} for {cmd}"));
             }
         }
-        // The sampler rate and the query log's slow threshold are
-        // constants, not flags.
-        for (flag, value) in [("--prof-hz", "97"), ("--qlog-slow-us", "1")] {
+        // The sampler rate, the window period and the query log's slow
+        // threshold are constants, not flags.
+        for (flag, value) in
+            [("--prof-hz", "97"), ("--window-period-ms", "250"), ("--qlog-slow-us", "1")]
+        {
             let err = run(&args_of(&serve, &[flag, value]), &mut out).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag} for serve"));
         }

@@ -127,7 +127,6 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
         // are retained; the query log keeps every completion too.
         flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
         qlog: QlogConfig { enabled: true, ..Default::default() },
-        ..Default::default()
     };
     let stack = start_stack(SLOTS, runtime);
     let mut client = stack.client();
@@ -558,10 +557,7 @@ fn leaf_paths(v: &Value, prefix: &str, out: &mut BTreeSet<String>) {
 /// of `/stats.json` served from the same runtime.
 #[test]
 fn stats_reply_is_the_stats_json_page_with_every_connection() {
-    // No window rotation during the test: both pages see the same
-    // (empty) window list.
-    let runtime = RuntimeConfig { window_period_ms: 3_600_000, ..Stack::default_runtime() };
-    let stack = start_stack(SLOTS, runtime);
+    let stack = start_stack(SLOTS, Stack::default_runtime());
     let (mut a, mut b) = (stack.client(), stack.client());
     for (id, client) in [(1, &mut a), (2, &mut b)] {
         match client.search(id, stack.queries.get(id as usize)).expect("search") {

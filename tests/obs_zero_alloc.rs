@@ -4,10 +4,11 @@
 //! (search accounting, then delivery accounting with its histogram
 //! records, the flight recorder's tail-sampling fast path and the
 //! wide-event query-log write, both the accepted and the ring-full drop
-//! path), thread-state profiler marker stamps, profiler sampling
-//! passes, and window-ring rotation — must never touch the heap.
-//! Snapshotting ([`RuntimeObs::populate`]), building a retained trace,
-//! and query-log draining/rendering allocate and are deliberately
+//! path), thread-state profiler marker stamps, and the worker's window
+//! rotation check, including a rotation that is due — must never touch
+//! the heap. Snapshotting ([`RuntimeObs::populate`]), the windowed
+//! read, building a retained trace, a profile capture, and query-log
+//! draining/rendering allocate and are deliberately
 //! outside the measured region: they run on the control path or for
 //! rare queries only, so the recorder here is configured to retain
 //! nothing.
@@ -21,6 +22,7 @@
 use algas::core::control::{ControlDecision, ControlReason};
 use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
+use algas::core::obs::window::WINDOW_PERIOD;
 use algas::core::obs::{
     DeliveryCtx, FlightConfig, Histogram, JobStamps, ProfHandle, ProfState, QlogConfig, RuntimeObs,
     ThreadKind,
@@ -54,16 +56,17 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One simulated query's worth of instrumentation, exactly as the
 /// runtime issues it: stamps on the submit/refill/worker path, the
-/// host's refill accounting, then the worker's search accounting and
+/// host's refill accounting, then the worker's search accounting,
 /// delivery accounting (three walkers, one beam switch, a rerank pass,
-/// and a controller decision every 8th query).
+/// and a controller decision every 8th query) and window rotation
+/// check. Returns whether that check rotated the ring.
 fn instrument_one_query(
     obs: &RuntimeObs,
     hist: &Histogram,
     totals: &StepTotals,
     prof: &ProfHandle,
     q: u64,
-) {
+) -> bool {
     let (s, w) = ((q % 4) as usize, (q % 2) as usize);
     // Thread-state markers bracket the pass exactly as the worker loop
     // stamps them: one relaxed store each.
@@ -103,14 +106,11 @@ fn instrument_one_query(
     stamps.mark_delivered();
     obs.record_delivery(w, s, &ctx, &stamps, walkers, &rerank, control);
     hist.record(1 + q * 17);
-    // The obs tick thread's work rides the same budget: a profiler
-    // sampling pass over every registered marker, and (each 8th
-    // query) a window rotation into its preallocated ring slot.
-    obs.prof_registry().sample_once();
-    if q.is_multiple_of(8) {
-        obs.rotate_window();
-    }
+    // After the reply is handed over: rotate the window ring into its
+    // preallocated next slot if a period has passed since the newest.
+    let rotated = obs.rotate_window_if_due(&stamps);
     prof.stamp(ProfState::Idle);
+    rotated
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn telemetry_hot_path_allocates_nothing() {
     // neither of which may allocate (rendering to JSON lines happens on
     // the control path, in drain).
     let qlog = QlogConfig { enabled: true, ..Default::default() };
-    let obs = RuntimeObs::new(2, 1, flight, qlog, 1_000);
+    let obs = RuntimeObs::new(2, 1, flight, qlog);
     // Registration allocates (label copy) — setup, not hot path.
     let prof = obs.prof_registry().register(ThreadKind::Worker, "worker-0");
     let hist = Histogram::new();
@@ -153,13 +153,19 @@ fn telemetry_hot_path_allocates_nothing() {
     // a pass (observed ~1/60 runs); a genuine hot-path regression
     // allocates on every one of the 512 iterations and fails all three
     // passes, so requiring one clean pass keeps the invariant exact.
+    // Each pass starts a window period after the last rotation, so its
+    // first delivery finds a rotation due and runs it in the region.
     let mut counts = Vec::new();
+    let mut rotations = Vec::new();
     for _ in 0..3 {
+        std::thread::sleep(WINDOW_PERIOD);
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let mut rotated = 0u64;
         for q in 0..512 {
-            instrument_one_query(&obs, &hist, &totals, &prof, q);
+            rotated += u64::from(instrument_one_query(&obs, &hist, &totals, &prof, q));
         }
         counts.push(ALLOC_CALLS.load(Ordering::Relaxed) - before);
+        rotations.push(rotated);
         if counts.last() == Some(&0) {
             break;
         }
@@ -168,6 +174,7 @@ fn telemetry_hot_path_allocates_nothing() {
         counts.contains(&0),
         "telemetry hot path allocated on every pass: {counts:?} allocations"
     );
+    assert!(rotations.iter().all(|&r| r >= 1), "no due rotation in a pass: {rotations:?}");
 
     // Sanity: everything recorded was actually counted.
     let total = WARMUP + 512 * counts.len() as u64;
@@ -194,11 +201,11 @@ fn telemetry_hot_path_allocates_nothing() {
     assert_eq!(lines.len() as u64, totals.logged);
     assert!(lines[0].contains("\"request_id\":"), "{}", lines[0]);
     assert!(lines[0].contains("\"hops\":17"), "{}", lines[0]);
-    // The profiler attributed the in-region sampling passes to the
-    // stamped marker, and the rotated ring yields windows — both fed
-    // entirely from inside the measured (allocation-free) region.
-    let worker =
-        stats.prof.threads.iter().find(|t| t.label == "worker-0").expect("profiled thread");
-    assert!(worker.states.iter().map(|s| s.samples).sum::<u64>() > 0, "no samples attributed");
-    assert!(!obs.window_stats(0).windows.is_empty(), "rotations must yield windows");
+    // A capture reads the marker the region stamped last, and the ring
+    // holds the slots the in-region rotations filled.
+    let folded = obs.prof_capture(0.1);
+    assert!(folded.starts_with("worker;worker-0;idle "), "{folded}");
+    let block = obs.window_stats(0);
+    assert!(block.slots > rotations.len() as u64, "baseline plus one slot a pass: {block:?}");
+    assert_eq!(block.window(60).expect("60 s window").completed, total);
 }

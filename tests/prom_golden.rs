@@ -20,8 +20,8 @@ use algas::core::net::{ConnStats, NetStats};
 use algas::core::obs::json::Value;
 use algas::core::obs::prom::check_exposition;
 use algas::core::obs::{
-    FlightTotals, Histogram, HostStats, ProfStateCount, ProfStats, ProfThreadStats, QlogTotals,
-    RuntimeStats, TailExemplar, WindowBlock, WindowStats, WorkerStats,
+    FlightTotals, Histogram, HostStats, QlogTotals, RuntimeStats, TailExemplar, WindowBlock,
+    WindowStats, WorkerStats,
 };
 use algas::core::tracer::StepTotals;
 use std::path::Path;
@@ -113,7 +113,6 @@ fn fixture() -> RuntimeStats {
     s.qlog = QlogTotals { logged: 36, dropped: 2, drained: 30 };
     s.exemplar = TailExemplar { e2e_ns: 100_000, request_id: 0xC0FF_EE07 };
     s.window = WindowBlock {
-        period_ms: 1_000,
         slots: 16,
         slo_ns: 2_000_000,
         health: "ok".to_string(),
@@ -147,25 +146,6 @@ fn fixture() -> RuntimeStats {
                 p99_ns: 1_700_000,
                 max_ns: 2_000_000,
                 attainment_ppm: 973_684,
-            },
-        ],
-    };
-    s.prof = ProfStats {
-        hz: 97,
-        passes: 1_940,
-        threads: vec![
-            ProfThreadStats {
-                kind: "worker".to_string(),
-                label: "worker-0".to_string(),
-                states: vec![
-                    ProfStateCount { state: "scan".to_string(), samples: 1_200 },
-                    ProfStateCount { state: "idle".to_string(), samples: 740 },
-                ],
-            },
-            ProfThreadStats {
-                kind: "net".to_string(),
-                label: "net-loop".to_string(),
-                states: vec![ProfStateCount { state: "read".to_string(), samples: 1_940 }],
             },
         ],
     };
