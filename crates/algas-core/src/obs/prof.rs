@@ -30,7 +30,7 @@ pub const MAX_THREADS: usize = 64;
 
 /// Number of representable states (the marker packs the state into one
 /// byte; a capture counts this many states per thread slot).
-pub const N_STATES: usize = 13;
+pub const N_STATES: usize = 12;
 
 /// Sampling passes per second of a capture. Prime, so the passes do not
 /// lock step with millisecond-periodic work.
@@ -50,8 +50,6 @@ pub enum ThreadKind {
     Net = 2,
     /// Query-log drainer.
     Qlog = 3,
-    /// Anything else that wants attribution.
-    Other = 4,
 }
 
 impl ThreadKind {
@@ -62,17 +60,17 @@ impl ThreadKind {
             ThreadKind::Host => "host",
             ThreadKind::Net => "net",
             ThreadKind::Qlog => "qlog",
-            ThreadKind::Other => "other",
         }
     }
 
-    fn from_u8(v: u8) -> ThreadKind {
+    /// `None` for a byte no kind encodes to.
+    fn from_u8(v: u8) -> Option<ThreadKind> {
         match v {
-            0 => ThreadKind::Worker,
-            1 => ThreadKind::Host,
-            2 => ThreadKind::Net,
-            3 => ThreadKind::Qlog,
-            _ => ThreadKind::Other,
+            0 => Some(ThreadKind::Worker),
+            1 => Some(ThreadKind::Host),
+            2 => Some(ThreadKind::Net),
+            3 => Some(ThreadKind::Qlog),
+            _ => None,
         }
     }
 }
@@ -83,44 +81,40 @@ impl ThreadKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ProfState {
-    /// Registered but not currently publishing (also stamped on
-    /// handle drop so exited threads stop attracting samples).
-    Off = 0,
     /// Parked / backing off between work items.
-    Idle = 1,
+    Idle = 0,
     /// Worker: graph traversal, the TopK merge and (on quantized
     /// engines) exact rerank, i.e. the whole `serve_into` span.
-    Scan = 2,
+    Scan = 1,
     /// Worker: accounting the finished search into the telemetry
     /// counters before the reply.
-    Publish = 3,
+    Publish = 2,
     /// Worker: building the reply from its TopK (the merge runs inside
     /// the search; the name stays for profile readers).
-    Merge = 4,
+    Merge = 3,
     /// Worker: the SLO controller's observation, delivery accounting
     /// (with a retained query's trace), and handing the reply to the
     /// client.
-    Deliver = 5,
+    Deliver = 4,
     /// Host: draining the submission queue into free slots.
-    Refill = 6,
+    Refill = 5,
     /// Net: accepting new connections.
-    Accept = 7,
+    Accept = 6,
     /// Net: reading bytes off sockets.
-    Read = 8,
+    Read = 7,
     /// Net: decoding frames.
-    Decode = 9,
+    Decode = 8,
     /// Net: handling completions back from the runtime.
-    Complete = 10,
+    Complete = 9,
     /// Net: flushing reply bytes.
-    Flush = 11,
+    Flush = 10,
     /// Qlog: draining records to the writer.
-    Drain = 12,
+    Drain = 11,
 }
 
 impl ProfState {
     /// Every state, in marker order (index == discriminant).
     pub const ALL: [ProfState; N_STATES] = [
-        ProfState::Off,
         ProfState::Idle,
         ProfState::Scan,
         ProfState::Publish,
@@ -138,7 +132,6 @@ impl ProfState {
     /// Stable lowercase name (its folded frame).
     pub fn name(self) -> &'static str {
         match self {
-            ProfState::Off => "off",
             ProfState::Idle => "idle",
             ProfState::Scan => "scan",
             ProfState::Publish => "publish",
@@ -163,13 +156,12 @@ pub fn encode_marker(kind: ThreadKind, state: ProfState) -> u64 {
     ((kind as u64 + 1) << 8) | state as u64
 }
 
-/// Inverse of [`encode_marker`]; `None` for the empty marker.
+/// Inverse of [`encode_marker`]; `None` for the empty marker and for
+/// any word [`encode_marker`] does not produce.
 pub fn decode_marker(marker: u64) -> Option<(ThreadKind, usize)> {
-    if marker == 0 {
-        return None;
-    }
-    let kind = ThreadKind::from_u8(((marker >> 8) - 1).min(u8::MAX as u64) as u8);
-    Some((kind, (marker & 0xff) as usize % N_STATES))
+    let kind = u8::try_from((marker >> 8).checked_sub(1)?).ok().and_then(ThreadKind::from_u8)?;
+    let state = (marker & 0xff) as usize;
+    (state < N_STATES).then_some((kind, state))
 }
 
 #[cfg(feature = "obs")]
@@ -370,13 +362,7 @@ mod tests {
 
     #[test]
     fn marker_roundtrip_covers_every_pair() {
-        for kind in [
-            ThreadKind::Worker,
-            ThreadKind::Host,
-            ThreadKind::Net,
-            ThreadKind::Qlog,
-            ThreadKind::Other,
-        ] {
+        for kind in [ThreadKind::Worker, ThreadKind::Host, ThreadKind::Net, ThreadKind::Qlog] {
             for (i, state) in ProfState::ALL.iter().enumerate() {
                 let m = encode_marker(kind, *state);
                 assert_ne!(m, 0, "markers are nonzero by construction");
@@ -384,6 +370,14 @@ mod tests {
             }
         }
         assert_eq!(decode_marker(0), None);
+        // Words no (kind, state) encodes to: an unknown kind, a state
+        // past the last, a set bit above the kind byte.
+        assert_eq!(decode_marker(encode_marker(ThreadKind::Qlog, ProfState::Idle) + 0x100), None);
+        assert_eq!(decode_marker(encode_marker(ThreadKind::Worker, ProfState::Idle) + 12), None);
+        assert_eq!(
+            decode_marker(1 << 20 | encode_marker(ThreadKind::Worker, ProfState::Idle)),
+            None
+        );
     }
 
     #[cfg(feature = "obs")]
@@ -426,11 +420,11 @@ mod tests {
         fn folded_output_escapes_hostile_labels() {
             let reg = Arc::new(ProfRegistry::new());
             let w = reg.register(ThreadKind::Worker, "bad;label 0\nx");
-            let e = reg.register(ThreadKind::Other, "");
+            let e = reg.register(ThreadKind::Qlog, "");
             w.stamp(ProfState::Scan);
             e.stamp(ProfState::Drain);
             let stacks: Vec<_> = parse(&reg.capture(0.1)).into_iter().map(|(s, _)| s).collect();
-            assert_eq!(stacks, ["worker;bad_label_0_x;scan", "other;_;drain"]);
+            assert_eq!(stacks, ["worker;bad_label_0_x;scan", "qlog;_;drain"]);
         }
 
         #[test]
@@ -458,14 +452,14 @@ mod tests {
         fn registration_overflow_yields_dead_handles() {
             let reg = Arc::new(ProfRegistry::new());
             let handles: Vec<_> = (0..MAX_THREADS + 3)
-                .map(|i| reg.register(ThreadKind::Other, &format!("t{i}")))
+                .map(|i| reg.register(ThreadKind::Worker, &format!("t{i}")))
                 .collect();
             for h in &handles {
                 h.stamp(ProfState::Idle); // the 3 dead ones must not panic
             }
             let lines = parse(&reg.capture(0.1));
             assert_eq!(lines.len(), MAX_THREADS, "one line per live registration");
-            assert_eq!(lines.last().unwrap().0, format!("other;t{};idle", MAX_THREADS - 1));
+            assert_eq!(lines.last().unwrap().0, format!("worker;t{};idle", MAX_THREADS - 1));
         }
     }
 

@@ -86,45 +86,216 @@ impl Default for NnDescentParams {
     }
 }
 
-/// One vertex's bounded neighbor list during NN-descent.
-#[derive(Clone)]
-struct NeighborList {
-    // Sorted ascending by distance; length ≤ k.
-    items: Vec<(DistValue, u32, bool)>, // (dist, id, is_new)
+/// The n bounded neighbor lists of NN-descent, laid out flat: list `v`
+/// is slots `v·k .. (v+1)·k` of `ids`, `dists` and `new`, sorted
+/// ascending by distance. Every list holds exactly k entries — the
+/// random initialization fills it and an accepted insert evicts the
+/// worst — and `worst[v]` repeats list `v`'s last distance in a compact
+/// array, so the bound test reads four bytes instead of the list.
+struct Lists {
     k: usize,
+    ids: Vec<u32>,
+    dists: Vec<DistValue>,
+    /// Whether the entry arrived after the current round's samples.
+    new: Vec<bool>,
+    worst: Vec<DistValue>,
 }
 
-impl NeighborList {
-    fn new(k: usize) -> Self {
-        Self { items: Vec::with_capacity(k + 1), k }
+impl Lists {
+    fn with_capacity(n: usize, k: usize) -> Self {
+        Self {
+            k,
+            ids: Vec::with_capacity(n * k),
+            dists: Vec::with_capacity(n * k),
+            new: Vec::with_capacity(n * k),
+            worst: Vec::with_capacity(n),
+        }
     }
 
-    /// Inserts (d, u) if better than the current worst and not already
-    /// present; returns true on an actual update. The O(1) bound test
-    /// runs before the O(k) duplicate scan: both reject without touching
-    /// the list, so their order changes only the work done, and most
-    /// offers fail the bound.
-    fn insert(&mut self, d: DistValue, u: u32) -> bool {
-        if self.items.len() == self.k && d >= self.worst() {
+    /// Appends a full list, sorted ascending by distance; every entry
+    /// is new.
+    fn push(&mut self, row: &[(DistValue, u32)]) {
+        assert_eq!(row.len(), self.k, "a list holds exactly k entries");
+        self.ids.extend(row.iter().map(|&(_, id)| id));
+        self.dists.extend(row.iter().map(|&(d, _)| d));
+        self.new.resize(self.ids.len(), true);
+        self.worst.push(row[self.k - 1].0);
+    }
+
+    /// Splits the lists into consecutive runs of `per` lists (the last
+    /// may be shorter), one per apply thread.
+    fn owners(&mut self, per: usize) -> impl Iterator<Item = OwnedLists<'_>> {
+        let k = self.k;
+        self.ids
+            .chunks_mut(per * k)
+            .zip(self.dists.chunks_mut(per * k))
+            .zip(self.new.chunks_mut(per * k))
+            .zip(self.worst.chunks_mut(per))
+            .map(move |(((ids, dists), new), worst)| OwnedLists { k, ids, dists, new, worst })
+    }
+
+    /// Writes the round's samples — each list's new and old ids, in list
+    /// order — into `new_rows` and `old_rows`, then marks every entry old.
+    fn sample(&mut self, new_rows: &mut Rows, old_rows: &mut Rows) {
+        for rows in [&mut *new_rows, &mut *old_rows] {
+            rows.start.clear();
+            rows.start.push(0);
+            rows.ids.clear();
+        }
+        for (ids, new) in self.ids.chunks(self.k).zip(self.new.chunks(self.k)) {
+            for (&id, &is_new) in ids.iter().zip(new) {
+                if is_new {
+                    new_rows.ids.push(id);
+                } else {
+                    old_rows.ids.push(id);
+                }
+            }
+            new_rows.start.push(new_rows.ids.len());
+            old_rows.start.push(old_rows.ids.len());
+        }
+        self.new.fill(false);
+    }
+}
+
+/// A run of consecutive lists, owned by one apply thread; index 0 is the
+/// run's first list.
+struct OwnedLists<'a> {
+    k: usize,
+    ids: &'a mut [u32],
+    dists: &'a mut [DistValue],
+    new: &'a mut [bool],
+    worst: &'a mut [DistValue],
+}
+
+impl OwnedLists<'_> {
+    /// Inserts (d, u) into list `i` if better than its worst and not
+    /// already present; returns true on an actual update. The bound test
+    /// reads the compact `worst` array and runs before the O(k) duplicate
+    /// scan: both reject without touching the list, so their order
+    /// changes only the work done. An
+    /// accepted entry goes before any equal distance, is marked new, and
+    /// evicts the worst.
+    fn insert(&mut self, i: usize, d: DistValue, u: u32) -> bool {
+        if d >= self.worst[i] {
             return false;
         }
-        if self.items.iter().any(|&(_, id, _)| id == u) {
+        let slots = i * self.k..(i + 1) * self.k;
+        let ids = &mut self.ids[slots.clone()];
+        if ids.contains(&u) {
             return false;
         }
-        let pos = self.items.partition_point(|&(x, _, _)| x < d);
-        self.items.insert(pos, (d, u, true));
-        self.items.truncate(self.k);
+        let dists = &mut self.dists[slots.clone()];
+        let pos = dists.partition_point(|&x| x < d);
+        let last = self.k - 1;
+        ids.copy_within(pos..last, pos + 1);
+        ids[pos] = u;
+        dists.copy_within(pos..last, pos + 1);
+        dists[pos] = d;
+        let new = &mut self.new[slots];
+        new.copy_within(pos..last, pos + 1);
+        new[pos] = true;
+        self.worst[i] = dists[last];
         true
     }
+}
 
-    /// Distance of the last (worst) entry.
-    fn worst(&self) -> DistValue {
-        self.items.last().expect("non-empty list").0
+/// Per-vertex id lists in one flat array (compressed sparse rows): row
+/// `v` is `ids[start[v]..start[v + 1]]`.
+#[derive(Default)]
+struct Rows {
+    start: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Rows {
+    fn row(&self, v: usize) -> &[u32] {
+        &self.ids[self.start[v]..self.start[v + 1]]
     }
 
-    fn ids(&self) -> Vec<u32> {
-        self.items.iter().map(|&(_, id, _)| id).collect()
+    /// Rebuilds `self` as the reverse of `fwd`: row `u` lists every `v`
+    /// with `u ∈ fwd.row(v)`, in vertex order, keeping the first `cap`.
+    fn reverse_of(&mut self, fwd: &Rows, cap: usize) {
+        let n = fwd.start.len() - 1;
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for &u in &fwd.ids {
+            let count = &mut self.start[u as usize + 1];
+            *count = (*count + 1).min(cap);
+        }
+        for v in 0..n {
+            self.start[v + 1] += self.start[v];
+        }
+        self.ids.clear();
+        self.ids.resize(self.start[n], 0);
+        let mut fill = self.start[..n].to_vec();
+        for v in 0..n {
+            for &u in fwd.row(v) {
+                let u = u as usize;
+                if fill[u] < self.start[u + 1] {
+                    self.ids[fill[u]] = v as u32;
+                    fill[u] += 1;
+                }
+            }
+        }
     }
+}
+
+/// An offer of neighbor `from` at distance `d` to list `to`.
+#[derive(Clone, Copy)]
+struct Offer {
+    to: u32,
+    from: u32,
+    d: DistValue,
+}
+
+/// One join chunk's output and scratch, reused by every window of every
+/// round.
+#[derive(Default)]
+struct ChunkOffers {
+    /// `runs[t]`: the chunk's offers to apply thread `t`'s lists, in
+    /// serial order.
+    runs: Vec<Vec<Offer>>,
+    new: Vec<u32>,
+    old: Vec<u32>,
+}
+
+/// Runs `f(i, &mut items[i])` for every item on up to `threads` threads
+/// (the caller included), each taking the next unclaimed item.
+fn par_for_each_mut<T: Send>(items: &mut [T], threads: usize, f: impl Fn(usize, &mut T) + Sync) {
+    let workers = threads.min(items.len());
+    let queue = std::sync::Mutex::new(items.iter_mut().enumerate());
+    let work = || loop {
+        let next = queue.lock().expect("no panics holding the queue").next();
+        let Some((i, item)) = next else { return };
+        f(i, item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
+
+/// k random distinct neighbors of each vertex, never the vertex itself.
+fn random_lists(base: &VectorStore, metric: Metric, k: usize, seed: u64) -> Lists {
+    let n = base.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut lists = Lists::with_capacity(n, k);
+    let mut row: Vec<(DistValue, u32)> = Vec::with_capacity(k);
+    for v in 0..n {
+        row.clear();
+        while row.len() < k {
+            let u = rng.gen_range(0..n);
+            if u == v || row.iter().any(|&(_, id)| id == u as u32) {
+                continue;
+            }
+            let d = DistValue(metric.distance(base.get(v), base.get(u)));
+            row.insert(row.partition_point(|&(x, _)| x < d), (d, u as u32));
+        }
+        lists.push(&row);
+    }
+    lists
 }
 
 /// Builds an approximate k-NN graph with NN-descent.
@@ -143,14 +314,29 @@ pub fn build_knn_graph_nn_descent(
 
 /// [`build_knn_graph_nn_descent`] with an explicit thread count.
 ///
-/// Within each round, the pair sets of the local join depend only on the
-/// round-start samples — never on inserts made earlier in the same round
-/// — so a window of vertices computes its pairs in parallel, and the
-/// inserts are then applied by owner: each thread owns a contiguous range
-/// of lists and walks every pair in the serial order, applying only the
-/// inserts aimed at its own lists. A list's state depends only on the
-/// inserts it receives, and each list receives the serial sequence, so
-/// the output is bit-identical for every thread count.
+/// The output is bit-identical for every thread count, and to the
+/// serial algorithm: walk the vertices in order, compare each pair
+/// `(a, b)` of a vertex's join set, and insert `b` into `a`'s list, then
+/// `a` into `b`'s. A list's state depends only on the sequence of
+/// inserts it receives, and a refused insert leaves it untouched, so
+/// the parallel build only has to hand every list the same sequence of
+/// inserts that could be accepted:
+///
+/// * **Pairs.** Within a round, a vertex's join set depends only on the
+///   round-start samples — never on inserts made earlier in the round —
+///   so a window of vertices computes its pairs in parallel.
+/// * **Filter.** Every list is full and its worst distance never rises
+///   (an accepted insert evicts the old worst). Window `w`'s offers are
+///   applied after window `w`'s join, and the join reads each list's
+///   worst as the previous window's apply left it, so an offer with
+///   `d ≥ worst(to)` there would be refused whenever it arrived: the
+///   join drops it, and emits each direction of a pair only when it
+///   passes its own list's bound.
+/// * **Apply by owner.** Each apply thread owns a contiguous range of
+///   lists. The join writes each chunk's offers into one run per owner,
+///   in serial order (vertex, then pair, then `a ← b` before `b ← a`),
+///   and each owner reads its runs in chunk order, so every list still
+///   receives its serial sequence.
 pub fn build_knn_graph_nn_descent_threads(
     base: &VectorStore,
     metric: Metric,
@@ -161,143 +347,104 @@ pub fn build_knn_graph_nn_descent_threads(
     let k = params.k;
     assert!(k > 0, "k must be positive");
     assert!(k < n, "k={k} must be < n={n}");
+    let threads = threads.max(1);
 
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut lists: Vec<NeighborList> = (0..n).map(|_| NeighborList::new(k)).collect();
-
-    // Random initialization.
-    for (v, list) in lists.iter_mut().enumerate() {
-        while list.items.len() < k {
-            let u = rng.gen_range(0..n);
-            if u == v {
-                continue;
-            }
-            let d = DistValue(metric.distance(base.get(v), base.get(u)));
-            list.insert(d, u as u32);
-        }
-    }
+    let mut lists = random_lists(base, metric, k, params.seed);
+    // Windowing bounds the buffered offers to O(WINDOW · k²); the join
+    // hands each thread CHUNK vertices at a time.
+    const WINDOW: usize = 2048;
+    const CHUNK: usize = 64;
+    let per_owner = n.div_ceil(threads);
+    let owners = n.div_ceil(per_owner);
+    let mut chunks: Vec<ChunkOffers> = (0..WINDOW.div_ceil(CHUNK).min(n.div_ceil(CHUNK)))
+        .map(|_| ChunkOffers { runs: vec![Vec::new(); owners], ..Default::default() })
+        .collect();
+    let (mut new_fwd, mut old_fwd, mut new_rev, mut old_rev) =
+        (Rows::default(), Rows::default(), Rows::default(), Rows::default());
 
     for round in 0..params.max_rounds {
         // Each round re-walks every vertex: reset the node counter,
         // report the round number as the batch.
         crate::progress::global().start_phase(crate::progress::BuildPhase::NnDescent, n as u64);
         crate::progress::global().set_batch(round as u64 + 1);
-        // Collect per-vertex (new, old) samples.
-        let samples: Vec<(Vec<u32>, Vec<u32>)> = lists
-            .iter()
-            .map(|l| {
-                let mut new_ids = Vec::new();
-                let mut old_ids = Vec::new();
-                for &(_, id, is_new) in &l.items {
-                    if is_new {
-                        new_ids.push(id);
-                    } else {
-                        old_ids.push(id);
-                    }
-                }
-                (new_ids, old_ids)
-            })
-            .collect();
-        // Mark everything old for the next round.
-        for l in lists.iter_mut() {
-            for it in l.items.iter_mut() {
-                it.2 = false;
-            }
-        }
-        // Reverse samples: u appears in rev[v] if v ∈ sample(u).
-        let mut rev_new: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut rev_old: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, (new_ids, old_ids)) in samples.iter().enumerate() {
-            for &u in new_ids {
-                rev_new[u as usize].push(v as u32);
-            }
-            for &u in old_ids {
-                rev_old[u as usize].push(v as u32);
-            }
-        }
-        // Every list is full from initialization on (k < n), and a full
-        // list's worst distance never rises: an accepted insert evicts
-        // the old worst. So a pair at least as far as both endpoints'
-        // round-start worst would be refused by both inserts at any later
-        // point of the round, and the join drops it before buffering.
-        debug_assert!(lists.iter().all(|l| l.items.len() == k), "every list holds k entries");
-        let bound: Vec<DistValue> = lists.iter().map(NeighborList::worst).collect();
-        // Local join: for each vertex, compare (new × new) and
-        // (new × old) pairs among its forward+reverse samples. The pairs
-        // are pure functions of the round-start samples, so they are
-        // computed in parallel per window of vertices, then applied by
-        // owner (see the function docs). Windowing bounds the buffered
-        // pairs to O(window · k²).
+        lists.sample(&mut new_fwd, &mut old_fwd);
+        // Reverse samples, capped like the reference algorithm.
+        new_rev.reverse_of(&new_fwd, k);
+        old_rev.reverse_of(&old_fwd, k);
         let mut updates = 0usize;
-        let rev_cap = k; // bound reverse lists like the reference algorithm
-        const WINDOW: usize = 2048;
-        let owned_per_thread = n.div_ceil(threads.max(1));
-        let mut lo = 0usize;
-        while lo < n {
+        for lo in (0..n).step_by(WINDOW) {
             let hi = (lo + WINDOW).min(n);
-            let pair_batches: Vec<Vec<(u32, u32, DistValue)>> =
-                parallel::par_map(hi - lo, 64, threads, |i| {
-                    crate::progress::global().node_done(1);
-                    let v = lo + i;
-                    let mut new_ids = samples[v].0.clone();
-                    let mut old_ids = samples[v].1.clone();
-                    for (extra, rev) in [(&mut new_ids, &rev_new[v]), (&mut old_ids, &rev_old[v])] {
-                        for &u in rev.iter().take(rev_cap) {
-                            if !extra.contains(&u) {
-                                extra.push(u);
+            let window = &mut chunks[..(hi - lo).div_ceil(CHUNK)];
+            // Local join: for each vertex, compare (new × new) and
+            // (new × old) pairs among its forward+reverse samples.
+            let worst = &lists.worst;
+            par_for_each_mut(window, threads, |c, out| {
+                let vs = lo + c * CHUNK..(lo + (c + 1) * CHUNK).min(hi);
+                crate::progress::global().node_done(vs.len() as u64);
+                out.runs.iter_mut().for_each(Vec::clear);
+                for v in vs {
+                    for (ids, fwd, rev) in
+                        [(&mut out.new, &new_fwd, &new_rev), (&mut out.old, &old_fwd, &old_rev)]
+                    {
+                        ids.clear();
+                        ids.extend_from_slice(fwd.row(v));
+                        for &u in rev.row(v) {
+                            if !ids.contains(&u) {
+                                ids.push(u);
                             }
                         }
                     }
-                    let mut pairs = Vec::new();
-                    for (i, &a) in new_ids.iter().enumerate() {
-                        for &b in new_ids.iter().skip(i + 1).chain(old_ids.iter()) {
+                    for (i, &a) in out.new.iter().enumerate() {
+                        let bound_a = worst[a as usize];
+                        for &b in out.new[i + 1..].iter().chain(&out.old) {
                             if a == b {
                                 continue;
                             }
                             let d = DistValue(
                                 metric.distance(base.get(a as usize), base.get(b as usize)),
                             );
-                            if d < bound[a as usize] || d < bound[b as usize] {
-                                pairs.push((a, b, d));
+                            if d < bound_a {
+                                let to = a as usize / per_owner;
+                                out.runs[to].push(Offer { to: a, from: b, d });
+                            }
+                            if d < worst[b as usize] {
+                                let to = b as usize / per_owner;
+                                out.runs[to].push(Offer { to: b, from: a, d });
                             }
                         }
                     }
-                    pairs
-                });
-            let pair_batches = &pair_batches;
-            updates += std::thread::scope(|scope| {
-                let appliers: Vec<_> = lists
-                    .chunks_mut(owned_per_thread)
-                    .enumerate()
-                    .map(|(t, owned)| {
-                        let first = (t * owned_per_thread) as u32;
-                        let ids = first..first + owned.len() as u32;
-                        scope.spawn(move || {
-                            let mut updates = 0usize;
-                            for &(a, b, d) in pair_batches.iter().flatten() {
-                                for (to, from) in [(a, b), (b, a)] {
-                                    if ids.contains(&to)
-                                        && owned[(to - first) as usize].insert(d, from)
-                                    {
-                                        updates += 1;
-                                    }
-                                }
-                            }
-                            updates
-                        })
-                    })
-                    .collect();
-                appliers.into_iter().map(|h| h.join().expect("insert pass panicked")).sum::<usize>()
+                }
             });
-            lo = hi;
+            // Apply by owner (see the function docs); the caller's thread
+            // applies the first run.
+            let window = &*window;
+            let apply = move |t: usize, mut owned: OwnedLists<'_>| {
+                let first = (t * per_owner) as u32;
+                let offers = window.iter().flat_map(|c| &c.runs[t]);
+                offers.filter(|o| owned.insert((o.to - first) as usize, o.d, o.from)).count()
+            };
+            updates += std::thread::scope(|scope| {
+                let mut runs = lists.owners(per_owner).enumerate();
+                let (t, first) = runs.next().expect("n > 0");
+                let rest: Vec<_> =
+                    runs.map(|(t, owned)| scope.spawn(move || apply(t, owned))).collect();
+                let mine = apply(t, first);
+                mine + rest
+                    .into_iter()
+                    .map(|h| h.join().expect("apply pass panicked"))
+                    .sum::<usize>()
+            });
         }
         if (updates as f64) < params.termination_frac * (n * k) as f64 {
             break;
         }
     }
 
-    let rows: Vec<Vec<u32>> = lists.iter().map(|l| l.ids()).collect();
-    FixedDegreeGraph::from_adjacency(n, k, &rows)
+    let mut graph = FixedDegreeGraph::new(n, k);
+    for (v, row) in lists.ids.chunks(k).enumerate() {
+        graph.set_row(v as u32, row);
+    }
+    graph
 }
 
 /// Fraction of exact k-NN edges present in `approx` (edge recall),
@@ -375,19 +522,33 @@ mod tests {
 
     #[test]
     fn neighbor_list_insert_semantics() {
-        let mut l = NeighborList::new(2);
-        assert!(l.insert(DistValue(3.0), 1));
-        assert!(l.insert(DistValue(1.0), 2));
-        assert!(!l.insert(DistValue(1.0), 2)); // duplicate
-        assert!(l.insert(DistValue(2.0), 3)); // evicts 3.0
-        assert!(!l.insert(DistValue(5.0), 4)); // worse than worst
-        assert_eq!(l.ids(), vec![2, 3]);
-        // On a full list the bound test runs first; neither rejection
-        // may touch the list.
-        let full = l.items.clone();
-        assert!(!l.insert(DistValue(0.5), 3)); // duplicate, though better
-        assert!(!l.insert(DistValue(2.0), 4)); // equal to the worst
-        assert!(l.items == full);
+        let mut lists = Lists::with_capacity(1, 3);
+        lists.push(&[(DistValue(1.0), 2), (DistValue(2.0), 5), (DistValue(3.0), 1)]);
+        lists.new.fill(false);
+        let mut l = lists.owners(1).next().unwrap();
+        assert!(l.insert(0, DistValue(2.0), 3)); // before the equal 2.0, evicts 3.0
+        assert_eq!((&l.ids[..], &l.new[..]), (&[2, 3, 5][..], &[false, true, false][..]));
+        assert_eq!(l.worst[0], DistValue(2.0));
+        assert!(!l.insert(0, DistValue(5.0), 4)); // worse than worst
+                                                  // The bound test runs first; neither rejection may touch the
+                                                  // list.
+        let full = (l.ids.to_vec(), l.dists.to_vec(), l.new.to_vec());
+        assert!(!l.insert(0, DistValue(0.5), 3)); // duplicate, though better
+        assert!(!l.insert(0, DistValue(2.0), 4)); // equal to the worst
+        assert_eq!((l.ids.to_vec(), l.dists.to_vec(), l.new.to_vec()), full);
+        assert!(l.insert(0, DistValue(0.5), 4)); // a new best
+        assert_eq!(l.ids, [4, 2, 3]);
+        assert_eq!(l.dists, [DistValue(0.5), DistValue(1.0), DistValue(2.0)]);
+        assert_eq!(l.worst[0], DistValue(2.0));
+    }
+
+    #[test]
+    fn reverse_rows_keep_vertex_order_up_to_the_cap() {
+        let fwd = Rows { start: vec![0, 2, 3, 5, 6], ids: vec![1, 2, 2, 2, 0, 2] };
+        let mut rev = Rows::default();
+        rev.reverse_of(&fwd, 2);
+        assert_eq!(rev.start, [0, 1, 2, 4, 4]);
+        assert_eq!(rev.ids, [2, 0, 0, 1]);
     }
 
     /// 64-bit FNV-1a over a graph's shape and every slot of every row.
@@ -418,6 +579,27 @@ mod tests {
             assert_eq!(graph_hash(&g), 0xf307_1182_4bb5_c3c1, "k-NN graph, {threads} threads");
             let g = cagra.build_with_threads(&ds.base, threads);
             assert_eq!(graph_hash(&g), 0x79f1_ef4e_794c_0b10, "CAGRA graph, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn nn_descent_matches_the_recorded_graph_over_three_windows() {
+        // 5000 rows make three join windows per round (2048 + 2048 +
+        // 904), so offers filtered at a later window's bound are pinned
+        // too. The CAGRA graph is optimized from the k-NN graph checked
+        // just before it, which is what `build_with_threads` does. Both
+        // constants were recorded before the join filtered at each
+        // window's bound and emitted offers by owner.
+        let ds = DatasetSpec::tiny(5000, 24, Metric::L2, 3).generate();
+        let cagra = CagraBuilder::new(
+            Metric::L2,
+            CagraParams { graph_degree: 16, intermediate_degree: 32, ..Default::default() },
+        );
+        for threads in [1, 2, 3] {
+            let knn = cagra.build_intermediate_threads(&ds.base, threads);
+            assert_eq!(graph_hash(&knn), 0x3488_2ca3_6892_9c20, "k-NN graph, {threads} threads");
+            let g = cagra.optimize_with_threads(&ds.base, &knn, threads);
+            assert_eq!(graph_hash(&g), 0x8e78_2c3a_021b_2c1e, "CAGRA graph, {threads} threads");
         }
     }
 
