@@ -117,23 +117,14 @@ impl Histogram {
         }
     }
 
-    /// Copies the current state into `out`, reusing its bucket storage.
-    /// Allocation-free once `out` has materialized its counts (the
-    /// first call on a default snapshot allocates the `N_BUCKETS` cells
-    /// once) — the form the windowed-telemetry ring uses so periodic
-    /// rotation never allocates on a warm ring slot.
-    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
-        if out.counts.len() != N_BUCKETS {
-            out.counts.resize(N_BUCKETS, 0);
-        }
+    /// Copies the current counts into `out` in place: allocation-free,
+    /// the form the windowed-telemetry ring rotates with.
+    pub fn snapshot_into(&self, out: &mut Snapshot32) {
         for (dst, src) in out.counts.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
+            *dst = src.load(Ordering::Relaxed) as u32;
         }
         out.count = self.count.load(Ordering::Relaxed);
         out.sum = self.sum.load(Ordering::Relaxed);
-        let min = self.min.load(Ordering::Relaxed);
-        out.min = if out.count == 0 { 0 } else { min };
-        out.max = self.max.load(Ordering::Relaxed);
     }
 }
 
@@ -213,38 +204,27 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// An all-zero snapshot with full bucket storage already
-    /// allocated, for ring slots refilled in place via
-    /// [`Histogram::snapshot_into`] (the refill then never resizes).
-    pub fn preallocated() -> HistogramSnapshot {
-        HistogramSnapshot { counts: vec![0; N_BUCKETS], ..HistogramSnapshot::default() }
-    }
-
-    /// The values recorded between `earlier` and `self`, where both are
-    /// cumulative snapshots of the *same* histogram with `earlier`
-    /// taken first — the subtraction that turns lifetime histograms
-    /// into windowed ones.
+    /// The values recorded between `earlier` and `self`, a later
+    /// snapshot of the same histogram — the subtraction that turns
+    /// lifetime histograms into windowed ones.
     ///
-    /// Per-bucket counts, `count`, and `sum` subtract exactly
-    /// (saturating, so a torn pair of racy snapshots degrades to zero
-    /// rather than wrapping). `min`/`max` are not recoverable from
+    /// `count` and `sum` subtract exactly; each bucket subtracts modulo
+    /// 2^32 (see [`Snapshot32`]). `min`/`max` are not recoverable from
     /// cumulative scalars, so they are re-derived from the delta's own
     /// bucket bounds: `min` is the lower bound of the first non-empty
     /// delta bucket (clamped up to the lifetime min) and `max` the
     /// upper bound of the last (clamped down to the lifetime max) —
     /// within the same ≤1/32 relative error as every quantile.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub fn delta(&self, earlier: &Snapshot32) -> HistogramSnapshot {
         let count = self.count.saturating_sub(earlier.count);
         if count == 0 {
             return HistogramSnapshot::default();
         }
         let mut counts = vec![0u64; N_BUCKETS];
         let (mut first, mut last) = (None, 0usize);
-        for (i, dst) in counts.iter_mut().enumerate() {
-            let now = self.counts.get(i).copied().unwrap_or(0);
-            let then = earlier.counts.get(i).copied().unwrap_or(0);
-            *dst = now.saturating_sub(then);
-            if *dst > 0 {
+        for (i, (&now, &then)) in self.counts.iter().zip(earlier.counts.iter()).enumerate() {
+            counts[i] = (now as u32).wrapping_sub(then) as u64;
+            if counts[i] > 0 {
                 first.get_or_insert(i);
                 last = i;
             }
@@ -282,6 +262,27 @@ impl HistogramSnapshot {
     /// against windowed deltas.
     pub fn count_le(&self, v: u64) -> u64 {
         self.counts.iter().take(bucket_index(v) + 1).sum()
+    }
+}
+
+/// A [`Histogram`]'s cumulative state as a window-ring slot keeps it:
+/// `count` and `sum` in full, each bucket modulo 2^32 (half the bytes).
+/// As the `earlier` side of [`HistogramSnapshot::delta`] it is exact:
+/// rotations come at the first delivery or read a period (1 s) after
+/// the newest slot, so a window spans ≤ 65 gaps of about a period of
+/// completions each, and a bucket wraps only past 66 M completions a
+/// second. The live side is read after the slot from the same monotone
+/// atomics: no bucket reads lower, so no torn pair wraps into garbage.
+pub struct Snapshot32 {
+    counts: Box<[u32; N_BUCKETS]>,
+    count: u64,
+    sum: u64,
+}
+
+impl Snapshot32 {
+    /// The empty state, allocated whole: refilled in place after.
+    pub fn zeroed() -> Self {
+        Self { counts: Box::new([0; N_BUCKETS]), count: 0, sum: 0 }
     }
 }
 
@@ -395,7 +396,8 @@ mod tests {
         for v in [5u64, 70, 900, 900, 40_000] {
             h.record(v);
         }
-        let earlier = h.snapshot();
+        let mut earlier = Snapshot32::zeroed();
+        h.snapshot_into(&mut earlier);
         for v in [12u64, 300, 300, 1 << 20] {
             h.record(v);
             second_only.record(v);
@@ -422,28 +424,46 @@ mod tests {
         let h = Histogram::new();
         h.record(10);
         let s = h.snapshot();
+        let mut slot = Snapshot32::zeroed();
+        h.snapshot_into(&mut slot);
         // Nothing in between: normalized empty delta.
-        assert_eq!(s.delta(&s), HistogramSnapshot::default());
-        // Against the default (empty) snapshot: the full histogram.
-        assert_eq!(s.delta(&HistogramSnapshot::default()), s);
+        assert_eq!(s.delta(&slot), HistogramSnapshot::default());
+        // Against the empty state: the full histogram.
+        assert_eq!(s.delta(&Snapshot32::zeroed()), s);
+    }
+
+    #[test]
+    fn delta_is_exact_across_a_bucket_wrap() {
+        // The slot kept bucket 100's count as 2^32 − 3 and the read
+        // finds 2^32 + 5: the 32-bit slot wrapped, the delta is 8.
+        let i = 100;
+        let mut slot = Snapshot32::zeroed();
+        slot.counts[i] = u32::MAX - 2;
+        (slot.count, slot.sum) = ((1 << 32) - 3, 0);
+        let mut counts = vec![0u64; N_BUCKETS];
+        counts[i] = (1 << 32) + 5;
+        let v = bucket_lower(i);
+        let live = HistogramSnapshot { counts, count: (1 << 32) + 5, sum: 8 * v, min: v, max: v };
+        let d = live.delta(&slot);
+        assert_eq!((d.count, d.sum, d.counts[i]), (8, 8 * v, 8));
+        assert_eq!(d.counts.iter().sum::<u64>(), 8, "no other bucket moved");
+        assert_eq!(d.quantile(0.5), v);
     }
 
     #[test]
     fn snapshot_into_reuses_storage_and_matches() {
         let h = Histogram::new();
-        let mut out = HistogramSnapshot::default();
-        h.snapshot_into(&mut out); // empty: materializes the buckets
-        assert_eq!(out.count, 0);
+        let mut out = Snapshot32::zeroed();
         for v in [1u64, 64, 4096] {
             h.record(v);
         }
         let ptr = out.counts.as_ptr();
         h.snapshot_into(&mut out);
-        assert_eq!(ptr, out.counts.as_ptr(), "warm snapshot_into must not reallocate");
+        assert_eq!(ptr, out.counts.as_ptr(), "snapshot_into must not reallocate");
         let fresh = h.snapshot();
-        assert_eq!((out.count, out.sum, out.min, out.max), (3, 4161, 1, 4096));
-        assert_eq!(out, fresh);
-        assert_eq!(out.delta(&HistogramSnapshot::default()), fresh);
+        assert_eq!((out.count, out.sum), (3, 4161));
+        assert!(out.counts.iter().zip(&fresh.counts).all(|(&a, &b)| a as u64 == b));
+        assert_eq!(fresh.delta(&Snapshot32::zeroed()), fresh);
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! Every metric in [`RuntimeStats`](crate::obs::RuntimeStats) is
 //! cumulative since process start, so a single scrape cannot separate
 //! the current p99 from boot-time warm-up. This module keeps a ring of
-//! cumulative snapshots (taken allocation-free with
-//! [`Histogram::snapshot_into`](crate::obs::Histogram::snapshot_into)),
-//! each stamped with its `Instant`, and turns the slot nearest a
-//! window's start plus a live snapshot into a *windowed* view with
-//! [`HistogramSnapshot::delta`](crate::obs::HistogramSnapshot::delta):
-//! moving p50/p99, completion
-//! rate, and — when an SLO is armed — windowed attainment and a
-//! multi-window burn-rate health state.
+//! cumulative 32-bit snapshots ([`Snapshot32`](crate::obs::hist::Snapshot32),
+//! exact for windowing), each stamped with its `Instant`, and turns the
+//! slot nearest a window's start plus a live snapshot into a *windowed*
+//! view with [`HistogramSnapshot::delta`](crate::obs::HistogramSnapshot::delta):
+//! moving p50/p99, completion rate, and — when an SLO is armed —
+//! windowed attainment and a multi-window burn-rate health state.
 //!
 //! No thread runs on a clock for it. The ring rotates when
 //! [`WINDOW_PERIOD`] has passed since its newest slot, checked by the
@@ -145,7 +143,7 @@ pub use enabled::WindowRing;
 #[cfg(feature = "obs")]
 mod enabled {
     use super::*;
-    use crate::obs::hist::{Histogram, HistogramSnapshot};
+    use crate::obs::hist::{Histogram, Snapshot32};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
@@ -157,7 +155,7 @@ mod enabled {
     struct Slot {
         /// When the snapshot was taken.
         at: Instant,
-        e2e: HistogramSnapshot,
+        e2e: Snapshot32,
         submitted: u64,
     }
 
@@ -173,7 +171,7 @@ mod enabled {
     /// a clock: the delivering worker ([`rotate_if_due`]) and every
     /// read ([`stats`]) rotate it when [`WINDOW_PERIOD`] has passed
     /// since its newest slot. Rotation is allocation-free: every
-    /// slot's bucket storage is preallocated and refilled in place.
+    /// slot is allocated at construction and refilled in place.
     ///
     /// [`rotate_if_due`]: WindowRing::rotate_if_due
     /// [`stats`]: WindowRing::stats
@@ -197,7 +195,7 @@ mod enabled {
                 due_ns: AtomicU64::new(WINDOW_PERIOD.as_nanos() as u64),
                 inner: Mutex::new(Inner {
                     slots: (0..RING_SLOTS)
-                        .map(|_| Slot { at, e2e: HistogramSnapshot::preallocated(), submitted: 0 })
+                        .map(|_| Slot { at, e2e: Snapshot32::zeroed(), submitted: 0 })
                         .collect(),
                     head: 0,
                     filled: 1,

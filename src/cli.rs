@@ -61,7 +61,9 @@
 //! binary query protocol (length-prefixed frames, pipelined,
 //! RETRY_AFTER once 256 requests are queued);
 //! `--repeat 0` skips the local closed-loop drive entirely so the
-//! process serves network clients only, for `--linger-ms`. Every
+//! process serves network clients only, for `--linger-ms`; `--queries`
+//! is the local drive's input, so it is optional there and, if given,
+//! not opened. Every
 //! surface (`--stats-json`, `--listen`, the wire STATS reply, the
 //! summary printed at exit) shows the same runtime snapshot.
 //! `--query-log` arms the wide-event query log and tails it to a file
@@ -443,13 +445,7 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     // The paper's schedule, seeded as the figures and goldens pin it.
     let cfg = engine_config_from_flags(flags, EngineConfig::default().entry_policy)?;
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
-    let mut queries = load_fvecs(req(flags, "queries")?)?;
-    if index.metric.requires_normalization() {
-        queries.normalize_l2();
-    }
-    if queries.dim() != index.base.dim() {
-        return Err(format!("query dim {} != index dim {}", queries.dim(), index.base.dim()));
-    }
+    let queries = load_queries(flags, &index)?;
     let engine = engine_for(index, cfg)?;
     let k = engine.config().k;
     let t0 = std::time::Instant::now();
@@ -505,10 +501,29 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
 /// local drive keeps at most this many queries outstanding.
 const QUEUE_CAPACITY: usize = 256;
 
-/// Loads the index + queries and starts the threaded runtime per the
-/// shared `serve`/`stats` flags.
+/// `--queries`, normalized as `index`'s metric requires and checked
+/// against its dimension.
+fn load_queries(
+    flags: &HashMap<String, String>,
+    index: &AlgasIndex,
+) -> Result<VectorStore, String> {
+    let mut queries = load_fvecs(req(flags, "queries")?)?;
+    if index.metric.requires_normalization() {
+        queries.normalize_l2();
+    }
+    if queries.dim() != index.base.dim() {
+        return Err(format!("query dim {} != index dim {}", queries.dim(), index.base.dim()));
+    }
+    Ok(queries)
+}
+
+/// Loads the index and starts the threaded runtime per the shared
+/// `serve`/`stats` flags. `--queries`, the local drive's input, is
+/// loaded only when the session `drive`s; otherwise the returned store
+/// is empty and the file is never opened.
 fn start_server_from_flags(
     flags: &HashMap<String, String>,
+    drive: bool,
 ) -> Result<(AlgasServer, VectorStore), String> {
     // The serial schedule's first walker is most of the search, so it
     // starts from the LSH table, near the query (built at load when the
@@ -528,10 +543,8 @@ fn start_server_from_flags(
         qlog: qlog_from_flags(flags)?,
     };
     let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
-    let mut queries = load_fvecs(req(flags, "queries")?)?;
-    if index.metric.requires_normalization() {
-        queries.normalize_l2();
-    }
+    let queries =
+        if drive { load_queries(flags, &index)? } else { VectorStore::new(index.base.dim()) };
     let server = AlgasServer::start(engine_for(index, engine_cfg)?, runtime_cfg);
     Ok((server, queries))
 }
@@ -630,7 +643,8 @@ impl Serving {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
-    let (server, queries) = start_server_from_flags(flags)?;
+    let drive = opt_parse(flags, "repeat", 1usize)? > 0;
+    let (server, queries) = start_server_from_flags(flags, drive)?;
     let mut serving = Serving { server: Arc::new(server), net: None, stats: None, qlog: None };
     // One teardown for every return path: an error after the writer
     // started must not leave it holding the runtime with lines
@@ -696,8 +710,9 @@ fn serve_session(
         };
         serving.qlog = Some(QlogWriter { path: path.clone(), stop, handle });
     }
-    // `--repeat 0` skips the local closed-loop drive: the process only
-    // serves network clients (use with --net and --linger-ms).
+    // `--repeat 0` skips the local closed-loop drive, and `queries` is
+    // empty: the process only serves network clients (use with --net
+    // and --linger-ms).
     let repeat = opt_parse(flags, "repeat", 1usize)?;
     if repeat > 0 {
         let total = queries.len() * repeat;
@@ -849,8 +864,8 @@ fn serve_session(
 /// only the telemetry snapshot — JSON (default) or Prometheus text
 /// exposition with `--format prom`.
 fn cmd_stats(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
-    let (server, queries) = start_server_from_flags(flags)?;
     let repeat = opt_parse(flags, "repeat", 1usize)?.max(1);
+    let (server, queries) = start_server_from_flags(flags, true)?;
     drive_serve_session(&server, &queries, repeat)?;
     let stats = server.runtime_stats();
     match flags.get("format").map(|s| s.as_str()).unwrap_or("json") {
@@ -1843,6 +1858,25 @@ mod tests {
         {
             let err = run(&args_of(&serve, &[flag, value]), &mut out).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag} for serve"));
+        }
+        // A query file of another dimension is refused by name on every
+        // command that drives queries, not by a panic in the runtime.
+        // `--queries` is the local drive's input: `serve` needs it
+        // unless `--repeat 0` leaves nothing to drive.
+        let (base, narrow, index) = (tmp("dim-base.fvecs"), tmp("dim-q.fvecs"), tmp("dim.algas"));
+        run_ok(&["gen", "--out", &base, "--n", "200", "--dim", "12", "--seed", "3"]);
+        run_ok(&["gen", "--out", &narrow, "--n", "8", "--dim", "8", "--clusters", "2"]);
+        run_ok(&["build", "--base", &base, "--out", &index]);
+        for cmd in [&["search"][..], &["serve", "--repeat", "1"], &["stats"]] {
+            let args = args_of(cmd, &["--index", &index, "--queries", &narrow]);
+            assert_eq!(run(&args, &mut out).unwrap_err(), "query dim 8 != index dim 12");
+        }
+        let err = run(&args_of(&["serve", "--index", &index], &[]), &mut out).unwrap_err();
+        assert_eq!(err, "missing required --queries");
+        let msg = run_ok(&["serve", "--index", &index, "--repeat", "0"]);
+        assert!(!msg.contains("served"), "{msg}");
+        for p in [base, narrow, index] {
+            let _ = std::fs::remove_file(p);
         }
         // An index whose header claims a 1 TiB corpus is refused by
         // section (exit 2), not by an allocation abort.
