@@ -9,24 +9,34 @@
 //! to its decoder, which reads it straight into the structure it
 //! fills: the loader's peak heap is the loaded index, and a lying
 //! length is an error, not an allocation.
+//!
+//! SQ8 codes are derived data: a file stores a quantized index's
+//! quantization section as its header alone, and [`read_index`]
+//! rebuilds the codes, tables and norms from the loaded corpus with
+//! [`QuantizedStore::from_store`], which is deterministic bit for bit.
 
 use crate::engine::{AlgasIndex, CorpusTooLarge};
 use algas_graph::binary as graph_codec;
 use algas_graph::GraphKind;
 use algas_vector::binary::{self as vector_codec, LeReader};
-use algas_vector::Metric;
+use algas_vector::{Metric, QuantizedStore};
 use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 const INDEX_MAGIC: u32 = 0x414C_4958; // "ALIX"
-/// Format 2 appends a node-permutation section (the relayout id-map)
-/// after the graph; format 3 appends an SQ8 code section (scales,
-/// offsets, code rows) after that; format 4 appends an entry-index
-/// section (the LSH bucket table; files from older builds also carry a
-/// descent ladder there, which is read and skipped). Every optional
-/// section uses a zero length to mean "absent", so format-1 through
-/// format-3 files are still read.
-const FORMAT_VERSION: u32 = 4;
+/// Format 1 holds the corpus and the graph. Format 2 appends a
+/// node-permutation section (the relayout id-map) after the graph;
+/// format 3 appends an SQ8 section (scales, offsets, code rows) after
+/// that; format 4 appends an entry-index section (the LSH bucket table;
+/// files from older builds also carry a descent ladder there, which is
+/// read and skipped). Format 5 keeps format 4's layout but stores the
+/// SQ8 section as its 16-byte header alone (magic, rows, dim): the
+/// loader derives the codes from the corpus. Every optional section
+/// uses a zero length to mean "absent", so files of formats 1 through 4
+/// are still read, the codes of formats 3 and 4 as stored.
+const FORMAT_VERSION: u32 = 5;
+/// First format whose SQ8 section is its header alone.
+const DERIVED_CODES_SINCE: u32 = 5;
 /// Oldest format this build still reads.
 const OLDEST_READABLE_VERSION: u32 = 1;
 /// Header bytes before the appended section lengths: magic, version,
@@ -34,11 +44,23 @@ const OLDEST_READABLE_VERSION: u32 = 1;
 const FIXED_HEADER_LEN: u64 = 30;
 
 /// Serializes an index into a writer.
+///
+/// # Errors
+/// Refuses (`InvalidInput`) a quantized index whose codes are not the
+/// ones [`QuantizedStore::from_store`] derives from its corpus: the file
+/// stores no codes, so a reload would serve different ones.
 pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
+    if index.quant.as_ref().is_some_and(|q| !q.is_derived_from(&index.base)) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "the index's SQ8 codes are not the ones its corpus derives, and the file \
+             stores none: a reload would serve different codes",
+        ));
+    }
     let store_blob = vector_codec::encode_store(&index.base);
     let graph_blob = graph_codec::encode_graph(&index.graph);
     let perm_blob = index.id_map.as_ref().map(graph_codec::encode_permutation);
-    let quant_blob = index.quant.as_ref().map(vector_codec::encode_quantized);
+    let quant_blob = index.quant.as_ref().map(vector_codec::encode_quantized_header);
     let entry_blob = index.entry.as_ref().map(graph_codec::encode_entry_index);
     // A zero-length optional section = the index was never relayouted /
     // never quantized / carries no entry data.
@@ -70,8 +92,10 @@ pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
 }
 
 /// Deserializes an index from the `input_len` bytes `r` holds (accepts
-/// formats 1 through 4). A header whose section lengths exceed
-/// `input_len` is refused before any section is read.
+/// formats 1 through 5). A header whose section lengths exceed
+/// `input_len` is refused before any section is read, as is a format-5
+/// SQ8 section that is not a 16-byte header; one whose rows or dim are
+/// not the corpus's is refused before its codes are reserved.
 pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
     let mut r = LeReader::new(r, input_len);
     if r.remaining() < FIXED_HEADER_LEN || r.u32()? != INDEX_MAGIC {
@@ -107,6 +131,13 @@ pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
     let perm_len = appended_len(2)?;
     let quant_len = appended_len(3)?;
     let entry_len = appended_len(4)?;
+    if version >= DERIVED_CODES_SINCE && ![0, vector_codec::QUANT_HEADER_LEN].contains(&quant_len) {
+        return Err(invalid(&format!(
+            "quantization section: format {version} stores its {}-byte header alone, \
+             the header gives it {quant_len} bytes",
+            vector_codec::QUANT_HEADER_LEN
+        )));
+    }
     // Every section must fit what the input holds, so no decoder
     // reserves memory for a length the file only claims.
     let mut left = r.remaining();
@@ -143,14 +174,32 @@ pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
     } else {
         None
     };
-    let quant = if quant_len > 0 {
-        let quant = vector_codec::decode_quantized(&mut r, quant_len)?;
-        if quant.len() != base.len() || quant.dim() != base.dim() {
-            return Err(invalid("quantized/corpus shape mismatch"));
+    let quant = match quant_len {
+        0 => None,
+        _ if version < DERIVED_CODES_SINCE => {
+            let quant = vector_codec::decode_quantized(&mut r, quant_len)?;
+            if quant.len() != base.len() || quant.dim() != base.dim() {
+                return Err(invalid("quantized/corpus shape mismatch"));
+            }
+            Some(quant)
         }
-        Some(quant)
-    } else {
-        None
+        _ => {
+            let named = |e: io::Error| invalid(&format!("quantization section: {e}"));
+            let (n, dim) =
+                vector_codec::decode_quantized_header(&mut r, quant_len).map_err(named)?;
+            if base.is_empty() {
+                return Err(invalid("quantization section: the corpus is empty"));
+            }
+            if (n, dim as usize) != (base.len() as u64, base.dim()) {
+                return Err(invalid(&format!(
+                    "quantization section: it declares {n} rows of dim {dim}, \
+                     the corpus holds {} of dim {}",
+                    base.len(),
+                    base.dim()
+                )));
+            }
+            Some(QuantizedStore::from_store(&base))
+        }
     };
     let entry = if entry_len > 0 {
         graph_codec::decode_entry_index(&mut r, entry_len, base.len())?
@@ -184,6 +233,21 @@ impl AlgasIndex {
     }
 }
 
+/// The format version in the header of the index file at `path`.
+pub fn format_version(path: impl AsRef<Path>) -> io::Result<u32> {
+    let mut r = LeReader::new(std::fs::File::open(path)?, 8);
+    if r.u32()? != INDEX_MAGIC {
+        return Err(invalid("not an ALGAS index file"));
+    }
+    r.u32()
+}
+
+/// Whether a file of format `version` derives its SQ8 codes at load
+/// rather than storing them.
+pub fn derives_codes(version: u32) -> bool {
+    version >= DERIVED_CODES_SINCE
+}
+
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -203,6 +267,34 @@ mod tests {
         let ds = DatasetSpec::tiny(300, 8, Metric::Cosine, 71).generate();
         AlgasIndex::build_cagra(ds.base, Metric::Cosine, CagraParams::default())
     }
+
+    /// A quantization section as formats 3 and 4 stored it: the header,
+    /// the scales, the offsets, then the unpadded code rows.
+    fn stored_codes_section(q: &QuantizedStore) -> Vec<u8> {
+        let mut buf = vector_codec::encode_quantized_header(q);
+        for &x in q.scales().iter().chain(q.offsets()) {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        for i in 0..q.len() {
+            buf.extend_from_slice(q.codes(i));
+        }
+        buf
+    }
+
+    /// Whether two stores hold the same codes, norms and tables, bit for
+    /// bit (`==` would take -0.0 for 0.0).
+    fn same_bits(a: &QuantizedStore, b: &QuantizedStore) -> bool {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (a.len(), a.dim()) == (b.len(), b.dim())
+            && bits(a.scales()) == bits(b.scales())
+            && bits(a.offsets()) == bits(b.offsets())
+            && (0..a.len()).all(|i| {
+                a.codes(i) == b.codes(i) && a.row_norm(i).to_bits() == b.row_norm(i).to_bits()
+            })
+    }
+
+    /// The header field holding the quantization section's length.
+    const QUANT_LEN_FIELD: std::ops::Range<usize> = 38..46;
 
     /// A hand-built file of an older format: the cosine/CAGRA header
     /// with `version`, then `sections` (corpus and graph first), whose
@@ -275,21 +367,53 @@ mod tests {
     }
 
     #[test]
-    fn quantized_index_roundtrips_with_codes() {
+    fn relayouted_quantized_index_derives_its_permuted_codes() {
+        // Quantized first, relayouted after: the store in memory holds
+        // the codes permuted, and the loader derives its own from the
+        // permuted corpus. They must be the same bits.
         let mut index = sample_index();
         index.quantize();
         index.relayout();
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
+        // The file holds the section's header alone.
+        assert_eq!(buf[QUANT_LEN_FIELD], vector_codec::QUANT_HEADER_LEN.to_le_bytes());
         let back = read(&buf).unwrap();
         assert_eq!(back.base, index.base);
-        assert_eq!(back.quant, index.quant);
         assert_eq!(back.id_map, index.id_map);
-        // The reloaded codes carry identical search-time state.
-        let (q, bq) = (index.quant.as_ref().unwrap(), back.quant.as_ref().unwrap());
-        for i in 0..q.len() {
-            assert_eq!(bq.row_norm(i), q.row_norm(i));
+        assert!(same_bits(back.quant.as_ref().unwrap(), index.quant.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn format_3_and_4_files_serve_their_stored_codes() {
+        // Codes no corpus derives (all zero): an older file's section is
+        // read as stored, not rederived.
+        let mut index = sample_index();
+        index.quantize();
+        let derived = index.quant.clone().unwrap();
+        let mut zeros = QuantizedStore::with_capacity(
+            derived.dim(),
+            derived.scales().to_vec(),
+            derived.offsets().to_vec(),
+            derived.len(),
+        );
+        for _ in 0..derived.len() {
+            zeros.push_codes(&vec![0; derived.dim()]);
         }
+        let store_blob = vector_codec::encode_store(&index.base);
+        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let quant_blob = stored_codes_section(&zeros);
+        for (version, sections) in [
+            (3, vec![&store_blob[..], &graph_blob, &[], &quant_blob]),
+            (4, vec![&store_blob[..], &graph_blob, &[], &quant_blob, &[]]),
+        ] {
+            let back = read(&old_format_file(version, index.medoid, &sections)).unwrap();
+            assert!(same_bits(back.quant.as_ref().unwrap(), &zeros), "format {version}");
+        }
+        // This build would not write them: a reload would derive others.
+        index.quant = Some(zeros);
+        let err = write_index(&mut Vec::new(), &index).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]
@@ -308,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_index_roundtrips_through_v4() {
+    fn entry_index_roundtrips() {
         let mut index = sample_index();
         index.quantize();
         index.build_entry_index(&algas_graph::entry::EntryParams::default());
@@ -332,7 +456,7 @@ mod tests {
         index.quantize();
         let store_blob = vector_codec::encode_store(&index.base);
         let graph_blob = graph_codec::encode_graph(&index.graph);
-        let quant_blob = vector_codec::encode_quantized(index.quant.as_ref().unwrap());
+        let quant_blob = stored_codes_section(index.quant.as_ref().unwrap());
         // The empty third section = never relayouted.
         let buf = old_format_file(3, index.medoid, &[&store_blob, &graph_blob, &[], &quant_blob]);
         let back = read(&buf).unwrap();
@@ -360,7 +484,7 @@ mod tests {
         let err = read(&vers).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("version 99") && msg.contains("1 through 4"),
+            msg.contains("version 99") && msg.contains("1 through 5"),
             "version error should name the readable range, got: {msg}"
         );
         // Truncated quantization section.
@@ -378,6 +502,42 @@ mod tests {
         let graph_blob = graph_codec::encode_graph(&index.graph);
         let file = old_format_file(1, 0, &[&lying, &graph_blob]);
         assert!(read(&file).is_err());
+        // A format-5 quantization section is its 16-byte header, naming
+        // the corpus's rows and dim; anything else is refused by name.
+        let mut qbuf = Vec::new();
+        write_index(&mut qbuf, &q_index).unwrap();
+        let quant_section = |file: &[u8]| {
+            let err = read(file).expect_err("a bad quantization section must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("quantization section"), "{err}");
+        };
+        // No permutation or entry section: the header is the file's end.
+        let quant_at = qbuf.len() - 16;
+        // Its format-4 body, which a format-5 header does not describe.
+        let stored = stored_codes_section(q_index.quant.as_ref().unwrap());
+        let mut long = [&qbuf[..quant_at], &stored].concat();
+        long[QUANT_LEN_FIELD].copy_from_slice(&(stored.len() as u64).to_le_bytes());
+        quant_section(&long);
+        // One byte more than the header, the byte present.
+        let mut plus_one = [&qbuf[..], &[0]].concat();
+        plus_one[QUANT_LEN_FIELD].copy_from_slice(&17u64.to_le_bytes());
+        quant_section(&plus_one);
+        // Rows or dim that are not the corpus's, and another magic.
+        for (at, value) in [
+            (quant_at + 4, 299u64.to_le_bytes().to_vec()),
+            (quant_at + 12, 9u32.to_le_bytes().to_vec()),
+            (quant_at, vec![0; 4]),
+        ] {
+            let mut bad = qbuf.clone();
+            bad[at..at + value.len()].copy_from_slice(&value);
+            quant_section(&bad);
+        }
+        // A header of no rows over an empty corpus: nothing to derive
+        // the tables from, an error and not a panic.
+        let empty_store = section_header(0x414C_5653, 0, 8); // "ALVS"
+        let empty_graph = graph_codec::encode_graph(&algas_graph::FixedDegreeGraph::new(0, 6));
+        let no_rows = section_header(0x414C_5153, 0, 8); // "ALQS"
+        quant_section(&old_format_file(5, 0, &[&empty_store, &empty_graph, &[], &no_rows, &[]]));
     }
 
     /// A v4 file of a corpus section and a graph section; its header's
@@ -395,11 +555,12 @@ mod tests {
 
     #[test]
     fn a_lying_section_length_is_refused_before_it_is_reserved() {
-        let named_corpus = |file: &[u8]| {
+        let named = |file: &[u8], section: &str| {
             let err = read(file).expect_err("a lying file must not load");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-            assert!(err.to_string().contains("corpus section"), "{err}");
+            assert!(err.to_string().contains(section), "{err}");
         };
+        let named_corpus = |file: &[u8]| named(file, "corpus section");
         let invalid_data = |file: &[u8]| {
             let err = read(file).expect_err("a lying file must not load");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
@@ -425,6 +586,15 @@ mod tests {
         invalid_data(&v4_file(&wide_store, 16, &edgeless(6)));
         let wide_graph = section_header(0x414C_4752, 0, u32::MAX); // "ALGR"
         invalid_data(&v4_file(&row, row.len() as u64, &wide_graph));
+        // A format-5 header that gives the quantization section 1 TiB,
+        // or 17 bytes the file holds: refused by name, before the
+        // corpus is read.
+        for (quant_len, held) in [(1u64 << 40, 0), (17, 17)] {
+            let mut file = old_format_file(5, 0, &[&row, &edgeless(6), &[], &[], &[]]);
+            file[QUANT_LEN_FIELD].copy_from_slice(&quant_len.to_le_bytes());
+            file.resize(file.len() + held, 0);
+            named(&file, "quantization section");
+        }
         // The honest one-row file loads.
         let honest = v4_file(&row, row.len() as u64, &edgeless(6));
         assert_eq!(read(&honest).unwrap().base.len(), 1);

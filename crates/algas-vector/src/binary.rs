@@ -1,7 +1,8 @@
 //! Canonical binary serialization of [`VectorStore`] and
 //! [`QuantizedStore`] (length-prefixed little-endian sections of the
 //! index file), and the [`LeReader`] every decoder of that file reads
-//! through.
+//! through. A quantized store is written as its header alone; the
+//! codes that files of formats 3 and 4 carry are still read.
 //!
 //! An encoder builds its section as one blob. A decoder streams it: it
 //! reads each row from its `io::Read` into one reused buffer and pushes
@@ -150,29 +151,41 @@ pub fn decode_store<R: Read>(r: R, len: u64) -> io::Result<VectorStore> {
     Ok(store)
 }
 
-/// Serializes a quantized store: the affine tables followed by the
-/// unpadded code rows. Row norms are derived data and are recomputed on
-/// decode rather than stored.
-pub fn encode_quantized(store: &QuantizedStore) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + store.nbytes());
+/// Bytes of a quantized-store section header: magic, row count, dim.
+pub const QUANT_HEADER_LEN: u64 = 16;
+
+/// Serializes a quantized store as an index file of format 5 holds it:
+/// the section header alone. The loader derives the codes, tables and
+/// norms from the corpus ([`QuantizedStore::from_store`]), so the file
+/// stores none of them.
+pub fn encode_quantized_header(store: &QuantizedStore) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(QUANT_HEADER_LEN as usize);
     buf.extend_from_slice(&QUANT_MAGIC.to_le_bytes());
     buf.extend_from_slice(&(store.len() as u64).to_le_bytes());
     buf.extend_from_slice(&(store.dim() as u32).to_le_bytes());
-    for &s in store.scales() {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
-    for &o in store.offsets() {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    for i in 0..store.len() {
-        buf.extend_from_slice(store.codes(i));
-    }
     buf
 }
 
-/// Deserializes a `len`-byte quantized-store section from `r`, reading
-/// exactly `len` bytes; rejects wrong magic, zero dims, truncation and
-/// a header whose lengths are not what the section holds.
+/// Reads a format-5 quantized-store section of `len` bytes, which must
+/// be its header alone, and returns the `(rows, dim)` it declares.
+pub fn decode_quantized_header<R: Read>(r: R, len: u64) -> io::Result<(u64, u32)> {
+    if len != QUANT_HEADER_LEN {
+        return Err(invalid(&format!(
+            "a quantized store header is {QUANT_HEADER_LEN} bytes, the section holds {len}"
+        )));
+    }
+    let mut data = LeReader::new(r, len);
+    if data.u32()? != QUANT_MAGIC {
+        return Err(invalid("not a quantized store blob"));
+    }
+    Ok((data.u64()?, data.u32()?))
+}
+
+/// Deserializes a `len`-byte quantized-store section of an index file
+/// of format 3 or 4 from `r`: the header, the scales, the offsets and
+/// the unpadded code rows (norms are recomputed). Reads exactly `len`
+/// bytes; rejects wrong magic, zero dims, truncation and a header whose
+/// lengths are not what the section holds.
 pub fn decode_quantized<R: Read>(r: R, len: u64) -> io::Result<QuantizedStore> {
     let mut data = LeReader::new(r, len);
     if data.remaining() < 16 || data.u32()? != QUANT_MAGIC {
@@ -211,6 +224,19 @@ mod tests {
     /// Decodes a whole blob as one quantized-store section.
     fn quant(blob: &[u8]) -> io::Result<QuantizedStore> {
         decode_quantized(blob, blob.len() as u64)
+    }
+
+    /// A quantized-store section as formats 3 and 4 wrote it: the
+    /// header, the affine tables, then the unpadded code rows.
+    fn encode_quantized(store: &QuantizedStore) -> Vec<u8> {
+        let mut buf = encode_quantized_header(store);
+        for &x in store.scales().iter().chain(store.offsets()) {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        for i in 0..store.len() {
+            buf.extend_from_slice(store.codes(i));
+        }
+        buf
     }
 
     #[test]
@@ -276,5 +302,24 @@ mod tests {
         wrapped.extend_from_slice(&(1u64 << 61).to_le_bytes());
         wrapped.extend_from_slice(&8u32.to_le_bytes());
         assert!(quant(&wrapped).is_err());
+    }
+
+    #[test]
+    fn quantized_header_roundtrips_and_is_its_section() {
+        let base = VectorStore::from_flat(3, vec![1.0, -2.0, 3.5, 0.0, 9.0, -4.25]);
+        let header = encode_quantized_header(&QuantizedStore::from_store(&base));
+        assert_eq!(header.len() as u64, QUANT_HEADER_LEN);
+        assert_eq!(decode_quantized_header(&header[..], QUANT_HEADER_LEN).unwrap(), (2, 3));
+        // The legacy section's first 16 bytes are the same header.
+        let legacy = encode_quantized(&QuantizedStore::from_store(&base));
+        assert_eq!(legacy[..16], header[..]);
+        // Any other length, and another magic, are refused.
+        for len in [0, 15, 17, legacy.len() as u64] {
+            let err = decode_quantized_header(&legacy[..], len).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        let mut bad = header.clone();
+        bad[0] ^= 0xFF;
+        assert!(decode_quantized_header(&bad[..], QUANT_HEADER_LEN).is_err());
     }
 }

@@ -73,31 +73,45 @@ pub struct QuantizedStore {
 
 impl QuantizedStore {
     /// Quantizes every row of `store` with per-dimension affine SQ8.
+    /// Deterministic bit for bit: an index file of format 5 stores no
+    /// codes, and its loader derives them here from the fp32 rows.
     ///
     /// # Panics
     /// Panics if the store is empty (there is no range to quantize).
     pub fn from_store(store: &VectorStore) -> Self {
-        assert!(!store.is_empty(), "cannot quantize an empty store");
-        let dim = store.dim();
-        let mut mins = vec![f32::INFINITY; dim];
-        let mut maxs = vec![f32::NEG_INFINITY; dim];
+        let (scales, offsets) = affine_tables(store);
+        let mut out = Self::with_capacity(store.dim(), scales, offsets, store.len());
         for row in store.iter() {
-            for (d, &x) in row.iter().enumerate() {
-                mins[d] = mins[d].min(x);
-                maxs[d] = maxs[d].max(x);
-            }
+            let start = out.grow();
+            let codes = &mut bytes_mut(&mut out.blocks)[start..start + row.len()];
+            encode_row(&out.scales, &out.offsets, row, codes);
         }
-        let scales: Vec<f32> = mins.iter().zip(&maxs).map(|(&lo, &hi)| (hi - lo) / 255.0).collect();
-        let mut out = Self::with_capacity(dim, scales, mins, store.len());
-        for row in store.iter() {
-            out.push(row);
-        }
+        out.push_norms();
         out
+    }
+
+    /// Whether this store holds exactly what [`from_store`](Self::from_store)
+    /// derives from `store`: the same tables and, row by row, the same
+    /// codes (the norms follow from those two). Allocates one row of
+    /// codes, not a second store.
+    pub fn is_derived_from(&self, store: &VectorStore) -> bool {
+        if store.is_empty() || store.len() != self.len || store.dim() != self.dim {
+            return false;
+        }
+        let (scales, offsets) = affine_tables(store);
+        if scales != self.scales || offsets != self.offsets {
+            return false;
+        }
+        let mut codes = vec![0u8; self.dim];
+        (0..self.len).all(|i| {
+            encode_row(&self.scales, &self.offsets, store.get(i), &mut codes);
+            codes == self.codes(i)
+        })
     }
 
     /// An empty store for `dim`-dimensional rows under the given affine
     /// tables, reserved for `capacity` rows; rows are appended with
-    /// [`push`](Self::push) or [`push_codes`](Self::push_codes).
+    /// [`push_codes`](Self::push_codes).
     ///
     /// # Panics
     /// Panics if `dim == 0` or `scales`/`offsets` are not `dim` long.
@@ -119,72 +133,53 @@ impl QuantizedStore {
         store
     }
 
-    /// Encodes and appends one f32 row.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != self.dim()`.
-    pub fn push(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.dim, "row length must equal store dimension");
-        self.blocks.resize(self.blocks.len() + self.stride / BYTES_PER_BLOCK, ZERO_QBLOCK);
-        self.len += 1;
-        let start = (self.len - 1) * self.stride;
-        let mut norm = 0.0f32;
-        for (d, &x) in row.iter().enumerate() {
-            let s = self.scales[d];
-            let code = if s > 0.0 {
-                ((x - self.offsets[d]) / s).round().clamp(0.0, 255.0) as u8
-            } else {
-                0
-            };
-            let sc = s * f32::from(code);
-            norm += sc * sc;
-            self.flat_mut()[start + d] = code;
-        }
-        self.row_norms.push(norm);
-    }
-
-    /// Appends one already-encoded code row (the deserialization path);
-    /// its norm is recomputed, since norms are derived data and are not
-    /// persisted.
+    /// Appends one already-encoded code row (the path of index files of
+    /// formats 3 and 4, which store codes); its norm is recomputed.
     ///
     /// # Panics
     /// Panics if `codes.len() != self.dim()`.
     pub fn push_codes(&mut self, codes: &[u8]) {
         assert_eq!(codes.len(), self.dim, "code row length must equal store dimension");
+        let start = self.grow();
+        bytes_mut(&mut self.blocks)[start..start + codes.len()].copy_from_slice(codes);
+        self.push_norms();
+    }
+
+    /// Appends one zeroed row, without its norm; returns its first
+    /// byte's offset.
+    fn grow(&mut self) -> usize {
         self.blocks.resize(self.blocks.len() + self.stride / BYTES_PER_BLOCK, ZERO_QBLOCK);
         self.len += 1;
-        let start = (self.len - 1) * self.stride;
-        let mut norm = 0.0f32;
-        for (d, &code) in codes.iter().enumerate() {
-            let sc = self.scales[d] * f32::from(code);
-            norm += sc * sc;
-            self.flat_mut()[start + d] = code;
+        (self.len - 1) * self.stride
+    }
+
+    /// Computes the `Σ scale_d² · code_d²` of every row that has none
+    /// yet. Each row's sum runs in dimension order, so a norm is the
+    /// same bits however it was appended; eight rows run side by side,
+    /// so their additions, not one row's chain of them, fill the
+    /// pipeline.
+    fn push_norms(&mut self) {
+        const SIDE_BY_SIDE: usize = 8;
+        let bytes = bytes(&self.blocks);
+        while self.row_norms.len() < self.len {
+            let first = self.row_norms.len();
+            // A short last group repeats its last row in the spare lanes.
+            let starts: [usize; SIDE_BY_SIDE] =
+                std::array::from_fn(|r| (first + r).min(self.len - 1) * self.stride);
+            let mut sums = [0.0f32; SIDE_BY_SIDE];
+            for (d, &s) in self.scales.iter().enumerate() {
+                for (sum, &start) in sums.iter_mut().zip(&starts) {
+                    let sc = s * f32::from(bytes[start + d]);
+                    *sum += sc * sc;
+                }
+            }
+            self.row_norms.extend_from_slice(&sums[..(self.len - first).min(SIDE_BY_SIDE)]);
         }
-        self.row_norms.push(norm);
     }
 
     #[inline]
     fn flat(&self) -> &[u8] {
-        // SAFETY: `QBlock` is `repr(C, align(64))` around `[u8; 64]`
-        // (no padding bytes), so a slice of blocks is exactly a
-        // contiguous, initialized run of `64 * blocks.len()` bytes.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.blocks.as_ptr().cast::<u8>(),
-                self.blocks.len() * BYTES_PER_BLOCK,
-            )
-        }
-    }
-
-    #[inline]
-    fn flat_mut(&mut self) -> &mut [u8] {
-        // SAFETY: same layout argument as `flat`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.blocks.as_mut_ptr().cast::<u8>(),
-                self.blocks.len() * BYTES_PER_BLOCK,
-            )
-        }
+        bytes(&self.blocks)
     }
 
     /// Number of vectors stored.
@@ -302,7 +297,8 @@ impl QuantizedStore {
     /// Memory footprint of the logical quantized payload in bytes:
     /// one code byte per dimension per row, the per-dimension
     /// scale/offset tables, and the per-row norms. Excludes alignment
-    /// padding — the serialized size, mirroring [`VectorStore::nbytes`].
+    /// padding, mirroring [`VectorStore::nbytes`]. (An index file of
+    /// format 5 stores none of it: the loader derives it.)
     pub fn nbytes(&self) -> usize {
         self.len * self.dim
             + 2 * self.dim * std::mem::size_of::<f32>()
@@ -315,6 +311,82 @@ impl QuantizedStore {
             + (self.scales.len() + self.offsets.len() + self.row_norms.len())
                 * std::mem::size_of::<f32>()
     }
+}
+
+/// `blocks` as one run of bytes.
+#[inline]
+fn bytes(blocks: &[QBlock]) -> &[u8] {
+    // SAFETY: `QBlock` is `repr(C, align(64))` around `[u8; 64]` (no
+    // padding bytes), so a slice of blocks is exactly a contiguous,
+    // initialized run of `64 * blocks.len()` bytes.
+    unsafe {
+        std::slice::from_raw_parts(blocks.as_ptr().cast::<u8>(), std::mem::size_of_val(blocks))
+    }
+}
+
+/// `blocks` as one run of mutable bytes.
+#[inline]
+fn bytes_mut(blocks: &mut [QBlock]) -> &mut [u8] {
+    // SAFETY: the layout argument of `bytes`.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            blocks.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(blocks),
+        )
+    }
+}
+
+/// The per-dimension affine tables of `store`: scales `(max_d −
+/// min_d) / 255` and offsets `min_d`.
+///
+/// # Panics
+/// Panics if the store is empty.
+fn affine_tables(store: &VectorStore) -> (Vec<f32>, Vec<f32>) {
+    assert!(!store.is_empty(), "cannot quantize an empty store");
+    let mut mins = vec![f32::INFINITY; store.dim()];
+    let mut maxs = vec![f32::NEG_INFINITY; store.dim()];
+    for row in store.iter() {
+        for ((lo, hi), &x) in mins.iter_mut().zip(&mut maxs).zip(row) {
+            *lo = lo.min(x);
+            *hi = hi.max(x);
+        }
+    }
+    let scales = mins.iter().zip(&maxs).map(|(&lo, &hi)| (hi - lo) / 255.0).collect();
+    (scales, mins)
+}
+
+/// Writes `row`'s SQ8 codes into `codes`: `round((x − offset) / scale)`
+/// clamped to `0..=255`, and 0 on a constant dimension — bit for bit
+/// `(.. / s).round().clamp(0.0, 255.0) as u8`, in a loop the compiler
+/// vectorizes.
+#[inline]
+fn encode_row(scales: &[f32], offsets: &[f32], row: &[f32], codes: &mut [u8]) {
+    for (((c, &x), &s), &o) in codes.iter_mut().zip(row).zip(scales).zip(offsets) {
+        // Not `clamp`, which keeps NaN: `max` sends it to 0, as the
+        // saturating `as u8` does.
+        #[allow(clippy::manual_clamp)]
+        let clamped = round_for_cast((x - o) / s).max(0.0).min(255.0);
+        // SAFETY: `clamped` is a number in 0.0..=255.0, so truncating
+        // it fits an `i32`. (The checked `as` cast is a branch per
+        // lane, which keeps the loop scalar.)
+        let code = unsafe { clamped.to_int_unchecked::<i32>() } as u8;
+        *c = if s > 0.0 { code } else { 0 };
+    }
+}
+
+/// The largest `f32` below 0.5.
+const JUST_BELOW_HALF: f32 = 0.499_999_97;
+
+/// `x` moved just under half a unit away from zero, so that the
+/// truncating `as` cast rounds it half away from zero: for integer
+/// bounds, `round_for_cast(x).clamp(lo, hi) as T` is
+/// `x.round().clamp(lo, hi) as T` for every `f32`, NaN included. This
+/// is LLVM's own lowering of `round`; writing it here keeps the encoders
+/// from calling libm's `roundf` once per element, which the baseline
+/// x86-64 target has no instruction for.
+#[inline]
+fn round_for_cast(x: f32) -> f32 {
+    x + JUST_BELOW_HALF.copysign(x)
 }
 
 /// A query encoded once per search for asymmetric SQ8 scoring.
@@ -389,7 +461,7 @@ impl QuantizedQuery {
             Metric::L2 => {
                 for d in 0..query.len() {
                     let t = (query[d] - offsets[d]) * scales[d];
-                    self.codes[d] = (t * inv_ts).round().clamp(-127.0, 127.0) as i8;
+                    self.codes[d] = round_for_cast(t * inv_ts).clamp(-127.0, 127.0) as i8;
                 }
                 self.factor = -2.0 * ts;
                 self.norm_w = 1.0;
@@ -397,7 +469,7 @@ impl QuantizedQuery {
             Metric::Cosine => {
                 for d in 0..query.len() {
                     let t = query[d] * scales[d];
-                    self.codes[d] = (t * inv_ts).round().clamp(-127.0, 127.0) as i8;
+                    self.codes[d] = round_for_cast(t * inv_ts).clamp(-127.0, 127.0) as i8;
                 }
                 self.factor = -ts;
                 self.norm_w = 0.0;
@@ -467,6 +539,7 @@ impl QuantizedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pseudo(dim: usize, seed: u32) -> Vec<f32> {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
@@ -671,6 +744,90 @@ mod tests {
         let big = store_of(128, 100);
         let qbig = QuantizedStore::from_store(&big);
         assert!((qbig.nbytes() as f64) < big.nbytes() as f64 / 3.5);
+    }
+
+    /// FNV-1a over a store's codes, row norms, scales and offsets, bit
+    /// for bit.
+    fn quant_hash(q: &QuantizedStore) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for i in 0..q.len() {
+            eat(q.codes(i));
+            eat(&q.row_norm(i).to_le_bytes());
+        }
+        for &x in q.scales().iter().chain(q.offsets()) {
+            eat(&x.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn from_store_matches_the_recorded_codes() {
+        // An `.alix` file of format 5 stores no codes: the loader derives
+        // them with `from_store`, so they must not drift. Recorded with
+        // the `f32::round` encoder, before rounding was written inline.
+        let ds = crate::datasets::DatasetSpec::tiny(2000, 128, Metric::L2, 7).generate();
+        let q = QuantizedStore::from_store(&ds.base);
+        assert_eq!(quant_hash(&q), 0x82db_ccae_9adf_f53a, "codes, norms or tables drifted");
+    }
+
+    /// Ties, near-ties and the ends of both code ranges, where an
+    /// inline rounding could part from `f32::round`.
+    const ROUNDING_ANCHORS: [f32; 16] = [
+        0.0,
+        JUST_BELOW_HALF,
+        0.5,
+        2.5,
+        254.5,
+        255.499_98,
+        255.5,
+        -0.5,
+        -1.5,
+        -126.5,
+        127.5,
+        -127.5,
+        8_388_607.5,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NAN,
+    ];
+
+    #[test]
+    fn just_below_half_is_the_largest_f32_below_one_half() {
+        assert_eq!(JUST_BELOW_HALF.to_bits(), 0.5f32.to_bits() - 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// Both encoders round exactly as `f32::round` (half away from
+        /// zero) and clamp: a store's codes, over anchors moved a few
+        /// ulps either way (of both signs), every half-integer tie in
+        /// ±256, and arbitrary bit patterns (NaN and infinities too);
+        /// and a query's i8 weights over the same values.
+        #[test]
+        fn inline_rounding_is_f32_round(
+            pick in 0u32..3,
+            anchor in 0usize..ROUNDING_ANCHORS.len(),
+            ulps in -3i32..4,
+            negate in 0u32..2,
+            bits in 0u32..u32::MAX,
+        ) {
+            let x = match pick {
+                0 => f32::from_bits(ROUNDING_ANCHORS[anchor].to_bits().wrapping_add_signed(ulps)),
+                1 => (bits % 1024) as f32 * 0.5 - 256.0,
+                _ => f32::from_bits(bits),
+            };
+            let x = if negate == 1 { -x } else { x };
+            let mut code = [0u8];
+            encode_row(&[1.0], &[0.0], &[x], &mut code);
+            prop_assert_eq!(code[0], x.round().clamp(0.0, 255.0) as u8, "code of {:e}", x);
+            let weight = round_for_cast(x).clamp(-127.0, 127.0) as i8;
+            prop_assert_eq!(weight, x.round().clamp(-127.0, 127.0) as i8, "weight of {:e}", x);
+        }
     }
 
     #[test]

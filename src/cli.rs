@@ -27,8 +27,8 @@
 //! `--quantize true` switches graph traversal onto SQ8 codes (quarter
 //! memory traffic) with an exact fp32 re-rank of the top `--rerank`
 //! candidates (default 2k) before results are returned; `build
-//! --quantize` persists the codes in the index file so serving skips
-//! re-quantization.
+//! --quantize` marks the index quantized, and loading it derives the
+//! codes from the fp32 rows the file holds.
 //!
 //! `--entry-policy` picks how each search seeds its CTAs:
 //! `medoid` (single classic entry), `hashed` (CAGRA-style
@@ -365,18 +365,21 @@ fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
         index.kind,
         index.len(),
         t0.elapsed(),
-        if index.quant.is_some() { " (with SQ8 codes)" } else { "" },
+        if index.quant.is_some() { " (SQ8, codes derived at load)" } else { "" },
         if index.entry.is_some() { " (with LSH entry table)" } else { "" },
     )
     .map_err(io_err)
 }
 
 fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
-    let index = AlgasIndex::load(req(flags, "index")?).map_err(io_err)?;
+    let path = req(flags, "index")?;
+    let index = AlgasIndex::load(path).map_err(io_err)?;
+    let version = algas_core::persist::format_version(path).map_err(io_err)?;
     let stats = graph_stats(&index.graph);
     writeln!(
         out,
-        "vectors: {} x dim {}\nmetric: {}\ngraph: {:?}, degree {} (mean valid {:.1}, min {})\n\
+        "format: v{version}\nvectors: {} x dim {}\nmetric: {}\n\
+         graph: {:?}, degree {} (mean valid {:.1}, min {})\n\
          reachable from medoid-entry BFS: {:.1}%\nmedoid: {}\nquantized: {}\nentry: {}",
         index.base.len(),
         index.base.dim(),
@@ -389,8 +392,15 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
         index.medoid,
         match &index.quant {
             Some(q) => format!(
-                "SQ8 ({} KiB codes vs {} KiB fp32)",
-                q.nbytes() / 1024,
+                "SQ8, {}: {} KiB codes + {} KiB scales, offsets and row norms \
+                 ({} KiB fp32 rows)",
+                if algas_core::persist::derives_codes(version) {
+                    "derived from the fp32 rows at load"
+                } else {
+                    "read from the file"
+                },
+                q.len() * q.dim() / 1024,
+                (q.nbytes() - q.len() * q.dim()) / 1024,
                 index.base.nbytes() / 1024
             ),
             None => "no".to_string(),
@@ -1032,9 +1042,11 @@ mod tests {
             "--out",
             &qindex,
         ]);
-        assert!(msg.contains("with SQ8 codes"), "{msg}");
+        assert!(msg.contains("(SQ8, codes derived at load)"), "{msg}");
         let msg = run_ok(&["info", "--index", &qindex]);
-        assert!(msg.contains("quantized: SQ8"), "{msg}");
+        assert!(msg.contains("format: v5"), "{msg}");
+        assert!(msg.contains("quantized: SQ8, derived from the fp32 rows at load: "), "{msg}");
+        assert!(msg.contains(" KiB codes + "), "{msg}");
         let msg = run_ok(&[
             "search",
             "--index",
