@@ -14,6 +14,10 @@
 //! quantization section as its header alone, and [`read_index`]
 //! rebuilds the codes, tables and norms from the loaded corpus with
 //! [`QuantizedStore::from_store`], which is deterministic bit for bit.
+//!
+//! Graph ids are stored at `⌈log₂(n + 1)⌉` bits, the packed section
+//! form of `algas_graph::binary`; files of formats 1–5 hold every id as
+//! a `u32`, and the graph decoder reads both forms.
 
 use crate::engine::{AlgasIndex, CorpusTooLarge};
 use algas_graph::binary as graph_codec;
@@ -31,12 +35,20 @@ const INDEX_MAGIC: u32 = 0x414C_4958; // "ALIX"
 /// files from older builds also carry a descent ladder there, which is
 /// read and skipped). Format 5 keeps format 4's layout but stores the
 /// SQ8 section as its 16-byte header alone (magic, rows, dim): the
-/// loader derives the codes from the corpus. Every optional section
-/// uses a zero length to mean "absent", so files of formats 1 through 4
-/// are still read, the codes of formats 3 and 4 as stored.
-const FORMAT_VERSION: u32 = 5;
+/// loader derives the codes from the corpus. Format 6 keeps format 5's
+/// layout but writes the graph section packed: each id at
+/// `bit_length(n)` bits, each row padded to whole bytes (the `ALGP`
+/// form of `algas_graph::binary`), where formats 1–5 spend a `u32` on
+/// every id (`ALGR`). Every optional section uses a zero length to mean
+/// "absent", so files of formats 1 through 5 are still read, the codes
+/// of formats 3 and 4 as stored and the `u32` graphs of formats 1–5 as
+/// they are; a build that reads up to format 5 refuses a format-6 file
+/// by its version.
+const FORMAT_VERSION: u32 = 6;
 /// First format whose SQ8 section is its header alone.
 const DERIVED_CODES_SINCE: u32 = 5;
+/// First format whose graph section packs its ids.
+const PACKED_IDS_SINCE: u32 = 6;
 /// Oldest format this build still reads.
 const OLDEST_READABLE_VERSION: u32 = 1;
 /// Header bytes before the appended section lengths: magic, version,
@@ -92,10 +104,12 @@ pub fn write_index<W: Write>(mut w: W, index: &AlgasIndex) -> io::Result<()> {
 }
 
 /// Deserializes an index from the `input_len` bytes `r` holds (accepts
-/// formats 1 through 5). A header whose section lengths exceed
+/// formats 1 through 6). A header whose section lengths exceed
 /// `input_len` is refused before any section is read, as is a format-5
-/// SQ8 section that is not a 16-byte header; one whose rows or dim are
-/// not the corpus's is refused before its codes are reserved.
+/// or -6 SQ8 section that is not a 16-byte header; one whose rows or
+/// dim are not the corpus's is refused before its codes are reserved,
+/// and a graph section whose header does not size it is refused, by
+/// name, before the graph is reserved.
 pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
     let mut r = LeReader::new(r, input_len);
     if r.remaining() < FIXED_HEADER_LEN || r.u32()? != INDEX_MAGIC {
@@ -157,7 +171,8 @@ pub fn read_index<R: Read>(r: R, input_len: u64) -> io::Result<AlgasIndex> {
     }
 
     let base = vector_codec::decode_store(&mut r, store_len)?;
-    let graph = graph_codec::decode_graph(&mut r, graph_len)?;
+    let graph = graph_codec::decode_graph(&mut r, graph_len)
+        .map_err(|e| invalid(&format!("graph section: {e}")))?;
     if base.len() != graph.len() {
         return Err(invalid("corpus/graph size mismatch"));
     }
@@ -248,6 +263,12 @@ pub fn derives_codes(version: u32) -> bool {
     version >= DERIVED_CODES_SINCE
 }
 
+/// Whether a file of format `version` packs its graph ids at
+/// `bit_length(n)` bits rather than spending a `u32` on each.
+pub fn packs_graph_ids(version: u32) -> bool {
+    version >= PACKED_IDS_SINCE
+}
+
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -256,7 +277,9 @@ fn invalid(msg: &str) -> io::Error {
 mod tests {
     use super::*;
     use algas_graph::cagra::CagraParams;
+    use algas_graph::FixedDegreeGraph;
     use algas_vector::datasets::DatasetSpec;
+    use algas_vector::VectorStore;
 
     /// Reads a whole in-memory file.
     fn read(file: &[u8]) -> io::Result<AlgasIndex> {
@@ -293,8 +316,31 @@ mod tests {
             })
     }
 
+    /// A graph section as formats 1–5 stored it: every id a `u32`.
+    fn legacy_graph_section(g: &FixedDegreeGraph) -> Vec<u8> {
+        let mut buf = section_header(0x414C_4752, g.len() as u64, g.degree() as u32); // "ALGR"
+        for v in 0..g.len() as u32 {
+            for &u in g.row(v) {
+                buf.extend_from_slice(&u.to_le_bytes());
+            }
+        }
+        buf
+    }
+
     /// The header field holding the quantization section's length.
     const QUANT_LEN_FIELD: std::ops::Range<usize> = 38..46;
+    /// The header field holding the corpus section's length.
+    const STORE_LEN_FIELD: std::ops::Range<usize> = 14..22;
+    /// Bytes of a format-6 header, the corpus section's offset.
+    const HEADER_LEN: usize = 54;
+    /// Bytes of a packed graph section before its rows: magic, rows,
+    /// degree, id width.
+    const PACKED_GRAPH_HEADER_LEN: usize = 20;
+
+    /// The `u64` header field at `at`.
+    fn field(file: &[u8], at: std::ops::Range<usize>) -> usize {
+        u64::from_le_bytes(file[at].try_into().unwrap()) as usize
+    }
 
     /// A hand-built file of an older format: the cosine/CAGRA header
     /// with `version`, then `sections` (corpus and graph first), whose
@@ -317,6 +363,9 @@ mod tests {
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
         let back = read(&buf).unwrap();
+        // Format 6: 300 rows of 32 ids at 9 bits, 36 bytes a row.
+        assert_eq!(buf[4..8], 6u32.to_le_bytes());
+        assert_eq!(field(&buf, 22..30), PACKED_GRAPH_HEADER_LEN + 300 * 36);
         assert_eq!(back.base, index.base);
         assert_eq!(back.graph, index.graph);
         assert_eq!(back.metric, index.metric);
@@ -359,7 +408,7 @@ mod tests {
         // Hand-build a v1 file: same layout minus the perm-length field.
         let index = sample_index();
         let store_blob = vector_codec::encode_store(&index.base);
-        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let graph_blob = legacy_graph_section(&index.graph);
         let buf = old_format_file(1, index.medoid, &[&store_blob, &graph_blob]);
         let back = read(&buf).unwrap();
         assert!(back.id_map.is_none());
@@ -401,7 +450,7 @@ mod tests {
             zeros.push_codes(&vec![0; derived.dim()]);
         }
         let store_blob = vector_codec::encode_store(&index.base);
-        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let graph_blob = legacy_graph_section(&index.graph);
         let quant_blob = stored_codes_section(&zeros);
         for (version, sections) in [
             (3, vec![&store_blob[..], &graph_blob, &[], &quant_blob]),
@@ -422,7 +471,7 @@ mod tests {
         let mut index = sample_index();
         index.relayout();
         let store_blob = vector_codec::encode_store(&index.base);
-        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let graph_blob = legacy_graph_section(&index.graph);
         let perm_blob = graph_codec::encode_permutation(index.id_map.as_ref().unwrap());
         let buf = old_format_file(2, index.medoid, &[&store_blob, &graph_blob, &perm_blob]);
         let back = read(&buf).unwrap();
@@ -455,7 +504,7 @@ mod tests {
         let mut index = sample_index();
         index.quantize();
         let store_blob = vector_codec::encode_store(&index.base);
-        let graph_blob = graph_codec::encode_graph(&index.graph);
+        let graph_blob = legacy_graph_section(&index.graph);
         let quant_blob = stored_codes_section(index.quant.as_ref().unwrap());
         // The empty third section = never relayouted.
         let buf = old_format_file(3, index.medoid, &[&store_blob, &graph_blob, &[], &quant_blob]);
@@ -484,7 +533,7 @@ mod tests {
         let err = read(&vers).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("version 99") && msg.contains("1 through 5"),
+            msg.contains("version 99") && msg.contains("1 through 6"),
             "version error should name the readable range, got: {msg}"
         );
         // Truncated quantization section.
@@ -535,9 +584,37 @@ mod tests {
         // A header of no rows over an empty corpus: nothing to derive
         // the tables from, an error and not a panic.
         let empty_store = section_header(0x414C_5653, 0, 8); // "ALVS"
-        let empty_graph = graph_codec::encode_graph(&algas_graph::FixedDegreeGraph::new(0, 6));
+        let empty_graph = graph_codec::encode_graph(&FixedDegreeGraph::new(0, 6));
         let no_rows = section_header(0x414C_5153, 0, 8); // "ALQS"
         quant_section(&old_format_file(5, 0, &[&empty_store, &empty_graph, &[], &no_rows, &[]]));
+        // Packed graph rows (format 6) that name no graph: the first id
+        // of row 0 of the 300-vertex file (9-bit ids, pad code 511) set
+        // to an id ≥ n that is not the pad code, or to a self-loop.
+        let graph_section = |file: &[u8], what: &str| {
+            let err = read(file).expect_err("a bad graph section must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().starts_with("graph section: "), "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        };
+        let row0 = HEADER_LEN + field(&buf, STORE_LEN_FIELD) + PACKED_GRAPH_HEADER_LEN;
+        let with_first_id = |id: u16| {
+            let mut bad = buf.clone();
+            bad[row0] = id as u8;
+            bad[row0 + 1] = (bad[row0 + 1] & !1) | (id >> 8) as u8;
+            bad
+        };
+        assert_eq!(read(&with_first_id(index.graph.row(0)[0] as u16)).unwrap().graph, index.graph);
+        graph_section(&with_first_id(300), "invalid id 300");
+        graph_section(&with_first_id(510), "invalid id 510");
+        graph_section(&with_first_id(0), "invalid id 0");
+        // Non-zero pad bits: five vertices of three 3-bit ids are nine
+        // bits a row, so each row's second byte carries seven pad bits.
+        let five = vector_codec::encode_store(&VectorStore::from_flat(8, vec![0.5; 40]));
+        let packed = graph_codec::encode_graph(&FixedDegreeGraph::new(5, 3));
+        let mut bad = packed.clone();
+        bad[PACKED_GRAPH_HEADER_LEN + 1] |= 0x80;
+        graph_section(&old_format_file(6, 0, &[&five, &bad, &[], &[], &[]]), "pad bits");
+        assert!(read(&old_format_file(6, 0, &[&five, &packed, &[], &[], &[]])).is_ok());
     }
 
     /// A v4 file of a corpus section and a graph section; its header's
@@ -565,10 +642,8 @@ mod tests {
             let err = read(file).expect_err("a lying file must not load");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         };
-        let row =
-            vector_codec::encode_store(&algas_vector::VectorStore::from_flat(8, vec![0.5; 8]));
-        let edgeless =
-            |degree| graph_codec::encode_graph(&algas_graph::FixedDegreeGraph::new(1, degree));
+        let row = vector_codec::encode_store(&VectorStore::from_flat(8, vec![0.5; 8]));
+        let edgeless = |degree| legacy_graph_section(&FixedDegreeGraph::new(1, degree));
         // A well-formed 142-byte file whose header claims a 1 TiB corpus.
         let file = v4_file(&row, 1 << 40, &edgeless(6));
         assert_eq!(file.len(), 142);
@@ -586,6 +661,28 @@ mod tests {
         invalid_data(&v4_file(&wide_store, 16, &edgeless(6)));
         let wide_graph = section_header(0x414C_4752, 0, u32::MAX); // "ALGR"
         invalid_data(&v4_file(&row, row.len() as u64, &wide_graph));
+        // Packed graph headers (format 6) that do not size their
+        // section, refused by name before the graph is reserved: a
+        // width of 0, past 32, or other than bit_length(n); a length
+        // other than the header and n · ⌈degree·w/8⌉ bytes; 2^31 rows
+        // of 32 ids (a 256 GiB graph) in a header-only section.
+        let packed = |n: u64, degree: u32, w: u32| {
+            [section_header(0x414C_4750, n, degree), w.to_le_bytes().to_vec()].concat()
+            // "ALGP"
+        };
+        let v6 = |graph: &[u8]| old_format_file(6, 0, &[&row, graph, &[], &[], &[]]);
+        let one_row = |w| [packed(1, 6, w), vec![0x3F]].concat();
+        assert_eq!(one_row(1), graph_codec::encode_graph(&FixedDegreeGraph::new(1, 6)));
+        assert_eq!(read(&v6(&one_row(1))).unwrap().graph, FixedDegreeGraph::new(1, 6));
+        for w in [0, 2, 33] {
+            named(&v6(&one_row(w)), "graph section");
+        }
+        named(&v6(&[one_row(1), vec![0]].concat()), "graph section");
+        named(&v6(&packed(1, 6, 1)), "graph section");
+        named(&v6(&packed(1 << 31, 32, 32)), "graph section");
+        named(&v6(&packed(1 << 35, 32, 36)), "graph section");
+        // No rows of 2^32 - 1 ids: no 512 MiB row buffer either.
+        invalid_data(&v6(&packed(0, u32::MAX, 1)));
         // A format-5 header that gives the quantization section 1 TiB,
         // or 17 bytes the file holds: refused by name, before the
         // corpus is read.

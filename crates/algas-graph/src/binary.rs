@@ -3,6 +3,25 @@
 //! section as one blob, and each decoder reads its section from an
 //! `io::Read` straight into the structure it fills (see
 //! `algas_vector::binary`).
+//!
+//! # Graph sections
+//!
+//! [`encode_graph`] writes the *packed* form (magic `ALGP`): a 20-byte
+//! header — magic, `n` as `u64`, `degree` and `w` as `u32` — then one
+//! row per vertex of `degree` ids at `w = bit_length(max(n, 1))` bits
+//! each ([`id_bits`]). Ids are packed LSB-first: id `j` of a row holds
+//! bits `j·w .. (j + 1)·w` of the row, and bit `b` of the row is bit
+//! `b % 8` of its byte `b / 8`. Each row is padded to whole bytes,
+//! [`packed_row_bytes`] of them, so a decoder streams one row at a time.
+//! The all-ones code `2^w − 1` is the padding slot: `2^w − 1 ≥ n`, so it
+//! never names a vertex. The form is canonical — `w` is fixed by `n`,
+//! a row's trailing pad bits are zero, and padding only follows a row's
+//! ids — so a graph has exactly one packed encoding.
+//!
+//! [`decode_graph`] also reads the legacy form (magic `ALGR`) that index
+//! formats 1–5 and older benchmark caches hold: a 16-byte header (magic,
+//! `n` as `u64`, `degree` as `u32`) and every id as a little-endian
+//! `u32`, `u32::MAX` for padding.
 
 use crate::csr::{FixedDegreeGraph, INVALID_ID};
 use crate::entry::{HashEntryTable, NO_ENTRY};
@@ -12,8 +31,12 @@ use algas_vector::lsh::{HyperplaneHasher, MAX_SIGNATURE_BITS};
 use std::io::{self, Read};
 
 const GRAPH_MAGIC: u32 = 0x414C_4752; // "ALGR"
+const PACKED_GRAPH_MAGIC: u32 = 0x414C_4750; // "ALGP"
 const PERM_MAGIC: u32 = 0x414C_504D; // "ALPM"
 const ENTRY_MAGIC: u32 = 0x414C_4554; // "ALET"
+
+/// Bytes before a packed graph's rows: magic, `n`, `degree`, `w`.
+const PACKED_HEADER_LEN: usize = 20;
 
 /// Presence flag for the hash table part of an entry blob.
 const ENTRY_HAS_HASH: u8 = 1;
@@ -21,30 +44,76 @@ const ENTRY_HAS_HASH: u8 = 1;
 /// older builds wrote and this one skips.
 const ENTRY_HAS_LADDER: u8 = 2;
 
-/// Serializes a graph (including padding slots, so the roundtrip is
-/// exact).
+/// The width at which a packed graph of `n` vertices stores each id:
+/// `bit_length(n)`, and 1 for the empty graph. Every id is below `n`,
+/// and the all-ones code, one more than the largest id at best, pads.
+pub fn id_bits(n: usize) -> u32 {
+    usize::BITS - n.max(1).leading_zeros()
+}
+
+/// Bytes one row of `degree` ids at `w` bits takes in a packed graph:
+/// `⌈degree·w / 8⌉`, or `None` when that overflows.
+pub fn packed_row_bytes(degree: usize, w: u32) -> Option<usize> {
+    degree.checked_mul(w as usize).map(|bits| bits.div_ceil(8))
+}
+
+/// Serializes a graph in the packed form (module docs), padding slots
+/// included, so the roundtrip is exact.
 pub fn encode_graph(graph: &FixedDegreeGraph) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + graph.nbytes());
-    buf.extend_from_slice(&GRAPH_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(graph.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(graph.degree() as u32).to_le_bytes());
-    for v in 0..graph.len() as u32 {
+    let (n, degree) = (graph.len(), graph.degree());
+    let w = id_bits(n);
+    let row_bytes = packed_row_bytes(degree, w).expect("an in-memory row fits a usize");
+    let pad = pad_code(w);
+    let mut buf = Vec::with_capacity(PACKED_HEADER_LEN + n * row_bytes);
+    buf.extend_from_slice(&PACKED_GRAPH_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(degree as u32).to_le_bytes());
+    buf.extend_from_slice(&w.to_le_bytes());
+    for v in 0..n as u32 {
+        // Bits not yet written, LSB first; fewer than 8 between ids.
+        let (mut acc, mut held) = (0u64, 0u32);
         for &u in graph.row(v) {
-            buf.extend_from_slice(&u.to_le_bytes());
+            let code = if u == INVALID_ID { pad } else { u64::from(u) };
+            acc |= code << held;
+            held += w;
+            while held >= 8 {
+                buf.push(acc as u8);
+                acc >>= 8;
+                held -= 8;
+            }
+        }
+        if held > 0 {
+            buf.push(acc as u8);
         }
     }
     buf
 }
 
-/// Deserializes a `len`-byte graph section from `r`, reading exactly
-/// `len` bytes; rejects wrong magic, zero degree, truncation, a header
-/// whose `n · degree · 4` is not what the section holds, and
-/// structurally invalid rows.
+/// The padding code of `w`-bit ids: all ones.
+fn pad_code(w: u32) -> u64 {
+    (1u64 << w) - 1
+}
+
+/// Deserializes a `len`-byte graph section from `r`, packed or legacy
+/// (module docs), reading exactly `len` bytes. Rejects wrong magic,
+/// zero degree and truncation; a header whose rows are not what the
+/// section holds, or a packed width other than [`id_bits`]`(n)`, before
+/// the graph is reserved; and then rows holding an id out of range, a
+/// self-loop, an id after padding, or non-zero pad bits.
 pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<FixedDegreeGraph> {
     let mut data = LeReader::new(r, len);
-    if data.remaining() < 16 || data.u32()? != GRAPH_MAGIC {
+    if data.remaining() < 16 {
         return Err(invalid("not a graph blob"));
     }
+    match data.u32()? {
+        GRAPH_MAGIC => decode_legacy_graph(data),
+        PACKED_GRAPH_MAGIC => decode_packed_graph(data),
+        _ => Err(invalid("not a graph blob")),
+    }
+}
+
+/// The legacy `u32` rows after their magic.
+fn decode_legacy_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegreeGraph> {
     let n = data.len_u64()?;
     let degree = data.u32()? as usize;
     let payload = n.checked_mul(degree).and_then(|c| c.checked_mul(4));
@@ -67,6 +136,70 @@ pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<FixedDegreeGraph> {
         );
         if row.iter().any(|&u| u as usize >= n || u == v) {
             return Err(invalid("graph blob contains invalid edges"));
+        }
+        graph.set_row(v, &row);
+    }
+    Ok(graph)
+}
+
+/// The packed rows after their magic.
+fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegreeGraph> {
+    if data.remaining() < (PACKED_HEADER_LEN - 4) as u64 {
+        return Err(invalid("packed graph header truncated"));
+    }
+    let n = data.len_u64()?;
+    let degree = data.u32()? as usize;
+    let w = data.u32()?;
+    if degree == 0 {
+        return Err(invalid("packed graph has degree 0"));
+    }
+    if !(1..=32).contains(&w) {
+        return Err(invalid(&format!("packed graph ids are {w} bits wide, not 1 to 32")));
+    }
+    if w != id_bits(n) {
+        return Err(invalid(&format!(
+            "packed graph ids are {w} bits wide, {n} vertices take {}",
+            id_bits(n)
+        )));
+    }
+    let row_bytes = packed_row_bytes(degree, w);
+    let payload = row_bytes.and_then(|b| b.checked_mul(n));
+    if payload.map(|p| p as u64) != Some(data.remaining()) {
+        return Err(invalid(&format!(
+            "packed graph holds {} row bytes, {n} rows of {degree} ids at {w} bits take {}",
+            data.remaining(),
+            payload.map_or("more than a usize".to_string(), |p| p.to_string())
+        )));
+    }
+    // As in the legacy form, a header of no rows sizes nothing.
+    let (width, row_bytes) = if n == 0 { (0, 0) } else { (degree, row_bytes.expect("checked")) };
+    let (w, pad) = (w as usize, pad_code(w));
+    // Bits of a row's last byte past its last id: zero in a canonical row.
+    let tail_bits = (8 - degree * w % 8) % 8;
+    let mut graph = FixedDegreeGraph::new(n, degree);
+    // Eight zero bytes past the row, so every id is one unaligned word
+    // read: its `w ≤ 32` bits start at most 7 bits into the word.
+    let (mut bytes, mut row) = (vec![0u8; row_bytes + 8], Vec::with_capacity(width));
+    for v in 0..n as u32 {
+        data.fill(&mut bytes[..row_bytes])?;
+        row.clear();
+        for slot in 0..degree {
+            let bit = slot * w;
+            let word = u64::from_le_bytes(bytes[bit / 8..bit / 8 + 8].try_into().expect("8 bytes"));
+            let code = (word >> (bit % 8)) & pad;
+            if code == pad {
+                continue;
+            }
+            if row.len() < slot {
+                return Err(invalid(&format!("packed graph row {v} holds an id after padding")));
+            }
+            if code >= n as u64 || code == u64::from(v) {
+                return Err(invalid(&format!("packed graph row {v} holds an invalid id {code}")));
+            }
+            row.push(code as u32);
+        }
+        if tail_bits > 0 && bytes[row_bytes - 1] >> (8 - tail_bits) != 0 {
+            return Err(invalid(&format!("packed graph row {v} has non-zero pad bits")));
         }
         graph.set_row(v, &row);
     }
@@ -332,5 +465,124 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&7u32.to_le_bytes()); // vertex 7 doesn't exist in a 1-vertex graph
         assert!(graph(&buf).is_err());
+    }
+
+    /// The legacy encoding that index formats 1–5 hold: every id a
+    /// little-endian `u32`.
+    fn legacy_blob(g: &FixedDegreeGraph) -> Vec<u8> {
+        let mut buf = GRAPH_MAGIC.to_le_bytes().to_vec();
+        buf.extend_from_slice(&(g.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(g.degree() as u32).to_le_bytes());
+        for v in 0..g.len() as u32 {
+            for &u in g.row(v) {
+                buf.extend_from_slice(&u.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    /// `n` vertices of `degree` slots; row `v` holds `v mod (degree + 1)`
+    /// ids (at most `n - 1`), the vertices after `v` in ring order, so
+    /// rows run from empty to full and reach the largest id.
+    fn ring(n: usize, degree: usize) -> FixedDegreeGraph {
+        let mut g = FixedDegreeGraph::new(n, degree);
+        for v in 0..n {
+            let count = (v % (degree + 1)).min(n - 1);
+            let row: Vec<u32> = (1..=count).map(|j| ((v + j) % n) as u32).collect();
+            g.set_row(v as u32, &row);
+        }
+        g
+    }
+
+    #[test]
+    fn packed_roundtrip_across_id_widths() {
+        for (n, w) in [(0, 1), (1, 1), (2, 2), (7, 3), (8, 4), (9, 4), (255, 8), (256, 9), (257, 9)]
+        {
+            assert_eq!(id_bits(n), w, "n = {n}");
+            // Degrees whose row of degree·w bits ends inside a byte.
+            for degree in [3, 5, 7] {
+                let g = ring(n, degree);
+                let blob = encode_graph(&g);
+                let row_bytes = (degree * w as usize).div_ceil(8);
+                assert_eq!(blob.len(), PACKED_HEADER_LEN + n * row_bytes, "n = {n}, d = {degree}");
+                assert_eq!(graph(&blob).unwrap(), g, "n = {n}, degree = {degree}");
+                // The legacy form of the same graph decodes to it too.
+                assert_eq!(graph(&legacy_blob(&g)).unwrap(), g, "n = {n}, degree = {degree}");
+            }
+        }
+        // The widest ids a 2^16-vertex corpus needs, 17 bits.
+        for n in [(1 << 16) - 1, 1 << 16, (1 << 16) + 1] {
+            let g = ring(n, 3);
+            assert_eq!(graph(&encode_graph(&g)).unwrap(), g, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn packed_ids_are_lsb_first() {
+        // n = 5: 3-bit ids, pad code 7. Row 0 = [1, 4, pad] is
+        // 001 | 100 | 111 from bit 0 up: 0b1110_0001, then 0b1 and
+        // seven zero pad bits.
+        let mut g = FixedDegreeGraph::new(5, 3);
+        g.set_row(0, &[1, 4]);
+        let blob = encode_graph(&g);
+        assert_eq!(blob[16..20], 3u32.to_le_bytes());
+        assert_eq!(blob[20..22], [0b1110_0001, 0b1]);
+        // The four empty rows: nine one bits each.
+        assert_eq!(blob[22..], [0xFF, 0b1].repeat(4));
+    }
+
+    /// The error a packed blob gets, which must be `InvalidData`.
+    fn refused(blob: &[u8]) -> String {
+        let err = graph(blob).expect_err("a hostile packed blob must not decode");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn packed_rejects_hostile_blobs() {
+        // n = 6 (3-bit ids, pad 7), degree 3: 9 bits, 2 bytes a row.
+        let mut g = FixedDegreeGraph::new(6, 3);
+        g.set_row(0, &[1, 2]);
+        let good = encode_graph(&g);
+        assert_eq!(graph(&good).unwrap(), g);
+        let with_width = |w: u32| {
+            let mut b = good.clone();
+            b[16..20].copy_from_slice(&w.to_le_bytes());
+            b
+        };
+        // Widths other than bit_length(n), zero and past 32 included.
+        for w in [0, 2, 4, 32, 33, u32::MAX] {
+            assert!(refused(&with_width(w)).contains("bits wide"), "w = {w}");
+        }
+        // Section lengths other than header + n · ⌈degree·w/8⌉.
+        assert!(refused(&good[..good.len() - 1]).contains("row bytes"));
+        assert!(refused(&[&good[..], &[0]].concat()).contains("row bytes"));
+        assert!(refused(&good[..18]).contains("header truncated"));
+        // Degree 0.
+        let mut zero = good.clone();
+        zero[12..16].copy_from_slice(&0u32.to_le_bytes());
+        assert!(refused(&zero).contains("degree 0"));
+        // Row 0 is bytes 20..22: [1, 2, pad] = 001 010 111 → 0xD1, 0x01.
+        assert_eq!(good[20..22], [0xD1, 0x01]);
+        let with_row0 = |bytes: [u8; 2]| [&good[..20], &bytes, &good[22..]].concat();
+        // A non-zero pad bit.
+        assert!(refused(&with_row0([0xD1, 0x81])).contains("pad bits"));
+        // Id 6 (≥ n, not the pad code 7) first.
+        assert!(refused(&with_row0([0xD6, 0x01])).contains("invalid id 6"));
+        // A self-loop: id 0 in row 0.
+        assert!(refused(&with_row0([0xD0, 0x01])).contains("invalid id 0"));
+        // An id after padding: [pad, 2, pad].
+        assert!(refused(&with_row0([0xD7, 0x01])).contains("after padding"));
+        // n · row_bytes wraps to the (empty) payload length.
+        let mut wrapped = PACKED_GRAPH_MAGIC.to_le_bytes().to_vec();
+        wrapped.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        wrapped.extend_from_slice(&32u32.to_le_bytes());
+        wrapped.extend_from_slice(&63u32.to_le_bytes());
+        assert!(refused(&wrapped).contains("bits wide"));
+        let mut wrapped = PACKED_GRAPH_MAGIC.to_le_bytes().to_vec();
+        wrapped.extend_from_slice(&((1u64 << 31) - 1).to_le_bytes());
+        wrapped.extend_from_slice(&u32::MAX.to_le_bytes());
+        wrapped.extend_from_slice(&31u32.to_le_bytes());
+        assert!(refused(&wrapped).contains("row bytes"));
     }
 }

@@ -337,11 +337,58 @@ pub fn build_knn_graph_nn_descent(
 ///   in serial order (vertex, then pair, then `a ← b` before `b ← a`),
 ///   and each owner reads its runs in chunk order, so every list still
 ///   receives its serial sequence.
+///
+/// Window sizes do not enter that argument, so the join sizes each
+/// window by the pairs it will compare: up to 2 048 vertices and 2^19
+/// pairs. The offers a window buffers are bounded by its pairs, and the
+/// first round, whose lists are all new, gets small windows where later
+/// rounds keep large ones.
 pub fn build_knn_graph_nn_descent_threads(
     base: &VectorStore,
     metric: Metric,
     params: NnDescentParams,
     threads: usize,
+) -> FixedDegreeGraph {
+    nn_descent(base, metric, params, threads, WINDOW_PAIRS)
+}
+
+/// The most vertices one join window holds.
+const MAX_WINDOW: usize = 2048;
+/// The join splits each window into this many chunks (64 vertices each
+/// in a full window) and hands threads one chunk at a time, so a small
+/// window balances across threads as well as a full one.
+const CHUNKS: usize = 32;
+/// The most join pairs a window of more than one vertex may compare.
+/// Each pair buffers at most two 12-byte offers, so a window's offers
+/// stay under 12 MiB: a first-round window on the benchmark corpus
+/// (≈ 2 016 pairs a vertex) is ≈ 260 vertices, a last-round one 2 048.
+const WINDOW_PAIRS: usize = 1 << 19;
+
+/// The end of the join window that starts at `lo`: at most
+/// [`MAX_WINDOW`] vertices, adding vertices while the window's `pairs`
+/// bound stays within `budget` (a first vertex always fits). The bounds
+/// come from the round-start samples, so the windows are the same for
+/// every thread count.
+fn join_window(lo: usize, n: usize, budget: usize, pairs: impl Fn(usize) -> usize) -> usize {
+    let (mut hi, mut total) = (lo, 0usize);
+    while hi < n && hi - lo < MAX_WINDOW {
+        total = total.saturating_add(pairs(hi));
+        if hi > lo && total > budget {
+            break;
+        }
+        hi += 1;
+    }
+    hi
+}
+
+/// [`build_knn_graph_nn_descent_threads`] with windows of at most
+/// `window_pairs` join pairs.
+fn nn_descent(
+    base: &VectorStore,
+    metric: Metric,
+    params: NnDescentParams,
+    threads: usize,
+    window_pairs: usize,
 ) -> FixedDegreeGraph {
     let n = base.len();
     let k = params.k;
@@ -350,13 +397,9 @@ pub fn build_knn_graph_nn_descent_threads(
     let threads = threads.max(1);
 
     let mut lists = random_lists(base, metric, k, params.seed);
-    // Windowing bounds the buffered offers to O(WINDOW · k²); the join
-    // hands each thread CHUNK vertices at a time.
-    const WINDOW: usize = 2048;
-    const CHUNK: usize = 64;
     let per_owner = n.div_ceil(threads);
     let owners = n.div_ceil(per_owner);
-    let mut chunks: Vec<ChunkOffers> = (0..WINDOW.div_ceil(CHUNK).min(n.div_ceil(CHUNK)))
+    let mut chunks: Vec<ChunkOffers> = (0..CHUNKS.min(n))
         .map(|_| ChunkOffers { runs: vec![Vec::new(); owners], ..Default::default() })
         .collect();
     let (mut new_fwd, mut old_fwd, mut new_rev, mut old_rev) =
@@ -371,15 +414,24 @@ pub fn build_knn_graph_nn_descent_threads(
         // Reverse samples, capped like the reference algorithm.
         new_rev.reverse_of(&new_fwd, k);
         old_rev.reverse_of(&old_fwd, k);
+        // A bound on vertex `v`'s join pairs: its new samples with each
+        // other and with its old ones, before duplicates are dropped.
+        let join_pairs = |v: usize| {
+            let len = |rows: &Rows| rows.start[v + 1] - rows.start[v];
+            let (new, old) = (len(&new_fwd) + len(&new_rev), len(&old_fwd) + len(&old_rev));
+            new * new.saturating_sub(1) / 2 + new * old
+        };
         let mut updates = 0usize;
-        for lo in (0..n).step_by(WINDOW) {
-            let hi = (lo + WINDOW).min(n);
-            let window = &mut chunks[..(hi - lo).div_ceil(CHUNK)];
+        let mut lo = 0;
+        while lo < n {
+            let hi = join_window(lo, n, window_pairs, join_pairs);
+            let chunk = (hi - lo).div_ceil(CHUNKS);
+            let window = &mut chunks[..(hi - lo).div_ceil(chunk)];
             // Local join: for each vertex, compare (new × new) and
             // (new × old) pairs among its forward+reverse samples.
             let worst = &lists.worst;
             par_for_each_mut(window, threads, |c, out| {
-                let vs = lo + c * CHUNK..(lo + (c + 1) * CHUNK).min(hi);
+                let vs = lo + c * chunk..(lo + (c + 1) * chunk).min(hi);
                 crate::progress::global().node_done(vs.len() as u64);
                 out.runs.iter_mut().for_each(Vec::clear);
                 for v in vs {
@@ -434,6 +486,7 @@ pub fn build_knn_graph_nn_descent_threads(
                     .map(|h| h.join().expect("apply pass panicked"))
                     .sum::<usize>()
             });
+            lo = hi;
         }
         if (updates as f64) < params.termination_frac * (n * k) as f64 {
             break;
@@ -584,10 +637,11 @@ mod tests {
 
     #[test]
     fn nn_descent_matches_the_recorded_graph_over_three_windows() {
-        // 5000 rows make three join windows per round (2048 + 2048 +
-        // 904), so offers filtered at a later window's bound are pinned
-        // too. The CAGRA graph is optimized from the k-NN graph checked
-        // just before it, which is what `build_with_threads` does. Both
+        // 5000 rows make three or more join windows in every round
+        // (2048 + 2048 + 904 once the rounds thin out), so offers
+        // filtered at a later window's bound are pinned too. The CAGRA
+        // graph is optimized from the k-NN graph checked just before
+        // it, which is what `build_with_threads` does. Both
         // constants were recorded before the join filtered at each
         // window's bound and emitted offers by owner.
         let ds = DatasetSpec::tiny(5000, 24, Metric::L2, 3).generate();
@@ -600,6 +654,41 @@ mod tests {
             assert_eq!(graph_hash(&knn), 0x3488_2ca3_6892_9c20, "k-NN graph, {threads} threads");
             let g = cagra.optimize_with_threads(&ds.base, &knn, threads);
             assert_eq!(graph_hash(&g), 0x8e78_2c3a_021b_2c1e, "CAGRA graph, {threads} threads");
+        }
+    }
+
+    /// The windows `join_window` cuts `0..n` into.
+    fn windows(n: usize, budget: usize, pairs: impl Fn(usize) -> usize + Copy) -> Vec<usize> {
+        let mut ends = vec![0];
+        while ends[ends.len() - 1] < n {
+            ends.push(join_window(ends[ends.len() - 1], n, budget, pairs));
+        }
+        ends
+    }
+
+    #[test]
+    fn join_windows_stay_within_their_pair_budget() {
+        // First-round density (2 016 pairs a vertex) for 1 024 vertices,
+        // then a sparse later round: 260-vertex windows (the fourth has
+        // room for 323 sparse vertices more), then 2 048-vertex ones.
+        let pairs = |v: usize| if v < 1024 { 2016 } else { 100 };
+        assert_eq!(windows(5000, WINDOW_PAIRS, pairs), [0, 260, 520, 780, 1347, 3395, 5000]);
+        // A budget no vertex fits still takes one vertex a window.
+        assert_eq!(windows(3, 0, pairs), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn window_sizes_do_not_change_the_graph() {
+        // One vertex a window, 2 048-vertex windows, and the budget the
+        // build uses: the same graph, at one thread and at three.
+        let ds = DatasetSpec::tiny(2500, 16, Metric::L2, 9).generate();
+        let p = NnDescentParams { k: 12, ..Default::default() };
+        let built = build_knn_graph_nn_descent_threads(&ds.base, Metric::L2, p, 1);
+        for threads in [1, 3] {
+            for budget in [0, WINDOW_PAIRS, usize::MAX] {
+                let g = nn_descent(&ds.base, Metric::L2, p, threads, budget);
+                assert!(g == built, "{threads} threads, {budget} pairs a window");
+            }
         }
     }
 

@@ -371,6 +371,22 @@ fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
     .map_err(io_err)
 }
 
+/// The `info` line on how the file stores the graph's ids: packed at
+/// `bit_length(n)` bits since format 6, a `u32` each before.
+fn graph_ids(graph: &algas_graph::FixedDegreeGraph, version: u32) -> String {
+    let (n, degree) = (graph.len(), graph.degree());
+    let w = algas_graph::binary::id_bits(n);
+    let kib = |bytes: usize| (bytes + 512) / 1024;
+    let row_bytes = algas_graph::binary::packed_row_bytes(degree, w).expect("a row in memory");
+    let packed = kib(n * row_bytes);
+    let wide = kib(graph.nbytes());
+    if algas_core::persist::packs_graph_ids(version) {
+        format!("{n} × {degree} ids at {w} bits: {packed} KiB ({wide} KiB as u32)")
+    } else {
+        format!("{n} × {degree} ids as u32: {wide} KiB ({packed} KiB at {w} bits once re-saved)")
+    }
+}
+
 fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let path = req(flags, "index")?;
     let index = AlgasIndex::load(path).map_err(io_err)?;
@@ -379,7 +395,7 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
     writeln!(
         out,
         "format: v{version}\nvectors: {} x dim {}\nmetric: {}\n\
-         graph: {:?}, degree {} (mean valid {:.1}, min {})\n\
+         graph: {:?}, degree {} (mean valid {:.1}, min {})\ngraph ids: {}\n\
          reachable from medoid-entry BFS: {:.1}%\nmedoid: {}\nquantized: {}\nentry: {}",
         index.base.len(),
         index.base.dim(),
@@ -388,6 +404,7 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
         index.graph.degree(),
         stats.mean_valid_degree,
         stats.min_valid_degree,
+        graph_ids(&index.graph, version),
         stats.reachable_fraction * 100.0,
         index.medoid,
         match &index.quant {
@@ -970,6 +987,12 @@ mod tests {
 
         let msg = run_ok(&["info", "--index", &index]);
         assert!(msg.contains("600 x dim 12"));
+        assert!(msg.contains("format: v6\n"), "{msg}");
+        // 600 × 32 ids at 10 bits: 40 bytes a row, 23 KiB (75 KiB as u32).
+        assert!(
+            msg.contains("graph ids: 600 × 32 ids at 10 bits: 23 KiB (75 KiB as u32)"),
+            "{msg}"
+        );
 
         let msg = run_ok(&[
             "search",
@@ -1044,7 +1067,7 @@ mod tests {
         ]);
         assert!(msg.contains("(SQ8, codes derived at load)"), "{msg}");
         let msg = run_ok(&["info", "--index", &qindex]);
-        assert!(msg.contains("format: v5"), "{msg}");
+        assert!(msg.contains("format: v6"), "{msg}");
         assert!(msg.contains("quantized: SQ8, derived from the fp32 rows at load: "), "{msg}");
         assert!(msg.contains(" KiB codes + "), "{msg}");
         let msg = run_ok(&[

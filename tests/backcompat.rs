@@ -13,10 +13,17 @@
 //!   `algas gen --out b.fvecs --n 300 --nq 20 --dim 8 --seed 71` and
 //!   `algas build --base b.fvecs --quantize true --entry true`; no
 //!   current build writes a ladder, so it cannot be regenerated.
+//! * `tests/fixtures/index_v5.alix` — format v5, the last to store
+//!   every graph id as a `u32`: the same two commands run by a build
+//!   that wrote v5, so quantized (codes derived at load) with the LSH
+//!   table. No current build writes v5.
 //!
-//! Both fixtures store their SQ8 codes. A re-save writes format v5,
-//! which stores none and derives them at load, so each test reloads its
-//! re-save and requires the fixture's stored codes back bit for bit.
+//! The v3 and v4 fixtures store their SQ8 codes. A re-save writes
+//! format v6, which stores none and derives them at load, so each test
+//! reloads its re-save and requires the fixture's stored codes back bit
+//! for bit. Format v6 also packs the graph's ids at `bit_length(n)`
+//! bits, so every re-save's graph section shrinks and must reload to
+//! the same graph.
 
 use algas::core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
 use algas::graph::cagra::CagraParams;
@@ -26,14 +33,25 @@ use algas::vector::{Metric, QuantizedStore};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/index_v3.alix");
 const FIXTURE_V4: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/index_v4.alix");
+const FIXTURE_V5: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/index_v5.alix");
 const N: usize = 300;
 const DIM: usize = 8;
+/// The fixtures' graph degree (`algas build`'s default).
+const DEGREE: usize = 32;
 
 /// Header bytes: magic, version, metric, kind, medoid, then the five
 /// section lengths (corpus, graph, permutation, quantization, entry).
 const VERSION: std::ops::Range<usize> = 4..8;
+const STORE_LEN: std::ops::Range<usize> = 14..22;
+const GRAPH_LEN: std::ops::Range<usize> = 22..30;
 const QUANT_LEN: std::ops::Range<usize> = 38..46;
+const ENTRY_LEN: std::ops::Range<usize> = 46..54;
 const HEADER_LEN: usize = 54;
+/// A graph section of the fixtures' shape: 16 header bytes and a `u32`
+/// per id through v5; 20 header bytes and 300 rows of 32 ids at 9 bits
+/// (36 bytes a row) since v6.
+const U32_GRAPH_LEN: usize = 16 + N * DEGREE * 4;
+const PACKED_GRAPH_LEN: usize = 20 + N * DEGREE * 9 / 8;
 
 /// The `u64` header field at `at`.
 fn field(file: &[u8], at: std::ops::Range<usize>) -> usize {
@@ -118,8 +136,9 @@ fn checked_in_v3_fixture_loads_and_upgrades_to_v4() {
     }
 
     // Upgrade path: build the entry table and rewrite — the file
-    // round-trips as v5 with the section intact, stores the quantization
-    // section's header alone, and derives the fixture's stored codes.
+    // round-trips as v6 with the section intact, stores the quantization
+    // section's header alone, derives the fixture's stored codes, and
+    // packs the graph.
     let stored = index.quant.clone().unwrap();
     let mut upgraded = index;
     upgraded.build_entry_index(&EntryParams::default());
@@ -128,8 +147,10 @@ fn checked_in_v3_fixture_loads_and_upgrades_to_v4() {
     let new = std::fs::read(&path).unwrap();
     let back = AlgasIndex::load(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    assert_eq!(new[VERSION], 5u32.to_le_bytes()[..]);
+    assert_eq!(new[VERSION], 6u32.to_le_bytes()[..]);
     assert_eq!(field(&new, QUANT_LEN), 16);
+    assert_eq!(field(&new, GRAPH_LEN), PACKED_GRAPH_LEN);
+    assert_eq!(back.graph, upgraded.graph);
     assert_eq!(back.entry, upgraded.entry);
     assert!(same_bits(back.quant.as_ref().unwrap(), &stored), "derived codes differ from v3's");
     assert_eq!(back.base, upgraded.base);
@@ -162,28 +183,110 @@ fn checked_in_v4_fixture_with_a_ladder_loads_serves_and_resaves_without_it() {
     let back = AlgasIndex::load(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(back.entry, Some(table));
+    assert_eq!(back.graph, index.graph);
     assert!(same_bits(back.quant.as_ref().unwrap(), &stored), "derived codes differ from v4's");
-    // Byte for byte: the header changes in three fields — version 4 →
-    // 5, the quantization section's length (38..46) → its 16-byte
-    // header, and the entry section's (46..54). The quantization
-    // section keeps its header and drops the tables and codes; the
-    // entry section is last, and its byte 4 holds the section flags
-    // (hash 1, ladder 2). Everything else is unchanged, and the new
-    // entry section is the old one cut where the ladder began.
-    assert_eq!((&old[VERSION], &new[VERSION]), (&4u32.to_le_bytes()[..], &5u32.to_le_bytes()[..]));
+    // Byte for byte: the header changes in four fields — version 4 →
+    // 6, the graph section's length (22..30) → its packed length, the
+    // quantization section's (38..46) → its 16-byte header, and the
+    // entry section's (46..54). The corpus section is unchanged; the
+    // graph section is rewritten packed (and reloads to the same graph,
+    // above); the quantization section keeps its header and drops the
+    // tables and codes; the entry section is last, and its byte 4 holds
+    // the section flags (hash 1, ladder 2). Everything else is
+    // unchanged, and the new entry section is the old one cut where the
+    // ladder began.
+    assert_eq!((&old[VERSION], &new[VERSION]), (&4u32.to_le_bytes()[..], &6u32.to_le_bytes()[..]));
     assert_eq!(new[..4], old[..4]);
-    assert_eq!(new[8..QUANT_LEN.start], old[8..QUANT_LEN.start]);
+    assert_eq!(new[8..GRAPH_LEN.start], old[8..GRAPH_LEN.start]);
+    assert_eq!(index.graph.degree(), DEGREE);
+    let (old_graph, new_graph) = (field(&old, GRAPH_LEN), field(&new, GRAPH_LEN));
+    assert_eq!((old_graph, new_graph), (U32_GRAPH_LEN, PACKED_GRAPH_LEN));
+    assert_eq!(new[GRAPH_LEN.end..QUANT_LEN.start], old[GRAPH_LEN.end..QUANT_LEN.start]);
     let (old_quant, new_quant) = (field(&old, QUANT_LEN), field(&new, QUANT_LEN));
     assert_eq!((old_quant, new_quant), (16 + 2 * DIM * 4 + N * DIM, 16));
-    let entry_len = |file: &[u8]| field(file, 46..54);
-    let (old_entry, new_entry) = (entry_len(&old), entry_len(&new));
+    let (old_entry, new_entry) = (field(&old, ENTRY_LEN), field(&new, ENTRY_LEN));
     assert!(new_entry < old_entry, "the ladder section is dropped");
-    let quant_at = old.len() - old_entry - old_quant;
-    assert_eq!(new.len() - new_entry - new_quant, quant_at);
-    assert_eq!(new[HEADER_LEN..quant_at + 16], old[HEADER_LEN..quant_at + 16]);
+    let graph_at = HEADER_LEN + field(&old, STORE_LEN);
+    assert_eq!(new[HEADER_LEN..graph_at], old[HEADER_LEN..graph_at]);
+    let (old_quant_at, new_quant_at) = (graph_at + old_graph, graph_at + new_graph);
+    assert_eq!(old.len() - old_entry - old_quant, old_quant_at);
+    assert_eq!(new.len() - new_entry - new_quant, new_quant_at);
+    assert_eq!(new[new_quant_at..new_quant_at + 16], old[old_quant_at..old_quant_at + 16]);
     let (old_at, new_at) = (old.len() - old_entry, new.len() - new_entry);
-    assert_eq!(new_at, quant_at + 16);
+    assert_eq!(new_at, new_quant_at + 16);
     assert_eq!((old[old_at + 4], new[new_at + 4]), (3, 1));
     assert_eq!(new[new_at..new_at + 4], old[old_at..old_at + 4]);
     assert_eq!(new[new_at + 5..], old[old_at + 5..old_at + new_entry]);
+}
+
+/// Runs one `algas` command line (arguments split at whitespace, so
+/// its paths hold none) and returns what it printed.
+fn algas(line: &str) -> String {
+    let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    let mut out = Vec::new();
+    algas::cli::run(&args, &mut out).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+    String::from_utf8(out).unwrap()
+}
+
+#[test]
+fn checked_in_v5_fixture_serves_like_its_build_and_resaves_as_v6() {
+    assert_eq!(algas::core::persist::format_version(FIXTURE_V5).unwrap(), 5);
+    let index = AlgasIndex::load(FIXTURE_V5).expect("v5 fixture must load");
+    assert_eq!((index.base.len(), index.base.dim(), index.graph.degree()), (N, DIM, DEGREE));
+    assert!(index.quant.is_some() && index.entry.is_some(), "quantized, with the LSH table");
+    let info = algas(&format!("info --index {FIXTURE_V5}"));
+    assert!(
+        info.contains("graph ids: 300 × 32 ids as u32: 38 KiB (11 KiB at 9 bits once re-saved)")
+    );
+
+    // The index it was built from: the same two commands, run by this
+    // build. Every part of it loads equal, so it serves the same
+    // answers, and the fixture does so under every entry policy.
+    let dir = std::env::temp_dir().join(format!("algas-v5-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (base, queries) = (path("b.fvecs"), path("q.fvecs"));
+    algas(&format!("gen --out {base} --queries {queries} --n 300 --nq 20 --dim 8 --seed 71"));
+    algas(&format!(
+        "build --base {base} --quantize true --entry true --out {}",
+        path("built.alix")
+    ));
+    let built = AlgasIndex::load(path("built.alix")).unwrap();
+    let queries = algas::vector::io::read_fvecs(std::fs::File::open(queries).unwrap()).unwrap();
+    assert_eq!(
+        (&index.base, &index.graph, index.medoid),
+        (&built.base, &built.graph, built.medoid)
+    );
+    assert_eq!((&index.quant, &index.entry), (&built.quant, &built.entry));
+    for policy in [EntryPolicy::HashTable, EntryPolicy::Medoid] {
+        let cfg = EngineConfig { k: 10, l: 32, entry_policy: policy, ..Default::default() };
+        let engines = [&index, &built].map(|i| AlgasEngine::new(i.clone(), cfg).unwrap());
+        let mut scratch = engines.each_ref().map(|e| e.make_scratch());
+        for q in 0..queries.len() {
+            for (e, s) in engines.iter().zip(&mut scratch) {
+                e.serve_into(queries.get(q), q as u64, s);
+            }
+            assert_eq!(scratch[0].topk, scratch[1].topk, "query {q} under {policy:?}");
+            assert_eq!(scratch[0].topk.len(), 10);
+        }
+    }
+
+    // A re-save is v6: the graph section packed, reloading to the same
+    // graph, and every other section as the fixture stores it.
+    index.save(path("resaved.alix")).unwrap();
+    let (old, new) =
+        (std::fs::read(FIXTURE_V5).unwrap(), std::fs::read(path("resaved.alix")).unwrap());
+    let back = AlgasIndex::load(path("resaved.alix")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(back.graph, index.graph);
+    assert_eq!((&back.base, &back.quant, &back.entry), (&index.base, &index.quant, &index.entry));
+    assert_eq!((&old[VERSION], &new[VERSION]), (&5u32.to_le_bytes()[..], &6u32.to_le_bytes()[..]));
+    let (old_graph, new_graph) = (field(&old, GRAPH_LEN), field(&new, GRAPH_LEN));
+    assert_eq!((old_graph, new_graph), (U32_GRAPH_LEN, PACKED_GRAPH_LEN));
+    assert_eq!(new.len(), old.len() - old_graph + new_graph);
+    assert_eq!((&new[..4], &new[8..GRAPH_LEN.start]), (&old[..4], &old[8..GRAPH_LEN.start]));
+    assert_eq!(new[GRAPH_LEN.end..HEADER_LEN], old[GRAPH_LEN.end..HEADER_LEN]);
+    let graph_at = HEADER_LEN + field(&old, STORE_LEN);
+    assert_eq!(new[HEADER_LEN..graph_at], old[HEADER_LEN..graph_at]);
+    assert_eq!(new[graph_at + new_graph..], old[graph_at + old_graph..]);
 }

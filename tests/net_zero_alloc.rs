@@ -5,22 +5,47 @@
 //! its payload from the input, and every `*_into` decoder reuses its
 //! caller's buffers.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; this
-//! file holds exactly one test so no concurrent test can perturb the
-//! counter (each integration-test file is its own binary, and the
-//! allocator is per-binary).
+//! A counting `#[global_allocator]` wraps the system allocator. It
+//! counts only the allocations of a thread that armed it: the codec runs
+//! on the test's own thread, while the harness's other threads (its
+//! output capture, its timers) allocate whenever they like and must not
+//! count. This file also holds exactly one test (each integration-test
+//! file is its own binary, and the allocator is per-binary).
 
 use algas::core::net::frame::{self, Decoded};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. A `const` cell
+    /// needs no lazy initialization, so reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread armed the counter.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The allocations `f` makes on the calling thread.
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
+    f();
+    ARMED.with(|armed| armed.set(false));
+    ALLOC_CALLS.load(Ordering::Relaxed) - before
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -135,17 +160,12 @@ fn steady_state_codec_allocates_nothing_after_warmup() {
     }
 
     // Measured pass: many rounds, zero heap traffic.
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for i in 0..ROUNDS {
-        checksum += codec_round(i, &query, &ids, &distances, &mut scratch);
-    }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let allocs = allocations_of(|| {
+        for i in 0..ROUNDS {
+            checksum += codec_round(i, &query, &ids, &distances, &mut scratch);
+        }
+    });
 
     assert_eq!(checksum, ((ROUNDS + 4) as u64) * (2 * DIM + K + 1234 + 77) as u64);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state frame encode/decode allocated {} times after warmup",
-        after - before
-    );
+    assert_eq!(allocs, 0, "steady-state frame encode/decode allocated {allocs} times after warmup");
 }
