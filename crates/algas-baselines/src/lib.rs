@@ -8,7 +8,9 @@
 //!   bundling each method's functional search with its batching
 //!   discipline: ALGAS (dynamic slots, beam extend, CPU merge), CAGRA
 //!   (static batches, multi-CTA, GPU merge), GANNS (static batches,
-//!   single CTA), and IVF.
+//!   single CTA), and IVF. The engine-backed three run the §IV-C tuner
+//!   ([`methods::tuned`]) and share one `QueryWork` packer
+//!   ([`methods::run_engine`]).
 //!
 //! CAGRA and GANNS deliberately reuse the search machinery of
 //! `algas-core` under restricted configurations — ALGAS's searcher *is*
@@ -21,4 +23,7 @@ pub mod ivf;
 pub mod methods;
 
 pub use ivf::{build_ivf, IvfIndex, IvfParams};
-pub use methods::{AlgasMethod, CagraMethod, GannsMethod, IvfMethod, MethodRun, SearchMethod};
+pub use methods::{
+    each_search, run_engine, tuned, AlgasMethod, BuildError, CagraMethod, GannsMethod, IvfMethod,
+    MethodRun, SearchMethod,
+};

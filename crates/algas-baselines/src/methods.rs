@@ -9,16 +9,30 @@
 //! * **GANNS** — single-CTA greedy search (no multi-CTA
 //!   implementation), static batches, no merge.
 //! * **IVF** — FAISS-style IVF-Flat, static batches, GPU merge.
+//!
+//! The three engine-backed methods fit `N_parallel` to the simulated
+//! A6000 with the §IV-C tuner ([`tuned`]) and turn the engine's
+//! charged cycles into [`QueryWork`] with one packer ([`run_engine`]).
 
 use crate::ivf::{build_ivf, IvfIndex, IvfParams};
-use algas_core::engine::{AlgasEngine, AlgasIndex, BeamMode, EngineConfig};
-use algas_core::tuning::TuningError;
+use algas_core::engine::{AlgasEngine, AlgasIndex, BeamMode, EngineConfig, SearchScratch};
+use algas_core::search::BeamParams;
+use algas_core::tracer::CtaTrace;
 use algas_gpu_sim::occupancy::{device_occupancy, BlockDemand};
 use algas_gpu_sim::sched::dynamic::{run_dynamic, DynamicConfig, StateMode};
 use algas_gpu_sim::sched::static_batch::{run_static, StaticBatchConfig};
-use algas_gpu_sim::{CostModel, DeviceProps, MergePlacement, QueryWork, SimReport};
+use algas_gpu_sim::{
+    tune, CostModel, CtaWork, DeviceProps, HostCostModel, MergePlacement, QueryWork, SimReport,
+    TuningInput, TuningPlan,
+};
 use algas_graph::entry::EntryPolicy;
 use algas_vector::VectorStore;
+
+/// Why a method could not be built: the tuner found no resident plan
+/// ([`algas_gpu_sim::TuningError`]), an explicit `N_parallel` is not
+/// resident, or the engine refused the configuration
+/// ([`algas_core::ConfigError`]).
+pub type BuildError = Box<dyn std::error::Error>;
 
 /// Functional output of a method over a query set.
 #[derive(Clone, Debug)]
@@ -41,49 +55,113 @@ pub trait SearchMethod {
     fn simulate(&self, works: &[QueryWork], arrivals: &[u64]) -> SimReport;
 }
 
-/// Device residency capacity for search blocks of the given engine
-/// plan (block cap ∧ shared-memory cap).
-fn capacity_for(engine: &AlgasEngine) -> usize {
-    let plan = engine.plan();
-    let occ = device_occupancy(
-        &DeviceProps::rtx_a6000(),
-        &BlockDemand {
-            threads: plan.threads_per_block,
-            shared_mem_bytes: plan.shared_mem_per_block,
-        },
-    );
-    occ.total_resident_blocks.max(1)
+/// The §IV-C plan for `cfg` on the simulated A6000, and an engine that
+/// runs its `N_parallel`. The tuner picks the largest CTA count that
+/// keeps every slot resident; an explicit `cfg.n_parallel` is honored
+/// only if it is resident as given.
+///
+/// # Errors
+/// The tuner's error, or the engine's.
+pub fn tuned(
+    index: AlgasIndex,
+    cfg: EngineConfig,
+) -> Result<(AlgasEngine, TuningPlan), BuildError> {
+    let device = DeviceProps::rtx_a6000();
+    let mut input = TuningInput::new(device, cfg.slots, index.base.dim(), cfg.l, cfg.k);
+    input.graph_degree = index.graph.degree();
+    input.beam_width = match cfg.beam {
+        BeamMode::Greedy => 1,
+        BeamMode::Auto => BeamParams::default_for(cfg.l).beam_width,
+    };
+    if let Some(np) = cfg.n_parallel {
+        input.max_n_parallel = np;
+    }
+    let plan = tune(&input)?;
+    if let Some(np) = cfg.n_parallel.filter(|&np| np != plan.n_parallel) {
+        let (slots, max_blocks) = (cfg.slots, device.max_resident_blocks());
+        let why = format!("{slots} slots × {np} CTAs cannot all be resident ({max_blocks} blocks)");
+        return Err(why.into());
+    }
+    let engine =
+        AlgasEngine::new(index, EngineConfig { n_parallel: Some(plan.n_parallel), ..cfg })?;
+    Ok((engine, plan))
+}
+
+/// Runs `engine`'s paper path ([`AlgasEngine::search_into`]) over
+/// `queries` on one scratch, handing `visit` each finished search.
+pub fn each_search(
+    engine: &AlgasEngine,
+    queries: &VectorStore,
+    mut visit: impl FnMut(&SearchScratch),
+) {
+    let mut scratch = engine.make_scratch();
+    for qid in 0..queries.len() {
+        engine.search_into(queries.get(qid), qid as u64, &mut scratch);
+        visit(&scratch);
+    }
+}
+
+/// The figures' run of an engine: each query's TopK ids, and its timed
+/// work — the cycles every CTA was charged at the A6000's clock, the
+/// PCIe bytes, and the price of either merge placement.
+pub fn run_engine(engine: &AlgasEngine, queries: &VectorStore) -> MethodRun {
+    let dev = DeviceProps::rtx_a6000();
+    // Each CTA ships its whole fetch list back to the host.
+    let per_cta_k = engine.fetch_k();
+    let mut run = MethodRun { results: Vec::new(), works: Vec::new() };
+    each_search(engine, queries, |s| {
+        let n = s.multi.n_active();
+        let cta = |t: &CtaTrace| CtaWork {
+            search_ns: dev.cycles_to_ns(t.totals().total_cycles()),
+            steps: t.n_steps() as u32,
+        };
+        let gpu_merge_cycles = CostModel::default().gpu_topk_merge_cycles(n, per_cta_k);
+        run.results.push(s.topk.iter().map(|&(_, id)| id).collect());
+        run.works.push(QueryWork {
+            ctas: (0..n).map(|c| cta(s.multi.trace(c))).collect(),
+            query_bytes: (queries.dim() * 4) as u64,
+            result_bytes: (n * per_cta_k * 8) as u64,
+            gpu_merge_ns: dev.cycles_to_ns(gpu_merge_cycles),
+            host_merge_ns: HostCostModel::default().merge_ns(n, per_cta_k),
+        });
+    });
+    run
+}
+
+/// Device residency capacity for search blocks of a tuner plan (block
+/// cap ∧ shared-memory cap).
+fn capacity_for(plan: &TuningPlan) -> usize {
+    let demand = BlockDemand {
+        threads: plan.threads_per_block,
+        shared_mem_bytes: plan.shared_mem_per_block,
+    };
+    device_occupancy(&DeviceProps::rtx_a6000(), &demand).total_resident_blocks.max(1)
+}
+
+/// The static-batching configuration a baseline simulates with.
+fn static_config(batch_size: usize, merge: MergePlacement, plan: &TuningPlan) -> StaticBatchConfig {
+    StaticBatchConfig { batch_size, merge, capacity: capacity_for(plan), ..Default::default() }
 }
 
 /// The ALGAS method.
 pub struct AlgasMethod {
     engine: AlgasEngine,
-    /// Host poller threads (§V-B).
-    pub host_threads: usize,
-    /// State observation mode (§V-A).
-    pub state_mode: StateMode,
+    plan: TuningPlan,
 }
 
 impl AlgasMethod {
     /// Builds the method over an index with the paper's defaults
     /// (beam extend on, adaptive `N_parallel`, state copies, result
     /// rows contiguous).
-    pub fn new(index: AlgasIndex, k: usize, l: usize, slots: usize) -> Result<Self, TuningError> {
+    pub fn new(index: AlgasIndex, k: usize, l: usize, slots: usize) -> Result<Self, BuildError> {
         let cfg = EngineConfig { k, l, slots, beam: BeamMode::Auto, ..Default::default() };
-        Ok(Self {
-            engine: AlgasEngine::new(index, cfg)?,
-            host_threads: 2,
-            state_mode: StateMode::LocalCopy,
-        })
+        Self::with_config(index, cfg)
     }
 
-    /// Builds from an explicit engine configuration.
-    pub fn with_config(index: AlgasIndex, cfg: EngineConfig) -> Result<Self, TuningError> {
-        Ok(Self {
-            engine: AlgasEngine::new(index, cfg)?,
-            host_threads: 2,
-            state_mode: StateMode::LocalCopy,
-        })
+    /// Builds from an explicit engine configuration, tuned by [`tuned`].
+    pub fn with_config(index: AlgasIndex, cfg: EngineConfig) -> Result<Self, BuildError> {
+        let (engine, plan) = tuned(index, cfg)?;
+        Ok(Self { engine, plan })
     }
 
     /// Access to the tuned engine.
@@ -91,13 +169,14 @@ impl AlgasMethod {
         &self.engine
     }
 
-    /// The dynamic-batching configuration this method simulates with.
+    /// The dynamic-batching configuration this method simulates with:
+    /// two host pollers (§V-B) observing local state copies (§V-A).
     pub fn dynamic_config(&self) -> DynamicConfig {
         DynamicConfig {
             n_slots: self.engine.config().slots,
-            host_threads: self.host_threads,
-            state_mode: self.state_mode,
-            capacity: capacity_for(&self.engine),
+            host_threads: 2,
+            state_mode: StateMode::LocalCopy,
+            capacity: capacity_for(&self.plan),
             ..DynamicConfig::default()
         }
     }
@@ -109,8 +188,7 @@ impl SearchMethod for AlgasMethod {
     }
 
     fn run_workload(&self, queries: &VectorStore) -> MethodRun {
-        let wl = self.engine.run_workload(queries);
-        MethodRun { results: wl.results, works: wl.works }
+        run_engine(&self.engine, queries)
     }
 
     fn simulate(&self, works: &[QueryWork], arrivals: &[u64]) -> SimReport {
@@ -122,6 +200,7 @@ impl SearchMethod for AlgasMethod {
 /// batching with the TopK merge on the GPU.
 pub struct CagraMethod {
     engine: AlgasEngine,
+    plan: TuningPlan,
     batch_size: usize,
 }
 
@@ -132,7 +211,7 @@ impl CagraMethod {
         k: usize,
         l: usize,
         batch_size: usize,
-    ) -> Result<Self, TuningError> {
+    ) -> Result<Self, BuildError> {
         let cfg = EngineConfig {
             k,
             l,
@@ -141,22 +220,8 @@ impl CagraMethod {
             entry_policy: EntryPolicy::Hashed { seed: 0xCA62A },
             ..Default::default()
         };
-        Ok(Self { engine: AlgasEngine::new(index, cfg)?, batch_size })
-    }
-
-    /// Access to the engine.
-    pub fn engine(&self) -> &AlgasEngine {
-        &self.engine
-    }
-
-    /// The static-batching configuration this method simulates with.
-    pub fn static_config(&self) -> StaticBatchConfig {
-        StaticBatchConfig {
-            batch_size: self.batch_size,
-            merge: MergePlacement::Gpu,
-            capacity: capacity_for(&self.engine),
-            ..StaticBatchConfig::default()
-        }
+        let (engine, plan) = tuned(index, cfg)?;
+        Ok(Self { engine, plan, batch_size })
     }
 }
 
@@ -166,12 +231,15 @@ impl SearchMethod for CagraMethod {
     }
 
     fn run_workload(&self, queries: &VectorStore) -> MethodRun {
-        let wl = self.engine.run_workload(queries);
-        MethodRun { results: wl.results, works: wl.works }
+        run_engine(&self.engine, queries)
     }
 
     fn simulate(&self, works: &[QueryWork], arrivals: &[u64]) -> SimReport {
-        run_static(works, arrivals, &self.static_config())
+        run_static(
+            works,
+            arrivals,
+            &static_config(self.batch_size, MergePlacement::Gpu, &self.plan),
+        )
     }
 }
 
@@ -179,6 +247,7 @@ impl SearchMethod for CagraMethod {
 /// batches, no merge. Modified as in the paper to accept small batches.
 pub struct GannsMethod {
     engine: AlgasEngine,
+    plan: TuningPlan,
     batch_size: usize,
 }
 
@@ -190,7 +259,7 @@ impl GannsMethod {
         k: usize,
         l: usize,
         batch_size: usize,
-    ) -> Result<Self, TuningError> {
+    ) -> Result<Self, BuildError> {
         let cfg = EngineConfig {
             k,
             l,
@@ -200,22 +269,13 @@ impl GannsMethod {
             entry_policy: EntryPolicy::Medoid,
             ..Default::default()
         };
-        Ok(Self { engine: AlgasEngine::new(index, cfg)?, batch_size })
+        let (engine, plan) = tuned(index, cfg)?;
+        Ok(Self { engine, plan, batch_size })
     }
 
     /// Access to the engine.
     pub fn engine(&self) -> &AlgasEngine {
         &self.engine
-    }
-
-    /// The static-batching configuration this method simulates with.
-    pub fn static_config(&self) -> StaticBatchConfig {
-        StaticBatchConfig {
-            batch_size: self.batch_size,
-            merge: MergePlacement::None,
-            capacity: capacity_for(&self.engine),
-            ..StaticBatchConfig::default()
-        }
     }
 }
 
@@ -225,12 +285,15 @@ impl SearchMethod for GannsMethod {
     }
 
     fn run_workload(&self, queries: &VectorStore) -> MethodRun {
-        let wl = self.engine.run_workload(queries);
-        MethodRun { results: wl.results, works: wl.works }
+        run_engine(&self.engine, queries)
     }
 
     fn simulate(&self, works: &[QueryWork], arrivals: &[u64]) -> SimReport {
-        run_static(works, arrivals, &self.static_config())
+        run_static(
+            works,
+            arrivals,
+            &static_config(self.batch_size, MergePlacement::None, &self.plan),
+        )
     }
 }
 
@@ -399,6 +462,36 @@ mod tests {
             mean(&wg),
             mean(&wa)
         );
+    }
+
+    #[test]
+    fn the_tuner_fits_n_parallel_to_the_device() {
+        let idx = cagra_index(&dataset());
+        let np = |slots, n_parallel| {
+            let cfg = EngineConfig { k: 10, l: 32, slots, n_parallel, ..Default::default() };
+            tuned(idx.clone(), cfg).map(|(e, p)| (e.plan().n_parallel, p.n_parallel))
+        };
+        assert_eq!(np(168, None).unwrap(), (8, 8));
+        assert_eq!(np(169, None).unwrap(), (4, 4));
+        assert_eq!(np(16, Some(2)).unwrap(), (2, 2));
+        // An explicit N_parallel is honored only if resident.
+        let err = np(169, Some(8)).unwrap_err().to_string();
+        assert_eq!(err, "169 slots × 8 CTAs cannot all be resident (1344 blocks)");
+    }
+
+    #[test]
+    fn work_descriptors_ship_each_ctas_fetch_list() {
+        let ds = dataset();
+        for quantize in [false, true] {
+            let cfg = EngineConfig { k: 10, l: 32, slots: 8, quantize, ..Default::default() };
+            let m = AlgasMethod::with_config(cagra_index(&ds), cfg).unwrap();
+            let (np, w) = (m.engine().plan().n_parallel, &m.run_workload(&ds.queries).works[0]);
+            // k per CTA on fp32 rows, the rerank pool on SQ8 codes.
+            let per_cta = if quantize { m.engine().rerank_depth().min(32) } else { 10 };
+            assert_eq!((w.n_ctas(), w.query_bytes), (np, 16 * 4));
+            assert_eq!(w.result_bytes, (np * per_cta * 8) as u64);
+            assert!(w.max_cta_ns() > 0 && w.host_merge_ns < w.gpu_merge_ns);
+        }
     }
 
     #[test]

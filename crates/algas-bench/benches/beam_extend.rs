@@ -2,6 +2,7 @@
 //! on the same index (the functional search *is* the work here — fewer
 //! sorts also means fewer host-side maintenance operations).
 
+use algas_baselines::each_search;
 use algas_core::engine::{AlgasEngine, AlgasIndex, BeamMode, EngineConfig};
 use algas_graph::cagra::CagraParams;
 use algas_vector::datasets::DatasetSpec;
@@ -23,15 +24,12 @@ fn bench_beam_vs_greedy(c: &mut Criterion) {
             .unwrap();
             group.bench_with_input(BenchmarkId::new(name, l), &l, |b, _| {
                 b.iter(|| {
-                    let wl = engine.run_workload(black_box(&ds.queries));
                     // Simulated GPU cycles are the paper's metric;
                     // return them so the work isn't optimized away.
-                    let cycles: u64 = wl
-                        .traces
-                        .iter()
-                        .flat_map(|m| m.traces.iter())
-                        .map(|t| t.totals().total_cycles())
-                        .sum();
+                    let mut cycles = 0u64;
+                    each_search(&engine, black_box(&ds.queries), |s| {
+                        cycles += s.multi.step_totals().total_cycles();
+                    });
                     black_box(cycles)
                 })
             });

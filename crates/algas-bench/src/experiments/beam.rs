@@ -3,7 +3,7 @@
 use crate::experiments::{index_of, K};
 use crate::prep::Prepared;
 use crate::report::{f1, f3, measure, pct, ExperimentReport, Table};
-use algas_baselines::AlgasMethod;
+use algas_baselines::{each_search, AlgasMethod};
 use algas_core::engine::{BeamMode, EngineConfig};
 use algas_core::tracer::StepTotals;
 use algas_graph::GraphKind;
@@ -73,13 +73,8 @@ pub fn fig17(prepared: &[Prepared]) -> ExperimentReport {
         let l = 128;
         let agg = |mode: BeamMode| {
             let m = method_with_beam(p, l, mode);
-            let wl = m.engine().run_workload(&p.ds.queries);
             let mut agg = StepTotals::default();
-            for multi in &wl.traces {
-                for tr in &multi.traces {
-                    agg.merge(&tr.totals());
-                }
-            }
+            each_search(m.engine(), &p.ds.queries, |s| agg.merge(&s.multi.step_totals()));
             (agg.sort_fraction(), agg.total_cycles(), agg.sorts)
         };
         let (sf_g, total_g, sorts_g) = agg(BeamMode::Greedy);

@@ -3,6 +3,7 @@
 use crate::experiments::{make_ganns, K};
 use crate::prep::Prepared;
 use crate::report::{f1, pct, percentile_sorted, ExperimentReport, Table};
+use algas_baselines::each_search;
 use algas_core::tracer::StepTotals;
 use algas_gpu_sim::{run_static, MergePlacement, QueryWork, StaticBatchConfig};
 use algas_graph::GraphKind;
@@ -124,13 +125,8 @@ pub fn fig3(prepared: &[Prepared]) -> ExperimentReport {
     let mut fracs = Vec::new();
     for p in prepared {
         let method = make_ganns(p, GraphKind::Nsw, K, 64, 16);
-        let wl = method.engine().run_workload(&p.ds.queries);
         let mut agg = StepTotals::default();
-        for multi in &wl.traces {
-            for tr in &multi.traces {
-                agg.merge(&tr.totals());
-            }
-        }
+        each_search(method.engine(), &p.ds.queries, |s| agg.merge(&s.multi.step_totals()));
         let total = agg.total_cycles() as f64;
         let sf = agg.sort_fraction();
         fracs.push(sf);
@@ -173,17 +169,16 @@ pub fn fig7(prepared: &[Prepared]) -> ExperimentReport {
     ]);
     for p in prepared {
         let method = make_ganns(p, GraphKind::Nsw, K, 64, 16);
-        let wl = method.engine().run_workload(&p.ds.queries);
         // Average the normalized distance trajectory over all queries:
         // sample each query's series at fixed fractional positions.
         let fractions = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0];
         let mut sums = vec![0.0f64; fractions.len()];
         let mut early_drop = 0.0f64;
         let mut count = 0usize;
-        for multi in &wl.traces {
-            let series = multi.traces[0].head_distance_series();
+        each_search(method.engine(), &p.ds.queries, |s| {
+            let series = s.multi.trace(0).head_distance_series();
             if series.len() < 4 {
-                continue;
+                return;
             }
             let first = series[0] as f64;
             let last = *series.last().unwrap() as f64;
@@ -195,7 +190,7 @@ pub fn fig7(prepared: &[Prepared]) -> ExperimentReport {
             let q25 = series[(series.len() - 1) / 4] as f64;
             early_drop += (first - q25) / range;
             count += 1;
-        }
+        });
         let mut cells = vec![p.label()];
         for s in &sums {
             cells.push(format!("{:.2}", s / count as f64));

@@ -1,7 +1,7 @@
 //! Online SLO-adaptive search control.
 //!
-//! The §IV-C tuner picks a static plan — chosen once per device and
-//! shape, blind to the live workload. This module closes the loop: the
+//! An engine plans once, from its configuration — a static plan, blind
+//! to the live workload. This module closes the loop: the
 //! serving runtime feeds every completed query's *service span*
 //! (`submit → reply` as the worker measures it: queue wait, worker
 //! pickup, search and the reply build — what the client is promised, of which

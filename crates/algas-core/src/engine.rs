@@ -1,20 +1,21 @@
-//! The ALGAS engine: index + tuned configuration + traced search.
+//! The ALGAS engine: index + configuration + search.
 //!
 //! [`AlgasEngine`] is the crate's main entry point. It owns an
-//! [`AlgasIndex`], runs the §IV-C tuner once at construction, executes
-//! multi-CTA beam-extend searches (functionally exact, cost-traced),
-//! and packages each query's timed work as
-//! [`algas_gpu_sim::QueryWork`] for the batching simulators.
+//! [`AlgasIndex`], plans once from its [`EngineConfig`] (`N_parallel`
+//! walkers, the beam, the rerank depth), and runs multi-CTA
+//! beam-extend searches, functionally exact, each step charged in
+//! simulated GPU cycles ([`SearchContext::cost`]). Packaging those
+//! cycles as timed work for the batching simulators, and fitting
+//! `N_parallel` to a GPU's residency (§IV-C), is the figures' business
+//! (`algas-baselines`).
 
 use crate::control::SloController;
-use crate::merge::{merge_topk_into, HostCostModel, MergeScratch};
+use crate::merge::{merge_topk_into, MergeScratch};
 use crate::search::intra::IntraParams;
-use crate::search::multi::{
-    search_multi_seeded_into, MultiParams, MultiResult, MultiScratch, Schedule,
-};
+use crate::search::multi::{search_multi_seeded_into, MultiParams, MultiScratch, Schedule};
 use crate::search::{BeamParams, SearchContext};
-use crate::tuning::{tune, EffortLadder, EffortStep, TuningError, TuningInput, TuningPlan};
-use algas_gpu_sim::{CostModel, CtaWork, DeviceProps, QueryWork};
+use crate::tuning::{EffortLadder, EffortStep};
+use algas_gpu_sim::CostModel;
 use algas_graph::entry::{medoid, EntryParams, EntryPolicy, HashEntryTable};
 use algas_graph::{CagraBuilder, FixedDegreeGraph, GraphKind, NodePermutation, NswBuilder};
 use algas_vector::metric::DistValue;
@@ -221,19 +222,20 @@ impl AlgasIndex {
 }
 
 /// Engine configuration. `Default` matches the paper's headline
-/// setting: TopK 16, batch(slots) 16, adaptive `N_parallel`.
+/// setting: TopK 16, 16 slots, 8 walkers per query.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Results per query (TopK).
     pub k: usize,
     /// Candidate-list capacity per CTA (recall knob).
     pub l: usize,
-    /// Dynamic-batching slots.
+    /// Dynamic-batching slots of the serving runtime
+    /// ([`crate::runtime::AlgasServer`]); the engine's plan does not
+    /// depend on them.
     pub slots: usize,
-    /// CTAs per query; `None` lets the §IV-C tuner decide.
+    /// Walkers (CTAs) per query; `None` means 8, the paper's headline.
     pub n_parallel: Option<usize>,
-    /// Beam extend on/off (`None` = greedy; `Some` overrides the
-    /// tuner's trigger offset).
+    /// Beam extend or pure greedy search.
     pub beam: BeamMode,
     /// Entry policy for the CTAs. [`EntryPolicy::HashTable`] makes the
     /// engine build the index's [`HashEntryTable`] at construction if
@@ -262,7 +264,8 @@ pub struct EngineConfig {
 pub enum BeamMode {
     /// Pure greedy search ("Greedy Extend").
     Greedy,
-    /// Beam extend with the tuner's trigger (`offset_beam = L/4`).
+    /// Beam extend with [`BeamParams::default_for`]'s trigger
+    /// (`offset_beam = L/16`, at least 1) and beam width 8.
     Auto,
 }
 
@@ -316,17 +319,6 @@ impl RerankStats {
     }
 }
 
-/// One query's outcome: exact ids found + timed work for the sims.
-#[derive(Clone, Debug)]
-pub struct TracedSearch {
-    /// Final TopK after the host merge, ascending by distance.
-    pub topk: Vec<(DistValue, u32)>,
-    /// The raw multi-CTA output (per-CTA lists + traces).
-    pub multi: MultiResult,
-    /// The timed work descriptor for the batching simulators.
-    pub work: QueryWork,
-}
-
 /// Reusable per-worker search state: the multi-CTA scratch, the merge
 /// scratch, and the merged TopK buffer.
 ///
@@ -360,6 +352,29 @@ impl SearchScratch {
     }
 }
 
+/// A configuration [`AlgasEngine::new`] refuses: the rule it breaks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub &'static str);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// What an engine runs at full effort, planned from its configuration
+/// alone: rung 0 of the ladder [`AlgasEngine::controller`] moves on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EnginePlan {
+    /// Walkers per query: the count on the paper schedule, the cap on
+    /// the serial one.
+    pub n_parallel: usize,
+    /// Beam-extend parameters (`None` = greedy).
+    pub beam: Option<BeamParams>,
+}
+
 /// The engine.
 pub struct AlgasEngine {
     index: AlgasIndex,
@@ -368,19 +383,29 @@ pub struct AlgasEngine {
     /// figures' currency, which serving only sums into its cycle
     /// counters.
     cost: CostModel,
-    plan: TuningPlan,
-    beam: Option<BeamParams>,
+    plan: EnginePlan,
     control: SloController,
 }
 
 impl AlgasEngine {
-    /// Creates an engine, running the adaptive tuner.
+    /// Creates an engine. It plans from `cfg` alone: `N_parallel` is
+    /// `cfg.n_parallel` or 8 whatever the slot count, and the beam is
+    /// [`BeamParams::default_for`] `L`.
     ///
     /// # Errors
-    /// Returns the tuner's error when the slot count or list sizes
-    /// cannot be made resident on the device.
-    pub fn new(mut index: AlgasIndex, cfg: EngineConfig) -> Result<Self, TuningError> {
-        assert!(cfg.k > 0 && cfg.l >= cfg.k, "need 0 < k <= L");
+    /// [`ConfigError`] when `k` is 0, `L < k`, or `n_parallel` is
+    /// `Some(0)`.
+    pub fn new(mut index: AlgasIndex, cfg: EngineConfig) -> Result<Self, ConfigError> {
+        if cfg.k == 0 {
+            return Err(ConfigError("k must be ≥ 1"));
+        }
+        if cfg.l < cfg.k {
+            return Err(ConfigError("L must be ≥ k"));
+        }
+        let n_parallel = cfg.n_parallel.unwrap_or(8);
+        if n_parallel == 0 {
+            return Err(ConfigError("n_parallel must be ≥ 1"));
+        }
         if cfg.quantize && index.quant.is_none() {
             index.quantize();
         }
@@ -390,46 +415,23 @@ impl AlgasEngine {
         {
             index.build_entry_index(&EntryParams::default());
         }
-        let device = DeviceProps::rtx_a6000();
-        let mut input = TuningInput::new(device, cfg.slots, index.base.dim(), cfg.l, cfg.k);
-        input.graph_degree = index.graph.degree();
-        input.beam_width = match cfg.beam {
-            BeamMode::Greedy => 1,
-            BeamMode::Auto => BeamParams::default_for(cfg.l).beam_width,
-        };
-        if let Some(np) = cfg.n_parallel {
-            assert!(np >= 1, "n_parallel must be at least 1");
-            input.max_n_parallel = np;
-        }
-        let plan = tune(&input)?;
-        if let Some(np) = cfg.n_parallel {
-            // An explicit N_parallel is honored only if resident.
-            if plan.n_parallel != np {
-                return Err(TuningError::TooManySlots {
-                    slots: cfg.slots * np,
-                    max_blocks: device.max_resident_blocks(),
-                });
-            }
-        }
         let beam = match cfg.beam {
             BeamMode::Greedy => None,
-            BeamMode::Auto => {
-                let d = BeamParams::default_for(cfg.l);
-                Some(BeamParams { offset_beam: plan.offset_beam, beam_width: d.beam_width })
-            }
+            BeamMode::Auto => Some(BeamParams::default_for(cfg.l)),
         };
         // The effort ladder starts at the static plan (rung 0) and
         // relaxes only knobs the engine actually uses: rerank depth
         // exists on the quantized path, beam shape whenever beaming.
         let rerank =
             index.quant.is_some().then(|| cfg.rerank_depth.unwrap_or(2 * cfg.k).max(cfg.k));
-        let ladder = EffortLadder::build(plan.n_parallel, beam, rerank, cfg.k);
+        let ladder = EffortLadder::build(n_parallel, beam, rerank, cfg.k);
         let control = SloController::new(cfg.slo_us.map(|us| us.saturating_mul(1_000)), ladder);
-        Ok(Self { index, cfg, cost: CostModel::default(), plan, beam, control })
+        let plan = EnginePlan { n_parallel, beam };
+        Ok(Self { index, cfg, cost: CostModel::default(), plan, control })
     }
 
-    /// The tuner's decision.
-    pub fn plan(&self) -> &TuningPlan {
+    /// The static plan.
+    pub fn plan(&self) -> &EnginePlan {
         &self.plan
     }
 
@@ -441,13 +443,6 @@ impl AlgasEngine {
     /// The underlying index.
     pub fn index(&self) -> &AlgasIndex {
         &self.index
-    }
-
-    /// Effective beam parameters of the static plan (`None` = greedy).
-    /// The SLO controller may be running at a cheaper rung right now;
-    /// see [`controller`](Self::controller).
-    pub fn beam(&self) -> Option<BeamParams> {
-        self.beam
     }
 
     /// The SLO controller (inert at full effort unless
@@ -496,9 +491,15 @@ impl AlgasEngine {
         }
     }
 
-    /// Per-CTA result-list length: `k` on the fp32 path, the (possibly
-    /// `L`-capped) rerank depth on the quantized path, where each CTA
-    /// over-fetches so the exact pass has a pool to re-rank.
+    /// Per-CTA result-list length at the controller's current rung: `k`
+    /// on the fp32 path, the (possibly `L`-capped) rerank depth on the
+    /// quantized path, where each CTA over-fetches so the exact pass has
+    /// a pool to re-rank.
+    #[inline]
+    pub fn fetch_k(&self) -> usize {
+        self.fetch_k_for(self.control.current())
+    }
+
     #[inline]
     fn fetch_k_for(&self, step: EffortStep) -> usize {
         if self.quantized() {
@@ -635,77 +636,13 @@ impl AlgasEngine {
         self.index.externalize(&mut scratch.topk);
     }
 
-    /// Searches one query: exact ids plus the timed work descriptor.
-    ///
-    /// `query_id` seeds the per-CTA entry hashing; use the query's
-    /// index in its workload for reproducibility.
-    pub fn search_traced(&self, query: &[f32], query_id: u64) -> TracedSearch {
+    /// Plain search on the paper path, on a fresh scratch: just the
+    /// TopK ids (ascending by distance).
+    pub fn search(&self, query: &[f32], query_id: u64) -> Vec<u32> {
         let mut scratch = SearchScratch::new();
         self.search_into(query, query_id, &mut scratch);
-        let multi = scratch.multi.take_result();
-        let work = self.work_from(&multi, query.len());
-        TracedSearch { topk: scratch.topk, multi, work }
+        scratch.topk.iter().map(|&(_, id)| id).collect()
     }
-
-    /// Plain search: just the TopK ids (ascending by distance).
-    pub fn search(&self, query: &[f32], query_id: u64) -> Vec<u32> {
-        self.search_traced(query, query_id).topk.into_iter().map(|(_, id)| id).collect()
-    }
-
-    fn work_from(&self, multi: &MultiResult, dim: usize) -> QueryWork {
-        let dev = DeviceProps::rtx_a6000();
-        let ctas: Vec<CtaWork> = multi
-            .traces
-            .iter()
-            .map(|t| CtaWork {
-                search_ns: dev.cycles_to_ns(t.totals().total_cycles()),
-                steps: t.n_steps() as u32,
-            })
-            .collect();
-        self.work_with_ctas(ctas, dim)
-    }
-
-    fn work_with_ctas(&self, ctas: Vec<CtaWork>, dim: usize) -> QueryWork {
-        let dev = DeviceProps::rtx_a6000();
-        let n_ctas = ctas.len();
-        // Each CTA ships its whole fetch list (k, or the rerank pool
-        // depth when quantized) back to the host.
-        let per_cta_k = self.fetch_k_for(self.control.current());
-        QueryWork {
-            ctas,
-            query_bytes: (dim * 4) as u64,
-            result_bytes: (n_ctas * per_cta_k * 8) as u64,
-            gpu_merge_ns: dev.cycles_to_ns(self.cost.gpu_topk_merge_cycles(n_ctas, per_cta_k)),
-            host_merge_ns: HostCostModel::default().merge_ns(n_ctas, per_cta_k),
-        }
-    }
-
-    /// Runs a whole query set, returning per-query results and work
-    /// descriptors (inputs to the batching simulators).
-    pub fn run_workload(&self, queries: &VectorStore) -> Workload {
-        assert_eq!(queries.dim(), self.index.base.dim(), "query dimension mismatch");
-        let mut results = Vec::with_capacity(queries.len());
-        let mut works = Vec::with_capacity(queries.len());
-        let mut traces = Vec::with_capacity(queries.len());
-        for qid in 0..queries.len() {
-            let t = self.search_traced(queries.get(qid), qid as u64);
-            results.push(t.topk.iter().map(|&(_, id)| id).collect());
-            works.push(t.work);
-            traces.push(t.multi);
-        }
-        Workload { results, works, traces }
-    }
-}
-
-/// A fully traced query set.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// TopK ids per query.
-    pub results: Vec<Vec<u32>>,
-    /// Timed work per query.
-    pub works: Vec<QueryWork>,
-    /// Raw multi-CTA traces per query (motivation figures).
-    pub traces: Vec<MultiResult>,
 }
 
 #[cfg(test)]
@@ -727,6 +664,10 @@ mod tests {
         (AlgasEngine::new(index, cfg).unwrap(), ds)
     }
 
+    fn ids_of(engine: &AlgasEngine, queries: &VectorStore) -> Vec<Vec<u32>> {
+        (0..queries.len()).map(|q| engine.search(queries.get(q), q as u64)).collect()
+    }
+
     #[test]
     fn corpus_bound_keeps_ids_clear_of_the_key_flag() {
         assert_eq!(CorpusTooLarge::check((1 << 31) - 1), Ok(()));
@@ -741,22 +682,9 @@ mod tests {
     #[test]
     fn engine_reaches_high_recall() {
         let (engine, ds) = small_engine(64, BeamMode::Auto);
-        let wl = engine.run_workload(&ds.queries);
         let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
-        let r = mean_recall(&wl.results, &gt, 10);
+        let r = mean_recall(&ids_of(&engine, &ds.queries), &gt, 10);
         assert!(r > 0.9, "engine recall too low: {r}");
-    }
-
-    #[test]
-    fn work_descriptors_are_consistent() {
-        let (engine, ds) = small_engine(32, BeamMode::Auto);
-        let t = engine.search_traced(ds.queries.get(0), 0);
-        assert_eq!(t.work.n_ctas(), engine.plan().n_parallel);
-        assert_eq!(t.work.query_bytes, 16 * 4);
-        assert_eq!(t.work.result_bytes, (engine.plan().n_parallel * 10 * 8) as u64);
-        assert!(t.work.max_cta_ns() > 0);
-        assert!(t.work.host_merge_ns < t.work.gpu_merge_ns || engine.plan().n_parallel == 1);
-        assert_eq!(t.topk.len(), 10);
     }
 
     #[test]
@@ -768,9 +696,9 @@ mod tests {
     #[test]
     fn beam_mode_controls_searcher() {
         let (greedy, _) = small_engine(64, BeamMode::Greedy);
-        assert!(greedy.beam().is_none());
+        assert!(greedy.plan().beam.is_none());
         let (auto, _) = small_engine(64, BeamMode::Auto);
-        assert_eq!(auto.beam().unwrap().offset_beam, 4);
+        assert_eq!(auto.plan().beam.unwrap().offset_beam, 4);
     }
 
     #[test]
@@ -780,16 +708,32 @@ mod tests {
         let cfg = EngineConfig { k: 8, l: 32, slots: 4, n_parallel: Some(2), ..Default::default() };
         let engine = AlgasEngine::new(index, cfg).unwrap();
         assert_eq!(engine.plan().n_parallel, 2);
-        let t = engine.search_traced(ds.queries.get(0), 0);
-        assert_eq!(t.multi.per_cta.len(), 2);
+        let mut scratch = engine.make_scratch();
+        engine.search_into(ds.queries.get(0), 0, &mut scratch);
+        assert_eq!(scratch.multi.per_cta().len(), 2);
+    }
+
+    /// What `new` says of `cfg` (which must be refused).
+    fn refusal(cfg: EngineConfig) -> String {
+        let ds = DatasetSpec::tiny(300, 8, Metric::L2, 7).generate();
+        let index = AlgasIndex::build_cagra(ds.base, Metric::L2, CagraParams::default());
+        AlgasEngine::new(index, cfg).err().expect("the configuration is refused").to_string()
     }
 
     #[test]
-    fn infeasible_config_is_an_error() {
-        let ds = DatasetSpec::tiny(300, 8, Metric::L2, 7).generate();
-        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-        let cfg = EngineConfig { slots: 5000, ..Default::default() };
-        assert!(AlgasEngine::new(index, cfg).is_err());
+    fn zero_k_is_a_config_error() {
+        assert_eq!(refusal(EngineConfig { k: 0, ..Default::default() }), "k must be ≥ 1");
+    }
+
+    #[test]
+    fn list_shorter_than_k_is_a_config_error() {
+        assert_eq!(refusal(EngineConfig { k: 20, l: 8, ..Default::default() }), "L must be ≥ k");
+    }
+
+    #[test]
+    fn zero_n_parallel_is_a_config_error() {
+        let cfg = EngineConfig { n_parallel: Some(0), ..Default::default() };
+        assert_eq!(refusal(cfg), "n_parallel must be ≥ 1");
     }
 
     #[test]
@@ -816,8 +760,8 @@ mod tests {
         let (quant, _) = quantized_engine(64, None);
         assert!(quant.quantized() && !fp32.quantized());
         let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
-        let r_fp32 = mean_recall(&fp32.run_workload(&ds.queries).results, &gt, 10);
-        let r_quant = mean_recall(&quant.run_workload(&ds.queries).results, &gt, 10);
+        let r_fp32 = mean_recall(&ids_of(&fp32, &ds.queries), &gt, 10);
+        let r_quant = mean_recall(&ids_of(&quant, &ds.queries), &gt, 10);
         assert!(
             r_quant >= r_fp32 - 0.02,
             "SQ8+rerank recall {r_quant} fell more than 0.02 below fp32 recall {r_fp32}"
@@ -827,14 +771,15 @@ mod tests {
     #[test]
     fn quantized_search_returns_exact_distances() {
         let (engine, ds) = quantized_engine(64, None);
-        let t = engine.search_traced(ds.queries.get(0), 0);
-        assert_eq!(t.topk.len(), 10);
-        for &(d, id) in &t.topk {
+        let mut scratch = engine.make_scratch();
+        engine.search_into(ds.queries.get(0), 0, &mut scratch);
+        assert_eq!(scratch.topk.len(), 10);
+        for &(d, id) in &scratch.topk {
             let exact = Metric::L2.distance(ds.queries.get(0), ds.base.get(id as usize));
             assert_eq!(d, DistValue(exact), "returned distance for id {id} must be exact fp32");
         }
         // Ascending, as the fp32 path guarantees.
-        assert!(t.topk.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(scratch.topk.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
@@ -860,14 +805,6 @@ mod tests {
         assert_eq!(engine.rerank_depth(), 20);
         let (shallow, _) = quantized_engine(64, Some(3));
         assert_eq!(shallow.rerank_depth(), 10, "rerank depth must clamp up to k");
-    }
-
-    #[test]
-    fn quantized_work_descriptor_ships_the_fetch_pool() {
-        let (engine, ds) = quantized_engine(32, None);
-        let t = engine.search_traced(ds.queries.get(0), 0);
-        let per_cta = engine.rerank_depth().min(32);
-        assert_eq!(t.work.result_bytes, (engine.plan().n_parallel * per_cta * 8) as u64);
     }
 
     #[test]
@@ -898,13 +835,14 @@ mod tests {
         let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
         let mut merged_sum = 0.0;
         let mut best_single_sum = 0.0;
+        let mut scratch = engine.make_scratch();
         for qid in 0..ds.queries.len().min(50) {
-            let t = engine.search_traced(ds.queries.get(qid), qid as u64);
-            let merged: Vec<u32> = t.topk.iter().map(|&(_, id)| id).collect();
+            engine.search_into(ds.queries.get(qid), qid as u64, &mut scratch);
+            let merged: Vec<u32> = scratch.topk.iter().map(|&(_, id)| id).collect();
             merged_sum += algas_vector::ground_truth::recall(&merged, &gt.neighbors[qid], 10);
-            let best = t
+            let best = scratch
                 .multi
-                .per_cta
+                .per_cta()
                 .iter()
                 .map(|l| {
                     let ids: Vec<u32> = l.iter().map(|&(_, id)| id).collect();

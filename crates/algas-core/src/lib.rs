@@ -8,17 +8,18 @@
 //! * [`lists`] — the CTA's shared-memory structures: bounded sorted
 //!   candidate list, expand buffer, visited bitmap.
 //! * [`search`] — intra-CTA greedy search with **beam extend** and
-//!   multi-CTA search with a shared visited bitmap (§IV-B), every
-//!   operation cost-traced against the simulated GPU.
+//!   multi-CTA search with a shared visited bitmap (§IV-B), every step
+//!   charged in the simulated GPU's cycles (`algas_gpu_sim::CostModel`).
 //! * [`merge`] — host-side TopK merging (the GPU-CPU cooperation).
-//! * [`tuning`] — the §IV-C adaptive tuner solving the residency and
-//!   shared-memory constraints, plus the [`tuning::EffortLadder`] of
-//!   progressively cheaper effort configurations derived from a plan.
+//! * [`tuning`] — the [`tuning::EffortLadder`] of progressively cheaper
+//!   effort configurations derived from an engine's plan. (The figures
+//!   fit `N_parallel` to a GPU with `algas_gpu_sim::occupancy::tune`.)
 //! * [`control`] — the online SLO controller: feeds live service-span
 //!   p99s back into the effort ladder to hold a latency target.
-//! * [`engine`] — [`engine::AlgasEngine`]: index + tuner + traced
-//!   search + [`algas_gpu_sim::QueryWork`] production for the batching
-//!   simulators.
+//! * [`engine`] — [`engine::AlgasEngine`]: an index plus the plan its
+//!   configuration names, searched on the paper's concurrent schedule
+//!   ([`engine::AlgasEngine::search_into`]) or a worker's serial one
+//!   ([`engine::AlgasEngine::serve_into`]).
 //! * [`runtime`] — a real threaded implementation of the architecture
 //!   (persistent workers, atomic slots, host pollers) usable as a CPU
 //!   ANNS server.
@@ -67,12 +68,12 @@ pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<
 
 pub use control::{ControlDecision, ControlReason, ControlStats, SloController};
 pub use engine::{
-    AlgasEngine, AlgasIndex, BeamMode, EngineConfig, RerankStats, TracedSearch, Workload,
+    AlgasEngine, AlgasIndex, BeamMode, ConfigError, EngineConfig, EnginePlan, RerankStats,
 };
-pub use merge::{merge_topk, HostCostModel};
+pub use merge::merge_topk;
 pub use net::{NetClient, NetServer, NetStats};
 pub use obs::{Histogram, HistogramSnapshot, RuntimeStats};
 pub use runtime::{AlgasServer, RuntimeConfig, SearchReply};
 pub use search::BeamParams;
 pub use state::{AtomicSlotState, SlotState};
-pub use tuning::{tune, EffortLadder, EffortStep, TuningError, TuningInput, TuningPlan};
+pub use tuning::{EffortLadder, EffortStep};

@@ -12,7 +12,7 @@
 //! integer compares, selects and `memmove`s (DESIGN.md §6).
 //! The functional behaviour here is exact; the *cost* of maintaining
 //! them on a GPU (bitonic stages etc.) is charged by the searcher
-//! through `algas_gpu_sim::CostModel`.
+//! against its context's cycle prices (`SearchContext::cost`).
 
 use algas_vector::metric::DistValue;
 

@@ -4,49 +4,12 @@
 //! The CTAs' per-query TopK lists arrive sorted and (thanks to the
 //! shared visited bitmap) essentially disjoint; the host folds them
 //! with a k-way priority-queue merge, deduplicates defensively, and
-//! filters to the final TopK. [`HostCostModel`] prices the operation
-//! for the timing simulators — host merging is cheap precisely because
-//! CPU memory latency is low and the lists are small, which is the
-//! paper's argument for offloading it.
+//! filters to the final TopK. The simulators price it with
+//! `algas_gpu_sim::cost::HostCostModel`.
 
 use algas_vector::metric::DistValue;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Cost parameters of host-side result processing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HostCostModel {
-    /// ns per element pushed through the merge heap.
-    pub merge_ns_per_element: u64,
-    /// ns to set up one source list (pointer/bounds bookkeeping).
-    pub list_setup_ns: u64,
-    /// Fixed ns per query for final filtering and result submission.
-    pub post_filter_ns: u64,
-}
-
-impl Default for HostCostModel {
-    fn default() -> Self {
-        Self { merge_ns_per_element: 20, list_setup_ns: 80, post_filter_ns: 400 }
-    }
-}
-
-impl HostCostModel {
-    /// Predicted host time to merge `n_lists` sorted lists and emit the
-    /// TopK. The heap only needs to pop `k` winners, but every pop
-    /// refills from the winning list, so ~`k + n_lists` heap
-    /// operations dominate.
-    pub fn merge_ns(&self, n_lists: usize, k: usize) -> u64 {
-        if n_lists <= 1 {
-            // A single sorted list needs no merge, only the filter.
-            return self.post_filter_ns;
-        }
-        let heap_ops = (n_lists + k) as u64;
-        let factor = algas_gpu_sim::cost::log2_ceil(n_lists.max(2) as u64);
-        n_lists as u64 * self.list_setup_ns
-            + heap_ops * self.merge_ns_per_element * factor
-            + self.post_filter_ns
-    }
-}
 
 /// K-way merges sorted `(distance, id)` lists into the global TopK.
 ///
@@ -263,27 +226,5 @@ mod tests {
         folded.merge(&delta);
         folded.merge(&delta);
         assert_eq!(folded, scratch.stats);
-    }
-
-    #[test]
-    fn cost_model_scales_with_lists() {
-        let m = HostCostModel::default();
-        assert_eq!(m.merge_ns(1, 16), m.post_filter_ns);
-        assert!(m.merge_ns(8, 16) > m.merge_ns(2, 16));
-        assert!(m.merge_ns(4, 64) > m.merge_ns(4, 16));
-    }
-
-    #[test]
-    fn host_merge_cheaper_than_gpu_merge() {
-        // The §IV-B claim, in model terms: for small-batch TopK sizes
-        // the host merge undercuts the GPU's cross-CTA merge.
-        let host = HostCostModel::default();
-        let gpu = algas_gpu_sim::CostModel::default();
-        let dev = algas_gpu_sim::DeviceProps::rtx_a6000();
-        for t in [2usize, 4, 8, 16] {
-            let host_ns = host.merge_ns(t, 16);
-            let gpu_ns = dev.cycles_to_ns(gpu.gpu_topk_merge_cycles(t, 16));
-            assert!(host_ns < gpu_ns, "T={t}: host {host_ns}ns should beat gpu {gpu_ns}ns");
-        }
     }
 }

@@ -38,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Runtime shape: how many threads on each side. The slot count is the
-/// engine's ([`EngineConfig::slots`](crate::engine::EngineConfig::slots)),
-/// the one the §IV-C tuner planned `N_parallel` for.
+/// engine's ([`EngineConfig::slots`](crate::engine::EngineConfig::slots));
+/// it sizes the slot array and does not affect `N_parallel`.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Persistent worker threads (the "GPU"); slots are assigned
@@ -821,6 +821,20 @@ mod tests {
         assert!(b.step > Backoff::SPIN_LIMIT, "backoff should exhaust its spin budget");
         b.reset();
         assert_eq!(b.step, 0);
+    }
+
+    /// The plan is the configuration's, not a device's: no slot count
+    /// caps the walkers, and none is too many to serve.
+    #[test]
+    fn the_serving_plan_does_not_depend_on_the_slot_count() {
+        for slots in [16, 169, 1345] {
+            let (server, ds, oracle) = test_server(slots, 1, 1);
+            assert_eq!(oracle.plan().n_parallel, 8, "{slots} slots");
+            let q = ds.queries.get(0).to_vec();
+            let reply = server.search_blocking(q.clone()).unwrap();
+            assert_eq!(reply.ids, worker_ids(&oracle, &q, reply.tag), "{slots} slots");
+            server.shutdown();
+        }
     }
 
     #[test]

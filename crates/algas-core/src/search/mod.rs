@@ -102,7 +102,7 @@ pub struct BeamParams {
 }
 
 impl BeamParams {
-    /// The tuner's default policy: the diffusing phase starts as soon
+    /// The engine's beam policy: the diffusing phase starts as soon
     /// as selection reaches a sixteenth of the list (by then the head
     /// is exhausted and the TopK region located), expanding 8
     /// candidates per maintenance round. Aggressive, but §IV-B's

@@ -54,7 +54,8 @@ impl MultiScratch {
     }
 
     /// Per-CTA TopK lists of the most recent search, ascending within
-    /// each list — the analogue of [`MultiResult::per_cta`].
+    /// each list. These are what the host merges (laid out contiguously
+    /// on the real system so one sequential read fetches them all).
     pub fn per_cta(&self) -> &[Vec<(DistValue, u32)>] {
         &self.per_cta[..self.n_active]
     }
@@ -99,15 +100,6 @@ impl MultiScratch {
             .filter_map(|c| self.ctas[c].entry_distance())
             .fold(None, |acc: Option<f32>, d| Some(acc.map_or(d, |a| a.min(d))))
     }
-
-    /// Moves the buffered results out into an owned [`MultiResult`],
-    /// leaving the scratch reusable (compat path; allocates).
-    pub fn take_result(&mut self) -> MultiResult {
-        let per_cta =
-            self.per_cta[..self.n_active].iter_mut().map(std::mem::take).collect::<Vec<_>>();
-        let traces = (0..self.n_active).map(|c| self.ctas[c].trace().clone()).collect::<Vec<_>>();
-        MultiResult { per_cta, traces }
-    }
 }
 
 /// How a query's CTAs are driven over their shared bitmap.
@@ -132,25 +124,6 @@ pub struct MultiParams {
     /// Number of CTAs (`N_parallel`); under [`Schedule::Serial`] the
     /// most that may be launched.
     pub n_ctas: usize,
-}
-
-/// Result of a multi-CTA search: one TopK list per CTA plus traces.
-#[derive(Clone, Debug)]
-pub struct MultiResult {
-    /// `per_cta[c]` = CTA `c`'s best `k` candidates, ascending. These
-    /// are what the host merges (laid out contiguously on the real
-    /// system so one sequential read fetches them all).
-    pub per_cta: Vec<Vec<(DistValue, u32)>>,
-    /// Per-CTA cost traces.
-    pub traces: Vec<CtaTrace>,
-}
-
-impl MultiResult {
-    /// Maximum steps over the CTAs — the query's step count for the
-    /// bubble analyses.
-    pub fn max_steps(&self) -> usize {
-        self.traces.iter().map(|t| t.n_steps()).max().unwrap_or(0)
-    }
 }
 
 /// The multi-CTA search under either [`Schedule`], with the entry
@@ -296,6 +269,11 @@ mod tests {
         MultiParams { intra: IntraParams { l, beam: None, bitmap_in_shared: false }, n_ctas: t }
     }
 
+    /// The traces of the most recent search on `s`, in launch order.
+    fn traces(s: &MultiScratch) -> Vec<CtaTrace> {
+        (0..s.n_active()).map(|c| s.trace(c).clone()).collect()
+    }
+
     /// CTA `c`'s hashed entry for query `q` over `n` vertices.
     fn hashed(q: u64, c: usize, n: usize) -> u32 {
         EntryPolicy::Hashed { seed: 99 }.entry_for(q, c as u32, n, 0)
@@ -308,13 +286,13 @@ mod tests {
         query: &[f32],
         q: u64,
         k: usize,
-    ) -> MultiResult {
+    ) -> MultiScratch {
         let n = ctx.base.len();
         let mut scratch = MultiScratch::new();
         search_multi_seeded_into(ctx, p, Schedule::Concurrent, query, k, &mut scratch, |c| {
             hashed(q, c, n)
         });
-        scratch.take_result()
+        scratch
     }
 
     #[test]
@@ -323,12 +301,12 @@ mod tests {
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let res = concurrent(ctx, params(32, 4), ds.queries.get(0), 0, 8);
-        assert_eq!(res.per_cta.len(), 4);
+        assert_eq!(res.per_cta().len(), 4);
         // No id appears in two CTAs' lists (except possibly colliding
         // entry seeds, which the hashed policy makes negligible).
         let mut seen = std::collections::HashSet::new();
         let mut dupes = 0;
-        for list in &res.per_cta {
+        for list in res.per_cta() {
             for &(_, id) in list {
                 if !seen.insert(id) {
                     dupes += 1;
@@ -354,7 +332,7 @@ mod tests {
         for q in 0..ds.queries.len() {
             let r = concurrent(ctx, params(32, 4), ds.queries.get(q), q as u64, k);
             multi_res
-                .push(merge_topk(&r.per_cta, k).into_iter().map(|(_, id)| id).collect::<Vec<_>>());
+                .push(merge_topk(r.per_cta(), k).into_iter().map(|(_, id)| id).collect::<Vec<_>>());
             let (ids, _) = search_one(ctx, IntraParams::greedy(32), ds.queries.get(q), med, k);
             single_res.push(ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
         }
@@ -371,8 +349,8 @@ mod tests {
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let a = concurrent(ctx, params(24, 3), ds.queries.get(1), 1, 8);
         let b = concurrent(ctx, params(24, 3), ds.queries.get(1), 1, 8);
-        assert_eq!(a.per_cta, b.per_cta);
-        assert_eq!(a.traces, b.traces);
+        assert_eq!(a.per_cta(), b.per_cta());
+        assert_eq!(traces(&a), traces(&b));
     }
 
     #[test]
@@ -390,9 +368,8 @@ mod tests {
         for schedule in [Schedule::Concurrent, Schedule::Serial] {
             let mut scratch = MultiScratch::new();
             search_multi_seeded_into(ctx, p, schedule, ds.queries.get(2), 8, &mut scratch, |_| 0);
-            let r = scratch.take_result();
-            assert_eq!(r.per_cta, std::slice::from_ref(&ids), "{schedule:?}");
-            assert_eq!(r.traces, std::slice::from_ref(&trace), "{schedule:?}");
+            assert_eq!(scratch.per_cta(), std::slice::from_ref(&ids), "{schedule:?}");
+            assert_eq!(traces(&scratch), std::slice::from_ref(&trace), "{schedule:?}");
         }
     }
 
@@ -471,21 +448,18 @@ mod tests {
                         &mut scratch,
                         seed_of,
                     );
-                    (scratch.n_active(), scratch.take_result())
+                    (scratch.n_active(), scratch.per_cta().to_vec(), traces(&scratch))
                 };
-                let (launched, first) = run();
+                let (launched, first, first_traces) = run();
                 assert!(launched <= cap, "query {q}: {launched} walkers over cap {cap}");
                 assert!(launched >= distinct_seeds.min(2), "query {q}: {launched} of cap {cap}");
                 // Walker 0 carries the plan's list (32), the scouts
                 // after it a `k`-long one (8): what a step selects
                 // cannot sit past the end of the list it selects from.
                 let deepest = |t: &CtaTrace| t.steps.iter().map(|s| s.selected_offset).max();
-                assert!(deepest(&first.traces[0]) >= Some(8), "query {q}");
-                assert!(first.traces[1..].iter().all(|t| deepest(t) < Some(8)), "query {q}");
-                let (again, second) = run();
-                assert_eq!(launched, again, "query {q}");
-                assert_eq!(first.per_cta, second.per_cta, "query {q}");
-                assert_eq!(first.traces, second.traces, "query {q}");
+                assert!(deepest(&first_traces[0]) >= Some(8), "query {q}");
+                assert!(first_traces[1..].iter().all(|t| deepest(t) < Some(8)), "query {q}");
+                assert_eq!(run(), (launched, first, first_traces), "query {q}");
             }
         }
     }
@@ -524,11 +498,10 @@ mod tests {
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let r = concurrent(ctx, params(32, 8), ds.queries.get(3), 3, 8);
-        let steps: Vec<usize> = r.traces.iter().map(|t| t.n_steps()).collect();
+        let steps: Vec<usize> = traces(&r).iter().map(|t| t.n_steps()).collect();
         let min = steps.iter().min().unwrap();
         let max = steps.iter().max().unwrap();
         assert!(max > min, "expected step skew across CTAs, got {steps:?}");
-        assert_eq!(r.max_steps(), *max);
     }
 
     #[test]

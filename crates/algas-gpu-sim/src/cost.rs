@@ -145,6 +145,44 @@ impl CostModel {
     }
 }
 
+/// Cost parameters of host-side result processing: the CPU half of the
+/// GPU-CPU cooperation (§IV-B step ④). Host merging is cheap precisely
+/// because CPU memory latency is low and the lists are small, which is
+/// the paper's argument for offloading it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HostCostModel {
+    /// ns per element pushed through the merge heap.
+    pub merge_ns_per_element: u64,
+    /// ns to set up one source list (pointer/bounds bookkeeping).
+    pub list_setup_ns: u64,
+    /// Fixed ns per query for final filtering and result submission.
+    pub post_filter_ns: u64,
+}
+
+impl Default for HostCostModel {
+    fn default() -> Self {
+        Self { merge_ns_per_element: 20, list_setup_ns: 80, post_filter_ns: 400 }
+    }
+}
+
+impl HostCostModel {
+    /// Predicted host time to merge `n_lists` sorted lists and emit the
+    /// TopK. The heap only needs to pop `k` winners, but every pop
+    /// refills from the winning list, so ~`k + n_lists` heap
+    /// operations dominate.
+    pub fn merge_ns(&self, n_lists: usize, k: usize) -> u64 {
+        if n_lists <= 1 {
+            // A single sorted list needs no merge, only the filter.
+            return self.post_filter_ns;
+        }
+        let heap_ops = (n_lists + k) as u64;
+        let factor = log2_ceil(n_lists.max(2) as u64);
+        n_lists as u64 * self.list_setup_ns
+            + heap_ops * self.merge_ns_per_element * factor
+            + self.post_filter_ns
+    }
+}
+
 /// ceil(log2(x)) for x ≥ 1.
 #[inline]
 pub fn log2_ceil(x: u64) -> u64 {
@@ -207,6 +245,14 @@ mod tests {
         let m2 = c.gpu_topk_merge_cycles(2, 16);
         let m8 = c.gpu_topk_merge_cycles(8, 16);
         assert!(m8 > m2);
+    }
+
+    #[test]
+    fn host_cost_scales_with_lists() {
+        let m = HostCostModel::default();
+        assert_eq!(m.merge_ns(1, 16), m.post_filter_ns);
+        assert!(m.merge_ns(8, 16) > m.merge_ns(2, 16));
+        assert!(m.merge_ns(4, 64) > m.merge_ns(4, 16));
     }
 
     #[test]

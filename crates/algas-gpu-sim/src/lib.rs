@@ -12,10 +12,12 @@
 //!   to nanoseconds.
 //! * [`cost::CostModel`] — per-operation cycle costs: warp-parallel
 //!   distance evaluation, bitonic sort/merge stages, visited-bitmap
-//!   filtering, cross-CTA GPU merging, persistent-kernel polling.
+//!   filtering, cross-CTA GPU merging, persistent-kernel polling; and
+//!   [`cost::HostCostModel`], the host's price for the TopK merge.
 //! * [`occupancy`] — the §IV-C constraint system
 //!   (`N_parallel·slot ≤ N_SM·N_max_block_per_SM`, shared-memory
-//!   budgets) that adaptive tuning solves.
+//!   budgets) and the adaptive tuner ([`occupancy::tune`]) that solves
+//!   it for the largest resident `N_parallel`.
 //! * [`pcie`] — a shared FIFO PCIe link with per-transaction overhead,
 //!   the resource the §V-A state optimization conserves.
 //! * [`engine`] — the deterministic event queue and the residency-wave
@@ -25,9 +27,9 @@
 //!   [`sched::dynamic`] slots on a persistent kernel.
 //!
 //! Search algorithms run **functionally** elsewhere (`algas-core`,
-//! `algas-baselines`) and hand this crate their timed work
-//! ([`work::QueryWork`]); everything here is replayable and fully
-//! deterministic.
+//! `algas-baselines`); `algas-baselines` packs the cycles they charged
+//! into timed work ([`work::QueryWork`]) for this crate. Everything
+//! here is replayable and fully deterministic.
 
 pub mod arrivals;
 pub mod cost;
@@ -39,8 +41,9 @@ pub mod sched;
 pub mod work;
 
 pub use arrivals::ArrivalProcess;
-pub use cost::CostModel;
+pub use cost::{CostModel, HostCostModel};
 pub use device::DeviceProps;
+pub use occupancy::{tune, TuningError, TuningInput, TuningPlan};
 pub use pcie::{PcieBus, PcieModel};
 pub use sched::dynamic::{run_dynamic, DynamicConfig, StateMode};
 pub use sched::partitioned::{run_partitioned, PartitionedConfig};

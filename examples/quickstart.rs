@@ -21,28 +21,29 @@ fn main() {
     let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
     println!("index built in {:.2?} (degree {})", t0.elapsed(), index.graph.degree());
 
-    // 3. Create the engine. The adaptive tuner picks N_parallel and the
-    //    shared-memory layout for the simulated RTX A6000.
+    // 3. Create the engine. It plans from its configuration alone:
+    //    N_parallel walkers per query (8 unless `n_parallel` says
+    //    otherwise). The paper's figures fit N_parallel to a simulated
+    //    RTX A6000 instead (`algas::baselines::tuned`).
     let cfg = EngineConfig { k: 10, l: 64, slots: 16, ..Default::default() };
-    let engine = AlgasEngine::new(index, cfg).expect("config fits the device");
-    let plan = engine.plan();
-    println!(
-        "tuned: N_parallel={}, blocks/SM={}, {} B shared memory per block",
-        plan.n_parallel, plan.blocks_per_sm, plan.shared_mem_per_block
-    );
+    let engine = AlgasEngine::new(index, cfg).expect("a valid configuration");
+    println!("plan: N_parallel={}", engine.plan().n_parallel);
 
-    // 4. Search, with full cost tracing.
-    let traced = engine.search_traced(ds.queries.get(0), 0);
+    // 4. Search on the paper's schedule. Every step is charged in
+    //    simulated GPU cycles; the scratch keeps each CTA's trace.
+    let mut scratch = engine.make_scratch();
+    engine.search_into(ds.queries.get(0), 0, &mut scratch);
     println!(
         "\nquery 0 → top-10 ids: {:?}",
-        traced.topk.iter().map(|&(_, id)| id).collect::<Vec<_>>()
+        scratch.topk.iter().map(|&(_, id)| id).collect::<Vec<_>>()
     );
+    let totals = scratch.multi.step_totals();
     println!(
-        "   simulated GPU time {} µs across {} CTAs ({} total steps), host merge {} ns",
-        traced.work.max_cta_ns() / 1000,
-        traced.work.n_ctas(),
-        traced.multi.traces.iter().map(|t| t.n_steps()).sum::<usize>(),
-        traced.work.host_merge_ns,
+        "   {} CTAs, {} total steps, {} distance evaluations, {} simulated GPU cycles",
+        scratch.multi.n_active(),
+        totals.steps,
+        totals.dist_evals,
+        totals.total_cycles(),
     );
 
     // 5. Verify quality against exact brute force.

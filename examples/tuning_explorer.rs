@@ -1,15 +1,18 @@
 //! Tuning explorer: walks the §IV-C adaptive-tuning constraint system
-//! over slot counts and list sizes, printing the feasible region — the
-//! tool a user would reach for before deploying ALGAS on a new GPU —
-//! then the effort ladder the SLO controller sheds along at runtime.
+//! of the simulated GPU over slot counts and list sizes, printing the
+//! feasible region — the tool a user would reach for before deploying
+//! ALGAS on a new GPU — then the effort ladder the SLO controller sheds
+//! along at runtime. The figures run this tuner for the methods they
+//! simulate; the CPU engine keeps no residency to fit.
 //!
 //! ```text
 //! cargo run --release --example tuning_explorer
 //! ```
 
 use algas::core::search::BeamParams;
-use algas::core::tuning::{tune, EffortLadder, TuningInput};
+use algas::core::tuning::EffortLadder;
 use algas::gpu::occupancy::{device_occupancy, BlockDemand};
+use algas::gpu::occupancy::{tune, TuningInput};
 use algas::gpu::DeviceProps;
 
 fn main() {

@@ -10,6 +10,8 @@
 # The option counts are the `pub` fields of every `pub struct *Config`
 # in `algas-core`, and the flags `algas serve` accepts (the words of
 # `src/cli.rs`'s `ENGINE` and `SESSION` lists plus `serve`'s own).
+# The simulator edge is the number of `algas-core` files whose non-test
+# code names `algas_gpu_sim` outside a comment.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,14 @@ serve_flags() {
         END { print n + 0 }' src/cli.rs
 }
 
+gpu_sim_files() {
+    find "$1" -name '*.rs' -exec awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\((all\()?test/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && /algas_gpu_sim/ { print FILENAME }' {} + |
+        sort -u | wc -l
+}
+
 core=crates/algas-core/src
 printf 'workspace .rs lines      %6d\n' "$(rs_lines .)"
 printf 'algas-core               %6d\n' "$(rs_lines crates/algas-core)"
@@ -56,3 +66,4 @@ printf 'prometheus families      %6d\n' "$(awk '/^# TYPE /{ n++ } END { print n 
 printf 'json leaf values         %6d\n' "$(awk '{ n += gsub(/":[^[{]/, "&") } END { print n + 0 }' tests/golden/stats.json)"
 printf 'algas-core *Config fields %5d\n' "$(config_fields $core)"
 printf 'serve flags              %6d\n' "$(serve_flags)"
+printf 'algas-core files naming algas_gpu_sim %d\n' "$(gpu_sim_files $core)"

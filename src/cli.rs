@@ -455,7 +455,10 @@ fn engine_config_from_flags(
         quantize: defaults.quantize || parse_bool(flags, "quantize")?,
         rerank_depth: opt(flags, "rerank")?,
         entry_policy: parse_entry_policy(flags, entry_policy)?,
-        slo_us: opt(flags, "slo-us")?,
+        slo_us: match opt(flags, "slo-us")? {
+            Some(0) => return Err("--slo-us must be ≥ 1".into()),
+            slo => slo,
+        },
         ..defaults
     })
 }
@@ -465,7 +468,7 @@ fn engine_config_from_flags(
 /// index at load time.
 fn engine_for(index: AlgasIndex, cfg: EngineConfig) -> Result<AlgasEngine, String> {
     let cfg = EngineConfig { quantize: cfg.quantize || index.quant.is_some(), ..cfg };
-    AlgasEngine::new(index, cfg).map_err(|e| format!("tuning failed: {e}"))
+    AlgasEngine::new(index, cfg).map_err(|e| format!("invalid engine configuration: {e}"))
 }
 
 fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
@@ -476,11 +479,14 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     let engine = engine_for(index, cfg)?;
     let k = engine.config().k;
     let t0 = std::time::Instant::now();
-    let wl = engine.run_workload(&queries);
+    let mut scratch = engine.make_scratch();
+    let results: Vec<Vec<u32>> = (0..queries.len())
+        .map(|q| {
+            engine.search_into(queries.get(q), q as u64, &mut scratch);
+            scratch.topk.iter().map(|&(_, id)| id).collect()
+        })
+        .collect();
     let wall = t0.elapsed();
-    let mean_sim_us: f64 = wl.works.iter().map(|w| w.max_cta_ns() as f64).sum::<f64>()
-        / wl.works.len().max(1) as f64
-        / 1000.0;
     let mode = if engine.quantized() {
         format!(", SQ8 rerank@{}", engine.rerank_depth())
     } else {
@@ -488,8 +494,7 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     };
     writeln!(
         out,
-        "searched {} queries (k={k}, L={}, N_parallel={}{mode}) in {wall:.2?} wall; \
-         mean simulated GPU time {mean_sim_us:.1} µs/query",
+        "searched {} queries (k={k}, L={}, N_parallel={}{mode}) in {wall:.2?} wall",
         queries.len(),
         engine.config().l,
         engine.plan().n_parallel,
@@ -504,11 +509,10 @@ fn cmd_search(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
             return Err(format!("ground truth depth {gt_k} < k {k}"));
         }
         let gt = GroundTruth { neighbors, k: gt_k };
-        writeln!(out, "recall@{k}: {:.4}", mean_recall(&wl.results, &gt, k)).map_err(io_err)?;
+        writeln!(out, "recall@{k}: {:.4}", mean_recall(&results, &gt, k)).map_err(io_err)?;
     }
     if let Some(rpath) = flags.get("out") {
-        let rows: Vec<Vec<u32>> = wl
-            .results
+        let rows: Vec<Vec<u32>> = results
             .iter()
             .map(|r| {
                 let mut row = r.clone();
@@ -1297,17 +1301,13 @@ mod tests {
         let msg = run_ok(&["info", "--index", &index]);
         assert!(msg.contains("entry: none (serving builds the LSH table at load)"), "{msg}");
 
-        // Wall time differs run to run; the simulated time may not.
         let search = |out: &str, policy: &[&str]| {
             let mut args = vec!["search", "--index", &index, "--queries", &queries, "--out", out];
             args.extend_from_slice(policy);
-            let msg = run_ok(&args);
-            let sim = msg.split_once("mean simulated GPU time ").expect("simulated time").1;
-            sim.lines().next().unwrap().to_string()
+            run_ok(&args);
         };
-        let (sim_plain, sim_hashed) =
-            (search(&plain, &[]), search(&hashed, &["--entry-policy", "hashed"]));
-        assert_eq!(sim_plain, sim_hashed);
+        search(&plain, &[]);
+        search(&hashed, &["--entry-policy", "hashed"]);
         assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&hashed).unwrap());
 
         for (policy, entry) in
@@ -1861,7 +1861,9 @@ mod tests {
             (&serve, "slots"),
             (&serve, "k"),
             (&serve, "l"),
+            (&serve, "slo-us"),
             (&stats, "workers"),
+            (&stats, "slo-us"),
         ] {
             let args = args_of(cmd, &[&format!("--{flag}"), "0"]);
             assert_eq!(run(&args, &mut out).unwrap_err(), format!("--{flag} must be ≥ 1"));

@@ -1,7 +1,10 @@
 //! Cross-crate integration: dataset → graphs → engine → search →
 //! simulation, exercising the public API exactly as a user would.
 
-use algas::baselines::{AlgasMethod, CagraMethod, GannsMethod, IvfMethod, IvfParams, SearchMethod};
+use algas::baselines::{
+    each_search, run_engine, AlgasMethod, CagraMethod, GannsMethod, IvfMethod, IvfParams,
+    SearchMethod,
+};
 use algas::core::engine::{AlgasEngine, AlgasIndex, BeamMode, EngineConfig};
 use algas::graph::cagra::CagraParams;
 use algas::graph::nsw::NswParams;
@@ -24,7 +27,7 @@ fn full_pipeline_nsw() {
     let engine =
         AlgasEngine::new(index, EngineConfig { k: 10, l: 64, ..Default::default() }).unwrap();
     let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
-    let wl = engine.run_workload(&ds.queries);
+    let wl = run_engine(&engine, &ds.queries);
     let recall = mean_recall(&wl.results, &gt, 10);
     assert!(recall > 0.9, "NSW end-to-end recall {recall}");
 }
@@ -36,7 +39,7 @@ fn full_pipeline_cagra() {
     let engine =
         AlgasEngine::new(index, EngineConfig { k: 10, l: 64, ..Default::default() }).unwrap();
     let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
-    let wl = engine.run_workload(&ds.queries);
+    let wl = run_engine(&engine, &ds.queries);
     let recall = mean_recall(&wl.results, &gt, 10);
     assert!(recall > 0.9, "CAGRA end-to-end recall {recall}");
 }
@@ -48,7 +51,7 @@ fn cosine_pipeline_works() {
     let engine =
         AlgasEngine::new(index, EngineConfig { k: 8, l: 48, ..Default::default() }).unwrap();
     let gt = brute_force_knn(&ds.base, &ds.queries, Metric::Cosine, 8);
-    let wl = engine.run_workload(&ds.queries);
+    let wl = run_engine(&engine, &ds.queries);
     let recall = mean_recall(&wl.results, &gt, 8);
     assert!(recall > 0.85, "cosine end-to-end recall {recall}");
 }
@@ -114,29 +117,28 @@ fn beam_extend_reduces_work_at_matched_recall() {
     let k = 8;
     let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, k);
     let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-    let mk = |beam| {
+    // Ids per query and candidate-list sorts on the paper path.
+    let run = |beam| {
         let cfg = EngineConfig { k, l: 96, slots: 8, beam, ..Default::default() };
-        AlgasEngine::new(index.clone(), cfg).unwrap()
+        let engine = AlgasEngine::new(index.clone(), cfg).unwrap();
+        let (mut ids, mut sorts) = (Vec::new(), 0);
+        each_search(&engine, &ds.queries, |s| {
+            ids.push(s.topk.iter().map(|&(_, id)| id).collect());
+            sorts += s.multi.step_totals().sorts;
+        });
+        (ids, sorts)
     };
-    let greedy = mk(BeamMode::Greedy).run_workload(&ds.queries);
-    let beam = mk(BeamMode::Auto).run_workload(&ds.queries);
-    let sorts = |wl: &algas::core::Workload| -> u64 {
-        wl.traces.iter().flat_map(|m| m.traces.iter()).map(|t| t.totals().sorts).sum()
-    };
-    assert!(
-        sorts(&beam) < sorts(&greedy),
-        "beam {} vs greedy {} sorts",
-        sorts(&beam),
-        sorts(&greedy)
-    );
-    let rg = mean_recall(&greedy.results, &gt, k);
-    let rb = mean_recall(&beam.results, &gt, k);
+    let (greedy, greedy_sorts) = run(BeamMode::Greedy);
+    let (beam, beam_sorts) = run(BeamMode::Auto);
+    assert!(beam_sorts < greedy_sorts, "beam {beam_sorts} vs greedy {greedy_sorts} sorts");
+    let rg = mean_recall(&greedy, &gt, k);
+    let rb = mean_recall(&beam, &gt, k);
     assert!(rb > rg - 0.05, "beam recall {rb} vs greedy {rg}");
 }
 
 /// What the LSH entry table buys: a seed near the query crosses the
-/// graph in fewer steps. Single-CTA (1024 slots tune to `N_parallel`
-/// = 1), so hops count the serial steps of one walk; over a sweep of
+/// graph in fewer steps. Single-CTA (`n_parallel: Some(1)`), so hops
+/// count the serial steps of one walk; over a sweep of
 /// the list length, the cheapest point at recall ≥ 0.90 takes fewer
 /// hops from a hash-table seed than from the medoid.
 #[test]
@@ -149,13 +151,16 @@ fn index_backed_entries_reach_recall_in_fewer_hops_than_the_medoid() {
     // Mean hops per query at the first list length reaching the recall.
     let hops_at_recall = |entry_policy: EntryPolicy| -> f64 {
         for l in [16, 24, 32, 48, 64, 96] {
-            let cfg = EngineConfig { k: 10, l, slots: 1024, entry_policy, ..Default::default() };
+            let n_parallel = Some(1);
+            let cfg = EngineConfig { k: 10, l, n_parallel, entry_policy, ..Default::default() };
             let engine = AlgasEngine::new(index.clone(), cfg).unwrap();
-            assert_eq!(engine.plan().n_parallel, 1);
-            let wl = engine.run_workload(&ds.queries);
-            if mean_recall(&wl.results, &gt, 10) >= 0.90 {
-                let hops: usize = wl.traces.iter().map(|t| t.max_steps()).sum();
-                return hops as f64 / wl.traces.len() as f64;
+            let (mut ids, mut hops) = (Vec::new(), 0);
+            each_search(&engine, &ds.queries, |s| {
+                ids.push(s.topk.iter().map(|&(_, id)| id).collect());
+                hops += s.multi.trace(0).n_steps();
+            });
+            if mean_recall(&ids, &gt, 10) >= 0.90 {
+                return hops as f64 / ids.len() as f64;
             }
         }
         panic!("{entry_policy:?} never reached recall 0.90");

@@ -1,11 +1,10 @@
 //! Executable checks of the paper's qualitative claims at test scale.
 //! Each test names the paper section/figure it guards.
 
-use algas::baselines::{AlgasMethod, CagraMethod, SearchMethod};
+use algas::baselines::{each_search, AlgasMethod, CagraMethod, SearchMethod};
 use algas::core::engine::AlgasIndex;
-use algas::core::HostCostModel;
 use algas::gpu::sched::dynamic::{run_dynamic, StateMode};
-use algas::gpu::{CostModel, DeviceProps};
+use algas::gpu::{CostModel, DeviceProps, HostCostModel};
 use algas::graph::cagra::CagraParams;
 use algas::vector::datasets::DatasetSpec;
 use algas::vector::Metric;
@@ -45,15 +44,12 @@ fn claim_query_step_skew_exists() {
 fn claim_sorting_share_in_paper_band() {
     let (ds, index) = setup();
     let method = AlgasMethod::new(index, 8, 64, 8).unwrap();
-    let wl = method.engine().run_workload(&ds.queries);
     let (mut sort, mut total) = (0u64, 0u64);
-    for m in &wl.traces {
-        for t in &m.traces {
-            let totals = t.totals();
-            sort += totals.sort_cycles;
-            total += totals.total_cycles();
-        }
-    }
+    each_search(method.engine(), &ds.queries, |s| {
+        let totals = s.multi.step_totals();
+        sort += totals.sort_cycles;
+        total += totals.total_cycles();
+    });
     let frac = sort as f64 / total as f64;
     assert!((0.10..0.45).contains(&frac), "sort share {frac:.3} far outside the paper's regime");
 }
@@ -111,7 +107,7 @@ fn claim_state_copies_save_pcie() {
 /// for every batch size the evaluation sweeps (1–128).
 #[test]
 fn claim_tuner_keeps_all_slots_resident() {
-    use algas::core::tuning::{tune, TuningInput};
+    use algas::gpu::occupancy::{tune, TuningInput};
     let dev = DeviceProps::rtx_a6000();
     for slots in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let plan = tune(&TuningInput::new(dev, slots, 128, 64, 16)).unwrap();

@@ -423,7 +423,7 @@ fn recall_is_monotone_in_l() {
         let engine =
             AlgasEngine::new(index.clone(), EngineConfig { k: 10, l, ..Default::default() })
                 .unwrap();
-        let wl = engine.run_workload(&ds.queries);
+        let wl = algas::baselines::run_engine(&engine, &ds.queries);
         let r = mean_recall(&wl.results, &gt, 10);
         assert!(r >= last - 0.02, "recall regressed at L={l}: {r} < {last}");
         last = r;

@@ -31,9 +31,10 @@ fn relayout_round_trips_search_results_exactly() {
 
     let before = AlgasEngine::new(index, medoid_cfg()).unwrap();
     let after = AlgasEngine::new(relayouted, medoid_cfg()).unwrap();
+    let (mut a, mut b) = (before.make_scratch(), after.make_scratch());
     for q in 0..ds.queries.len() {
-        let a = before.search_traced(ds.queries.get(q), q as u64);
-        let b = after.search_traced(ds.queries.get(q), q as u64);
+        before.search_into(ds.queries.get(q), q as u64, &mut a);
+        after.search_into(ds.queries.get(q), q as u64, &mut b);
         assert_eq!(a.topk, b.topk, "query {q}: relayout changed the (dist, id) results");
     }
 }

@@ -20,20 +20,22 @@ fn scalar_and_simd_paths_agree_end_to_end() {
     let cfg = EngineConfig { k: 10, l: 64, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).unwrap();
 
+    let (mut scalar, mut vector) = (engine.make_scratch(), engine.make_scratch());
     for q in 0..ds.queries.len().min(24) {
         let query = ds.queries.get(q);
         simd::force_scalar(true);
-        let scalar = engine.search_traced(query, q as u64);
+        engine.search_into(query, q as u64, &mut scalar);
         simd::force_scalar(false);
-        let vector = engine.search_traced(query, q as u64);
+        engine.search_into(query, q as u64, &mut vector);
 
-        let ids = |t: &algas::core::engine::TracedSearch| {
-            t.topk.iter().map(|&(_, id)| id).collect::<Vec<u32>>()
+        let ids = |s: &algas::core::engine::SearchScratch| {
+            s.topk.iter().map(|&(_, id)| id).collect::<Vec<u32>>()
         };
         assert_eq!(ids(&scalar), ids(&vector), "query {q}: neighbor ids diverged");
 
-        assert_eq!(scalar.multi.traces.len(), vector.multi.traces.len());
-        for (c, (ts, tv)) in scalar.multi.traces.iter().zip(&vector.multi.traces).enumerate() {
+        assert_eq!(scalar.multi.n_active(), vector.multi.n_active());
+        for c in 0..scalar.multi.n_active() {
+            let (ts, tv) = (scalar.multi.trace(c), vector.multi.trace(c));
             assert_eq!(ts.steps.len(), tv.steps.len(), "query {q} cta {c}: step counts");
             for (i, (ss, sv)) in ts.steps.iter().zip(&tv.steps).enumerate() {
                 assert_eq!(
