@@ -657,6 +657,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn builds_match_the_recorded_graphs_at_dim_128() {
+        // Dim 128 runs the float kernels' 32-float main loop, which the
+        // dim-24 pins above never reach. The constants were recorded
+        // with the AVX2+FMA kernels; a tier whose float bits differ
+        // from AVX2's (scalar, NEON) builds other graphs, so only the
+        // x86 tiers are held to them.
+        if !["avx2+fma", "avx512"].contains(&algas_vector::simd::kernel_name()) {
+            return;
+        }
+        let ds = DatasetSpec::tiny(2000, 128, Metric::L2, 11).generate();
+        assert_eq!(crate::entry::medoid(&ds.base, Metric::L2), 687, "medoid");
+        let exact = build_knn_graph_exact_threads(&ds.base, Metric::L2, 16, 2);
+        assert_eq!(graph_hash(&exact), 0xd90c_f4f6_570c_11f2, "exact k-NN graph");
+        let knn = NnDescentParams { k: 32, ..Default::default() };
+        let cagra = CagraBuilder::new(
+            Metric::L2,
+            CagraParams { graph_degree: 16, intermediate_degree: 32, ..Default::default() },
+        );
+        for threads in [1, 3] {
+            let g = build_knn_graph_nn_descent_threads(&ds.base, Metric::L2, knn, threads);
+            assert_eq!(graph_hash(&g), 0x9f49_3ff6_5afc_41ec, "k-NN graph, {threads} threads");
+            let g = cagra.optimize_with_threads(&ds.base, &g, threads);
+            assert_eq!(graph_hash(&g), 0xadc9_a35d_f662_8c2f, "CAGRA graph, {threads} threads");
+        }
+    }
+
     /// The windows `join_window` cuts `0..n` into.
     fn windows(n: usize, budget: usize, pairs: impl Fn(usize) -> usize + Copy) -> Vec<usize> {
         let mut ends = vec![0];

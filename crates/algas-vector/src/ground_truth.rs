@@ -153,6 +153,31 @@ mod tests {
     }
 
     #[test]
+    fn brute_force_matches_the_recorded_truth_at_dim_128() {
+        // Dim 128 runs the float kernels' 32-float main loop. The
+        // constants were recorded with the AVX2+FMA kernels; only the
+        // x86 tiers, whose float bits equal AVX2's, are held to them.
+        if !["avx2+fma", "avx512"].contains(&crate::simd::kernel_name()) {
+            return;
+        }
+        for (metric, want) in
+            [(Metric::L2, 0x388a_f197_bf12_cd51u64), (Metric::Cosine, 0x9e15_1263_36e2_c60a)]
+        {
+            let ds = crate::datasets::DatasetSpec::tiny(2000, 128, metric, 11).generate();
+            let gt = brute_force_knn(&ds.base, &ds.queries, metric, 10);
+            let hash = gt
+                .neighbors
+                .iter()
+                .flatten()
+                .flat_map(|id| id.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(hash, want, "{metric:?}");
+        }
+    }
+
+    #[test]
     fn ties_are_deterministic() {
         // Two points equidistant from the query: total_cmp + id ordering
         // must give a stable answer across runs.
