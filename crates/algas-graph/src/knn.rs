@@ -14,6 +14,7 @@
 
 use crate::csr::FixedDegreeGraph;
 use crate::parallel;
+use algas_vector::ground_truth::{knn_block, QUERY_BLOCK};
 use algas_vector::metric::DistValue;
 use algas_vector::{Metric, VectorStore};
 use rand::rngs::StdRng;
@@ -39,31 +40,13 @@ pub fn build_knn_graph_exact_threads(
     assert!(k > 0, "k must be positive");
     assert!(k < n, "k={k} must be < n={n}");
     crate::progress::global().start_phase(crate::progress::BuildPhase::KnnExact, n as u64);
-    let rows: Vec<Vec<u32>> = parallel::par_map(n, 16, threads, |v| {
-        crate::progress::global().node_done(1);
-        // One batched sweep over the whole corpus, then a bounded
-        // heap pass skipping the self-distance.
-        let mut dists = Vec::with_capacity(n);
-        metric.distance_all(base.get(v), base, &mut dists);
-        let mut heap: std::collections::BinaryHeap<(DistValue, u32)> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        for (u, &dist) in dists.iter().enumerate() {
-            if u == v {
-                continue;
-            }
-            let d = DistValue(dist);
-            if heap.len() < k {
-                heap.push((d, u as u32));
-            } else if d < heap.peek().expect("non-empty").0 {
-                heap.pop();
-                heap.push((d, u as u32));
-            }
-        }
-        let mut pairs = heap.into_vec();
-        pairs.sort();
-        pairs.into_iter().map(|(_, id)| id).collect()
+    // Blocks of rows scan the corpus together, each row's self skipped.
+    let blocks = parallel::par_map(n.div_ceil(QUERY_BLOCK), 2, threads, |b| {
+        let block = b * QUERY_BLOCK..n.min((b + 1) * QUERY_BLOCK);
+        crate::progress::global().node_done(block.len() as u64);
+        knn_block(base, base, block, metric, k, true)
     });
-    FixedDegreeGraph::from_adjacency(n, k, &rows)
+    FixedDegreeGraph::from_adjacency(n, k, &blocks.concat())
 }
 
 /// Parameters for NN-descent.
@@ -255,8 +238,22 @@ struct ChunkOffers {
     /// `runs[t]`: the chunk's offers to apply thread `t`'s lists, in
     /// serial order.
     runs: Vec<Vec<Offer>>,
-    new: Vec<u32>,
-    old: Vec<u32>,
+    /// A vertex's join set: its new samples, then its old ones.
+    join: Vec<u32>,
+    /// The distances of one join row.
+    dists: Vec<f32>,
+}
+
+/// Appends a vertex's forward samples to its join set, then the
+/// reverse ones not among them.
+fn push_samples(join: &mut Vec<u32>, fwd: &[u32], rev: &[u32]) {
+    let start = join.len();
+    join.extend_from_slice(fwd);
+    for &u in rev {
+        if !join[start..].contains(&u) {
+            join.push(u);
+        }
+    }
 }
 
 /// Runs `f(i, &mut items[i])` for every item on up to `threads` threads
@@ -282,16 +279,21 @@ fn random_lists(base: &VectorStore, metric: Metric, k: usize, seed: u64) -> List
     let n = base.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut lists = Lists::with_capacity(n, k);
+    let (mut ids, mut dists) = (Vec::with_capacity(k), Vec::with_capacity(k));
     let mut row: Vec<(DistValue, u32)> = Vec::with_capacity(k);
     for v in 0..n {
-        row.clear();
-        while row.len() < k {
-            let u = rng.gen_range(0..n);
-            if u == v || row.iter().any(|&(_, id)| id == u as u32) {
-                continue;
+        ids.clear();
+        while ids.len() < k {
+            let u = rng.gen_range(0..n) as u32;
+            if u as usize != v && !ids.contains(&u) {
+                ids.push(u);
             }
-            let d = DistValue(metric.distance(base.get(v), base.get(u)));
-            row.insert(row.partition_point(|&(x, _)| x < d), (d, u as u32));
+        }
+        metric.distance_rows(base.get(v), base, &ids, &mut dists);
+        row.clear();
+        for (&u, &d) in ids.iter().zip(&dists) {
+            let d = DistValue(d);
+            row.insert(row.partition_point(|&(x, _)| x < d), (d, u));
         }
         lists.push(&row);
     }
@@ -435,26 +437,21 @@ fn nn_descent(
                 crate::progress::global().node_done(vs.len() as u64);
                 out.runs.iter_mut().for_each(Vec::clear);
                 for v in vs {
-                    for (ids, fwd, rev) in
-                        [(&mut out.new, &new_fwd, &new_rev), (&mut out.old, &old_fwd, &old_rev)]
-                    {
-                        ids.clear();
-                        ids.extend_from_slice(fwd.row(v));
-                        for &u in rev.row(v) {
-                            if !ids.contains(&u) {
-                                ids.push(u);
-                            }
-                        }
-                    }
-                    for (i, &a) in out.new.iter().enumerate() {
+                    out.join.clear();
+                    push_samples(&mut out.join, new_fwd.row(v), new_rev.row(v));
+                    let n_new = out.join.len();
+                    push_samples(&mut out.join, old_fwd.row(v), old_rev.row(v));
+                    // Each new sample against the later new ones and all
+                    // old ones, scored in one call.
+                    for i in 0..n_new {
+                        let (a, partners) = (out.join[i], &out.join[i + 1..]);
+                        metric.distance_rows(base.get(a as usize), base, partners, &mut out.dists);
                         let bound_a = worst[a as usize];
-                        for &b in out.new[i + 1..].iter().chain(&out.old) {
+                        for (&b, &d) in partners.iter().zip(&out.dists) {
                             if a == b {
                                 continue;
                             }
-                            let d = DistValue(
-                                metric.distance(base.get(a as usize), base.get(b as usize)),
-                            );
+                            let d = DistValue(d);
                             if d < bound_a {
                                 let to = a as usize / per_owner;
                                 out.runs[to].push(Offer { to: a, from: b, d });

@@ -7,6 +7,7 @@ use crate::metric::{DistValue, Metric};
 use crate::parallel::{max_threads, par_map};
 use crate::store::VectorStore;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Exact k-nearest-neighbor ids for a query set, one row per query,
 /// each row sorted by ascending distance.
@@ -18,8 +19,13 @@ pub struct GroundTruth {
     pub k: usize,
 }
 
-/// Computes exact k-NN by brute force, parallelized over queries
-/// ([`par_map`], so the rows do not depend on the thread count).
+/// Queries one exact k-NN scan takes at a time: each corpus row is
+/// loaded once per block and scored against every query in it.
+pub const QUERY_BLOCK: usize = 8;
+
+/// Computes exact k-NN by brute force, parallelized over blocks of
+/// [`QUERY_BLOCK`] queries ([`par_map`], so the rows do not depend on
+/// the thread count).
 /// Complexity O(|queries| · |base| · dim); fine at the corpus
 /// sizes this reproduction uses.
 ///
@@ -36,31 +42,51 @@ pub fn brute_force_knn(
     assert!(k <= base.len(), "k={k} exceeds corpus size {}", base.len());
     assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
 
-    let neighbors =
-        par_map(queries.len(), 4, max_threads(), |q| knn_single(base, queries.get(q), metric, k));
-    GroundTruth { neighbors, k }
+    let nq = queries.len();
+    let blocks = par_map(nq.div_ceil(QUERY_BLOCK), 1, max_threads(), |b| {
+        knn_block(base, queries, b * QUERY_BLOCK..nq.min((b + 1) * QUERY_BLOCK), metric, k, false)
+    });
+    GroundTruth { neighbors: blocks.concat(), k }
 }
 
-/// Exact k-NN of one query via a batched scan plus a bounded max-heap.
-pub fn knn_single(base: &VectorStore, query: &[f32], metric: Metric, k: usize) -> Vec<u32> {
-    // One SIMD sweep over the whole corpus, then a bounded max-heap:
-    // the root is the worst of the current best-k and is evicted when
-    // something closer arrives.
-    let mut dists = Vec::new();
-    metric.distance_all(query, base, &mut dists);
-    let mut heap: BinaryHeap<(DistValue, u32)> = BinaryHeap::with_capacity(k + 1);
-    for (i, &dist) in dists.iter().enumerate() {
-        let d = DistValue(dist);
-        if heap.len() < k {
-            heap.push((d, i as u32));
-        } else if d < heap.peek().expect("heap non-empty").0 {
-            heap.pop();
-            heap.push((d, i as u32));
+/// Exact k-NN over `base` of queries `block` of `queries`, one id row
+/// per query sorted by ascending distance (ties by id), from one
+/// [`Metric::distance_block`] scan: each query's bounded max-heap is fed
+/// the rows in order, its root the worst of the current best k. With
+/// `skip_self`, row `q` is no candidate of query `q` (a store's k-NN
+/// graph over itself).
+pub fn knn_block(
+    base: &VectorStore,
+    queries: &VectorStore,
+    block: Range<usize>,
+    metric: Metric,
+    k: usize,
+    skip_self: bool,
+) -> Vec<Vec<u32>> {
+    let mut heaps: Vec<BinaryHeap<(DistValue, u32)>> =
+        block.clone().map(|_| BinaryHeap::with_capacity(k + 1)).collect();
+    metric.distance_block(queries, block.clone(), base, |i, dists| {
+        for ((q, heap), &dist) in block.clone().zip(&mut heaps).zip(dists) {
+            if skip_self && q == i {
+                continue;
+            }
+            let d = DistValue(dist);
+            if heap.len() < k {
+                heap.push((d, i as u32));
+            } else if d < heap.peek().expect("heap non-empty").0 {
+                heap.pop();
+                heap.push((d, i as u32));
+            }
         }
-    }
-    let mut pairs: Vec<(DistValue, u32)> = heap.into_vec();
-    pairs.sort();
-    pairs.into_iter().map(|(_, id)| id).collect()
+    });
+    heaps
+        .into_iter()
+        .map(|heap| {
+            let mut pairs = heap.into_vec();
+            pairs.sort();
+            pairs.into_iter().map(|(_, id)| id).collect()
+        })
+        .collect()
 }
 
 /// Recall of one result list against one truth list.
@@ -103,20 +129,30 @@ mod tests {
         VectorStore::from_flat(1, (0..10).map(|i| i as f32).collect())
     }
 
-    #[test]
-    fn knn_single_finds_true_neighbors() {
-        let base = grid_store();
-        let ids = knn_single(&base, &[3.2], Metric::L2, 3);
-        assert_eq!(ids, vec![3, 4, 2]); // distances 0.2, 0.8, 1.2
+    /// Exact k-NN of one query, through a one-query block.
+    fn knn_one(base: &VectorStore, query: &[f32], k: usize) -> Vec<u32> {
+        let queries = VectorStore::from_flat(base.dim(), query.to_vec());
+        knn_block(base, &queries, 0..1, Metric::L2, k, false).remove(0)
     }
 
     #[test]
-    fn brute_force_matches_single() {
+    fn knn_block_finds_true_neighbors() {
         let base = grid_store();
-        let queries = VectorStore::from_flat(1, vec![3.2, 8.9]);
-        let gt = brute_force_knn(&base, &queries, Metric::L2, 2);
-        assert_eq!(gt.neighbors[0], knn_single(&base, &[3.2], Metric::L2, 2));
-        assert_eq!(gt.neighbors[1], knn_single(&base, &[8.9], Metric::L2, 2));
+        assert_eq!(knn_one(&base, &[3.2], 3), vec![3, 4, 2]); // distances 0.2, 0.8, 1.2
+        let all = knn_block(&base, &base, 2..5, Metric::L2, 2, true);
+        assert_eq!(all, [[1, 3], [2, 4], [3, 5]]); // each row's self skipped
+    }
+
+    #[test]
+    fn brute_force_matches_one_query_blocks() {
+        // 19 queries: two full blocks and a short one.
+        let base = crate::datasets::DatasetSpec::tiny(300, 37, Metric::L2, 4).generate().base;
+        let queries = VectorStore::from_rows(37, (0..19).map(|i| base.get(i * 13)));
+        let gt = brute_force_knn(&base, &queries, Metric::L2, 5);
+        assert_eq!(gt.neighbors.len(), 19);
+        for (q, row) in gt.neighbors.iter().enumerate() {
+            assert_eq!(row, &knn_one(&base, queries.get(q), 5), "query {q}");
+        }
     }
 
     #[test]
@@ -182,8 +218,8 @@ mod tests {
         // Two points equidistant from the query: total_cmp + id ordering
         // must give a stable answer across runs.
         let base = VectorStore::from_flat(1, vec![1.0, -1.0, 5.0]);
-        let a = knn_single(&base, &[0.0], Metric::L2, 2);
-        let b = knn_single(&base, &[0.0], Metric::L2, 2);
+        let a = knn_one(&base, &[0.0], 2);
+        let b = knn_one(&base, &[0.0], 2);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         assert!(a.contains(&0) && a.contains(&1));

@@ -29,26 +29,85 @@ impl Metric {
     /// Computes the dissimilarity between `a` and `b`.
     ///
     /// # Panics
-    /// Panics (debug) if the slices differ in length.
+    /// Panics if the slices differ in length, in release builds too
+    /// (the kernels in [`crate::simd`] assert it).
     #[inline]
     pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
         match self {
             Metric::L2 => l2_squared(a, b),
             Metric::Cosine => 1.0 - inner_product(a, b),
         }
     }
 
+    /// Scores `a` against rows `ids` of `store`, one dissimilarity per
+    /// id into `out` (cleared first, in `ids` order): `out[j]` is
+    /// `self.distance(a, &store.row_padded(ids[j])[..a.len()])`, bit
+    /// for bit. The length comes from `a`, so a caller that passes a
+    /// row as [`get`](VectorStore::get) returns it (`dim` floats) gets
+    /// exactly the per-pair distances of the unpadded rows, and one that
+    /// passes a padded query (`stride` floats) those of the padded rows.
+    ///
+    /// This is the one-to-many entry every bulk loop uses (the search
+    /// walk, the rerank, NN-descent, CAGRA's pruning): one dispatched
+    /// call for the whole list, rows prefetched
+    /// [`simd::PREFETCH_AHEAD`] ids ahead, and on AVX-512 `a` held in
+    /// registers across rows.
+    ///
+    /// # Panics
+    /// Panics if `a.len() > store.stride()` or any id is out of range,
+    /// in release builds too.
+    pub fn distance_rows(self, a: &[f32], store: &VectorStore, ids: &[u32], out: &mut Vec<f32>) {
+        assert!(a.len() <= store.stride(), "vector longer than the store's rows");
+        out.clear();
+        out.resize(ids.len(), 0.0);
+        match self {
+            Metric::L2 => simd::l2_squared_rows(a, store.flat(), store.stride(), ids, out),
+            Metric::Cosine => {
+                simd::inner_product_rows(a, store.flat(), store.stride(), ids, out);
+                out.iter_mut().for_each(|d| *d = 1.0 - *d);
+            }
+        }
+    }
+
+    /// Scores queries `block` of `queries` against every row of `base`,
+    /// in row order: `f(i, d)` gets row `i`'s dissimilarities, `d[j]`
+    /// for query `block.start + j`, each bit for bit what
+    /// [`distance_all`](Self::distance_all) gives that query (the
+    /// kernels are symmetric in their operands).
+    ///
+    /// The many-to-many scan of exact k-NN: each row is loaded once per
+    /// block and scored against every query in it, where a
+    /// query-at-a-time sweep streams the whole corpus once per query.
+    ///
+    /// # Panics
+    /// Panics if the stores differ in dimension or `block` runs past
+    /// `queries`.
+    pub fn distance_block(
+        self,
+        queries: &VectorStore,
+        block: std::ops::Range<usize>,
+        base: &VectorStore,
+        mut f: impl FnMut(usize, &[f32]),
+    ) {
+        assert_eq!(queries.dim(), base.dim(), "dimension mismatch");
+        assert!(block.end <= queries.len(), "query block out of range");
+        let ids: Vec<u32> = block.map(|q| q as u32).collect();
+        let mut dists = Vec::with_capacity(ids.len());
+        for i in 0..base.len() {
+            self.distance_rows(base.row_padded(i), queries, &ids, &mut dists);
+            f(i, &dists);
+        }
+    }
+
     /// Scores a batch of store rows against one query, appending one
     /// dissimilarity per id into `out` (cleared first, in `ids` order).
     ///
-    /// This is the hot-path entry every search loop uses: the query is
-    /// zero-padded once to the store's [`stride`](VectorStore::stride)
-    /// (thread-local scratch, no steady-state allocation), so the SIMD
-    /// kernels run aligned full-width loops over
-    /// [`row_padded`](VectorStore::row_padded) rows with no scalar tail,
-    /// while upcoming rows are software-prefetched
-    /// [`simd::PREFETCH_AHEAD`] elements ahead of the one being scored.
+    /// The query is zero-padded once to the store's
+    /// [`stride`](VectorStore::stride) (thread-local scratch, no
+    /// steady-state allocation) and handed to
+    /// [`distance_rows`](Self::distance_rows), so the SIMD kernels run
+    /// full-width loops over [`row_padded`](VectorStore::row_padded)
+    /// rows with no scalar tail.
     ///
     /// # Panics
     /// Panics if `query.len() != store.dim()` or any id is out of range.
@@ -60,26 +119,7 @@ impl Metric {
         out: &mut Vec<f32>,
     ) {
         assert_eq!(query.len(), store.dim(), "query dimension mismatch");
-        out.clear();
-        out.reserve(ids.len());
-        simd::with_padded_query(query, store.stride(), |q| match self {
-            Metric::L2 => {
-                for (j, &id) in ids.iter().enumerate() {
-                    if let Some(&next) = ids.get(j + simd::PREFETCH_AHEAD) {
-                        simd::prefetch_row(store.row_padded(next as usize));
-                    }
-                    out.push(simd::l2_squared(q, store.row_padded(id as usize)));
-                }
-            }
-            Metric::Cosine => {
-                for (j, &id) in ids.iter().enumerate() {
-                    if let Some(&next) = ids.get(j + simd::PREFETCH_AHEAD) {
-                        simd::prefetch_row(store.row_padded(next as usize));
-                    }
-                    out.push(1.0 - simd::inner_product(q, store.row_padded(id as usize)));
-                }
-            }
-        });
+        simd::with_padded_query(query, store.stride(), |q| self.distance_rows(q, store, ids, out));
     }
 
     /// Scores the query against **every** row of the store, appending
@@ -307,6 +347,46 @@ mod tests {
                     let single = metric.distance(&query, store.get(i));
                     assert!((d - single).abs() <= 1e-5 * single.abs().max(1.0));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_and_many_to_many_have_the_per_pair_bits() {
+        for dim in [3, 24, 100, 128, 129, 131] {
+            let store = VectorStore::from_rows(
+                dim,
+                (0..11)
+                    .map(|r| (0..dim).map(|d| ((r * dim + d) as f32).sin()).collect::<Vec<_>>())
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .map(|v| v.as_slice()),
+            );
+            let ids: Vec<u32> = vec![4, 0, 10, 2, 2, 7];
+            for metric in [Metric::L2, Metric::Cosine] {
+                // One to many over `dim` floats: the unpadded pairs.
+                let mut out = Vec::new();
+                metric.distance_rows(store.get(3), &store, &ids, &mut out);
+                for (&id, &d) in ids.iter().zip(&out) {
+                    let pair = metric.distance(store.get(3), store.get(id as usize));
+                    assert_eq!(d.to_bits(), pair.to_bits(), "{metric:?} dim={dim} id={id}");
+                }
+                // Many to many: each query's `distance_all` sweep.
+                let mut rows_seen = 0;
+                metric.distance_block(&store, 5..11, &store, |i, d| {
+                    assert_eq!(i, rows_seen);
+                    rows_seen += 1;
+                    for (q, &got) in (5..11).zip(d) {
+                        let pair = metric.distance(store.row_padded(q), store.row_padded(i));
+                        assert_eq!(got.to_bits(), pair.to_bits(), "{metric:?} dim={dim} {q}/{i}");
+                    }
+                });
+                assert_eq!(rows_seen, store.len());
+                let mut all = Vec::new();
+                metric.distance_all(store.get(7), &store, &mut all);
+                metric.distance_block(&store, 7..8, &store, |i, d| {
+                    assert_eq!(d[0].to_bits(), all[i].to_bits(), "{metric:?} dim={dim} row {i}");
+                });
             }
         }
     }

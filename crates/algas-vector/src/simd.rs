@@ -4,7 +4,15 @@
 //! loops; the CPU analogue is a vectorized kernel selected once at
 //! startup from what the host actually supports:
 //!
-//! * **x86_64** — AVX2 + FMA, four 8-lane `__m256` accumulators
+//! * **x86_64, AVX-512** (`avx512f`, `avx512bw`, `avx512vl` and
+//!   `avx512vnni`) — two 16-lane `__m512` accumulators (32 floats per
+//!   iteration) holding AVX2's four 8-lane ones side by side: lanes
+//!   0–15 of the first are AVX2's `acc0` and `acc1` over floats
+//!   `32t + 0..16`. Each is split into its two 8-lane halves before
+//!   AVX2's own 8-wide tail, lane sum and scalar tail run, so every
+//!   float result has AVX2's bits. The u8×i8 dot products use VNNI
+//!   (`vpdpbusd`, exact i32 arithmetic, no saturation).
+//! * **x86_64, AVX2 + FMA** — four 8-lane `__m256` accumulators
 //!   (32 floats per iteration) to hide FMA latency, 8-wide remainder
 //!   loop, scalar tail.
 //! * **aarch64** — NEON, four 4-lane `float32x4_t` accumulators
@@ -16,6 +24,14 @@
 //! the first is a direct function-pointer invocation. [`force_scalar`]
 //! overrides the choice at runtime so tests can compare the two paths
 //! in one process.
+//!
+//! Besides the per-pair kernels there is one-to-many entry per float
+//! kernel ([`l2_squared_rows`], [`inner_product_rows`]): one vector
+//! against a list of rows of one flat store, over the vector's length,
+//! with the row [`PREFETCH_AHEAD`] ids ahead prefetched. Each result
+//! has the bits of the per-pair kernel over the same slices. The
+//! AVX-512 tier keeps the vector's first 128 floats in registers across
+//! rows; the other tiers run their per-pair kernel in the same loop.
 //!
 //! The batched entry points in [`crate::metric`] call these kernels on
 //! *padded* rows ([`crate::store::VectorStore::row_padded`]): both
@@ -32,11 +48,17 @@ use std::sync::OnceLock;
 /// software-prefetched while the current one is being scored.
 pub const PREFETCH_AHEAD: usize = 4;
 
+/// One-to-many float kernel: `out[j]` scores `a` against row `ids[j]`
+/// of a flat store with the given stride (see [`l2_squared_rows`]).
+type RowsFn = fn(&[f32], &[f32], usize, &[u32], &mut [f32]);
+
 /// One resolved kernel set.
 #[derive(Clone, Copy)]
 struct Kernels {
     l2: fn(&[f32], &[f32]) -> f32,
     ip: fn(&[f32], &[f32]) -> f32,
+    l2_rows: RowsFn,
+    ip_rows: RowsFn,
     dot_u8i8: fn(&[u8], &[i8]) -> i32,
     dot_u8i8_x4: fn(&[i8], [&[u8]; 4]) -> [i32; 4],
     name: &'static str,
@@ -45,28 +67,66 @@ struct Kernels {
 const SCALAR: Kernels = Kernels {
     l2: l2_squared_scalar,
     ip: inner_product_scalar,
+    l2_rows: |a, rows, stride, ids, out| rows_with(l2_squared_scalar, a, rows, stride, ids, out),
+    ip_rows: |a, rows, stride, ids, out| rows_with(inner_product_scalar, a, rows, stride, ids, out),
     dot_u8i8: dot_u8i8_scalar,
     dot_u8i8_x4: dot_u8i8_x4_scalar,
     name: "scalar",
 };
 
+/// Installed only after runtime detection of avx2 and fma.
+#[cfg(target_arch = "x86_64")]
+const AVX2: Kernels = Kernels {
+    l2: l2_squared_avx2,
+    ip: inner_product_avx2,
+    l2_rows: |a, rows, stride, ids, out| rows_with(l2_squared_avx2, a, rows, stride, ids, out),
+    ip_rows: |a, rows, stride, ids, out| rows_with(inner_product_avx2, a, rows, stride, ids, out),
+    dot_u8i8: dot_u8i8_avx2,
+    dot_u8i8_x4: dot_u8i8_x4_avx2,
+    name: "avx2+fma",
+};
+
+/// Installed only after runtime detection of everything [`AVX2`] needs
+/// plus avx512f, avx512bw, avx512vl and avx512vnni.
+#[cfg(target_arch = "x86_64")]
+const AVX512: Kernels = Kernels {
+    l2: l2_squared_avx512,
+    ip: inner_product_avx512,
+    l2_rows: l2_squared_rows_avx512,
+    ip_rows: inner_product_rows_avx512,
+    dot_u8i8: dot_u8i8_avx512,
+    dot_u8i8_x4: dot_u8i8_x4_avx512,
+    name: "avx512",
+};
+
 static DETECTED: OnceLock<Kernels> = OnceLock::new();
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
+
+/// Whether the host has what the [`AVX2`] kernels need.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Whether the host has what the [`AVX512`] kernels need.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    has_avx2()
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512vnni")
+}
 
 fn detected() -> Kernels {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Kernels {
-                    l2: l2_squared_avx2,
-                    ip: inner_product_avx2,
-                    dot_u8i8: dot_u8i8_avx2,
-                    dot_u8i8_x4: dot_u8i8_x4_avx2,
-                    name: "avx2+fma",
-                };
+            if has_avx512() {
+                return AVX512;
+            }
+            if has_avx2() {
+                return AVX2;
             }
         }
         #[cfg(target_arch = "aarch64")]
@@ -75,6 +135,12 @@ fn detected() -> Kernels {
                 return Kernels {
                     l2: l2_squared_neon,
                     ip: inner_product_neon,
+                    l2_rows: |a, rows, stride, ids, out| {
+                        rows_with(l2_squared_neon, a, rows, stride, ids, out)
+                    },
+                    ip_rows: |a, rows, stride, ids, out| {
+                        rows_with(inner_product_neon, a, rows, stride, ids, out)
+                    },
                     dot_u8i8: dot_u8i8_neon,
                     dot_u8i8_x4: dot_u8i8_x4_neon,
                     name: "neon",
@@ -105,7 +171,8 @@ pub fn force_scalar(on: bool) {
 }
 
 /// Name of the kernel runtime dispatch selected on this host
-/// (`"avx2+fma"`, `"neon"`, or `"scalar"`), ignoring [`force_scalar`].
+/// (`"avx512"`, `"avx2+fma"`, `"neon"`, or `"scalar"`), ignoring
+/// [`force_scalar`].
 pub fn kernel_name() -> &'static str {
     detected().name
 }
@@ -128,6 +195,57 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 pub fn inner_product(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     (active().ip)(a, b)
+}
+
+/// One-to-many squared Euclidean distance via the dispatched kernel:
+/// `out[j] = l2_squared(a, &rows[ids[j]·stride..][..a.len()])`, bit for
+/// bit, over `a.len()` floats of each row. The row `PREFETCH_AHEAD`
+/// ids ahead is prefetched while the current one is scored.
+///
+/// # Panics
+/// Panics if `out.len() != ids.len()` or a row runs past the end of
+/// `rows` (in release builds too).
+#[inline]
+pub fn l2_squared_rows(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out: &mut [f32]) {
+    assert_eq!(ids.len(), out.len(), "one distance per id");
+    (active().l2_rows)(a, rows, stride, ids, out)
+}
+
+/// One-to-many inner product via the dispatched kernel; the
+/// [`l2_squared_rows`] contract with [`inner_product`] per row.
+///
+/// # Panics
+/// Panics if `out.len() != ids.len()` or a row runs past the end of
+/// `rows` (in release builds too).
+#[inline]
+pub fn inner_product_rows(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out: &mut [f32]) {
+    assert_eq!(ids.len(), out.len(), "one distance per id");
+    (active().ip_rows)(a, rows, stride, ids, out)
+}
+
+/// Row `id` of a flat store, cut to `len` floats (bounds-checked).
+#[inline(always)]
+fn row_of(rows: &[f32], stride: usize, id: u32, len: usize) -> &[f32] {
+    &rows[id as usize * stride..][..len]
+}
+
+/// The one-to-many loop around a per-pair kernel, for the tiers that
+/// have no kernel of their own for it.
+#[inline(always)]
+fn rows_with(
+    pair: impl Fn(&[f32], &[f32]) -> f32,
+    a: &[f32],
+    rows: &[f32],
+    stride: usize,
+    ids: &[u32],
+    out: &mut [f32],
+) {
+    for (j, (&id, o)) in ids.iter().zip(out).enumerate() {
+        if let Some(&next) = ids.get(j + PREFETCH_AHEAD) {
+            prefetch_row(row_of(rows, stride, next, a.len()));
+        }
+        *o = pair(a, row_of(rows, stride, id, a.len()));
+    }
 }
 
 /// Mixed-sign integer dot product `Σ codes[d] · q[d]` via the
@@ -262,89 +380,223 @@ pub fn prefetch_span(ptr: *const u8, bytes: usize) {
 }
 
 #[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m512};
+
+#[cfg(target_arch = "x86_64")]
 fn l2_squared_avx2(a: &[f32], b: &[f32]) -> f32 {
     // SAFETY: `detected()` only installs this kernel after confirming
     // avx2+fma support at runtime.
-    unsafe { l2_squared_avx2_inner(a, b) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn l2_squared_avx2_inner(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0;
-    // Main loop: 32 floats per iteration across 4 independent
-    // accumulators so consecutive FMAs do not serialize on latency.
-    while i + 32 <= n {
-        let d0 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-        let d1 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i + 8)), _mm256_loadu_ps(pb.add(i + 8)));
-        let d2 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i + 16)), _mm256_loadu_ps(pb.add(i + 16)));
-        let d3 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i + 24)), _mm256_loadu_ps(pb.add(i + 24)));
-        acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-        acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-        acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-        acc3 = _mm256_fmadd_ps(d3, d3, acc3);
-        i += 32;
-    }
-    while i + 8 <= n {
-        let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-        acc0 = _mm256_fmadd_ps(d, d, acc0);
-        i += 8;
-    }
-    let mut acc = hsum256(_mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)));
-    while i < n {
-        let d = *a.get_unchecked(i) - *b.get_unchecked(i);
-        acc += d * d;
-        i += 1;
-    }
-    acc
+    unsafe { float_avx2::<false>(a, b) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn inner_product_avx2(a: &[f32], b: &[f32]) -> f32 {
     // SAFETY: installed only after runtime detection of avx2+fma.
-    unsafe { inner_product_avx2_inner(a, b) }
+    unsafe { float_avx2::<true>(a, b) }
 }
 
+/// One float-kernel step on 8 lanes: `acc + x·y` for the inner product
+/// (`IP`), `acc + (x − y)²` for L2, each one fused multiply-add.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn step256<const IP: bool>(x: __m256, y: __m256, acc: __m256) -> __m256 {
+    use std::arch::x86_64::*;
+    if IP {
+        _mm256_fmadd_ps(x, y, acc)
+    } else {
+        let d = _mm256_sub_ps(x, y);
+        _mm256_fmadd_ps(d, d, acc)
+    }
+}
+
+/// [`step256`] on 16 lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn step512<const IP: bool>(x: __m512, y: __m512, acc: __m512) -> __m512 {
+    use std::arch::x86_64::*;
+    if IP {
+        _mm512_fmadd_ps(x, y, acc)
+    } else {
+        let d = _mm512_sub_ps(x, y);
+        _mm512_fmadd_ps(d, d, acc)
+    }
+}
+
+/// The AVX2 float kernel (`IP`: inner product, else squared L2).
+///
+/// Requires `b.len() >= a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn inner_product_avx2_inner(a: &[f32], b: &[f32]) -> f32 {
+unsafe fn float_avx2<const IP: bool>(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     let n = a.len();
     let pa = a.as_ptr();
     let pb = b.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
+    let mut acc = [_mm256_setzero_ps(); 4];
     let mut i = 0;
+    // Main loop: 32 floats per iteration across 4 independent
+    // accumulators so consecutive FMAs do not serialize on latency.
     while i + 32 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-        acc1 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i + 8)), _mm256_loadu_ps(pb.add(i + 8)), acc1);
-        acc2 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i + 16)), _mm256_loadu_ps(pb.add(i + 16)), acc2);
-        acc3 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i + 24)), _mm256_loadu_ps(pb.add(i + 24)), acc3);
+        for (l, acc) in acc.iter_mut().enumerate() {
+            let (x, y) = (_mm256_loadu_ps(pa.add(i + 8 * l)), _mm256_loadu_ps(pb.add(i + 8 * l)));
+            *acc = step256::<IP>(x, y, *acc);
+        }
         i += 32;
     }
+    finish_avx2::<IP>(a, b, i, acc)
+}
+
+/// AVX2's end of a float kernel, which both x86 tiers run from float
+/// `i` on: 8-wide steps into `acc[0]`, the lane sum of
+/// `(acc0 + acc1) + (acc2 + acc3)`, then the scalar tail.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn finish_avx2<const IP: bool>(
+    a: &[f32],
+    b: &[f32],
+    mut i: usize,
+    mut acc: [__m256; 4],
+) -> f32 {
+    use std::arch::x86_64::*;
+    let n = a.len();
     while i + 8 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
+        let (x, y) = (_mm256_loadu_ps(a.as_ptr().add(i)), _mm256_loadu_ps(b.as_ptr().add(i)));
+        acc[0] = step256::<IP>(x, y, acc[0]);
         i += 8;
     }
-    let mut acc = hsum256(_mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)));
+    let mut sum =
+        hsum256(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3])));
     while i < n {
-        acc += *a.get_unchecked(i) * *b.get_unchecked(i);
+        let (x, y) = (*a.get_unchecked(i), *b.get_unchecked(i));
+        if IP {
+            sum += x * y;
+        } else {
+            let d = x - y;
+            sum += d * d;
+        }
         i += 1;
     }
-    acc
+    sum
+}
+
+#[cfg(target_arch = "x86_64")]
+fn l2_squared_avx512(a: &[f32], b: &[f32]) -> f32 {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { main_avx512::<false>(a, b, 0, [std::arch::x86_64::_mm512_setzero_ps(); 2]) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn inner_product_avx512(a: &[f32], b: &[f32]) -> f32 {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { main_avx512::<true>(a, b, 0, [std::arch::x86_64::_mm512_setzero_ps(); 2]) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn l2_squared_rows_avx512(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out: &mut [f32]) {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { rows_avx512::<false>(a, rows, stride, ids, out) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn inner_product_rows_avx512(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out: &mut [f32]) {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { rows_avx512::<true>(a, rows, stride, ids, out) }
+}
+
+/// The AVX-512 float kernel from float `i` on, with accumulators `z`.
+///
+/// 32 floats a step, the first 16 into `z[0]` and the next 16 into
+/// `z[1]`: lane for lane, the arithmetic of AVX2's `acc0..acc3`. The
+/// tail is AVX2's own, on `z`'s four 8-lane halves, so the result has
+/// the AVX2 kernel's bits. Requires `b.len() >= a.len()`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+unsafe fn main_avx512<const IP: bool>(
+    a: &[f32],
+    b: &[f32],
+    mut i: usize,
+    mut z: [__m512; 2],
+) -> f32 {
+    use std::arch::x86_64::*;
+    let n = a.len();
+    let pa = a.as_ptr();
+    let pb = b.as_ptr();
+    while i + 32 <= n {
+        z[0] = step512::<IP>(_mm512_loadu_ps(pa.add(i)), _mm512_loadu_ps(pb.add(i)), z[0]);
+        z[1] =
+            step512::<IP>(_mm512_loadu_ps(pa.add(i + 16)), _mm512_loadu_ps(pb.add(i + 16)), z[1]);
+        i += 32;
+    }
+    let ([acc0, acc1], [acc2, acc3]) = (halves(z[0]), halves(z[1]));
+    finish_avx2::<IP>(a, b, i, [acc0, acc1, acc2, acc3])
+}
+
+/// The low and high 8 lanes of `v`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn halves(v: __m512) -> [__m256; 2] {
+    use std::arch::x86_64::*;
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+    [_mm512_castps512_ps256(v), hi]
+}
+
+/// The AVX-512 one-to-many kernel: the first (up to 128) floats of `a`
+/// whole 32-float steps cover stay in registers across rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+unsafe fn rows_avx512<const IP: bool>(
+    a: &[f32],
+    rows: &[f32],
+    stride: usize,
+    ids: &[u32],
+    out: &mut [f32],
+) {
+    match a.len() / 32 {
+        0 => rows_held_avx512::<IP, 0>(a, rows, stride, ids, out),
+        1 => rows_held_avx512::<IP, 2>(a, rows, stride, ids, out),
+        2 => rows_held_avx512::<IP, 4>(a, rows, stride, ids, out),
+        3 => rows_held_avx512::<IP, 6>(a, rows, stride, ids, out),
+        _ => rows_held_avx512::<IP, 8>(a, rows, stride, ids, out),
+    }
+}
+
+/// [`rows_avx512`] holding the first `16 · C` floats of `a` (`C` even,
+/// `16 · C ≤ a.len()`) in registers: each row runs those steps of
+/// [`main_avx512`] against the held chunks, then the rest from memory.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+unsafe fn rows_held_avx512<const IP: bool, const C: usize>(
+    a: &[f32],
+    rows: &[f32],
+    stride: usize,
+    ids: &[u32],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let n = a.len();
+    let mut held = [_mm512_setzero_ps(); C];
+    for (c, h) in held.iter_mut().enumerate() {
+        *h = _mm512_loadu_ps(a.as_ptr().add(16 * c));
+    }
+    for (j, (&id, o)) in ids.iter().zip(out).enumerate() {
+        if let Some(&next) = ids.get(j + PREFETCH_AHEAD) {
+            prefetch_row(row_of(rows, stride, next, n));
+        }
+        let b = row_of(rows, stride, id, n);
+        let pb = b.as_ptr();
+        let mut z = [_mm512_setzero_ps(); 2];
+        for t in 0..C / 2 {
+            z[0] = step512::<IP>(held[2 * t], _mm512_loadu_ps(pb.add(32 * t)), z[0]);
+            z[1] = step512::<IP>(held[2 * t + 1], _mm512_loadu_ps(pb.add(32 * t + 16)), z[1]);
+        }
+        *o = main_avx512::<IP>(a, b, 16 * C, z);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -435,6 +687,83 @@ unsafe fn dot_u8i8_x4_avx2_inner(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
         i += 1;
     }
     out
+}
+
+#[cfg(target_arch = "x86_64")]
+fn dot_u8i8_avx512(codes: &[u8], q: &[i8]) -> i32 {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { dot_u8i8_avx512_inner(codes, q) }
+}
+
+/// Bytes `i..n` of `p` (`n − i < 64`) in the low lanes of a zmm, zeros
+/// above; the masked-off bytes are never read.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx512bw")]
+unsafe fn load_tail_avx512(p: *const u8, i: usize, n: usize) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    _mm512_maskz_loadu_epi8((1u64 << (n - i)) - 1, p.add(i).cast())
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
+unsafe fn dot_u8i8_avx512_inner(codes: &[u8], q: &[i8]) -> i32 {
+    use std::arch::x86_64::*;
+    let n = codes.len();
+    let pc = codes.as_ptr();
+    let pq = q.as_ptr().cast::<u8>();
+    // `vpdpbusd` multiplies 4 adjacent u8·i8 pairs and adds their sum to
+    // an i32 lane without saturating: exact i32 arithmetic, like the
+    // AVX2 kernel's widen-then-madd. The tail is one masked step.
+    let mut acc = _mm512_setzero_si512();
+    let mut i = 0;
+    while i + 64 <= n {
+        let (c, w) = (_mm512_loadu_si512(pc.add(i).cast()), _mm512_loadu_si512(pq.add(i).cast()));
+        acc = _mm512_dpbusd_epi32(acc, c, w);
+        i += 64;
+    }
+    if i < n {
+        acc = _mm512_dpbusd_epi32(acc, load_tail_avx512(pc, i, n), load_tail_avx512(pq, i, n));
+    }
+    _mm512_reduce_add_epi32(acc)
+}
+
+#[cfg(target_arch = "x86_64")]
+fn dot_u8i8_x4_avx512(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
+    // SAFETY: installed only after runtime detection of the AVX512 set.
+    unsafe { dot_u8i8_x4_avx512_inner(q, rows) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
+unsafe fn dot_u8i8_x4_avx512_inner(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
+    use std::arch::x86_64::*;
+    let n = q.len();
+    let pq = q.as_ptr().cast::<u8>();
+    let ptrs = rows.map(<[u8]>::as_ptr);
+    // One query load per 64-code chunk, shared by all four rows.
+    let mut accs = [_mm512_setzero_si512(); 4];
+    let mut i = 0;
+    while i + 64 <= n {
+        let w = _mm512_loadu_si512(pq.add(i).cast());
+        for (acc, p) in accs.iter_mut().zip(ptrs) {
+            *acc = _mm512_dpbusd_epi32(*acc, _mm512_loadu_si512(p.add(i).cast()), w);
+        }
+        i += 64;
+    }
+    if i < n {
+        let w = load_tail_avx512(pq, i, n);
+        for (acc, p) in accs.iter_mut().zip(ptrs) {
+            *acc = _mm512_dpbusd_epi32(*acc, load_tail_avx512(p, i, n), w);
+        }
+    }
+    let [a0, a1, a2, a3] = accs;
+    [
+        _mm512_reduce_add_epi32(a0),
+        _mm512_reduce_add_epi32(a1),
+        _mm512_reduce_add_epi32(a2),
+        _mm512_reduce_add_epi32(a3),
+    ]
 }
 
 /// Horizontal sum of the 8 i32 lanes of a `__m256i`.
@@ -774,10 +1103,163 @@ mod tests {
         assert_eq!(dot_u8i8(&cp, &qp), dot_u8i8(&codes, &q));
     }
 
+    /// `len` values of `f` after `off` others: an operand whose start
+    /// is `off` elements past an aligned allocation.
+    fn offset_by<T: Clone>(off: usize, len: usize, f: impl FnMut(usize) -> T) -> Vec<T> {
+        (0..off + len).map(f).collect()
+    }
+
+    /// The kernel sets this host can run, scalar first.
+    fn tiers() -> Vec<Kernels> {
+        let mut tiers = vec![SCALAR];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx2() {
+                tiers.push(AVX2);
+            }
+            if has_avx512() {
+                tiers.push(AVX512);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        tiers.push(detected());
+        tiers
+    }
+
+    /// AVX-512's float kernels return AVX2's bits on `dim` floats whose
+    /// slices start `off_a` and `off_b` floats into their buffers.
+    #[cfg(target_arch = "x86_64")]
+    fn check_float_bits(dim: usize, off_a: usize, off_b: usize, seed: u32) {
+        if !has_avx512() {
+            return;
+        }
+        let a = pseudo(off_a + dim, seed);
+        let b = pseudo(off_b + dim, seed ^ 0x5bd1_e995);
+        let (a, b) = (&a[off_a..], &b[off_b..]);
+        for (name, wide, avx2) in [("l2", AVX512.l2, AVX2.l2), ("ip", AVX512.ip, AVX2.ip)] {
+            let (got, want) = (wide(a, b), avx2(a, b));
+            assert_eq!(got.to_bits(), want.to_bits(), "{name} dim={dim} at +{off_a}/+{off_b}");
+        }
+    }
+
+    /// AVX-512's integer kernels equal AVX2's (and the scalar ones) on
+    /// `dim` codes, the query and rows at different offsets.
+    #[cfg(target_arch = "x86_64")]
+    fn check_integer_results(dim: usize, off: usize, seed: u32) {
+        if !has_avx512() {
+            return;
+        }
+        let mut state = seed;
+        let mut next = move |_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            (state >> 16) as u8
+        };
+        let q: Vec<i8> = offset_by(off, dim, &mut next).into_iter().map(|c| c as i8).collect();
+        let rows: Vec<Vec<u8>> = (0..4).map(|r| offset_by(off + r + 1, dim, &mut next)).collect();
+        let q = &q[off..];
+        let quad: [&[u8]; 4] = std::array::from_fn(|r| &rows[r][off + r + 1..]);
+        for row in quad {
+            let want = dot_u8i8_scalar(row, q);
+            assert_eq!((AVX2.dot_u8i8)(row, q), want, "avx2 dim={dim}");
+            assert_eq!((AVX512.dot_u8i8)(row, q), want, "avx512 dim={dim} at +{off}");
+        }
+        let want = dot_u8i8_x4_scalar(q, quad);
+        assert_eq!((AVX2.dot_u8i8_x4)(q, quad), want, "avx2 x4 dim={dim}");
+        assert_eq!((AVX512.dot_u8i8_x4)(q, quad), want, "avx512 x4 dim={dim} at +{off}");
+    }
+
+    /// Every tier's one-to-many kernels give, for each row, the bits of
+    /// its per-pair kernel over `a.len()` floats: `a` of `dim` floats
+    /// against rows of `dim + pad` floats, the store `off` floats into
+    /// its buffer, ids out of order and repeated.
+    fn check_rows_entry(dim: usize, pad: usize, off: usize, n_rows: usize, seed: u32) {
+        let stride = dim + pad;
+        let a = pseudo(off + 3 + dim, seed);
+        let a = &a[off + 3..];
+        let flat = pseudo(off + n_rows * stride, seed.wrapping_add(7));
+        let rows = &flat[off..];
+        let mut ids: Vec<u32> = (0..n_rows as u32).rev().collect();
+        ids.extend((0..n_rows as u32).step_by(2));
+        let mut out = vec![0.0; ids.len()];
+        for k in tiers() {
+            for (name, many, pair) in [("l2", k.l2_rows, k.l2), ("ip", k.ip_rows, k.ip)] {
+                many(a, rows, stride, &ids, &mut out);
+                for (&id, &got) in ids.iter().zip(&out) {
+                    let want = pair(a, &rows[id as usize * stride..][..dim]);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} {name} dim={dim} stride={stride} +{off} row {id}",
+                        k.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_kernels_agree_at_the_loop_boundaries() {
+        // 24 never reaches a 32-float step; 128 is four steps and
+        // nothing else; 129 and 131 add a scalar tail; 160 holds four
+        // steps in registers and runs a fifth from memory.
+        for dim in [1, 8, 24, 31, 32, 33, 64, 100, 128, 129, 131, 160, 200] {
+            for off in [0, 1, 3] {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    check_float_bits(dim, off, 2 * off, dim as u32);
+                    check_integer_results(dim, off, dim as u32);
+                }
+                check_rows_entry(dim, off, off, 9, dim as u32);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn avx512_float_kernels_have_avx2_bits(
+            dim in 1usize..301,
+            off_a in 0usize..17,
+            off_b in 0usize..17,
+            seed in 0u32..u32::MAX,
+        ) {
+            check_float_bits(dim, off_a, off_b, seed);
+        }
+
+        #[test]
+        fn avx512_integer_kernels_equal_avx2(
+            dim in 1usize..301,
+            off in 0usize..65,
+            seed in 0u32..u32::MAX,
+        ) {
+            check_integer_results(dim, off, seed);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn rows_entry_points_have_the_pair_kernels_bits(
+            dim in 1usize..301,
+            pad in 0usize..33,
+            off in 0usize..17,
+            n_rows in 1usize..12,
+            seed in 0u32..u32::MAX,
+        ) {
+            check_rows_entry(dim, pad, off, n_rows, seed);
+        }
+    }
+
     #[test]
     fn kernel_name_is_stable() {
         let name = kernel_name();
-        assert!(["avx2+fma", "neon", "scalar"].contains(&name), "unexpected kernel: {name}");
+        assert!(
+            ["avx512", "avx2+fma", "neon", "scalar"].contains(&name),
+            "unexpected kernel: {name}"
+        );
     }
 
     #[test]

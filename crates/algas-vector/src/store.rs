@@ -96,7 +96,7 @@ impl VectorStore {
 
     /// The flat padded buffer viewed as floats (`len * stride` long).
     #[inline]
-    fn flat(&self) -> &[f32] {
+    pub(crate) fn flat(&self) -> &[f32] {
         // SAFETY: `Block` is `repr(C, align(64))` around `[f32; 16]`
         // (64 bytes, no padding bytes), so a slice of blocks is exactly
         // a contiguous, initialized run of `16 * blocks.len()` f32s.

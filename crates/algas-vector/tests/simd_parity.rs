@@ -105,3 +105,43 @@ proptest! {
         }
     }
 }
+
+/// Dim 128 is four full 32-float steps of the wide kernels and no tail:
+/// the shape of the benchmark corpus. Every entry point there agrees
+/// with the scalar reference, and the one-to-many and many-to-many
+/// entries with the dispatched per-pair kernel bit for bit.
+#[test]
+fn dim_128_agrees_on_every_entry_point() {
+    let dim = 128;
+    let rows: Vec<Vec<f32>> = (0..40)
+        .map(|r| (0..dim).map(|d| ((r * 31 + d * 7) % 97) as f32 * 0.125 - 6.0).collect())
+        .collect();
+    let store = VectorStore::from_rows(dim, rows.iter().map(Vec::as_slice));
+    let ids: Vec<u32> = (0..40).rev().step_by(3).collect();
+    let query = &rows[5];
+    for metric in [Metric::L2, Metric::Cosine] {
+        // The scalar reference and the scale its rounding error is
+        // relative to (see `sum_close`).
+        let scalar = |a: &[f32], b: &[f32]| match metric {
+            Metric::L2 => (simd::l2_squared_scalar(a, b), simd::l2_squared_scalar(a, b)),
+            Metric::Cosine => (1.0 - simd::inner_product_scalar(a, b), ip_magnitude(a, b)),
+        };
+        let (mut batch, mut many) = (Vec::new(), Vec::new());
+        metric.distance_batch(query, &store, &ids, &mut batch);
+        metric.distance_rows(query, &store, &ids, &mut many);
+        for (j, &id) in ids.iter().enumerate() {
+            let row = store.get(id as usize);
+            let pair = metric.distance(query, row);
+            assert_eq!(many[j].to_bits(), pair.to_bits(), "{metric:?} row {id}");
+            assert_eq!(batch[j].to_bits(), pair.to_bits(), "{metric:?} row {id}");
+            let (want, mag) = scalar(query, row);
+            assert!(sum_close(want, pair, mag, 1e-4), "{metric:?} row {id}: {want} vs {pair}");
+        }
+        metric.distance_block(&store, 0..9, &store, |i, d| {
+            for (q, &got) in d.iter().enumerate() {
+                let pair = metric.distance(store.get(q), store.get(i));
+                assert_eq!(got.to_bits(), pair.to_bits(), "{metric:?} query {q} row {i}");
+            }
+        });
+    }
+}
