@@ -25,7 +25,7 @@
 //! overrides the choice at runtime so tests can compare the two paths
 //! in one process.
 //!
-//! Besides the per-pair kernels there is one-to-many entry per float
+//! Besides the per-pair kernels there is a one-to-many entry per float
 //! kernel ([`l2_squared_rows`], [`inner_product_rows`]): one vector
 //! against a list of rows of one flat store, over the vector's length,
 //! with the row [`PREFETCH_AHEAD`] ids ahead prefetched. Each result
@@ -397,6 +397,9 @@ fn inner_product_avx2(a: &[f32], b: &[f32]) -> f32 {
 
 /// One float-kernel step on 8 lanes: `acc + x·y` for the inner product
 /// (`IP`), `acc + (x − y)²` for L2, each one fused multiply-add.
+///
+/// # Safety
+/// The host must have avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -411,6 +414,9 @@ unsafe fn step256<const IP: bool>(x: __m256, y: __m256, acc: __m256) -> __m256 {
 }
 
 /// [`step256`] on 16 lanes.
+///
+/// # Safety
+/// The host must have avx512f.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
@@ -426,7 +432,8 @@ unsafe fn step512<const IP: bool>(x: __m512, y: __m512, acc: __m512) -> __m512 {
 
 /// The AVX2 float kernel (`IP`: inner product, else squared L2).
 ///
-/// Requires `b.len() >= a.len()`.
+/// # Safety
+/// The host must have avx2 and fma, and `b.len() >= a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn float_avx2<const IP: bool>(a: &[f32], b: &[f32]) -> f32 {
@@ -451,6 +458,9 @@ unsafe fn float_avx2<const IP: bool>(a: &[f32], b: &[f32]) -> f32 {
 /// AVX2's end of a float kernel, which both x86 tiers run from float
 /// `i` on: 8-wide steps into `acc[0]`, the lane sum of
 /// `(acc0 + acc1) + (acc2 + acc3)`, then the scalar tail.
+///
+/// # Safety
+/// The host must have avx2 and fma, and `b.len() >= a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -484,13 +494,15 @@ unsafe fn finish_avx2<const IP: bool>(
 
 #[cfg(target_arch = "x86_64")]
 fn l2_squared_avx512(a: &[f32], b: &[f32]) -> f32 {
-    // SAFETY: installed only after runtime detection of the AVX512 set.
+    // SAFETY: installed only after runtime detection of the AVX512 set;
+    // its callers (the asserting wrappers, `rows_with`) pass equal lengths.
     unsafe { main_avx512::<false>(a, b, 0, [std::arch::x86_64::_mm512_setzero_ps(); 2]) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn inner_product_avx512(a: &[f32], b: &[f32]) -> f32 {
-    // SAFETY: installed only after runtime detection of the AVX512 set.
+    // SAFETY: installed only after runtime detection of the AVX512 set;
+    // its callers (the asserting wrappers, `rows_with`) pass equal lengths.
     unsafe { main_avx512::<true>(a, b, 0, [std::arch::x86_64::_mm512_setzero_ps(); 2]) }
 }
 
@@ -511,7 +523,10 @@ fn inner_product_rows_avx512(a: &[f32], rows: &[f32], stride: usize, ids: &[u32]
 /// 32 floats a step, the first 16 into `z[0]` and the next 16 into
 /// `z[1]`: lane for lane, the arithmetic of AVX2's `acc0..acc3`. The
 /// tail is AVX2's own, on `z`'s four 8-lane halves, so the result has
-/// the AVX2 kernel's bits. Requires `b.len() >= a.len()`.
+/// the AVX2 kernel's bits.
+///
+/// # Safety
+/// The host must have the [`AVX512`] set, and `b.len() >= a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
@@ -536,6 +551,9 @@ unsafe fn main_avx512<const IP: bool>(
 }
 
 /// The low and high 8 lanes of `v`.
+///
+/// # Safety
+/// The host must have avx512f.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
@@ -547,6 +565,9 @@ unsafe fn halves(v: __m512) -> [__m256; 2] {
 
 /// The AVX-512 one-to-many kernel: the first (up to 128) floats of `a`
 /// whole 32-float steps cover stay in registers across rows.
+///
+/// # Safety
+/// The host must have the [`AVX512`] set.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
 unsafe fn rows_avx512<const IP: bool>(
@@ -565,9 +586,13 @@ unsafe fn rows_avx512<const IP: bool>(
     }
 }
 
-/// [`rows_avx512`] holding the first `16 · C` floats of `a` (`C` even,
-/// `16 · C ≤ a.len()`) in registers: each row runs those steps of
-/// [`main_avx512`] against the held chunks, then the rest from memory.
+/// [`rows_avx512`] holding the first `16 · C` floats of `a` in
+/// registers: each row runs those steps of [`main_avx512`] against the
+/// held chunks, then the rest from memory.
+///
+/// # Safety
+/// The host must have the [`AVX512`] set; `C` is even and
+/// `16 · C ≤ a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
@@ -691,12 +716,17 @@ unsafe fn dot_u8i8_x4_avx2_inner(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
 
 #[cfg(target_arch = "x86_64")]
 fn dot_u8i8_avx512(codes: &[u8], q: &[i8]) -> i32 {
-    // SAFETY: installed only after runtime detection of the AVX512 set.
+    // SAFETY: installed only after runtime detection of the AVX512 set;
+    // the dispatching wrapper asserted the lengths equal.
     unsafe { dot_u8i8_avx512_inner(codes, q) }
 }
 
-/// Bytes `i..n` of `p` (`n − i < 64`) in the low lanes of a zmm, zeros
-/// above; the masked-off bytes are never read.
+/// Bytes `i..n` of `p` in the low lanes of a zmm, zeros above; the
+/// masked-off bytes are never read.
+///
+/// # Safety
+/// The host must have avx512f and avx512bw, `i < n ≤ i + 63`, and `p`
+/// must be valid for reads of `n` bytes.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
@@ -705,6 +735,8 @@ unsafe fn load_tail_avx512(p: *const u8, i: usize, n: usize) -> std::arch::x86_6
     _mm512_maskz_loadu_epi8((1u64 << (n - i)) - 1, p.add(i).cast())
 }
 
+/// # Safety
+/// The host must have the [`AVX512`] set, and `q.len() >= codes.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
 unsafe fn dot_u8i8_avx512_inner(codes: &[u8], q: &[i8]) -> i32 {
@@ -730,10 +762,14 @@ unsafe fn dot_u8i8_avx512_inner(codes: &[u8], q: &[i8]) -> i32 {
 
 #[cfg(target_arch = "x86_64")]
 fn dot_u8i8_x4_avx512(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
-    // SAFETY: installed only after runtime detection of the AVX512 set.
+    // SAFETY: installed only after runtime detection of the AVX512 set;
+    // the dispatching wrapper asserted the lengths equal.
     unsafe { dot_u8i8_x4_avx512_inner(q, rows) }
 }
 
+/// # Safety
+/// The host must have the [`AVX512`] set, and every row must hold at
+/// least `q.len()` codes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
 unsafe fn dot_u8i8_x4_avx512_inner(q: &[i8], rows: [&[u8]; 4]) -> [i32; 4] {
