@@ -21,12 +21,12 @@ fn bench_graph_build(c: &mut Criterion) {
         for (name, t) in [("serial", 1usize), ("parallel", threads)] {
             group.bench_with_input(BenchmarkId::new(format!("nsw_{name}"), n), &t, |b, &t| {
                 let builder = NswBuilder::new(Metric::L2, NswParams::default());
-                b.iter(|| black_box(builder.build_parallel(&ds.base, t).nbytes()))
+                b.iter(|| black_box(builder.build_parallel(&ds.base, t).len()))
             });
             group.bench_with_input(BenchmarkId::new(format!("cagra_{name}"), n), &t, |b, &t| {
                 let params = CagraParams { intermediate_degree: 32, ..Default::default() };
                 let builder = CagraBuilder::new(Metric::L2, params);
-                b.iter(|| black_box(builder.build_with_threads(&ds.base, t).nbytes()))
+                b.iter(|| black_box(builder.build_with_threads(&ds.base, t).len()))
             });
         }
     }

@@ -4,6 +4,7 @@
 
 use algas_core::lists::{CandidateList, VisitedBitmap};
 use algas_core::merge::merge_topk;
+use algas_graph::{FixedDegreeGraph, PackedGraph};
 use algas_vector::metric::{inner_product, l2_squared, subvector_partials, DistValue, Metric};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -91,7 +92,7 @@ fn bench_bitmap(c: &mut Criterion) {
 }
 
 /// Step ②'s filter as the search runs it: one cleared bitmap per
-/// "query", 1 024 degree-32 adjacency rows pushed through
+/// "query", 1 024 packed degree-32 adjacency rows decoded through
 /// `filter_into`. A slot holds a never-seen id with the group's admit
 /// probability and repeats an earlier slot's id otherwise, so probe
 /// outcomes come in no learnable order — 25 % is the middle of a
@@ -100,11 +101,14 @@ fn bench_visited_filter(c: &mut Criterion) {
     const N_IDS: u32 = 60_000;
     const DEGREE: usize = 32;
     const ROWS: usize = 1024;
+    // The rows are the graph's last ROWS vertices; their ids are drawn
+    // below them, so no row holds its own vertex.
+    const FIRST_ROW: u32 = N_IDS - ROWS as u32;
     let mut group = c.benchmark_group("visited_filter");
     for admit_pct in [25u32, 75] {
         let mut rng = StdRng::seed_from_u64(5 + u64::from(admit_pct));
         // Every id once, in random order: the supply of never-seen ids.
-        let mut unseen: Vec<u32> = (0..N_IDS).collect();
+        let mut unseen: Vec<u32> = (0..FIRST_ROW).collect();
         for i in (1..unseen.len()).rev() {
             unseen.swap(i, rng.gen_range(0..=i));
         }
@@ -117,15 +121,20 @@ fn bench_visited_filter(c: &mut Criterion) {
             };
             slots.push(id);
         }
+        let mut graph = FixedDegreeGraph::new(N_IDS as usize, DEGREE);
+        for (v, row) in (FIRST_ROW..).zip(slots.chunks_exact(DEGREE)) {
+            graph.set_row(v, row);
+        }
+        let graph = PackedGraph::pack(&graph);
         let mut bm = VisitedBitmap::new(N_IDS as usize);
         let mut admitted = Vec::with_capacity(DEGREE);
         group.bench_function(BenchmarkId::new("degree32_rows", admit_pct), |bch| {
             bch.iter(|| {
                 bm.clear();
                 let mut total = 0usize;
-                for row in slots.chunks_exact(DEGREE) {
+                for v in FIRST_ROW..N_IDS {
                     admitted.clear();
-                    bm.filter_into(black_box(row), &mut admitted);
+                    bm.filter_into(graph.neighbors(black_box(v)), &mut admitted);
                     total += black_box(&admitted).len();
                 }
                 black_box(total)

@@ -4,7 +4,7 @@
 use crate::cache::{decode_graph, encode_graph, DiskCache};
 use algas_graph::cagra::{CagraBuilder, CagraParams};
 use algas_graph::nsw::{NswBuilder, NswParams};
-use algas_graph::{FixedDegreeGraph, GraphKind};
+use algas_graph::{FixedDegreeGraph, GraphKind, PackedGraph};
 use algas_vector::datasets::{DatasetSpec, GeneratedDataset};
 use algas_vector::ground_truth::{brute_force_knn, GroundTruth};
 
@@ -74,19 +74,24 @@ pub fn prepare(spec: &DatasetSpec, cache: &DiskCache) -> Prepared {
 
     let nsw_blob = cache
         .get_or_put(&format!("{key}-nsw-m{}", nsw_params().m), || {
-            encode_graph(&NswBuilder::new(spec.metric, nsw_params()).build(&ds.base))
+            encode_graph(&PackedGraph::pack(
+                &NswBuilder::new(spec.metric, nsw_params()).build(&ds.base),
+            ))
         })
         .expect("cache io");
-    let nsw = decode_graph(&nsw_blob[..], nsw_blob.len() as u64).expect("valid cached NSW graph");
+    let nsw = decode_graph(&nsw_blob[..], nsw_blob.len() as u64)
+        .expect("valid cached NSW graph")
+        .unpack();
 
     let cp = cagra_params();
     let cagra_blob = cache
         .get_or_put(&format!("{key}-cagra-d{}", cp.graph_degree), || {
-            encode_graph(&CagraBuilder::new(spec.metric, cp).build(&ds.base))
+            encode_graph(&PackedGraph::pack(&CagraBuilder::new(spec.metric, cp).build(&ds.base)))
         })
         .expect("cache io");
-    let cagra =
-        decode_graph(&cagra_blob[..], cagra_blob.len() as u64).expect("valid cached CAGRA graph");
+    let cagra = decode_graph(&cagra_blob[..], cagra_blob.len() as u64)
+        .expect("valid cached CAGRA graph")
+        .unpack();
 
     let gt_blob = cache
         .get_or_put(&format!("{key}-gt-k{GT_K}"), || {

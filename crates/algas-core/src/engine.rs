@@ -17,7 +17,9 @@ use crate::search::{BeamParams, SearchContext};
 use crate::tuning::{EffortLadder, EffortStep};
 use algas_gpu_sim::CostModel;
 use algas_graph::entry::{medoid, EntryParams, EntryPolicy, HashEntryTable};
-use algas_graph::{CagraBuilder, FixedDegreeGraph, GraphKind, NodePermutation, NswBuilder};
+use algas_graph::{
+    CagraBuilder, FixedDegreeGraph, GraphKind, NodePermutation, NswBuilder, PackedGraph,
+};
 use algas_vector::metric::DistValue;
 use algas_vector::{Metric, QuantizedStore, VectorStore};
 
@@ -59,8 +61,9 @@ pub struct AlgasIndex {
     /// Optional SQ8 codes mirroring `base` row-for-row (see
     /// [`AlgasIndex::quantize`]); `None` means fp32-only search.
     pub quant: Option<QuantizedStore>,
-    /// The proximity graph.
-    pub graph: FixedDegreeGraph,
+    /// The proximity graph, its ids packed at `bit_length(n)` bits as
+    /// the index file stores them.
+    pub graph: PackedGraph,
     /// Distance metric.
     pub metric: Metric,
     /// Precomputed medoid (single-entry policies).
@@ -83,7 +86,7 @@ impl AlgasIndex {
         metric: Metric,
         params: algas_graph::nsw::NswParams,
     ) -> Self {
-        let graph = NswBuilder::new(metric, params).build(&base);
+        let graph = PackedGraph::pack(&NswBuilder::new(metric, params).build(&base));
         let medoid = medoid(&base, metric);
         Self {
             base,
@@ -103,7 +106,7 @@ impl AlgasIndex {
         metric: Metric,
         params: algas_graph::cagra::CagraParams,
     ) -> Self {
-        let graph = CagraBuilder::new(metric, params).build(&base);
+        let graph = PackedGraph::pack(&CagraBuilder::new(metric, params).build(&base));
         let medoid = medoid(&base, metric);
         Self {
             base,
@@ -117,7 +120,8 @@ impl AlgasIndex {
         }
     }
 
-    /// Wraps pre-built parts (e.g. graphs loaded from a cache).
+    /// Wraps pre-built parts (e.g. graphs loaded from a cache), packing
+    /// the graph.
     ///
     /// # Errors
     /// [`CorpusTooLarge`] when the corpus has 2³¹ rows or more.
@@ -133,6 +137,7 @@ impl AlgasIndex {
         assert_eq!(base.len(), graph.len(), "graph/corpus size mismatch");
         CorpusTooLarge::check(base.len())?;
         let medoid = medoid(&base, metric);
+        let graph = PackedGraph::pack(&graph);
         Ok(Self { base, quant: None, graph, metric, medoid, kind, id_map: None, entry: None })
     }
 
@@ -140,14 +145,16 @@ impl AlgasIndex {
     /// BFS, degree-aware permutation from the medoid (see
     /// [`NodePermutation::bfs_from`]), permutes the vector rows to
     /// match, and remembers the physical → original id map so search
-    /// results still come back in the caller's original id space.
+    /// results still come back in the caller's original id space. The
+    /// graph is unpacked for the rewrite and packed again after it.
     ///
     /// Idempotent in effect: relayouting twice composes the maps, and
     /// results always translate straight back to original ids. Returns
     /// the permutation applied by *this* call.
     pub fn relayout(&mut self) -> NodePermutation {
-        let perm = NodePermutation::bfs_from(&self.graph, self.medoid);
-        self.graph = perm.apply_to_graph(&self.graph);
+        let graph = self.graph.unpack();
+        let perm = NodePermutation::bfs_from(&graph, self.medoid);
+        self.graph = PackedGraph::pack(&perm.apply_to_graph(&graph));
         self.base = self.base.permute(perm.new_to_old());
         if let Some(q) = self.quant.take() {
             self.quant = Some(q.permute(perm.new_to_old()));

@@ -243,19 +243,31 @@ impl VisitedBitmap {
     }
 
     /// Step ②'s filter over one adjacency row: appends to `out` the ids
-    /// of `row` seen for the first time, marking all of them. Every id
-    /// is written to the next free place and the length advances by the
-    /// "was new" bit, so a probe's outcome — new about one time in four
-    /// mid-search — is never branched on.
+    /// of `row` seen for the first time, marking all of them, and
+    /// returns how many ids `row` held. Every id is written to the next
+    /// free place and the length advances by the "was new" bit, so a
+    /// probe's outcome — new about one time in four mid-search — is
+    /// never branched on.
+    ///
+    /// `row` is any bounded id sequence: the search passes a packed
+    /// graph row's decoder (`PackedGraph::neighbors`), so decoding and
+    /// filtering are one loop that ends at the row's first pad code.
+    /// `out` is grown by the row's upper size bound up front and cut
+    /// back after.
     #[inline]
-    pub fn filter_into(&mut self, row: &[u32], out: &mut Vec<u32>) {
-        let mut n = out.len();
-        out.resize(n + row.len(), 0);
-        for &id in row {
+    pub fn filter_into(&mut self, row: impl IntoIterator<Item = u32>, out: &mut Vec<u32>) -> usize {
+        let row = row.into_iter();
+        let bound = row.size_hint().1.expect("a row has an upper size bound");
+        let (start, mut n) = (out.len(), out.len());
+        out.resize(start + bound, 0);
+        let mut held = 0;
+        for id in row {
             out[n] = id;
             n += usize::from(self.test_and_set(id));
+            held += 1;
         }
         out.truncate(n);
+        held
     }
 
     /// Whether `id` is marked.
@@ -440,13 +452,54 @@ mod tests {
                         let row: Vec<u32> = (id..(id + 5).min(300)).collect();
                         let mut want = admitted.clone();
                         want.extend(row.iter().filter(|&&u| model.insert(u)));
-                        bitmap.filter_into(&row, &mut admitted);
+                        bitmap.filter_into(row.iter().copied(), &mut admitted);
                         prop_assert_eq!(&admitted, &want);
                     }
                     _ => prop_assert_eq!(bitmap.test_and_set(id), model.insert(id)),
                 }
                 prop_assert_eq!(bitmap.count(), model.len());
                 prop_assert_eq!(bitmap.contains(id), model.contains(&id));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Step ②'s filter fed a packed row's decoder against the same
+        /// filter fed the row's valid prefix as a slice (what step ②
+        /// filtered before the graph was packed): two bitmaps in
+        /// lockstep over random expansions and `clear()`s, started two
+        /// clears short of the epoch wrap.
+        #[test]
+        fn prop_packed_row_filter_equals_the_slice_filter_across_clears_and_epoch_wrap(
+            ops in prop::collection::vec((0u32..6, 0u32..300), 1..120),
+        ) {
+            // 300 vertices (9-bit ids), degree 7: row v holds v % 8 ids,
+            // so rows run from empty to full.
+            let mut graph = algas_graph::FixedDegreeGraph::new(300, 7);
+            for v in 0..300u32 {
+                let row: Vec<u32> =
+                    (1..=v % 8).map(|j| (v * 37 + j * 101) % 300).filter(|&u| u != v).collect();
+                graph.set_row(v, &row.iter().copied().take(7).collect::<Vec<_>>());
+            }
+            let packed = algas_graph::PackedGraph::pack(&graph);
+            let (mut fused, mut sliced) = (VisitedBitmap::new(300), VisitedBitmap::new(300));
+            fused.tag = u64::from(u32::MAX - 2) << 32;
+            sliced.tag = fused.tag;
+            let (mut fused_out, mut sliced_out) = (Vec::new(), Vec::new());
+            for (op, v) in ops {
+                if op == 0 {
+                    fused.clear();
+                    sliced.clear();
+                    continue;
+                }
+                let valid = &graph.row(v)[..graph.neighbors(v).count()];
+                let held = fused.filter_into(packed.neighbors(v), &mut fused_out);
+                prop_assert_eq!(held, valid.len());
+                prop_assert_eq!(sliced.filter_into(valid.iter().copied(), &mut sliced_out), held);
+                prop_assert_eq!(&fused_out, &sliced_out);
+                prop_assert_eq!(fused.count(), sliced.count());
             }
         }
     }

@@ -277,7 +277,7 @@ fn invalid(msg: &str) -> io::Error {
 mod tests {
     use super::*;
     use algas_graph::cagra::CagraParams;
-    use algas_graph::FixedDegreeGraph;
+    use algas_graph::{FixedDegreeGraph, PackedGraph};
     use algas_vector::datasets::DatasetSpec;
     use algas_vector::VectorStore;
 
@@ -316,15 +316,21 @@ mod tests {
             })
     }
 
-    /// A graph section as formats 1–5 stored it: every id a `u32`.
-    fn legacy_graph_section(g: &FixedDegreeGraph) -> Vec<u8> {
+    /// A graph section as formats 1–5 stored it: every id a `u32`,
+    /// `u32::MAX` for padding.
+    fn legacy_graph_section(g: &PackedGraph) -> Vec<u8> {
         let mut buf = section_header(0x414C_4752, g.len() as u64, g.degree() as u32); // "ALGR"
         for v in 0..g.len() as u32 {
-            for &u in g.row(v) {
+            for u in g.neighbors(v).chain(std::iter::repeat(u32::MAX)).take(g.degree()) {
                 buf.extend_from_slice(&u.to_le_bytes());
             }
         }
         buf
+    }
+
+    /// `n` vertices of `degree` slots and no edges.
+    fn edgeless_graph(n: usize, degree: usize) -> PackedGraph {
+        PackedGraph::pack(&FixedDegreeGraph::new(n, degree))
     }
 
     /// The header field holding the quantization section's length.
@@ -584,7 +590,7 @@ mod tests {
         // A header of no rows over an empty corpus: nothing to derive
         // the tables from, an error and not a panic.
         let empty_store = section_header(0x414C_5653, 0, 8); // "ALVS"
-        let empty_graph = graph_codec::encode_graph(&FixedDegreeGraph::new(0, 6));
+        let empty_graph = graph_codec::encode_graph(&edgeless_graph(0, 6));
         let no_rows = section_header(0x414C_5153, 0, 8); // "ALQS"
         quant_section(&old_format_file(5, 0, &[&empty_store, &empty_graph, &[], &no_rows, &[]]));
         // Packed graph rows (format 6) that name no graph: the first id
@@ -603,14 +609,17 @@ mod tests {
             bad[row0 + 1] = (bad[row0 + 1] & !1) | (id >> 8) as u8;
             bad
         };
-        assert_eq!(read(&with_first_id(index.graph.row(0)[0] as u16)).unwrap().graph, index.graph);
+        assert_eq!(
+            read(&with_first_id(index.graph.neighbors(0).next().unwrap() as u16)).unwrap().graph,
+            index.graph
+        );
         graph_section(&with_first_id(300), "invalid id 300");
         graph_section(&with_first_id(510), "invalid id 510");
         graph_section(&with_first_id(0), "invalid id 0");
         // Non-zero pad bits: five vertices of three 3-bit ids are nine
         // bits a row, so each row's second byte carries seven pad bits.
         let five = vector_codec::encode_store(&VectorStore::from_flat(8, vec![0.5; 40]));
-        let packed = graph_codec::encode_graph(&FixedDegreeGraph::new(5, 3));
+        let packed = graph_codec::encode_graph(&edgeless_graph(5, 3));
         let mut bad = packed.clone();
         bad[PACKED_GRAPH_HEADER_LEN + 1] |= 0x80;
         graph_section(&old_format_file(6, 0, &[&five, &bad, &[], &[], &[]]), "pad bits");
@@ -643,7 +652,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         };
         let row = vector_codec::encode_store(&VectorStore::from_flat(8, vec![0.5; 8]));
-        let edgeless = |degree| legacy_graph_section(&FixedDegreeGraph::new(1, degree));
+        let edgeless = |degree| legacy_graph_section(&edgeless_graph(1, degree));
         // A well-formed 142-byte file whose header claims a 1 TiB corpus.
         let file = v4_file(&row, 1 << 40, &edgeless(6));
         assert_eq!(file.len(), 142);
@@ -672,8 +681,8 @@ mod tests {
         };
         let v6 = |graph: &[u8]| old_format_file(6, 0, &[&row, graph, &[], &[], &[]]);
         let one_row = |w| [packed(1, 6, w), vec![0x3F]].concat();
-        assert_eq!(one_row(1), graph_codec::encode_graph(&FixedDegreeGraph::new(1, 6)));
-        assert_eq!(read(&v6(&one_row(1))).unwrap().graph, FixedDegreeGraph::new(1, 6));
+        assert_eq!(one_row(1), graph_codec::encode_graph(&edgeless_graph(1, 6)));
+        assert_eq!(read(&v6(&one_row(1))).unwrap().graph, edgeless_graph(1, 6));
         for w in [0, 2, 33] {
             named(&v6(&one_row(w)), "graph section");
         }

@@ -224,19 +224,20 @@ impl<'a> CtaSearch<'a> {
 
         // ② Expand + bitmap filter. All selected adjacency rows are
         // prefetched up front so the expansion loop walks warm lines
-        // (after a relayout they are also near-contiguous). The filter
-        // never branches on a probe's outcome. Admitted vector rows are
-        // not prefetched from here: step ③'s batch kernels run their
-        // own lookahead, and more bought nothing (DESIGN.md §6).
+        // (after a relayout they are also near-contiguous). Each packed
+        // row is decoded straight into the filter, one loop that ends
+        // at the row's first pad code and never branches on a probe's
+        // outcome. Admitted vector rows are not prefetched from here:
+        // step ③'s batch kernels run their own lookahead, and more
+        // bought nothing (DESIGN.md §6).
         for &offset in &s.selected {
             self.ctx.graph.prefetch_row(list.id_at(offset));
         }
         s.expand_ids.clear();
         let mut filter_checked = 0usize;
         for &offset in &s.selected {
-            let row = self.ctx.graph.valid_row(list.mark_expanded(offset));
-            filter_checked += row.len();
-            visited.filter_into(row, &mut s.expand_ids);
+            let row = self.ctx.graph.neighbors(list.mark_expanded(offset));
+            filter_checked += visited.filter_into(row, &mut s.expand_ids);
         }
 
         // ③ Distance computation: one batched SIMD call over the whole
@@ -338,14 +339,15 @@ mod tests {
     use super::*;
     use algas_gpu_sim::CostModel;
     use algas_graph::nsw::{NswBuilder, NswParams};
+    use algas_graph::PackedGraph;
     use algas_vector::datasets::DatasetSpec;
     use algas_vector::ground_truth::{brute_force_knn, mean_recall};
     use algas_vector::{Metric, VectorStore};
 
-    fn line_setup(n: usize) -> (VectorStore, algas_graph::FixedDegreeGraph) {
+    fn line_setup(n: usize) -> (VectorStore, PackedGraph) {
         let base = VectorStore::from_flat(1, (0..n).map(|i| i as f32).collect());
         let g = NswBuilder::new(Metric::L2, NswParams { m: 3, ef_construction: 12 }).build(&base);
-        (base, g)
+        (base, PackedGraph::pack(&g))
     }
 
     #[test]
@@ -379,7 +381,8 @@ mod tests {
     #[test]
     fn scratch_reuse_across_queries_matches_fresh_scratch() {
         let ds = DatasetSpec::tiny(500, 12, Metric::L2, 33).generate();
-        let g = NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base);
+        let g =
+            PackedGraph::pack(&NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base));
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let params = IntraParams::beam(48);
@@ -402,7 +405,8 @@ mod tests {
     #[test]
     fn beam_extend_reduces_sorts_with_comparable_recall() {
         let ds = DatasetSpec::tiny(800, 16, Metric::L2, 55).generate();
-        let g = NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base);
+        let g =
+            PackedGraph::pack(&NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base));
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let k = 10;
@@ -436,7 +440,8 @@ mod tests {
         // Fig 7's phenomenon: early best distances shrink fast, the
         // tail is flat. Check the first-half improvement dominates.
         let ds = DatasetSpec::tiny(600, 16, Metric::L2, 91).generate();
-        let g = NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base);
+        let g =
+            PackedGraph::pack(&NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base));
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let (_, trace) = search_one(ctx, IntraParams::greedy(64), ds.queries.get(0), 0, 10);
@@ -454,7 +459,8 @@ mod tests {
     #[test]
     fn larger_l_never_reduces_visited_set() {
         let ds = DatasetSpec::tiny(400, 8, Metric::L2, 17).generate();
-        let g = NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base);
+        let g =
+            PackedGraph::pack(&NswBuilder::new(Metric::L2, NswParams::default()).build(&ds.base));
         let cost = CostModel::default();
         let ctx = SearchContext::new(&g, &ds.base, Metric::L2, &cost);
         let q = ds.queries.get(0);

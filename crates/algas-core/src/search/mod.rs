@@ -12,15 +12,15 @@ pub mod intra;
 pub mod multi;
 
 use algas_gpu_sim::CostModel;
-use algas_graph::FixedDegreeGraph;
+use algas_graph::PackedGraph;
 use algas_vector::{Metric, QuantizedQuery, QuantizedStore, VectorStore};
 
 /// Everything a searcher needs to run: the index, the corpus, and the
 /// cost model it charges its operations against.
 #[derive(Clone, Copy)]
 pub struct SearchContext<'a> {
-    /// The graph index (NSW or CAGRA-style).
-    pub graph: &'a FixedDegreeGraph,
+    /// The graph index (NSW or CAGRA-style), ids packed.
+    pub graph: &'a PackedGraph,
     /// The indexed vectors.
     pub base: &'a VectorStore,
     /// Optional SQ8 codes mirroring `base` row-for-row. When present,
@@ -40,7 +40,7 @@ impl<'a> SearchContext<'a> {
     /// # Panics
     /// Panics if the graph vertex count differs from the corpus size.
     pub fn new(
-        graph: &'a FixedDegreeGraph,
+        graph: &'a PackedGraph,
         base: &'a VectorStore,
         metric: Metric,
         cost: &'a CostModel,
@@ -60,7 +60,7 @@ impl<'a> SearchContext<'a> {
     /// # Panics
     /// Panics if graph, corpus, and codes disagree on size or dimension.
     pub fn with_quantized(
-        graph: &'a FixedDegreeGraph,
+        graph: &'a PackedGraph,
         base: &'a VectorStore,
         quant: &'a QuantizedStore,
         metric: Metric,

@@ -259,10 +259,10 @@ mod tests {
     use algas_vector::ground_truth::{brute_force_knn, mean_recall};
     use algas_vector::Metric;
 
-    fn setup() -> (algas_vector::datasets::GeneratedDataset, algas_graph::FixedDegreeGraph) {
+    fn setup() -> (algas_vector::datasets::GeneratedDataset, algas_graph::PackedGraph) {
         let ds = DatasetSpec::tiny(800, 16, Metric::L2, 63).generate();
         let g = CagraBuilder::new(Metric::L2, CagraParams::default()).build(&ds.base);
-        (ds, g)
+        (ds, algas_graph::PackedGraph::pack(&g))
     }
 
     fn params(l: usize, t: usize) -> MultiParams {
@@ -376,12 +376,13 @@ mod tests {
     /// Three islands of ten points on a line, chained inside an island
     /// and unconnected across: a walker sees only the island it is
     /// seeded in, so which walkers improve the TopK is set by the seeds.
-    fn islands() -> (algas_vector::VectorStore, algas_graph::FixedDegreeGraph) {
+    fn islands() -> (algas_vector::VectorStore, algas_graph::PackedGraph) {
         let base = algas_vector::VectorStore::from_flat(1, (0..30).map(|i| i as f32).collect());
         let rows: Vec<Vec<u32>> = (0..30u32)
             .map(|v| [v.wrapping_sub(1), v + 1].into_iter().filter(|&u| u / 10 == v / 10).collect())
             .collect();
-        (base, algas_graph::FixedDegreeGraph::from_adjacency(30, 2, &rows))
+        let g = algas_graph::FixedDegreeGraph::from_adjacency(30, 2, &rows);
+        (base, algas_graph::PackedGraph::pack(&g))
     }
 
     /// Runs the serial schedule from `seeds` (cap = their count) for a

@@ -1,4 +1,4 @@
-//! Canonical binary serialization of [`FixedDegreeGraph`],
+//! Canonical binary serialization of [`PackedGraph`],
 //! [`NodePermutation`], and [`HashEntryTable`]: each encoder builds its
 //! section as one blob, and each decoder reads its section from an
 //! `io::Read` straight into the structure it fills (see
@@ -12,20 +12,26 @@
 //! each ([`id_bits`]). Ids are packed LSB-first: id `j` of a row holds
 //! bits `j·w .. (j + 1)·w` of the row, and bit `b` of the row is bit
 //! `b % 8` of its byte `b / 8`. Each row is padded to whole bytes,
-//! [`packed_row_bytes`] of them, so a decoder streams one row at a time.
-//! The all-ones code `2^w − 1` is the padding slot: `2^w − 1 ≥ n`, so it
-//! never names a vertex. The form is canonical — `w` is fixed by `n`,
-//! a row's trailing pad bits are zero, and padding only follows a row's
-//! ids — so a graph has exactly one packed encoding.
+//! [`packed_row_bytes`] of them. The all-ones code `2^w − 1` is the
+//! padding slot: `2^w − 1 ≥ n`, so it never names a vertex. The form is
+//! canonical — `w` is fixed by `n`, a row's trailing pad bits are zero,
+//! and padding only follows a row's ids — so a graph has exactly one
+//! packed encoding.
+//!
+//! The rows are [`PackedGraph`]'s own bytes: the encoder writes them
+//! after the header as they are, and [`decode_graph`] reads the section
+//! into the graph's buffer in one read, then checks every row in place.
+//! Nothing is expanded to `u32`s on either side.
 //!
 //! [`decode_graph`] also reads the legacy form (magic `ALGR`) that index
 //! formats 1–5 and older benchmark caches hold: a 16-byte header (magic,
 //! `n` as `u64`, `degree` as `u32`) and every id as a little-endian
-//! `u32`, `u32::MAX` for padding.
+//! `u32`, `u32::MAX` for padding. It packs each row as it reads it.
 
-use crate::csr::{FixedDegreeGraph, INVALID_ID};
+use crate::csr::INVALID_ID;
 use crate::entry::{HashEntryTable, NO_ENTRY};
 use crate::layout::NodePermutation;
+use crate::packed::{id_bits, packed_row_bytes, pad_code, PackedGraph};
 use algas_vector::binary::LeReader;
 use algas_vector::lsh::{HyperplaneHasher, MAX_SIGNATURE_BITS};
 use std::io::{self, Read};
@@ -44,54 +50,17 @@ const ENTRY_HAS_HASH: u8 = 1;
 /// older builds wrote and this one skips.
 const ENTRY_HAS_LADDER: u8 = 2;
 
-/// The width at which a packed graph of `n` vertices stores each id:
-/// `bit_length(n)`, and 1 for the empty graph. Every id is below `n`,
-/// and the all-ones code, one more than the largest id at best, pads.
-pub fn id_bits(n: usize) -> u32 {
-    usize::BITS - n.max(1).leading_zeros()
-}
-
-/// Bytes one row of `degree` ids at `w` bits takes in a packed graph:
-/// `⌈degree·w / 8⌉`, or `None` when that overflows.
-pub fn packed_row_bytes(degree: usize, w: u32) -> Option<usize> {
-    degree.checked_mul(w as usize).map(|bits| bits.div_ceil(8))
-}
-
-/// Serializes a graph in the packed form (module docs), padding slots
-/// included, so the roundtrip is exact.
-pub fn encode_graph(graph: &FixedDegreeGraph) -> Vec<u8> {
-    let (n, degree) = (graph.len(), graph.degree());
-    let w = id_bits(n);
-    let row_bytes = packed_row_bytes(degree, w).expect("an in-memory row fits a usize");
-    let pad = pad_code(w);
-    let mut buf = Vec::with_capacity(PACKED_HEADER_LEN + n * row_bytes);
+/// Serializes a graph in the packed form (module docs): the header,
+/// then the graph's rows as it holds them.
+pub fn encode_graph(graph: &PackedGraph) -> Vec<u8> {
+    let rows = graph.rows();
+    let mut buf = Vec::with_capacity(PACKED_HEADER_LEN + rows.len());
     buf.extend_from_slice(&PACKED_GRAPH_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(degree as u32).to_le_bytes());
-    buf.extend_from_slice(&w.to_le_bytes());
-    for v in 0..n as u32 {
-        // Bits not yet written, LSB first; fewer than 8 between ids.
-        let (mut acc, mut held) = (0u64, 0u32);
-        for &u in graph.row(v) {
-            let code = if u == INVALID_ID { pad } else { u64::from(u) };
-            acc |= code << held;
-            held += w;
-            while held >= 8 {
-                buf.push(acc as u8);
-                acc >>= 8;
-                held -= 8;
-            }
-        }
-        if held > 0 {
-            buf.push(acc as u8);
-        }
-    }
+    buf.extend_from_slice(&(graph.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&(graph.degree() as u32).to_le_bytes());
+    buf.extend_from_slice(&graph.id_bits().to_le_bytes());
+    buf.extend_from_slice(rows);
     buf
-}
-
-/// The padding code of `w`-bit ids: all ones.
-fn pad_code(w: u32) -> u64 {
-    (1u64 << w) - 1
 }
 
 /// Deserializes a `len`-byte graph section from `r`, packed or legacy
@@ -100,7 +69,7 @@ fn pad_code(w: u32) -> u64 {
 /// section holds, or a packed width other than [`id_bits`]`(n)`, before
 /// the graph is reserved; and then rows holding an id out of range, a
 /// self-loop, an id after padding, or non-zero pad bits.
-pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<FixedDegreeGraph> {
+pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<PackedGraph> {
     let mut data = LeReader::new(r, len);
     if data.remaining() < 16 {
         return Err(invalid("not a graph blob"));
@@ -112,8 +81,8 @@ pub fn decode_graph<R: Read>(r: R, len: u64) -> io::Result<FixedDegreeGraph> {
     }
 }
 
-/// The legacy `u32` rows after their magic.
-fn decode_legacy_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegreeGraph> {
+/// The legacy `u32` rows after their magic, each packed as it is read.
+fn decode_legacy_graph<R: Read>(mut data: LeReader<R>) -> io::Result<PackedGraph> {
     let n = data.len_u64()?;
     let degree = data.u32()? as usize;
     let payload = n.checked_mul(degree).and_then(|c| c.checked_mul(4));
@@ -123,7 +92,8 @@ fn decode_legacy_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegree
     // The payload check bounds a row by the section only when there is
     // one: a header of no rows sizes nothing by its `degree`.
     let width = if n == 0 { 0 } else { degree };
-    let mut graph = FixedDegreeGraph::new(n, degree);
+    let mut graph =
+        PackedGraph::zeroed(n, degree).ok_or_else(|| invalid("graph blob truncated"))?;
     let (mut bytes, mut row) = (vec![0u8; width * 4], Vec::with_capacity(width));
     for v in 0..n as u32 {
         data.fill(&mut bytes)?;
@@ -137,13 +107,14 @@ fn decode_legacy_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegree
         if row.iter().any(|&u| u as usize >= n || u == v) {
             return Err(invalid("graph blob contains invalid edges"));
         }
-        graph.set_row(v, &row);
+        graph.write_row(v, &row);
     }
     Ok(graph)
 }
 
-/// The packed rows after their magic.
-fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegreeGraph> {
+/// The packed rows after their magic, read into the graph in one fill
+/// and checked in place.
+fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<PackedGraph> {
     if data.remaining() < (PACKED_HEADER_LEN - 4) as u64 {
         return Err(invalid("packed graph header truncated"));
     }
@@ -162,8 +133,7 @@ fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegree
             id_bits(n)
         )));
     }
-    let row_bytes = packed_row_bytes(degree, w);
-    let payload = row_bytes.and_then(|b| b.checked_mul(n));
+    let payload = packed_row_bytes(degree, w).and_then(|b| b.checked_mul(n));
     if payload.map(|p| p as u64) != Some(data.remaining()) {
         return Err(invalid(&format!(
             "packed graph holds {} row bytes, {n} rows of {degree} ids at {w} bits take {}",
@@ -171,18 +141,27 @@ fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegree
             payload.map_or("more than a usize".to_string(), |p| p.to_string())
         )));
     }
-    // As in the legacy form, a header of no rows sizes nothing.
-    let (width, row_bytes) = if n == 0 { (0, 0) } else { (degree, row_bytes.expect("checked")) };
-    let (w, pad) = (w as usize, pad_code(w));
+    let mut graph = PackedGraph::zeroed(n, degree)
+        .ok_or_else(|| invalid("packed graph exceeds the address space"))?;
+    // The rows alone: the zero tail after them is never read into.
+    data.fill(graph.rows_mut())?;
+    check_packed_rows(&graph)?;
+    Ok(graph)
+}
+
+/// The first packed row of `graph` that names no row of a graph: an id
+/// `≥ n` that is not the pad code, a self-loop, an id after padding, or
+/// non-zero pad bits.
+fn check_packed_rows(graph: &PackedGraph) -> io::Result<()> {
+    let (n, degree, row_bytes) = (graph.len(), graph.degree(), graph.row_bytes());
+    let (w, pad) = (graph.id_bits() as usize, pad_code(graph.id_bits()));
     // Bits of a row's last byte past its last id: zero in a canonical row.
     let tail_bits = (8 - degree * w % 8) % 8;
-    let mut graph = FixedDegreeGraph::new(n, degree);
-    // Eight zero bytes past the row, so every id is one unaligned word
-    // read: its `w ≤ 32` bits start at most 7 bits into the word.
-    let (mut bytes, mut row) = (vec![0u8; row_bytes + 8], Vec::with_capacity(width));
-    for v in 0..n as u32 {
-        data.fill(&mut bytes[..row_bytes])?;
-        row.clear();
+    for v in 0..n {
+        // The row and, past its end, the next row's bytes or the zero
+        // tail: every id is one unaligned word read.
+        let bytes = &graph.bytes[v * row_bytes..];
+        let mut ids = 0;
         for slot in 0..degree {
             let bit = slot * w;
             let word = u64::from_le_bytes(bytes[bit / 8..bit / 8 + 8].try_into().expect("8 bytes"));
@@ -190,20 +169,19 @@ fn decode_packed_graph<R: Read>(mut data: LeReader<R>) -> io::Result<FixedDegree
             if code == pad {
                 continue;
             }
-            if row.len() < slot {
+            if ids < slot {
                 return Err(invalid(&format!("packed graph row {v} holds an id after padding")));
             }
-            if code >= n as u64 || code == u64::from(v) {
+            if code >= n as u64 || code == v as u64 {
                 return Err(invalid(&format!("packed graph row {v} holds an invalid id {code}")));
             }
-            row.push(code as u32);
+            ids += 1;
         }
         if tail_bits > 0 && bytes[row_bytes - 1] >> (8 - tail_bits) != 0 {
             return Err(invalid(&format!("packed graph row {v} has non-zero pad bits")));
         }
-        graph.set_row(v, &row);
     }
-    Ok(graph)
+    Ok(())
 }
 
 /// Serializes a node permutation (its `new → old` side only — the
@@ -336,10 +314,16 @@ fn invalid(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::FixedDegreeGraph;
 
-    /// Decodes a whole blob as one graph section.
+    /// Decodes a whole blob as one graph section, unpacked.
     fn graph(blob: &[u8]) -> io::Result<FixedDegreeGraph> {
-        decode_graph(blob, blob.len() as u64)
+        decode_graph(blob, blob.len() as u64).map(|g| g.unpack())
+    }
+
+    /// The packed section of a mutable graph.
+    fn encode(g: &FixedDegreeGraph) -> Vec<u8> {
+        encode_graph(&PackedGraph::pack(g))
     }
 
     /// Decodes a whole blob as one permutation section.
@@ -357,13 +341,13 @@ mod tests {
         let mut g = FixedDegreeGraph::new(4, 3);
         g.set_row(0, &[1, 2]);
         g.set_row(3, &[0]);
-        assert_eq!(graph(&encode_graph(&g)).unwrap(), g);
+        assert_eq!(graph(&encode(&g)).unwrap(), g);
     }
 
     #[test]
     fn rejects_bad_blobs() {
         assert!(graph(&[1, 2, 3]).is_err());
-        let mut blob = encode_graph(&FixedDegreeGraph::new(2, 2));
+        let mut blob = encode(&FixedDegreeGraph::new(2, 2));
         blob.truncate(blob.len() - 2);
         assert!(graph(&blob).is_err());
         // n · degree · 4 wraps to the (empty) payload length.
@@ -502,7 +486,7 @@ mod tests {
             // Degrees whose row of degree·w bits ends inside a byte.
             for degree in [3, 5, 7] {
                 let g = ring(n, degree);
-                let blob = encode_graph(&g);
+                let blob = encode(&g);
                 let row_bytes = (degree * w as usize).div_ceil(8);
                 assert_eq!(blob.len(), PACKED_HEADER_LEN + n * row_bytes, "n = {n}, d = {degree}");
                 assert_eq!(graph(&blob).unwrap(), g, "n = {n}, degree = {degree}");
@@ -513,7 +497,7 @@ mod tests {
         // The widest ids a 2^16-vertex corpus needs, 17 bits.
         for n in [(1 << 16) - 1, 1 << 16, (1 << 16) + 1] {
             let g = ring(n, 3);
-            assert_eq!(graph(&encode_graph(&g)).unwrap(), g, "n = {n}");
+            assert_eq!(graph(&encode(&g)).unwrap(), g, "n = {n}");
         }
     }
 
@@ -524,7 +508,7 @@ mod tests {
         // seven zero pad bits.
         let mut g = FixedDegreeGraph::new(5, 3);
         g.set_row(0, &[1, 4]);
-        let blob = encode_graph(&g);
+        let blob = encode(&g);
         assert_eq!(blob[16..20], 3u32.to_le_bytes());
         assert_eq!(blob[20..22], [0b1110_0001, 0b1]);
         // The four empty rows: nine one bits each.
@@ -543,7 +527,7 @@ mod tests {
         // n = 6 (3-bit ids, pad 7), degree 3: 9 bits, 2 bytes a row.
         let mut g = FixedDegreeGraph::new(6, 3);
         g.set_row(0, &[1, 2]);
-        let good = encode_graph(&g);
+        let good = encode(&g);
         assert_eq!(graph(&good).unwrap(), g);
         let with_width = |w: u32| {
             let mut b = good.clone();
@@ -584,5 +568,84 @@ mod tests {
         wrapped.extend_from_slice(&u32::MAX.to_le_bytes());
         wrapped.extend_from_slice(&31u32.to_le_bytes());
         assert!(refused(&wrapped).contains("row bytes"));
+    }
+
+    #[test]
+    fn packed_rejects_hostile_last_rows() {
+        // n = 6 (3-bit ids, pad 7), degree 3, 2 bytes a row: the last
+        // row is the section's last two bytes, and a word read at its
+        // last id reaches into the zero tail.
+        let mut g = FixedDegreeGraph::new(6, 3);
+        g.set_row(5, &[4]);
+        let good = encode(&g);
+        assert_eq!(graph(&good).unwrap(), g);
+        let last = good.len() - 2;
+        // [4, pad, pad] = 100 111 111 → 0xFC, 0x01.
+        assert_eq!(good[last..], [0xFC, 0x01]);
+        let with_last = |bytes: [u8; 2]| [&good[..last], &bytes].concat();
+        // Id 6 = n, the smallest code that is neither an id nor the pad.
+        assert!(refused(&with_last([0xFE, 0x01])).contains("row 5 holds an invalid id 6"));
+        // An id after a pad code: [pad, 2, pad].
+        assert!(refused(&with_last([0xD7, 0x01])).contains("row 5 holds an id after padding"));
+        // A non-zero pad bit in the section's final byte.
+        assert!(refused(&with_last([0xFC, 0x81])).contains("row 5 has non-zero pad bits"));
+        assert!(refused(&with_last([0xFC, 0x03])).contains("row 5 has non-zero pad bits"));
+    }
+
+    #[test]
+    fn the_zero_tail_is_never_read_from_the_input() {
+        let mut g = FixedDegreeGraph::new(6, 3);
+        g.set_row(5, &[4]);
+        for blob in [encode(&g), legacy_blob(&g)] {
+            // The section, then bytes of all ones the decoder must not
+            // read: its rows end the section, and the tail stays zero.
+            let input = [&blob[..], &[0xFF; 16]].concat();
+            let mut r = &input[..];
+            let packed = decode_graph(&mut r, blob.len() as u64).unwrap();
+            assert_eq!(r.len(), 16, "the decoder read past its section");
+            assert_eq!(packed.rows(), &encode(&g)[PACKED_HEADER_LEN..]);
+            assert_eq!(packed.nbytes(), packed.rows().len() + 8);
+            assert_eq!(packed.bytes[packed.rows().len()..], [0; 8]);
+            assert_eq!(packed.unpack(), g);
+        }
+    }
+
+    /// The encoder format 6 was written with, row by row from the `u32`
+    /// rows of the mutable graph: the bytes every format-6 file holds.
+    fn row_at_a_time(graph: &FixedDegreeGraph) -> Vec<u8> {
+        let (n, degree) = (graph.len(), graph.degree());
+        let w = id_bits(n);
+        let pad = pad_code(w);
+        let mut buf = PACKED_GRAPH_MAGIC.to_le_bytes().to_vec();
+        buf.extend_from_slice(&(n as u64).to_le_bytes());
+        buf.extend_from_slice(&(degree as u32).to_le_bytes());
+        buf.extend_from_slice(&w.to_le_bytes());
+        for v in 0..n as u32 {
+            let (mut acc, mut held) = (0u64, 0u32);
+            for &u in graph.row(v) {
+                let code = if u == INVALID_ID { pad } else { u64::from(u) };
+                acc |= code << held;
+                held += w;
+                while held >= 8 {
+                    buf.push(acc as u8);
+                    acc >>= 8;
+                    held -= 8;
+                }
+            }
+            if held > 0 {
+                buf.push(acc as u8);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn encode_writes_the_row_at_a_time_bytes() {
+        for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 1023, 1024, 1025] {
+            for degree in 1..=40 {
+                let g = ring(n, degree);
+                assert_eq!(encode(&g), row_at_a_time(&g), "n = {n}, degree = {degree}");
+            }
+        }
     }
 }

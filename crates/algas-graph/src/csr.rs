@@ -11,10 +11,11 @@ pub const INVALID_ID: u32 = u32::MAX;
 /// stored as one flat `Vec<u32>` — row `v` occupies
 /// `[v * degree, (v+1) * degree)`.
 ///
-/// This is the representation every search method in this workspace
-/// consumes: neighbor expansion is a single contiguous read of `degree`
-/// ids, which is what makes the layout GPU-friendly (one coalesced
-/// global-memory segment) and what the simulator charges it as.
+/// This is the representation every builder writes: neighbor expansion
+/// is a single contiguous read of `degree` ids, which is what makes the
+/// layout GPU-friendly (one coalesced global-memory segment) and what
+/// the simulator charges it as. An index serves the same rows packed,
+/// [`PackedGraph`](crate::PackedGraph).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixedDegreeGraph {
     n: usize,
@@ -78,21 +79,6 @@ impl FixedDegreeGraph {
         &self.adj[start..start + self.degree]
     }
 
-    /// The valid neighbors of `v` as a slice: its row up to the first
-    /// padding slot. Rows are front-packed — every way of writing one
-    /// ([`from_adjacency`](Self::from_adjacency),
-    /// [`set_row`](Self::set_row), [`try_add_edge`](Self::try_add_edge),
-    /// the decoder through `set_row`) pads at the tail, and
-    /// [`validate`](Self::validate) checks it — so this holds what
-    /// [`neighbors`](Self::neighbors) yields, in the same order, for a
-    /// search step to walk without a per-id padding test.
-    #[inline]
-    pub fn valid_row(&self, v: u32) -> &[u32] {
-        let row = self.row(v);
-        let len = row.iter().position(|&u| u == INVALID_ID).unwrap_or(row.len());
-        &row[..len]
-    }
-
     /// Iterates the *valid* neighbors of `v` (padding skipped).
     #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
@@ -102,13 +88,6 @@ impl FixedDegreeGraph {
     /// Number of valid neighbors of `v`.
     pub fn valid_degree(&self, v: u32) -> usize {
         self.neighbors(v).count()
-    }
-
-    /// Hints the CPU to pull the adjacency row of `v` into cache ahead
-    /// of expansion. Advisory only; never faults.
-    #[inline]
-    pub fn prefetch_row(&self, v: u32) {
-        algas_vector::simd::prefetch_ids(self.row(v));
     }
 
     /// Overwrites the neighbor row of `v`, padding with [`INVALID_ID`].
@@ -148,11 +127,6 @@ impl FixedDegreeGraph {
             }
         }
         false
-    }
-
-    /// Byte size of the adjacency payload (used by memory accounting).
-    pub fn nbytes(&self) -> usize {
-        self.adj.len() * std::mem::size_of::<u32>()
     }
 
     /// Verifies structural invariants: ids in range, no self-loops, no
@@ -216,19 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_row_is_the_neighbor_sequence_as_a_slice() {
-        let mut g = FixedDegreeGraph::new(4, 3);
-        g.set_row(0, &[1, 2, 3]);
-        g.set_row(1, &[3]);
-        assert!(g.try_add_edge(2, 0));
-        for v in 0..4 {
-            assert_eq!(g.valid_row(v), g.neighbors(v).collect::<Vec<_>>());
-        }
-        assert_eq!(g.valid_row(0).len(), 3);
-        assert!(g.valid_row(3).is_empty());
-    }
-
-    #[test]
     fn set_row_replaces_and_pads() {
         let mut g = FixedDegreeGraph::new(4, 3);
         g.set_row(1, &[0, 2, 3]);
@@ -260,11 +221,5 @@ mod tests {
         let bad2 = FixedDegreeGraph { n: 2, degree: 2, adj: vec![INVALID_ID, 1, 0, INVALID_ID] };
         assert!(bad2.validate().is_err()); // valid id after padding
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn nbytes_counts_slots() {
-        let g = FixedDegreeGraph::new(10, 4);
-        assert_eq!(g.nbytes(), 10 * 4 * 4);
     }
 }

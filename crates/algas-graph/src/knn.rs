@@ -611,6 +611,14 @@ mod tests {
         })
     }
 
+    /// FNV-1a of the packed graph section `g` encodes to.
+    fn section_hash(g: &FixedDegreeGraph) -> u64 {
+        let section = crate::binary::encode_graph(&crate::PackedGraph::pack(g));
+        section.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn nn_descent_matches_the_recorded_graph() {
         // 3000 rows is above `CagraParams::exact_threshold`, so the CAGRA
@@ -666,8 +674,13 @@ mod tests {
         }
         let ds = DatasetSpec::tiny(2000, 128, Metric::L2, 11).generate();
         assert_eq!(crate::entry::medoid(&ds.base, Metric::L2), 687, "medoid");
+        // The second constant of each pair is the hash of the graph's
+        // packed section, recorded with the row-at-a-time encoder that
+        // wrote format 6 from the `u32` rows before the index held its
+        // graph packed: packing must not move a byte of any file.
         let exact = build_knn_graph_exact_threads(&ds.base, Metric::L2, 16, 2);
         assert_eq!(graph_hash(&exact), 0xd90c_f4f6_570c_11f2, "exact k-NN graph");
+        assert_eq!(section_hash(&exact), 0x2aec_a8c9_ec51_f271, "exact k-NN section");
         let knn = NnDescentParams { k: 32, ..Default::default() };
         let cagra = CagraBuilder::new(
             Metric::L2,
@@ -676,8 +689,10 @@ mod tests {
         for threads in [1, 3] {
             let g = build_knn_graph_nn_descent_threads(&ds.base, Metric::L2, knn, threads);
             assert_eq!(graph_hash(&g), 0x9f49_3ff6_5afc_41ec, "k-NN graph, {threads} threads");
+            assert_eq!(section_hash(&g), 0xd3ae_7a5d_cc3b_de84, "k-NN section, {threads} threads");
             let g = cagra.optimize_with_threads(&ds.base, &g, threads);
             assert_eq!(graph_hash(&g), 0xadc9_a35d_f662_8c2f, "CAGRA graph, {threads} threads");
+            assert_eq!(section_hash(&g), 0x2488_bbd1_633f_688a, "CAGRA section, {threads} threads");
         }
     }
 

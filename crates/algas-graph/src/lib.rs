@@ -3,11 +3,13 @@
 //! Graph index substrate for the ALGAS reproduction.
 //!
 //! The paper searches two graph families (§VI): the **NSW graph built the
-//! GANNS way** and the **CAGRA fixed out-degree graph**. Both are
-//! represented by one storage type, [`FixedDegreeGraph`] — a CSR matrix
+//! GANNS way** and the **CAGRA fixed out-degree graph**. Both are built
+//! in one mutable storage type, [`FixedDegreeGraph`] — a CSR matrix
 //! with a constant out-degree per vertex, which is exactly the layout a
 //! GPU kernel wants (neighbor fetch = one coalesced segment of `degree`
-//! ids at `v * degree`).
+//! ids at `v * degree`) — and served from one read-only type,
+//! [`PackedGraph`]: the same rows with every id at `bit_length(n)` bits,
+//! the layout the index file stores.
 //!
 //! Builders:
 //!
@@ -32,6 +34,7 @@ pub mod entry;
 pub mod knn;
 pub mod layout;
 pub mod nsw;
+pub mod packed;
 pub mod parallel;
 pub mod progress;
 pub mod stats;
@@ -41,6 +44,7 @@ pub use csr::FixedDegreeGraph;
 pub use entry::{EntryParams, EntryPolicy, HashEntryTable};
 pub use layout::NodePermutation;
 pub use nsw::NswBuilder;
+pub use packed::PackedGraph;
 pub use progress::{BuildPhase, BuildProgress, ProgressSnapshot};
 
 /// Which graph family an index was built as; used by benchmarks to label

@@ -332,20 +332,19 @@ pub fn prefetch_row(row: &[f32]) {
     prefetch_span(row.as_ptr().cast::<u8>(), std::mem::size_of_val(row));
 }
 
-/// Hints the CPU to pull an id row (graph adjacency) into cache.
-#[inline]
-pub fn prefetch_ids(ids: &[u32]) {
-    prefetch_span(ids.as_ptr().cast::<u8>(), std::mem::size_of_val(ids));
-}
-
 /// Issues a read prefetch hint for every cache line in
-/// `[ptr, ptr + bytes)`. Advisory only: never faults, never loads
-/// architecturally; a no-op on architectures without a prefetch
-/// instruction exposed.
+/// `[ptr, ptr + bytes)`, the first and last ones included when the span
+/// does not start or end on a line boundary (a 56-byte packed graph row
+/// straddles two lines at most offsets). Advisory only: never faults,
+/// never loads architecturally; a no-op on architectures without a
+/// prefetch instruction exposed.
 #[inline]
 #[allow(clippy::not_unsafe_ptr_arg_deref)] // prefetch hints never dereference
 pub fn prefetch_span(ptr: *const u8, bytes: usize) {
     const LINE: usize = 64;
+    // From the start of the line holding `ptr`; an empty span stays empty.
+    let lead = if bytes == 0 { 0 } else { ptr as usize % LINE };
+    let (ptr, bytes) = (ptr.wrapping_sub(lead), bytes + lead);
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -353,7 +352,7 @@ pub fn prefetch_span(ptr: *const u8, bytes: usize) {
         while off < bytes {
             // SAFETY: `_mm_prefetch` is a hint; it never dereferences
             // the pointer architecturally and is safe for any address.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.add(off).cast::<i8>()) };
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.wrapping_add(off).cast::<i8>()) };
             off += LINE;
         }
     }
@@ -366,7 +365,7 @@ pub fn prefetch_span(ptr: *const u8, bytes: usize) {
             unsafe {
                 std::arch::asm!(
                     "prfm pldl1keep, [{0}]",
-                    in(reg) ptr.add(off),
+                    in(reg) ptr.wrapping_add(off),
                     options(nostack, preserves_flags, readonly)
                 );
             }

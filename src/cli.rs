@@ -373,13 +373,11 @@ fn cmd_build(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
 
 /// The `info` line on how the file stores the graph's ids: packed at
 /// `bit_length(n)` bits since format 6, a `u32` each before.
-fn graph_ids(graph: &algas_graph::FixedDegreeGraph, version: u32) -> String {
-    let (n, degree) = (graph.len(), graph.degree());
-    let w = algas_graph::binary::id_bits(n);
+fn graph_ids(graph: &algas_graph::PackedGraph, version: u32) -> String {
+    let (n, degree, w) = (graph.len(), graph.degree(), graph.id_bits());
     let kib = |bytes: usize| (bytes + 512) / 1024;
-    let row_bytes = algas_graph::binary::packed_row_bytes(degree, w).expect("a row in memory");
-    let packed = kib(n * row_bytes);
-    let wide = kib(graph.nbytes());
+    let packed = kib(graph.rows().len());
+    let wide = kib(n * degree * 4);
     if algas_core::persist::packs_graph_ids(version) {
         format!("{n} × {degree} ids at {w} bits: {packed} KiB ({wide} KiB as u32)")
     } else {
@@ -391,11 +389,12 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
     let path = req(flags, "index")?;
     let index = AlgasIndex::load(path).map_err(io_err)?;
     let version = algas_core::persist::format_version(path).map_err(io_err)?;
-    let stats = graph_stats(&index.graph);
+    let stats = graph_stats(&index.graph.unpack());
     writeln!(
         out,
         "format: v{version}\nvectors: {} x dim {}\nmetric: {}\n\
          graph: {:?}, degree {} (mean valid {:.1}, min {})\ngraph ids: {}\n\
+         in memory: corpus {} B, graph {} B, SQ8 codes {}\n\
          reachable from medoid-entry BFS: {:.1}%\nmedoid: {}\nquantized: {}\nentry: {}",
         index.base.len(),
         index.base.dim(),
@@ -405,6 +404,9 @@ fn cmd_info(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
         stats.mean_valid_degree,
         stats.min_valid_degree,
         graph_ids(&index.graph, version),
+        index.base.nbytes_padded(),
+        index.graph.nbytes(),
+        index.quant.as_ref().map_or("none".to_string(), |q| format!("{} B", q.nbytes_padded())),
         stats.reachable_fraction * 100.0,
         index.medoid,
         match &index.quant {
@@ -995,6 +997,12 @@ mod tests {
         // 600 × 32 ids at 10 bits: 40 bytes a row, 23 KiB (75 KiB as u32).
         assert!(
             msg.contains("graph ids: 600 × 32 ids at 10 bits: 23 KiB (75 KiB as u32)"),
+            "{msg}"
+        );
+        // In memory: 600 rows of 12 floats padded to 16 (64 B each), and
+        // the graph as packed as the file stores it, plus its 8-byte tail.
+        assert!(
+            msg.contains("in memory: corpus 38400 B, graph 24008 B, SQ8 codes none\n"),
             "{msg}"
         );
 

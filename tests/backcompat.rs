@@ -53,6 +53,21 @@ const HEADER_LEN: usize = 54;
 const U32_GRAPH_LEN: usize = 16 + N * DEGREE * 4;
 const PACKED_GRAPH_LEN: usize = 20 + N * DEGREE * 9 / 8;
 
+/// FNV-1a of the packed graph section `index`'s graph encodes to. The
+/// fixtures' constants were recorded with the row-at-a-time encoder
+/// that wrote format 6 from the `u32` rows, before the index held its
+/// graph packed: a re-save writes the same section.
+fn graph_section_hash(index: &AlgasIndex) -> u64 {
+    let section = algas::graph::binary::encode_graph(&index.graph);
+    section
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+/// The fixtures' graph sections as format 6 writes them: v4 and v5 come
+/// from the same build commands, so they hold the same graph.
+const V3_SECTION_HASH: u64 = 0x6169_9fcf_536d_8121;
+const V4_V5_SECTION_HASH: u64 = 0xe8a4_3700_c695_1516;
+
 /// The `u64` header field at `at`.
 fn field(file: &[u8], at: std::ops::Range<usize>) -> usize {
     u64::from_le_bytes(file[at].try_into().unwrap()) as usize
@@ -124,6 +139,7 @@ fn checked_in_v3_fixture_loads_and_upgrades_to_v4() {
     assert!(index.id_map.is_none(), "v3 fixture was never relayouted");
     assert!(index.entry.is_none(), "v3 predates the entry section");
     assert!((index.medoid as usize) < N);
+    assert_eq!(graph_section_hash(&index), V3_SECTION_HASH);
 
     // The loaded index serves: a pre-entry file runs every policy, the
     // table one from a table built at load.
@@ -163,6 +179,7 @@ fn checked_in_v4_fixture_with_a_ladder_loads_serves_and_resaves_without_it() {
     assert_eq!((index.base.len(), index.base.dim()), (N, DIM));
     assert!(index.quant.is_some(), "v4 fixture carries SQ8 codes");
     let table = index.entry.clone().expect("v4 fixture carries the LSH table");
+    assert_eq!(graph_section_hash(&index), V4_V5_SECTION_HASH);
 
     // It serves a hash-table query from the file's table.
     let cfg =
@@ -234,6 +251,7 @@ fn checked_in_v5_fixture_serves_like_its_build_and_resaves_as_v6() {
     let index = AlgasIndex::load(FIXTURE_V5).expect("v5 fixture must load");
     assert_eq!((index.base.len(), index.base.dim(), index.graph.degree()), (N, DIM, DEGREE));
     assert!(index.quant.is_some() && index.entry.is_some(), "quantized, with the LSH table");
+    assert_eq!(graph_section_hash(&index), V4_V5_SECTION_HASH);
     let info = algas(&format!("info --index {FIXTURE_V5}"));
     assert!(
         info.contains("graph ids: 300 × 32 ids as u32: 38 KiB (11 KiB at 9 bits once re-saved)")

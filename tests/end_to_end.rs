@@ -23,7 +23,7 @@ fn full_pipeline_nsw() {
     let index = AlgasIndex::build_nsw(ds.base.clone(), Metric::L2, NswParams::default());
     // NSW degree caps can strand the odd vertex; near-total
     // reachability is the practical requirement.
-    assert!(graph_stats(&index.graph).reachable_fraction > 0.99);
+    assert!(graph_stats(&index.graph.unpack()).reachable_fraction > 0.99);
     let engine =
         AlgasEngine::new(index, EngineConfig { k: 10, l: 64, ..Default::default() }).unwrap();
     let gt = brute_force_knn(&ds.base, &ds.queries, Metric::L2, 10);
