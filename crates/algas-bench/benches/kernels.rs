@@ -54,7 +54,74 @@ fn bench_candidate_list(c: &mut Criterion) {
             })
         });
     }
+    // The lists the serial schedule runs: the fp32 scouts (L = 10),
+    // the SQ8 scouts (20) and walker 0 (64). One query's worth of step
+    // ④ batches: the seed's first expansion into an empty list (96
+    // newcomers), then 32 batches of 33, about 27 % of whose newcomers
+    // beat the full list's tail when they arrive.
+    for l in [10usize, 20, 64] {
+        let batches = serial_batches(l, &mut rng);
+        group.bench_with_input(BenchmarkId::new("serial_merge", l), &l, |bch, &l| {
+            let mut list = CandidateList::new(l);
+            bch.iter(|| {
+                list.reset(l);
+                for (ids, dists) in &batches {
+                    list.merge_batch(black_box(ids), black_box(dists));
+                }
+                black_box(list.len())
+            })
+        });
+    }
+    // Step ①'s selection on a full walker-0 list whose first 24
+    // entries and every third one after are expanded.
+    let mut list = CandidateList::new(64);
+    let ids: Vec<u32> = (0..64).collect();
+    let dists: Vec<f32> = (0..64).map(|i| i as f32).collect();
+    list.merge_batch(&ids, &dists);
+    for offset in (0..64).filter(|&i| i < 24 || i % 3 == 0) {
+        list.mark_expanded(offset);
+    }
+    let mut selected = Vec::with_capacity(8);
+    for width in [1usize, 8] {
+        group.bench_with_input(BenchmarkId::new("select", width), &width, |bch, &width| {
+            bch.iter(|| {
+                list.closest_unexpanded_beam_into(black_box(width), &mut selected);
+                black_box(selected.len())
+            })
+        });
+    }
     group.finish();
+}
+
+/// Step ④'s batches for one query on a list of capacity `l`: 96
+/// newcomers into the empty list, then 32 batches of 33 of which each
+/// newcomer beats the list's tail at its arrival with probability
+/// 0.27 (drawn below the tail) and loses otherwise (drawn above it).
+/// Ids are distinct and the tail is tracked with a plain sorted model.
+fn serial_batches(l: usize, rng: &mut StdRng) -> Vec<(Vec<u32>, Vec<f32>)> {
+    let mut model: Vec<f32> = Vec::new();
+    let mut next_id = 0u32;
+    let mut batch = |size: usize, rng: &mut StdRng, model: &mut Vec<f32>| {
+        let (mut ids, mut dists) = (Vec::new(), Vec::new());
+        for _ in 0..size {
+            let tail = if model.len() < l { 100.0 } else { model[l - 1] };
+            let d = if model.len() < l || rng.gen_range(0..100u32) < 27 {
+                rng.gen_range(0.0..tail)
+            } else {
+                tail + rng.gen_range(0.0..100.0f32)
+            };
+            let at = model.partition_point(|&m| m < d);
+            model.insert(at, d);
+            model.truncate(l);
+            ids.push(next_id * 7 % 4096);
+            next_id += 1;
+            dists.push(d);
+        }
+        (ids, dists)
+    };
+    let mut batches = vec![batch(96, rng, &mut model)];
+    batches.extend((0..32).map(|_| batch(33, rng, &mut model)));
+    batches
 }
 
 fn bench_topk_merge(c: &mut Criterion) {

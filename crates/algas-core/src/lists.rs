@@ -9,16 +9,15 @@
 //! (order-preserving distance bits ‖ id ‖ *expanded* flag, as CAGRA
 //! keeps its parent flag in the index word), a bitmap word an epoch
 //! tag beside 32 visit bits — so a search step maintains them with
-//! integer compares, selects and `memmove`s (DESIGN.md §6).
+//! integer compares and selects: step ④ is a bitonic merge network on
+//! AVX-512 hosts and one binary search and `memmove` per newcomer
+//! elsewhere (DESIGN.md §6).
 //! The functional behaviour here is exact; the *cost* of maintaining
 //! them on a GPU (bitonic stages etc.) is charged by the searcher
 //! against its context's cycle prices (`SearchContext::cost`).
 
 use algas_vector::metric::DistValue;
-
-/// Bits of a candidate key that hold the id; the 32nd is the expanded
-/// flag.
-const ID_BITS: u32 = 31;
+use algas_vector::simd::{self, key_chunks, key_dist, key_id, KeyChunk, EXPANDED, ID_BITS};
 
 /// Size of the id space a candidate key has room for. An index refuses
 /// a corpus of this many rows or more
@@ -26,41 +25,18 @@ const ID_BITS: u32 = 31;
 /// flag bit.
 pub const ID_SPACE: usize = 1 << ID_BITS;
 
-/// Packs `(dist, id)` into an unexpanded candidate key.
-///
-/// `total_cmp` orders floats as sign-magnitude integers: flipping every
-/// bit of a negative and only the sign bit of a non-negative turns that
-/// into unsigned order, so `u64` order on keys is `(DistValue, id)`
-/// order, NaNs of either sign included. Keys that differ in
-/// `(dist, id)` differ above bit 0, so setting the flag there never
-/// moves an entry.
-#[inline]
-fn pack(dist: f32, id: u32) -> u64 {
-    debug_assert!(id >> ID_BITS == 0, "id {id} does not fit a candidate key");
-    let b = dist.to_bits();
-    let ordered = b ^ (((b as i32) >> 31) as u32 | 0x8000_0000);
-    u64::from(ordered) << 32 | u64::from(id) << 1
-}
-
-#[inline]
-fn key_dist(key: u64) -> DistValue {
-    let o = (key >> 32) as u32;
-    DistValue(f32::from_bits(o ^ ((!o as i32 >> 31) as u32 | 0x8000_0000)))
-}
-
-#[inline]
-fn key_id(key: u64) -> u32 {
-    (key as u32) >> 1
-}
-
-const EXPANDED: u64 = 1;
-
 /// A bounded, ascending-sorted candidate list of capacity `L`, one
-/// packed key per entry. The `Default` list has capacity 0 and holds
-/// nothing until [`reset`](Self::reset) gives it one.
+/// packed key per entry ([`simd::pack_key`]), followed by pads
+/// (`u64::MAX`) up to the merge width ([`simd::key_chunks`]). The
+/// `Default` list has capacity 0 and holds nothing until
+/// [`reset`](Self::reset) gives it one.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateList {
-    keys: Vec<u64>,
+    /// The entries, ascending, then pads.
+    keys: Vec<KeyChunk>,
+    /// The merge network's staging space, as wide as `keys`.
+    stage: Vec<KeyChunk>,
+    len: usize,
     cap: usize,
 }
 
@@ -82,34 +58,48 @@ impl CandidateList {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
+    }
+
+    /// The entries' keys, ascending.
+    #[inline]
+    fn keys(&self) -> &[u64] {
+        &simd::flat(&self.keys)[..self.len]
     }
 
     /// Distance of the entry at `offset` (bit-exact as merged).
     #[inline]
     pub fn dist_at(&self, offset: usize) -> DistValue {
-        key_dist(self.keys[offset])
+        key_dist(self.keys()[offset])
     }
 
     /// Corpus id of the entry at `offset`.
     #[inline]
     pub fn id_at(&self, offset: usize) -> u32 {
-        key_id(self.keys[offset])
+        key_id(self.keys()[offset])
     }
 
     /// Current entries as `(distance, id)`, ascending.
     pub fn iter(&self) -> impl Iterator<Item = (DistValue, u32)> + '_ {
-        self.keys.iter().map(|&k| (key_dist(k), key_id(k)))
+        self.keys().iter().map(|&k| (key_dist(k), key_id(k)))
+    }
+
+    /// Step ①'s unexpanded mask of each 64-key block, with the block's
+    /// first offset. Pads read as expanded, so no bit lies past the
+    /// last entry.
+    #[inline]
+    fn unexpanded(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.keys.chunks(8).enumerate().map(|(b, block)| (64 * b, simd::unexpanded_mask(block)))
     }
 
     /// Offset of the closest not-yet-expanded entry (§IV-B step ①).
     pub fn closest_unexpanded(&self) -> Option<usize> {
-        self.keys.iter().position(|k| k & EXPANDED == 0)
+        self.unexpanded().find(|&(_, m)| m != 0).map(|(at, m)| at + m.trailing_zeros() as usize)
     }
 
     /// Clears `out` and fills it with the offsets of up to `width`
@@ -118,18 +108,29 @@ impl CandidateList {
     /// in Intra-CTA"). Reuses `out`'s capacity.
     pub fn closest_unexpanded_beam_into(&self, width: usize, out: &mut Vec<usize>) {
         out.clear();
-        out.extend((0..self.keys.len()).filter(|&i| self.keys[i] & EXPANDED == 0).take(width));
+        for (at, mut m) in self.unexpanded() {
+            while m != 0 && out.len() < width {
+                out.push(at + m.trailing_zeros() as usize);
+                m &= m - 1;
+            }
+            if out.len() == width {
+                break;
+            }
+        }
     }
 
     /// Empties the list and resets its capacity to `l`, retaining the
-    /// backing allocation (slot reuse between queries).
+    /// backing allocations (slot reuse between queries).
     ///
     /// # Panics
     /// Panics if `l == 0`.
     pub fn reset(&mut self, l: usize) {
         assert!(l > 0, "candidate list capacity must be positive");
+        let chunks = key_chunks(l);
         self.keys.clear();
-        self.keys.reserve(l);
+        self.keys.resize(chunks, KeyChunk::PADS);
+        self.stage.resize(chunks, KeyChunk::PADS);
+        self.len = 0;
         self.cap = l;
     }
 
@@ -138,7 +139,7 @@ impl CandidateList {
     /// # Panics
     /// Panics if `offset` is out of bounds or already expanded.
     pub fn mark_expanded(&mut self, offset: usize) -> u32 {
-        let k = &mut self.keys[offset];
+        let k = &mut simd::flat_mut(&mut self.keys)[..self.len][offset];
         assert!(*k & EXPANDED == 0, "candidate at offset {offset} already expanded");
         *k |= EXPANDED;
         key_id(*k)
@@ -150,33 +151,25 @@ impl CandidateList {
     /// from existing entries (the visited bitmap scores a point at most
     /// once per query) and enter unexpanded.
     ///
-    /// Each is packed and, unless a full list's tail already beats it
-    /// (late in a search most stop here, and the bar tightens as
-    /// earlier newcomers land), binary-searched to its place, the
-    /// entries behind it moving up one and the old tail falling off.
-    /// Keys are totally ordered, so the result is the unique ascending
-    /// best-`L` of the union — what sorting the whole union gives.
+    /// Runs [`simd::merge_keys`]: a bitonic merge network on AVX-512
+    /// hosts, one binary search and `memmove` per newcomer elsewhere.
+    /// Keys are totally ordered, so either way the result is the unique
+    /// ascending best-`L` of the union — what sorting the whole union
+    /// gives.
     ///
     /// # Panics
     /// Panics if `ids` and `dists` differ in length.
     pub fn merge_batch(&mut self, ids: &[u32], dists: &[f32]) {
-        assert_eq!(ids.len(), dists.len(), "one distance per newcomer");
         debug_assert!(
-            ids.iter().all(|&id| self.keys.iter().all(|&k| key_id(k) != id)),
+            ids.iter().all(|&id| id >> ID_BITS == 0),
+            "an id does not fit a candidate key"
+        );
+        debug_assert!(
+            ids.iter().all(|&id| self.keys().iter().all(|&k| key_id(k) != id)),
             "bitmap must prevent duplicate candidates"
         );
-        for (&id, &dist) in ids.iter().zip(dists) {
-            let key = pack(dist, id);
-            if self.keys.len() < self.cap {
-                self.keys.push(key);
-            } else if key > self.keys[self.cap - 1] {
-                continue;
-            }
-            let last = self.keys.len() - 1;
-            let at = self.keys[..last].partition_point(|&k| k < key);
-            self.keys.copy_within(at..last, at + 1);
-            self.keys[at] = key;
-        }
+        self.len =
+            simd::merge_keys(&mut self.keys, self.len, self.cap, ids, dists, &mut self.stage);
     }
 
     /// The best `k` entries currently held (ascending by distance).
@@ -186,7 +179,7 @@ impl CandidateList {
 
     /// Sortedness invariant (exposed for property tests).
     pub fn is_sorted(&self) -> bool {
-        self.keys.windows(2).all(|w| w[0] < w[1])
+        self.keys().windows(2).all(|w| w[0] < w[1])
     }
 }
 
@@ -320,6 +313,7 @@ impl VisitedBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algas_vector::simd::pack_key;
     use proptest::prelude::*;
 
     /// Few enough values that batches are full of distance ties, plus
@@ -359,7 +353,7 @@ mod tests {
             // Random 31-bit ids almost never tie: also draw b's id from
             // a's neighbourhood.
             let b = (b.0, if near < 2 { (a.1 + near).min((1 << ID_BITS) - 1) } else { b.1 }, b.2);
-            let (ka, kb) = (pack(DISTS[a.0], a.1) | a.2, pack(DISTS[b.0], b.1) | b.2);
+            let (ka, kb) = (pack_key(DISTS[a.0], a.1) | a.2, pack_key(DISTS[b.0], b.1) | b.2);
             let by_value = (DistValue(DISTS[a.0]), a.1).cmp(&(DistValue(DISTS[b.0]), b.1));
             prop_assert_eq!(ka.cmp(&kb), by_value.then(a.2.cmp(&b.2)));
             prop_assert_eq!(key_dist(ka).0.to_bits(), DISTS[a.0].to_bits());
@@ -413,7 +407,7 @@ mod tests {
                 reference.truncate(l);
 
                 let got: Vec<(u32, u32, bool)> = (0..list.len())
-                    .map(|i| (list.dist_at(i).0.to_bits(), list.id_at(i), list.keys[i] & EXPANDED != 0))
+                    .map(|i| (list.dist_at(i).0.to_bits(), list.id_at(i), list.keys()[i] & EXPANDED != 0))
                     .collect();
                 let want: Vec<(u32, u32, bool)> =
                     reference.iter().map(|c| (c.dist.0.to_bits(), c.id, c.expanded)).collect();
@@ -554,7 +548,7 @@ mod tests {
         // Entry 2 moved to offset 1 but stays expanded.
         assert_eq!(list.closest_unexpanded(), Some(0));
         assert_eq!(list.id_at(1), 2);
-        assert_eq!(list.keys[1] & EXPANDED, EXPANDED);
+        assert_eq!(list.keys()[1] & EXPANDED, EXPANDED);
     }
 
     #[test]

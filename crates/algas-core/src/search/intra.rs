@@ -259,8 +259,9 @@ impl<'a> CtaSearch<'a> {
         let calc_cycles = evals as u64 * self.ctx.cost.distance_cycles(dim);
 
         // ④ Sort expand list, merge into candidate list, truncate to L
-        // — charged as the GPU's bitonic stages, done as one packed-key
-        // insertion per newcomer.
+        // — charged as the GPU's bitonic stages, and on AVX-512 hosts
+        // done as bitonic stages over the packed keys (one insertion per
+        // newcomer elsewhere; the same list either way).
         let (sort_cycles, sorts) = if evals == 0 {
             (0, 0)
         } else {

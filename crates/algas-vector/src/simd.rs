@@ -4,14 +4,16 @@
 //! loops; the CPU analogue is a vectorized kernel selected once at
 //! startup from what the host actually supports:
 //!
-//! * **x86_64, AVX-512** (`avx512f`, `avx512bw`, `avx512vl` and
-//!   `avx512vnni`) — two 16-lane `__m512` accumulators (32 floats per
-//!   iteration) holding AVX2's four 8-lane ones side by side: lanes
-//!   0–15 of the first are AVX2's `acc0` and `acc1` over floats
-//!   `32t + 0..16`. Each is split into its two 8-lane halves before
-//!   AVX2's own 8-wide tail, lane sum and scalar tail run, so every
-//!   float result has AVX2's bits. The u8×i8 dot products use VNNI
-//!   (`vpdpbusd`, exact i32 arithmetic, no saturation).
+//! * **x86_64, AVX-512** (`avx512f`, `avx512bw`, `avx512vl`,
+//!   `avx512vnni` and `popcnt`) — two 16-lane `__m512` accumulators
+//!   (32 floats per iteration) holding AVX2's four 8-lane ones side by
+//!   side: lanes 0–15 of the first are AVX2's `acc0` and `acc1` over
+//!   floats `32t + 0..16`. Each is split into its two 8-lane halves
+//!   before AVX2's own 8-wide tail, lane sum and scalar tail run, so
+//!   every float result has AVX2's bits. The u8×i8 dot products use
+//!   VNNI (`vpdpbusd`, exact i32 arithmetic, no saturation), and step
+//!   ④'s candidate-list merge is a bitonic network over packed `u64`
+//!   keys ([`merge_keys`]).
 //! * **x86_64, AVX2 + FMA** — four 8-lane `__m256` accumulators
 //!   (32 floats per iteration) to hide FMA latency, 8-wide remainder
 //!   loop, scalar tail.
@@ -44,6 +46,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
+mod keys;
+
+pub use keys::{
+    flat, flat_mut, key_chunks, key_dist, key_id, pack_key, KeyChunk, EXPANDED, ID_BITS,
+};
+
 /// Distance between consecutive batch elements at which the next row is
 /// software-prefetched while the current one is being scored.
 pub const PREFETCH_AHEAD: usize = 4;
@@ -51,6 +59,10 @@ pub const PREFETCH_AHEAD: usize = 4;
 /// One-to-many float kernel: `out[j]` scores `a` against row `ids[j]`
 /// of a flat store with the given stride (see [`l2_squared_rows`]).
 type RowsFn = fn(&[f32], &[f32], usize, &[u32], &mut [f32]);
+
+/// Step ④'s merge of scored newcomers into a padded key list (see
+/// [`merge_keys`]); returns the new length.
+type MergeFn = fn(&mut [KeyChunk], usize, usize, &[u32], &[f32], &mut [KeyChunk]) -> usize;
 
 /// One resolved kernel set.
 #[derive(Clone, Copy)]
@@ -61,6 +73,8 @@ struct Kernels {
     ip_rows: RowsFn,
     dot_u8i8: fn(&[u8], &[i8]) -> i32,
     dot_u8i8_x4: fn(&[i8], [&[u8]; 4]) -> [i32; 4],
+    merge_keys: MergeFn,
+    unexpanded_mask: fn(&[KeyChunk]) -> u64,
     name: &'static str,
 }
 
@@ -71,6 +85,8 @@ const SCALAR: Kernels = Kernels {
     ip_rows: |a, rows, stride, ids, out| rows_with(inner_product_scalar, a, rows, stride, ids, out),
     dot_u8i8: dot_u8i8_scalar,
     dot_u8i8_x4: dot_u8i8_x4_scalar,
+    merge_keys: keys::merge_keys_reference,
+    unexpanded_mask: keys::unexpanded_mask_reference,
     name: "scalar",
 };
 
@@ -83,11 +99,13 @@ const AVX2: Kernels = Kernels {
     ip_rows: |a, rows, stride, ids, out| rows_with(inner_product_avx2, a, rows, stride, ids, out),
     dot_u8i8: dot_u8i8_avx2,
     dot_u8i8_x4: dot_u8i8_x4_avx2,
+    merge_keys: keys::merge_keys_reference,
+    unexpanded_mask: keys::unexpanded_mask_reference,
     name: "avx2+fma",
 };
 
 /// Installed only after runtime detection of everything [`AVX2`] needs
-/// plus avx512f, avx512bw, avx512vl and avx512vnni.
+/// plus avx512f, avx512bw, avx512vl, avx512vnni and popcnt.
 #[cfg(target_arch = "x86_64")]
 const AVX512: Kernels = Kernels {
     l2: l2_squared_avx512,
@@ -96,6 +114,8 @@ const AVX512: Kernels = Kernels {
     ip_rows: inner_product_rows_avx512,
     dot_u8i8: dot_u8i8_avx512,
     dot_u8i8_x4: dot_u8i8_x4_avx512,
+    merge_keys: keys::merge_keys_avx512,
+    unexpanded_mask: keys::unexpanded_mask_avx512,
     name: "avx512",
 };
 
@@ -116,6 +136,7 @@ fn has_avx512() -> bool {
         && std::arch::is_x86_feature_detected!("avx512bw")
         && std::arch::is_x86_feature_detected!("avx512vl")
         && std::arch::is_x86_feature_detected!("avx512vnni")
+        && std::arch::is_x86_feature_detected!("popcnt")
 }
 
 fn detected() -> Kernels {
@@ -143,6 +164,8 @@ fn detected() -> Kernels {
                     },
                     dot_u8i8: dot_u8i8_neon,
                     dot_u8i8_x4: dot_u8i8_x4_neon,
+                    merge_keys: keys::merge_keys_reference,
+                    unexpanded_mask: keys::unexpanded_mask_reference,
                     name: "neon",
                 };
             }
@@ -221,6 +244,50 @@ pub fn l2_squared_rows(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out:
 pub fn inner_product_rows(a: &[f32], rows: &[f32], stride: usize, ids: &[u32], out: &mut [f32]) {
     assert_eq!(ids.len(), out.len(), "one distance per id");
     (active().ip_rows)(a, rows, stride, ids, out)
+}
+
+/// Step ④ via the dispatched kernel: merges scored newcomers —
+/// `dists[i]` is the distance of `ids[i]` — into the ascending, padded
+/// key list `keys` of `len` entries and capacity `cap`, keeping the
+/// best `cap` of the union ascending and the pads after them, and
+/// returns the new length. Newcomers enter unexpanded and must be
+/// distinct from each other and from the list's entries. `stage` is
+/// the AVX-512 network's staging space, as wide as `keys`.
+///
+/// The AVX-512 tier merges with a bitonic network, every other tier
+/// one binary search and `memmove` per newcomer; both leave the same
+/// keys (see the `keys` module docs).
+///
+/// # Panics
+/// Panics if `ids` and `dists` differ in length, if `keys` is not
+/// [`key_chunks`]`(cap)` long, if `stage` is shorter, or if
+/// `len > cap`.
+#[inline]
+pub fn merge_keys(
+    keys: &mut [KeyChunk],
+    len: usize,
+    cap: usize,
+    ids: &[u32],
+    dists: &[f32],
+    stage: &mut [KeyChunk],
+) -> usize {
+    assert_eq!(ids.len(), dists.len(), "one distance per newcomer");
+    assert!(cap > 0 && len <= cap, "list of {len} entries at capacity {cap}");
+    assert_eq!(keys.len(), key_chunks(cap), "keys padded to the merge width");
+    assert!(stage.len() >= keys.len(), "stage as wide as the keys");
+    (active().merge_keys)(keys, len, cap, ids, dists, stage)
+}
+
+/// Step ①'s unexpanded mask via the dispatched kernel: bit `i` is set
+/// when key `i` of `chunks` has its expanded flag (bit 0) clear. Pads
+/// read as expanded.
+///
+/// # Panics
+/// Panics if `chunks` holds more than 64 keys.
+#[inline]
+pub fn unexpanded_mask(chunks: &[KeyChunk]) -> u64 {
+    assert!(chunks.len() <= 8, "one mask word covers 64 keys");
+    (active().unexpanded_mask)(chunks)
 }
 
 /// Row `id` of a flat store, cut to `len` floats (bounds-checked).
