@@ -89,12 +89,12 @@ impl CandidateList {
         self.keys().iter().map(|&k| (key_dist(k), key_id(k)))
     }
 
-    /// Step ①'s unexpanded mask of each 64-key block, with the block's
-    /// first offset. Pads read as expanded, so no bit lies past the
-    /// last entry.
+    /// Step ①'s unexpanded mask of each line of eight keys, with the
+    /// line's first offset. Pads read as expanded, so no bit lies past
+    /// the last entry.
     #[inline]
-    fn unexpanded(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.keys.chunks(8).enumerate().map(|(b, block)| (64 * b, simd::unexpanded_mask(block)))
+    fn unexpanded(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
+        self.keys.iter().enumerate().map(|(c, chunk)| (8 * c, chunk.unexpanded()))
     }
 
     /// Offset of the closest not-yet-expanded entry (§IV-B step ①).

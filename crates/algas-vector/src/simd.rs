@@ -74,7 +74,6 @@ struct Kernels {
     dot_u8i8: fn(&[u8], &[i8]) -> i32,
     dot_u8i8_x4: fn(&[i8], [&[u8]; 4]) -> [i32; 4],
     merge_keys: MergeFn,
-    unexpanded_mask: fn(&[KeyChunk]) -> u64,
     name: &'static str,
 }
 
@@ -86,7 +85,6 @@ const SCALAR: Kernels = Kernels {
     dot_u8i8: dot_u8i8_scalar,
     dot_u8i8_x4: dot_u8i8_x4_scalar,
     merge_keys: keys::merge_keys_reference,
-    unexpanded_mask: keys::unexpanded_mask_reference,
     name: "scalar",
 };
 
@@ -100,7 +98,6 @@ const AVX2: Kernels = Kernels {
     dot_u8i8: dot_u8i8_avx2,
     dot_u8i8_x4: dot_u8i8_x4_avx2,
     merge_keys: keys::merge_keys_reference,
-    unexpanded_mask: keys::unexpanded_mask_reference,
     name: "avx2+fma",
 };
 
@@ -115,7 +112,6 @@ const AVX512: Kernels = Kernels {
     dot_u8i8: dot_u8i8_avx512,
     dot_u8i8_x4: dot_u8i8_x4_avx512,
     merge_keys: keys::merge_keys_avx512,
-    unexpanded_mask: keys::unexpanded_mask_avx512,
     name: "avx512",
 };
 
@@ -165,7 +161,6 @@ fn detected() -> Kernels {
                     dot_u8i8: dot_u8i8_neon,
                     dot_u8i8_x4: dot_u8i8_x4_neon,
                     merge_keys: keys::merge_keys_reference,
-                    unexpanded_mask: keys::unexpanded_mask_reference,
                     name: "neon",
                 };
             }
@@ -276,18 +271,6 @@ pub fn merge_keys(
     assert_eq!(keys.len(), key_chunks(cap), "keys padded to the merge width");
     assert!(stage.len() >= keys.len(), "stage as wide as the keys");
     (active().merge_keys)(keys, len, cap, ids, dists, stage)
-}
-
-/// Step ①'s unexpanded mask via the dispatched kernel: bit `i` is set
-/// when key `i` of `chunks` has its expanded flag (bit 0) clear. Pads
-/// read as expanded.
-///
-/// # Panics
-/// Panics if `chunks` holds more than 64 keys.
-#[inline]
-pub fn unexpanded_mask(chunks: &[KeyChunk]) -> u64 {
-    assert!(chunks.len() <= 8, "one mask word covers 64 keys");
-    (active().unexpanded_mask)(chunks)
 }
 
 /// Row `id` of a flat store, cut to `len` floats (bounds-checked).

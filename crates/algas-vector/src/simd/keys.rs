@@ -11,7 +11,7 @@
 //! [`PAD`] is `u64::MAX`: no newcomer can equal it (its flag bit is
 //! clear), so every newcomer sorts before the pads, and since the pad's
 //! own flag bit is set, a test of bit 0 over the padded keys is step
-//! ①'s unexpanded mask with no length check ([`super::unexpanded_mask`]).
+//! ①'s unexpanded mask with no length check ([`KeyChunk::unexpanded`]).
 //!
 //! Two implementations of the merge sit behind the dispatch table:
 //!
@@ -51,6 +51,13 @@ pub struct KeyChunk([u64; 8]);
 impl KeyChunk {
     /// A line of pads.
     pub const PADS: Self = Self([PAD; 8]);
+
+    /// Step ①'s unexpanded mask of this line: bit `i` is set when key
+    /// `i` has its expanded flag (bit 0) clear. Pads read as expanded.
+    #[inline]
+    pub fn unexpanded(&self) -> u8 {
+        self.0.iter().enumerate().fold(0, |m, (i, &k)| m | u8::from(k & EXPANDED == 0) << i)
+    }
 }
 
 /// Chunks a list of capacity `cap` is padded to: the next power of two
@@ -132,13 +139,8 @@ pub(super) fn merge_keys_reference(
     len
 }
 
-/// Bit `i` set when key `i` of `chunks` (at most 8) has its flag clear.
-pub(super) fn unexpanded_mask_reference(chunks: &[KeyChunk]) -> u64 {
-    flat(chunks).iter().enumerate().fold(0, |m, (i, &k)| m | (!k & EXPANDED) << i)
-}
-
 #[cfg(target_arch = "x86_64")]
-pub(super) use avx512::{merge_keys_avx512, unexpanded_mask_avx512};
+pub(super) use avx512::merge_keys_avx512;
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
@@ -156,24 +158,6 @@ mod avx512 {
         // SAFETY: installed only after runtime detection of the AVX512
         // set; `simd::merge_keys` checked the lengths `merge` needs.
         unsafe { merge(keys, len, cap, ids, dists, stage) }
-    }
-
-    pub(in crate::simd) fn unexpanded_mask_avx512(chunks: &[KeyChunk]) -> u64 {
-        // SAFETY: installed only after runtime detection of the AVX512 set.
-        unsafe { unexpanded_mask(chunks) }
-    }
-
-    /// # Safety
-    /// The host must have avx512f; `chunks.len() <= 8`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn unexpanded_mask(chunks: &[KeyChunk]) -> u64 {
-        let one = _mm512_set1_epi64(1);
-        let mut mask = 0;
-        for (c, chunk) in chunks.iter().enumerate() {
-            let keys = _mm512_load_si512(chunk.0.as_ptr().cast());
-            mask |= u64::from(_mm512_testn_epi64_mask(keys, one)) << (8 * c);
-        }
-        mask
     }
 
     /// The chunks of `keys` as vectors.
@@ -199,7 +183,6 @@ mod avx512 {
         stage: &mut [KeyChunk],
     ) -> usize {
         let width = 8 * keys.len();
-        let staged = stage.as_mut_ptr().cast::<u64>();
         let bar =
             |keys: &[KeyChunk], len: usize| if len == cap { flat(keys)[cap - 1] } else { PAD };
         let mut below = _mm512_set1_epi64(bar(keys, len) as i64);
@@ -217,8 +200,10 @@ mod avx512 {
             );
             let keep = _mm512_mask_cmplt_epu64_mask(lanes, key, below);
             // Eight lanes stored, the survivors first: `s + 8 <= width`
-            // keeps the store inside the stage.
-            _mm512_storeu_si512(staged.add(s).cast(), _mm512_maskz_compress_epi64(keep, key));
+            // keeps the store inside the stage. The pointer is taken
+            // here, after `flush` has last borrowed `stage`.
+            let staged = stage.as_mut_ptr().cast::<u64>().add(s);
+            _mm512_storeu_si512(staged.cast(), _mm512_maskz_compress_epi64(keep, key));
             s += keep.count_ones() as usize;
         }
         if s > 0 {
@@ -387,7 +372,7 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::SCALAR;
+    use crate::simd::{MergeFn, SCALAR};
 
     /// Few enough values that batches are full of distance ties, plus
     /// every non-finite kind `total_cmp` has to place and the NaN whose
@@ -407,15 +392,13 @@ mod tests {
     ];
 
     /// The network tier, when this host has it.
-    fn network() -> Option<MergeTier> {
+    fn network() -> Option<MergeFn> {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::has_avx512() {
-            return Some((crate::simd::AVX512.merge_keys, crate::simd::AVX512.unexpanded_mask));
+            return Some(crate::simd::AVX512.merge_keys);
         }
         None
     }
-
-    type MergeTier = (crate::simd::MergeFn, fn(&[KeyChunk]) -> u64);
 
     /// A list of capacity `cap` run through both tiers side by side.
     struct Pair {
@@ -423,27 +406,27 @@ mod tests {
         len: [usize; 2],
         keys: [Vec<KeyChunk>; 2],
         stage: [Vec<KeyChunk>; 2],
-        tiers: [MergeTier; 2],
+        tiers: [MergeFn; 2],
     }
 
     impl Pair {
-        fn new(cap: usize, network: MergeTier) -> Self {
+        fn new(cap: usize, network: MergeFn) -> Self {
             let width = key_chunks(cap);
             Self {
                 cap,
                 len: [0; 2],
                 keys: [vec![KeyChunk::PADS; width], vec![KeyChunk::PADS; width]],
                 stage: [vec![KeyChunk::PADS; width], vec![KeyChunk::PADS; width]],
-                tiers: [(SCALAR.merge_keys, SCALAR.unexpanded_mask), network],
+                tiers: [SCALAR.merge_keys, network],
             }
         }
 
         /// Merges one batch on both tiers and checks every key, pads
-        /// included, every mask word and the length.
+        /// included, and the length.
         fn merge(&mut self, ids: &[u32], dists: &[f32], what: &str) {
             let want_len = (self.len[0] + ids.len()).min(self.cap);
             for t in 0..2 {
-                let (merge, _) = self.tiers[t];
+                let merge = self.tiers[t];
                 self.len[t] =
                     merge(&mut self.keys[t], self.len[t], self.cap, ids, dists, &mut self.stage[t]);
             }
@@ -452,10 +435,6 @@ mod tests {
             let keys = flat(&self.keys[0]);
             assert!(keys[..self.len[0]].windows(2).all(|w| w[0] < w[1]), "{what}: ascending");
             assert!(keys[self.len[0]..].iter().all(|&k| k == PAD), "{what}: pads");
-            for (b, block) in self.keys[0].chunks(8).enumerate() {
-                let want = (self.tiers[0].1)(block);
-                assert_eq!((self.tiers[1].1)(block), want, "{what}: mask of block {b}");
-            }
         }
 
         /// Sets the flag of every entry whose offset `pick` selects, on
@@ -486,7 +465,7 @@ mod tests {
     /// drawn out of order, distances from `DISTS` or random finite
     /// values; the entries at offsets `≡ round (mod 3)` are expanded
     /// after each batch.
-    fn run(cap: usize, sizes: &[usize], seed: u64, network: MergeTier) {
+    fn run(cap: usize, sizes: &[usize], seed: u64, network: MergeFn) {
         let mut rng = Lcg(seed);
         let mut pair = Pair::new(cap, network);
         let mut next_id = 0u32;
@@ -552,10 +531,11 @@ mod tests {
                 .enumerate()
                 .filter(|&(_, &k)| k & 1 == 0)
                 .fold(0u64, |m, (i, _)| m | 1 << i);
-            proptest::prop_assert_eq!((SCALAR.unexpanded_mask)(&chunks), want);
-            if let Some((_, mask)) = network() {
-                proptest::prop_assert_eq!(mask(&chunks), want);
-            }
+            let got = chunks
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (c, chunk)| m | u64::from(chunk.unexpanded()) << (8 * c));
+            proptest::prop_assert_eq!(got, want);
         }
     }
 
